@@ -1,9 +1,13 @@
 (* Hot-path profiler: per-subroutine cost breakdown of the oracle
-   ingestion pipeline.  Times each component in isolation (same params,
-   same instance mix as Estimate.create) and reports ns/edge plus
-   minor-heap words/edge, so hashing vs update vs GC costs are
-   attributable — the flat-memory engine's "zero words per edge"
-   promise is a line item here, not a guess.  A pool section drives the
+   ingestion pipeline.  Drives the whole stream through the planned
+   path the pipeline uses — one Chunk_plan per Pipeline.default_chunk
+   edges, then per (z, rep) instance the universe reduction and the
+   three subroutines' feed_planned — with a clock and a minor-heap
+   counter around each call (same params, same instance mix as
+   Estimate.create).  It reports ns/edge plus minor-heap words/edge per
+   component, so hashing vs update vs GC costs are attributable — the
+   flat-memory engine's "zero words per edge" promise is a line item
+   here, not a guess.  A pool section drives the
    persistent domain-pool executor over the same edges and reports the
    pipelining attribution (plan-build overlap ns/edge, per-worker
    queue-wait, idle fractions) from Pool.stats.
@@ -20,12 +24,7 @@ let pr fmt = Format.printf fmt
 
 type row = { name : string; seconds : float; ns_per_edge : float; words_per_edge : float }
 
-let time_alloc rows name ~edges f =
-  let a0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let dt = Unix.gettimeofday () -. t0 in
-  let alloc = Gc.minor_words () -. a0 in
+let add_row rows name ~edges dt alloc =
   let r =
     {
       name;
@@ -37,6 +36,17 @@ let time_alloc rows name ~edges f =
   pr "  %-28s %7.3fs  %8.1f ns/edge  %6.1f words/edge@." name dt r.ns_per_edge
     r.words_per_edge;
   rows := r :: !rows
+
+(* Seconds and minor-heap words of [f ()]. *)
+let measure f =
+  let a0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  f ();
+  (Unix.gettimeofday () -. t0, Gc.minor_words () -. a0)
+
+let time_alloc rows name ~edges f =
+  let dt, alloc = measure f in
+  add_row rows name ~edges dt alloc
 
 let write_json path ~label ~edges ~instances ?pool_json rows =
   let oc = open_out path in
@@ -64,13 +74,12 @@ let write_json path ~label ~edges ~instances ?pool_json rows =
   close_out oc;
   pr "wrote %s@." path
 
-let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
+let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
   Exp_util.header (Printf.sprintf "%s: per-subroutine hot-path breakdown" label);
   let sys = Mkc_workload.Random_inst.uniform ~n ~m ~set_size ~seed in
   let src = Mkc_stream.Stream_source.of_system ~seed:(seed + 1) sys in
-  let all = Mkc_stream.Stream_source.to_array src in
-  let nedges = min max_edges (Array.length all) in
-  let edges = Array.sub all 0 nedges in
+  let edges = Mkc_stream.Stream_source.backing src in
+  let nedges = Array.length edges in
   let params = P.make ~m ~n ~k ~alpha ~seed () in
   pr "%d edges, indep=%d@." nedges params.P.indep;
   let root = Mkc_hashing.Splitmix.create params.P.base_seed in
@@ -82,146 +91,59 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
   pr "%d instances@." instances;
   let rows = ref [] in
   let time_alloc = time_alloc rows in
-  (* universe reduction *)
-  let reductions =
-    List.map
-      (fun (z, rep) ->
-        let sd = Mkc_hashing.Splitmix.fork root ((z * 131) + rep) in
-        Mkc_core.Universe_reduction.create ~z ~seed:(Mkc_hashing.Splitmix.fork sd 0))
-      zs
+  (* One instance rebuilt from its parts, seeded as Estimate.create and
+     Oracle.create seed them. *)
+  let instance (z, rep) =
+    let sd = Mkc_hashing.Splitmix.fork root ((z * 131) + rep) in
+    let osd = Mkc_hashing.Splitmix.fork sd 1 in
+    let p = P.with_universe params z in
+    let heavy = P.s_alpha p >= 2.0 *. float_of_int p.P.k in
+    let w = if heavy then p.P.k else max 1 (min p.P.k (int_of_float (Float.round p.P.alpha))) in
+    ( Mkc_core.Universe_reduction.create ~z ~seed:(Mkc_hashing.Splitmix.fork sd 0),
+      Mkc_core.Large_common.create p ~seed:(Mkc_hashing.Splitmix.fork osd 1),
+      Mkc_core.Large_set.create p ~w ~seed:(Mkc_hashing.Splitmix.fork osd 2),
+      Mkc_core.Small_set.create p ~seed:(Mkc_hashing.Splitmix.fork osd 3) )
   in
-  let scratch = Array.make nedges (Mkc_stream.Edge.make ~set:0 ~elt:0) in
-  time_alloc
-    (Printf.sprintf "reduction (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
+  let insts = List.map instance zs in
+  (* The planned drive, chunk-outer as the pipeline runs it: each
+     component's time and words accumulate over every chunk. *)
+  let windows =
+    Mkc_stream.Stream_source.windows ~chunk:Mkc_stream.Pipeline.default_chunk src
+  in
+  let secs = Array.make 5 0.0 and words = Array.make 5 0.0 in
+  let timed i f =
+    let dt, alloc = measure f in
+    secs.(i) <- secs.(i) +. dt;
+    words.(i) <- words.(i) +. alloc
+  in
+  let plan = Mkc_stream.Chunk_plan.create () in
+  let red = ref [||] in
+  Array.iter
+    (fun (pos, len) ->
+      timed 0 (fun () -> Mkc_stream.Chunk_plan.build plan edges ~pos ~len);
+      let ne = Mkc_stream.Chunk_plan.num_elts plan in
+      if Array.length !red < ne then red := Array.make ne 0;
+      let red = !red in
       List.iter
-        (fun r ->
-          for i = 0 to nedges - 1 do
-            scratch.(i) <- Mkc_core.Universe_reduction.apply_edge r edges.(i)
-          done)
-        reductions);
-  (* per-subroutine, with per-instance reduced streams *)
-  let comps =
-    List.map
-      (fun ((z, rep), red) ->
-        let sd = Mkc_hashing.Splitmix.fork root ((z * 131) + rep) in
-        let osd = Mkc_hashing.Splitmix.fork sd 1 in
-        let p = P.with_universe params z in
-        let sa = P.s_alpha p in
-        let heavy = sa >= 2.0 *. float_of_int p.P.k in
-        let w =
-          if heavy then p.P.k
-          else max 1 (min p.P.k (int_of_float (Float.round p.P.alpha)))
-        in
-        let reduced =
-          Array.map (fun e -> Mkc_core.Universe_reduction.apply_edge red e) edges
-        in
-        ( Mkc_core.Large_common.create p ~seed:(Mkc_hashing.Splitmix.fork osd 1),
-          Mkc_core.Large_set.create p ~w ~seed:(Mkc_hashing.Splitmix.fork osd 2),
-          Mkc_core.Small_set.create p ~seed:(Mkc_hashing.Splitmix.fork osd 3),
-          reduced ))
-      (List.combine zs reductions)
-  in
-  time_alloc
-    (Printf.sprintf "large_common (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      List.iter
-        (fun (lc, _, _, reduced) ->
-          Mkc_core.Large_common.feed_batch lc reduced ~pos:0 ~len:nedges)
-        comps);
-  time_alloc
-    (Printf.sprintf "large_set (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      List.iter
-        (fun (_, ls, _, reduced) ->
-          Mkc_core.Large_set.feed_batch ls reduced ~pos:0 ~len:nedges)
-        comps);
-  time_alloc
-    (Printf.sprintf "small_set (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      List.iter
-        (fun (_, _, ss, reduced) ->
-          Mkc_core.Small_set.feed_batch ss reduced ~pos:0 ~len:nedges)
-        comps);
-  (* planned (chunk-deduplicated) path: the batched pipeline's actual
-     drive — hash decisions once per distinct id per chunk, then O(1)
-     table replays.  Fresh components: pruning history must not carry
-     over from the per-edge rows above. *)
-  let chunk = 8192 in
-  let nchunks = (nedges + chunk - 1) / chunk in
-  let bounds ci =
-    let p = ci * chunk in
-    (p, min chunk (nedges - p))
-  in
-  let plans = Array.init nchunks (fun _ -> Mkc_stream.Chunk_plan.create ()) in
-  time_alloc
-    (Printf.sprintf "plan build (%d chunks)" nchunks)
-    ~edges:nedges
-    (fun () ->
-      Array.iteri
-        (fun ci plan ->
-          let p, l = bounds ci in
-          Mkc_stream.Chunk_plan.build plan edges ~pos:p ~len:l)
-        plans);
-  let comps2 =
-    List.map
-      (fun (z, rep) ->
-        let sd = Mkc_hashing.Splitmix.fork root ((z * 131) + rep) in
-        let osd = Mkc_hashing.Splitmix.fork sd 1 in
-        let p = P.with_universe params z in
-        let sa = P.s_alpha p in
-        let heavy = sa >= 2.0 *. float_of_int p.P.k in
-        let w =
-          if heavy then p.P.k
-          else max 1 (min p.P.k (int_of_float (Float.round p.P.alpha)))
-        in
-        ( Mkc_core.Large_common.create p ~seed:(Mkc_hashing.Splitmix.fork osd 1),
-          Mkc_core.Large_set.create p ~w ~seed:(Mkc_hashing.Splitmix.fork osd 2),
-          Mkc_core.Small_set.create p ~seed:(Mkc_hashing.Splitmix.fork osd 3) ))
-      zs
-  in
-  let red_tbl = ref [] in
-  time_alloc
-    (Printf.sprintf "reduction planned (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      red_tbl :=
-        List.map
-          (fun r ->
-            Array.map
-              (fun plan ->
-                let ne = Mkc_stream.Chunk_plan.num_elts plan in
-                let out = Array.make ne 0 in
-                Mkc_core.Universe_reduction.apply_batch r
-                  (Mkc_stream.Chunk_plan.elts plan)
-                  ~pos:0 ~len:ne out;
-                out)
-              plans)
-          reductions);
-  let planned_row name f =
-    time_alloc
-      (Printf.sprintf "%s planned (%d inst)" name instances)
-      ~edges:nedges
-      (fun () ->
-        List.iter2
-          (fun comp reds ->
-            Array.iteri
-              (fun ci plan ->
-                let p, l = bounds ci in
-                f comp plan ~red:reds.(ci) ~pos:p ~len:l)
-              plans)
-          comps2 !red_tbl)
-  in
-  planned_row "large_common" (fun (lc, _, _) plan ~red ~pos ~len ->
-      Mkc_core.Large_common.feed_planned lc plan ~red edges ~pos ~len);
-  planned_row "large_set" (fun (_, ls, _) plan ~red ~pos ~len ->
-      Mkc_core.Large_set.feed_planned ls plan ~red edges ~pos ~len);
-  planned_row "small_set" (fun (_, _, ss) plan ~red ~pos ~len ->
-      Mkc_core.Small_set.feed_planned ss plan ~red edges ~pos ~len);
+        (fun (r, lc, ls, ss) ->
+          timed 1 (fun () ->
+              Mkc_core.Universe_reduction.apply_batch r
+                (Mkc_stream.Chunk_plan.elts plan)
+                ~pos:0 ~len:ne red);
+          timed 2 (fun () -> Mkc_core.Large_common.feed_planned lc plan ~red edges ~pos ~len);
+          timed 3 (fun () -> Mkc_core.Large_set.feed_planned ls plan ~red edges ~pos ~len);
+          timed 4 (fun () -> Mkc_core.Small_set.feed_planned ss plan ~red edges ~pos ~len))
+        insts)
+    windows;
+  List.iteri
+    (fun i name -> add_row rows name ~edges:nedges secs.(i) words.(i))
+    [
+      Printf.sprintf "plan build (%d chunks)" (Array.length windows);
+      Printf.sprintf "reduction planned (%d inst)" instances;
+      Printf.sprintf "large_common planned (%d inst)" instances;
+      Printf.sprintf "large_set planned (%d inst)" instances;
+      Printf.sprintf "small_set planned (%d inst)" instances;
+    ];
   (* pool path: the persistent-executor drive of a full Estimate over
      the same edges, attributed from Pool.stats — how much plan-build
      work the coordinator hid behind worker replay, how long tickets
@@ -232,7 +154,6 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
   let module PL = Mkc_stream.Pipeline in
   let pool_recommended = Domain.recommended_domain_count () in
   let pool_domains = max 2 (min 4 pool_recommended) in
-  let psrc = Mkc_stream.Stream_source.of_array edges in
   let e_pool = Mkc_core.Estimate.create params in
   let pool = PL.Pool.create ~domains:pool_domains () in
   (* ~8 coordinator windows, so plan-build genuinely overlaps worker
@@ -244,7 +165,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
     (fun () ->
       PL.feed_all_parallel ~pool ~chunk:pool_chunk
         ~costs:(Mkc_core.Estimate.shard_costs e_pool)
-        (Mkc_core.Estimate.shards e_pool) psrc);
+        (Mkc_core.Estimate.shards e_pool) src);
   let ps = PL.Pool.stats pool in
   PL.Pool.shutdown pool;
   let fe = float_of_int nedges in
@@ -328,11 +249,11 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
 
 let run () =
   run_with ~label:"profile" ~json_out:"PROFILE_hotpath.json" ~n:65536 ~m:4096 ~k:32
-    ~set_size:256 ~alpha:8.0 ~seed:11 ~max_edges:131072 ()
+    ~set_size:256 ~alpha:8.0 ~seed:11 ()
 
 (* CI-sized smoke run: the same breakdown on a workload small enough
    for the bench-smoke job, so per-subroutine ns/edge and words/edge
    land in the uploaded artifact on every push. *)
 let run_smoke () =
   run_with ~label:"profile-smoke" ~json_out:"PROFILE_hotpath_smoke.json" ~n:4096
-    ~m:512 ~k:16 ~set_size:64 ~alpha:8.0 ~seed:11 ~max_edges:16384 ()
+    ~m:512 ~k:16 ~set_size:64 ~alpha:8.0 ~seed:11 ()

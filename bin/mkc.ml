@@ -749,6 +749,98 @@ let truncate_source src = function
       if edges >= Array.length arr then src
       else Mkc_stream.Stream_source.of_array (Array.sub arr 0 edges)
 
+(* A checkpointed run's codec, --checkpoint-every, and the
+   --checkpoint / --resume paths. *)
+type 's ckpt = {
+  codec : 's Mkc_stream.Checkpoint.codec;
+  every : int;
+  save : string option;
+  resume : string option;
+}
+
+(* The one drive behind estimate, report and the windowed estimate.
+
+   [domains > 1] feeds the engine's (z, rep) [shards] through the pool,
+   each observed when metrics are wanted.  Budgets are single-domain
+   mutable state, so no shard observer gets one: the watchdog checks
+   the total words once at finalize instead.
+
+   One domain feeds the whole [sink], observed (space profile, budget,
+   telemetry via [attach]) when [observe], and tapped for --progress
+   unless checkpointing.
+
+   [ckpt] routes either drive through Pipeline.run_resumable. *)
+let drive (type s r) ~domains ~schedule ~chunk ~oopts ~observe ?budget ?(attach = ignore)
+    ?(shards = fun _ -> [||]) ?(costs = [||]) ?ckpt ~label ~profiles ~notify
+    ((module M) as sink : (s, r) Mkc_stream.Sink.sink) (state : s) src : r =
+  let module Sink = Mkc_stream.Sink in
+  let module Pipe = Mkc_stream.Pipeline in
+  (if ckpt <> None || domains > 1 then
+     match notify with
+     | None -> ()
+     | Some _ ->
+         Format.eprintf "mkc: --progress is %s; ignoring@."
+           (if ckpt <> None then "not reported in checkpoint mode"
+            else "only reported with --domains 1"));
+  let resumable ?costs ?on_save codec state ~shards ~finalize =
+    let c = Option.get ckpt in
+    match
+      Pipe.run_resumable ~domains ~schedule ?costs ~chunk ~every:c.every ?resume:c.resume
+        ?checkpoint:c.save ?on_save codec state ~shards ~finalize src
+    with
+    | Ok r -> r
+    | Error e -> ckpt_error_exit "checkpoint" e
+  in
+  if domains > 1 then begin
+    let final_samples = ref [] in
+    let observed_shards st =
+      if not (metrics_wanted oopts) then shards st
+      else
+        Array.mapi
+          (fun i s ->
+            let ob = Sink.Observed.observe_any ~cadence:oopts.cadence s in
+            profiles := (Printf.sprintf "shard%d" i, ob.Sink.Observed.oprofile) :: !profiles;
+            final_samples := ob.Sink.Observed.osample :: !final_samples;
+            ob.Sink.Observed.osink)
+          (shards st)
+    in
+    let finalize st =
+      List.iter (fun sample -> sample ()) !final_samples;
+      Option.iter (fun b -> Mkc_sketch.Space.Budget.observe b (M.words st)) budget;
+      M.finalize st
+    in
+    match ckpt with
+    | Some c -> resumable ~costs c.codec state ~shards:observed_shards ~finalize
+    | None ->
+        Pipe.feed_all_parallel ~domains ~schedule ~costs ~chunk (observed_shards state) src;
+        finalize state
+  end
+  else
+    let one (type a) ?on_save ((module A) as m : (a, r) Sink.sink) (st : a) (state_of : a -> s)
+        =
+      match (ckpt, notify) with
+      | Some c, _ ->
+          resumable ?on_save
+            (Mkc_stream.Checkpoint.map_codec state_of c.codec)
+            st
+            ~shards:(fun st -> [| Sink.pack m st |])
+            ~finalize:A.finalize
+      | None, Some notify ->
+          let tm, tp = Sink.Tap.tap m st ~notify in
+          Pipe.run ~chunk tm tp src
+      | None, None -> Pipe.run ~chunk m st src
+    in
+    if observe then begin
+      let sm, ob = Sink.Observed.observe ~cadence:oopts.cadence ?budget sink state in
+      if metrics_wanted oopts then profiles := [ (label, Sink.Observed.profile ob) ];
+      attach ob;
+      (* Aim the codec at the inner sink and put each save's bytes on the
+         space books — a held checkpoint is real space. *)
+      one sm ob Sink.Observed.state ~on_save:(fun ~pos:_ ~bytes:_ ~words ->
+          Sink.Observed.note_checkpoint ob ~words)
+    end
+    else one sink state Fun.id
+
 (* The windowed estimate run: single-domain, epoch ring inside the
    sink, telemetry through the windowed probe set. *)
 let estimate_windowed ~path ~src ~m ~n ~k ~alpha ~seed ~profile ~schedule ~chunk ~oopts
@@ -772,32 +864,19 @@ let estimate_windowed ~path ~src ~m ~n ~k ~alpha ~seed ~profile ~schedule ~chunk
   let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
   let profiles = ref [] in
   let rig = ref None in
+  let attach ob =
+    if telemetry_on then
+      rig :=
+        Some
+          (setup_telemetry topts
+             ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
+             ob
+             (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown est))
+  in
   let run () =
-    if want || tracing || budget <> None || telemetry_on then begin
-      let sm, ob =
-        Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
-          Mkc_core.Windowed.sink est
-      in
-      if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
-      if telemetry_on then
-        rig :=
-          Some
-            (setup_telemetry topts
-               ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
-               ob
-               (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown est));
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap sm ob ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk sm ob src
-    end
-    else
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap Mkc_core.Windowed.sink est ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk Mkc_core.Windowed.sink est src
+    drive ~domains:1 ~schedule ~chunk ~oopts
+      ~observe:(want || tracing || budget <> None || telemetry_on)
+      ?budget ~attach ~label:"estimate" ~profiles ~notify Mkc_core.Windowed.sink est src
   in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
@@ -899,121 +978,16 @@ let estimate path k alpha seed profile domains schedule chunk oopts topts budget
              ob
              (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est))
   in
+  let ckpt =
+    if ckpt = None && resume = None then None
+    else Some { codec = Mkc_core.Estimate.codec params; every; save = ckpt; resume }
+  in
   let run () =
-    if (ckpt <> None || resume <> None) && domains > 1 then begin
-      (* Pool-backed checkpoint/resume: saves land on chunk-window
-         boundaries (chunk × domains edges), where every worker is
-         quiescent.  Shards are re-derived from the restored estimator,
-         so a resumed run matches the uninterrupted one bit for bit. *)
-      Option.iter
-        (fun _ -> Format.eprintf "mkc: --progress is not reported in checkpoint mode; ignoring@.")
-        notify;
-      let codec = Mkc_core.Estimate.codec params in
-      let final_samples = ref [] in
-      let wrap_shards st =
-        let shards = Mkc_core.Estimate.shards st in
-        if not want then shards
-        else
-          Array.mapi
-            (fun i s ->
-              let ob = Mkc_stream.Sink.Observed.observe_any ~cadence:oopts.cadence s in
-              profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
-              final_samples := ob.Mkc_stream.Sink.Observed.osample :: !final_samples;
-              ob.Mkc_stream.Sink.Observed.osink)
-            shards
-      in
-      let out =
-        Mkc_stream.Pipeline.run_parallel_resumable ~domains ~schedule
-          ~costs:(Mkc_core.Estimate.shard_costs est) ~chunk ~every ?resume
-          ?checkpoint:ckpt codec est ~shards:wrap_shards
-          ~finalize:(fun st ->
-            List.iter (fun sample -> sample ()) !final_samples;
-            (match budget with
-            | Some b -> Mkc_sketch.Space.Budget.observe b (Mkc_core.Estimate.words st)
-            | None -> ());
-            Mkc_core.Estimate.finalize st)
-          src
-      in
-      match out with Ok r -> r | Error e -> ckpt_error_exit "checkpoint" e
-    end
-    else if ckpt <> None || resume <> None then begin
-      Option.iter
-        (fun _ -> Format.eprintf "mkc: --progress is not reported in checkpoint mode; ignoring@.")
-        notify;
-      let codec = Mkc_core.Estimate.codec params in
-      let out =
-        if want || tracing || budget <> None || telemetry_on then begin
-          let sm, ob =
-            Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
-              Mkc_core.Estimate.sink est
-          in
-          if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
-          attach ob;
-          (* Aim the codec at the inner sink and put each save's bytes on
-             the space books — a held checkpoint is real space. *)
-          let codec = Mkc_stream.Checkpoint.map_codec Mkc_stream.Sink.Observed.state codec in
-          let on_save ~pos:_ ~bytes:_ ~words =
-            Mkc_stream.Sink.Observed.note_checkpoint ob ~words
-          in
-          Mkc_stream.Pipeline.run_resumable ~chunk ~every ?resume ?checkpoint:ckpt ~on_save
-            codec sm ob src
-        end
-        else
-          Mkc_stream.Pipeline.run_resumable ~chunk ~every ?resume ?checkpoint:ckpt codec
-            Mkc_core.Estimate.sink est src
-      in
-      match out with Ok r -> r | Error e -> ckpt_error_exit "checkpoint" e
-    end
-    else if domains > 1 then begin
-      Option.iter
-        (fun _ ->
-          Format.eprintf "mkc: --progress is only reported with --domains 1; ignoring@.")
-        notify;
-      let shards = Mkc_core.Estimate.shards est in
-      let final_samples = ref [] in
-      let shards =
-        if not want then shards
-        else
-          (* Budgets are single-domain mutable state: never share one
-             across per-shard wrappers.  The watchdog instead checks the
-             total word count once at finalize. *)
-          Array.mapi
-            (fun i s ->
-              let ob = Mkc_stream.Sink.Observed.observe_any ~cadence:oopts.cadence s in
-              profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
-              final_samples := ob.Mkc_stream.Sink.Observed.osample :: !final_samples;
-              ob.Mkc_stream.Sink.Observed.osink)
-            shards
-      in
-      Mkc_stream.Pipeline.run_parallel ~domains ~schedule
-        ~costs:(Mkc_core.Estimate.shard_costs est) ~chunk ~shards
-        ~finalize:(fun () ->
-          List.iter (fun sample -> sample ()) !final_samples;
-          (match budget with
-          | Some b -> Mkc_sketch.Space.Budget.observe b (Mkc_core.Estimate.words est)
-          | None -> ());
-          Mkc_core.Estimate.finalize est)
-        src
-    end
-    else if want || tracing || budget <> None || telemetry_on then begin
-      let sm, ob =
-        Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
-          Mkc_core.Estimate.sink est
-      in
-      if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
-      attach ob;
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap sm ob ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk sm ob src
-    end
-    else
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap Mkc_core.Estimate.sink est ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk Mkc_core.Estimate.sink est src
+    drive ~domains ~schedule ~chunk ~oopts
+      ~observe:(want || tracing || budget <> None || telemetry_on)
+      ?budget ~attach ~shards:Mkc_core.Estimate.shards
+      ~costs:(Mkc_core.Estimate.shard_costs est) ?ckpt ~label:"estimate" ~profiles ~notify
+      Mkc_core.Estimate.sink est src
   in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
@@ -1119,48 +1093,9 @@ let report path k alpha seed profile domains schedule chunk oopts ledger window 
   let profiles = ref [] in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
-    if domains > 1 then begin
-      Option.iter
-        (fun _ ->
-          Format.eprintf "mkc: --progress is only reported with --domains 1; ignoring@.")
-        notify;
-      let shards = Mkc_core.Report.shards rep in
-      let final_samples = ref [] in
-      let shards =
-        if not want then shards
-        else
-          Array.mapi
-            (fun i s ->
-              let ob = Mkc_stream.Sink.Observed.observe_any ~cadence:oopts.cadence s in
-              profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
-              final_samples := ob.Mkc_stream.Sink.Observed.osample :: !final_samples;
-              ob.Mkc_stream.Sink.Observed.osink)
-            shards
-      in
-      Mkc_stream.Pipeline.run_parallel ~domains ~schedule
-        ~costs:(Mkc_core.Report.shard_costs rep) ~chunk ~shards
-        ~finalize:(fun () ->
-          List.iter (fun sample -> sample ()) !final_samples;
-          Mkc_core.Report.finalize rep)
-        src
-    end
-    else if want || tracing then begin
-      let sm, ob =
-        Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence Mkc_core.Report.sink rep
-      in
-      if want then profiles := [ ("report", Mkc_stream.Sink.Observed.profile ob) ];
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap sm ob ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk sm ob src
-    end
-    else
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap Mkc_core.Report.sink rep ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk Mkc_core.Report.sink rep src
+    drive ~domains ~schedule ~chunk ~oopts ~observe:(want || tracing)
+      ~shards:Mkc_core.Report.shards ~costs:(Mkc_core.Report.shard_costs rep) ~label:"report"
+      ~profiles ~notify Mkc_core.Report.sink rep src
   in
   let run_wall_ns = Mkc_obs.Clock.now_ns () - run_t0 in
   Format.printf "estimated coverage: %.0f@." r.Mkc_core.Report.estimate;

@@ -22,11 +22,6 @@ type t
 val create : Params.t -> t
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Chunked ingestion, equivalent to edge-by-edge {!feed}: builds a
-    private {!Mkc_stream.Chunk_plan} for the slice and delegates to
-    {!feed_planned}. *)
-
 val feed_planned :
   t -> Mkc_stream.Chunk_plan.t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
 (** Chunk-deduplicated ingestion (bit-for-bit ≡ {!feed}): instances are
@@ -128,13 +123,13 @@ val of_payload : Mkc_obs.Json.t -> (t, string) Stdlib.result
 val params : t -> Params.t
 
 val sink : (t, result) Mkc_stream.Sink.sink
-(** The whole estimator as a single {!Mkc_stream.Sink}, for the
-    sequential {!Mkc_stream.Pipeline} drivers. *)
+(** The whole estimator as a single {!Mkc_stream.Sink}, for one-slot
+    {!Mkc_stream.Pipeline} drives. *)
 
 val shards : t -> Mkc_stream.Sink.any array
 (** The z-ladder × repeats fan-out as a data-driven array of mutually
     independent sinks — one per (guess, repeat) oracle instance, each
-    with a private scratch buffer.  Driving every shard over the full
+    with a private reduction buffer.  Driving every shard over the full
     stream (in any interleaving, e.g.
     {!Mkc_stream.Pipeline.feed_all_parallel}) leaves this estimator in
     exactly the state of edge-by-edge {!feed}; then {!finalize} as

@@ -29,10 +29,6 @@ val create : Params.t -> t
 val engine : t -> engine
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Chunked ingestion, equivalent to edge-by-edge {!feed} on whichever
-    engine is active. *)
-
 type result = { estimate : float; sets : int list; engine : engine }
 
 val finalize : t -> result

@@ -71,13 +71,6 @@ let feed t (e : Mkc_stream.Edge.t) =
   let finest = keep_code t e.set in
   if finest >= 0 && e.sign > 0 then add_levels t finest e.elt
 
-let feed_batch t edges ~pos ~len =
-  for i = pos to pos + len - 1 do
-    let (e : Mkc_stream.Edge.t) = Array.unsafe_get edges i in
-    let finest = keep_code t e.set in
-    if finest >= 0 && e.sign > 0 then add_levels t finest e.elt
-  done
-
 let feed_planned t plan ~red edges ~pos ~len =
   (* Decide once per distinct set id, then replay the chunk in original
      edge order — L0 updates land in exactly the per-edge sequence, so

@@ -221,18 +221,6 @@ let feed_repeat t rs (e : Mkc_stream.Edge.t) =
 
 let feed t e = Array.iter (fun rs -> feed_repeat t rs e) t.repeats
 
-let feed_batch t edges ~pos ~len =
-  (* Repeat-outer: one repeat's samplers, partition, and counters stay
-     hot across the chunk; per-repeat edge order is unchanged, so the
-     state is exactly the edge-by-edge one. *)
-  let stop = pos + len - 1 in
-  Array.iter
-    (fun rs ->
-      for i = pos to stop do
-        feed_repeat t rs (Array.unsafe_get edges i)
-      done)
-    t.repeats
-
 let ensure_int a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
 
 let ensure_bool a n =

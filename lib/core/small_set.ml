@@ -151,16 +151,6 @@ let feed_repeat t rs (e : Mkc_stream.Edge.t) =
 
 let feed t e = Array.iter (fun rs -> feed_repeat t rs e) t.repeats
 
-let feed_batch t edges ~pos ~len =
-  (* Repeat-outer chunked ingestion; per-repeat edge order unchanged. *)
-  let stop = pos + len - 1 in
-  Array.iter
-    (fun rs ->
-      for i = pos to stop do
-        feed_repeat t rs (Array.unsafe_get edges i)
-      done)
-    t.repeats
-
 let feed_planned t plan ~red edges ~pos ~len =
   (* Chunk-deduplicated path: nested element decisions once per distinct
      (reduced) element, set-sample membership once per distinct set —

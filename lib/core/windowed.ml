@@ -33,6 +33,10 @@ type t = {
   epsilon : float;
   mutable current : Estimate.t;
   mutable in_epoch : int;
+  (* Plan for the pieces of a slice that straddles a roll; created on
+     the first such slice, so a drive whose chunks never straddle one
+     holds no plan of its own. *)
+  mutable own_plan : Mkc_stream.Chunk_plan.t option;
   ring : Json.t option array; (* encoded epoch states, slot i valid iff Some *)
   ring_est : float array; (* per-epoch finalized estimates, slot-aligned *)
   ring_words : int array; (* serialized size of each held payload *)
@@ -62,6 +66,7 @@ let create ?(epsilon = 0.1) ?decay params ~window ~epoch_edges () =
     epsilon;
     current = Estimate.create params;
     in_epoch = 0;
+    own_plan = None;
     ring = Array.make window None;
     ring_est = Array.make window 0.0;
     ring_words = Array.make window 0;
@@ -118,26 +123,44 @@ let roll t =
   t.current <- Estimate.create t.params;
   t.in_epoch <- 0
 
-let feed t e =
-  Estimate.feed t.current e;
-  t.in_epoch <- t.in_epoch + 1;
+let advance t n =
+  t.in_epoch <- t.in_epoch + n;
   if t.in_epoch >= t.epoch_edges then roll t
 
-(* Chunks are split at epoch boundaries so a batched drive rolls at
-   exactly the same edge counts as the per-edge one — states stay
-   bit-for-bit equal across driving modes. *)
-let rec feed_batch t edges ~pos ~len =
-  if len > 0 then begin
-    let take = min (t.epoch_edges - t.in_epoch) len in
-    Estimate.feed_batch t.current edges ~pos ~len:take;
-    t.in_epoch <- t.in_epoch + take;
-    if t.in_epoch >= t.epoch_edges then roll t;
-    feed_batch t edges ~pos:(pos + take) ~len:(len - take)
-  end
+let feed t e =
+  Estimate.feed t.current e;
+  advance t 1
 
-(* A shared chunk plan indexes the whole chunk; an epoch boundary in
-   the middle would invalidate it, so the planned path re-batches. *)
-let feed_planned t (_ : Mkc_stream.Chunk_plan.t) edges ~pos ~len = feed_batch t edges ~pos ~len
+(* A slice that ends inside the current epoch goes to it with the
+   pipeline's plan.  One that crosses a boundary is cut there, so a
+   chunked drive rolls at exactly the per-edge drive's edge counts
+   (bit-for-bit equal states across driving modes); the shared plan
+   indexes the whole slice, so each piece is planned privately. *)
+let feed_planned t plan edges ~pos ~len =
+  if len <= t.epoch_edges - t.in_epoch then begin
+    Estimate.feed_planned t.current plan edges ~pos ~len;
+    advance t len
+  end
+  else begin
+    let own =
+      match t.own_plan with
+      | Some p -> p
+      | None ->
+          let p = Mkc_stream.Chunk_plan.create () in
+          t.own_plan <- Some p;
+          p
+    in
+    let rec pieces pos len =
+      if len > 0 then begin
+        let take = min (t.epoch_edges - t.in_epoch) len in
+        Mkc_stream.Chunk_plan.build own edges ~pos ~len:take;
+        Estimate.feed_planned t.current own edges ~pos ~len:take;
+        advance t take;
+        pieces (pos + take) (len - take)
+      end
+    in
+    pieces pos len
+  end
 
 type result = {
   estimate : float;
@@ -208,7 +231,6 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     type nonrec result = result
 
     let feed = feed
-    let feed_batch = feed_batch
     let feed_planned = feed_planned
     let finalize = finalize
     let words = words

@@ -50,13 +50,14 @@ val create :
     arguments, by name. *)
 
 val feed : t -> Mkc_stream.Edge.t -> unit
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Batched feeds split chunks at epoch boundaries, so rolls land at
-    exactly the per-edge drive's edge counts (bit-for-bit equal
-    states across driving modes). *)
 
 val feed_planned :
   t -> Mkc_stream.Chunk_plan.t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
+(** A slice that ends inside the current epoch is fed with the given
+    plan.  One that straddles a roll is split at the epoch boundary,
+    so rolls land at exactly the per-edge drive's edge counts
+    (bit-for-bit equal states across driving modes); its pieces are
+    planned into a private plan, created on first use. *)
 
 type result = {
   estimate : float;  (** windowed (or decayed) coverage estimate *)

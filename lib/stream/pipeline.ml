@@ -64,31 +64,6 @@ let chunk_instrumented ~nsinks ~len ~cum f =
   end
   else f ()
 
-let run ?(chunk = default_chunk) (type s r) ((module M) : (s, r) Sink.sink) (sink : s) src =
-  let plan = Chunk_plan.create () in
-  let cum = ref 0 in
-  Stream_source.chunks ~chunk
-    (fun edges ~pos ~len ->
-      chunk_instrumented ~nsinks:1 ~len ~cum (fun () ->
-          Chunk_plan.build plan edges ~pos ~len;
-          M.feed_planned sink plan edges ~pos ~len))
-    src;
-  M.finalize sink
-
-(* One plan per chunk, shared by every sink: the grouping pass is paid
-   once per chunk, and each sink fans its per-distinct-id hash decisions
-   out from the same tables. *)
-let feed_all ?(chunk = default_chunk) ?(start = 0) sinks src =
-  let nsinks = Array.length sinks in
-  let plan = Chunk_plan.create () in
-  let cum = ref 0 in
-  Stream_source.chunks ~chunk ~start
-    (fun edges ~pos ~len ->
-      chunk_instrumented ~nsinks ~len ~cum (fun () ->
-          Chunk_plan.build plan edges ~pos ~len;
-          Array.iter (fun s -> Sink.Any.feed_planned s plan edges ~pos ~len) sinks))
-    src
-
 (* {1 Persistent worker-domain pool}
 
    The parallel executor.  Domains are spawned ONCE per pool (not per
@@ -322,45 +297,60 @@ let lpt ~slots ~coord_bias costs =
    the static coordinator bias before any measurement exists. *)
 let static_plan_fraction = 0.02
 
-(* The pipelined window loop.  Per window W the coordinator:
-   dispatches W's tickets to the workers, builds window W+1's plan into
-   the other half of a double-buffered scratch pair (overlapping the
-   workers' replay — the tentpole pipelining), feeds its own sink
-   group, then awaits the workers.  Windows are barriered, so every
-   sink sees the full stream in order no matter which domain runs it —
-   the bit-for-bit-vs-[run_seq] invariant.  [on_window] (checkpoint
-   hook) runs between windows, while every worker is quiescent. *)
-let pool_drive ?pool ?slots_cap ?(schedule = Static) ?costs
-    ?(chunk = default_chunk) ?(start = 0) ?on_window sinks src =
+(* The slots a drive gets: [pool] capped by [domains], else a transient
+   pool of [domains] slots (default [Domain.recommended_domain_count
+   ()]) — never more slots than sinks.  One slot means no pool at all:
+   the drive runs on the calling domain. *)
+let with_slots ?pool ?domains nsinks f =
+  match pool with
+  | Some p ->
+      let cap = Option.value domains ~default:(Pool.size p) in
+      let slots = max 1 (min (min (Pool.size p) cap) nsinks) in
+      f (if slots > 1 then Some p else None) slots
+  | None ->
+      let d = Option.value domains ~default:(Domain.recommended_domain_count ()) in
+      let d = min d nsinks in
+      if d <= 1 then f None 1 else Pool.with_pool ~domains:d (fun p -> f (Some p) d)
+
+(* The one chunk loop behind every chunked driver.  The stream is cut
+   into windows of [chunk × slots] edges; every sink sees every window,
+   in order, so final states never depend on the slot count.
+
+   One slot builds each window's plan in place into a single scratch
+   plan, then feeds every sink on the calling domain.
+
+   With a pool, per window W the coordinator dispatches W's tickets to
+   the workers, builds window W+1's plan into the other half of a
+   double-buffered pair (overlapping the workers' replay), feeds its
+   own sink group, then awaits the workers.  Windows are barriered, so
+   every sink sees the full stream in order no matter which domain runs
+   it — the bit-for-bit-vs-[run_seq] invariant.
+
+   [on_window] (the checkpoint hook) runs between windows, while every
+   worker is quiescent. *)
+let drive ~pool ~slots ?(schedule = Static) ?costs ~chunk ~start ?on_window sinks src =
   let nsinks = Array.length sinks in
-  let slots =
-    match pool with
-    | None -> 1
-    | Some p ->
-        let cap = match slots_cap with Some c -> c | None -> Pool.size p in
-        max 1 (min (min (Pool.size p) cap) nsinks)
+  let est =
+    match costs with
+    | None -> Array.make nsinks 1.0
+    | Some c ->
+        if Array.length c <> nsinks then
+          invalid_arg "Pipeline: costs length must equal the sink count";
+        Array.map (fun x -> Float.max x 1e-9) c
   in
-  let dchunk = chunk * slots in
-  let wins = Stream_source.windows ~chunk:dchunk ~start src in
+  let wins = Stream_source.windows ~chunk:(chunk * slots) ~start src in
   let nwin = Array.length wins in
   if nwin > 0 then begin
-    let n = Stream_source.length src in
     let edges = Stream_source.backing src in
-    let sized = min dchunk (n - start) in
     let plans =
-      [|
-        Chunk_plan.create_sized ~chunk:sized;
-        (if nwin > 1 then Chunk_plan.create_sized ~chunk:sized
-         else Chunk_plan.create ());
-      |]
-    in
-    let est =
-      match costs with
-      | None -> Array.make nsinks 1.0
-      | Some c ->
-          if Array.length c <> nsinks then
-            invalid_arg "Pipeline: costs length must equal the sink count";
-          Array.map (fun x -> Float.max x 1e-9) c
+      match pool with
+      | None -> [| Chunk_plan.create () |]
+      | Some _ ->
+          let sized = min (chunk * slots) (Stream_source.length src - start) in
+          [|
+            Chunk_plan.create_sized ~chunk:sized;
+            (if nwin > 1 then Chunk_plan.create_sized ~chunk:sized else Chunk_plan.create ());
+          |]
     in
     let total = Array.fold_left ( +. ) 0.0 est in
     let coord_bias = ref (static_plan_fraction *. total) in
@@ -372,129 +362,113 @@ let pool_drive ?pool ?slots_cap ?(schedule = Static) ?costs
     let plan_last_ns = ref 0.0 in
     let coord_busy_ns = ref 0 in
     let rebalances = ref 0 in
-    let busy0, wait0 =
-      match pool with
-      | None -> ([||], [||])
-      | Some p ->
-          ( Array.map (fun (w : Pool.worker) -> w.Pool.busy_ns) p.Pool.workers,
-            Array.map (fun (w : Pool.worker) -> w.Pool.wait_ns) p.Pool.workers )
+    (* A [domains] cap below the pool size leaves the excess workers
+       without tickets for this drive. *)
+    let workers =
+      match pool with None -> [||] | Some p -> Array.sub p.Pool.workers 0 (slots - 1)
     in
+    let busy0 = Array.map (fun (w : Pool.worker) -> w.Pool.busy_ns) workers in
+    let wait0 = Array.map (fun (w : Pool.worker) -> w.Pool.wait_ns) workers in
     let cum = ref 0 in
     let parity = ref 0 in
-    (* Window 0's plan is the only one built on the critical path; every
-       later build overlaps the previous window's replay. *)
-    let p0, l0 = wins.(0) in
-    let tb = Mkc_obs.Clock.now_ns () in
-    Chunk_plan.build plans.(0) edges ~pos:p0 ~len:l0;
-    plan_build_ns := Mkc_obs.Clock.now_ns () - tb;
-    Mkc_obs.Registry.record Obs.pool_plan_build_ns !plan_build_ns;
+    let build_timed plan (pos, len) =
+      let t0 = Mkc_obs.Clock.now_ns () in
+      Chunk_plan.build plan edges ~pos ~len;
+      let d = Mkc_obs.Clock.now_ns () - t0 in
+      plan_build_ns := !plan_build_ns + d;
+      Mkc_obs.Registry.record Obs.pool_plan_build_ns d;
+      d
+    in
+    (* With a pool, window 0's plan is the only one built on the
+       critical path; every later build overlaps the previous window's
+       replay. *)
+    if pool <> None then ignore (build_timed plans.(0) wins.(0));
     let loop_t0 = Mkc_obs.Clock.now_ns () in
     for w = 0 to nwin - 1 do
       let pos, len = wins.(w) in
       let plan = plans.(!parity) in
       chunk_instrumented ~nsinks ~len ~cum (fun () ->
-          (match pool with
-          | Some p when slots > 1 ->
-              let dns = Mkc_obs.Clock.now_ns () in
-              for s = 1 to slots - 1 do
-                Pool.dispatch
-                  p.Pool.workers.(s - 1)
-                  {
-                    Pool.sinks;
-                    assign = (!assign).(s);
-                    plan;
-                    edges;
-                    tpos = pos;
-                    tlen = len;
-                    shard_ns;
-                    dispatch_ns = dns;
-                  }
-              done
-          | _ -> ());
-          if w + 1 < nwin then begin
-            let pos', len' = wins.(w + 1) in
-            let t0 = Mkc_obs.Clock.now_ns () in
-            Chunk_plan.build plans.(1 - !parity) edges ~pos:pos' ~len:len';
-            let d = Mkc_obs.Clock.now_ns () - t0 in
-            plan_build_ns := !plan_build_ns + d;
-            Mkc_obs.Registry.record Obs.pool_plan_build_ns d;
-            if slots > 1 then plan_overlap_ns := !plan_overlap_ns + d;
-            plan_last_ns := float_of_int d
-          end;
-          let t0 = Mkc_obs.Clock.now_ns () in
-          Pool.feed_assigned
-            {
-              Pool.sinks;
-              assign = (!assign).(0);
-              plan;
-              edges;
-              tpos = pos;
-              tlen = len;
-              shard_ns;
-              dispatch_ns = t0;
-            };
-          let d = Mkc_obs.Clock.now_ns () - t0 in
-          Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:d;
-          coord_busy_ns := !coord_busy_ns + d;
           match pool with
-          | Some p when slots > 1 ->
-              for s = 1 to slots - 1 do
-                Pool.await p.Pool.workers.(s - 1)
-              done
-          | _ -> ());
+          | None ->
+              Chunk_plan.build plan edges ~pos ~len;
+              Array.iter (fun s -> Sink.Any.feed_planned s plan edges ~pos ~len) sinks
+          | Some _ ->
+              let ticket slot dispatch_ns =
+                {
+                  Pool.sinks;
+                  assign = (!assign).(slot);
+                  plan;
+                  edges;
+                  tpos = pos;
+                  tlen = len;
+                  shard_ns;
+                  dispatch_ns;
+                }
+              in
+              let dns = Mkc_obs.Clock.now_ns () in
+              Array.iteri (fun i wk -> Pool.dispatch wk (ticket (i + 1) dns)) workers;
+              if w + 1 < nwin then begin
+                let d = build_timed plans.(1 - !parity) wins.(w + 1) in
+                plan_overlap_ns := !plan_overlap_ns + d;
+                plan_last_ns := float_of_int d
+              end;
+              let t0 = Mkc_obs.Clock.now_ns () in
+              Pool.feed_assigned (ticket 0 t0);
+              let d = Mkc_obs.Clock.now_ns () - t0 in
+              Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:d;
+              coord_busy_ns := !coord_busy_ns + d;
+              Array.iter Pool.await workers);
       (match on_window with
       | Some f -> f ~next:(pos + len) ~window:w
       | None -> ());
-      (if schedule = Adaptive && slots > 1 then begin
-         (* Refine per-shard cost estimates from the measured window.
-            The first measurement replaces the static seed wholesale
-            (unit scales differ); later ones are smoothed so one noisy
-            window cannot thrash the packing. *)
-         (if not !measured then begin
-            for i = 0 to nsinks - 1 do
-              est.(i) <- Float.max (float_of_int shard_ns.(i)) 1.0
-            done;
-            coord_bias := Float.max !plan_last_ns 1.0;
-            measured := true
-          end
-          else begin
-            for i = 0 to nsinks - 1 do
-              est.(i) <- (0.5 *. est.(i)) +. (0.5 *. float_of_int shard_ns.(i))
-            done;
-            coord_bias := (0.5 *. !coord_bias) +. (0.5 *. !plan_last_ns)
-          end);
-         let assign' = lpt ~slots ~coord_bias:!coord_bias est in
-         if assign' <> !assign then begin
-           incr rebalances;
-           assign := assign';
-           if Mkc_obs.Registry.enabled () then
-             Mkc_obs.Registry.incr Obs.pool_rebalances
-         end
-       end);
-      (* Publish the cumulative pool signals once per window — between
-         windows the workers are quiescent (the [await] above is the
-         happens-before edge), so the sums are exact, and telemetry
-         samples firing mid-run read live values instead of zeros. *)
-      (if Mkc_obs.Registry.enabled () then begin
-         let worker_busy = ref 0 and worker_wait = ref 0 in
-         (match pool with
-         | None -> ()
-         | Some p ->
-             Array.iteri
-               (fun i (wk : Pool.worker) ->
-                 worker_busy := !worker_busy + (wk.Pool.busy_ns - busy0.(i));
-                 worker_wait := !worker_wait + (wk.Pool.wait_ns - wait0.(i)))
-               p.Pool.workers);
-         Mkc_obs.Registry.set Obs.domain_busy_ns
-           (float_of_int (!coord_busy_ns + !worker_busy));
-         Mkc_obs.Registry.set Obs.domains_used (float_of_int slots);
-         Mkc_obs.Registry.set Obs.pool_plan_overlap_ns
-           (float_of_int !plan_overlap_ns);
-         if Mkc_obs.Trace.enabled () then
-           Mkc_obs.Trace.counter "pipeline.pool.queue_wait_ns"
-             ~at_ns:(Mkc_obs.Clock.now_ns ()) !worker_wait
-       end);
-      parity := 1 - !parity
+      if pool <> None then begin
+        (if schedule = Adaptive then begin
+           (* Refine per-shard cost estimates from the measured window.
+              The first measurement replaces the static seed wholesale
+              (unit scales differ); later ones are smoothed so one noisy
+              window cannot thrash the packing. *)
+           (if not !measured then begin
+              for i = 0 to nsinks - 1 do
+                est.(i) <- Float.max (float_of_int shard_ns.(i)) 1.0
+              done;
+              coord_bias := Float.max !plan_last_ns 1.0;
+              measured := true
+            end
+            else begin
+              for i = 0 to nsinks - 1 do
+                est.(i) <- (0.5 *. est.(i)) +. (0.5 *. float_of_int shard_ns.(i))
+              done;
+              coord_bias := (0.5 *. !coord_bias) +. (0.5 *. !plan_last_ns)
+            end);
+           let assign' = lpt ~slots ~coord_bias:!coord_bias est in
+           if assign' <> !assign then begin
+             incr rebalances;
+             assign := assign';
+             if Mkc_obs.Registry.enabled () then
+               Mkc_obs.Registry.incr Obs.pool_rebalances
+           end
+         end);
+        (* Publish the cumulative pool signals once per window — between
+           windows the workers are quiescent (the [await] above is the
+           happens-before edge), so the sums are exact, and telemetry
+           samples firing mid-run read live values instead of zeros. *)
+        (if Mkc_obs.Registry.enabled () then begin
+           let worker_busy = ref 0 and worker_wait = ref 0 in
+           Array.iteri
+             (fun i (wk : Pool.worker) ->
+               worker_busy := !worker_busy + (wk.Pool.busy_ns - busy0.(i));
+               worker_wait := !worker_wait + (wk.Pool.wait_ns - wait0.(i)))
+             workers;
+           Mkc_obs.Registry.set Obs.domain_busy_ns
+             (float_of_int (!coord_busy_ns + !worker_busy));
+           Mkc_obs.Registry.set Obs.domains_used (float_of_int slots);
+           Mkc_obs.Registry.set Obs.pool_plan_overlap_ns (float_of_int !plan_overlap_ns);
+           if Mkc_obs.Trace.enabled () then
+             Mkc_obs.Trace.counter "pipeline.pool.queue_wait_ns"
+               ~at_ns:(Mkc_obs.Clock.now_ns ()) !worker_wait
+         end);
+        parity := 1 - !parity
+      end
     done;
     let window_wall_ns = Mkc_obs.Clock.now_ns () - loop_t0 in
     match pool with
@@ -510,119 +484,29 @@ let pool_drive ?pool ?slots_cap ?(schedule = Static) ?costs
 
 let feed_all_parallel ?pool ?domains ?schedule ?costs ?(chunk = default_chunk)
     ?(start = 0) sinks src =
-  match pool with
-  | Some p ->
-      (* [domains] given with an explicit pool is a cap, not a resize:
-         excess workers simply see no tickets for this drive. *)
-      let slots =
-        match domains with
-        | Some d -> min d (Pool.size p)
-        | None -> Pool.size p
-      in
-      if min slots (Array.length sinks) <= 1 then feed_all ~chunk ~start sinks src
-      else pool_drive ~pool:p ?slots_cap:domains ?schedule ?costs ~chunk ~start sinks src
-  | None ->
-      let d =
-        match domains with
-        | Some d -> d
-        | None -> Domain.recommended_domain_count ()
-      in
-      let d = min d (Array.length sinks) in
-      if d <= 1 then feed_all ~chunk ~start sinks src
-      else
-        Pool.with_pool ~domains:d (fun p ->
-            pool_drive ~pool:p ?schedule ?costs ~chunk ~start sinks src)
+  with_slots ?pool ?domains (Array.length sinks) (fun pool slots ->
+      drive ~pool ~slots ?schedule ?costs ~chunk ~start sinks src)
 
-let run_parallel ?pool ?domains ?schedule ?costs ?chunk ?start ~shards ~finalize
-    src =
-  feed_all_parallel ?pool ?domains ?schedule ?costs ?chunk ?start shards src;
-  finalize ()
+let run ?chunk (type s r) ((module M) as m : (s, r) Sink.sink) (sink : s) src =
+  feed_all_parallel ~domains:1 ?chunk [| Sink.pack m sink |] src;
+  M.finalize sink
 
 (* {1 Crash-resume and shard-merge drivers} *)
 
 let default_checkpoint_every = 8
 
-let run_resumable (type s r) ?(chunk = default_chunk)
+(* Saves land on WINDOW boundaries ([chunk × slots] edges), where every
+   worker is quiescent, so [codec.encode state] reads fully-published
+   sink state; with one slot that is the chunk grid.  Shards are
+   derived from the typed state AFTER a restore, and a resumed run
+   re-windows the suffix on the same grid (same [chunk], same effective
+   slot count), so results, [words] and every work counter match the
+   uninterrupted run's bit for bit. *)
+let run_resumable (type s r) ?pool ?domains ?schedule ?costs ?(chunk = default_chunk)
     ?(every = default_checkpoint_every) ?resume ?checkpoint ?on_save
-    (codec : s Checkpoint.codec) ((module M) : (s, r) Sink.sink) (sink : s) src :
-    (r, Checkpoint.error) result =
+    (codec : s Checkpoint.codec) (state : s) ~(shards : s -> Sink.any array)
+    ~(finalize : s -> r) src : (r, Checkpoint.error) result =
   if every < 1 then invalid_arg "Pipeline.run_resumable: every must be >= 1";
-  let ( let* ) = Result.bind in
-  let* start =
-    match resume with
-    | None -> Ok 0
-    | Some path ->
-        let* env =
-          Checkpoint.load ~expect_kind:codec.kind ~expect_seed:codec.seed ~path ()
-        in
-        let* () =
-          match codec.restore sink env.Checkpoint.payload with
-          | Ok () -> Ok ()
-          | Error msg -> Error (Checkpoint.Payload_rejected msg)
-        in
-        Ok env.Checkpoint.pos
-  in
-  let n = Stream_source.length src in
-  let* () =
-    if start > n then
-      Error
-        (Checkpoint.Malformed
-           (Printf.sprintf "resume position %d beyond stream length %d" start n))
-    else Ok ()
-  in
-  let save_at pos =
-    match checkpoint with
-    | None -> Ok ()
-    | Some path ->
-        let env =
-          { Checkpoint.kind = codec.kind; pos; seed = codec.seed;
-            payload = codec.encode sink }
-        in
-        let* bytes = Checkpoint.save ~path env in
-        (match on_save with
-        | Some f -> f ~pos ~bytes ~words:(Checkpoint.words_of_bytes bytes)
-        | None -> ());
-        Ok ()
-  in
-  let plan = Chunk_plan.create () in
-  let cum = ref 0 in
-  let chunks_done = ref 0 in
-  let failure = ref None in
-  (* Checkpoints land on chunk boundaries only: resuming then re-chunks
-     the suffix on the same grid, so a resumed run's chunk schedule —
-     and with it every schedule-dependent counter — matches the
-     uninterrupted run's exactly. *)
-  Stream_source.chunks ~chunk ~start
-    (fun edges ~pos ~len ->
-      chunk_instrumented ~nsinks:1 ~len ~cum (fun () ->
-          Chunk_plan.build plan edges ~pos ~len;
-          M.feed_planned sink plan edges ~pos ~len);
-      incr chunks_done;
-      let next = pos + len in
-      if !failure = None && next < n && !chunks_done mod every = 0 then
-        match save_at next with Ok () -> () | Error e -> failure := Some e)
-    src;
-  let* () = match !failure with None -> Ok () | Some e -> Error e in
-  (* A final checkpoint at end-of-stream: the shard-merge workflow
-     merges exactly these. *)
-  let* () = save_at n in
-  Ok (M.finalize sink)
-
-(* Checkpoint/resume over the pool executor.  Saves land on WINDOW
-   boundaries ([chunk × slots] edges) — the points where every worker
-   is quiescent, so [codec.encode state] reads fully-published sink
-   state.  Shards are (re)derived from the typed state AFTER a restore,
-   mirroring the CLI's resume flow; a resumed run re-windows the suffix
-   on the same grid (same [chunk], same effective domain count), so
-   results, [words] and every work counter match the uninterrupted
-   run's bit for bit. *)
-let run_parallel_resumable (type s r) ?pool ?domains ?schedule ?costs
-    ?(chunk = default_chunk) ?(every = default_checkpoint_every) ?resume
-    ?checkpoint ?on_save (codec : s Checkpoint.codec) (state : s)
-    ~(shards : s -> Sink.any array) ~(finalize : s -> r) src :
-    (r, Checkpoint.error) result =
-  if every < 1 then
-    invalid_arg "Pipeline.run_parallel_resumable: every must be >= 1";
   let ( let* ) = Result.bind in
   let* start =
     match resume with
@@ -660,29 +544,17 @@ let run_parallel_resumable (type s r) ?pool ?domains ?schedule ?costs
         | None -> ());
         Ok ()
   in
-  let sinks = shards state in
   let failure = ref None in
   let on_window ~next ~window =
     if !failure = None && next < n && (window + 1) mod every = 0 then
       match save_at next with Ok () -> () | Error e -> failure := Some e
   in
-  (match pool with
-  | Some p ->
-      pool_drive ~pool:p ?slots_cap:domains ?schedule ?costs ~chunk ~start
-        ~on_window sinks src
-  | None ->
-      let d =
-        match domains with
-        | Some d -> d
-        | None -> Domain.recommended_domain_count ()
-      in
-      let d = min d (Array.length sinks) in
-      if d <= 1 then pool_drive ?schedule ?costs ~chunk ~start ~on_window sinks src
-      else
-        Pool.with_pool ~domains:d (fun p ->
-            pool_drive ~pool:p ?schedule ?costs ~chunk ~start ~on_window sinks
-              src));
+  let sinks = shards state in
+  with_slots ?pool ?domains (Array.length sinks) (fun pool slots ->
+      drive ~pool ~slots ?schedule ?costs ~chunk ~start ~on_window sinks src);
   let* () = match !failure with None -> Ok () | Some e -> Error e in
+  (* A final checkpoint at end-of-stream: the shard-merge workflow
+     merges exactly these. *)
   let* () = save_at n in
   Ok (finalize state)
 
@@ -691,21 +563,14 @@ let merge_shards ~merge first rest =
   first
 
 let run_sharded (type s r) ?(chunk = default_chunk) ~shards ~create ~merge
-    ((module M) : (s, r) Sink.sink) src : r =
+    ((module M) as m : (s, r) Sink.sink) src : r =
   if shards < 1 then invalid_arg "Pipeline.run_sharded: shards must be >= 1";
   let parts = Stream_source.partition ~shards src in
   let states =
     Array.map
       (fun part ->
         let s : s = create () in
-        let plan = Chunk_plan.create () in
-        let cum = ref 0 in
-        Stream_source.chunks ~chunk
-          (fun edges ~pos ~len ->
-            chunk_instrumented ~nsinks:1 ~len ~cum (fun () ->
-                Chunk_plan.build plan edges ~pos ~len;
-                M.feed_planned s plan edges ~pos ~len))
-          part;
+        feed_all_parallel ~domains:1 ~chunk [| Sink.pack m s |] part;
         s)
       parts
   in

@@ -1,41 +1,44 @@
 (** Drivers that push an edge stream through {!Sink}s.
 
-    Three ingestion modes, all observationally identical on any fixed
+    Two ways to drive a sink, observationally identical on any fixed
     set of sinks (same seeds ⇒ bit-for-bit the same results):
 
-    - {!run_seq} — one edge at a time, the literal streaming model;
-    - {!run} / {!feed_all} — batched: the stream is cut into
-      cache-friendly chunks and handed to [feed_batch], paying the
-      per-edge dispatch once per chunk;
-    - {!feed_all_parallel} / {!run_parallel} — batched AND sharded:
-      mutually independent sinks (e.g. {!Mkc_core.Estimate.shards}'s
-      z-guess × repeat oracle instances) are bin-packed by cost over a
-      persistent {!Pool} of OCaml 5 domains; the coordinator builds one
-      shared read-only {!Chunk_plan} per (widened) chunk window —
-      pipelined one window ahead of the workers — and each worker
-      replays its sink group against it.
+    - {!run_seq} — one edge at a time through {!Sink.S.feed}, the
+      literal streaming model and the reference the equivalence suites
+      compare against;
+    - one chunk loop through {!Sink.S.feed_planned}, behind every other
+      driver ({!run}, {!feed_all_parallel}, {!run_resumable},
+      {!run_sharded}).  The stream is cut into windows of
+      [chunk × slots] edges and one shared read-only {!Chunk_plan} is
+      built per window.  With one slot the plan is built in place and
+      every sink is fed on the calling domain.  With more, mutually
+      independent sinks (e.g. {!Mkc_core.Estimate.shards}'s z-guess ×
+      repeat oracle instances) are bin-packed by cost over a persistent
+      {!Pool} of OCaml 5 domains; the coordinator builds each window's
+      plan one window ahead of the workers, and each worker replays its
+      sink group against it.
 
-    Determinism of the parallel driver: every sink is owned by exactly
-    one slot per window and sees the full stream in order (windows are
-    barriered — workers are awaited before the next window is
-    dispatched), and no mutable state is shared between sinks, so the
-    final state of each sink — and hence any finalize result — is
-    identical to the sequential drivers', regardless of domain count,
-    scheduling mode, or how shards were packed.  Parallelism and
-    scheduling change wall-clock only, never output.
+    Determinism: every sink is owned by exactly one slot per window and
+    sees the full stream in order (windows are barriered — workers are
+    awaited before the next window is dispatched), and no mutable state
+    is shared between sinks, so the final state of each sink — and
+    hence any finalize result — is identical to {!run_seq}'s,
+    regardless of slot count, scheduling mode, or how shards were
+    packed.  Parallelism and scheduling change wall-clock only, never
+    output.
 
-    Observability: when {!Mkc_obs.Registry.enabled} is on, the chunked
-    drivers record a [pipeline.chunk] span per chunk, bump the
-    counters [pipeline.chunks], [pipeline.edges] (stream edges) and
+    Observability: when {!Mkc_obs.Registry.enabled} is on, the chunk
+    loop records a [pipeline.chunk] span per window, bumps the counters
+    [pipeline.chunks], [pipeline.edges] (stream edges) and
     [pipeline.sink_feed_edges] (edges × sinks — the feed work actually
-    done), and record each chunk's feed latency into the
+    done), and records each window's feed latency into the
     [pipeline.chunk_feed_ns] histogram (mergeable log-linear buckets;
-    p50/p99 survive shard-merge).  Every driver makes exactly one
-    chunking pass, so the merged totals match across drivers (the
-    parallel one just has fewer, wider chunks).  {!feed_all_parallel}
-    additionally records one [pipeline.domain] span per worker per
-    chunk, the gauges [pipeline.domain_busy_ns] (total worker busy ns)
-    and [pipeline.domains], and the per-window histograms
+    p50/p99 survive shard-merge).  A one-slot drive records nothing
+    else, so {!run}, {!feed_all_parallel} at one slot and
+    {!run_resumable} at one slot leave identical [pipeline.*] keys.  A
+    pooled drive additionally records one [pipeline.domain] span per
+    slot per window, the gauges [pipeline.domain_busy_ns] (total busy
+    ns) and [pipeline.domains], and the per-window histograms
     [pipeline.pool.plan_build_ns] (chunk-plan construction) and
     [pipeline.pool.queue_wait_ns] (dispatch → pick-up latency, the
     load-balance term).  With the registry disabled every instrument
@@ -55,16 +58,7 @@ val run_seq : ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
     modes are tested against. *)
 
 val run : ?chunk:int -> ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
-(** Feed in chunks via [feed_planned] (one {!Chunk_plan} built per
-    chunk, reused across chunks), then finalize. *)
-
-val feed_all : ?chunk:int -> ?start:int -> Sink.any array -> Stream_source.t -> unit
-(** Drive several sinks through one pass, chunk by chunk (all sinks see
-    chunk [i] before any sees chunk [i+1]).  One {!Chunk_plan} is built
-    per chunk and shared by every sink, so the grouping pass is paid
-    once per chunk, not once per sink.  Finalization is the caller's:
-    packed sinks share state with the typed handles used to build
-    them. *)
+(** One sink through the chunk loop at one slot, then finalize. *)
 
 (** {1 The persistent worker-domain pool} *)
 
@@ -134,80 +128,32 @@ val feed_all_parallel :
   Sink.any array ->
   Stream_source.t ->
   unit
-(** Like {!feed_all}, but the sinks are bin-packed (LPT, slot 0 biased
-    by the coordinator's plan-build work) across the slots of a
-    {!Pool} — [pool] if given (with [domains] as an optional cap),
-    else a transient pool of [domains] slots (default
-    [Domain.recommended_domain_count ()]), capped by the number of
-    sinks.  The coordinator windows the stream once at
-    [chunk × slots] edges and pipelines: while the workers replay
-    window [W] against its shared read-only {!Chunk_plan}, the
-    coordinator builds window [W+1]'s plan into the other half of a
-    double-buffered scratch pair, then feeds its own (lighter) sink
-    group and awaits the workers.  Relative to {!feed_all} this pays
-    the same one grouping pass over the stream but makes every
-    per-distinct-id hash decision once per [slots]×-wider window —
-    strictly less hash work, so the driver wins even when the domains
+(** Drive several sinks through one pass of the chunk loop (all sinks
+    see window [i] before any sees window [i+1]), starting at edge
+    [start].  Finalization is the caller's: packed sinks share state
+    with the typed handles used to build them.
+
+    The slot count is that of [pool] if given (with [domains] as an
+    optional cap), else [domains] (default
+    [Domain.recommended_domain_count ()]) in a transient pool, capped
+    by the number of sinks.  With one slot no pool is used or spawned.
+    With more, the sinks are bin-packed (LPT, slot 0 biased by the
+    coordinator's plan-build work) across the slots; relative to one
+    slot this pays the same one grouping pass over the stream but
+    makes every per-distinct-id hash decision once per [slots]×-wider
+    window — strictly less hash work, so it wins even when the domains
     time-share a single core.  [costs] (per-sink relative weights,
     e.g. {!Mkc_core.Estimate.shard_costs}) seeds the packing;
     [schedule] (default {!Static}) controls whether measured busy-ns
     re-pack it between windows.  Requires the sinks to be pairwise
     independent — no shared mutable state — which holds for all shard
-    arrays exposed by this library.  With an effective slot count of 1
-    this is exactly {!feed_all}. *)
-
-val run_parallel :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  ?schedule:schedule ->
-  ?costs:float array ->
-  ?chunk:int ->
-  ?start:int ->
-  shards:Sink.any array ->
-  finalize:(unit -> 'r) ->
-  Stream_source.t ->
-  'r
-(** [run_parallel ~shards ~finalize src]: {!feed_all_parallel} the
-    shards, then call [finalize] (which typically finalizes the typed
-    handle the shards were derived from, e.g.
-    [Estimate.finalize est] after driving [Estimate.shards est]).
-    [start] skips a stream prefix — resume a parallel run by restoring
-    the typed handle from a checkpoint, re-deriving the shards, and
-    driving from the checkpointed position (or use
-    {!run_parallel_resumable}, which does exactly that). *)
+    arrays exposed by this library.  Raises [Invalid_argument] if
+    [costs] and the sinks differ in length. *)
 
 val default_checkpoint_every : int
-(** 8 chunks between checkpoints in {!run_resumable}. *)
+(** 8 windows between checkpoints in {!run_resumable}. *)
 
 val run_resumable :
-  ?chunk:int ->
-  ?every:int ->
-  ?resume:string ->
-  ?checkpoint:string ->
-  ?on_save:(pos:int -> bytes:int -> words:int -> unit) ->
-  's Checkpoint.codec ->
-  ('s, 'r) Sink.sink ->
-  's ->
-  Stream_source.t ->
-  ('r, Checkpoint.error) result
-(** The chunked driver with crash tolerance.
-
-    With [~resume:path], first load and fully validate the checkpoint
-    (kind and seed pinned by the codec; any mismatch or corruption is a
-    named {!Checkpoint.error}), overlay it on the freshly created
-    [sink], and continue the stream from the checkpointed position.
-    With [~checkpoint:path], atomically save the sink's state every
-    [every] chunks and once at end-of-stream (so the final file feeds
-    the shard-merge workflow).  [on_save] observes each save — e.g.
-    [Sink.Observed.note_checkpoint] to put the bytes on the space
-    books.
-
-    Checkpoints land on chunk boundaries only, so a resumed run
-    re-chunks the suffix on the same grid as the uninterrupted run —
-    results, [words] and every work counter match bit for bit (the
-    [test_checkpoint] differential harness enforces this). *)
-
-val run_parallel_resumable :
   ?pool:Pool.t ->
   ?domains:int ->
   ?schedule:schedule ->
@@ -223,19 +169,30 @@ val run_parallel_resumable :
   finalize:('s -> 'r) ->
   Stream_source.t ->
   ('r, Checkpoint.error) result
-(** {!run_resumable} over the pool executor: restore [state] from
-    [resume] if given, derive the shard sinks from the (restored)
-    typed state via [shards], drive them through a {!Pool} (same
-    [pool]/[domains]/[schedule]/[costs] contract as
-    {!feed_all_parallel}), saving every [every] chunk WINDOWS
-    ([chunk × slots] edges — the points where all workers are
-    quiescent) and once at end-of-stream, then [finalize state].
+(** The chunk loop with crash tolerance.
 
-    Resuming with the same [chunk] and effective domain count
-    re-windows the suffix on the same grid, so a resumed run matches
-    the uninterrupted one bit for bit — and since the work counters
-    are window-grid-independent, results also match {!run_seq} and the
-    single-domain {!run_resumable} regardless of grid. *)
+    With [~resume:path], first load and fully validate the checkpoint
+    (kind and seed pinned by the codec; any mismatch or corruption is a
+    named {!Checkpoint.error}), overlay it on the freshly created
+    [state], and continue the stream from the checkpointed position.
+    Then derive the sinks from the (restored) typed state via [shards]
+    — [fun s -> [| Sink.pack sink s |]] for a single sink — and drive
+    them as {!feed_all_parallel} does (same
+    [pool]/[domains]/[schedule]/[costs] contract).  With
+    [~checkpoint:path], atomically save the state every [every]
+    windows ([chunk × slots] edges — the points where all workers are
+    quiescent; with one slot, the chunk grid) and once at
+    end-of-stream, so the final file feeds the shard-merge workflow.
+    [on_save] observes each save — e.g.
+    [Sink.Observed.note_checkpoint] to put the bytes on the space
+    books.  Finally [finalize state].
+
+    Resuming with the same [chunk] and effective slot count re-windows
+    the suffix on the same grid, so a resumed run matches the
+    uninterrupted one bit for bit (results, [words] and every work
+    counter; the [test_checkpoint] and [test_pool] differential
+    harnesses enforce this).  Results also match {!run_seq} on any
+    grid. *)
 
 val merge_shards : merge:('s -> 's -> unit) -> 's -> 's array -> 's
 (** [merge_shards ~merge first rest] folds every state in [rest] into

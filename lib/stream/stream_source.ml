@@ -7,21 +7,6 @@ let iter = Array.iter
 let fold f init t = Array.fold_left f init t
 let to_array = Array.copy
 
-let chunks ?(chunk = 8192) ?(start = 0) f t =
-  if chunk < 1 then invalid_arg "Stream_source.chunks: chunk must be >= 1";
-  let n = Array.length t in
-  if start < 0 || start > n then
-    invalid_arg "Stream_source.chunks: start out of range";
-  let pos = ref start in
-  (* Strictly-before guard: the loop body always has [len >= 1], so a
-     stream whose length is an exact multiple of [chunk] (or a resume
-     from [start = n]) never sees a trailing empty chunk. *)
-  while !pos < n do
-    let len = min chunk (n - !pos) in
-    f t ~pos:!pos ~len;
-    pos := !pos + len
-  done
-
 let windows ?(chunk = 8192) ?(start = 0) t =
   if chunk < 1 then invalid_arg "Stream_source.windows: chunk must be >= 1";
   let n = Array.length t in

@@ -15,22 +15,15 @@ val length : t -> int
 val iter : (Edge.t -> unit) -> t -> unit
 val fold : ('a -> Edge.t -> 'a) -> 'a -> t -> 'a
 
-val chunks :
-  ?chunk:int -> ?start:int -> (Edge.t array -> pos:int -> len:int -> unit) -> t -> unit
-(** [chunks f t] hands the backing edge array to [f] one zero-copy
-    sub-range [\[pos, pos+len)] at a time (default chunk 8192) — the
-    ingestion primitive behind {!Pipeline}.  [f] must treat the array
-    as read-only and must not retain it.  Every chunk has [len >= 1]:
-    streams whose length is an exact multiple of [chunk] do not end
-    with an empty chunk.  [start] (default 0) skips a prefix — the
-    resume primitive; [start = length t] yields no chunks at all. *)
-
 val windows : ?chunk:int -> ?start:int -> t -> (int * int) array
-(** The [(pos, len)] grid that {!chunks} would walk, precomputed — the
-    window table a pipelined driver indexes to build window W+1's plan
-    while W is still being replayed.  Same guarantees as {!chunks}:
-    every window has [len >= 1] and [start = length t] yields the empty
-    array. *)
+(** The zero-copy [(pos, len)] sub-ranges of {!backing} that cut the
+    stream into windows of [chunk] edges (default 8192) — the ingestion
+    grid behind {!Pipeline}, precomputed so a pipelined driver can
+    build window W+1's plan while W is still being replayed.  Every
+    window has [len >= 1]: streams whose length is an exact multiple of
+    [chunk] do not end with an empty window.  [start] (default 0) skips
+    a prefix — the resume primitive; [start = length t] yields the
+    empty array. *)
 
 val backing : t -> Edge.t array
 (** Zero-copy view of the backing edge array, for drivers that pair it

@@ -90,6 +90,12 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The resumable drive over the whole estimator as one sink. *)
+let resumable ?chunk ?every ?resume ?checkpoint p est src =
+  Pipe.run_resumable ?chunk ?every ?resume ?checkpoint (E.codec p) est
+    ~shards:(fun e -> [| Sink.pack E.sink e |])
+    ~finalize:E.finalize src
+
 (* --- 1. differential crash-resume (sequential) --- *)
 
 (* Uninterrupted run vs: run the prefix with a checkpoint at every
@@ -113,16 +119,14 @@ let prop_crash_resume =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_resumable ~chunk ~every:1 ~checkpoint:path (E.codec p) E.sink
-               interrupted
+             resumable ~chunk ~every:1 ~checkpoint:path p interrupted
                (Src.of_array (Array.sub edges 0 cut))
            with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "prefix run: %s" (Ck.error_to_string e));
           let resumed = E.create p in
           match
-            Pipe.run_resumable ~chunk ~resume:path (E.codec p) E.sink resumed
-              (Src.of_array edges)
+            resumable ~chunk ~resume:path p resumed (Src.of_array edges)
           with
           | Error e -> Alcotest.failf "resume: %s" (Ck.error_to_string e)
           | Ok r_res ->
@@ -143,15 +147,12 @@ let prop_crash_resume_parallel =
       let n = Array.length edges in
       let p = params () in
       let wide = chunk * domains in
-      let run_parallel_from est start =
-        Pipe.run_parallel ~domains ~chunk
-          ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          ~start
-          (Src.of_array edges)
+      let drive_from est start =
+        Pipe.feed_all_parallel ~domains ~chunk ~start (E.shards est) (Src.of_array edges);
+        E.finalize est
       in
       let full = E.create p in
-      let r_full = run_parallel_from full 0 in
+      let r_full = drive_from full 0 in
       let nchunks = (n + wide - 1) / wide in
       let cut = min n (wide * (1 + ((n * 104729) mod nchunks))) in
       (* drive the prefix in parallel, snapshot through the codec's
@@ -172,7 +173,7 @@ let prop_crash_resume_parallel =
           match E.restore resumed env.Ck.payload with
           | Error msg -> Alcotest.failf "restore: %s" msg
           | Ok () ->
-              let r_res = run_parallel_from resumed env.Ck.pos in
+              let r_res = drive_from resumed env.Ck.pos in
               fingerprint r_full = fingerprint r_res
               && E.words full = E.words resumed
               && E.words_breakdown full = E.words_breakdown resumed
@@ -394,8 +395,7 @@ let test_payload_rejected () =
       | Error e -> Alcotest.failf "save: %s" (Ck.error_to_string e));
       let fresh = E.create p in
       match
-        Pipe.run_resumable ~resume:path (E.codec p) E.sink fresh
-          (Src.of_array [| Edge.make ~set:0 ~elt:0 |])
+        resumable ~resume:path p fresh (Src.of_array [| Edge.make ~set:0 ~elt:0 |])
       with
       | Error (Ck.Payload_rejected _) -> ()
       | Error e -> Alcotest.failf "wrong error: %s" (Ck.error_to_string e)
@@ -437,7 +437,7 @@ let test_final_checkpoint_merges () =
     with_tmp (fun path ->
         let est = E.create p in
         (match
-           Pipe.run_resumable ~chunk:64 ~checkpoint:path (E.codec p) E.sink est part
+           resumable ~chunk:64 ~checkpoint:path p est part
          with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "shard run: %s" (Ck.error_to_string e));

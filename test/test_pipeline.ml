@@ -1,10 +1,16 @@
 (* Equivalence tests for the Sink/Pipeline ingestion layer.
 
-   The whole refactor rests on two guarantees:
-     1. feed_batch ≡ edge-by-edge feed (any chunk size), and
-     2. domain-parallel shard ingestion ≡ sequential ingestion,
-   both bit-for-bit: identical finalized results and identical space
-   accounting.  Every sink and every batched sketch is checked. *)
+   Every sink has two entry points, per-edge [feed] (the paper's spec)
+   and chunked [feed_planned] (production), and every Pipeline driver
+   but [run_seq] runs one chunk loop.  The layer rests on three
+   guarantees:
+     1. the chunk loop ≡ edge-by-edge feed (any chunk size),
+     2. domain-parallel shard ingestion ≡ sequential ingestion, both
+        bit-for-bit: identical finalized results and identical space
+        accounting, for every sink and every batched sketch;
+     3. every one-slot drive ([run], [feed_all_parallel ~domains:1],
+        [run_resumable]) leaves the same [pipeline.*] instruments, and
+        none of the pool's. *)
 
 module Edge = Mkc_stream.Edge
 module Ss = Mkc_stream.Set_system
@@ -57,11 +63,8 @@ let test_estimate_parallel_equivalence () =
   List.iter
     (fun domains ->
       let est = E.create params in
-      let r =
-        Pipe.run_parallel ~domains ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          src
-      in
+      Pipe.feed_all_parallel ~domains (E.shards est) src;
+      let r = E.finalize est in
       checkb (Printf.sprintf "%d domains: bit-for-bit result" domains) true
         (fingerprint r = fingerprint r0);
       checki (Printf.sprintf "%d domains: same words" domains) (E.words est0)
@@ -74,11 +77,8 @@ let test_report_batched_and_parallel () =
   let r0 = Pipe.run_seq R.sink (R.create params) src in
   let r1 = Pipe.run ~chunk:37 R.sink (R.create params) src in
   let rep2 = R.create params in
-  let r2 =
-    Pipe.run_parallel ~domains:2 ~shards:(R.shards rep2)
-      ~finalize:(fun () -> R.finalize rep2)
-      src
-  in
+  Pipe.feed_all_parallel ~domains:2 (R.shards rep2) src;
+  let r2 = R.finalize rep2 in
   checkb "batched: same sets" true (r1.R.sets = r0.R.sets);
   checkb "batched: same estimate" true (r1.R.estimate = r0.R.estimate);
   checkb "parallel: same sets" true (r2.R.sets = r0.R.sets);
@@ -93,11 +93,8 @@ let test_full_range_sink_both_engines () =
       let r0 = Pipe.run_seq F.sink (F.create p) src in
       let r1 = Pipe.run ~chunk:97 F.sink (F.create p) src in
       let fr2 = F.create p in
-      let r2 =
-        Pipe.run_parallel ~domains:2 ~shards:(F.shards fr2)
-          ~finalize:(fun () -> F.finalize fr2)
-          src
-      in
+      Pipe.feed_all_parallel ~domains:2 (F.shards fr2) src;
+      let r2 = F.finalize fr2 in
       checkb (Printf.sprintf "alpha %g: batched" alpha) true (r1 = r0);
       checkb (Printf.sprintf "alpha %g: parallel" alpha) true (r2 = r0))
     [ 2.0; 8.0 ]
@@ -206,6 +203,75 @@ let test_set_arrival_adapter_mv () =
   in
   checkb "adapter ≡ direct set feed" true (r0 = r1)
 
+(* --- instrument parity across the one-slot drives --- *)
+
+module Reg = Mkc_obs.Registry
+
+(* The [pipeline.*] registry entries a drive leaves: counters and
+   gauges by value, histograms by observation count (their sums are
+   timings). *)
+let pipeline_instruments drive =
+  Reg.reset Reg.global;
+  Reg.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Reg.set_enabled false;
+      Reg.reset Reg.global;
+      Mkc_obs.Span.clear ())
+    (fun () ->
+      drive ();
+      List.filter_map
+        (fun (key, v) ->
+          if not (String.starts_with ~prefix:"pipeline." key) then None
+          else
+            Some
+              ( key,
+                match v with
+                | Reg.Counter n -> float_of_int n
+                | Reg.Gauge g -> g
+                | Reg.Histogram h -> float_of_int h.Mkc_obs.Histogram.count ))
+        (Reg.dump Reg.global))
+
+let is_pool_instrument key =
+  key = "pipeline.domains" || key = "pipeline.domain_busy_ns"
+  || String.starts_with ~prefix:"pipeline.pool." key
+
+let test_one_slot_instrument_parity () =
+  let src, params = instance () in
+  let chunk = 100 in
+  let one e = [| Sink.pack E.sink e |] in
+  let run =
+    pipeline_instruments (fun () -> ignore (Pipe.run ~chunk E.sink (E.create params) src))
+  in
+  let fan =
+    pipeline_instruments (fun () ->
+        Pipe.feed_all_parallel ~domains:1 ~chunk (one (E.create params)) src)
+  in
+  let resumable =
+    pipeline_instruments (fun () ->
+        match
+          Pipe.run_resumable ~chunk (E.codec params) (E.create params) ~shards:one
+            ~finalize:E.finalize src
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "run_resumable: %s" (Mkc_stream.Checkpoint.error_to_string e))
+  in
+  let pooled =
+    pipeline_instruments (fun () ->
+        Pipe.feed_all_parallel ~domains:2 ~chunk (E.shards (E.create params)) src)
+  in
+  checkb "run ≡ feed_all_parallel ~domains:1" true (run = fan);
+  checkb "run ≡ run_resumable" true (run = resumable);
+  checkb "one chunk counted per chunk" true
+    (List.assoc "pipeline.chunks" run
+    = float_of_int ((Src.length src + chunk - 1) / chunk));
+  List.iter
+    (fun (key, v) ->
+      if is_pool_instrument key then checkb (key ^ " untouched at one slot") true (v = 0.0))
+    run;
+  checkb "a pooled drive does set the pool gauges" true
+    (List.assoc "pipeline.domains" pooled = 2.0)
+
 (* --- property: batching/parallelism never changes the estimate --- *)
 
 let prop_batched_equals_sequential =
@@ -222,7 +288,7 @@ let prop_batched_equals_sequential =
         Printf.sprintf "%d edges, chunk %d" (List.length edges) chunk)
       gen
   in
-  QCheck.Test.make ~name:"feed_batch ≡ feed for Estimate (random streams)" ~count:30
+  QCheck.Test.make ~name:"feed_planned ≡ feed for Estimate (random streams)" ~count:30
     arb (fun (pairs, chunk) ->
       let edges =
         Array.of_list (List.map (fun (s, e) -> Edge.make ~set:s ~elt:e) pairs)
@@ -232,11 +298,8 @@ let prop_batched_equals_sequential =
       let r0 = Pipe.run_seq E.sink (E.create params) src in
       let r1 = Pipe.run ~chunk E.sink (E.create params) src in
       let est2 = E.create params in
-      let r2 =
-        Pipe.run_parallel ~domains:2 ~shards:(E.shards est2)
-          ~finalize:(fun () -> E.finalize est2)
-          src
-      in
+      Pipe.feed_all_parallel ~domains:2 (E.shards est2) src;
+      let r2 = E.finalize est2 in
       fingerprint r0 = fingerprint r1 && fingerprint r0 = fingerprint r2)
 
 let suite =
@@ -256,5 +319,7 @@ let suite =
     Alcotest.test_case "mcgregor-vu sink" `Quick test_mcgregor_vu_sink;
     Alcotest.test_case "set-arrival adapter: sieve" `Quick test_set_arrival_adapter_sieve;
     Alcotest.test_case "set-arrival adapter: mv" `Quick test_set_arrival_adapter_mv;
+    Alcotest.test_case "one-slot drives leave identical instruments" `Quick
+      test_one_slot_instrument_parity;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_batched_equals_sequential ]

@@ -1,5 +1,5 @@
 (* Equivalence and lifecycle tests for the persistent domain-pool
-   executor (Pipeline.Pool + run_parallel / run_parallel_resumable).
+   executor (Pipeline.Pool behind feed_all_parallel / run_resumable).
 
    The executor's contract is that parallelism, scheduling mode, cost
    hints, pool reuse, and crash-resume change wall-clock only, never
@@ -77,12 +77,9 @@ let test_pool_equiv_matrix () =
       List.iter
         (fun chunk ->
           let est = E.create p in
-          let r =
-            Pipe.run_parallel ~domains ~chunk ~costs:(E.shard_costs est)
-              ~shards:(E.shards est)
-              ~finalize:(fun () -> E.finalize est)
-              src
-          in
+          Pipe.feed_all_parallel ~domains ~chunk ~costs:(E.shard_costs est)
+            (E.shards est) src;
+          let r = E.finalize est in
           assert_matches
             (Printf.sprintf "%d domains, chunk %d" domains chunk)
             ~ref_est ~ref_r est r)
@@ -98,12 +95,9 @@ let test_pool_adaptive_equiv () =
       (* small chunk → many windows → the adaptive scheduler actually
          re-packs; output must not move *)
       let est = E.create p in
-      let r =
-        Pipe.run_parallel ~domains ~schedule:Pipe.Adaptive ~chunk:64
-          ~costs:(E.shard_costs est) ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          src
-      in
+      Pipe.feed_all_parallel ~domains ~schedule:Pipe.Adaptive ~chunk:64 ~costs:(E.shard_costs est)
+        (E.shards est) src;
+      let r = E.finalize est in
       assert_matches
         (Printf.sprintf "adaptive, %d domains" domains)
         ~ref_est ~ref_r est r)
@@ -121,31 +115,21 @@ let test_pool_reuse_and_stats () =
     (fun () ->
       checki "pool size" 3 (Pipe.Pool.size pool);
       let e1 = E.create p in
-      let r1 =
-        Pipe.run_parallel ~pool ~chunk:128 ~costs:(E.shard_costs e1)
-          ~shards:(E.shards e1)
-          ~finalize:(fun () -> E.finalize e1)
-          src
-      in
+      Pipe.feed_all_parallel ~pool ~chunk:128 ~costs:(E.shard_costs e1) (E.shards e1) src;
+      let r1 = E.finalize e1 in
       let s1 = Pipe.Pool.stats pool in
       (* second drive through the SAME pool, different chunk grid and
          scheduler — workers are reused, not respawned *)
       let e2 = E.create p in
-      let r2 =
-        Pipe.run_parallel ~pool ~chunk:64 ~schedule:Pipe.Adaptive
-          ~costs:(E.shard_costs e2) ~shards:(E.shards e2)
-          ~finalize:(fun () -> E.finalize e2)
-          src
-      in
+      Pipe.feed_all_parallel ~pool ~chunk:64 ~schedule:Pipe.Adaptive ~costs:(E.shard_costs e2)
+        (E.shards e2) src;
+      let r2 = E.finalize e2 in
       let s2 = Pipe.Pool.stats pool in
       (* a [domains] cap below the pool size also preserves output *)
       let e3 = E.create p in
-      let r3 =
-        Pipe.run_parallel ~pool ~domains:2 ~chunk:128 ~costs:(E.shard_costs e3)
-          ~shards:(E.shards e3)
-          ~finalize:(fun () -> E.finalize e3)
-          src
-      in
+      Pipe.feed_all_parallel ~pool ~domains:2 ~chunk:128 ~costs:(E.shard_costs e3)
+        (E.shards e3) src;
+      let r3 = E.finalize e3 in
       assert_matches "pooled drive 1" ~ref_est ~ref_r e1 r1;
       assert_matches "pooled drive 2 (adaptive)" ~ref_est ~ref_r e2 r2;
       assert_matches "pooled drive 3 (capped)" ~ref_est ~ref_r e3 r3;
@@ -166,11 +150,8 @@ let test_pool_empty_and_errors () =
   let _, p = instance () in
   let empty = Src.of_array [||] in
   let est = E.create p in
-  let r =
-    Pipe.run_parallel ~domains:2 ~costs:(E.shard_costs est) ~shards:(E.shards est)
-      ~finalize:(fun () -> E.finalize est)
-      empty
-  in
+  Pipe.feed_all_parallel ~domains:2 ~costs:(E.shard_costs est) (E.shards est) empty;
+  let r = E.finalize est in
   let est0 = E.create p in
   let r0 = Pipe.run_seq E.sink est0 empty in
   checkb "empty stream: same result" true (fingerprint r = fingerprint r0);
@@ -196,7 +177,7 @@ let test_pool_resumable () =
   with_tmp (fun path ->
       let e1 = E.create p in
       match
-        Pipe.run_parallel_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
+        Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
           (E.codec p) e1 ~shards:E.shards ~finalize:E.finalize src
       with
       | Error e -> Alcotest.failf "uninterrupted: %s" (Ck.error_to_string e)
@@ -208,7 +189,7 @@ let test_pool_resumable () =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_parallel_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
+             Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
                (E.codec p) interrupted ~shards:E.shards ~finalize:E.finalize
                (Src.of_array (Array.sub edges 0 cut))
            with
@@ -216,7 +197,7 @@ let test_pool_resumable () =
           | Error e -> Alcotest.failf "%s prefix: %s" label (Ck.error_to_string e));
           let resumed = E.create p in
           match
-            Pipe.run_parallel_resumable ~domains:2 ~schedule ~chunk ~resume:path
+            Pipe.run_resumable ~domains:2 ~schedule ~chunk ~resume:path
               (E.codec p) resumed ~shards:E.shards ~finalize:E.finalize src
           with
           | Error e -> Alcotest.failf "%s resume: %s" label (Ck.error_to_string e)
@@ -243,7 +224,7 @@ let prop_pool_equals_seq =
       gen
   in
   QCheck.Test.make
-    ~name:"pool run_parallel ≡ run_seq (domains × chunk × schedule, random streams)"
+    ~name:"pool feed_all_parallel ≡ run_seq (domains × chunk × schedule, random streams)"
     ~count:30 arb (fun (pairs, chunk, pick) ->
       let edges =
         Array.of_list (List.map (fun (s, e) -> Edge.make ~set:s ~elt:e) pairs)
@@ -255,12 +236,9 @@ let prop_pool_equals_seq =
       let ref_est = E.create p in
       let r0 = Pipe.run_seq E.sink ref_est src in
       let est = E.create p in
-      let r =
-        Pipe.run_parallel ~domains ~schedule ~chunk ~costs:(E.shard_costs est)
-          ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          src
-      in
+      Pipe.feed_all_parallel ~domains ~schedule ~chunk ~costs:(E.shard_costs est)
+        (E.shards est) src;
+      let r = E.finalize est in
       fingerprint r = fingerprint r0
       && E.words est = E.words ref_est
       && E.words_breakdown est = E.words_breakdown ref_est
@@ -297,7 +275,7 @@ let prop_pool_crash_resume =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_parallel_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
+             Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
                (E.codec p) interrupted ~shards:E.shards ~finalize:E.finalize
                (Src.of_array (Array.sub edges 0 cut))
            with
@@ -305,7 +283,7 @@ let prop_pool_crash_resume =
           | Error e -> Alcotest.failf "prefix: %s" (Ck.error_to_string e));
           let resumed = E.create p in
           match
-            Pipe.run_parallel_resumable ~domains:2 ~chunk ~resume:path (E.codec p)
+            Pipe.run_resumable ~domains:2 ~chunk ~resume:path (E.codec p)
               resumed ~shards:E.shards ~finalize:E.finalize src
           with
           | Error e -> Alcotest.failf "resume: %s" (Ck.error_to_string e)

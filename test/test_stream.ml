@@ -148,20 +148,15 @@ let test_stream_source_load_malformed () =
 let test_stream_source_chunks () =
   let edges = Array.init 25 (fun i -> Edge.make ~set:i ~elt:(i * 2)) in
   let src = Src.of_array edges in
-  let seen = ref [] and calls = ref 0 in
-  Src.chunks ~chunk:8
-    (fun a ~pos ~len ->
-      incr calls;
-      for i = pos to pos + len - 1 do
-        seen := a.(i) :: !seen
-      done)
-    src;
-  checki "ceil(25/8) chunks" 4 !calls;
+  let wins = Src.windows ~chunk:8 src in
+  checki "ceil(25/8) chunks" 4 (Array.length wins);
+  let backing = Src.backing src in
   checkb "chunks cover the stream in order" true
-    (Array.of_list (List.rev !seen) = edges);
+    (Array.concat (List.map (fun (pos, len) -> Array.sub backing pos len) (Array.to_list wins))
+    = edges);
   Alcotest.check_raises "chunk must be positive"
-    (Invalid_argument "Stream_source.chunks: chunk must be >= 1") (fun () ->
-      Src.chunks ~chunk:0 (fun _ ~pos:_ ~len:_ -> ()) src)
+    (Invalid_argument "Stream_source.windows: chunk must be >= 1") (fun () ->
+      ignore (Src.windows ~chunk:0 src))
 
 let test_stream_source_max_ids () =
   let src = Src.of_array [| Edge.make ~set:3 ~elt:9; Edge.make ~set:1 ~elt:0 |] in
@@ -193,9 +188,7 @@ let test_chunks_never_empty () =
   let edges n = Array.init n (fun i -> Edge.make ~set:i ~elt:i) in
   List.iter
     (fun (n, chunk) ->
-      let lens = ref [] in
-      Src.chunks ~chunk (fun _ ~pos:_ ~len -> lens := len :: !lens) (Src.of_array (edges n));
-      let lens = List.rev !lens in
+      let lens = Array.to_list (Array.map snd (Src.windows ~chunk (Src.of_array (edges n)))) in
       checkb
         (Printf.sprintf "n=%d chunk=%d: no empty chunk" n chunk)
         true
@@ -210,27 +203,21 @@ let test_chunks_never_empty () =
         (List.fold_left ( + ) 0 lens))
     [ (8, 4); (12, 4); (1, 4); (4, 4); (65536, 8192); (5, 2) ];
   (* the empty stream emits no chunks at all *)
-  let fired = ref 0 in
-  Src.chunks ~chunk:4 (fun _ ~pos:_ ~len:_ -> incr fired) (Src.of_array [||]);
-  checki "empty stream: zero chunks" 0 !fired
+  checki "empty stream: zero chunks" 0 (Array.length (Src.windows ~chunk:4 (Src.of_array [||])))
 
 let test_chunks_start () =
   let n = 20 in
   let src = Src.of_array (Array.init n (fun i -> Edge.make ~set:i ~elt:i)) in
   (* resuming from [start] re-chunks the suffix on the same grid *)
-  let positions start =
-    let out = ref [] in
-    Src.chunks ~chunk:8 ~start (fun _ ~pos ~len -> out := (pos, len) :: !out) src;
-    List.rev !out
-  in
+  let positions start = Array.to_list (Src.windows ~chunk:8 ~start src) in
   checkb "start 0" true (positions 0 = [ (0, 8); (8, 8); (16, 4) ]);
   checkb "start 8 (chunk boundary)" true (positions 8 = [ (8, 8); (16, 4) ]);
   checkb "start at n: nothing" true (positions n = []);
   Alcotest.check_raises "negative start rejected"
-    (Invalid_argument "Stream_source.chunks: start out of range") (fun () ->
+    (Invalid_argument "Stream_source.windows: start out of range") (fun () ->
       ignore (positions (-1)));
   Alcotest.check_raises "start beyond n rejected"
-    (Invalid_argument "Stream_source.chunks: start out of range") (fun () ->
+    (Invalid_argument "Stream_source.windows: start out of range") (fun () ->
       ignore (positions (n + 1)))
 
 let test_partition () =

@@ -194,8 +194,12 @@ module Lin = struct
       type result = unit
 
       let feed = feed
-      let feed_batch = Sink.batch_by_feed feed
-      let feed_planned = Sink.batch_ignoring_plan feed_batch
+
+      let feed_planned t _plan edges ~pos ~len =
+        for i = pos to pos + len - 1 do
+          feed t edges.(i)
+        done
+
       let finalize (_ : t) = ()
       let words = words
       let words_breakdown t = [ ("lin", words t) ]
@@ -359,13 +363,19 @@ let test_crash_resume_matches_seq_on_signed_stream () =
       let prefix = Array.sub churned 0 300 in
       let t1 = Lin.create 99 in
       (match
-         Pipe.run_resumable ~chunk:64 ~every:1 ~checkpoint:path (Lin.codec 99) Lin.sink t1
+         Pipe.run_resumable ~chunk:64 ~every:1 ~checkpoint:path (Lin.codec 99) t1
+           ~shards:(fun t -> [| Sink.pack Lin.sink t |])
+           ~finalize:ignore
            (Mkc_stream.Stream_source.of_array prefix)
        with
       | Ok () -> ()
       | Error e -> Alcotest.failf "checkpoint leg: %s" (Ck.error_to_string e));
       let t2 = Lin.create 99 in
-      match Pipe.run_resumable ~chunk:64 ~resume:path (Lin.codec 99) Lin.sink t2 src with
+      match
+        Pipe.run_resumable ~chunk:64 ~resume:path (Lin.codec 99) t2
+          ~shards:(fun t -> [| Sink.pack Lin.sink t |])
+          ~finalize:ignore src
+      with
       | Ok () -> checkb "resumed run matches seq bytes" true (String.equal (Lin.bytes t2) reference)
       | Error e -> Alcotest.failf "resume leg: %s" (Ck.error_to_string e))
 

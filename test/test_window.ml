@@ -12,6 +12,8 @@ module W = Mkc_core.Windowed
 module D = Mkc_core.Windowed.Decay
 module Sol = Mkc_core.Solution
 module Churn = Mkc_workload.Churn
+module Src = Mkc_stream.Stream_source
+module Pipe = Mkc_stream.Pipeline
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -118,9 +120,7 @@ let check_window_equals_fresh ~window ~epoch_edges ~drop_partial sys ~k ~alpha ~
   Array.iter (W.feed w) edges;
   let r = W.finalize w in
   let live = live_suffix_len ~window ~epoch_edges ~total in
-  let fresh = Est.create p in
-  Est.feed_batch fresh edges ~pos:(total - live) ~len:live;
-  let f = Est.finalize fresh in
+  let f = Pipe.run Est.sink (Est.create p) (Src.of_array (Array.sub edges (total - live) live)) in
   checkb
     (Printf.sprintf "windowed %.2f = fresh-suffix %.2f" r.W.estimate f.Est.estimate)
     true
@@ -156,6 +156,10 @@ let test_window_wider_than_stream () =
 
 (* ---------- batched drive rolls at the same boundaries ---------- *)
 
+(* Chunks that equal the epoch (every slice takes the pipeline's plan),
+   divide it (slices end exactly on a roll), and straddle it (slices are
+   cut at the roll and planned privately, one of them spanning several
+   epochs) must all leave the per-edge drive's state. *)
 let test_batched_drive_matches_per_edge () =
   let sys = Mkc_workload.Random_inst.uniform ~n:250 ~m:40 ~set_size:9 ~seed:13 in
   let p = params sys ~k:5 ~alpha:2.0 ~seed:14 in
@@ -163,23 +167,24 @@ let test_batched_drive_matches_per_edge () =
   let by_edge = W.create p ~window:3 ~epoch_edges:57 () in
   Array.iter (W.feed by_edge) edges;
   let a = W.finalize by_edge in
+  (* The ring's words are serialized sizes, which carry the grid-
+     dependent sampler-eval counters; the in-flight epoch's sketches
+     are grid-free. *)
+  let bd = Est.words_breakdown (W.current by_edge) in
   List.iter
     (fun chunk ->
       let batched = W.create p ~window:3 ~epoch_edges:57 () in
-      let total = Array.length edges in
-      let pos = ref 0 in
-      while !pos < total do
-        let len = min chunk (total - !pos) in
-        W.feed_batch batched edges ~pos:!pos ~len;
-        pos := !pos + len
-      done;
-      let b = W.finalize batched in
+      let b = Pipe.run ~chunk W.sink batched (Src.of_array edges) in
       checkb
         (Printf.sprintf "chunk %d matches per-edge drive" chunk)
         true
         (a.W.estimate = b.W.estimate && a.W.rolled = b.W.rolled
-        && a.W.epochs = b.W.epochs))
-    [ 1; 13; 57; 64; 1024 ]
+        && a.W.epochs = b.W.epochs);
+      checkb
+        (Printf.sprintf "chunk %d: same in-flight epoch words" chunk)
+        true
+        (Est.words_breakdown (W.current batched) = bd))
+    [ 57; 1; 3; 19; 13; 64; 114; 1024 ]
 
 (* ---------- seeded churn workload vs greedy on the live suffix ---------- *)
 
