@@ -33,7 +33,7 @@ let add_row rows name ~edges dt alloc =
       words_per_edge = alloc /. float_of_int edges;
     }
   in
-  pr "  %-28s %7.3fs  %8.1f ns/edge  %6.1f words/edge@." name dt r.ns_per_edge
+  pr "  %-34s %7.3fs  %8.1f ns/edge  %6.1f words/edge@." name dt r.ns_per_edge
     r.words_per_edge;
   rows := r :: !rows
 
@@ -239,10 +239,26 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
   let cs =
     Mkc_sketch.Count_sketch.create ~width:64 ~seed:(Mkc_hashing.Splitmix.create 4) ()
   in
-  time_alloc "count_sketch add (1e6)" ~edges:ops (fun () ->
+  (* Only the per-edge (unplanned) path pays this per update: planned
+     LargeSet parks CountSketch deltas per superset and applies them
+     once per distinct superset at flush. *)
+  time_alloc "count_sketch add unplanned (1e6)" ~edges:ops (fun () ->
       for i = 0 to ops - 1 do
         Mkc_sketch.Count_sketch.add cs xs.(i) 1
       done);
+  (* What planned LargeSet does pay per edge: the F2-HeavyHitter
+     candidate tracker's exact-count replay and top-cap prunes, in the
+     shape of uniform-bin's Cntr_large (phi = 1/12, cap 48, updates
+     spread over q = 512 supersets, so the table prunes without end). *)
+  let hh =
+    Mkc_sketch.F2_heavy_hitter.create ~phi:(1.0 /. 12.0) ~seed:(Mkc_hashing.Splitmix.create 5) ()
+  in
+  time_alloc "f2_hh tracked churn (1e6)" ~edges:ops (fun () ->
+      for i = 0 to ops - 1 do
+        Mkc_sketch.F2_heavy_hitter.add_tracked hh (xs.(i) land 511) 1
+      done);
+  pr "  f2_hh tracker: cap %d, %d prunes@." (Mkc_sketch.F2_heavy_hitter.cap hh)
+    (Mkc_sketch.F2_heavy_hitter.prunes hh);
   ignore !acc;
   write_json json_out ~label ~edges:nedges ~instances ~pool_json (List.rev !rows);
   pr "@."

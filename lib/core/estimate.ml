@@ -395,14 +395,14 @@ let shards t =
       Array.map (fun inst -> Mkc_stream.Sink.pack shard_sink { inst; shard_red = [||] }) insts
 
 (* Per-shard static cost hints, index-aligned with [shards]: the
-   universe-reduction batch pass (~4.3 Large_common units per edge from
+   universe-reduction batch pass (~3.0 Large_common units per edge from
    PROFILE_hotpath.json) plus the instance's oracle subroutine mix.
    Instances differ only through the regime split (small-set present or
    not, a function of the shared params), so on a fixed params ladder
    the hints are uniform — the packing they seed degrades to balanced
    counts, and the adaptive schedule's measured busy-ns supplies the
    per-instance contrast. *)
-let reduction_cost = 4.3
+let reduction_cost = 3.0
 
 let shard_costs t =
   match t.body with

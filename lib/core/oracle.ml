@@ -41,13 +41,13 @@ let feed_planned t plan ~red edges ~pos ~len =
 
 (* Relative per-edge feed cost of this oracle's subroutine mix, in
    units of one Large_common feed.  The weights come from
-   PROFILE_hotpath.json's planned-path ns/edge on the planted shape
-   (large_common 282, large_set 6105, small_set 2134 per 16 instances):
-   Large_set's per-edge heap/sketch work dominates everywhere, and
-   Small_set only exists outside the heavy regime (sα < 2k).  Static
+   PROFILE_hotpath.json's planned-path ns/edge on its uniform shape
+   (large_common 306, large_set 4973, small_set 1429 per 16 instances):
+   Large_set's per-edge candidate-tracker replay dominates everywhere,
+   and Small_set only exists outside the heavy regime (sα < 2k).  Static
    seeds for the pool scheduler's bin packing — only ratios matter. *)
 let cost_hint t =
-  let ls = 21.6 and ss = 7.6 in
+  let ls = 16.2 and ss = 4.7 in
   1.0 +. ls +. (match t.small_set with None -> 0.0 | Some _ -> ss)
 
 let clamp (p : Params.t) outcome =

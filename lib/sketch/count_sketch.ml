@@ -37,21 +37,6 @@ let add t i delta =
       (Array.unsafe_get cs j + (sign (Array.unsafe_get t.signs r) i * delta))
   done
 
-let add_batch t ids ~pos ~len ~delta =
-  (* Row-outer loop: one row's bucket/sign hashes and counter range stay
-     hot across the whole chunk.  Per-bucket integer additions commute,
-     so the final counters equal per-item [add]'s. *)
-  let cs = t.counters in
-  for r = 0 to t.depth - 1 do
-    let bh = t.buckets.(r) and sh = t.signs.(r) in
-    let base = r * t.width in
-    for i = pos to pos + len - 1 do
-      let x = Array.unsafe_get ids i in
-      let j = base + Mkc_hashing.Pairwise.hash bh x in
-      Array.unsafe_set cs j (Array.unsafe_get cs j + (sign sh x * delta))
-    done
-  done
-
 (* The canonical dump stays a depth x width matrix — checkpoint codecs
    and goldens predate the flat layout. *)
 let dump t = Array.init t.depth (fun r -> Array.sub t.counters (r * t.width) t.width)

@@ -19,10 +19,6 @@ val create : ?depth:int -> width:int -> seed:Mkc_hashing.Splitmix.t -> unit -> t
 val add : t -> int -> int -> unit
 (** [add t i delta]: update item [i] by [delta]. *)
 
-val add_batch : t -> int array -> pos:int -> len:int -> delta:int -> unit
-(** [add_batch t ids ~pos ~len ~delta] ≡ per-item [add] over the chunk,
-    restructured row-outer for cache locality. *)
-
 val estimate : t -> int -> float
 (** Median-of-rows frequency estimate for item [i]. *)
 

@@ -21,19 +21,6 @@ let add t i delta =
     t.counters.(c) <- t.counters.(c) + (sign t.signs.(c) i * delta)
   done
 
-let add_batch t ids ~pos ~len ~delta =
-  (* Counter-outer loop: each sign hash is walked over the whole chunk
-     and its counter written once.  Integer addition commutes, so the
-     final counters are bit-for-bit those of per-item [add]. *)
-  for c = 0 to Array.length t.counters - 1 do
-    let h = t.signs.(c) in
-    let acc = ref 0 in
-    for i = pos to pos + len - 1 do
-      acc := !acc + (sign h (Array.unsafe_get ids i) * delta)
-    done;
-    t.counters.(c) <- t.counters.(c) + !acc
-  done
-
 let dump t = Array.copy t.counters
 
 let load_state t counters =

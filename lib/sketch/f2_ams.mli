@@ -16,11 +16,6 @@ val create : ?groups:int -> ?per_group:int -> seed:Mkc_hashing.Splitmix.t -> uni
 val add : t -> int -> int -> unit
 (** [add t i delta] processes an update [a(i) <- a(i) + delta]. *)
 
-val add_batch : t -> int array -> pos:int -> len:int -> delta:int -> unit
-(** [add_batch t ids ~pos ~len ~delta] ≡ [add t ids.(i) delta] for
-    [i ∈ \[pos, pos+len)], restructured counter-outer so each counter
-    is read and written once per chunk. *)
-
 val estimate : t -> float
 val words : t -> int
 

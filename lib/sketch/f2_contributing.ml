@@ -61,14 +61,6 @@ let add_decided t ~code i delta =
 
 let add t i delta = add_decided t ~code:(decide t i) i delta
 
-let add_batch t ids ~pos ~len ~delta =
-  (* Batched path: sampler and level array hoisted; each item still
-     decides all its levels with one hash evaluation. *)
-  for i = pos to pos + len - 1 do
-    let x = Array.unsafe_get ids i in
-    add_decided t ~code:(decide t x) x delta
-  done
-
 let dedup hits =
   let best = Hashtbl.create 16 in
   List.iter

@@ -39,10 +39,6 @@ val add : t -> int -> int -> unit
 (** [add t i delta]: feed an update for coordinate [i]; each level
     processes it iff [i] survives that level's subsampling. *)
 
-val add_batch : t -> int array -> pos:int -> len:int -> delta:int -> unit
-(** [add_batch t ids ~pos ~len ~delta] ≡ per-item [add] over the chunk
-    with the per-call dispatch hoisted out of the loop. *)
-
 val decide : t -> int -> int
 (** The subsampling decision for coordinate [i] as a keep-level code
     ([-1] = survives no level): one hash evaluation, no allocation.

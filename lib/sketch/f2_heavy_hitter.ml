@@ -69,9 +69,11 @@ let rec probe keys mask i s =
 (* Prune order: count descending with an id tie-break.  Which
    candidates survive must be a function of the (id, count) multiset
    alone, never of table layout — a restored or merged table has a
-   different slot arrangement but must prune identically.  The sort is
-   an in-place heapsort over the preallocated scratch prefix, so a
-   prune allocates nothing either. *)
+   different slot arrangement but must prune identically.  Tracked ids
+   are distinct, so this order is strict and total and the top-[cap]
+   set is unique: [prune] only has to select it, not sort it, and the
+   survivors' slot layout afterwards is unobservable ([dump] and
+   [candidates] sort their results). *)
 let[@inline] sorts_after t i j =
   let ci = Array.unsafe_get t.scnt i and cj = Array.unsafe_get t.scnt j in
   ci < cj || (ci = cj && Array.unsafe_get t.sid i > Array.unsafe_get t.sid j)
@@ -84,26 +86,69 @@ let swap_scratch t i j =
   t.sid.(i) <- t.sid.(j);
   t.sid.(j) <- d
 
-let rec sift t n i =
+(* Sift down in the heap over scratch [lo, lo+n) whose root is the entry
+   that sorts last. *)
+let rec sift t lo n i =
   let l = (2 * i) + 1 in
   if l < n then begin
-    let m = if sorts_after t l i then l else i in
+    let m = if sorts_after t (lo + l) (lo + i) then l else i in
     let r = l + 1 in
-    let m = if r < n && sorts_after t r m then r else m in
+    let m = if r < n && sorts_after t (lo + r) (lo + m) then r else m in
     if m <> i then begin
-      swap_scratch t i m;
-      sift t n m
+      swap_scratch t (lo + i) (lo + m);
+      sift t lo n m
     end
   end
 
-let sort_scratch t n =
+(* Heap selection, O(n log n): keep the best [k - lo] seen so far in a
+   heap over [lo, k) with the worst at its root, and let each entry of
+   [k, hi) that sorts before the root replace it. *)
+let heap_select t lo k hi =
+  let n = k - lo in
   for i = (n / 2) - 1 downto 0 do
-    sift t n i
+    sift t lo n i
   done;
-  for e = n - 1 downto 1 do
-    swap_scratch t 0 e;
-    sift t e 0
+  for e = k to hi - 1 do
+    if sorts_after t lo e then begin
+      swap_scratch t lo e;
+      sift t lo n 0
+    end
   done
+
+(* Lomuto partition of [lo, hi) around the median of its first, middle
+   and last entries; returns the pivot's final index. *)
+let partition t lo hi =
+  let mid = lo + ((hi - lo) / 2) and last = hi - 1 in
+  if sorts_after t lo mid then swap_scratch t lo mid;
+  if sorts_after t mid last then swap_scratch t mid last;
+  if sorts_after t lo mid then swap_scratch t lo mid;
+  swap_scratch t mid last;
+  let store = ref lo in
+  for i = lo to last - 1 do
+    if sorts_after t last i then begin
+      swap_scratch t i !store;
+      incr store
+    end
+  done;
+  swap_scratch t !store last;
+  !store
+
+(* Introselect: move the entries of [lo, hi) that sort first into
+   [lo, k), in no particular order.  After [depth] partitions without
+   converging it falls back to [heap_select], so the worst case stays
+   O(n log n) even when [cap] is in the millions. *)
+let rec select t lo k hi depth =
+  if lo < k && k < hi then
+    if depth = 0 then heap_select t lo k hi
+    else begin
+      let p = partition t lo hi in
+      if p < k - 1 then select t (p + 1) k hi (depth - 1)
+      else if p > k then select t lo k p (depth - 1)
+    end
+
+(* Top-level, unlike [Hash_family.ceil_log2]'s inner loop, so a prune
+   allocates no closure. *)
+let rec log2_floor n acc = if n <= 1 then acc else log2_floor (n / 2) (acc + 1)
 
 (* Insert without overflow checks: only called while rebuilding below
    cap occupancy. *)
@@ -124,9 +169,9 @@ let prune t =
       Array.unsafe_set t.tkeys s absent
     end
   done;
-  sort_scratch t !n;
-  t.tn <- 0;
   let keep = min t.cap !n in
+  select t 0 keep !n (2 * log2_floor !n 0);
+  t.tn <- 0;
   for j = 0 to keep - 1 do
     reinsert t t.sid.(j) t.scnt.(j)
   done
@@ -189,15 +234,6 @@ let add_tracked t i delta =
 let add t i delta =
   add_cs t i delta;
   add_tracked t i delta
-
-let add_batch t ids ~pos ~len ~delta =
-  (* The CountSketch half is commutative, so it takes the row-outer
-     batched path; the exact-counter half replays the chunk in order so
-     candidate tracking and pruning behave exactly as per-item [add]. *)
-  Count_sketch.add_batch t.cs ids ~pos ~len ~delta;
-  for i = pos to pos + len - 1 do
-    add_tracked t (Array.unsafe_get ids i) delta
-  done
 
 let candidates t =
   if t.tn > t.cap then prune t;

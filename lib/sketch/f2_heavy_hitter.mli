@@ -48,10 +48,6 @@ val add_tracked : t -> int -> int -> unit
     current top candidates, so callers splitting updates must replay
     this half in original stream order. *)
 
-val add_batch : t -> int array -> pos:int -> len:int -> delta:int -> unit
-(** [add_batch t ids ~pos ~len ~delta] ≡ per-item [add] over the chunk;
-    the CountSketch rows are updated row-outer. *)
-
 val hits : t -> hit list
 (** Candidates whose estimated frequency passes the φ·F̂2 test,
     sorted by decreasing frequency. *)

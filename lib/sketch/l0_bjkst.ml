@@ -115,7 +115,7 @@ let prune t =
     done
   done
 
-(* Shared by add/add_batch: the hash halves are already in [t.tab]. *)
+(* The hash halves are already in [t.tab]. *)
 let[@inline] add_hashed t =
   let lo = Mkc_hashing.Tabulation.part_lo t.tab in
   let hi = Mkc_hashing.Tabulation.part_hi t.tab in
@@ -136,13 +136,6 @@ let[@inline] add_hashed t =
 let add t x =
   Mkc_hashing.Tabulation.hash_parts t.tab x;
   add_hashed t
-
-let add_batch t xs ~pos ~len =
-  let tab = t.tab in
-  for i = pos to pos + len - 1 do
-    Mkc_hashing.Tabulation.hash_parts tab (Array.unsafe_get xs i);
-    add_hashed t
-  done
 
 let fp_at t s =
   Int64.logor
@@ -400,13 +393,6 @@ module Turnstile = struct
   let add t ?(delta = 1) x =
     Mkc_hashing.Tabulation.hash_parts t.tab x;
     add_hashed t delta
-
-  let add_batch t xs ~pos ~len ~delta =
-    let tab = t.tab in
-    for i = pos to pos + len - 1 do
-      Mkc_hashing.Tabulation.hash_parts tab (Array.unsafe_get xs i);
-      add_hashed t delta
-    done
 
   let fp_at t s =
     Int64.logor

@@ -18,10 +18,6 @@ val create : ?cap:int -> seed:Mkc_hashing.Splitmix.t -> unit -> t
 
 val add : t -> int -> unit
 
-val add_batch : t -> int array -> pos:int -> len:int -> unit
-(** [add_batch t xs ~pos ~len] ≡ [add] over [xs.(pos .. pos+len-1)],
-    with the per-call dispatch hoisted out of the loop. *)
-
 val trailing_zeros : int64 -> int
 (** Count of trailing zero bits (64 for zero) — branch-free de Bruijn
     lookup over native-int halves, no per-bit loop.  Exposed for the
@@ -80,9 +76,6 @@ module Turnstile : sig
   val add : t -> ?delta:int -> int -> unit
   (** [add t x] inserts once; [add t ~delta:(-1) x] deletes once.
       Any non-zero [delta] is the signed multiplicity to apply. *)
-
-  val add_batch : t -> int array -> pos:int -> len:int -> delta:int -> unit
-  (** [add] over [xs.(pos .. pos+len-1)], all with the same [delta]. *)
 
   val estimate : t -> float
   (** [occupancy · 2^z] — the L0 (distinct live elements) estimate. *)

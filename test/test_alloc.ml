@@ -67,6 +67,28 @@ let test_f2_heavy_hitter () =
         Hh.add sk (Array.unsafe_get ids i) 1
       done)
 
+(* Tracker churn in the shape that prunes most: cap 48 against 512 ids,
+   a prune every few dozen updates.  The 2-words/edge budget would hide
+   a few words per prune, so this pins the prune itself at zero: the
+   whole measured pass may allocate less than one word per prune. *)
+let test_f2_heavy_hitter_prune () =
+  let sk = Hh.create ~phi:(1.0 /. 12.0) ~seed:(Sm.create 6) () in
+  let feed () =
+    for i = 0 to edges - 1 do
+      Hh.add_tracked sk (Array.unsafe_get ids i land 511) 1
+    done
+  in
+  feed ();
+  Gc.full_major ();
+  let p0 = Hh.prunes sk in
+  let before = Gc.minor_words () in
+  feed ();
+  let words = Gc.minor_words () -. before in
+  let prunes = Hh.prunes sk - p0 in
+  if prunes < 1000 then Alcotest.failf "expected > 1000 prunes, got %d" prunes;
+  if words >= float_of_int prunes then
+    Alcotest.failf "f2_heavy_hitter prune allocates %.0f words over %d prunes" words prunes
+
 let test_f2_ams () =
   let sk = Ams.create ~seed:(Sm.create 4) () in
   check_budget "f2_ams.add" (fun () ->
@@ -106,6 +128,8 @@ let suite =
       test_count_sketch;
     Alcotest.test_case "f2_heavy_hitter feed is allocation-free" `Quick
       test_f2_heavy_hitter;
+    Alcotest.test_case "f2_heavy_hitter prune is allocation-free" `Quick
+      test_f2_heavy_hitter_prune;
     Alcotest.test_case "f2_ams feed is allocation-free" `Quick test_f2_ams;
     Alcotest.test_case "f2_contributing feed is allocation-free" `Quick
       test_f2_contributing;

@@ -99,62 +99,6 @@ let test_full_range_sink_both_engines () =
       checkb (Printf.sprintf "alpha %g: parallel" alpha) true (r2 = r0))
     [ 2.0; 8.0 ]
 
-(* --- batched sketches --- *)
-
-let ids = Array.init 3000 (fun i -> ((i * 7919) + 13) mod 257)
-
-let test_l0_add_batch () =
-  let mk () = Mkc_sketch.L0_bjkst.create ~seed:(Sm.create 5) () in
-  let a = mk () and b = mk () in
-  Array.iter (Mkc_sketch.L0_bjkst.add a) ids;
-  Mkc_sketch.L0_bjkst.add_batch b ids ~pos:0 ~len:(Array.length ids);
-  checkb "same estimate" true
-    (Mkc_sketch.L0_bjkst.estimate a = Mkc_sketch.L0_bjkst.estimate b);
-  checki "same level" (Mkc_sketch.L0_bjkst.level a) (Mkc_sketch.L0_bjkst.level b);
-  checki "same words" (Mkc_sketch.L0_bjkst.words a) (Mkc_sketch.L0_bjkst.words b)
-
-let test_f2_ams_add_batch () =
-  let mk () = Mkc_sketch.F2_ams.create ~seed:(Sm.create 9) () in
-  let a = mk () and b = mk () in
-  Array.iter (fun i -> Mkc_sketch.F2_ams.add a i 2) ids;
-  Mkc_sketch.F2_ams.add_batch b ids ~pos:0 ~len:(Array.length ids) ~delta:2;
-  checkb "same estimate" true
-    (Mkc_sketch.F2_ams.estimate a = Mkc_sketch.F2_ams.estimate b)
-
-let test_count_sketch_add_batch () =
-  let mk () = Mkc_sketch.Count_sketch.create ~width:64 ~seed:(Sm.create 17) () in
-  let a = mk () and b = mk () in
-  Array.iter (fun i -> Mkc_sketch.Count_sketch.add a i 1) ids;
-  Mkc_sketch.Count_sketch.add_batch b ids ~pos:0 ~len:(Array.length ids) ~delta:1;
-  for i = 0 to 20 do
-    checkb "same point estimate" true
-      (Mkc_sketch.Count_sketch.estimate a i = Mkc_sketch.Count_sketch.estimate b i)
-  done;
-  checkb "same F2 estimate" true
-    (Mkc_sketch.Count_sketch.f2_estimate a = Mkc_sketch.Count_sketch.f2_estimate b)
-
-let test_f2_heavy_hitter_add_batch () =
-  let mk () = Mkc_sketch.F2_heavy_hitter.create ~phi:0.05 ~seed:(Sm.create 23) () in
-  let a = mk () and b = mk () in
-  Array.iter (fun i -> Mkc_sketch.F2_heavy_hitter.add a i 1) ids;
-  Mkc_sketch.F2_heavy_hitter.add_batch b ids ~pos:0 ~len:(Array.length ids) ~delta:1;
-  checkb "same hits" true
-    (Mkc_sketch.F2_heavy_hitter.hits a = Mkc_sketch.F2_heavy_hitter.hits b);
-  checkb "same candidates" true
-    (Mkc_sketch.F2_heavy_hitter.candidates a = Mkc_sketch.F2_heavy_hitter.candidates b)
-
-let test_f2_contributing_add_batch () =
-  let mk () =
-    Mkc_sketch.F2_contributing.create ~gamma:0.1 ~r:64 ~indep:4 ~seed:(Sm.create 29) ()
-  in
-  let a = mk () and b = mk () in
-  Array.iter (fun i -> Mkc_sketch.F2_contributing.add a i 1) ids;
-  Mkc_sketch.F2_contributing.add_batch b ids ~pos:0 ~len:(Array.length ids) ~delta:1;
-  checkb "same hits" true
-    (Mkc_sketch.F2_contributing.hits a = Mkc_sketch.F2_contributing.hits b);
-  checkb "same candidates" true
-    (Mkc_sketch.F2_contributing.candidates a = Mkc_sketch.F2_contributing.candidates b)
-
 (* --- coverage baselines --- *)
 
 let test_mcgregor_vu_sink () =
@@ -311,11 +255,6 @@ let suite =
       test_report_batched_and_parallel;
     Alcotest.test_case "full-range: both engines via sink" `Quick
       test_full_range_sink_both_engines;
-    Alcotest.test_case "l0_bjkst add_batch" `Quick test_l0_add_batch;
-    Alcotest.test_case "f2_ams add_batch" `Quick test_f2_ams_add_batch;
-    Alcotest.test_case "count_sketch add_batch" `Quick test_count_sketch_add_batch;
-    Alcotest.test_case "f2_heavy_hitter add_batch" `Quick test_f2_heavy_hitter_add_batch;
-    Alcotest.test_case "f2_contributing add_batch" `Quick test_f2_contributing_add_batch;
     Alcotest.test_case "mcgregor-vu sink" `Quick test_mcgregor_vu_sink;
     Alcotest.test_case "set-arrival adapter: sieve" `Quick test_set_arrival_adapter_sieve;
     Alcotest.test_case "set-arrival adapter: mv" `Quick test_set_arrival_adapter_mv;

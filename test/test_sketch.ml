@@ -477,9 +477,131 @@ let prop_count_min_upper_bound =
         xs;
       Hashtbl.fold (fun x f ok -> ok && Cm.estimate cm x >= float_of_int f) freq true)
 
+(* Reference model for F2_heavy_hitter's candidate tracker: an
+   association list that prunes by fully sorting (count descending, id
+   ascending) and keeping the first [cap], beside a CountSketch with the
+   tracker's own width and seed for the candidate estimates.  The
+   tracker's table must end with the same dump and answer the same
+   candidates whatever its slot layout. *)
+
+type hh_op = Upd of int * int | Cand
+
+let gen_hh_case =
+  QCheck.Gen.(
+    int_range 4 16 >>= fun c ->
+    let upd =
+      map2 (fun i d -> Upd (i, d)) (int_range 0 (3 * c)) (oneofl [ -2; -1; -1; 1; 1; 1; 2; 3 ])
+    in
+    pair (return c) (list_size (int_range 0 400) (frequency [ (24, upd); (1, return Cand) ])))
+
+let print_hh_case (c, ops) =
+  Printf.sprintf "cap %d: %s" c
+    (String.concat " "
+       (List.map (function Upd (i, d) -> Printf.sprintf "%d%+d" i d | Cand -> "C") ops))
+
+let arb_hh_case = QCheck.make ~print:print_hh_case gen_hh_case
+
+type hh_model = { mcs : Cs.t; mutable mcounts : (int * int) list; mutable mprunes : int }
+
+let hh_seed = Sm.create 996
+
+(* phi = 4/c targets a cap of [c] (4 to 16); the model still reads the
+   tracker's own [cap] and CountSketch width. *)
+let hh_pair c =
+  let hh = Hh.create ~phi:(4.0 /. float_of_int c) ~seed:hh_seed () in
+  let rows, _, _ = Hh.dump hh in
+  let mcs = Cs.create ~width:(Array.length rows.(0)) ~seed:(Sm.fork hh_seed 0) () in
+  (hh, { mcs; mcounts = []; mprunes = 0 })
+
+let model_prune m cap =
+  let sorted =
+    List.sort (fun (i, a) (j, b) -> if a <> b then compare b a else compare i j) m.mcounts
+  in
+  m.mcounts <- List.filteri (fun k _ -> k < cap) sorted;
+  m.mprunes <- m.mprunes + 1
+
+let model_add m cap i d =
+  Cs.add m.mcs i d;
+  match List.assoc_opt i m.mcounts with
+  | Some c ->
+      let rest = List.remove_assoc i m.mcounts in
+      m.mcounts <- (if c + d = 0 then rest else (i, c + d) :: rest)
+  | None ->
+      m.mcounts <- (i, d) :: m.mcounts;
+      if List.length m.mcounts > 2 * cap then model_prune m cap
+
+let model_candidates m cap =
+  if List.length m.mcounts > cap then model_prune m cap;
+  List.map
+    (fun (id, c) -> { Hh.id; freq = Float.min (Cs.estimate m.mcs id) (float_of_int c) })
+    m.mcounts
+  |> List.sort (fun (a : Hh.hit) (b : Hh.hit) ->
+         if a.freq <> b.freq then compare b.freq a.freq else compare a.id b.id)
+
+let model_dump m = (Cs.dump m.mcs, List.sort compare m.mcounts, m.mprunes)
+
+(* Apply [ops] to the tracker and the model; false at the first
+   disagreeing [candidates] answer. *)
+let hh_run hh m ops =
+  let cap = Hh.cap hh in
+  List.for_all
+    (function
+      | Upd (i, d) ->
+          Hh.add hh i d;
+          model_add m cap i d;
+          true
+      | Cand -> Hh.candidates hh = model_candidates m cap)
+    ops
+
+let hh_agrees hh m =
+  Hh.dump hh = model_dump m && Hh.candidates hh = model_candidates m (Hh.cap hh)
+  && Hh.dump hh = model_dump m
+
+let prop_hh_prune_matches_model =
+  QCheck.Test.make ~name:"f2_hh tracker ≡ full-sort model" ~count:200 arb_hh_case
+    (fun (c, ops) ->
+      let hh, m = hh_pair c in
+      hh_run hh m ops && hh_agrees hh m)
+
+(* A tracker restored through [load_state] in reverse id order has a
+   different slot layout from the live one; fed the same suffix, both
+   must end where the model does. *)
+let prop_hh_restored_matches_live =
+  QCheck.Test.make ~name:"f2_hh restored tracker ≡ live tracker" ~count:100 arb_hh_case
+    (fun (c, ops) ->
+      let live, m = hh_pair c in
+      let half = List.length ops / 2 in
+      let prefix = List.filteri (fun k _ -> k < half) ops
+      and suffix = List.filteri (fun k _ -> k >= half) ops in
+      hh_run live m prefix
+      &&
+      let rows, counts, prunes = Hh.dump live in
+      let restored, _ = hh_pair c in
+      Hh.load_state restored ~rows ~counts:(List.rev counts) ~prunes = Ok ()
+      && List.for_all
+           (fun op ->
+             hh_run live m [ op ]
+             &&
+             match op with
+             | Upd (i, d) ->
+                 Hh.add restored i d;
+                 true
+             | Cand -> Hh.candidates restored = Hh.candidates live)
+           suffix
+      && Hh.dump restored = Hh.dump live
+      && hh_agrees live m
+      && Hh.candidates restored = Hh.candidates live
+      && Hh.dump restored = Hh.dump live)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_kmv_never_negative; prop_l0_at_most_stream_length; prop_count_min_upper_bound ]
+    [
+      prop_kmv_never_negative;
+      prop_l0_at_most_stream_length;
+      prop_count_min_upper_bound;
+      prop_hh_prune_matches_model;
+      prop_hh_restored_matches_live;
+    ]
 
 let suite =
   [
