@@ -20,7 +20,7 @@
    be identical — the benchmark asserts this before reporting, and also
    asserts that the instrumented run's final space-profile point equals
    the sink's words_breakdown exactly.  Results go to stdout and to a
-   JSON file (machine-readable; includes the mkc-obs/2 metrics snapshot
+   JSON file (machine-readable; includes the mkc-obs/4 metrics snapshot
    of the instrumented run, the winner-attribution counts, the
    space-budget headroom, the estimate's opt_gap against greedy, and
    the memo-miss ratio sampler_evals/edges).
@@ -235,17 +235,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
   Mkc_obs.Quality.record_relative_error "estimate.quality.vs_greedy" ~truth:greedy
     ~estimate:(int_of_float r_obs.E.estimate);
   let module B = Mkc_sketch.Space.Budget in
-  Mkc_obs.Quality.record_budget ~budget_words:(B.budget budget)
-    ~peak_words:(B.peak budget) ~overshoots:(B.overshoots budget) ();
-  let space =
-    {
-      Mkc_obs.Snapshot.budget_words = B.budget budget;
-      peak_words = B.peak budget;
-      headroom = B.headroom budget;
-      overshoots = B.overshoots budget;
-      samples = B.samples budget;
-    }
-  in
+  let space = Mkc_stream.Sink.Observed.budget_evidence budget in
   let winners = E.winners e_obs in
   let snapshot =
     Mkc_obs.Snapshot.capture ~profiles:[ ("estimate", profile) ] ~space
@@ -254,29 +244,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
   (* Harvested while the registry is still live: the instrumented
      drive's latency digests and quality gauges, bound for the run
      ledger below. *)
-  let reg_dump = Mkc_obs.Registry.dump Mkc_obs.Registry.global in
-  let run_digests =
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Mkc_obs.Registry.Histogram h when h.Mkc_obs.Metric.Histogram.count > 0 ->
-            Some (name, Mkc_obs.Metric.Histogram.digest h)
-        | _ -> None)
-      reg_dump
-  in
-  let has_substring s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
-    go 0
-  in
-  let run_quality =
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Mkc_obs.Registry.Gauge g when has_substring name ".quality." -> Some (name, g)
-        | _ -> None)
-      reg_dump
-  in
+  let run_digests, run_quality = Mkc_obs.Ledger.harvest Mkc_obs.Registry.global in
   Mkc_obs.Registry.set_enabled false;
   let results =
     List.map

@@ -78,16 +78,20 @@ let pos_float ~what =
   in
   Arg.conv (parse, Format.pp_print_float)
 
-(* Cadence-style flags are range-checked here, in the command body,
-   not in a cmdliner converter: a converter error is a generic usage
-   failure (exit 124), while the contract for a zero or negative
-   cadence is a named error on stderr and exit 2. *)
+(* Flag misuse: a named error on stderr and exit 2. *)
+let misuse fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "mkc: %s@." msg;
+      exit 2)
+    fmt
+
+(* Cadence-style flags are range-checked in the command body, not in a
+   cmdliner converter: a converter error is a generic usage failure
+   (exit 124), while the contract for a zero or negative cadence is a
+   named error on stderr and exit 2. *)
 let require_pos ~flag v =
-  if v < 1 then begin
-    Format.eprintf "mkc: %s must be a positive integer (got %d)@." flag v;
-    exit 2
-  end;
-  v
+  if v < 1 then misuse "%s must be a positive integer (got %d)" flag v
 
 let chunk_arg =
   Arg.(
@@ -241,21 +245,6 @@ let emit_trace o =
       write_file file (Mkc_obs.Trace.to_string ~events ());
       Format.printf "wrote trace: %s (%d events)@." file (List.length events)
 
-let space_of_budget b =
-  let open Mkc_sketch.Space.Budget in
-  {
-    Mkc_obs.Snapshot.budget_words = budget b;
-    peak_words = peak b;
-    headroom = headroom b;
-    overshoots = overshoots b;
-    samples = samples b;
-  }
-
-let record_budget_gauges b =
-  let open Mkc_sketch.Space.Budget in
-  Mkc_obs.Quality.record_budget ~budget_words:(budget b) ~peak_words:(peak b)
-    ~overshoots:(overshoots b) ()
-
 let print_budget b =
   let open Mkc_sketch.Space.Budget in
   Format.printf "space budget: %d words, peak %d, headroom %.2f%s@." (budget b) (peak b)
@@ -318,16 +307,6 @@ let telem_term =
 
 let telemetry_wanted t = t.tfile <> None || t.thealth <> [] || t.ttop
 
-let parse_health_rules specs =
-  List.map
-    (fun spec ->
-      match Mkc_obs.Health.parse spec with
-      | Ok r -> r
-      | Error msg ->
-          Format.eprintf "mkc: --health %S: %s@." spec msg;
-          exit 2)
-    specs
-
 (* Ring rows retained for the live view; the log and the running
    min/max/last summaries cover the whole run regardless. *)
 let telemetry_ring = 512
@@ -357,7 +336,7 @@ type telemetry_rig = {
   tpath : string option;
 }
 
-let setup_telemetry topts ?budget_words ob mk_probes =
+let setup_telemetry topts rules ?budget_words ob mk_probes =
   let probes =
     mk_probes ~breakdown:(fun () -> Mkc_stream.Sink.Observed.sampled_breakdown ob)
   in
@@ -377,7 +356,7 @@ let setup_telemetry topts ?budget_words ob mk_probes =
   in
   let series = Mkc_obs.Telemetry.Recorder.series recorder in
   let engine =
-    match parse_health_rules topts.thealth with
+    match rules with
     | [] -> None
     | rules -> (
         (* Rule firings also land in the log as events, stamped with
@@ -425,18 +404,6 @@ let finish_telemetry ~ok rig =
           rg.tpath
       end
 
-let budget_exceeded_exit o exn =
-  match exn with
-  | Mkc_sketch.Space.Budget.Exceeded { budget; words } ->
-      Format.eprintf
-        "mkc: space budget exceeded: %d words used against a budget of %d (--budget-strict)@."
-        words budget;
-      (* Still flush the trace: the timeline up to the abort is exactly
-         what one wants when diagnosing an overshoot. *)
-      emit_trace o;
-      exit 3
-  | e -> raise e
-
 let load_stream path =
   (* Format dispatch on magic bytes: binary columnar files skip text
      parsing entirely and carry (m, n) in the header. *)
@@ -478,48 +445,6 @@ let decay_arg =
            $(docv) per epoch of age instead of the uniform window merge.  \
            Must lie strictly between 0 and 1; requires $(b,--window).")
 
-(* Same contract as require_pos: windowed-flag misuse is a named error
-   on stderr and exit 2, decided before any stream I/O. *)
-let windowed_config ~domains ~ckpt ~resume window epoch_edges decay =
-  match window with
-  | None ->
-      if epoch_edges <> None then begin
-        Format.eprintf "mkc: --epoch-edges requires --window@.";
-        exit 2
-      end;
-      if decay <> None then begin
-        Format.eprintf "mkc: --decay requires --window@.";
-        exit 2
-      end;
-      None
-  | Some w ->
-      let w = require_pos ~flag:"--window" w in
-      let e =
-        match epoch_edges with
-        | Some e -> require_pos ~flag:"--epoch-edges" e
-        | None ->
-            Format.eprintf "mkc: --window requires --epoch-edges@.";
-            exit 2
-      in
-      Option.iter
-        (fun l ->
-          if not (l > 0.0 && l < 1.0) then begin
-            Format.eprintf "mkc: --decay must lie strictly between 0 and 1 (got %g)@." l;
-            exit 2
-          end)
-        decay;
-      if domains > 1 then begin
-        Format.eprintf "mkc: --window runs single-domain; use --domains 1@.";
-        exit 2
-      end;
-      if ckpt <> None || resume <> None then begin
-        Format.eprintf
-          "mkc: --window holds its own per-epoch checkpoints; --checkpoint/--resume are \
-           not supported in windowed mode@.";
-        exit 2
-      end;
-      Some (w, e, decay)
-
 (* ---------- run-ledger plumbing ---------- *)
 
 let ledger_arg =
@@ -532,91 +457,13 @@ let ledger_arg =
            digests, quality gauges) to the $(docv) run ledger — durable evidence for \
            $(b,mkc bench-diff) and $(b,mkc doctor).")
 
-let has_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
-  go 0
-
-(* Every populated histogram in the registry, digested — the ledger's
-   latency evidence.  Names are the registry track names, so records
-   written by different builds line up as long as the tracks exist. *)
-let ledger_digests () =
-  List.filter_map
-    (fun (name, v) ->
-      match v with
-      | Mkc_obs.Registry.Histogram h when h.Mkc_obs.Metric.Histogram.count > 0 ->
-          Some (name, Mkc_obs.Metric.Histogram.digest h)
-      | _ -> None)
-    (Mkc_obs.Registry.dump Mkc_obs.Registry.global)
-
-let ledger_quality () =
-  List.filter_map
-    (fun (name, v) ->
-      match v with
-      | Mkc_obs.Registry.Gauge g when has_substring name ".quality." -> Some (name, g)
-      | _ -> None)
-    (Mkc_obs.Registry.dump Mkc_obs.Registry.global)
-
-let ledger_run_params ~stream ~m ~n ~k ~alpha ~seed ~profile ~domains ~schedule ~chunk =
-  [
-    ("alpha", Mkc_obs.Json.Float alpha);
-    ("chunk", Mkc_obs.Json.Int chunk);
-    ("domains", Mkc_obs.Json.Int domains);
-    ("k", Mkc_obs.Json.Int k);
-    ("m", Mkc_obs.Json.Int m);
-    ("n", Mkc_obs.Json.Int n);
-    ( "profile",
-      Mkc_obs.Json.String
-        (match profile with Mkc_core.Params.Practical -> "practical" | Paper -> "paper") );
-    ( "schedule",
-      Mkc_obs.Json.String
-        (match schedule with Mkc_stream.Pipeline.Static -> "static" | Adaptive -> "adaptive")
-    );
-    ("seed", Mkc_obs.Json.Int seed);
-    ("stream", Mkc_obs.Json.String (Filename.basename stream));
-  ]
-
-let append_run_ledger ~path ~label ~params ~edges ~wall_ns ~mode ~extra_stats =
-  let wall_s = float_of_int wall_ns /. 1e9 in
-  let rate = if wall_s > 0.0 then float_of_int edges /. wall_s else 0.0 in
-  let entry =
-    {
-      Mkc_obs.Ledger.e_label = label;
-      e_created_ns = int_of_float (Unix.gettimeofday () *. 1e9);
-      e_host = Mkc_obs.Ledger.host_fingerprint ();
-      e_params = params;
-      e_stats =
-        [ ("edges", float_of_int edges); ("edges_per_sec", rate); ("wall_s", wall_s) ]
-        @ extra_stats;
-      e_modes =
-        [
-          {
-            Mkc_obs.Ledger.ms_mode = mode;
-            ms_repeats = 1;
-            ms_best_s = wall_s;
-            ms_median_s = wall_s;
-            ms_edges_per_sec = rate;
-          };
-        ];
-      e_digests = ledger_digests ();
-      e_quality = ledger_quality ();
-    }
-  in
-  match Mkc_obs.Ledger.append path entry with
-  | Ok () -> Format.printf "appended run record to %s@." path
-  | Error e ->
-      Format.eprintf "mkc: %s: %s@." path (Mkc_obs.Ledger.error_to_string e);
-      exit 2
-
 (* ---------- generate ---------- *)
 
 let generate kind n m k seed out churn =
   Option.iter
     (fun frac ->
-      if not (frac >= 0.0 && frac < 1.0) then begin
-        Format.eprintf "mkc: --churn must lie in [0, 1) (got %g)@." frac;
-        exit 2
-      end)
+      if not (frac >= 0.0 && frac < 1.0) then
+        misuse "--churn must lie in [0, 1) (got %g)" frac)
     churn;
   let sys =
     match kind with
@@ -686,16 +533,7 @@ let generate_cmd =
 (* ---------- convert ---------- *)
 
 let convert path out to_text force_m force_n =
-  let src, m, n =
-    match Mkc_stream.Stream_source.load_auto_dims path with
-    | r -> r
-    | exception Failure msg ->
-        Format.eprintf "mkc: %s@." msg;
-        exit 2
-    | exception Sys_error msg ->
-        Format.eprintf "mkc: %s@." msg;
-        exit 2
-  in
+  let src, m, n = load_stream path in
   let m = Option.value ~default:m force_m and n = Option.value ~default:n force_n in
   let edges = Mkc_stream.Stream_source.length src in
   (match
@@ -758,7 +596,7 @@ type 's ckpt = {
   resume : string option;
 }
 
-(* The one drive behind estimate, report and the windowed estimate.
+(* The one drive behind {!answer}.
 
    [domains > 1] feeds the engine's (z, rep) [shards] through the pool,
    each observed when metrics are wanted.  Budgets are single-domain
@@ -841,295 +679,338 @@ let drive (type s r) ~domains ~schedule ~chunk ~oopts ~observe ?budget ?(attach 
     end
     else one sink state Fun.id
 
-(* The windowed estimate run: single-domain, epoch ring inside the
-   sink, telemetry through the windowed probe set. *)
-let estimate_windowed ~path ~src ~m ~n ~k ~alpha ~seed ~profile ~schedule ~chunk ~oopts
-    ~topts ~budget_strict ~ledger params (window, epoch_edges, decay) =
-  let est = Mkc_core.Windowed.create ?decay params ~window ~epoch_edges () in
-  let want = metrics_wanted oopts in
-  let tracing = oopts.trace <> None in
-  let telemetry_on = telemetry_wanted topts in
-  (* The window.* telemetry tracks read the registry counters the
-     epoch-roll path bumps, so telemetry alone needs the registry on. *)
-  if telemetry_on || want || ledger <> None then Mkc_obs.Registry.set_enabled true;
+(* ---------- the one answer path ---------- *)
+
+(* The flags estimate and report share.  Report has no telemetry or
+   budget flags: its term fills those two fields with the defaults. *)
+type run_opts = {
+  path : string;
+  k : int;
+  alpha : float;
+  seed : int;
+  profile : Mkc_core.Params.profile;
+  domains : int;
+  schedule : Mkc_stream.Pipeline.schedule;
+  chunk : int;
+  oopts : obs_opts;
+  ledger : string option;
+  window : int option;
+  epoch_edges : int option;
+  decay : float option;
+  topts : telem_opts;
+  budget_strict : bool;
+}
+
+let run_term telem budget_strict =
+  Term.(
+    const
+      (fun path k alpha seed profile domains schedule chunk oopts ledger window epoch_edges
+           decay topts budget_strict ->
+        { path; k; alpha; seed; profile; domains; schedule; chunk; oopts; ledger; window;
+          epoch_edges; decay; topts; budget_strict })
+    $ stream_arg $ k_arg $ alpha_arg $ seed_arg $ profile_arg $ domains_arg $ schedule_arg
+    $ chunk_arg $ obs_term $ ledger_arg $ window_arg $ epoch_edges_arg $ decay_arg $ telem
+    $ budget_strict)
+
+(* Every cross-flag rule of estimate and report, decided before any
+   stream I/O: a misuse is a named error on stderr and exit 2.  Returns
+   the windowed configuration (epochs kept, edges per epoch, decay) and
+   the parsed health rules.  [Health.create]'s track-existence check
+   needs the probes, so it runs later, once the sink exists. *)
+let check_flags ?(every = 1) ?(ckpt = false) ro =
+  require_pos ~flag:"--chunk" ro.chunk;
+  require_pos ~flag:"--checkpoint-every" every;
+  require_pos ~flag:"--metrics-cadence" ro.oopts.cadence;
+  let wincfg =
+    match ro.window with
+    | None ->
+        if ro.epoch_edges <> None then misuse "--epoch-edges requires --window";
+        if ro.decay <> None then misuse "--decay requires --window";
+        None
+    | Some w ->
+        require_pos ~flag:"--window" w;
+        let e =
+          match ro.epoch_edges with
+          | Some e ->
+              require_pos ~flag:"--epoch-edges" e;
+              e
+          | None -> misuse "--window requires --epoch-edges"
+        in
+        Option.iter
+          (fun l ->
+            if not (l > 0.0 && l < 1.0) then
+              misuse "--decay must lie strictly between 0 and 1 (got %g)" l)
+          ro.decay;
+        if ro.domains > 1 then misuse "--window runs single-domain; use --domains 1";
+        if ckpt then
+          misuse
+            "--window holds its own per-epoch checkpoints; --checkpoint/--resume are not \
+             supported in windowed mode";
+        Some (w, e, ro.decay)
+  in
+  if telemetry_wanted ro.topts && ro.domains > 1 then
+    misuse "--telemetry/--health/--top sample the single-domain sink; use --domains 1";
+  let rules =
+    List.map
+      (fun spec ->
+        match Mkc_obs.Health.parse spec with
+        | Ok r -> r
+        | Error msg -> misuse "--health %S: %s" spec msg)
+      ro.topts.thealth
+  in
+  (wincfg, rules)
+
+let append_run_ledger ro ~path ~label ~m ~n ~edges ~wall_ns ~mode ~stats =
+  let wall_s = float_of_int wall_ns /. 1e9 in
+  let rate = if wall_s > 0.0 then float_of_int edges /. wall_s else 0.0 in
+  let digests, quality = Mkc_obs.Ledger.harvest Mkc_obs.Registry.global in
+  let entry =
+    {
+      Mkc_obs.Ledger.e_label = label;
+      e_created_ns = int_of_float (Unix.gettimeofday () *. 1e9);
+      e_host = Mkc_obs.Ledger.host_fingerprint ();
+      e_params =
+        [
+          ("alpha", Mkc_obs.Json.Float ro.alpha);
+          ("chunk", Mkc_obs.Json.Int ro.chunk);
+          ("domains", Mkc_obs.Json.Int ro.domains);
+          ("k", Mkc_obs.Json.Int ro.k);
+          ("m", Mkc_obs.Json.Int m);
+          ("n", Mkc_obs.Json.Int n);
+          ( "profile",
+            Mkc_obs.Json.String
+              (match ro.profile with Mkc_core.Params.Practical -> "practical" | Paper -> "paper")
+          );
+          ( "schedule",
+            Mkc_obs.Json.String
+              (match ro.schedule with
+              | Mkc_stream.Pipeline.Static -> "static"
+              | Adaptive -> "adaptive") );
+          ("seed", Mkc_obs.Json.Int ro.seed);
+          ("stream", Mkc_obs.Json.String (Filename.basename ro.path));
+        ];
+      e_stats =
+        [ ("edges", float_of_int edges); ("edges_per_sec", rate); ("wall_s", wall_s) ] @ stats;
+      e_modes =
+        [
+          {
+            Mkc_obs.Ledger.ms_mode = mode;
+            ms_repeats = 1;
+            ms_best_s = wall_s;
+            ms_median_s = wall_s;
+            ms_edges_per_sec = rate;
+          };
+        ];
+      e_digests = digests;
+      e_quality = quality;
+    }
+  in
+  match Mkc_obs.Ledger.append path entry with
+  | Ok () -> Format.printf "appended run record to %s@." path
+  | Error e ->
+      Format.eprintf "mkc: %s: %s@." path (Mkc_obs.Ledger.error_to_string e);
+      exit 2
+
+(* The one observed run behind estimate and report, plain and windowed:
+   registry and trace switches, the space budget (only for a command
+   that has a [word_budget]), the progress tap, telemetry (only with
+   [probes]), the abort paths, then the answer, and the metrics, trace
+   and ledger evidence.  [print] writes the answer's lines; the
+   "space:" line and everything after it are common. *)
+let answer (type s r) ro ~rules ~src ~m ~n ~label
+    ?(mode = if ro.domains > 1 then "pool" else "sequential") ?word_budget ?probes ?shards
+    ?costs ?ckpt ~record_metrics ~print ~stats
+    ((module M) as sink : (s, r) Mkc_stream.Sink.sink) (state : s) =
+  let oopts = ro.oopts in
+  let want = metrics_wanted oopts and tracing = oopts.trace <> None in
+  let telemetry_on = telemetry_wanted ro.topts in
+  (* Health counters live in the registry like every other metric. *)
+  if want || ro.ledger <> None || rules <> [] then Mkc_obs.Registry.set_enabled true;
   if tracing then Mkc_obs.Trace.set_enabled true;
   let budget =
-    if budget_strict || want then
-      Some
-        (Mkc_sketch.Space.Budget.create ~strict:budget_strict
-           (Mkc_core.Estimate.word_budget params))
-    else None
+    match word_budget with
+    | Some words when ro.budget_strict || want ->
+        Some (Mkc_sketch.Space.Budget.create ~strict:ro.budget_strict words)
+    | _ -> None
   in
   let total = Mkc_stream.Stream_source.length src in
   let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
   let profiles = ref [] in
   let rig = ref None in
   let attach ob =
-    if telemetry_on then
-      rig :=
-        Some
-          (setup_telemetry topts
-             ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
-             ob
-             (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown est))
-  in
-  let run () =
-    drive ~domains:1 ~schedule ~chunk ~oopts
-      ~observe:(want || tracing || budget <> None || telemetry_on)
-      ?budget ~attach ~label:"estimate" ~profiles ~notify Mkc_core.Windowed.sink est src
+    match probes with
+    | Some probes when telemetry_on ->
+        rig :=
+          Some
+            (setup_telemetry ro.topts rules
+               ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
+               ob probes)
+    | _ -> ()
   in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
-    try run () with
-    | Mkc_obs.Health.Violation msg ->
-        finish_telemetry ~ok:false !rig;
-        Format.eprintf "mkc: health rule violated: %s@." msg;
-        emit_trace oopts;
-        exit 3
-    | e ->
-        finish_telemetry ~ok:false !rig;
-        budget_exceeded_exit oopts e
+    try
+      drive ~domains:ro.domains ~schedule:ro.schedule ~chunk:ro.chunk ~oopts
+        ~observe:(want || tracing || budget <> None || telemetry_on)
+        ?budget ~attach ?shards ?costs ?ckpt ~label ~profiles ~notify sink state src
+    with e ->
+      finish_telemetry ~ok:false !rig;
+      (match e with
+      | Mkc_obs.Health.Violation msg -> Format.eprintf "mkc: health rule violated: %s@." msg
+      | Mkc_sketch.Space.Budget.Exceeded { budget; words } ->
+          Format.eprintf
+            "mkc: space budget exceeded: %d words used against a budget of %d \
+             (--budget-strict)@."
+            words budget
+      | e -> raise e);
+      (* Still flush the trace: the timeline up to the abort is exactly
+         what one wants when diagnosing it. *)
+      emit_trace oopts;
+      exit 3
   in
   let run_wall_ns = Mkc_obs.Clock.now_ns () - run_t0 in
-  Format.printf "stream: %d pairs, m=%d, n=%d@." total m n;
-  Format.printf "windowed %d-cover coverage estimate (%d epochs%s): %.0f@." k
-    r.Mkc_core.Windowed.epochs
-    (match decay with Some l -> Printf.sprintf ", decay %g" l | None -> "")
-    r.Mkc_core.Windowed.estimate;
-  (match r.Mkc_core.Windowed.outcome with
-  | Some o -> Format.printf "winning subroutine: %a@." Mkc_core.Solution.pp_provenance o.provenance
-  | None -> Format.printf "no subroutine produced a feasible estimate@.");
-  Format.printf "epochs rolled: %d, champion swaps: %d@." r.Mkc_core.Windowed.rolled
-    r.Mkc_core.Windowed.swaps;
-  Format.printf "space: %d words@." (Mkc_core.Windowed.words est);
+  print r;
+  let words = M.words state in
+  Format.printf "space: %d words@." words;
   Option.iter print_budget budget;
   finish_telemetry ~ok:true !rig;
-  if want || ledger <> None then begin
-    Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.current est);
-    Option.iter record_budget_gauges budget
-  end;
-  if want then
-    emit_metrics
-      ?space:(Option.map space_of_budget budget)
-      ~series:(series_of_rig !rig) oopts (List.rev !profiles);
-  emit_trace oopts;
-  Option.iter
-    (fun lpath ->
-      append_run_ledger ~path:lpath ~label:"estimate"
-        ~params:
-          (ledger_run_params ~stream:path ~m ~n ~k ~alpha ~seed ~profile ~domains:1
-             ~schedule ~chunk)
-        ~edges:total ~wall_ns:run_wall_ns ~mode:"windowed"
-        ~extra_stats:
-          [
-            ("epochs_rolled", float_of_int r.Mkc_core.Windowed.rolled);
-            ("estimate", r.Mkc_core.Windowed.estimate);
-            ("space_words", float_of_int (Mkc_core.Windowed.words est));
-            ("window_swaps", float_of_int r.Mkc_core.Windowed.swaps);
-          ])
-    ledger
-
-let estimate path k alpha seed profile domains schedule chunk oopts topts budget_strict
-    ckpt every resume stop_after force_m force_n ledger window epoch_edges decay =
-  let chunk = require_pos ~flag:"--chunk" chunk in
-  let every = require_pos ~flag:"--checkpoint-every" every in
-  let oopts = { oopts with cadence = require_pos ~flag:"--metrics-cadence" oopts.cadence } in
-  let wincfg = windowed_config ~domains ~ckpt ~resume window epoch_edges decay in
-  let src, m, n = load_stream path in
-  let src = truncate_source src stop_after in
-  let m = Option.value ~default:m force_m and n = Option.value ~default:n force_n in
-  let params = Mkc_core.Params.make ~m ~n ~k ~alpha ~profile ~seed () in
-  match wincfg with
-  | Some cfg ->
-      estimate_windowed ~path ~src ~m ~n ~k ~alpha ~seed ~profile ~schedule ~chunk ~oopts
-        ~topts ~budget_strict ~ledger params cfg
-  | None ->
-  let est = Mkc_core.Estimate.create params in
-  let want = metrics_wanted oopts in
-  let tracing = oopts.trace <> None in
-  let telemetry_on = telemetry_wanted topts in
-  if telemetry_on && domains > 1 then begin
-    Format.eprintf
-      "mkc: --telemetry/--health/--top sample the single-domain sink; use --domains 1@.";
-    exit 2
-  end;
-  if topts.thealth <> [] then
-    (* Health counters live in the registry like every other metric. *)
-    Mkc_obs.Registry.set_enabled true;
-  if want || ledger <> None then Mkc_obs.Registry.set_enabled true;
-  if tracing then Mkc_obs.Trace.set_enabled true;
-  let budget =
-    if budget_strict || want then
-      Some
-        (Mkc_sketch.Space.Budget.create ~strict:budget_strict
-           (Mkc_core.Estimate.word_budget params))
+  let space =
+    if want || ro.ledger <> None then begin
+      record_metrics ();
+      Option.map Mkc_stream.Sink.Observed.budget_evidence budget
+    end
     else None
   in
-  let total = Mkc_stream.Stream_source.length src in
-  let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
-  let profiles = ref [] in
-  let rig = ref None in
-  let attach ob =
-    if telemetry_on then
-      rig :=
-        Some
-          (setup_telemetry topts
-             ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
-             ob
-             (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est))
-  in
-  let ckpt =
-    if ckpt = None && resume = None then None
-    else Some { codec = Mkc_core.Estimate.codec params; every; save = ckpt; resume }
-  in
-  let run () =
-    drive ~domains ~schedule ~chunk ~oopts
-      ~observe:(want || tracing || budget <> None || telemetry_on)
-      ?budget ~attach ~shards:Mkc_core.Estimate.shards
-      ~costs:(Mkc_core.Estimate.shard_costs est) ?ckpt ~label:"estimate" ~profiles ~notify
-      Mkc_core.Estimate.sink est src
-  in
-  let run_t0 = Mkc_obs.Clock.now_ns () in
-  let r =
-    try run () with
-    | Mkc_obs.Health.Violation msg ->
-        finish_telemetry ~ok:false !rig;
-        Format.eprintf "mkc: health rule violated: %s@." msg;
-        (* Flush the trace for the same reason --budget-strict does:
-           the timeline up to the abort is the diagnosis. *)
-        emit_trace oopts;
-        exit 3
-    | e ->
-        finish_telemetry ~ok:false !rig;
-        budget_exceeded_exit oopts e
-  in
-  let run_wall_ns = Mkc_obs.Clock.now_ns () - run_t0 in
-  Format.printf "stream: %d pairs, m=%d, n=%d@." (Mkc_stream.Stream_source.length src) m n;
-  Format.printf "estimated optimal %d-cover coverage: %.0f@." k r.Mkc_core.Estimate.estimate;
-  (match r.Mkc_core.Estimate.outcome with
+  if want then emit_metrics ?space ~series:(series_of_rig !rig) oopts (List.rev !profiles);
+  emit_trace oopts;
+  Option.iter
+    (fun path ->
+      append_run_ledger ro ~path ~label ~m ~n ~edges:total ~wall_ns:run_wall_ns ~mode
+        ~stats:(("space_words", float_of_int words) :: stats r))
+    ro.ledger
+
+let print_stream ~src ~m ~n =
+  Format.printf "stream: %d pairs, m=%d, n=%d@." (Mkc_stream.Stream_source.length src) m n
+
+(* The estimate's answer lines, shared by estimate and merge. *)
+let print_estimate ~k (r : Mkc_core.Estimate.result) =
+  Format.printf "estimated optimal %d-cover coverage: %.0f@." k r.estimate;
+  match r.outcome with
   | Some o ->
       Format.printf "winning subroutine: %a (guess z=%d)@." Mkc_core.Solution.pp_provenance
-        o.provenance r.Mkc_core.Estimate.z_guess
-  | None -> Format.printf "no subroutine produced a feasible estimate@.");
-  Format.printf "space: %d words@." (Mkc_core.Estimate.words est);
-  Option.iter print_budget budget;
-  finish_telemetry ~ok:true !rig;
-  if want || ledger <> None then begin
-    Mkc_core.Estimate.record_metrics est;
-    Option.iter record_budget_gauges budget
-  end;
-  if want then
-    emit_metrics
-      ?space:(Option.map space_of_budget budget)
-      ~series:(series_of_rig !rig) oopts (List.rev !profiles);
-  emit_trace oopts;
-  Option.iter
-    (fun lpath ->
-      append_run_ledger ~path:lpath ~label:"estimate"
-        ~params:
-          (ledger_run_params ~stream:path ~m ~n ~k ~alpha ~seed ~profile ~domains ~schedule
-             ~chunk)
-        ~edges:(Mkc_stream.Stream_source.length src)
-        ~wall_ns:run_wall_ns
-        ~mode:(if domains > 1 then "pool" else "sequential")
-        ~extra_stats:
-          [
-            ("estimate", r.Mkc_core.Estimate.estimate);
-            ("space_words", float_of_int (Mkc_core.Estimate.words est));
-          ])
-    ledger
+        o.provenance r.z_guess
+  | None -> Format.printf "no subroutine produced a feasible estimate@."
+
+let print_sets sets =
+  Format.printf "reported %d sets:@." (List.length sets);
+  List.iter (fun id -> Format.printf "  S%d@." id) sets
+
+(* A windowed answer: the same run over Windowed's epoch ring.  Estimate
+   and report differ only in the headline and in how the merged
+   window's winning oracle is shown; for report it carries the witness
+   ids, so the reported cover is the one a fresh pass over the live
+   suffix would name. *)
+let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_outcome params
+    (window, epoch_edges, decay) =
+  let w = Mkc_core.Windowed.create ?decay params ~window ~epoch_edges () in
+  answer ro ~rules ~src ~m ~n ~label ~mode:"windowed" ?word_budget
+    ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown w)
+    ~record_metrics:(fun () -> Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.current w))
+    ~print:(fun (r : Mkc_core.Windowed.result) ->
+      print_stream ~src ~m ~n;
+      Format.printf "%s (%d epochs%s): %.0f@." headline r.epochs
+        (match decay with Some l -> Printf.sprintf ", decay %g" l | None -> "")
+        r.estimate;
+      print_outcome r.outcome;
+      Format.printf "epochs rolled: %d, champion swaps: %d@." r.rolled r.swaps)
+    ~stats:(fun r ->
+      [
+        ("epochs_rolled", float_of_int r.rolled);
+        ("estimate", r.estimate);
+        ("window_swaps", float_of_int r.swaps);
+      ])
+    Mkc_core.Windowed.sink w
+
+let estimate ro ckpt every resume stop_after force_m force_n =
+  let wincfg, rules = check_flags ~every ~ckpt:(ckpt <> None || resume <> None) ro in
+  let src, m, n = load_stream ro.path in
+  let src = truncate_source src stop_after in
+  let m = Option.value ~default:m force_m and n = Option.value ~default:n force_n in
+  let params =
+    Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
+  in
+  let word_budget = Mkc_core.Estimate.word_budget params in
+  match wincfg with
+  | Some cfg ->
+      answer_windowed ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
+        ~headline:(Printf.sprintf "windowed %d-cover coverage estimate" ro.k)
+        ~print_outcome:(function
+          | Some o ->
+              Format.printf "winning subroutine: %a@." Mkc_core.Solution.pp_provenance
+                o.Mkc_core.Solution.provenance
+          | None -> Format.printf "no subroutine produced a feasible estimate@.")
+        params cfg
+  | None ->
+      let est = Mkc_core.Estimate.create params in
+      let ckpt =
+        if ckpt = None && resume = None then None
+        else Some { codec = Mkc_core.Estimate.codec params; every; save = ckpt; resume }
+      in
+      answer ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
+        ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est)
+        ~shards:Mkc_core.Estimate.shards ~costs:(Mkc_core.Estimate.shard_costs est) ?ckpt
+        ~record_metrics:(fun () -> Mkc_core.Estimate.record_metrics est)
+        ~print:(fun r ->
+          print_stream ~src ~m ~n;
+          print_estimate ~k:ro.k r)
+        ~stats:(fun r -> [ ("estimate", r.Mkc_core.Estimate.estimate) ])
+        Mkc_core.Estimate.sink est
 
 let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate" ~doc:"α-approximate coverage estimation (Theorem 3.1)")
     Term.(
-      const estimate $ stream_arg $ k_arg $ alpha_arg $ seed_arg $ profile_arg
-      $ domains_arg $ schedule_arg $ chunk_arg $ obs_term $ telem_term $ budget_strict_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ stop_after_arg $ force_m_arg
-      $ force_n_arg $ ledger_arg $ window_arg $ epoch_edges_arg $ decay_arg)
+      const estimate $ run_term telem_term budget_strict_arg $ checkpoint_arg
+      $ checkpoint_every_arg $ resume_arg $ stop_after_arg $ force_m_arg $ force_n_arg)
 
 (* ---------- report ---------- *)
 
-(* Windowed reporting: the merged window's winning oracle carries the
-   witness ids, so the reported cover is the one a fresh pass over the
-   live suffix would name. *)
-let report_windowed ~src ~m ~n ~k ~chunk params (window, epoch_edges, decay) =
-  let est = Mkc_core.Windowed.create ?decay params ~window ~epoch_edges () in
-  let r = Mkc_stream.Pipeline.run ~chunk Mkc_core.Windowed.sink est src in
-  Format.printf "stream: %d pairs, m=%d, n=%d@." (Mkc_stream.Stream_source.length src) m n;
-  Format.printf "windowed estimated coverage (%d epochs%s): %.0f@." r.Mkc_core.Windowed.epochs
-    (match decay with Some l -> Printf.sprintf ", decay %g" l | None -> "")
-    r.Mkc_core.Windowed.estimate;
-  let sets =
-    match r.Mkc_core.Windowed.outcome with
-    | Some o ->
-        Format.printf "via: %a@." Mkc_core.Solution.pp_provenance o.provenance;
-        List.filteri (fun i _ -> i < k) (o.witness ())
-    | None -> []
+let report ro =
+  let wincfg, rules = check_flags ro in
+  let src, m, n = load_stream ro.path in
+  let params =
+    Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
   in
-  Format.printf "reported %d sets:@." (List.length sets);
-  List.iter (fun id -> Format.printf "  S%d@." id) sets;
-  Format.printf "epochs rolled: %d, champion swaps: %d@." r.Mkc_core.Windowed.rolled
-    r.Mkc_core.Windowed.swaps;
-  Format.printf "space: %d words@." (Mkc_core.Windowed.words est)
-
-let report path k alpha seed profile domains schedule chunk oopts ledger window epoch_edges
-    decay =
-  let chunk = require_pos ~flag:"--chunk" chunk in
-  let oopts = { oopts with cadence = require_pos ~flag:"--metrics-cadence" oopts.cadence } in
-  let wincfg = windowed_config ~domains ~ckpt:None ~resume:None window epoch_edges decay in
-  let src, m, n = load_stream path in
-  let params = Mkc_core.Params.make ~m ~n ~k ~alpha ~profile ~seed () in
   match wincfg with
-  | Some cfg -> report_windowed ~src ~m ~n ~k ~chunk params cfg
+  | Some cfg ->
+      answer_windowed ro ~rules ~src ~m ~n ~label:"report"
+        ~headline:"windowed estimated coverage"
+        ~print_outcome:(fun outcome ->
+          print_sets
+            (match outcome with
+            | Some o ->
+                Format.printf "via: %a@." Mkc_core.Solution.pp_provenance o.provenance;
+                List.filteri (fun i _ -> i < ro.k) (o.witness ())
+            | None -> []))
+        params cfg
   | None ->
-  let rep = Mkc_core.Report.create params in
-  let want = metrics_wanted oopts in
-  let tracing = oopts.trace <> None in
-  if want || ledger <> None then Mkc_obs.Registry.set_enabled true;
-  if tracing then Mkc_obs.Trace.set_enabled true;
-  let total = Mkc_stream.Stream_source.length src in
-  let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
-  let profiles = ref [] in
-  let run_t0 = Mkc_obs.Clock.now_ns () in
-  let r =
-    drive ~domains ~schedule ~chunk ~oopts ~observe:(want || tracing)
-      ~shards:Mkc_core.Report.shards ~costs:(Mkc_core.Report.shard_costs rep) ~label:"report"
-      ~profiles ~notify Mkc_core.Report.sink rep src
-  in
-  let run_wall_ns = Mkc_obs.Clock.now_ns () - run_t0 in
-  Format.printf "estimated coverage: %.0f@." r.Mkc_core.Report.estimate;
-  (match r.Mkc_core.Report.provenance with
-  | Some p -> Format.printf "via: %a@." Mkc_core.Solution.pp_provenance p
-  | None -> ());
-  Format.printf "reported %d sets:@." (List.length r.Mkc_core.Report.sets);
-  List.iter (fun id -> Format.printf "  S%d@." id) r.Mkc_core.Report.sets;
-  Format.printf "space: %d words@." (Mkc_core.Report.words rep);
-  if want || ledger <> None then Mkc_core.Report.record_metrics rep;
-  if want then emit_metrics oopts (List.rev !profiles);
-  emit_trace oopts;
-  Option.iter
-    (fun lpath ->
-      append_run_ledger ~path:lpath ~label:"report"
-        ~params:
-          (ledger_run_params ~stream:path ~m ~n ~k ~alpha ~seed ~profile ~domains ~schedule
-             ~chunk)
-        ~edges:total ~wall_ns:run_wall_ns
-        ~mode:(if domains > 1 then "pool" else "sequential")
-        ~extra_stats:
-          [
-            ("estimate", r.Mkc_core.Report.estimate);
-            ("space_words", float_of_int (Mkc_core.Report.words rep));
-          ])
-    ledger
+      let rep = Mkc_core.Report.create params in
+      answer ro ~rules ~src ~m ~n ~label:"report" ~shards:Mkc_core.Report.shards
+        ~costs:(Mkc_core.Report.shard_costs rep)
+        ~record_metrics:(fun () -> Mkc_core.Report.record_metrics rep)
+        ~print:(fun (r : Mkc_core.Report.result) ->
+          Format.printf "estimated coverage: %.0f@." r.estimate;
+          Option.iter (Format.printf "via: %a@." Mkc_core.Solution.pp_provenance) r.provenance;
+          print_sets r.sets)
+        ~stats:(fun r -> [ ("estimate", r.estimate) ])
+        Mkc_core.Report.sink rep
 
 let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"α-approximate k-cover reporting (Theorem 3.2)")
     Term.(
-      const report $ stream_arg $ k_arg $ alpha_arg $ seed_arg $ profile_arg
-      $ domains_arg $ schedule_arg $ chunk_arg $ obs_term $ ledger_arg $ window_arg
-      $ epoch_edges_arg $ decay_arg)
+      const report
+      $ run_term (Term.const { tfile = None; thealth = []; ttop = false }) (Term.const false))
 
 (* ---------- greedy ---------- *)
 
@@ -1245,13 +1126,7 @@ let merge files =
       let r = Mkc_core.Estimate.finalize est in
       Format.printf "merged %d shard checkpoints covering %d edges@." (List.length files)
         !edges;
-      Format.printf "estimated optimal %d-cover coverage: %.0f@."
-        (Mkc_core.Estimate.params est).Mkc_core.Params.k r.Mkc_core.Estimate.estimate;
-      (match r.Mkc_core.Estimate.outcome with
-      | Some o ->
-          Format.printf "winning subroutine: %a (guess z=%d)@." Mkc_core.Solution.pp_provenance
-            o.provenance r.Mkc_core.Estimate.z_guess
-      | None -> Format.printf "no subroutine produced a feasible estimate@.");
+      print_estimate ~k:(Mkc_core.Estimate.params est).Mkc_core.Params.k r;
       Format.printf "space: %d words@." (Mkc_core.Estimate.words est)
 
 let merge_cmd =
@@ -1329,8 +1204,7 @@ let validate_snapshot_cmd =
   Cmd.v
     (Cmd.info "validate-snapshot"
        ~doc:
-         "Validate a metrics snapshot against the mkc-obs/4 schema (mkc-obs/1 through \
-          mkc-obs/3 accepted read-only)")
+         "Validate a metrics snapshot against the mkc-obs/4 schema")
     Term.(const validate_snapshot $ file)
 
 (* ---------- telemetry subcommands ---------- *)
@@ -1584,10 +1458,7 @@ let ledger_action action file index =
         exit 1
       end;
       let i = Option.value ~default:(n - 1) index in
-      if i < 0 || i >= n then begin
-        Format.eprintf "mkc: --index %d out of range (%d records)@." i n;
-        exit 2
-      end;
+      if i < 0 || i >= n then misuse "--index %d out of range (%d records)" i n;
       print_endline (Mkc_obs.Json.to_string (Mkc_obs.Ledger.entry_to_json (List.nth entries i)))
 
 let ledger_cmd =
@@ -1640,10 +1511,8 @@ let pick_ledger_entry ~what ~label ~index file =
   List.nth entries i
 
 let bench_diff baseline candidate label bindex cindex noise_floor allow_incomparable =
-  if not (Float.is_finite noise_floor && noise_floor >= 0.0) then begin
-    Format.eprintf "mkc: --noise-floor must be a non-negative number (got %g)@." noise_floor;
-    exit 2
-  end;
+  if not (Float.is_finite noise_floor && noise_floor >= 0.0) then
+    misuse "--noise-floor must be a non-negative number (got %g)" noise_floor;
   let b = pick_ledger_entry ~what:"baseline" ~label ~index:bindex baseline in
   let c = pick_ledger_entry ~what:"candidate" ~label ~index:cindex candidate in
   let opts = { Mkc_obs.Sentinel.default_opts with noise_floor } in
@@ -1721,12 +1590,8 @@ let bench_diff_cmd =
 (* ---------- doctor ---------- *)
 
 let doctor snapshot telemetry trace ledger =
-  if snapshot = None && telemetry = None && trace = None && ledger = None then begin
-    Format.eprintf
-      "mkc: doctor needs at least one artifact (--snapshot, --telemetry, --trace, \
-       --ledger)@.";
-    exit 2
-  end;
+  if snapshot = None && telemetry = None && trace = None && ledger = None then
+    misuse "doctor needs at least one artifact (--snapshot, --telemetry, --trace, --ledger)";
   let checked = ref 0 in
   let snap =
     Option.map

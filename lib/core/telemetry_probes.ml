@@ -119,11 +119,15 @@ let build ~breakdown est : probe array =
 
 (* Windowed runs replace the in-flight estimator on every epoch roll,
    so the totals fetch must go through [Windowed.current] per sample;
-   the window.* tracks read the registry counters the roll path bumps. *)
+   the window.* tracks read the ring's own counts, so they need no
+   registry. *)
 let build_windowed ~breakdown w : probe array =
+  let read f ~at_ns:(_ : int) ~at_edges:(_ : int) = f w in
   common ~breakdown
     ~totals_of:(fun () -> Windowed.stats_totals w)
     ~extra:
-      (List.map
-         (fun name -> (name, reg_int name))
-         [ "window.epochs"; "window.rolled"; "window.swaps" ])
+      [
+        ("window.epochs", read Windowed.live_epochs);
+        ("window.rolled", read Windowed.rolled);
+        ("window.swaps", read Windowed.swaps);
+      ]

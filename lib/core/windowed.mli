@@ -90,4 +90,7 @@ val current : t -> Estimate.t
 val rolled : t -> int
 val swaps : t -> int
 
+val live_epochs : t -> int
+(** Finished epochs held in the ring: [min rolled window]. *)
+
 val sink : (t, result) Mkc_stream.Sink.sink

@@ -68,6 +68,26 @@ let host_fingerprint () =
     ("word_size", Json.Int Sys.word_size);
   ]
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+let harvest registry =
+  let dump = Registry.dump registry in
+  ( List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Registry.Histogram h when h.Histogram.count > 0 -> Some (name, Histogram.digest h)
+        | _ -> None)
+      dump,
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Registry.Gauge g when contains ~sub:".quality." name -> Some (name, g)
+        | _ -> None)
+      dump )
+
 (* ---------- encoding ---------- *)
 
 let by_key (a, _) (b, _) = String.compare a b

@@ -64,6 +64,13 @@ val host_fingerprint : unit -> (string * Json.t) list
 (** domains / hostname / ocaml / os / word_size of the running
     process, sorted — enough to spot cross-host comparisons. *)
 
+val harvest : Registry.t -> (string * Histogram.digest) list * (string * float) list
+(** A run's ledger evidence, read from the registry: every populated
+    histogram digested (the [e_digests] field, keyed by registry track
+    name, so records from different builds line up as long as the
+    tracks exist) and every gauge whose name contains [".quality."]
+    (the [e_quality] field). *)
+
 val entry_to_json : entry -> Json.t
 (** All object fields sorted; identical entries encode identically. *)
 

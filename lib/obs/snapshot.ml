@@ -32,13 +32,6 @@ type t = {
 }
 
 let schema_version = "mkc-obs/4"
-let schema_v3 = "mkc-obs/3"
-let schema_v2 = "mkc-obs/2"
-let schema_v1 = "mkc-obs/1"
-
-(* v1–v3 histograms used 64 plain log2 buckets; v4 uses the log-linear
-   Histogram layout.  Validation bounds bucket indices per schema. *)
-let legacy_num_buckets = 64
 
 let headroom_of ~budget_words ~peak_words =
   if budget_words <= 0 then 0.0 else float_of_int peak_words /. float_of_int budget_words
@@ -209,7 +202,7 @@ let pair_of conv name j =
       | _ -> Error (Printf.sprintf "%s: bad pair element" name))
   | _ -> Error (Printf.sprintf "%s: expected 2-element array" name)
 
-let metric_of_json ~max_bucket j =
+let metric_of_json j =
   let* mname = field "metric" "name" Json.to_string_opt j in
   let ctx = Printf.sprintf "metric %S" mname in
   let* kind = field ctx "kind" Json.to_string_opt j in
@@ -228,7 +221,10 @@ let metric_of_json ~max_bucket j =
         let* hmax = field ctx "max" Json.to_float j in
         let* raw = list_field ctx "buckets" j in
         let* hbuckets = map_result (pair_of Json.to_int ctx) raw in
-        if List.exists (fun (i, c) -> i < 0 || i >= max_bucket || c < 0) hbuckets
+        if
+          List.exists
+            (fun (i, c) -> i < 0 || i >= Metric.Histogram.num_buckets || c < 0)
+            hbuckets
         then Error (ctx ^ ": bucket index or count out of range")
         else if List.fold_left (fun a (_, c) -> a + c) 0 hbuckets <> hcount then
           Error (ctx ^ ": bucket counts do not sum to count")
@@ -300,20 +296,13 @@ let track_of_json j =
 
 let of_json j =
   let* schema = field "snapshot" "schema" Json.to_string_opt j in
-  if
-    schema <> schema_version && schema <> schema_v3 && schema <> schema_v2
-    && schema <> schema_v1
-  then
-    Error
-      (Printf.sprintf "snapshot: schema %S, expected %S (or legacy %S / %S / %S)" schema
-         schema_version schema_v3 schema_v2 schema_v1)
+  if schema <> schema_version then
+    Error (Printf.sprintf "snapshot: schema %S, expected %S" schema schema_version)
   else
     let* created_ns = field "snapshot" "created_ns" Json.to_int j in
     let* space =
       match Json.member "space" j with
       | None -> Ok None
-      | Some _ when schema = schema_v1 ->
-          Error (Printf.sprintf "snapshot: %S has no \"space\" section" schema_v1)
       | Some sj ->
           let* s = space_of_json sj in
           Ok (Some s)
@@ -321,8 +310,6 @@ let of_json j =
     let* series =
       match Json.member "series" j with
       | None -> Ok []
-      | Some _ when schema = schema_v1 || schema = schema_v2 ->
-          Error (Printf.sprintf "snapshot: %S has no \"series\" section" schema)
       | Some sj -> (
           match Json.to_list sj with
           | None -> Error "snapshot: mistyped \"series\" section"
@@ -330,11 +317,8 @@ let of_json j =
               let* trs = map_result track_of_json raw in
               if trs = [] then Error "snapshot: empty \"series\" section" else Ok trs)
     in
-    let max_bucket =
-      if schema = schema_version then Metric.Histogram.num_buckets else legacy_num_buckets
-    in
     let* raw_metrics = list_field "snapshot" "metrics" j in
-    let* metrics = map_result (metric_of_json ~max_bucket) raw_metrics in
+    let* metrics = map_result metric_of_json raw_metrics in
     let* raw_spans = list_field "snapshot" "spans" j in
     let* spans = map_result span_of_json raw_spans in
     let* raw_profiles = list_field "snapshot" "profiles" j in

@@ -1,18 +1,15 @@
 (** Versioned, machine-readable snapshot of an observability state:
     merged metrics, recent spans, space-over-stream profiles, and
-    (since "mkc-obs/3") per-track telemetry series summaries.
+    per-track telemetry series summaries.
 
     The JSON schema is {!schema_version} ("mkc-obs/4", whose histogram
-    buckets use the log-linear {!Histogram} layout instead of the old
-    64 plain log2 buckets); {!of_json} re-validates every field, so
-    consumers (CI, [bench]) fail loudly on drift instead of silently
-    mis-parsing.  Legacy {!schema_v3} ("mkc-obs/3"), {!schema_v2}
-    ("mkc-obs/2") and {!schema_v1} ("mkc-obs/1") snapshots are still
-    accepted read-only, so old CI artifacts stay loadable; the parsed
-    [schema] field says which version was read, and bucket indices are
-    bounded per schema.  Emission order is deterministic (metrics
-    sorted by name, spans by start time), so snapshots taken under an
-    injected {!Clock} source are golden-test stable. *)
+    buckets use the log-linear {!Histogram} layout); {!of_json}
+    re-validates every field, so consumers (CI, [bench]) fail loudly on
+    drift instead of silently mis-parsing.  Snapshots stamped with any
+    other schema, the retired "mkc-obs/1" to "mkc-obs/3" included, are
+    rejected by name.  Emission order is deterministic (metrics sorted
+    by name, spans by start time), so snapshots taken under an injected
+    {!Clock} source are golden-test stable. *)
 
 type hist = {
   hcount : int;
@@ -20,9 +17,8 @@ type hist = {
   hmin : float;  (** 0 when empty *)
   hmax : float;
   hbuckets : (int * int) list;
-      (** (bucket index, count), ascending.  Log-linear {!Histogram}
-          indices on {!schema_version} snapshots; plain log2 indices on
-          legacy v1–v3. *)
+      (** (bucket index, count), ascending, in the log-linear
+          {!Histogram} layout. *)
 }
 
 type value = Counter of int | Gauge of float | Histogram of hist
@@ -50,8 +46,8 @@ type track = {
 type t = {
   schema : string;
   created_ns : int;
-  space : space option;  (** absent on legacy v1 snapshots *)
-  series : track list;  (** empty when absent; v3+ *)
+  space : space option;  (** absent when the run had no budget *)
+  series : track list;  (** empty when absent *)
   metrics : metric list;
   spans : Span.span list;
   profiles : profile list;
@@ -59,18 +55,6 @@ type t = {
 
 val schema_version : string
 (** Emission schema, ["mkc-obs/4"]. *)
-
-val schema_v3 : string
-(** Legacy schema ["mkc-obs/3"], accepted by {!of_json} read-only
-    (64-bucket log2 histograms; may carry [space] and [series]). *)
-
-val schema_v2 : string
-(** Legacy schema ["mkc-obs/2"], accepted by {!of_json} read-only
-    (its snapshots cannot carry a [series] section). *)
-
-val schema_v1 : string
-(** Legacy schema ["mkc-obs/1"], accepted by {!of_json} read-only (its
-    snapshots can carry neither [space] nor [series]). *)
 
 val headroom_of : budget_words:int -> peak_words:int -> float
 (** [peak / budget], or [0.] when the budget is degenerate ([<= 0]) —

@@ -202,6 +202,18 @@ module Observed = struct
           osample = (fun () -> sample t);
           obusy_ns = (fun () -> t.busy_ns);
         }
+
+  let budget_evidence b =
+    let open Mkc_sketch.Space.Budget in
+    Mkc_obs.Quality.record_budget ~budget_words:(budget b) ~peak_words:(peak b)
+      ~overshoots:(overshoots b) ();
+    {
+      Mkc_obs.Snapshot.budget_words = budget b;
+      peak_words = peak b;
+      headroom = headroom b;
+      overshoots = overshoots b;
+      samples = samples b;
+    }
 end
 
 (* A transparent progress tap: forwards everything to the inner sink

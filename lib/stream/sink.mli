@@ -175,6 +175,11 @@ module Observed : sig
       Sharing one [budget] across several observed shards is only safe
       when they are driven from one domain; the parallel CLI path
       checks the budget once against total words at finalize instead. *)
+
+  val budget_evidence : Mkc_sketch.Space.Budget.t -> Mkc_obs.Snapshot.space
+  (** The watchdog's verdict as a snapshot [space] section, after
+      publishing the same figures as the [space.*] gauges
+      ({!Mkc_obs.Quality.record_budget}) for the run ledger. *)
 end
 
 (** A transparent progress tap: forwards every call unchanged and

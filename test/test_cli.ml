@@ -1,7 +1,9 @@
 (* CLI contract tests: flag validation must fail with a named error on
    stderr and exit 2 — not cmdliner's generic usage failure (124) —
    and it must fire before any stream I/O, so a bad flag is reported
-   even when the stream file is also wrong.
+   even when the stream file is also wrong.  The answer stdout of every
+   estimate/report mode and of a shard merge is pinned byte for byte
+   against test/golden_cli.
 
    These spawn the real binary (declared as a test dep in dune, so it
    is built and the relative path resolves from the test's cwd). *)
@@ -16,18 +18,27 @@ let contains ~sub s =
   let rec find i = i + lb <= ls && (String.sub s i lb = sub || find (i + 1)) in
   find 0
 
-(* exit code + captured stderr of one mkc invocation *)
-let run_capture args =
-  let err = Filename.temp_file "mkc_cli" ".err" in
+let read_all path =
+  let ic = open_in_bin path in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* exit code, captured stdout and captured stderr of one mkc invocation *)
+let run args =
+  let out = Filename.temp_file "mkc_cli" ".out" and err = Filename.temp_file "mkc_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
     (fun () ->
-      let cmd = Printf.sprintf "%s %s >/dev/null 2>%s" mkc args (Filename.quote err) in
-      let code = Sys.command cmd in
-      let ic = open_in err in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (code, s))
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >%s 2>%s" mkc args (Filename.quote out) (Filename.quote err))
+      in
+      (code, read_all out, read_all err))
+
+let run_capture args =
+  let code, _, stderr = run args in
+  (code, stderr)
 
 let expect_named_rejection cmd_args ~flag ~got =
   let code, stderr = run_capture cmd_args in
@@ -68,12 +79,16 @@ let test_flag_check_precedes_stream_io () =
     (contains ~sub:"positive integer" stderr)
 
 (* The stream files below are all "nope.txt" (missing): getting the
-   windowed-flag message instead of the missing-file one proves the
-   validation fires before any stream I/O. *)
+   flag message instead of the missing-file one proves the validation
+   fires before any stream I/O. *)
 let expect_rejection cmd_args ~msg =
   let code, stderr = run_capture cmd_args in
   checki (Printf.sprintf "%s: exit code" cmd_args) 2 code;
-  checkb (Printf.sprintf "%s: stderr says %S" cmd_args msg) true (contains ~sub:msg stderr)
+  checkb (Printf.sprintf "%s: stderr says %S" cmd_args msg) true (contains ~sub:msg stderr);
+  checkb
+    (Printf.sprintf "%s: stderr does not mention the stream" cmd_args)
+    false
+    (contains ~sub:"nope.txt" stderr)
 
 let test_windowed_flag_validation () =
   expect_rejection "estimate --stream nope.txt --window 4"
@@ -99,7 +114,12 @@ let test_windowed_flag_validation () =
   expect_rejection "report --stream nope.txt --window 4"
     ~msg:"--window requires --epoch-edges";
   expect_rejection "report --stream nope.txt --window 4 --epoch-edges 10 --decay 2"
-    ~msg:"--decay must lie strictly between 0 and 1 (got 2)"
+    ~msg:"--decay must lie strictly between 0 and 1 (got 2)";
+  (* telemetry x --domains and --health syntax are cross-flag rules too *)
+  expect_rejection "estimate --stream nope.txt --telemetry t.mkctel --domains 2"
+    ~msg:"--telemetry/--health/--top sample the single-domain sink";
+  expect_rejection "estimate --stream nope.txt --health garbage"
+    ~msg:"--health \"garbage\": health rule \"garbage\": expected name=spec"
 
 let test_sign_column_parse_error () =
   (* A bad sign token must be rejected with the 1-based line number and
@@ -124,6 +144,95 @@ let test_sign_column_parse_error () =
       checkb "stderr counts the fields" true
         (contains ~sub:"expected 2 or 3 fields, got 4" stderr))
 
+let run_ok args =
+  let code, out, _ = run args in
+  checki (Printf.sprintf "%s: exit code" args) 0 code;
+  out
+
+(* A few-large planted stream, 17021 pairs (m=512, n=2048), fixed seed:
+   the input every golden stdout below was recorded on. *)
+let with_stream f =
+  let path = Filename.temp_file "mkc_cli_stream" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore
+        (run_ok
+           (Printf.sprintf "generate --kind few-large -n 2048 -m 512 -k 8 --seed 4 -o %s"
+              (Filename.quote path)));
+      f path)
+
+let test_report_window_observability () =
+  with_stream (fun stream ->
+      let snap = Filename.temp_file "mkc_cli" ".json" in
+      let trace = Filename.temp_file "mkc_cli" ".trace.json" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ snap; trace ])
+        (fun () ->
+          ignore
+            (run_ok
+               (Printf.sprintf
+                  "report -s %s -k 8 --alpha 4 --window 4 --epoch-edges 2048 --metrics-json \
+                   %s --trace %s"
+                  stream snap trace));
+          (match Mkc_obs.Snapshot.validate (read_all snap) with
+          | Ok s -> checkb "snapshot has metrics" true (s.Mkc_obs.Snapshot.metrics <> [])
+          | Error e -> Alcotest.failf "report --window snapshot invalid: %s" e);
+          match Mkc_obs.Trace.validate (read_all trace) with
+          | Ok n -> checkb "trace has events" true (n > 0)
+          | Error e -> Alcotest.failf "report --window trace invalid: %s" e))
+
+(* Answer stdout pinned byte for byte (golden_cli/NAME.out).  No case
+   carries a flag whose output includes timing. *)
+let golden_cases =
+  [
+    ("estimate_d1", "estimate", "");
+    ("estimate_d2", "estimate", "--domains 2");
+    ("estimate_window", "estimate", "--window 4 --epoch-edges 2048");
+    ("estimate_window_decay", "estimate", "--window 4 --epoch-edges 2048 --decay 0.5");
+    ("estimate_budget_strict", "estimate", "--budget-strict");
+    ("report_d1", "report", "");
+    ("report_d2", "report", "--domains 2");
+    ("report_window", "report", "--window 4 --epoch-edges 2048");
+  ]
+
+let check_golden name out =
+  Alcotest.(check string) (name ^ " stdout") (read_all ("golden_cli/" ^ name ^ ".out")) out
+
+let test_golden_stdout () =
+  with_stream (fun stream ->
+      List.iter
+        (fun (name, sub, flags) ->
+          check_golden name
+            (run_ok (Printf.sprintf "%s -s %s -k 8 --alpha 4 %s" sub stream flags)))
+        golden_cases;
+      (* A 2-shard merge: each half of the stream checkpointed by its own
+         run at the full instance's dimensions. *)
+      let lines = String.split_on_char '\n' (String.trim (read_all stream)) in
+      let half = List.length lines / 2 in
+      let shard i keep =
+        let path = Filename.temp_file (Printf.sprintf "mkc_cli_shard%d" i) ".txt" in
+        let oc = open_out path in
+        List.iteri (fun j l -> if keep j then output_string oc (l ^ "\n")) lines;
+        close_out oc;
+        path
+      in
+      let a = shard 0 (fun j -> j < half) and b = shard 1 (fun j -> j >= half) in
+      let ckpts = List.map (fun p -> p ^ ".ckpt") [ a; b ] in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove ([ a; b ] @ ckpts))
+        (fun () ->
+          List.iter2
+            (fun s c ->
+              ignore
+                (run_ok
+                   (Printf.sprintf
+                      "estimate -s %s -k 8 --alpha 4 --force-m 512 --force-n 2048 \
+                       --checkpoint %s"
+                      s c)))
+            [ a; b ] ckpts;
+          check_golden "merge_2shard" (run_ok ("merge " ^ String.concat " " ckpts))))
+
 let test_generate_churn_validation () =
   expect_rejection "generate -n 10 -m 4 -k 2 -o nope_out.txt --churn 1.5"
     ~msg:"--churn must lie in [0, 1) (got 1.5)";
@@ -144,4 +253,7 @@ let suite =
       test_sign_column_parse_error;
     Alcotest.test_case "generate rejects out-of-range churn" `Quick
       test_generate_churn_validation;
+    Alcotest.test_case "report --window honours observability flags" `Quick
+      test_report_window_observability;
+    Alcotest.test_case "answer stdout matches the golden files" `Quick test_golden_stdout;
   ]

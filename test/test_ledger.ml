@@ -214,6 +214,28 @@ let test_entry_validation () =
   reject "a tampered digest (min above max)"
     (replace ~sub:"\"min\":100" ~by:"\"min\":500")
 
+(* A run's evidence is every populated histogram, digested, plus the
+   gauges under a ".quality." name — nothing else. *)
+let test_harvest () =
+  let module R = Mkc_obs.Registry in
+  let was = R.enabled () in
+  R.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> R.set_enabled was)
+    (fun () ->
+      let r = R.create () in
+      List.iter (R.record (R.histogram r "feed_ns")) [ 3; 5; 8 ];
+      ignore (R.histogram r "empty_ns" : R.histogram);
+      R.set (R.gauge r "estimate.quality.hit_ratio") 0.25;
+      R.set (R.gauge r "space.headroom") 0.5;
+      R.incr (R.counter r "edges");
+      let digests, quality = L.harvest r in
+      Alcotest.(check (list string)) "populated histograms only" [ "feed_ns" ]
+        (List.map fst digests);
+      checki "digest count" 3 (List.assoc "feed_ns" digests).H.d_count;
+      checki "digest sum" 16 (List.assoc "feed_ns" digests).H.d_sum;
+      checkb "quality gauges only" true (quality = [ ("estimate.quality.hit_ratio", 0.25) ]))
+
 let suite =
   [
     Alcotest.test_case "append/read round trip accumulates" `Quick test_round_trip;
@@ -224,4 +246,5 @@ let suite =
     Alcotest.test_case "corruption rejection matrix" `Quick test_rejection_matrix;
     Alcotest.test_case "missing vs empty files" `Quick test_empty_and_missing;
     Alcotest.test_case "record semantic validation" `Quick test_entry_validation;
+    Alcotest.test_case "harvest reads digests and quality gauges" `Quick test_harvest;
   ]

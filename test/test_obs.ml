@@ -12,8 +12,8 @@
         on the invariant counters;
      5. the mkc-obs/4 JSON snapshot is byte-stable under an injected
         clock and survives a parse→validate round trip, while tampered
-        snapshots are rejected; legacy mkc-obs/1 through mkc-obs/3
-        snapshots still load (read-only) and re-emit byte-identically;
+        snapshots are rejected, the retired mkc-obs/1 through mkc-obs/3
+        schemas by name;
      6. the Prometheus exposition handles hostile metric names and
         non-finite gauge values, and bucket counts stay monotone under
         histogram merges. *)
@@ -352,16 +352,16 @@ let golden_body_legacy =
 
 let golden = "{\"schema\":\"mkc-obs/4\",\"created_ns\":42," ^ golden_body
 
-(* The PR-2 era emission, byte for byte: still accepted read-only. *)
+(* The retired v1 emission, byte for byte: now rejected by name. *)
 let golden_v1 = "{\"schema\":\"mkc-obs/1\",\"created_ns\":42," ^ golden_body_legacy
 
-(* Likewise the PR-4..6 era emission (space section, no series). *)
+(* Likewise the retired v2 emission (space section, no series). *)
 let golden_v2 =
   "{\"schema\":\"mkc-obs/2\",\"created_ns\":42,\
    \"space\":{\"budget_words\":8,\"peak_words\":4,\"headroom\":0.5,\
    \"overshoots\":0,\"samples\":3}," ^ golden_body_legacy
 
-(* And the PR-7..8 era emission (series section, log2 buckets). *)
+(* And the retired v3 emission (log2 buckets). *)
 let golden_v3 = "{\"schema\":\"mkc-obs/3\",\"created_ns\":42," ^ golden_body_legacy
 
 let golden_space =
@@ -442,39 +442,16 @@ let test_snapshot_round_trip () =
               checks "series re-emission is a fixpoint" golden_series
                 (Obs.Snapshot.to_string snap))
 
-let test_snapshot_accepts_v1 () =
-  with_metrics (fun () ->
-      match Obs.Snapshot.validate golden_v1 with
-      | Error e -> Alcotest.failf "legacy v1 snapshot rejected: %s" e
-      | Ok snap ->
-          checks "parsed schema says v1" Obs.Snapshot.schema_v1 snap.Obs.Snapshot.schema;
-          checkb "v1 has no space section" true (snap.Obs.Snapshot.space = None);
-          checki "metrics survive" 3 (List.length snap.Obs.Snapshot.metrics);
-          (* Re-emission keeps the v1 stamp, so reading and re-writing an
-             old CI artifact is the identity, not a silent upgrade. *)
-          checks "v1 re-emission is a fixpoint" golden_v1 (Obs.Snapshot.to_string snap))
-
-let test_snapshot_accepts_v2 () =
-  with_metrics (fun () ->
-      match Obs.Snapshot.validate golden_v2 with
-      | Error e -> Alcotest.failf "legacy v2 snapshot rejected: %s" e
-      | Ok snap ->
-          checks "parsed schema says v2" Obs.Snapshot.schema_v2 snap.Obs.Snapshot.schema;
-          checkb "v2 space section survives" true
-            (snap.Obs.Snapshot.space = Some golden_space_record);
-          checkb "v2 has no series section" true (snap.Obs.Snapshot.series = []);
-          checks "v2 re-emission is a fixpoint" golden_v2 (Obs.Snapshot.to_string snap))
-
-let test_snapshot_accepts_v3 () =
-  with_metrics (fun () ->
-      match Obs.Snapshot.validate golden_v3 with
-      | Error e -> Alcotest.failf "legacy v3 snapshot rejected: %s" e
-      | Ok snap ->
-          checks "parsed schema says v3" Obs.Snapshot.schema_v3 snap.Obs.Snapshot.schema;
-          checki "metrics survive" 3 (List.length snap.Obs.Snapshot.metrics);
-          (* Its log2 bucket indices are preserved verbatim, not
-             reinterpreted under the log-linear layout. *)
-          checks "v3 re-emission is a fixpoint" golden_v3 (Obs.Snapshot.to_string snap))
+(* The retired v1–v3 schemas are no longer read: each is rejected by
+   its name, whatever sections it carries. *)
+let test_snapshot_rejects_retired schema s () =
+  match Obs.Snapshot.validate s with
+  | Ok _ -> Alcotest.failf "retired %s snapshot accepted" schema
+  | Error e ->
+      checks (schema ^ " rejection names the schemas")
+        (Printf.sprintf "snapshot: schema %S, expected %S" schema
+           Obs.Snapshot.schema_version)
+        e
 
 (* First-occurrence substring replacement (avoids a Str dependency). *)
 let replace_once ~sub ~by s =
@@ -507,19 +484,10 @@ let test_snapshot_rejects_tampering () =
   (* a bucket index past the log-linear layout's end *)
   reject "a bucket index out of range"
     (replace_once ~sub:"\"buckets\":[[3,1]]" ~by:"\"buckets\":[[960,1]]" golden);
-  (* legacy snapshots are bounded by their own 64-bucket layout *)
-  reject "a legacy bucket index past the log2 layout"
-    (replace_once ~sub:"\"buckets\":[[1,1]]" ~by:"\"buckets\":[[64,1]]" golden_v3);
   (* profile point breakdown no longer sums to words *)
   reject "a breakdown-sum mismatch"
     (replace_once ~sub:"[\"b\",2]" ~by:"[\"b\",7]" golden);
   reject "truncated JSON" (String.sub golden 0 (String.length golden - 1));
-  (* the space section is v2+: a v1 stamp with one is a forgery *)
-  reject "a v1 snapshot carrying a space section"
-    (replace_once ~sub:"mkc-obs/4" ~by:"mkc-obs/1" golden_space);
-  (* likewise the series section is v3-only *)
-  reject "a v2 snapshot carrying a series section"
-    (replace_once ~sub:"mkc-obs/4" ~by:"mkc-obs/2" golden_series);
   reject "an empty series array"
     (replace_once
        ~sub:
@@ -813,12 +781,12 @@ let suite =
       test_parallel_metrics_equal_seq;
     Alcotest.test_case "snapshot: golden JSON" `Quick test_snapshot_golden;
     Alcotest.test_case "snapshot: validate round trip" `Quick test_snapshot_round_trip;
-    Alcotest.test_case "snapshot: accepts legacy mkc-obs/1" `Quick
-      test_snapshot_accepts_v1;
-    Alcotest.test_case "snapshot: accepts legacy mkc-obs/2" `Quick
-      test_snapshot_accepts_v2;
-    Alcotest.test_case "snapshot: accepts legacy mkc-obs/3" `Quick
-      test_snapshot_accepts_v3;
+    Alcotest.test_case "snapshot: rejects retired mkc-obs/1" `Quick
+      (test_snapshot_rejects_retired "mkc-obs/1" golden_v1);
+    Alcotest.test_case "snapshot: rejects retired mkc-obs/2" `Quick
+      (test_snapshot_rejects_retired "mkc-obs/2" golden_v2);
+    Alcotest.test_case "snapshot: rejects retired mkc-obs/3" `Quick
+      (test_snapshot_rejects_retired "mkc-obs/3" golden_v3);
     Alcotest.test_case "snapshot: rejects tampering" `Quick
       test_snapshot_rejects_tampering;
     Alcotest.test_case "json: parse/print round trip" `Quick test_json_parse;

@@ -202,6 +202,15 @@ let test_budget_tracking () =
   Budget.observe b 120;
   checki "overshoots counted, not fatal" 2 (Budget.overshoots b);
   checki "peak keeps growing" 150 (Budget.peak b);
+  (* the snapshot's space section carries the same verdict, in the
+     form snapshot validation demands *)
+  let sp = Sink.Observed.budget_evidence b in
+  checki "space section: budget" 100 sp.Obs.Snapshot.budget_words;
+  checki "space section: peak" 150 sp.Obs.Snapshot.peak_words;
+  checki "space section: overshoots" 2 sp.Obs.Snapshot.overshoots;
+  checki "space section: samples" 5 sp.Obs.Snapshot.samples;
+  checkb "space section: headroom" true
+    (sp.Obs.Snapshot.headroom = Obs.Snapshot.headroom_of ~budget_words:100 ~peak_words:150);
   Alcotest.check_raises "budget must be positive"
     (Invalid_argument "Space.Budget.create: budget must be positive") (fun () ->
       ignore (Budget.create 0))

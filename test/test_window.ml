@@ -254,6 +254,28 @@ let test_decay_run_and_validation () =
   expect_invalid "epsilon = 0" (fun () ->
       W.create ~epsilon:0.0 p ~window:2 ~epoch_edges:10 ())
 
+(* The window.* telemetry tracks read the ring's own counts: with the
+   registry off they still record the real roll count. *)
+let test_windowed_telemetry_without_registry () =
+  let module Obs = Mkc_stream.Sink.Observed in
+  let module R = Mkc_obs.Telemetry.Recorder in
+  let sys = Mkc_workload.Random_inst.uniform ~n:300 ~m:48 ~set_size:10 ~seed:5 in
+  let w = W.create (params sys ~k:4 ~alpha:2.0 ~seed:3) ~window:3 ~epoch_edges:40 () in
+  Mkc_obs.Registry.set_enabled false;
+  let sm, ob = Obs.observe ~cadence:25 W.sink w in
+  let recorder =
+    R.create ~capacity:64
+      (Mkc_core.Telemetry_probes.build_windowed ~breakdown:(fun () -> Obs.sampled_breakdown ob) w)
+  in
+  Obs.set_on_sample ob (fun ~edges ~words:_ -> R.sample recorder ~at_edges:edges);
+  ignore (Pipe.run ~chunk:16 sm ob (Src.of_array (Ss.edge_stream ~seed:6 sys)) : W.result);
+  let series = R.series recorder in
+  let last name = Mkc_obs.Series.last series (Mkc_obs.Series.index_exn series name) in
+  checkb "the run rolled epochs" true (W.rolled w > 3);
+  checki "window.rolled = Windowed.rolled" (W.rolled w) (last "window.rolled");
+  checki "window.swaps = Windowed.swaps" (W.swaps w) (last "window.swaps");
+  checki "window.epochs = live epochs" (W.live_epochs w) (last "window.epochs")
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_decay_identity; prop_decay_assoc; prop_decay_fold_closed_form ]
@@ -271,4 +293,6 @@ let suite =
         test_churn_tracks_greedy_on_live_suffix;
       Alcotest.test_case "decay mode runs and create validates by name" `Quick
         test_decay_run_and_validation;
+      Alcotest.test_case "windowed telemetry records rolls without the registry" `Quick
+        test_windowed_telemetry_without_registry;
     ]
