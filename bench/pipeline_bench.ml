@@ -20,7 +20,7 @@
    be identical — the benchmark asserts this before reporting, and also
    asserts that the instrumented run's final space-profile point equals
    the sink's words_breakdown exactly.  Results go to stdout and to a
-   JSON file (machine-readable; includes the mkc-obs/4 metrics snapshot
+   JSON file (machine-readable; includes the mkc-obs/5 metrics snapshot
    of the instrumented run, the winner-attribution counts, the
    space-budget headroom, the estimate's opt_gap against greedy, and
    the memo-miss ratio sampler_evals/edges).
@@ -235,11 +235,10 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
   Mkc_obs.Quality.record_relative_error "estimate.quality.vs_greedy" ~truth:greedy
     ~estimate:(int_of_float r_obs.E.estimate);
   let module B = Mkc_sketch.Space.Budget in
-  let space = Mkc_stream.Sink.Observed.budget_evidence budget in
+  Mkc_stream.Sink.Observed.budget_evidence budget;
   let winners = E.winners e_obs in
   let snapshot =
-    Mkc_obs.Snapshot.capture ~profiles:[ ("estimate", profile) ] ~space
-      Mkc_obs.Registry.global
+    Mkc_obs.Snapshot.capture ~profiles:[ ("estimate", profile) ] Mkc_obs.Registry.global
   in
   (* Harvested while the registry is still live: the instrumented
      drive's latency digests and quality gauges, bound for the run

@@ -231,8 +231,8 @@ let read_file path =
     Format.eprintf "mkc: %s@." msg;
     exit 2
 
-let emit_metrics ?space ?(series = []) o profiles =
-  let snap = Mkc_obs.Snapshot.capture ~profiles ?space ~series Mkc_obs.Registry.global in
+let emit_metrics o profiles =
+  let snap = Mkc_obs.Snapshot.capture ~profiles Mkc_obs.Registry.global in
   Option.iter (fun file -> write_file file (Mkc_obs.Snapshot.to_string snap)) o.json;
   Option.iter (fun file -> write_file file (Mkc_obs.Export.prometheus snap)) o.prom;
   if o.show then print_string (Mkc_obs.Export.summary snap)
@@ -382,11 +382,6 @@ let setup_telemetry topts rules ?budget_words ob mk_probes =
       (match engine with Some e -> Mkc_obs.Health.check e | None -> ());
       match paint with Some p -> p ~final:false | None -> ());
   { trecorder = recorder; tpaint = paint; tpath = topts.tfile }
-
-let series_of_rig = function
-  | None -> []
-  | Some rg ->
-      Mkc_obs.Snapshot.tracks_of_series (Mkc_obs.Telemetry.Recorder.series rg.trecorder)
 
 (* [ok = false] on the abort paths: close (flush) the log so the
    samples up to the abort survive, but skip the celebration. *)
@@ -874,14 +869,11 @@ let answer (type s r) ro ~rules ~src ~m ~n ~label
   Format.printf "space: %d words@." words;
   Option.iter print_budget budget;
   finish_telemetry ~ok:true !rig;
-  let space =
-    if want || ro.ledger <> None then begin
-      record_metrics ();
-      Option.map Mkc_stream.Sink.Observed.budget_evidence budget
-    end
-    else None
-  in
-  if want then emit_metrics ?space ~series:(series_of_rig !rig) oopts (List.rev !profiles);
+  if want || ro.ledger <> None then begin
+    record_metrics ();
+    Option.iter Mkc_stream.Sink.Observed.budget_evidence budget
+  end;
+  if want then emit_metrics oopts (List.rev !profiles);
   emit_trace oopts;
   Option.iter
     (fun path ->
@@ -1179,17 +1171,19 @@ let validate_checkpoint_cmd =
 let validate_snapshot file =
   match Mkc_obs.Snapshot.validate (read_file file) with
   | Ok snap ->
-      Format.printf "%s: valid %s snapshot (%d metrics, %d spans, %d profiles%s%s)@." file
+      let headroom =
+        List.find_map
+          (function
+            | { Mkc_obs.Snapshot.mname = "space.headroom"; mvalue = Gauge g } ->
+                Some (Printf.sprintf ", space headroom %.2f" g)
+            | _ -> None)
+          snap.Mkc_obs.Snapshot.metrics
+      in
+      Format.printf "%s: valid %s snapshot (%d metrics, %d profiles%s)@." file
         snap.Mkc_obs.Snapshot.schema
         (List.length snap.Mkc_obs.Snapshot.metrics)
-        (List.length snap.Mkc_obs.Snapshot.spans)
         (List.length snap.Mkc_obs.Snapshot.profiles)
-        (match snap.Mkc_obs.Snapshot.space with
-        | Some sp -> Printf.sprintf ", space headroom %.2f" sp.Mkc_obs.Snapshot.headroom
-        | None -> "")
-        (match snap.Mkc_obs.Snapshot.series with
-        | [] -> ""
-        | tracks -> Printf.sprintf ", %d series tracks" (List.length tracks))
+        (Option.value ~default:"" headroom)
   | Error e ->
       Format.eprintf "%s: invalid snapshot: %s@." file e;
       exit 1
@@ -1204,7 +1198,10 @@ let validate_snapshot_cmd =
   Cmd.v
     (Cmd.info "validate-snapshot"
        ~doc:
-         "Validate a metrics snapshot against the mkc-obs/4 schema")
+         "Validate a metrics snapshot against the mkc-obs/5 schema: field kinds, \
+          histogram bucket sums, space-profile breakdown sums and the consistency of \
+          the space.* budget gauges; prints the space headroom when the run had a \
+          budget")
     Term.(const validate_snapshot $ file)
 
 (* ---------- telemetry subcommands ---------- *)
@@ -1271,75 +1268,21 @@ let telemetry_report_cmd =
           event digest")
     Term.(const telemetry_report $ telemetry_file_arg)
 
-(* Cross-check a telemetry log against the series section of a
-   --metrics-json snapshot from the same run: every snapshot track's
-   count/min/max/last must match the replayed log exactly.  Exits 1 on
-   the first mismatch.  Shared by validate-telemetry and doctor. *)
-let check_log_against_snapshot ~file ~snapfile (log : Mkc_obs.Telemetry.log)
-    (snap : Mkc_obs.Snapshot.t) =
-  if snap.Mkc_obs.Snapshot.series = [] then begin
-    Format.eprintf "%s: snapshot has no series section to check against@." snapfile;
-    exit 1
-  end;
-  let summaries = Mkc_obs.Telemetry.summarize log in
-  List.iter
-    (fun (tr : Mkc_obs.Snapshot.track) ->
-      match
-        List.find_opt (fun (s : Mkc_obs.Telemetry.summary) -> s.t_name = tr.tname) summaries
-      with
-      | None ->
-          Format.eprintf "%s: track %S is in the snapshot but not the log@." file tr.tname;
-          exit 1
-      | Some s ->
-          let check what got expected =
-            if got <> expected then begin
-              Format.eprintf "%s: track %S %s mismatch: log %d, snapshot %d@." file tr.tname
-                what got expected;
-              exit 1
-            end
-          in
-          check "count" s.t_count tr.tcount;
-          check "min" s.t_min tr.tmin;
-          check "max" s.t_max tr.tmax;
-          check "last" s.t_last tr.tlast)
-    snap.Mkc_obs.Snapshot.series;
-  Format.printf "%s: matches all %d snapshot series tracks of %s exactly@." file
-    (List.length snap.Mkc_obs.Snapshot.series)
-    snapfile
-
-let validate_telemetry file against =
+let validate_telemetry file =
   let log = load_telemetry file in
   warn_torn file log;
-  (match against with
-  | None -> ()
-  | Some snapfile -> (
-      match Mkc_obs.Snapshot.validate (read_file snapfile) with
-      | Error e ->
-          Format.eprintf "%s: invalid snapshot: %s@." snapfile e;
-          exit 1
-      | Ok snap -> check_log_against_snapshot ~file ~snapfile log snap));
   Format.printf "%s: valid telemetry log, version %d (%d tracks, %d samples, %d events%s)@."
     file Mkc_obs.Telemetry.version (Array.length log.tracks) (List.length log.samples)
     (List.length log.events)
     (match log.torn with Some _ -> ", torn tail skipped" | None -> "")
 
 let validate_telemetry_cmd =
-  let against =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "against-snapshot" ] ~docv:"SNAP"
-          ~doc:
-            "Also cross-check the log against the $(b,series) section of a \
-             $(b,--metrics-json) snapshot from the same run: every track's \
-             count/min/max/last must match the replayed log exactly.")
-  in
   Cmd.v
     (Cmd.info "validate-telemetry"
        ~doc:
          "Validate a --telemetry log (checksummed MKCTEL1 frames; a torn tail is \
           reported but tolerated)")
-    Term.(const validate_telemetry $ telemetry_file_arg $ against)
+    Term.(const validate_telemetry $ telemetry_file_arg)
 
 (* ---------- top ---------- *)
 
@@ -1614,11 +1557,7 @@ let doctor snapshot telemetry trace ledger =
       warn_torn file log;
       incr checked;
       Format.printf "doctor: %s: valid telemetry log (%d tracks, %d samples)@." file
-        (Array.length log.tracks) (List.length log.samples);
-      match snap with
-      | Some (snapfile, s) when s.Mkc_obs.Snapshot.series <> [] ->
-          check_log_against_snapshot ~file ~snapfile log s
-      | _ -> ())
+        (Array.length log.tracks) (List.length log.samples))
     telemetry;
   Option.iter
     (fun file ->
@@ -1698,10 +1637,10 @@ let doctor_cmd =
     (Cmd.info "doctor"
        ~doc:
          "One-shot audit of a run's observability artifacts: validate each given file \
-          (snapshot, telemetry log, trace, run ledger) and cross-check them against each \
-          other — telemetry against the snapshot's series section, the newest ledger \
-          record's quality gauges and histogram digests against the snapshot's final \
-          metrics.  Exit 1 on any inconsistency.")
+          (snapshot, telemetry log, trace, run ledger) and cross-check the one fact two \
+          of them share — the newest ledger record's quality gauges and histogram \
+          digests against the snapshot's final metrics.  Exit 1 on any invalid file or \
+          inconsistency.")
     Term.(const doctor $ snapshot $ telemetry $ trace $ ledger)
 
 let () =

@@ -25,30 +25,6 @@ let cached fetch =
   let assoc ~at_ns key = Option.value ~default:0 (List.assoc_opt key (get ~at_ns)) in
   (get, assoc)
 
-(* Pool-executor tracks read the global registry, where the pipeline's
-   coordinator publishes cumulative values once per chunk window; they
-   hold 0 until the first parallel drive (single-domain runs never set
-   them). *)
-let reg_int name ~at_ns:(_ : int) ~at_edges:(_ : int) =
-  match Mkc_obs.Registry.read Mkc_obs.Registry.global name with
-  | Some (Mkc_obs.Registry.Counter n) -> n
-  | Some (Mkc_obs.Registry.Gauge g) -> int_of_float g
-  (* plan-build / queue-wait are histogram tracks now: the cumulative
-     scalar the telemetry log carries is the histogram's sum *)
-  | Some (Mkc_obs.Registry.Histogram h) -> h.Mkc_obs.Metric.Histogram.sum
-  | None -> 0
-
-let pool_tracks =
-  List.map
-    (fun name -> (name, reg_int name))
-    [
-      "pipeline.domain_busy_ns";
-      "pipeline.pool.plan_build_ns";
-      "pipeline.pool.plan_overlap_ns";
-      "pipeline.pool.queue_wait_ns";
-      "pipeline.pool.rebalances";
-    ]
-
 let common ~breakdown ~totals_of ~extra : probe array =
   let bd_all, bd = cached breakdown in
   let _, totals = cached totals_of in
@@ -112,7 +88,7 @@ let common ~breakdown ~totals_of ~extra : probe array =
             let hits = tot "large_common.memo_hits" ~at_ns in
             ppm ~num:hits ~den:(hits + tot "large_common.sampler_evals" ~at_ns) );
       ]
-    @ extra @ pool_tracks)
+    @ extra)
 
 let build ~breakdown est : probe array =
   common ~breakdown ~totals_of:(fun () -> Estimate.stats_totals est) ~extra:[]

@@ -15,16 +15,13 @@
       {!Estimate.stats_totals};
     - [sketch.hh_recovery_ppm] / [sketch.memo_hit_ppm] — the quality
       ratios of [estimate.quality.*], scaled to integer
-      parts-per-million (the series stores ints only);
-    - [pipeline.domain_busy_ns] and [pipeline.pool.plan_build_ns] /
-      [pipeline.pool.plan_overlap_ns] / [pipeline.pool.queue_wait_ns] /
-      [pipeline.pool.rebalances] — the pool executor's cumulative
-      utilization, read from the global registry where the coordinator
-      publishes them once per chunk window.
+      parts-per-million (the series stores ints only).
 
     Ratio and recovery tracks read 0 until their denominators exist
-    (heavy-hitter recovery only runs at finalize); pool tracks read 0
-    until the first parallel drive. *)
+    (heavy-hitter recovery only runs at finalize).  Telemetry records
+    one-domain drives only, so the pool executor's utilization
+    ([pipeline.domain_busy_ns], [pipeline.pool.*]) has no track: it
+    lives in the registry and the snapshot. *)
 
 val build :
   breakdown:(unit -> (string * int) list) ->

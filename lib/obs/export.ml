@@ -19,12 +19,8 @@ let num f =
   else if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
   else Printf.sprintf "%g" f
 
-(* Bucket upper bound for the [le] label / quantile report: log-linear
-   Histogram bounds on current snapshots, 2^(i+1) on legacy v1–v3. *)
-let bucket_bound ~schema i =
-  if String.equal schema Snapshot.schema_version then
-    float_of_int (Histogram.bound_of_bucket i)
-  else Float.pow 2.0 (float_of_int (i + 1))
+(* Bucket upper bound for the [le] label / quantile report. *)
+let bucket_bound i = float_of_int (Histogram.bound_of_bucket i)
 
 let prometheus (s : Snapshot.t) =
   let b = Buffer.create 1024 in
@@ -45,7 +41,7 @@ let prometheus (s : Snapshot.t) =
           List.iter
             (fun (i, c) ->
               cum := !cum + c;
-              line "%s_bucket{le=\"%s\"} %d" n (num (bucket_bound ~schema:s.Snapshot.schema i)) !cum)
+              line "%s_bucket{le=\"%s\"} %d" n (num (bucket_bound i)) !cum)
             h.Snapshot.hbuckets;
           line "%s_bucket{le=\"+Inf\"} %d" n h.Snapshot.hcount;
           line "%s_sum %s" n (num h.Snapshot.hsum);
@@ -53,7 +49,7 @@ let prometheus (s : Snapshot.t) =
     s.Snapshot.metrics;
   Buffer.contents b
 
-let quantile_of_hist ?(schema = Snapshot.schema_version) (h : Snapshot.hist) q =
+let quantile_of_hist (h : Snapshot.hist) q =
   if h.Snapshot.hcount = 0 then 0.0
   else begin
     let rank = Histogram.ceil_rank q h.Snapshot.hcount in
@@ -64,7 +60,7 @@ let quantile_of_hist ?(schema = Snapshot.schema_version) (h : Snapshot.hist) q =
         if !hit = None && !seen >= rank then hit := Some i)
       h.Snapshot.hbuckets;
     match !hit with
-    | Some i -> Float.min (bucket_bound ~schema i) h.Snapshot.hmax
+    | Some i -> Float.min (bucket_bound i) h.Snapshot.hmax
     | None -> h.Snapshot.hmax
   end
 
@@ -85,24 +81,10 @@ let summary (s : Snapshot.t) =
       | Snapshot.Gauge g -> line "  %-48s %s" m.Snapshot.mname (num g)
       | Snapshot.Histogram h ->
           line "  %-48s n=%d p50=%s p99=%s max=%s" m.Snapshot.mname h.Snapshot.hcount
-            (pp_ns (quantile_of_hist ~schema:s.Snapshot.schema h 0.5))
-            (pp_ns (quantile_of_hist ~schema:s.Snapshot.schema h 0.99))
+            (pp_ns (quantile_of_hist h 0.5))
+            (pp_ns (quantile_of_hist h 0.99))
             (pp_ns h.Snapshot.hmax))
     s.Snapshot.metrics;
-  if s.Snapshot.spans <> [] then begin
-    (* aggregate per span name: count and total time *)
-    let agg = Hashtbl.create 8 in
-    List.iter
-      (fun (sp : Span.span) ->
-        let c, tot = Option.value ~default:(0, 0) (Hashtbl.find_opt agg sp.Span.name) in
-        Hashtbl.replace agg sp.Span.name (c + 1, tot + sp.Span.dur_ns))
-      s.Snapshot.spans;
-    line "== spans (last %d retained per domain) ==" Span.ring_capacity;
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) agg []
-    |> List.sort compare
-    |> List.iter (fun (name, (c, tot)) ->
-           line "  %-48s %6d spans  total %s" name c (pp_ns (float_of_int tot)))
-  end;
   List.iter
     (fun (p : Snapshot.profile) ->
       let peak = List.fold_left (fun a (pt : Snapshot.point) -> max a pt.Snapshot.words) 0 p.Snapshot.points in

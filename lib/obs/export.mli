@@ -7,5 +7,6 @@ val prometheus : Snapshot.t -> string
 
 val summary : Snapshot.t -> string
 (** Human-readable multi-line summary: counters and gauges, histogram
-    count/p50/p99/max, per-span aggregate time, and each space
-    profile's first/peak/final words — what [mkc --metrics] prints. *)
+    count/p50/p99/max (span latencies are the [span.<name>.ns]
+    histograms), and each space profile's first/peak/final words —
+    what [mkc --metrics] prints. *)

@@ -13,9 +13,11 @@ let record_relative_error ?(registry = Registry.global) name ~truth ~estimate =
   in
   g "relative_error" err
 
-let record_budget ?(registry = Registry.global) ~budget_words ~peak_words ~overshoots () =
+let record_budget ?(registry = Registry.global) ~budget_words ~peak_words ~overshoots ~samples
+    () =
   let g name v = Registry.set (Registry.gauge registry name) v in
   g "space.budget_words" (float_of_int budget_words);
   g "space.peak_words" (float_of_int peak_words);
   g "space.headroom" (ratio ~num:peak_words ~den:budget_words);
-  g "space.overshoots" (float_of_int overshoots)
+  g "space.overshoots" (float_of_int overshoots);
+  g "space.samples" (float_of_int samples)

@@ -21,8 +21,10 @@ val record_budget :
   budget_words:int ->
   peak_words:int ->
   overshoots:int ->
+  samples:int ->
   unit ->
   unit
 (** Publish the space-watchdog gauges [space.budget_words],
-    [space.peak_words], [space.headroom] (= peak/budget) and
-    [space.overshoots]. *)
+    [space.peak_words], [space.headroom] (= peak/budget),
+    [space.overshoots] and [space.samples] — the group
+    {!Snapshot.of_json} checks for consistency. *)

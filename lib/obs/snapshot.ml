@@ -11,30 +11,14 @@ type metric = { mname : string; mvalue : value }
 type point = { at_edges : int; words : int; breakdown : (string * int) list }
 type profile = { pname : string; cadence : int; points : point list }
 
-type space = {
-  budget_words : int;
-  peak_words : int;
-  headroom : float;
-  overshoots : int;
-  samples : int;
-}
-
-type track = { tname : string; tcount : int; tmin : int; tmax : int; tlast : int }
-
 type t = {
   schema : string;
   created_ns : int;
-  space : space option;
-  series : track list;
   metrics : metric list;
-  spans : Span.span list;
   profiles : profile list;
 }
 
-let schema_version = "mkc-obs/4"
-
-let headroom_of ~budget_words ~peak_words =
-  if budget_words <= 0 then 0.0 else float_of_int peak_words /. float_of_int budget_words
+let schema_version = "mkc-obs/5"
 
 let hist_of_metric (h : Metric.Histogram.t) =
   {
@@ -45,22 +29,7 @@ let hist_of_metric (h : Metric.Histogram.t) =
     hbuckets = Metric.Histogram.nonzero_buckets h;
   }
 
-let tracks_of_series s =
-  let n = Series.total s in
-  if n = 0 then []
-  else
-    Array.to_list (Series.tracks s)
-    |> List.mapi (fun i tname ->
-           {
-             tname;
-             tcount = n;
-             tmin = Series.min_of s i;
-             tmax = Series.max_of s i;
-             tlast = Series.last s i;
-           })
-
-let capture ?spans ?(profiles = []) ?space ?(series = []) ?now_ns registry =
-  let spans = match spans with Some s -> s | None -> Span.recent () in
+let capture ?(profiles = []) ?now_ns registry =
   let now_ns = match now_ns with Some t -> t | None -> Clock.now_ns () in
   let metrics =
     Registry.dump registry
@@ -87,7 +56,7 @@ let capture ?spans ?(profiles = []) ?space ?(series = []) ?now_ns registry =
         })
       profiles
   in
-  { schema = schema_version; created_ns = now_ns; space; series; metrics; spans; profiles }
+  { schema = schema_version; created_ns = now_ns; metrics; profiles }
 
 (* ---------- emission ---------- *)
 
@@ -110,15 +79,6 @@ let json_of_metric m =
                 (List.map (fun (i, c) -> Json.Array [ Json.Int i; Json.Int c ]) h.hbuckets) );
           ])
 
-let json_of_span (s : Span.span) =
-  Json.Object
-    [
-      ("name", Json.String s.name);
-      ("start_ns", Json.Int s.start_ns);
-      ("dur_ns", Json.Int s.dur_ns);
-      ("domain", Json.Int s.domain);
-    ]
-
 let json_of_point p =
   Json.Object
     [
@@ -137,39 +97,14 @@ let json_of_profile p =
       ("points", Json.Array (List.map json_of_point p.points));
     ]
 
-let json_of_space s =
-  Json.Object
-    [
-      ("budget_words", Json.Int s.budget_words);
-      ("peak_words", Json.Int s.peak_words);
-      ("headroom", Json.Float s.headroom);
-      ("overshoots", Json.Int s.overshoots);
-      ("samples", Json.Int s.samples);
-    ]
-
-let json_of_track tr =
-  Json.Object
-    [
-      ("name", Json.String tr.tname);
-      ("count", Json.Int tr.tcount);
-      ("min", Json.Int tr.tmin);
-      ("max", Json.Int tr.tmax);
-      ("last", Json.Int tr.tlast);
-    ]
-
 let to_json t =
   Json.Object
-    (("schema", Json.String t.schema)
-     :: ("created_ns", Json.Int t.created_ns)
-     :: (match t.space with None -> [] | Some s -> [ ("space", json_of_space s) ])
-    @ (match t.series with
-      | [] -> []
-      | trs -> [ ("series", Json.Array (List.map json_of_track trs)) ])
-    @ [
-        ("metrics", Json.Array (List.map json_of_metric t.metrics));
-        ("spans", Json.Array (List.map json_of_span t.spans));
-        ("profiles", Json.Array (List.map json_of_profile t.profiles));
-      ])
+    [
+      ("schema", Json.String t.schema);
+      ("created_ns", Json.Int t.created_ns);
+      ("metrics", Json.Array (List.map json_of_metric t.metrics));
+      ("profiles", Json.Array (List.map json_of_profile t.profiles));
+    ]
 
 let to_string t = Json.to_string (to_json t)
 
@@ -233,15 +168,6 @@ let metric_of_json j =
   in
   Ok { mname; mvalue }
 
-let span_of_json j =
-  let* name = field "span" "name" Json.to_string_opt j in
-  let ctx = Printf.sprintf "span %S" name in
-  let* start_ns = field ctx "start_ns" Json.to_int j in
-  let* dur_ns = field ctx "dur_ns" Json.to_int j in
-  let* domain = field ctx "domain" Json.to_int j in
-  if dur_ns < 0 then Error (ctx ^ ": negative duration")
-  else Ok { Span.name; start_ns; dur_ns; domain }
-
 let point_of_json ctx j =
   let* at_edges = field ctx "at_edges" Json.to_int j in
   let* words = field ctx "words" Json.to_int j in
@@ -266,64 +192,63 @@ let profile_of_json j =
   | Some p -> Error (Printf.sprintf "%s: breakdown does not sum to words at edge %d" ctx p.at_edges)
   | None -> Ok { pname; cadence; points }
 
-let space_of_json j =
-  let ctx = "space" in
-  let* budget_words = field ctx "budget_words" Json.to_int j in
-  let* peak_words = field ctx "peak_words" Json.to_int j in
-  let* headroom = field ctx "headroom" Json.to_float j in
-  let* overshoots = field ctx "overshoots" Json.to_int j in
-  let* samples = field ctx "samples" Json.to_int j in
-  if budget_words < 0 || peak_words < 0 then Error (ctx ^ ": negative word count")
-  else if overshoots < 0 || overshoots > samples then
-    Error (ctx ^ ": overshoots outside [0, samples]")
-  else if headroom <> headroom_of ~budget_words ~peak_words then
-    Error (ctx ^ ": headroom is not peak_words / budget_words")
-  else if budget_words > 0 && samples > 0 && peak_words > budget_words && overshoots = 0 then
-    Error (ctx ^ ": peak over budget but no overshoot recorded")
-  else Ok { budget_words; peak_words; headroom; overshoots; samples }
+(* The space watchdog's gauges ([Quality.record_budget]) come as a
+   group of five.  A snapshot is outside input, so when any of them is
+   present all five must be, with integral non-negative word and sample
+   counts, the headroom equal to peak / budget, and an overshoot on
+   record whenever the peak exceeds the budget. *)
+let space_gauges = [ "budget_words"; "peak_words"; "headroom"; "overshoots"; "samples" ]
 
-let track_of_json j =
-  let* tname = field "series track" "name" Json.to_string_opt j in
-  let ctx = Printf.sprintf "series track %S" tname in
-  let* tcount = field ctx "count" Json.to_int j in
-  let* tmin = field ctx "min" Json.to_int j in
-  let* tmax = field ctx "max" Json.to_int j in
-  let* tlast = field ctx "last" Json.to_int j in
-  if tcount < 1 then Error (ctx ^ ": a recorded track needs count >= 1")
-  else if tmin > tmax then Error (ctx ^ ": min above max")
-  else if tlast < tmin || tlast > tmax then Error (ctx ^ ": last outside [min, max]")
-  else Ok { tname; tcount; tmin; tmax; tlast }
+let check_space_gauges metrics =
+  let find key =
+    let name = "space." ^ key in
+    match List.find_opt (fun m -> String.equal m.mname name) metrics with
+    | None -> Ok None
+    | Some { mvalue = Gauge g; _ } -> Ok (Some g)
+    | Some _ -> Error (Printf.sprintf "metric %S: expected a gauge" name)
+  in
+  let* found = map_result find space_gauges in
+  match found with
+  | [ Some budget; Some peak; Some headroom; Some overshoots; Some samples ] ->
+      let count g = Float.is_integer g && g >= 0.0 in
+      if not (count budget && count peak) then
+        Error "space gauges: word counts must be non-negative integers"
+      else if not (count overshoots && count samples && overshoots <= samples) then
+        Error "space gauges: overshoots outside [0, samples]"
+      else if headroom <> (if budget <= 0.0 then 0.0 else peak /. budget) then
+        Error "space gauges: headroom is not peak_words / budget_words"
+      else if budget > 0.0 && samples > 0.0 && peak > budget && overshoots = 0.0 then
+        Error "space gauges: peak over budget but no overshoot recorded"
+      else Ok ()
+  | found when List.for_all Option.is_none found -> Ok ()
+  | _ ->
+      Error
+        ("space gauges: need all of "
+        ^ String.concat ", " (List.map (fun k -> "space." ^ k) space_gauges)
+        ^ " or none")
+
+let top_level = [ "schema"; "created_ns"; "metrics"; "profiles" ]
 
 let of_json j =
   let* schema = field "snapshot" "schema" Json.to_string_opt j in
+  let stray =
+    match j with
+    | Json.Object kvs -> List.find_opt (fun (k, _) -> not (List.mem k top_level)) kvs
+    | _ -> None
+  in
   if schema <> schema_version then
     Error (Printf.sprintf "snapshot: schema %S, expected %S" schema schema_version)
   else
-    let* created_ns = field "snapshot" "created_ns" Json.to_int j in
-    let* space =
-      match Json.member "space" j with
-      | None -> Ok None
-      | Some sj ->
-          let* s = space_of_json sj in
-          Ok (Some s)
-    in
-    let* series =
-      match Json.member "series" j with
-      | None -> Ok []
-      | Some sj -> (
-          match Json.to_list sj with
-          | None -> Error "snapshot: mistyped \"series\" section"
-          | Some raw ->
-              let* trs = map_result track_of_json raw in
-              if trs = [] then Error "snapshot: empty \"series\" section" else Ok trs)
-    in
-    let* raw_metrics = list_field "snapshot" "metrics" j in
-    let* metrics = map_result metric_of_json raw_metrics in
-    let* raw_spans = list_field "snapshot" "spans" j in
-    let* spans = map_result span_of_json raw_spans in
-    let* raw_profiles = list_field "snapshot" "profiles" j in
-    let* profiles = map_result profile_of_json raw_profiles in
-    Ok { schema; created_ns; space; series; metrics; spans; profiles }
+    match stray with
+    | Some (k, _) -> Error (Printf.sprintf "snapshot: unknown field %S" k)
+    | None ->
+        let* created_ns = field "snapshot" "created_ns" Json.to_int j in
+        let* raw_metrics = list_field "snapshot" "metrics" j in
+        let* metrics = map_result metric_of_json raw_metrics in
+        let* () = check_space_gauges metrics in
+        let* raw_profiles = list_field "snapshot" "profiles" j in
+        let* profiles = map_result profile_of_json raw_profiles in
+        Ok { schema; created_ns; metrics; profiles }
 
 let validate s =
   let* j = Json.parse s in

@@ -1,42 +1,7 @@
-type span = { name : string; start_ns : int; dur_ns : int; domain : int }
-
-let ring_capacity = 512
-
-type ring = { slots : span option array; mutable next : int; lock : Mutex.t }
-
-(* Per-domain rings, registered globally so [recent] can see them all;
-   the owning domain appends under the ring lock (cheap, uncontended —
-   readers are rare). *)
-let rings_lock = Mutex.create ()
-let rings : ring list ref = ref []
-
-let ring_key : ring option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let my_ring () =
-  match Domain.DLS.get ring_key with
-  | Some r -> r
-  | None ->
-      let r = { slots = Array.make ring_capacity None; next = 0; lock = Mutex.create () } in
-      Mutex.lock rings_lock;
-      rings := r :: !rings;
-      Mutex.unlock rings_lock;
-      Domain.DLS.set ring_key (Some r);
-      r
-
-let push sp =
-  let r = my_ring () in
-  Mutex.lock r.lock;
-  r.slots.(r.next mod ring_capacity) <- Some sp;
-  r.next <- r.next + 1;
-  Mutex.unlock r.lock
-
 let record ?(registry = Registry.global) name ~start_ns ~dur_ns =
   if Trace.enabled () then Trace.complete name ~start_ns ~dur_ns;
-  if Registry.enabled () then begin
-    let sp = { name; start_ns; dur_ns; domain = (Domain.self () :> int) } in
-    push sp;
+  if Registry.enabled () then
     Registry.observe_ns (Registry.histogram registry ("span." ^ name ^ ".ns")) dur_ns
-  end
 
 type handle = { hname : string; hstart : int; hreg : Registry.t; live : bool }
 
@@ -53,28 +18,3 @@ let finish h =
 let with_ ?registry name f =
   let h = start ?registry name in
   Fun.protect ~finally:(fun () -> finish h) f
-
-let recent () =
-  Mutex.lock rings_lock;
-  let rs = !rings in
-  Mutex.unlock rings_lock;
-  let out = ref [] in
-  List.iter
-    (fun r ->
-      Mutex.lock r.lock;
-      Array.iter (function Some sp -> out := sp :: !out | None -> ()) r.slots;
-      Mutex.unlock r.lock)
-    rs;
-  List.sort (fun a b -> compare (a.start_ns, a.name) (b.start_ns, b.name)) !out
-
-let clear () =
-  Mutex.lock rings_lock;
-  let rs = !rings in
-  Mutex.unlock rings_lock;
-  List.iter
-    (fun r ->
-      Mutex.lock r.lock;
-      Array.fill r.slots 0 ring_capacity None;
-      r.next <- 0;
-      Mutex.unlock r.lock)
-    rs

@@ -1,18 +1,12 @@
 (** Span tracing: named, monotonic-clocked intervals.
 
-    Each finished span is (1) folded into the owning registry as a
-    log-bucketed latency histogram [span.<name>.ns], and (2) appended
-    to a bounded per-domain trace ring (most recent {!ring_capacity}
-    spans per domain) readable through {!recent} — enough to
-    reconstruct a per-chunk timeline of a run without unbounded
-    memory.  When {!Trace.enabled} is on, every finished span is also
-    forwarded to the {!Trace} timeline ring.  Everything is a no-op
-    while both {!Registry.enabled} and {!Trace.enabled} are off. *)
-
-type span = { name : string; start_ns : int; dur_ns : int; domain : int }
-
-val ring_capacity : int
-(** Spans retained per domain (oldest overwritten first). *)
+    A finished span has two homes and no third: while
+    {!Registry.enabled} is on it is folded into the owning registry as
+    the log-bucketed latency histogram [span.<name>.ns] (count, sum and
+    quantiles — what a snapshot carries), and while {!Trace.enabled}
+    is on it is forwarded to the {!Trace} timeline as a complete event
+    (the individual intervals — what [--trace] exports).  Everything
+    is a no-op while both switches are off. *)
 
 type handle
 
@@ -29,10 +23,3 @@ val with_ : ?registry:Registry.t -> string -> (unit -> 'a) -> 'a
 val record : ?registry:Registry.t -> string -> start_ns:int -> dur_ns:int -> unit
 (** [record name ~start_ns ~dur_ns] — low-level entry for call sites
     that already timed the interval. *)
-
-val recent : unit -> span list
-(** All retained spans across domains, oldest first (by start time). *)
-
-val clear : unit -> unit
-(** Drop all retained spans (histograms in the registry are
-    untouched). *)

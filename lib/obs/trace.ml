@@ -6,8 +6,7 @@
    takes no lock and allocates nothing (a name already seen by the
    domain is resolved through a domain-local cache; only a first
    encounter touches the global intern table, under its mutex).  Rings
-   are registered globally and read at quiescence (after the run), the
-   same contract as {!Span.recent}. *)
+   are registered globally and read at quiescence (after the run). *)
 
 let switch = ref false
 let set_enabled b = switch := b

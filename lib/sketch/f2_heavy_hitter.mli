@@ -4,10 +4,11 @@
     space.
 
     Implementation: a {!Count_sketch} of width Θ(1/φ) for frequency
-    estimates and the in-sketch F2 estimate, plus a {!Top_k} candidate
-    tracker of capacity Θ(1/φ) (any φ-heavy item occupies a constant
-    fraction of the stream's L2 mass, so rescoring on each arrival keeps
-    it in the tracker w.h.p.). *)
+    estimates and the in-sketch F2 estimate, plus a candidate tracker
+    of capacity Θ(1/φ): a flat linear-probe table pruned back to its
+    top-[cap] entries by a linear-time select (any φ-heavy item occupies
+    a constant fraction of the stream's L2 mass, so rescoring on each
+    arrival keeps it in the tracker w.h.p.). *)
 
 type t
 

@@ -206,14 +206,7 @@ module Observed = struct
   let budget_evidence b =
     let open Mkc_sketch.Space.Budget in
     Mkc_obs.Quality.record_budget ~budget_words:(budget b) ~peak_words:(peak b)
-      ~overshoots:(overshoots b) ();
-    {
-      Mkc_obs.Snapshot.budget_words = budget b;
-      peak_words = peak b;
-      headroom = headroom b;
-      overshoots = overshoots b;
-      samples = samples b;
-    }
+      ~overshoots:(overshoots b) ~samples:(samples b) ()
 end
 
 (* A transparent progress tap: forwards everything to the inner sink

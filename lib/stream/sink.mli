@@ -176,10 +176,10 @@ module Observed : sig
       when they are driven from one domain; the parallel CLI path
       checks the budget once against total words at finalize instead. *)
 
-  val budget_evidence : Mkc_sketch.Space.Budget.t -> Mkc_obs.Snapshot.space
-  (** The watchdog's verdict as a snapshot [space] section, after
-      publishing the same figures as the [space.*] gauges
-      ({!Mkc_obs.Quality.record_budget}) for the run ledger. *)
+  val budget_evidence : Mkc_sketch.Space.Budget.t -> unit
+  (** Publish the watchdog's verdict as the [space.*] gauges
+      ({!Mkc_obs.Quality.record_budget}), where the snapshot and the
+      run ledger read it. *)
 end
 
 (** A transparent progress tap: forwards every call unchanged and

@@ -182,6 +182,46 @@ let test_report_window_observability () =
           | Ok n -> checkb "trace has events" true (n > 0)
           | Error e -> Alcotest.failf "report --window trace invalid: %s" e))
 
+(* The durable log must agree with the live accounting: the last
+   space.words sample of a --telemetry run is the "space: N words" line
+   the same run prints, plain and windowed. *)
+let test_telemetry_matches_printed_space () =
+  with_stream (fun stream ->
+      List.iter
+        (fun flags ->
+          let log = Filename.temp_file "mkc_cli" ".mkctel" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove log)
+            (fun () ->
+              let out =
+                run_ok
+                  (Printf.sprintf "estimate -s %s -k 8 --alpha 4 --telemetry %s %s" stream
+                     log flags)
+              in
+              let printed =
+                List.find_map
+                  (fun l -> Scanf.sscanf_opt l "space: %d words%!" Fun.id)
+                  (String.split_on_char '\n' out)
+              in
+              match (printed, Mkc_obs.Telemetry.read log) with
+              | None, _ -> Alcotest.failf "%S: no space line in stdout" flags
+              | _, Error e ->
+                  Alcotest.failf "%S: telemetry log invalid: %s" flags
+                    (Mkc_obs.Telemetry.error_to_string e)
+              | Some words, Ok t -> (
+                  checkb (flags ^ ": no pool tracks") false
+                    (Array.exists
+                       (fun n -> String.starts_with ~prefix:"pipeline.pool." n)
+                       t.tracks);
+                  let track = ref (-1) in
+                  Array.iteri (fun i n -> if n = "space.words" then track := i) t.tracks;
+                  match List.rev t.samples with
+                  | last :: _ when !track >= 0 ->
+                      checki (flags ^ ": last space.words sample") words
+                        last.values.(!track)
+                  | _ -> Alcotest.failf "%S: no space.words sample" flags)))
+        [ ""; "--window 4 --epoch-edges 2048" ])
+
 (* Answer stdout pinned byte for byte (golden_cli/NAME.out).  No case
    carries a flag whose output includes timing. *)
 let golden_cases =
@@ -253,6 +293,8 @@ let suite =
       test_sign_column_parse_error;
     Alcotest.test_case "generate rejects out-of-range churn" `Quick
       test_generate_churn_validation;
+    Alcotest.test_case "telemetry space.words ends at the printed words" `Quick
+      test_telemetry_matches_printed_space;
     Alcotest.test_case "report --window honours observability flags" `Quick
       test_report_window_observability;
     Alcotest.test_case "answer stdout matches the golden files" `Quick test_golden_stdout;

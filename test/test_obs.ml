@@ -10,10 +10,10 @@
         profile's final point equals words_breakdown exactly;
      4. pooled and one-domain ingestion agree metric-for-metric
         on the invariant counters;
-     5. the mkc-obs/4 JSON snapshot is byte-stable under an injected
+     5. the mkc-obs/5 JSON snapshot is byte-stable under an injected
         clock and survives a parse→validate round trip, while tampered
-        snapshots are rejected, the retired mkc-obs/1 through mkc-obs/3
-        schemas by name;
+        snapshots (the space.* budget gauges included) are rejected, the
+        retired mkc-obs/1 through mkc-obs/4 schemas by name;
      6. the Prometheus exposition handles hostile metric names and
         non-finite gauge values, and bucket counts stay monotone under
         histogram merges. *)
@@ -60,15 +60,11 @@ let hist_of values =
   List.iter (H.record h) values;
   h
 
-(* Run [f] with metrics enabled, then restore the disabled default and
-   drop any retained spans no matter how [f] exits. *)
+(* Run [f] with metrics enabled, then restore the disabled default no
+   matter how [f] exits. *)
 let with_metrics f =
   Obs.Registry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Registry.set_enabled false;
-      Obs.Span.clear ())
-    f
+  Fun.protect ~finally:(fun () -> Obs.Registry.set_enabled false) f
 
 (* --- Metric merge algebra --- *)
 
@@ -184,25 +180,37 @@ let test_clock_monotone () =
       t := 200;
       checki "advances again" 200 (Obs.Clock.now_ns ()))
 
+(* A span has two homes: the [span.<name>.ns] latency histogram and,
+   when tracing, a complete event on the Trace timeline. *)
 let test_span_ring () =
-  with_metrics (fun () ->
-      let r = Obs.Registry.create () in
-      Obs.Span.clear ();
-      Obs.Span.record ~registry:r "work" ~start_ns:10 ~dur_ns:5;
-      Obs.Span.record ~registry:r "work" ~start_ns:20 ~dur_ns:7;
-      (match Obs.Span.recent () with
-      | [ a; b ] ->
-          checks "span name" "work" a.Obs.Span.name;
-          checkb "oldest first" true (a.Obs.Span.start_ns < b.Obs.Span.start_ns)
-      | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l));
-      (match Obs.Registry.read r "span.work.ns" with
-      | Some (Obs.Registry.Histogram h) -> checki "latency histogram count" 2 h.H.count
-      | _ -> Alcotest.fail "span histogram not registered");
-      Obs.Span.clear ();
-      checkb "clear empties the ring" true (Obs.Span.recent () = []));
-  (* Disabled: record is a no-op for both the ring and the registry. *)
-  Obs.Span.record "quiet" ~start_ns:1 ~dur_ns:1;
-  checkb "no spans while disabled" true (Obs.Span.recent () = [])
+  Obs.Trace.clear ();
+  Obs.Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.set_enabled false;
+      Obs.Trace.clear ())
+    (fun () ->
+      with_metrics (fun () ->
+          let r = Obs.Registry.create () in
+          Obs.Span.record ~registry:r "work" ~start_ns:10 ~dur_ns:5;
+          Obs.Span.record ~registry:r "work" ~start_ns:20 ~dur_ns:7;
+          (match Obs.Trace.events () with
+          | [ Obs.Trace.Complete a; Obs.Trace.Complete b ] ->
+              checks "span name" "work" a.name;
+              checkb "oldest first" true (a.start_ns < b.start_ns);
+              checki "duration kept" 7 b.dur_ns
+          | l -> Alcotest.failf "expected 2 trace events, got %d" (List.length l));
+          match Obs.Registry.read r "span.work.ns" with
+          | Some (Obs.Registry.Histogram h) ->
+              checki "latency histogram count" 2 h.H.count;
+              checki "latency histogram sum" 12 h.H.sum
+          | _ -> Alcotest.fail "span histogram not registered"));
+  (* Both switches off: record is a no-op for the trace and the registry. *)
+  let r = Obs.Registry.create () in
+  Obs.Span.record ~registry:r "quiet" ~start_ns:1 ~dur_ns:1;
+  Obs.Span.finish (Obs.Span.start ~registry:r "quiet");
+  checkb "no trace events while disabled" true (Obs.Trace.events () = []);
+  checkb "no histogram while disabled" true (Obs.Registry.read r "span.quiet.ns" = None)
 
 (* --- Canonical breakdowns --- *)
 
@@ -328,16 +336,30 @@ let test_parallel_metrics_equal_seq () =
 
 (* --- Snapshot: golden JSON, round trip, tamper rejection --- *)
 
-(* mkc-obs/4 body: the recorded 3 lands in log-linear bucket 3 (values
+(* mkc-obs/5 body: the recorded 3 lands in log-linear bucket 3 (values
    below 16 get exact buckets). *)
-let golden_body =
+let golden_metrics =
   "\"metrics\":[{\"name\":\"c\",\"kind\":\"counter\",\"value\":5},\
    {\"name\":\"g\",\"kind\":\"gauge\",\"value\":2.5},\
    {\"name\":\"h\",\"kind\":\"histogram\",\"count\":1,\"sum\":3.0,\"min\":3.0,\
-   \"max\":3.0,\"buckets\":[[3,1]]}],\
-   \"spans\":[{\"name\":\"s\",\"start_ns\":10,\"dur_ns\":5,\"domain\":0}],\
-   \"profiles\":[{\"name\":\"p\",\"cadence\":2,\
+   \"max\":3.0,\"buckets\":[[3,1]]}"
+
+let golden_profiles =
+  "\"profiles\":[{\"name\":\"p\",\"cadence\":2,\
    \"points\":[{\"at_edges\":2,\"words\":3,\"breakdown\":[[\"a\",1],[\"b\",2]]}]}]}"
+
+let golden =
+  "{\"schema\":\"mkc-obs/5\",\"created_ns\":42," ^ golden_metrics ^ "]," ^ golden_profiles
+
+(* The same state with a budget: the watchdog's five space.* gauges. *)
+let golden_space =
+  "{\"schema\":\"mkc-obs/5\",\"created_ns\":42," ^ golden_metrics
+  ^ ",{\"name\":\"space.budget_words\",\"kind\":\"gauge\",\"value\":8.0},\
+     {\"name\":\"space.headroom\",\"kind\":\"gauge\",\"value\":0.5},\
+     {\"name\":\"space.overshoots\",\"kind\":\"gauge\",\"value\":0.0},\
+     {\"name\":\"space.peak_words\",\"kind\":\"gauge\",\"value\":4.0},\
+     {\"name\":\"space.samples\",\"kind\":\"gauge\",\"value\":3.0}],"
+  ^ golden_profiles
 
 (* Legacy (v1–v3) body: the old 64-bucket log2 layout put 3 in
    bucket 1. *)
@@ -349,8 +371,6 @@ let golden_body_legacy =
    \"spans\":[{\"name\":\"s\",\"start_ns\":10,\"dur_ns\":5,\"domain\":0}],\
    \"profiles\":[{\"name\":\"p\",\"cadence\":2,\
    \"points\":[{\"at_edges\":2,\"words\":3,\"breakdown\":[[\"a\",1],[\"b\",2]]}]}]}"
-
-let golden = "{\"schema\":\"mkc-obs/4\",\"created_ns\":42," ^ golden_body
 
 (* The retired v1 emission, byte for byte: now rejected by name. *)
 let golden_v1 = "{\"schema\":\"mkc-obs/1\",\"created_ns\":42," ^ golden_body_legacy
@@ -364,85 +384,62 @@ let golden_v2 =
 (* And the retired v3 emission (log2 buckets). *)
 let golden_v3 = "{\"schema\":\"mkc-obs/3\",\"created_ns\":42," ^ golden_body_legacy
 
-let golden_space =
+(* And the retired v4 emission, which copied spans, the budget verdict
+   and a telemetry series summary beside the metrics. *)
+let golden_v4 =
   "{\"schema\":\"mkc-obs/4\",\"created_ns\":42,\
    \"space\":{\"budget_words\":8,\"peak_words\":4,\"headroom\":0.5,\
-   \"overshoots\":0,\"samples\":3}," ^ golden_body
+   \"overshoots\":0,\"samples\":3},\
+   \"series\":[{\"name\":\"space.words\",\"count\":3,\"min\":1,\"max\":9,\"last\":4}],"
+  ^ golden_metrics
+  ^ "],\"spans\":[{\"name\":\"s\",\"start_ns\":10,\"dur_ns\":5,\"domain\":0}],"
+  ^ golden_profiles
 
-let golden_series =
-  "{\"schema\":\"mkc-obs/4\",\"created_ns\":42,\
-   \"series\":[{\"name\":\"space.words\",\"count\":3,\"min\":1,\"max\":9,\"last\":4},\
-   {\"name\":\"pipeline.edges\",\"count\":3,\"min\":2,\"max\":6,\"last\":6}]," ^ golden_body
-
-let golden_snapshot () =
+let golden_registry ~budget =
   let r = Obs.Registry.create () in
   Obs.Registry.add (Obs.Registry.counter r "c") 5;
   Obs.Registry.set (Obs.Registry.gauge r "g") 2.5;
   Obs.Registry.observe (Obs.Registry.histogram r "h") 3.0;
+  if budget then
+    Obs.Quality.record_budget ~registry:r ~budget_words:8 ~peak_words:4 ~overshoots:0
+      ~samples:3 ();
+  r
+
+let golden_snapshot ?(budget = false) () =
   let sp = Obs.Space_profile.create ~cadence:2 in
   Obs.Space_profile.record sp ~at_edges:2 ~words:3 ~breakdown:[ ("a", 1); ("b", 2) ];
-  Obs.Snapshot.capture
-    ~spans:[ { Obs.Span.name = "s"; start_ns = 10; dur_ns = 5; domain = 0 } ]
-    ~profiles:[ ("p", sp) ] ~now_ns:42 r
-
-let golden_space_record =
-  {
-    Obs.Snapshot.budget_words = 8;
-    peak_words = 4;
-    headroom = Obs.Snapshot.headroom_of ~budget_words:8 ~peak_words:4;
-    overshoots = 0;
-    samples = 3;
-  }
-
-let golden_series_tracks =
-  [
-    { Obs.Snapshot.tname = "space.words"; tcount = 3; tmin = 1; tmax = 9; tlast = 4 };
-    { Obs.Snapshot.tname = "pipeline.edges"; tcount = 3; tmin = 2; tmax = 6; tlast = 6 };
-  ]
+  Obs.Snapshot.capture ~profiles:[ ("p", sp) ] ~now_ns:42 (golden_registry ~budget)
 
 let test_snapshot_golden () =
   with_metrics (fun () ->
-      checks "byte-stable emission" golden
-        (Obs.Snapshot.to_string (golden_snapshot ()));
-      let with_space =
-        { (golden_snapshot ()) with Obs.Snapshot.space = Some golden_space_record }
-      in
-      checks "byte-stable emission with a space section" golden_space
-        (Obs.Snapshot.to_string with_space);
-      let with_series =
-        { (golden_snapshot ()) with Obs.Snapshot.series = golden_series_tracks }
-      in
-      checks "byte-stable emission with a series section" golden_series
-        (Obs.Snapshot.to_string with_series))
+      checks "byte-stable emission" golden (Obs.Snapshot.to_string (golden_snapshot ()));
+      checks "byte-stable emission with space gauges" golden_space
+        (Obs.Snapshot.to_string (golden_snapshot ~budget:true ())))
 
 let test_snapshot_round_trip () =
   with_metrics (fun () ->
       let s = Obs.Snapshot.to_string (golden_snapshot ()) in
+      (match Obs.Json.parse s with
+      | Ok (Obs.Json.Object kvs) ->
+          checkb "exactly schema, created_ns, metrics, profiles" true
+            (List.map fst kvs = [ "schema"; "created_ns"; "metrics"; "profiles" ])
+      | _ -> Alcotest.fail "snapshot is not a JSON object");
       match Obs.Snapshot.validate s with
       | Error e -> Alcotest.failf "golden snapshot rejected: %s" e
-      | Ok snap ->
+      | Ok snap -> (
           checki "created_ns" 42 snap.Obs.Snapshot.created_ns;
           checks "schema is current" Obs.Snapshot.schema_version snap.Obs.Snapshot.schema;
           checki "metrics" 3 (List.length snap.Obs.Snapshot.metrics);
-          checki "spans" 1 (List.length snap.Obs.Snapshot.spans);
           checki "profiles" 1 (List.length snap.Obs.Snapshot.profiles);
-          checks "re-emission is a fixpoint" s (Obs.Snapshot.to_string snap));
-      match Obs.Snapshot.validate golden_space with
-      | Error e -> Alcotest.failf "space snapshot rejected: %s" e
-      | Ok snap -> (
-          checkb "space section parsed" true
-            (snap.Obs.Snapshot.space = Some golden_space_record);
-          checks "space re-emission is a fixpoint" golden_space
-            (Obs.Snapshot.to_string snap);
-          match Obs.Snapshot.validate golden_series with
-          | Error e -> Alcotest.failf "series snapshot rejected: %s" e
+          checks "re-emission is a fixpoint" s (Obs.Snapshot.to_string snap);
+          match Obs.Snapshot.validate golden_space with
+          | Error e -> Alcotest.failf "space snapshot rejected: %s" e
           | Ok snap ->
-              checkb "series section parsed" true
-                (snap.Obs.Snapshot.series = golden_series_tracks);
-              checks "series re-emission is a fixpoint" golden_series
-                (Obs.Snapshot.to_string snap))
+              checki "space gauges parsed" 8 (List.length snap.Obs.Snapshot.metrics);
+              checks "space re-emission is a fixpoint" golden_space
+                (Obs.Snapshot.to_string snap)))
 
-(* The retired v1–v3 schemas are no longer read: each is rejected by
+(* The retired v1–v4 schemas are no longer read: each is rejected by
    its name, whatever sections it carries. *)
 let test_snapshot_rejects_retired schema s () =
   match Obs.Snapshot.validate s with
@@ -477,7 +474,10 @@ let test_snapshot_rejects_tampering () =
     | Ok _ -> Alcotest.failf "validator accepted %s" what
     | Error _ -> ()
   in
-  reject "a foreign schema" (replace_once ~sub:"mkc-obs/4" ~by:"mkc-obs/9" golden);
+  reject "a foreign schema" (replace_once ~sub:"mkc-obs/5" ~by:"mkc-obs/9" golden);
+  (* v4's copied sections have no place in a v5 snapshot *)
+  reject "a stray spans section"
+    (replace_once ~sub:"\"metrics\":" ~by:"\"spans\":[],\"metrics\":" golden);
   (* histogram bucket counts no longer sum to count *)
   reject "a bucket-sum mismatch"
     (replace_once ~sub:"\"buckets\":[[3,1]]" ~by:"\"buckets\":[[3,2]]" golden);
@@ -488,28 +488,29 @@ let test_snapshot_rejects_tampering () =
   reject "a breakdown-sum mismatch"
     (replace_once ~sub:"[\"b\",2]" ~by:"[\"b\",7]" golden);
   reject "truncated JSON" (String.sub golden 0 (String.length golden - 1));
-  reject "an empty series array"
-    (replace_once
-       ~sub:
-         "\"series\":[{\"name\":\"space.words\",\"count\":3,\"min\":1,\"max\":9,\"last\":4},\
-          {\"name\":\"pipeline.edges\",\"count\":3,\"min\":2,\"max\":6,\"last\":6}]"
-       ~by:"\"series\":[]" golden_series);
-  (* min ≤ last ≤ max is the summary invariant a replay must satisfy *)
-  reject "a series track whose last escapes [min, max]"
-    (replace_once ~sub:"\"max\":9,\"last\":4" ~by:"\"max\":9,\"last\":19" golden_series);
-  reject "a series track with min > max"
-    (replace_once ~sub:"\"min\":1,\"max\":9" ~by:"\"min\":10,\"max\":9" golden_series);
-  reject "a series track with zero count"
-    (replace_once ~sub:"\"count\":3,\"min\":1" ~by:"\"count\":0,\"min\":1" golden_series);
-  (* headroom must equal peak/budget exactly *)
-  reject "a headroom that disagrees with peak/budget"
-    (replace_once ~sub:"\"headroom\":0.5" ~by:"\"headroom\":0.25" golden_space);
+  (* the space.* gauges: headroom must equal peak/budget exactly *)
+  let gauge name v =
+    Printf.sprintf "{\"name\":\"space.%s\",\"kind\":\"gauge\",\"value\":%s}" name v
+  in
+  let tamper name v v' =
+    replace_once ~sub:(gauge name v) ~by:(gauge name v') golden_space
+  in
+  reject "a headroom that disagrees with peak/budget" (tamper "headroom" "0.5" "0.25");
   (* a peak above budget with zero recorded overshoots is inconsistent *)
   reject "an overshooting peak with overshoots = 0"
-    (replace_once ~sub:"\"peak_words\":4,\"headroom\":0.5"
-       ~by:"\"peak_words\":16,\"headroom\":2.0" golden_space);
-  reject "negative budget words"
-    (replace_once ~sub:"\"budget_words\":8" ~by:"\"budget_words\":-8" golden_space)
+    (replace_once ~sub:(gauge "headroom" "0.5") ~by:(gauge "headroom" "2.0")
+       (tamper "peak_words" "4.0" "16.0"));
+  reject "negative budget words" (tamper "budget_words" "8.0" "-8.0");
+  reject "a fractional peak"
+    (replace_once ~sub:(gauge "headroom" "0.5") ~by:(gauge "headroom" "0.5625")
+       (tamper "peak_words" "4.0" "4.5"));
+  reject "overshoots above samples" (tamper "overshoots" "0.0" "4.0");
+  reject "negative overshoots" (tamper "overshoots" "0.0" "-1.0");
+  reject "an incomplete gauge group"
+    (replace_once ~sub:("," ^ gauge "samples" "3.0") ~by:"" golden_space);
+  reject "a space gauge of the wrong kind"
+    (replace_once ~sub:(gauge "samples" "3.0")
+       ~by:"{\"name\":\"space.samples\",\"kind\":\"counter\",\"value\":3}" golden_space)
 
 let test_json_parse () =
   let v =
@@ -540,10 +541,7 @@ let snapshot_of_metrics metrics =
   {
     Obs.Snapshot.schema = Obs.Snapshot.schema_version;
     created_ns = 42;
-    space = None;
-    series = [];
     metrics;
-    spans = [];
     profiles = [];
   }
 
@@ -787,6 +785,8 @@ let suite =
       (test_snapshot_rejects_retired "mkc-obs/2" golden_v2);
     Alcotest.test_case "snapshot: rejects retired mkc-obs/3" `Quick
       (test_snapshot_rejects_retired "mkc-obs/3" golden_v3);
+    Alcotest.test_case "snapshot: rejects retired mkc-obs/4" `Quick
+      (test_snapshot_rejects_retired "mkc-obs/4" golden_v4);
     Alcotest.test_case "snapshot: rejects tampering" `Quick
       test_snapshot_rejects_tampering;
     Alcotest.test_case "json: parse/print round trip" `Quick test_json_parse;

@@ -160,8 +160,7 @@ let pipeline_instruments drive =
   Fun.protect
     ~finally:(fun () ->
       Reg.set_enabled false;
-      Reg.reset Reg.global;
-      Mkc_obs.Span.clear ())
+      Reg.reset Reg.global)
     (fun () ->
       drive ();
       List.filter_map

@@ -6,11 +6,9 @@ module L0 = Mkc_sketch.L0_bjkst
 module Hll = Mkc_sketch.Hyperloglog
 module Ams = Mkc_sketch.F2_ams
 module Cs = Mkc_sketch.Count_sketch
-module Cm = Mkc_sketch.Count_min
 module Hh = Mkc_sketch.F2_heavy_hitter
 module F2c = Mkc_sketch.F2_contributing
 module Smp = Mkc_sketch.Sampler
-module Topk = Mkc_sketch.Top_k
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -179,45 +177,9 @@ let test_count_sketch_unbiased_sign () =
   let est = Float.abs (Cs.estimate cs 1_000_000) in
   checkb "absent item near zero" true (est <= 64.0)
 
-let test_count_min_never_underestimates () =
-  let cm = Cm.create ~depth:4 ~width:256 ~seed:(Sm.create 23) () in
-  for i = 0 to 499 do
-    Cm.add cm i (1 + (i mod 7))
-  done;
-  let ok = ref true in
-  for i = 0 to 499 do
-    if Cm.estimate cm i < float_of_int (1 + (i mod 7)) then ok := false
-  done;
-  checkb "count-min is an overestimate" true !ok
-
 let test_count_sketch_words () =
   let cs = Cs.create ~depth:3 ~width:64 ~seed:(Sm.create 24) () in
   checkb "words >= counters" true (Cs.words cs >= 3 * 64)
-
-(* ---------- Top_k ---------- *)
-
-let test_top_k_keeps_heaviest () =
-  let t = Topk.create ~cap:4 in
-  for i = 0 to 99 do
-    Topk.offer t i (float_of_int i)
-  done;
-  let kept = Topk.to_list t |> List.map fst |> List.sort compare in
-  checkb "keeps the largest scores" true
-    (List.for_all (fun id -> id >= 90) kept && List.length kept <= 8)
-
-let test_top_k_rescore () =
-  let t = Topk.create ~cap:2 in
-  Topk.offer t 1 1.0;
-  Topk.offer t 2 2.0;
-  Topk.offer t 1 10.0;
-  checkb "rescored candidate present" true (Topk.mem t 1)
-
-let test_top_k_cardinal_bound () =
-  let t = Topk.create ~cap:8 in
-  for i = 0 to 1000 do
-    Topk.offer t i 1.0
-  done;
-  checkb "cardinal bounded" true (Topk.cardinal t <= 8)
 
 (* ---------- F2 heavy hitters (Theorem 2.10) ---------- *)
 
@@ -465,18 +427,6 @@ let prop_l0_at_most_stream_length =
       let distinct = List.sort_uniq compare xs |> List.length in
       L0.estimate sk = float_of_int distinct)
 
-let prop_count_min_upper_bound =
-  QCheck.Test.make ~name:"count-min >= true frequency" ~count:50
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (int_range 0 50))
-    (fun xs ->
-      let cm = Cm.create ~width:64 ~seed:(Sm.create 997) () in
-      List.iter (fun x -> Cm.add cm x 1) xs;
-      let freq = Hashtbl.create 16 in
-      List.iter
-        (fun x -> Hashtbl.replace freq x (1 + Option.value ~default:0 (Hashtbl.find_opt freq x)))
-        xs;
-      Hashtbl.fold (fun x f ok -> ok && Cm.estimate cm x >= float_of_int f) freq true)
-
 (* Reference model for F2_heavy_hitter's candidate tracker: an
    association list that prunes by fully sorting (count descending, id
    ascending) and keeping the first [cap], beside a CountSketch with the
@@ -598,7 +548,6 @@ let qsuite =
     [
       prop_kmv_never_negative;
       prop_l0_at_most_stream_length;
-      prop_count_min_upper_bound;
       prop_hh_prune_matches_model;
       prop_hh_restored_matches_live;
     ]
@@ -625,11 +574,7 @@ let suite =
     Alcotest.test_case "count-sketch point queries" `Quick test_count_sketch_point_queries;
     Alcotest.test_case "count-sketch f2" `Quick test_count_sketch_f2;
     Alcotest.test_case "count-sketch absent item" `Quick test_count_sketch_unbiased_sign;
-    Alcotest.test_case "count-min overestimates" `Quick test_count_min_never_underestimates;
     Alcotest.test_case "count-sketch words" `Quick test_count_sketch_words;
-    Alcotest.test_case "top-k keeps heaviest" `Quick test_top_k_keeps_heaviest;
-    Alcotest.test_case "top-k rescore" `Quick test_top_k_rescore;
-    Alcotest.test_case "top-k cardinal bound" `Quick test_top_k_cardinal_bound;
     Alcotest.test_case "hh finds planted heavy" `Quick test_hh_finds_planted_heavy;
     Alcotest.test_case "hh no false heavies" `Quick test_hh_no_false_heavies_on_uniform;
     Alcotest.test_case "hh multiple heavies" `Quick test_hh_multiple_heavies;

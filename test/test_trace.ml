@@ -202,15 +202,30 @@ let test_budget_tracking () =
   Budget.observe b 120;
   checki "overshoots counted, not fatal" 2 (Budget.overshoots b);
   checki "peak keeps growing" 150 (Budget.peak b);
-  (* the snapshot's space section carries the same verdict, in the
-     form snapshot validation demands *)
-  let sp = Sink.Observed.budget_evidence b in
-  checki "space section: budget" 100 sp.Obs.Snapshot.budget_words;
-  checki "space section: peak" 150 sp.Obs.Snapshot.peak_words;
-  checki "space section: overshoots" 2 sp.Obs.Snapshot.overshoots;
-  checki "space section: samples" 5 sp.Obs.Snapshot.samples;
-  checkb "space section: headroom" true
-    (sp.Obs.Snapshot.headroom = Obs.Snapshot.headroom_of ~budget_words:100 ~peak_words:150);
+  (* the space.* gauges carry the same verdict, in the form snapshot
+     validation demands *)
+  let reg = Obs.Registry.global in
+  Obs.Registry.reset reg;
+  Obs.Registry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Registry.set_enabled false;
+      Obs.Registry.reset reg)
+    (fun () ->
+      Sink.Observed.budget_evidence b;
+      let gauge name =
+        match Obs.Registry.read reg name with
+        | Some (Obs.Registry.Gauge g) -> g
+        | _ -> Alcotest.failf "gauge %s not published" name
+      in
+      checkb "space.budget_words" true (gauge "space.budget_words" = 100.0);
+      checkb "space.peak_words" true (gauge "space.peak_words" = 150.0);
+      checkb "space.overshoots" true (gauge "space.overshoots" = 2.0);
+      checkb "space.samples" true (gauge "space.samples" = 5.0);
+      checkb "space.headroom" true (gauge "space.headroom" = 1.5);
+      match Obs.Snapshot.validate (Obs.Snapshot.to_string (Obs.Snapshot.capture reg)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "snapshot with budget gauges rejected: %s" e);
   Alcotest.check_raises "budget must be positive"
     (Invalid_argument "Space.Budget.create: budget must be positive") (fun () ->
       ignore (Budget.create 0))
