@@ -7,7 +7,7 @@
 
    Experiment ids follow DESIGN.md §4 (one per paper table/figure). *)
 
-let registry =
+let registry ~budget_strict =
   [
     ("e1", Experiments.e1);
     ("e2", Experiments.e2);
@@ -20,24 +20,16 @@ let registry =
     ("e9", Experiments.e9);
     ("e10", Experiments.e10);
     ("micro", Micro.run);
-    ("pipeline", Pipeline_bench.run);
-    ("pipeline-smoke", Pipeline_bench.run_smoke);
-    ("profile", Profile_hotpath.run);
-    ("profile-smoke", Profile_hotpath.run_smoke);
+    ("pipeline", Pipeline_bench.run ~budget_strict);
+    ("pipeline-smoke", Pipeline_bench.run_smoke ~budget_strict);
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "--budget-strict" then begin
-          Pipeline_bench.budget_strict := true;
-          false
-        end
-        else true)
-      args
-  in
+  (* --budget-strict makes the pipeline bench's space budget fatal. *)
+  let budget_strict = List.mem "--budget-strict" args in
+  let args = List.filter (fun a -> a <> "--budget-strict") args in
+  let registry = registry ~budget_strict in
   let t0 = Unix.gettimeofday () in
   (match args with
   | [] -> List.iter (fun (_, f) -> f ()) registry

@@ -43,6 +43,18 @@ let test_f2hh_add =
          incr i;
          Mkc_sketch.F2_heavy_hitter.add hh (!i land 255) 1))
 
+(* The F2-HeavyHitter candidate tracker's exact-count replay and top-cap
+   prunes — what planned LargeSet pays per edge — in the shape of
+   uniform-bin's Cntr_large: phi = 1/12, updates spread over 512
+   supersets, so the table prunes without end. *)
+let test_f2hh_tracked_churn =
+  let hh = Mkc_sketch.F2_heavy_hitter.create ~phi:(1.0 /. 12.0) ~seed:(Sm.create 17) () in
+  let i = ref 0 in
+  Test.make ~name:"f2-hh-tracked-churn"
+    (Staged.stage (fun () ->
+         incr i;
+         Mkc_sketch.F2_heavy_hitter.add_tracked hh ((!i * 2654435761) land 511) 1))
+
 let test_f2c_add =
   let c = Mkc_sketch.F2_contributing.create ~gamma:0.05 ~r:512 ~indep:8 ~seed:(Sm.create 5) () in
   let i = ref 0 in
@@ -132,6 +144,7 @@ let tests =
       test_kmv_add;
       test_count_sketch_add;
       test_f2hh_add;
+      test_f2hh_tracked_churn;
       test_f2c_add;
       test_estimate_feed;
       test_oracle_feed;

@@ -307,10 +307,6 @@ let telem_term =
 
 let telemetry_wanted t = t.tfile <> None || t.thealth <> [] || t.ttop
 
-(* Ring rows retained for the live view; the log and the running
-   min/max/last summaries cover the whole run regardless. *)
-let telemetry_ring = 512
-
 (* Throttled repaint on stderr: on a tty the previous frame is erased
    (cursor-up + erase-below); otherwise frames append, which stays
    readable when redirected to a file. *)
@@ -329,75 +325,6 @@ let top_painter ?budget_words ~violations series =
       prerr_string s;
       flush stderr
     end
-
-type telemetry_rig = {
-  trecorder : Mkc_obs.Telemetry.Recorder.t;
-  tpaint : (final:bool -> unit) option;
-  tpath : string option;
-}
-
-let setup_telemetry topts rules ?budget_words ob mk_probes =
-  let probes =
-    mk_probes ~breakdown:(fun () -> Mkc_stream.Sink.Observed.sampled_breakdown ob)
-  in
-  let tracks = Array.map fst probes in
-  let writer =
-    Option.map
-      (fun path ->
-        match Mkc_obs.Telemetry.Writer.create path ~tracks with
-        | Ok w -> w
-        | Error e ->
-            Format.eprintf "mkc: %s: %s@." path (Mkc_obs.Telemetry.error_to_string e);
-            exit 2)
-      topts.tfile
-  in
-  let recorder =
-    Mkc_obs.Telemetry.Recorder.create ?writer ~capacity:telemetry_ring probes
-  in
-  let series = Mkc_obs.Telemetry.Recorder.series recorder in
-  let engine =
-    match rules with
-    | [] -> None
-    | rules -> (
-        (* Rule firings also land in the log as events, stamped with
-           the sample they fired on. *)
-        let on_event ~name ~value =
-          let n = Mkc_obs.Series.length series in
-          let at_edges = if n = 0 then 0 else Mkc_obs.Series.row_edges series (n - 1) in
-          Mkc_obs.Telemetry.Recorder.event recorder ~at_edges ~name ~value
-        in
-        try Some (Mkc_obs.Health.create ~on_event series rules)
-        with Invalid_argument msg ->
-          Format.eprintf "mkc: --health: %s@." msg;
-          exit 2)
-  in
-  let violations () =
-    match engine with Some e -> Mkc_obs.Health.violations e | None -> []
-  in
-  let paint =
-    if topts.ttop then Some (top_painter ?budget_words ~violations series) else None
-  in
-  Mkc_stream.Sink.Observed.set_on_sample ob (fun ~edges ~words:_ ->
-      Mkc_obs.Telemetry.Recorder.sample recorder ~at_edges:edges;
-      (match engine with Some e -> Mkc_obs.Health.check e | None -> ());
-      match paint with Some p -> p ~final:false | None -> ());
-  { trecorder = recorder; tpaint = paint; tpath = topts.tfile }
-
-(* [ok = false] on the abort paths: close (flush) the log so the
-   samples up to the abort survive, but skip the celebration. *)
-let finish_telemetry ~ok rig =
-  match rig with
-  | None -> ()
-  | Some rg ->
-      Mkc_obs.Telemetry.Recorder.close rg.trecorder;
-      if ok then begin
-        (match rg.tpaint with Some p -> p ~final:true | None -> ());
-        Option.iter
-          (fun path ->
-            Format.printf "wrote telemetry: %s (%d samples)@." path
-              (Mkc_obs.Series.total (Mkc_obs.Telemetry.Recorder.series rg.trecorder)))
-          rg.tpath
-      end
 
 let load_stream path =
   (* Format dispatch on magic bytes: binary columnar files skip text
@@ -582,98 +509,6 @@ let truncate_source src = function
       if edges >= Array.length arr then src
       else Mkc_stream.Stream_source.of_array (Array.sub arr 0 edges)
 
-(* A checkpointed run's codec, --checkpoint-every, and the
-   --checkpoint / --resume paths. *)
-type 's ckpt = {
-  codec : 's Mkc_stream.Checkpoint.codec;
-  every : int;
-  save : string option;
-  resume : string option;
-}
-
-(* The one drive behind {!answer}.
-
-   [domains > 1] feeds the engine's (z, rep) [shards] through the pool,
-   each observed when metrics are wanted.  Budgets are single-domain
-   mutable state, so no shard observer gets one: the watchdog checks
-   the total words once at finalize instead.
-
-   One domain feeds the whole [sink], observed (space profile, budget,
-   telemetry via [attach]) when [observe], and tapped for --progress
-   unless checkpointing.
-
-   [ckpt] routes either drive through Pipeline.run_resumable. *)
-let drive (type s r) ~domains ~schedule ~chunk ~oopts ~observe ?budget ?(attach = ignore)
-    ?(shards = fun _ -> [||]) ?(costs = [||]) ?ckpt ~label ~profiles ~notify
-    ((module M) as sink : (s, r) Mkc_stream.Sink.sink) (state : s) src : r =
-  let module Sink = Mkc_stream.Sink in
-  let module Pipe = Mkc_stream.Pipeline in
-  (if ckpt <> None || domains > 1 then
-     match notify with
-     | None -> ()
-     | Some _ ->
-         Format.eprintf "mkc: --progress is %s; ignoring@."
-           (if ckpt <> None then "not reported in checkpoint mode"
-            else "only reported with --domains 1"));
-  let resumable ?costs ?on_save codec state ~shards ~finalize =
-    let c = Option.get ckpt in
-    match
-      Pipe.run_resumable ~domains ~schedule ?costs ~chunk ~every:c.every ?resume:c.resume
-        ?checkpoint:c.save ?on_save codec state ~shards ~finalize src
-    with
-    | Ok r -> r
-    | Error e -> ckpt_error_exit "checkpoint" e
-  in
-  if domains > 1 then begin
-    let final_samples = ref [] in
-    let observed_shards st =
-      if not (metrics_wanted oopts) then shards st
-      else
-        Array.mapi
-          (fun i s ->
-            let ob = Sink.Observed.observe_any ~cadence:oopts.cadence s in
-            profiles := (Printf.sprintf "shard%d" i, ob.Sink.Observed.oprofile) :: !profiles;
-            final_samples := ob.Sink.Observed.osample :: !final_samples;
-            ob.Sink.Observed.osink)
-          (shards st)
-    in
-    let finalize st =
-      List.iter (fun sample -> sample ()) !final_samples;
-      Option.iter (fun b -> Mkc_sketch.Space.Budget.observe b (M.words st)) budget;
-      M.finalize st
-    in
-    match ckpt with
-    | Some c -> resumable ~costs c.codec state ~shards:observed_shards ~finalize
-    | None ->
-        Pipe.feed_all_parallel ~domains ~schedule ~costs ~chunk (observed_shards state) src;
-        finalize state
-  end
-  else
-    let one (type a) ?on_save ((module A) as m : (a, r) Sink.sink) (st : a) (state_of : a -> s)
-        =
-      match (ckpt, notify) with
-      | Some c, _ ->
-          resumable ?on_save
-            (Mkc_stream.Checkpoint.map_codec state_of c.codec)
-            st
-            ~shards:(fun st -> [| Sink.pack m st |])
-            ~finalize:A.finalize
-      | None, Some notify ->
-          let tm, tp = Sink.Tap.tap m st ~notify in
-          Pipe.run ~chunk tm tp src
-      | None, None -> Pipe.run ~chunk m st src
-    in
-    if observe then begin
-      let sm, ob = Sink.Observed.observe ~cadence:oopts.cadence ?budget sink state in
-      if metrics_wanted oopts then profiles := [ (label, Sink.Observed.profile ob) ];
-      attach ob;
-      (* Aim the codec at the inner sink and put each save's bytes on the
-         space books — a held checkpoint is real space. *)
-      one sm ob Sink.Observed.state ~on_save:(fun ~pos:_ ~bytes:_ ~words ->
-          Sink.Observed.note_checkpoint ob ~words)
-    end
-    else one sink state Fun.id
-
 (* ---------- the one answer path ---------- *)
 
 (* The flags estimate and report share.  Report has no telemetry or
@@ -711,7 +546,7 @@ let run_term telem budget_strict =
    stream I/O: a misuse is a named error on stderr and exit 2.  Returns
    the windowed configuration (epochs kept, edges per epoch, decay) and
    the parsed health rules.  [Health.create]'s track-existence check
-   needs the probes, so it runs later, once the sink exists. *)
+   needs the probes, so Mkc_core.Run makes it once the sink exists. *)
 let check_flags ?(every = 1) ?(ckpt = false) ro =
   require_pos ~flag:"--chunk" ro.chunk;
   require_pos ~flag:"--checkpoint-every" every;
@@ -755,73 +590,37 @@ let check_flags ?(every = 1) ?(ckpt = false) ro =
   in
   (wincfg, rules)
 
-let append_run_ledger ro ~path ~label ~m ~n ~edges ~wall_ns ~mode ~stats =
-  let wall_s = float_of_int wall_ns /. 1e9 in
-  let rate = if wall_s > 0.0 then float_of_int edges /. wall_s else 0.0 in
-  let digests, quality = Mkc_obs.Ledger.harvest Mkc_obs.Registry.global in
-  let entry =
-    {
-      Mkc_obs.Ledger.e_label = label;
-      e_created_ns = int_of_float (Unix.gettimeofday () *. 1e9);
-      e_host = Mkc_obs.Ledger.host_fingerprint ();
-      e_params =
-        [
-          ("alpha", Mkc_obs.Json.Float ro.alpha);
-          ("chunk", Mkc_obs.Json.Int ro.chunk);
-          ("domains", Mkc_obs.Json.Int ro.domains);
-          ("k", Mkc_obs.Json.Int ro.k);
-          ("m", Mkc_obs.Json.Int m);
-          ("n", Mkc_obs.Json.Int n);
-          ( "profile",
-            Mkc_obs.Json.String
-              (match ro.profile with Mkc_core.Params.Practical -> "practical" | Paper -> "paper")
-          );
-          ( "schedule",
-            Mkc_obs.Json.String
-              (match ro.schedule with
-              | Mkc_stream.Pipeline.Static -> "static"
-              | Adaptive -> "adaptive") );
-          ("seed", Mkc_obs.Json.Int ro.seed);
-          ("stream", Mkc_obs.Json.String (Filename.basename ro.path));
-        ];
-      e_stats =
-        [ ("edges", float_of_int edges); ("edges_per_sec", rate); ("wall_s", wall_s) ] @ stats;
-      e_modes =
-        [
-          {
-            Mkc_obs.Ledger.ms_mode = mode;
-            ms_repeats = 1;
-            ms_best_s = wall_s;
-            ms_median_s = wall_s;
-            ms_edges_per_sec = rate;
-          };
-        ];
-      e_digests = digests;
-      e_quality = quality;
-    }
-  in
-  match Mkc_obs.Ledger.append path entry with
-  | Ok () -> Format.printf "appended run record to %s@." path
-  | Error e ->
-      Format.eprintf "mkc: %s: %s@." path (Mkc_obs.Ledger.error_to_string e);
-      exit 2
+let ledger_params ro ~m ~n =
+  [
+    ("alpha", Mkc_obs.Json.Float ro.alpha);
+    ("chunk", Mkc_obs.Json.Int ro.chunk);
+    ("domains", Mkc_obs.Json.Int ro.domains);
+    ("k", Mkc_obs.Json.Int ro.k);
+    ("m", Mkc_obs.Json.Int m);
+    ("n", Mkc_obs.Json.Int n);
+    ( "profile",
+      Mkc_obs.Json.String
+        (match ro.profile with Mkc_core.Params.Practical -> "practical" | Paper -> "paper") );
+    ( "schedule",
+      Mkc_obs.Json.String
+        (match ro.schedule with Mkc_stream.Pipeline.Static -> "static" | Adaptive -> "adaptive")
+    );
+    ("seed", Mkc_obs.Json.Int ro.seed);
+    ("stream", Mkc_obs.Json.String (Filename.basename ro.path));
+  ]
 
-(* The one observed run behind estimate and report, plain and windowed:
-   registry and trace switches, the space budget (only for a command
-   that has a [word_budget]), the progress tap, telemetry (only with
-   [probes]), the abort paths, then the answer, and the metrics, trace
-   and ledger evidence.  [print] writes the answer's lines; the
-   "space:" line and everything after it are common. *)
-let answer (type s r) ro ~rules ~src ~m ~n ~label
+(* The one observed run behind estimate and report, plain and windowed.
+   The flags become one Mkc_core.Run: the space budget (only for a
+   command that has a [word_budget]), the progress reporter, telemetry
+   (only with [probes]) and the ledger record.  Then the answer and the
+   metrics, trace and ledger evidence — or, on an abort, its message
+   and exit code.  [print] writes the answer's lines; the "space:" line
+   and everything after it are common. *)
+let answer ro ~rules ~src ~m ~n ~label
     ?(mode = if ro.domains > 1 then "pool" else "sequential") ?word_budget ?probes ?shards
-    ?costs ?ckpt ~record_metrics ~print ~stats
-    ((module M) as sink : (s, r) Mkc_stream.Sink.sink) (state : s) =
+    ?costs ?ckpt ~record_metrics ~print ~stats sink state =
   let oopts = ro.oopts in
-  let want = metrics_wanted oopts and tracing = oopts.trace <> None in
-  let telemetry_on = telemetry_wanted ro.topts in
-  (* Health counters live in the registry like every other metric. *)
-  if want || ro.ledger <> None || rules <> [] then Mkc_obs.Registry.set_enabled true;
-  if tracing then Mkc_obs.Trace.set_enabled true;
+  let want = metrics_wanted oopts in
   let budget =
     match word_budget with
     | Some words when ro.budget_strict || want ->
@@ -829,57 +628,82 @@ let answer (type s r) ro ~rules ~src ~m ~n ~label
     | _ -> None
   in
   let total = Mkc_stream.Stream_source.length src in
-  let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
-  let profiles = ref [] in
-  let rig = ref None in
-  let attach ob =
-    match probes with
-    | Some probes when telemetry_on ->
-        rig :=
-          Some
-            (setup_telemetry ro.topts rules
-               ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
-               ob probes)
-    | _ -> ()
+  let progress = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
+  if progress <> None && (ckpt <> None || ro.domains > 1) then
+    Format.eprintf "mkc: --progress is %s; ignoring@."
+      (if ckpt <> None then "not reported in checkpoint mode"
+       else "only reported with --domains 1");
+  let painter = ref None in
+  let live series ~violations =
+    let p =
+      top_painter
+        ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
+        ~violations series
+    in
+    painter := Some p;
+    p
   in
-  let run_t0 = Mkc_obs.Clock.now_ns () in
-  let r =
-    try
-      drive ~domains:ro.domains ~schedule:ro.schedule ~chunk:ro.chunk ~oopts
-        ~observe:(want || tracing || budget <> None || telemetry_on)
-        ?budget ~attach ?shards ?costs ?ckpt ~label ~profiles ~notify sink state src
-    with e ->
-      finish_telemetry ~ok:false !rig;
-      (match e with
-      | Mkc_obs.Health.Violation msg -> Format.eprintf "mkc: health rule violated: %s@." msg
-      | Mkc_sketch.Space.Budget.Exceeded { budget; words } ->
-          Format.eprintf
-            "mkc: space budget exceeded: %d words used against a budget of %d \
-             (--budget-strict)@."
-            words budget
-      | e -> raise e);
+  let telemetry =
+    match probes with
+    | Some probes when telemetry_wanted ro.topts ->
+        Some
+          {
+            Mkc_core.Run.log = ro.topts.tfile;
+            rules;
+            probes;
+            live = (if ro.topts.ttop then Some live else None);
+          }
+    | _ -> None
+  in
+  let ledger =
+    Option.map
+      (fun path -> { Mkc_core.Run.path; params = ledger_params ro ~m ~n; mode; modes = []; stats })
+      ro.ledger
+  in
+  let cfg =
+    {
+      Mkc_core.Run.domains = ro.domains;
+      schedule = ro.schedule;
+      chunk = ro.chunk;
+      cadence = oopts.cadence;
+      metrics = want;
+      trace = oopts.trace <> None;
+      progress;
+    }
+  in
+  match
+    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?costs ?ckpt ~record_metrics ?ledger
+      ~label sink state src
+  with
+  | Error (Checkpoint e) -> ckpt_error_exit "checkpoint" e
+  | Error (Health_rules msg) -> misuse "--health: %s" msg
+  | Error (Telemetry_log _ as e) -> misuse "%s" (Mkc_core.Run.error_to_string e)
+  | Error ((Health_violation _ | Budget_exceeded _) as e) ->
+      Format.eprintf "mkc: %s%s@." (Mkc_core.Run.error_to_string e)
+        (match e with Budget_exceeded _ -> " (--budget-strict)" | _ -> "");
       (* Still flush the trace: the timeline up to the abort is exactly
          what one wants when diagnosing it. *)
       emit_trace oopts;
       exit 3
-  in
-  let run_wall_ns = Mkc_obs.Clock.now_ns () - run_t0 in
-  print r;
-  let words = M.words state in
-  Format.printf "space: %d words@." words;
-  Option.iter print_budget budget;
-  finish_telemetry ~ok:true !rig;
-  if want || ro.ledger <> None then begin
-    record_metrics ();
-    Option.iter Mkc_stream.Sink.Observed.budget_evidence budget
-  end;
-  if want then emit_metrics oopts (List.rev !profiles);
-  emit_trace oopts;
-  Option.iter
-    (fun path ->
-      append_run_ledger ro ~path ~label ~m ~n ~edges:total ~wall_ns:run_wall_ns ~mode
-        ~stats:(("space_words", float_of_int words) :: stats r))
-    ro.ledger
+  | Ok o ->
+      print o.result;
+      Format.printf "space: %d words@." o.words;
+      Option.iter print_budget budget;
+      Option.iter (fun p -> p ~final:true) !painter;
+      if telemetry <> None then
+        Option.iter
+          (fun path -> Format.printf "wrote telemetry: %s (%d samples)@." path o.samples)
+          ro.topts.tfile;
+      if want then emit_metrics oopts o.profiles;
+      emit_trace oopts;
+      Option.iter
+        (fun path ->
+          match o.appended with
+          | Some (Error e) ->
+              Format.eprintf "mkc: %s: %s@." path (Mkc_obs.Ledger.error_to_string e);
+              exit 2
+          | _ -> Format.printf "appended run record to %s@." path)
+        ro.ledger
 
 let print_stream ~src ~m ~n =
   Format.printf "stream: %d pairs, m=%d, n=%d@." (Mkc_stream.Stream_source.length src) m n
@@ -907,7 +731,7 @@ let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_ou
   let w = Mkc_core.Windowed.create ?decay params ~window ~epoch_edges () in
   answer ro ~rules ~src ~m ~n ~label ~mode:"windowed" ?word_budget
     ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown w)
-    ~record_metrics:(fun () -> Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.current w))
+    ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.current w))
     ~print:(fun (r : Mkc_core.Windowed.result) ->
       print_stream ~src ~m ~n;
       Format.printf "%s (%d epochs%s): %.0f@." headline r.epochs
@@ -946,12 +770,12 @@ let estimate ro ckpt every resume stop_after force_m force_n =
       let est = Mkc_core.Estimate.create params in
       let ckpt =
         if ckpt = None && resume = None then None
-        else Some { codec = Mkc_core.Estimate.codec params; every; save = ckpt; resume }
+        else Some { Mkc_core.Run.codec = Mkc_core.Estimate.codec params; every; save = ckpt; resume }
       in
       answer ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
         ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est)
         ~shards:Mkc_core.Estimate.shards ~costs:(Mkc_core.Estimate.shard_costs est) ?ckpt
-        ~record_metrics:(fun () -> Mkc_core.Estimate.record_metrics est)
+        ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics est)
         ~print:(fun r ->
           print_stream ~src ~m ~n;
           print_estimate ~k:ro.k r)
@@ -989,7 +813,7 @@ let report ro =
       let rep = Mkc_core.Report.create params in
       answer ro ~rules ~src ~m ~n ~label:"report" ~shards:Mkc_core.Report.shards
         ~costs:(Mkc_core.Report.shard_costs rep)
-        ~record_metrics:(fun () -> Mkc_core.Report.record_metrics rep)
+        ~record_metrics:(fun _ -> Mkc_core.Report.record_metrics rep)
         ~print:(fun (r : Mkc_core.Report.result) ->
           Format.printf "estimated coverage: %.0f@." r.estimate;
           Option.iter (Format.printf "via: %a@." Mkc_core.Solution.pp_provenance) r.provenance;

@@ -395,8 +395,10 @@ let shards t =
       Array.map (fun inst -> Mkc_stream.Sink.pack shard_sink { inst; shard_red = [||] }) insts
 
 (* Per-shard static cost hints, index-aligned with [shards]: the
-   universe-reduction batch pass (~3.0 Large_common units per edge from
-   PROFILE_hotpath.json) plus the instance's oracle subroutine mix.
+   universe-reduction batch pass (~3.0 Large_common units per edge:
+   mkcbench's core.universe_reduction.ns_per_edge over
+   core.large_common.ns_per_edge) plus the instance's oracle subroutine
+   mix.
    Instances differ only through the regime split (small-set present or
    not, a function of the shared params), so on a fixed params ladder
    the hints are uniform — the packing they seed degrades to balanced

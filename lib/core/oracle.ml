@@ -40,9 +40,10 @@ let feed_planned t plan ~red edges ~pos ~len =
   Option.iter (fun ss -> Small_set.feed_planned ss plan ~red edges ~pos ~len) t.small_set
 
 (* Relative per-edge feed cost of this oracle's subroutine mix, in
-   units of one Large_common feed.  The weights come from
-   PROFILE_hotpath.json's planned-path ns/edge on its uniform shape
-   (large_common 306, large_set 4973, small_set 1429 per 16 instances):
+   units of one Large_common feed.  The weights are ratios of mkcbench's
+   per-layer metrics core.{large_set,small_set}.ns_per_edge to
+   core.large_common.ns_per_edge on the uniform shape (306, 4973 and
+   1429 ns/edge over 16 instances when they were set):
    Large_set's per-edge candidate-tracker replay dominates everywhere,
    and Small_set only exists outside the heavy regime (sα < 2k).  Static
    seeds for the pool scheduler's bin packing — only ratios matter. *)

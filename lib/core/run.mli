@@ -1,0 +1,121 @@
+(** The one run path: drive a sink over a stream the way [mkc estimate]
+    and [mkc report] do, and return what happened.
+
+    Everything a run decides lives here — plain, observed, progress-
+    tapped, pooled or checkpointed ({!Mkc_stream.Pipeline.run_resumable})
+    drive; the space profile of the sink (or one per shard on a pooled
+    run); the space budget, which a pooled run checks once against the
+    total words at finalize; the telemetry recorder, log and health
+    engine; abort clean-up; the drive's wall time; and the run-ledger
+    record.  The CLI and the pipeline benchmark both drive through
+    {!run}, so the number a benchmark reports is the number a user
+    gets.
+
+    {!run} never prints and never exits: an abort (a violated
+    escalating health rule, a strict budget overshoot, a checkpoint
+    error, an unopenable telemetry log or a health rule naming an
+    unknown track) is an {!error}.  The telemetry log is closed on
+    every path, so the samples up to an abort survive.  Writing the
+    metrics snapshot and the trace file is the caller's: both read the
+    global {!Mkc_obs.Registry} and {!Mkc_obs.Trace} state a run leaves
+    behind. *)
+
+type config = {
+  domains : int;  (** > 1 feeds [shards] through the domain pool *)
+  schedule : Mkc_stream.Pipeline.schedule;
+  chunk : int;
+  cadence : int;  (** space-profile and telemetry sampling cadence, edges *)
+  metrics : bool;
+      (** enable the registry, keep the space profile(s) in
+          {!outcome.profiles} and record the result's metrics *)
+  trace : bool;  (** enable {!Mkc_obs.Trace} *)
+  progress : (edges:int -> unit) option;
+      (** called on every feed; honoured on a one-domain run without
+          checkpoints only *)
+}
+
+val default : config
+(** One domain, static schedule, {!Mkc_stream.Pipeline.default_chunk},
+    the observer's default cadence, nothing observed. *)
+
+(** Health rules and the live view ride on telemetry samples, which
+    only a one-domain run takes: a pooled run ignores [telemetry]. *)
+type telemetry = {
+  log : string option;  (** binary telemetry log to write *)
+  rules : Mkc_obs.Health.rule list;  (** checked on every sample *)
+  probes :
+    breakdown:(unit -> (string * int) list) -> Mkc_obs.Telemetry.Recorder.probe array;
+      (** e.g. [Telemetry_probes.build est] *)
+  live :
+    (Mkc_obs.Series.t -> violations:(unit -> (string * int) list) -> final:bool -> unit)
+    option;
+      (** applied to the series once at set-up; the closure it returns
+          is called after every sample with [~final:false] *)
+}
+
+(** A checkpointed run: the codec, saves every [every] chunk windows to
+    [save], and an optional checkpoint to [resume] from. *)
+type 's ckpt = {
+  codec : 's Mkc_stream.Checkpoint.codec;
+  every : int;
+  save : string option;
+  resume : string option;
+}
+
+(** The run-ledger record to append after a successful run.  Its label
+    is the run's [label]; its stats are [edges], [edges_per_sec],
+    [wall_s], [space_words] and [stats result]; its modes are [modes]
+    followed by this run timed as [mode]; its digests and quality
+    gauges are harvested from the registry, which a ledger run
+    enables. *)
+type 'r ledger = {
+  path : string;
+  params : (string * Mkc_obs.Json.t) list;
+  mode : string;
+  modes : Mkc_obs.Ledger.mode_stat list;  (** other timed modes of the same record *)
+  stats : 'r -> (string * float) list;
+}
+
+type 'r outcome = {
+  result : 'r;
+  words : int;  (** the sink's words once finalized *)
+  wall_ns : int;  (** drive wall time, finalize included *)
+  profiles : (string * Mkc_obs.Space_profile.t) list;
+      (** with [metrics]: [(label, profile)], or one ["shardI"] per
+          pooled shard *)
+  samples : int;  (** telemetry samples recorded (0 without telemetry) *)
+  appended : (unit, Mkc_obs.Ledger.error) result option;  (** the ledger append *)
+}
+
+type error =
+  | Health_violation of string  (** an escalating rule fired *)
+  | Budget_exceeded of { budget : int; words : int }  (** strict budget overshoot *)
+  | Checkpoint of Mkc_stream.Checkpoint.error
+  | Telemetry_log of string * Mkc_obs.Telemetry.error  (** the log could not be created *)
+  | Health_rules of string  (** a rule names a track the probes lack *)
+
+val error_to_string : error -> string
+
+val run :
+  config ->
+  ?budget:Mkc_sketch.Space.Budget.t ->
+  ?telemetry:telemetry ->
+  ?shards:('s -> Mkc_stream.Sink.any array) ->
+  ?costs:float array ->
+  ?ckpt:'s ckpt ->
+  ?record_metrics:('r -> unit) ->
+  ?ledger:'r ledger ->
+  label:string ->
+  ('s, 'r) Mkc_stream.Sink.sink ->
+  's ->
+  Mkc_stream.Stream_source.t ->
+  ('r outcome, error) result
+(** Drive [sink]/[state] over the stream and finalize.  The sink is
+    observed ({!Mkc_stream.Sink.Observed}) when [metrics], [trace], a
+    [budget] or [telemetry] asks for it.  With [domains > 1] the
+    pairwise-independent [shards state] (default: none) are fed through
+    the pool, packed by [costs], and observed one by one under
+    [metrics]; the budget then sees the total words once, at finalize.
+    [record_metrics] runs on the result (and {!Mkc_stream.Sink.Observed.budget_evidence}
+    on the budget) when [metrics] or a [ledger] is on.  Any other
+    exception from the sink closes the telemetry log and propagates. *)

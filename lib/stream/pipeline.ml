@@ -292,9 +292,10 @@ let lpt ~slots ~coord_bias costs =
      results (sinks are independent) but keeps replay order stable. *)
   Array.map (fun b -> Array.of_list (List.sort compare b)) buckets
 
-(* Fraction of the per-window work that is plan building, from
-   PROFILE_hotpath.json (~180 of ~9700 ns/edge on the planted shape):
-   the static coordinator bias before any measurement exists. *)
+(* Fraction of the per-window work that is plan building — mkcbench's
+   stream.chunk_plan.ns_per_edge against the core.*.ns_per_edge layers
+   (~180 of ~9700 ns/edge on the planted shape when it was set): the
+   static coordinator bias before any measurement exists. *)
 let static_plan_fraction = 0.02
 
 (* The slots a drive gets: [pool] capped by [domains], else a transient

@@ -222,6 +222,37 @@ let test_telemetry_matches_printed_space () =
                   | _ -> Alcotest.failf "%S: no space.words sample" flags)))
         [ ""; "--window 4 --epoch-edges 2048" ])
 
+(* An escalated health rule aborts the run with exit 3: the violation is
+   named on stderr, no answer reaches stdout, and the evidence survives —
+   the telemetry log is closed untorn with the samples up to the abort,
+   and the trace is still written. *)
+let test_health_abort_keeps_evidence () =
+  with_stream (fun stream ->
+      let log = Filename.temp_file "mkc_cli" ".mkctel" in
+      let trace = Filename.temp_file "mkc_cli" ".trace.json" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ log; trace ])
+        (fun () ->
+          let code, out, err =
+            run
+              (Printf.sprintf
+                 "estimate -s %s -k 8 --alpha 4 --telemetry %s --trace %s --health \
+                  'cap=space.words>1!'"
+                 stream log trace)
+          in
+          checki "health abort is exit 3" 3 code;
+          checkb "stderr names the violated rule" true
+            (contains ~sub:"mkc: health rule violated: cap" err);
+          checkb "no answer line on stdout" false (contains ~sub:"estimated optimal" out);
+          checkb "no space line on stdout" false (contains ~sub:"space:" out);
+          ignore (run_ok ("validate-telemetry " ^ log));
+          ignore (run_ok ("validate-trace " ^ trace));
+          match Mkc_obs.Telemetry.read log with
+          | Error e -> Alcotest.failf "telemetry log invalid: %s" (Mkc_obs.Telemetry.error_to_string e)
+          | Ok t ->
+              checkb "log is untorn" true (t.torn = None);
+              checkb "log holds a sample" true (t.samples <> [])))
+
 (* Answer stdout pinned byte for byte (golden_cli/NAME.out).  No case
    carries a flag whose output includes timing. *)
 let golden_cases =
@@ -297,5 +328,7 @@ let suite =
       test_telemetry_matches_printed_space;
     Alcotest.test_case "report --window honours observability flags" `Quick
       test_report_window_observability;
+    Alcotest.test_case "an escalated health rule aborts with exit 3, evidence intact" `Quick
+      test_health_abort_keeps_evidence;
     Alcotest.test_case "answer stdout matches the golden files" `Quick test_golden_stdout;
   ]

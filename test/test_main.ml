@@ -32,4 +32,5 @@ let () =
       ("health", Test_health.suite);
       ("trace", Test_trace.suite);
       ("pool", Test_pool.suite);
+      ("run", Test_run.suite);
     ]
