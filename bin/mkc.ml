@@ -738,13 +738,8 @@ let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_ou
         (match decay with Some l -> Printf.sprintf ", decay %g" l | None -> "")
         r.estimate;
       print_outcome r.outcome;
-      Format.printf "epochs rolled: %d, champion swaps: %d@." r.rolled r.swaps)
-    ~stats:(fun r ->
-      [
-        ("epochs_rolled", float_of_int r.rolled);
-        ("estimate", r.estimate);
-        ("window_swaps", float_of_int r.swaps);
-      ])
+      Format.printf "epochs rolled: %d@." r.rolled)
+    ~stats:(fun r -> [ ("epochs_rolled", float_of_int r.rolled); ("estimate", r.estimate) ])
     Mkc_core.Windowed.sink w
 
 let estimate ro ckpt every resume stop_after force_m force_n =

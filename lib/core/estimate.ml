@@ -316,6 +316,31 @@ let restore t j =
         (List.mapi (fun i ij -> (i, ij)) ijs)
   | _ -> Ck.J.err "estimate: body branch (trivial vs run) disagrees with this instance"
 
+(* A frozen estimator is one byte string: the oracle states in ladder
+   order, as {!Oracle.freeze} packs them (empty on the trivial branch).
+   Params, samplers and hash tables are not in it — {!create} rebuilds
+   them from the params the holder already has. *)
+type frozen = string
+
+let freeze t =
+  match t.body with
+  | Trivial _ -> ""
+  | Run { insts } ->
+      let w = Mkc_sketch.Packed.writer () in
+      Array.iter (fun i -> Oracle.freeze w i.oracle) insts;
+      Mkc_sketch.Packed.contents w
+
+(* A string of [len] bytes is a header word plus [len/8 + 1] words
+   (OCaml always pads with at least one byte). *)
+let frozen_words f = (String.length f / 8) + 2
+
+let thaw ~into f =
+  let r = Mkc_sketch.Packed.reader f in
+  (match into.body with
+  | Trivial _ -> ()
+  | Run { insts } -> Array.iter (fun i -> Oracle.thaw r i.oracle) insts);
+  assert (Mkc_sketch.Packed.at_end r)
+
 let merge_into ~dst src =
   match (dst.body, src.body) with
   | Trivial _, Trivial _ -> ()

@@ -104,6 +104,26 @@ val restore : t -> Mkc_obs.Json.t -> (unit, string) Stdlib.result
     rejects payloads whose embedded params describe a different
     instance ({!Params.same_instance}) or whose branch/shape differ. *)
 
+type frozen
+(** A packed, in-process estimator state: exactly what {!merge_into}
+    reads from a source, with no params, samplers, memos, scratch or
+    work counters.  Never persisted — checkpoints use {!encode}. *)
+
+val freeze : t -> frozen
+(** Pack the estimator's mergeable state: pending CountSketch deltas are
+    flushed and the F2 trackers settled, as {!finalize} leaves them (so
+    the packed state is the same whether or not [finalize] ran first). *)
+
+val frozen_words : frozen -> int
+(** The packed value's heap size in words, header included. *)
+
+val thaw : into:t -> frozen -> unit
+(** Overlay a frozen state onto [into], which must be {!create}d from
+    the params the state was frozen under.  Work counters read zero
+    afterwards: [into] is a merge source for {!merge_into}, and one
+    scratch estimator can be thawed into again and again.  Asserts on a
+    malformed state (it never comes from outside the process). *)
+
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's oracle states in, instance by instance; raises
     [Invalid_argument] on a shape mismatch. *)

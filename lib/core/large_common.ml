@@ -183,6 +183,17 @@ let restore t j =
   t.st_memo_hits <- mh;
   Ok ()
 
+(* The packed form holds only the L0 sketches: the memo is an
+   accelerator and the counters are work done, neither of which a merge
+   source needs. *)
+let freeze w t = Array.iter (Mkc_sketch.Packed.put_l0 w) t.sketches
+
+let thaw r t =
+  Array.iter (Mkc_sketch.Packed.get_l0 r) t.sketches;
+  t.st_sampler_evals <- 0;
+  t.st_l0_updates <- 0;
+  t.st_memo_hits <- 0
+
 (* L0 sketches merge exactly (state = pure function of elements seen);
    work counters sum (total work done across shards); the decision memo
    resets — overwrite histories don't compose, and it is a pure

@@ -73,6 +73,14 @@ val restore : t -> Mkc_obs.Json.t -> (unit, string) result
 (** Overlay an {!encode} payload onto a freshly {!create}d instance of
     the same params and seed. *)
 
+val freeze : Mkc_sketch.Packed.writer -> t -> unit
+(** The L0 sketches, packed — the state {!merge_into} reads from a
+    source. *)
+
+val thaw : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze} state onto an instance of the same params and
+    seed, zeroing its work counters: the result is a merge source. *)
+
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's state in: L0 sketches merge exactly (their state is
     a pure function of the elements seen), work counters sum, and the

@@ -184,6 +184,12 @@ let in_sample t rs e =
       t.st_elem_sampler_evals <- t.st_elem_sampler_evals + 1;
       Mkc_sketch.Sampler.Bernoulli.keep s e
 
+(* The fallback table in sid order: its fold order is layout order,
+   which differs between a live run and a restored or merged one. *)
+let sorted_fallback rs =
+  Hashtbl.fold (fun sid sk acc -> (sid, sk) :: acc) rs.fallback []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 (* The fallback L0 sketch of a sampled superset, created on first
    touch.  Creation order (hence the table's internal layout) must
    follow stream order in every ingestion mode, so candidate iteration
@@ -628,8 +634,7 @@ let encode_repeat rs =
      starts with clean accumulators. *)
   flush_pending rs;
   let fallback =
-    Hashtbl.fold (fun sid sk acc -> (sid, sk) :: acc) rs.fallback []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    sorted_fallback rs
     |> List.map (fun (sid, sk) -> Json.Array [ Json.Int sid; Ck.Sketch_io.l0 sk ])
   in
   Json.Object
@@ -655,13 +660,15 @@ let encode t =
 
 let ( let* ) = Result.bind
 
-let restore_repeat rs j =
-  (* Checkpointed counters are always flushed (see [encode_repeat]), so
-     pending deltas from any pre-restore feeding must not survive into
-     the restored state. *)
+(* Saved counters are always flushed, so pending deltas from any
+   earlier feeding must not survive into a restored or thawed state. *)
+let clear_pending rs =
   Array.fill rs.cs_pending 0 (Array.length rs.cs_pending) min_int;
   rs.cs_ntouched <- 0;
-  rs.cs_dirty <- false;
+  rs.cs_dirty <- false
+
+let restore_repeat rs j =
+  clear_pending rs;
   let* sj = Ck.J.field "cntr_small" j in
   let* () = Ck.Sketch_io.restore_f2c rs.cntr_small sj in
   let* lj = Ck.J.field "cntr_large" j in
@@ -711,6 +718,54 @@ let restore t j =
   t.st_l0_updates <- l0u;
   Ok ()
 
+(* Packed per repeat: both counters (flushed, and settled the way
+   candidate recovery leaves them), then the fallback table in sid
+   order, sids as gaps. *)
+let freeze w t =
+  let module Pk = Mkc_sketch.Packed in
+  Array.iter
+    (fun rs ->
+      flush_pending rs;
+      Mkc_sketch.F2_contributing.settle rs.cntr_small;
+      Mkc_sketch.F2_contributing.settle rs.cntr_large;
+      Pk.put_f2c w rs.cntr_small;
+      Pk.put_f2c w rs.cntr_large;
+      Pk.put w (Hashtbl.length rs.fallback);
+      sorted_fallback rs
+      |> List.fold_left
+           (fun prev (sid, sk) ->
+             Pk.put w (sid - prev);
+             Pk.put_l0 w sk;
+             sid)
+           0
+      |> ignore)
+    t.repeats
+
+let thaw r t =
+  let module Pk = Mkc_sketch.Packed in
+  Array.iter
+    (fun rs ->
+      clear_pending rs;
+      Pk.get_f2c r rs.cntr_small;
+      Pk.get_f2c r rs.cntr_large;
+      rebuild_defer rs;
+      (* A sketch already held for a sid is overwritten in place rather
+         than re-created (its seed is the sid's either way); sids the
+         state does not list leave the table. *)
+      let listed = Array.make t.q false in
+      let sid = ref 0 in
+      for _ = 1 to Pk.get r do
+        sid := !sid + Pk.get r;
+        listed.(!sid) <- true;
+        Pk.get_l0 r (fallback_sketch rs !sid)
+      done;
+      Hashtbl.filter_map_inplace (fun sid sk -> if listed.(sid) then Some sk else None) rs.fallback)
+    t.repeats;
+  t.st_elem_sampler_evals <- 0;
+  t.st_fallback_sampler_evals <- 0;
+  t.st_f2_updates <- 0;
+  t.st_l0_updates <- 0
+
 let merge_into ~dst src =
   Array.iteri
     (fun r (srs : repeat_state) ->
@@ -723,8 +778,7 @@ let merge_into ~dst src =
       (* Fallback sketches are per-superset L0s with sid-derived seeds:
          identical seeds on both sides, so they union exactly.  Walk in
          sorted sid order to keep the destination layout canonical. *)
-      Hashtbl.fold (fun sid sk acc -> (sid, sk) :: acc) srs.fallback []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      sorted_fallback srs
       |> List.iter (fun (sid, sk) ->
              Mkc_sketch.L0_bjkst.merge_into ~dst:(fallback_sketch drs sid) sk))
     src.repeats;

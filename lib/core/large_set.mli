@@ -86,6 +86,17 @@ val restore : t -> Mkc_obs.Json.t -> (unit, string) result
     the same params, [w] and seed (fallback sketches are re-created
     with their superset-id-derived seeds, so they hash identically). *)
 
+val freeze : Mkc_sketch.Packed.writer -> t -> unit
+(** Per repeat: both F2-Contributing counters — pending deltas flushed,
+    trackers settled ({!Mkc_sketch.F2_contributing.settle}) as
+    {!finalize} leaves them — and the fallback L0 table in superset-id
+    order: the state {!merge_into} reads from a source. *)
+
+val thaw : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze} state onto an instance of the same params, [w]
+    and seed, zeroing its work counters: the result is a merge
+    source. *)
+
 val merge_into : dst:t -> t -> unit
 (** Fold a shard in, repeat by repeat: F2-Contributing levels merge via
     their linear CountSketch halves + summed trackers, fallback L0s

@@ -135,6 +135,17 @@ let restore t j =
   t.st_edges <- edges;
   Ok ()
 
+let freeze w t =
+  Large_common.freeze w t.large_common;
+  Large_set.freeze w t.large_set;
+  Option.iter (Small_set.freeze w) t.small_set
+
+let thaw r t =
+  Large_common.thaw r t.large_common;
+  Large_set.thaw r t.large_set;
+  Option.iter (Small_set.thaw r) t.small_set;
+  t.st_edges <- 0
+
 let merge_into ~dst src =
   Large_common.merge_into ~dst:dst.large_common src.large_common;
   Large_set.merge_into ~dst:dst.large_set src.large_set;

@@ -77,6 +77,15 @@ val restore : t -> Mkc_obs.Json.t -> (unit, string) result
     same params and seed; rejects a payload whose regime (small-set
     present/absent) disagrees. *)
 
+val freeze : Mkc_sketch.Packed.writer -> t -> unit
+(** The subroutines' {!Large_common.freeze}, {!Large_set.freeze} and
+    (outside the heavy regime) {!Small_set.freeze} states, in that
+    order. *)
+
+val thaw : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze} state onto an oracle of the same params and
+    seed, zeroing its work counters: the result is a merge source. *)
+
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's subroutine states in; raises [Invalid_argument] on a
     regime mismatch. *)

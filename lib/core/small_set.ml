@@ -106,6 +106,12 @@ let add_pair t inst set elt =
     end
   end
 
+(* The store in set-id order, member lists as held: its fold order is
+   layout order, which a restored or merged store does not share. *)
+let sorted_store inst =
+  Hashtbl.fold (fun id members acc -> (id, !members) :: acc) inst.store []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 (* Turnstile deletion: drop the most recent stored occurrence of
    (set, elt), if any.  Member lists are latest-first, so the first
    match is the latest insert; an emptied list removes its store entry
@@ -298,8 +304,7 @@ module Json = Mkc_obs.Json
 
 let encode_instance inst =
   let store =
-    Hashtbl.fold (fun id members acc -> (id, !members) :: acc) inst.store []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    sorted_store inst
     |> List.map (fun (id, members) ->
            (* Members serialize verbatim (latest-first, as stored) so a
               restored instance is list-for-list identical. *)
@@ -393,6 +398,50 @@ let restore t j =
   t.st_pairs_stored <- ps;
   Ok ()
 
+(* Packed per sub-instance: pair count, death flag, then the store in
+   set-id order (ids as gaps), each member list verbatim. *)
+let freeze w t =
+  let put = Mkc_sketch.Packed.put w in
+  Array.iter
+    (fun rs ->
+      Array.iter
+        (fun inst ->
+          put inst.pairs;
+          put (Bool.to_int inst.dead);
+          put (Hashtbl.length inst.store);
+          sorted_store inst
+          |> List.fold_left
+               (fun prev (id, members) ->
+                 put (id - prev);
+                 put (List.length members);
+                 List.iter put members;
+                 id)
+               0
+          |> ignore)
+        rs.instances)
+    t.repeats
+
+let thaw r t =
+  let get () = Mkc_sketch.Packed.get r in
+  Array.iter
+    (fun rs ->
+      Array.iter
+        (fun inst ->
+          inst.pairs <- get ();
+          inst.dead <- get () = 1;
+          Hashtbl.reset inst.store;
+          let id = ref 0 in
+          for _ = 1 to get () do
+            id := !id + get ();
+            let members = List.init (get ()) (fun _ -> get ()) in
+            Hashtbl.replace inst.store !id (ref members)
+          done)
+        rs.instances)
+    t.repeats;
+  t.st_elem_sampler_evals <- 0;
+  t.st_set_sampler_evals <- 0;
+  t.st_pairs_stored <- 0
+
 (* Merging a stored sub-instance: sampling decisions are pure hashes
    (same seeds both sides), so shard stores are disjoint-in-time slices
    of the single-stream store.  Member lists are latest-first, so the
@@ -406,8 +455,7 @@ let merge_instance t dst src =
     dst.pairs <- 0
   end
   else begin
-    Hashtbl.fold (fun id members acc -> (id, !members) :: acc) src.store []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    sorted_store src
     |> List.iter (fun (id, members) ->
            match Hashtbl.find_opt dst.store id with
            | Some existing -> existing := members @ !existing

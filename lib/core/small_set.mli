@@ -77,6 +77,15 @@ val restore : t -> Mkc_obs.Json.t -> (unit, string) result
 (** Overlay an {!encode} payload onto a freshly {!create}d instance of
     the same params and seed. *)
 
+val freeze : Mkc_sketch.Packed.writer -> t -> unit
+(** Per sub-instance: pair count, death flag and the store in set-id
+    order, member lists verbatim — the state {!merge_into} reads from a
+    source. *)
+
+val thaw : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze} state onto an instance of the same params and
+    seed, zeroing its work counters: the result is a merge source. *)
+
 val merge_into : dst:t -> t -> unit
 (** Fold a shard in, instance by instance: member lists concatenate
     (the shard fed the later stream suffix first), pair counts sum, and

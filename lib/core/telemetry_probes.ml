@@ -105,5 +105,4 @@ let build_windowed ~breakdown w : probe array =
       [
         ("window.epochs", read Windowed.live_epochs);
         ("window.rolled", read Windowed.rolled);
-        ("window.swaps", read Windowed.swaps);
       ]

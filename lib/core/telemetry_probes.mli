@@ -42,8 +42,8 @@ val build_windowed :
   Windowed.t ->
   Mkc_obs.Telemetry.Recorder.probe array
 (** {!build} for a windowed run: the same track set plus
-    [window.epochs] / [window.rolled] / [window.swaps] (read from
-    {!Windowed.live_epochs}, {!Windowed.rolled} and {!Windowed.swaps},
-    so they record with the registry disabled).  Sketch-health totals
-    are re-read through {!Windowed.current} on every sample, since the
-    in-flight estimator is replaced when an epoch rolls. *)
+    [window.epochs] / [window.rolled] (read from
+    {!Windowed.live_epochs} and {!Windowed.rolled}, so they record with
+    the registry disabled).  Sketch-health totals are re-read through
+    {!Windowed.current} on every sample, since the in-flight estimator
+    is replaced when an epoch rolls. *)

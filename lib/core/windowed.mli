@@ -4,24 +4,26 @@
     freshness-weighted queries ("coverage over the recent stream") are
     the other practical face of the same machinery.  This module cuts
     the edge stream into fixed-size epochs, runs a fresh {!Estimate}
-    instance per epoch, and checkpoints each finished epoch's encoded
-    state ({!Estimate.encode}) into a ring of the last [window] epochs.
-    A query merges the held states oldest-first into one estimator by
-    the shard-merge path ({!Estimate.merge_into}) plus the in-flight
-    epoch, so the windowed answer is exactly what a fresh single pass
-    over the live suffix would produce (L0 and the linear sketches
-    merge losslessly; only work counters and the decision memo differ,
-    and neither feeds the estimate).
+    instance per epoch, and freezes each finished epoch
+    ({!Estimate.freeze}: its packed mergeable state) into a ring of the
+    last [window] epochs.  A query thaws the held epochs one by one
+    into a scratch estimator and merges them oldest-first into one
+    estimator by the shard-merge path ({!Estimate.merge_into}), then
+    merges the in-flight epoch, so the windowed answer is exactly what
+    a fresh single pass over the live suffix would produce (L0 and the
+    linear sketches merge losslessly; only work counters and the
+    decision memo differ, and neither feeds the estimate).
 
     With [decay] = λ the same ring instead feeds the {!Decay} monoid:
-    per-epoch finalized estimates are folded oldest-first, each step
-    aging the accumulated mass by λ per epoch — an exponential-decay
-    estimate in O(window) extra space.
+    each roll finalizes its epoch, and the per-epoch estimates are
+    folded oldest-first, each step aging the accumulated mass by λ per
+    epoch — an exponential-decay estimate in O(window) extra space.
+    Without decay a roll does not finalize.
 
     Telemetry: [window.epochs] (live epochs, gauge), [window.rolled]
-    and [window.swaps] (counters), and a [window.decay_merge] span
-    around each query-time merge — all through the global registry, so
-    [--telemetry] picks them up at no extra plumbing. *)
+    (counter), and a [window.decay_merge] span around each query-time
+    merge — all through the global registry, so [--telemetry] picks
+    them up at no extra plumbing. *)
 
 (** The decay-merge monoid: [(v, span)] is a mass [v] covering [span]
     epochs.  [combine ~lambda a b] (with [b] the newer operand) is
@@ -40,14 +42,11 @@ end
 
 type t
 
-val create :
-  ?epsilon:float -> ?decay:float -> Params.t -> window:int -> epoch_edges:int -> unit -> t
+val create : ?decay:float -> Params.t -> window:int -> epoch_edges:int -> unit -> t
 (** [create params ~window ~epoch_edges ()] retains the last [window]
     epochs of [epoch_edges] edges each.  [decay] switches the query to
-    the exponential-decay fold (must lie in (0, 1)); [epsilon]
-    (default 0.1) is the {!Mkc_coverage.Sieve.improves} threshold for
-    champion swaps.  Raises [Invalid_argument] on out-of-range
-    arguments, by name. *)
+    the exponential-decay fold (must lie in (0, 1)).  Raises
+    [Invalid_argument] on out-of-range arguments, by name. *)
 
 val feed : t -> Mkc_stream.Edge.t -> unit
 
@@ -65,17 +64,17 @@ type result = {
       (** the merged window's winning oracle outcome (witness ids) *)
   epochs : int;  (** epochs contributing to the answer, partial included *)
   rolled : int;  (** total epochs rolled over the whole run *)
-  swaps : int;  (** champion swaps decided by the sieve comparator *)
 }
 
 val finalize : t -> result
 
 val words : t -> int
-(** Current estimator plus every held epoch payload — a checkpoint the
-    process holds is real space (same accounting as
-    {!Mkc_stream.Sink.Observed.note_checkpoint}). *)
+(** Current estimator plus every held frozen epoch, each charged its
+    heap size ({!Estimate.frozen_words}). *)
 
 val words_breakdown : t -> (string * int) list
+(** The in-flight estimator's breakdown under [current.*] plus the
+    held epochs under [ring]. *)
 
 val stats_totals : t -> (string * int) list
 (** {!Estimate.stats_totals} of the in-flight epoch (what the
@@ -88,7 +87,6 @@ val current : t -> Estimate.t
     this per sample — it is replaced on every roll. *)
 
 val rolled : t -> int
-val swaps : t -> int
 
 val live_epochs : t -> int
 (** Finished epochs held in the ring: [min rolled window]. *)

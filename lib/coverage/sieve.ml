@@ -87,10 +87,6 @@ let feed t id members =
       end)
     t.guesses
 
-let improves ?(epsilon = 0.1) ~champion challenger =
-  if epsilon <= 0.0 then invalid_arg "Sieve.improves: epsilon must be positive";
-  challenger > (1.0 +. epsilon) *. champion
-
 let result t =
   let best =
     Hashtbl.fold

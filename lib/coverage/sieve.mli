@@ -22,16 +22,6 @@ val feed : t -> int -> int array -> unit
 val result : t -> Greedy.result
 val words : t -> int
 
-val improves : ?epsilon:float -> champion:float -> float -> bool
-(** The sieve's (1+ε) swap comparator, factored out for reuse:
-    [improves ~champion v] is true iff [v > (1+ε)·champion] — the same
-    geometric-threshold test that spaces this module's guess ladder.
-    Consumers that track a running champion (e.g. the windowed
-    estimator's per-epoch best) use it to decide swaps, so champion
-    churn is logarithmic in the value range rather than linear in the
-    number of challengers.  Default [epsilon] = 0.1; raises
-    [Invalid_argument] if [epsilon <= 0]. *)
-
 val edge_sink : t -> Greedy.result Mkc_stream.Sink.Set_arrival.t
 (** The sieve as an edge sink via the set-arrival adapter: drive it with
     [Mkc_stream.Sink.Set_arrival.sink ()] over a stream whose edges

@@ -80,6 +80,7 @@ let collect t extract =
          |> List.map (fun (h : F2_heavy_hitter.hit) -> { id = h.id; freq = h.freq; level = i }))
   |> List.concat |> dedup
 
+let settle t = Array.iter F2_heavy_hitter.settle t.hhs
 let hits t = collect t F2_heavy_hitter.hits
 let candidates t = collect t F2_heavy_hitter.candidates
 let levels t = Array.length t.hhs

@@ -70,6 +70,10 @@ val candidates : t -> hit list
 (** All tracked candidates across levels (no φ filter), deduplicated and
     sorted by decreasing frequency — callers apply absolute thresholds. *)
 
+val settle : t -> unit
+(** {!F2_heavy_hitter.settle} on every level: the state a {!candidates}
+    read leaves behind. *)
+
 val levels : t -> int
 
 val level : t -> int -> F2_heavy_hitter.t

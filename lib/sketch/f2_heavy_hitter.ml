@@ -235,8 +235,11 @@ let add t i delta =
   add_cs t i delta;
   add_tracked t i delta
 
+(* Candidate recovery reads the tracker trimmed to its top [cap]. *)
+let settle t = if t.tn > t.cap then prune t
+
 let candidates t =
-  if t.tn > t.cap then prune t;
+  settle t;
   (* The CountSketch estimate of a light coordinate can be inflated by
      bucket collisions with a genuinely heavy one; the exact
      since-insertion counter is a sound upper bound in insertion-only

@@ -56,7 +56,13 @@ val hits : t -> hit list
 val candidates : t -> hit list
 (** All tracked candidates with fresh estimates, no φ filter (used by
     callers that apply their own absolute thresholds, e.g. Figure 4's
-    [thr1]/[thr2] tests). Sorted by decreasing frequency. *)
+    [thr1]/[thr2] tests). Sorted by decreasing frequency.  {!settle}s
+    first. *)
+
+val settle : t -> unit
+(** Trim the tracker to its top [cap] candidates if it holds more — the
+    one state change a {!candidates} or {!hits} read makes (it counts as
+    a prune). *)
 
 val f2_estimate : t -> float
 val phi : t -> float
