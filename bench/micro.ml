@@ -5,10 +5,10 @@ open Bechamel
 open Toolkit
 module Sm = Mkc_hashing.Splitmix
 
-let mk_edges n seed =
+let mk_edges ?(sets = 2048) ?(elts = 4096) n seed =
   let rng = Sm.create seed in
   Array.init n (fun _ ->
-      Mkc_stream.Edge.make ~set:(Sm.below rng 2048) ~elt:(Sm.below rng 4096))
+      Mkc_stream.Edge.make ~set:(Sm.below rng sets) ~elt:(Sm.below rng elts))
 
 (* E10: sketch update costs *)
 let test_l0_add =
@@ -87,34 +87,30 @@ let test_oracle_feed =
 (* checkpoint codec: serialize / restore cost of a warmed estimator
    (the price of one [--checkpoint] save and one [--resume] load,
    minus the disk) *)
-let checkpoint_env_of est p =
-  {
-    Mkc_stream.Checkpoint.kind = Mkc_core.Estimate.ckpt_kind;
-    pos = 65536;
-    seed = (Mkc_core.Estimate.codec p).Mkc_stream.Checkpoint.seed;
-    payload = Mkc_core.Estimate.encode est;
-  }
+let checkpoint_bytes est p =
+  let codec = Mkc_core.Estimate.codec p in
+  Mkc_stream.Checkpoint.to_string
+    { kind = codec.kind; pos = 65536; seed = codec.seed; payload = codec.encode est }
 
 let test_checkpoint_encode =
   let p = Mkc_core.Params.make ~m:2048 ~n:4096 ~k:16 ~alpha:8.0 ~seed:13 () in
   let est = Mkc_core.Estimate.create p in
   Array.iter (Mkc_core.Estimate.feed est) (mk_edges 65536 14);
   Test.make ~name:"ckpt-encode-estimate"
-    (Staged.stage (fun () ->
-         ignore (Mkc_stream.Checkpoint.to_string (checkpoint_env_of est p))))
+    (Staged.stage (fun () -> ignore (checkpoint_bytes est p)))
 
 let test_checkpoint_restore =
   let p = Mkc_core.Params.make ~m:256 ~n:512 ~k:8 ~alpha:4.0 ~seed:15 () in
   let est = Mkc_core.Estimate.create p in
-  Array.iter (Mkc_core.Estimate.feed est) (mk_edges 65536 16);
-  let bytes = Mkc_stream.Checkpoint.to_string (checkpoint_env_of est p) in
+  Array.iter (Mkc_core.Estimate.feed est) (mk_edges ~sets:256 ~elts:512 65536 16);
+  let bytes = checkpoint_bytes est p in
   Test.make ~name:"ckpt-restore-estimate"
     (Staged.stage (fun () ->
          match Mkc_stream.Checkpoint.of_string bytes with
          | Error _ -> assert false
          | Ok env -> (
              let fresh = Mkc_core.Estimate.create p in
-             match Mkc_core.Estimate.restore fresh env.Mkc_stream.Checkpoint.payload with
+             match (Mkc_core.Estimate.codec p).restore fresh env.payload with
              | Ok () -> ()
              | Error _ -> assert false)))
 

@@ -909,7 +909,7 @@ let merge files =
         | Error e -> ckpt_error_exit path e
       in
       let of_ckpt (c : Mkc_stream.Checkpoint.t) path =
-        match Mkc_core.Estimate.of_payload c.payload with
+        match Mkc_core.Estimate.decode c.payload with
         | Ok est -> est
         | Error msg ->
             Format.eprintf "mkc: %s: %s@." path msg;
@@ -965,7 +965,7 @@ let validate_checkpoint file =
       (* Deep-validate known payload kinds: the envelope checksum pins
          the bytes, the decoder pins the shape. *)
       (if c.kind = Mkc_core.Estimate.ckpt_kind then
-         match Mkc_core.Estimate.of_payload c.payload with
+         match Mkc_core.Estimate.decode c.payload with
          | Ok _ -> ()
          | Error msg ->
              Format.eprintf "%s: invalid %s payload: %s@." file c.kind msg;
@@ -982,7 +982,9 @@ let validate_checkpoint_cmd =
   in
   Cmd.v
     (Cmd.info "validate-checkpoint"
-       ~doc:"Validate a checkpoint file against the mkc-ckpt/1 schema")
+       ~doc:
+         (Printf.sprintf "Validate a checkpoint file against the %s format"
+            Mkc_stream.Checkpoint.schema))
     Term.(const validate_checkpoint $ file)
 
 (* ---------- validate-snapshot ---------- *)

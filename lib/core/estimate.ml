@@ -267,54 +267,8 @@ let record_metrics ?(registry = Mkc_obs.Registry.global) t =
     ~num:(tot "large_set.hh_recoveries")
     ~den:(tot "large_set.hh_candidates")
 
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode t =
-  Json.Object
-    [
-      ("params", Params.encode t.params);
-      ( "body",
-        match t.body with
-        | Trivial _ -> Json.String "trivial"
-        | Run { insts } ->
-            Json.Object
-              [
-                ( "insts",
-                  Json.Array
-                    (Array.to_list (Array.map (fun i -> Oracle.encode i.oracle) insts)) );
-              ] );
-    ]
-
-let restore t j =
-  let ( let* ) = Result.bind in
-  let* pj = Ck.J.field "params" j in
-  let* p = Result.map_error (Printf.sprintf "estimate params: %s") (Params.of_json pj) in
-  let* () =
-    if Params.same_instance p t.params then Ok ()
-    else Ck.J.err "estimate: payload was produced by a different instance (params differ)"
-  in
-  let* bj = Ck.J.field "body" j in
-  match (t.body, bj) with
-  | Trivial _, Json.String "trivial" -> Ok ()
-  | Run { insts }, Json.Object _ ->
-      let* ijs = Ck.J.list_field "insts" bj in
-      let* () =
-        if List.length ijs <> Array.length insts then
-          Ck.J.err "estimate: expected %d oracle instances, got %d" (Array.length insts)
-            (List.length ijs)
-        else Ok ()
-      in
-      List.fold_left
-        (fun acc (i, ij) ->
-          let* () = acc in
-          match Oracle.restore insts.(i).oracle ij with
-          | Ok () -> Ok ()
-          | Error e ->
-              Ck.J.err "estimate z%d rep%d: %s" insts.(i).z insts.(i).rep e)
-        (Ok ())
-        (List.mapi (fun i ij -> (i, ij)) ijs)
-  | _ -> Ck.J.err "estimate: body branch (trivial vs run) disagrees with this instance"
+let iter_oracles t f =
+  match t.body with Trivial _ -> () | Run { insts } -> Array.iter (fun i -> f i.oracle) insts
 
 (* A frozen estimator is one byte string: the oracle states in ladder
    order, as {!Oracle.freeze} packs them (empty on the trivial branch).
@@ -323,23 +277,16 @@ let restore t j =
 type frozen = string
 
 let freeze t =
-  match t.body with
-  | Trivial _ -> ""
-  | Run { insts } ->
-      let w = Mkc_sketch.Packed.writer () in
-      Array.iter (fun i -> Oracle.freeze w i.oracle) insts;
-      Mkc_sketch.Packed.contents w
+  iter_oracles t Oracle.settle;
+  let w = Mkc_sketch.Packed.writer () in
+  iter_oracles t (Oracle.freeze w);
+  Mkc_sketch.Packed.contents w
 
 (* A string of [len] bytes is a header word plus [len/8 + 1] words
    (OCaml always pads with at least one byte). *)
 let frozen_words f = (String.length f / 8) + 2
 
-let thaw ~into f =
-  let r = Mkc_sketch.Packed.reader f in
-  (match into.body with
-  | Trivial _ -> ()
-  | Run { insts } -> Array.iter (fun i -> Oracle.thaw r i.oracle) insts);
-  assert (Mkc_sketch.Packed.at_end r)
+let thaw ~into f = Mkc_sketch.Packed.decode f (fun r -> iter_oracles into (Oracle.thaw r))
 
 let merge_into ~dst src =
   match (dst.body, src.body) with
@@ -348,21 +295,42 @@ let merge_into ~dst src =
       Array.iteri (fun i si -> Oracle.merge_into ~dst:d.(i).oracle si.oracle) s
   | _ -> invalid_arg "Estimate.merge_into: instance shapes differ"
 
+(* A checkpoint payload: the params, the unsettled state in the frozen
+   layout, then the work tail (counters and LargeCommon memo keys).  It
+   does not settle: a settle counts as a prune, and a resumed run must
+   count exactly as the uninterrupted one. *)
+let encode t =
+  let w = Mkc_sketch.Packed.writer () in
+  Params.put w t.params;
+  iter_oracles t (Oracle.freeze w);
+  iter_oracles t (Oracle.freeze_work w);
+  Mkc_sketch.Packed.contents w
+
+let restore_state r t =
+  iter_oracles t (Oracle.thaw r);
+  iter_oracles t (Oracle.thaw_work r)
+
 let ckpt_kind = "estimate"
 
-let codec (p : Params.t) : t Ck.codec =
-  { Ck.kind = ckpt_kind; seed = p.base_seed; encode; restore = (fun t j -> restore t j) }
+let codec (p : Params.t) : t Mkc_stream.Checkpoint.codec =
+  {
+    kind = ckpt_kind;
+    seed = p.base_seed;
+    encode;
+    restore =
+      (fun t s ->
+        Mkc_sketch.Packed.decode s (fun r ->
+            if not (Params.same_instance (Params.get r) t.params) then
+              Mkc_sketch.Packed.fail r
+                "estimate: payload was produced by a different instance (params differ)";
+            restore_state r t));
+  }
 
-let of_payload j =
-  (* Rebuild an estimator from a bare payload: the embedded params pin
-     the instance, so a checkpoint file is self-describing — the merge
-     CLI needs no instance flags. *)
-  let ( let* ) = Result.bind in
-  let* pj = Ck.J.field "params" j in
-  let* p = Result.map_error (Printf.sprintf "estimate params: %s") (Params.of_json pj) in
-  let t = create p in
-  let* () = restore t j in
-  Ok t
+let decode s =
+  Mkc_sketch.Packed.decode s (fun r ->
+      let t = create (Params.get r) in
+      restore_state r t;
+      t)
 
 let params t = t.params
 

@@ -95,34 +95,27 @@ val record_metrics : ?registry:Mkc_obs.Registry.t -> t -> unit
     finalize-time counters (heavy-hitter recoveries, winners) are
     included. *)
 
-val encode : t -> Mkc_obs.Json.t
-(** The full mutable estimator state — every (z, rep) oracle instance's
-    payload — plus the {!Params.encode} inputs that pin the instance. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) Stdlib.result
-(** Overlay an {!encode} payload onto a freshly {!create}d estimator;
-    rejects payloads whose embedded params describe a different
-    instance ({!Params.same_instance}) or whose branch/shape differ. *)
-
 type frozen
-(** A packed, in-process estimator state: exactly what {!merge_into}
-    reads from a source, with no params, samplers, memos, scratch or
-    work counters.  Never persisted — checkpoints use {!encode}. *)
+(** A packed estimator state: exactly what {!merge_into} reads from a
+    source, with no params, samplers, memos, scratch or work counters.
+    A checkpoint payload carries its state in the same layout, unsettled
+    (see {!codec}). *)
 
 val freeze : t -> frozen
-(** Pack the estimator's mergeable state: pending CountSketch deltas are
-    flushed and the F2 trackers settled, as {!finalize} leaves them (so
-    the packed state is the same whether or not [finalize] ran first). *)
+(** Settle the F2 trackers as {!finalize} leaves them, then pack the
+    estimator's mergeable state (pending CountSketch deltas flushed), so
+    the packed state is the same whether or not [finalize] ran first.
+    For a finished state only: a settle counts as a prune. *)
 
 val frozen_words : frozen -> int
 (** The packed value's heap size in words, header included. *)
 
-val thaw : into:t -> frozen -> unit
+val thaw : into:t -> frozen -> (unit, string) Stdlib.result
 (** Overlay a frozen state onto [into], which must be {!create}d from
     the params the state was frozen under.  Work counters read zero
     afterwards: [into] is a merge source for {!merge_into}, and one
-    scratch estimator can be thawed into again and again.  Asserts on a
-    malformed state (it never comes from outside the process). *)
+    scratch estimator can be thawed into again and again.  A malformed
+    state is an [Error] (and leaves [into] partly overwritten). *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's oracle states in, instance by instance; raises
@@ -133,12 +126,20 @@ val ckpt_kind : string
 
 val codec : Params.t -> t Mkc_stream.Checkpoint.codec
 (** Checkpoint codec (kind {!ckpt_kind}, seed [base_seed]) for
-    {!Mkc_stream.Pipeline.run_resumable}. *)
+    {!Mkc_stream.Pipeline.run_resumable}.  The payload is the params
+    ({!Params.put}), the unsettled state in the {!freeze} layout, then a
+    work tail (per-layer counters and the LargeCommon memo keys), so a
+    resumed run's answer, words and work counters equal the
+    uninterrupted run's.  [restore] rejects a payload whose params
+    describe a different instance ({!Params.same_instance}) and any
+    malformed state. *)
 
-val of_payload : Mkc_obs.Json.t -> (t, string) Stdlib.result
-(** Rebuild an estimator from a bare {!encode} payload: decode the
-    embedded params, {!create}, then {!restore}.  Checkpoint files are
-    self-describing — the merge/validate CLI needs no instance flags. *)
+val decode : string -> (t, string) Stdlib.result
+(** Rebuild an estimator from a bare {!codec} payload: decode the
+    embedded params, {!create}, then overlay the state.  Checkpoint
+    files are self-describing — the merge/validate CLI needs no
+    instance flags.  The params are validated ({!Params.make}) but not
+    capped: the instance is as large as they say. *)
 
 val params : t -> Params.t
 

@@ -64,35 +64,11 @@ let shards t =
   | Mv mv -> [| Mkc_stream.Sink.pack Mkc_coverage.Mcgregor_vu.sink mv |]
   | Rep rep -> Report.shards rep
 
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode t =
-  match t.body with
-  | Mv mv -> Json.Object [ ("engine", Json.String "mv"); ("state", Mkc_coverage.Mcgregor_vu.encode mv) ]
-  | Rep rep -> Json.Object [ ("engine", Json.String "report"); ("state", Report.encode rep) ]
-
-let restore t j =
-  let ( let* ) = Result.bind in
-  let* engine = Ck.J.str_field "engine" j in
-  let* st = Ck.J.field "state" j in
-  match (t.body, engine) with
-  | Mv mv, "mv" -> Mkc_coverage.Mcgregor_vu.restore mv st
-  | Rep rep, "report" -> Report.restore rep st
-  | _, ("mv" | "report") ->
-      Ck.J.err "full_range: payload engine %S does not match this alpha regime" engine
-  | _ -> Ck.J.err "full_range: unknown engine %S" engine
-
 let merge_into ~dst src =
   match (dst.body, src.body) with
   | Mv d, Mv s -> Mkc_coverage.Mcgregor_vu.merge_into ~dst:d s
   | Rep d, Rep s -> Report.merge_into ~dst:d s
   | _ -> invalid_arg "Full_range.merge_into: engine mismatch"
-
-let ckpt_kind = "full_range"
-
-let codec (p : Params.t) : t Ck.codec =
-  { Ck.kind = ckpt_kind; seed = p.base_seed; encode; restore = (fun t j -> restore t j) }
 
 let sink : (t, result) Mkc_stream.Sink.sink =
   (module struct

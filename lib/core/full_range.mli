@@ -34,24 +34,9 @@ type result = { estimate : float; sets : int list; engine : engine }
 val finalize : t -> result
 val words : t -> int
 
-val encode : t -> Mkc_obs.Json.t
-(** Tagged by engine: the [34]-style baseline's stores, or the full
-    {!Report} payload. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) Stdlib.result
-(** Overlay an {!encode} payload; rejects a payload whose engine tag
-    disagrees with this instance's alpha regime. *)
-
 val merge_into : dst:t -> t -> unit
 (** Fold a shard in via whichever engine is active; raises
     [Invalid_argument] on an engine mismatch. *)
-
-val ckpt_kind : string
-(** The {!Mkc_stream.Checkpoint} kind tag, ["full_range"]. *)
-
-val codec : Params.t -> t Mkc_stream.Checkpoint.codec
-(** Checkpoint codec (kind {!ckpt_kind}, seed [base_seed]) for
-    {!Mkc_stream.Pipeline.run_resumable}. *)
 
 val sink : (t, result) Mkc_stream.Sink.sink
 (** The front-end as a {!Mkc_stream.Sink}. *)

@@ -136,56 +136,10 @@ let finalize t =
       })
     !best
 
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode t =
-  Json.Object
-    [
-      ("l0s", Json.Array (Array.to_list (Array.map Ck.Sketch_io.l0 t.sketches)));
-      ("memo", Ck.Sketch_io.memo t.memo);
-      ( "stats",
-        Json.Object
-          [
-            ("sampler_evals", Json.Int t.st_sampler_evals);
-            ("l0_updates", Json.Int t.st_l0_updates);
-            ("memo_hits", Json.Int t.st_memo_hits);
-          ] );
-    ]
-
-let restore t j =
-  let ( let* ) = Result.bind in
-  let* l0s = Ck.J.list_field "l0s" j in
-  let* () =
-    if List.length l0s <> Array.length t.sketches then
-      Ck.J.err "large_common: expected %d l0 levels, got %d" (Array.length t.sketches)
-        (List.length l0s)
-    else Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc (g, lj) ->
-        let* () = acc in
-        match Ck.Sketch_io.restore_l0 t.sketches.(g) lj with
-        | Ok () -> Ok ()
-        | Error e -> Ck.J.err "large_common l0 level %d: %s" g e)
-      (Ok ())
-      (List.mapi (fun g lj -> (g, lj)) l0s)
-  in
-  let* mj = Ck.J.field "memo" j in
-  let* () = Ck.Sketch_io.restore_memo t.memo mj in
-  let* sj = Ck.J.field "stats" j in
-  let* se = Ck.J.int_field "sampler_evals" sj in
-  let* lu = Ck.J.int_field "l0_updates" sj in
-  let* mh = Ck.J.int_field "memo_hits" sj in
-  t.st_sampler_evals <- se;
-  t.st_l0_updates <- lu;
-  t.st_memo_hits <- mh;
-  Ok ()
-
-(* The packed form holds only the L0 sketches: the memo is an
+(* The packed state holds only the L0 sketches: the memo is an
    accelerator and the counters are work done, neither of which a merge
-   source needs. *)
+   source needs.  A checkpoint adds both as its work tail, so a resumed
+   run replays the uninterrupted run's hit/miss sequence. *)
 let freeze w t = Array.iter (Mkc_sketch.Packed.put_l0 w) t.sketches
 
 let thaw r t =
@@ -193,6 +147,17 @@ let thaw r t =
   t.st_sampler_evals <- 0;
   t.st_l0_updates <- 0;
   t.st_memo_hits <- 0
+
+let freeze_work w t =
+  List.iter (Mkc_sketch.Packed.put w) [ t.st_sampler_evals; t.st_l0_updates; t.st_memo_hits ];
+  Mkc_sketch.Packed.put_memo w t.memo
+
+let thaw_work r t =
+  t.st_sampler_evals <- Mkc_sketch.Packed.get r;
+  t.st_l0_updates <- Mkc_sketch.Packed.get r;
+  t.st_memo_hits <- Mkc_sketch.Packed.get r;
+  Mkc_sketch.Packed.get_memo r t.memo
+    ~value:(Mkc_sketch.Sampler.Nested.min_keep_level_code t.sampler)
 
 (* L0 sketches merge exactly (state = pure function of elements seen);
    work counters sum (total work done across shards); the decision memo

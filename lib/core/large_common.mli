@@ -64,22 +64,22 @@ val stats : t -> (string * int) list
     ["l0_updates"] (one per (kept edge, nested level) — Figure 3's
     sketch update volume, identical across ingestion modes). *)
 
-val encode : t -> Mkc_obs.Json.t
-(** Mutable state only (L0 dumps, memo contents, work counters): the
-    samplers and hash tables are re-created from params + seed by
-    {!create}, then {!restore} overlays this payload. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) result
-(** Overlay an {!encode} payload onto a freshly {!create}d instance of
-    the same params and seed. *)
-
 val freeze : Mkc_sketch.Packed.writer -> t -> unit
 (** The L0 sketches, packed — the state {!merge_into} reads from a
-    source. *)
+    source.  The samplers and hash tables are re-created from params +
+    seed by {!create}. *)
 
 val thaw : Mkc_sketch.Packed.reader -> t -> unit
 (** Overlay a {!freeze} state onto an instance of the same params and
     seed, zeroing its work counters: the result is a merge source. *)
+
+val freeze_work : Mkc_sketch.Packed.writer -> t -> unit
+(** The work counters and the decision memo's keys — a checkpoint's
+    tail, so a resumed run counts exactly as the uninterrupted one. *)
+
+val thaw_work : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze_work} tail; memo values are re-evaluated from
+    the sampler, never read. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's state in: L0 sketches merge exactly (their state is

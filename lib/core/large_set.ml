@@ -625,120 +625,34 @@ let finalize t =
               { superset = best.superset; repeat = best.repeat; via_l0_fallback = best.via_l0 };
         }
 
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode_repeat rs =
-  (* The checkpoint carries the counters with all pending CS deltas
-     applied — the envelope format is unchanged and a resumed run
-     starts with clean accumulators. *)
-  flush_pending rs;
-  let fallback =
-    sorted_fallback rs
-    |> List.map (fun (sid, sk) -> Json.Array [ Json.Int sid; Ck.Sketch_io.l0 sk ])
-  in
-  Json.Object
-    [
-      ("cntr_small", Ck.Sketch_io.f2c rs.cntr_small);
-      ("cntr_large", Ck.Sketch_io.f2c rs.cntr_large);
-      ("fallback", Json.Array fallback);
-    ]
-
-let encode t =
-  Json.Object
-    [
-      ("repeats", Json.Array (Array.to_list (Array.map encode_repeat t.repeats)));
-      ( "stats",
-        Json.Object
-          [
-            ("elem_sampler_evals", Json.Int t.st_elem_sampler_evals);
-            ("fallback_sampler_evals", Json.Int t.st_fallback_sampler_evals);
-            ("f2_updates", Json.Int t.st_f2_updates);
-            ("l0_updates", Json.Int t.st_l0_updates);
-          ] );
-    ]
-
-let ( let* ) = Result.bind
-
-(* Saved counters are always flushed, so pending deltas from any
-   earlier feeding must not survive into a restored or thawed state. *)
+(* Pending deltas from any earlier feeding must not survive into a
+   thawed state: the packed counters are always flushed. *)
 let clear_pending rs =
   Array.fill rs.cs_pending 0 (Array.length rs.cs_pending) min_int;
   rs.cs_ntouched <- 0;
   rs.cs_dirty <- false
 
-let restore_repeat rs j =
-  clear_pending rs;
-  let* sj = Ck.J.field "cntr_small" j in
-  let* () = Ck.Sketch_io.restore_f2c rs.cntr_small sj in
-  let* lj = Ck.J.field "cntr_large" j in
-  let* () = Ck.Sketch_io.restore_f2c rs.cntr_large lj in
-  rebuild_defer rs;
-  let* fb = Ck.J.list_field "fallback" j in
-  Hashtbl.reset rs.fallback;
-  Ck.J.map_result
-    (fun entry ->
-      match Json.to_list entry with
-      | Some [ sid; skj ] ->
-          let* sid = Ck.J.to_int sid in
-          (* Same per-superset seed derivation as first-touch creation,
-             so the restored sketch hashes identically. *)
-          let sk = fallback_sketch rs sid in
-          Ck.Sketch_io.restore_l0 sk skj
-      | _ -> Ck.J.err "expected [sid, l0] fallback entry")
-    fb
-  |> Result.map (fun (_ : unit list) -> ())
+(* The trackers trimmed the way candidate recovery leaves them.  A
+   settle counts as a prune, so only a state that is final (a rolled
+   epoch) settles; a checkpoint does not. *)
+let settle t =
+  Array.iter
+    (fun rs ->
+      flush_pending rs;
+      Mkc_sketch.F2_contributing.settle rs.cntr_small;
+      Mkc_sketch.F2_contributing.settle rs.cntr_large)
+    t.repeats
 
-let restore t j =
-  let* reps = Ck.J.list_field "repeats" j in
-  let* () =
-    if List.length reps <> Array.length t.repeats then
-      Ck.J.err "large_set: expected %d repeats, got %d" (Array.length t.repeats)
-        (List.length reps)
-    else Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc (r, rj) ->
-        let* () = acc in
-        match restore_repeat t.repeats.(r) rj with
-        | Ok () -> Ok ()
-        | Error e -> Ck.J.err "large_set repeat %d: %s" r e)
-      (Ok ())
-      (List.mapi (fun r rj -> (r, rj)) reps)
-  in
-  let* sj = Ck.J.field "stats" j in
-  let* ese = Ck.J.int_field "elem_sampler_evals" sj in
-  let* fse = Ck.J.int_field "fallback_sampler_evals" sj in
-  let* f2u = Ck.J.int_field "f2_updates" sj in
-  let* l0u = Ck.J.int_field "l0_updates" sj in
-  t.st_elem_sampler_evals <- ese;
-  t.st_fallback_sampler_evals <- fse;
-  t.st_f2_updates <- f2u;
-  t.st_l0_updates <- l0u;
-  Ok ()
-
-(* Packed per repeat: both counters (flushed, and settled the way
-   candidate recovery leaves them), then the fallback table in sid
-   order, sids as gaps. *)
+(* Packed per repeat: both counters (flushed), then the fallback table
+   in sid order, sids as gaps. *)
 let freeze w t =
   let module Pk = Mkc_sketch.Packed in
   Array.iter
     (fun rs ->
       flush_pending rs;
-      Mkc_sketch.F2_contributing.settle rs.cntr_small;
-      Mkc_sketch.F2_contributing.settle rs.cntr_large;
       Pk.put_f2c w rs.cntr_small;
       Pk.put_f2c w rs.cntr_large;
-      Pk.put w (Hashtbl.length rs.fallback);
-      sorted_fallback rs
-      |> List.fold_left
-           (fun prev (sid, sk) ->
-             Pk.put w (sid - prev);
-             Pk.put_l0 w sk;
-             sid)
-           0
-      |> ignore)
+      Pk.put_ids w fst (fun w (_, sk) -> Pk.put_l0 w sk) (sorted_fallback rs))
     t.repeats
 
 let thaw r t =
@@ -746,25 +660,34 @@ let thaw r t =
   Array.iter
     (fun rs ->
       clear_pending rs;
-      Pk.get_f2c r rs.cntr_small;
-      Pk.get_f2c r rs.cntr_large;
+      Pk.get_f2c r ~ids:t.q rs.cntr_small;
+      Pk.get_f2c r ~ids:t.q rs.cntr_large;
       rebuild_defer rs;
       (* A sketch already held for a sid is overwritten in place rather
          than re-created (its seed is the sid's either way); sids the
          state does not list leave the table. *)
       let listed = Array.make t.q false in
-      let sid = ref 0 in
-      for _ = 1 to Pk.get r do
-        sid := !sid + Pk.get r;
-        listed.(!sid) <- true;
-        Pk.get_l0 r (fallback_sketch rs !sid)
-      done;
+      ignore
+        (Pk.get_ids r ~bound:t.q (fun r sid ->
+             listed.(sid) <- true;
+             Pk.get_l0 r (fallback_sketch rs sid))
+          : unit list);
       Hashtbl.filter_map_inplace (fun sid sk -> if listed.(sid) then Some sk else None) rs.fallback)
     t.repeats;
   t.st_elem_sampler_evals <- 0;
   t.st_fallback_sampler_evals <- 0;
   t.st_f2_updates <- 0;
   t.st_l0_updates <- 0
+
+let freeze_work w t =
+  List.iter (Mkc_sketch.Packed.put w)
+    [ t.st_elem_sampler_evals; t.st_fallback_sampler_evals; t.st_f2_updates; t.st_l0_updates ]
+
+let thaw_work r t =
+  t.st_elem_sampler_evals <- Mkc_sketch.Packed.get r;
+  t.st_fallback_sampler_evals <- Mkc_sketch.Packed.get r;
+  t.st_f2_updates <- Mkc_sketch.Packed.get r;
+  t.st_l0_updates <- Mkc_sketch.Packed.get r
 
 let merge_into ~dst src =
   Array.iteri

@@ -76,26 +76,29 @@ val stats : t -> (string * int) list
 val thresholds : t -> float * float
 (** [(thr1, thr2)] on the sampled-universe scale (diagnostics). *)
 
-val encode : t -> Mkc_obs.Json.t
-(** Mutable state per repeat (both F2-Contributing dumps, fallback L0
-    sketches keyed by superset id, work counters); samplers/partitions
-    are re-created from params + seed. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) result
-(** Overlay an {!encode} payload onto a freshly {!create}d instance of
-    the same params, [w] and seed (fallback sketches are re-created
-    with their superset-id-derived seeds, so they hash identically). *)
+val settle : t -> unit
+(** Flush pending deltas and trim both counters' trackers
+    ({!Mkc_sketch.F2_contributing.settle}) as {!finalize} leaves them.
+    A settle counts as a prune, so only a final state settles. *)
 
 val freeze : Mkc_sketch.Packed.writer -> t -> unit
-(** Per repeat: both F2-Contributing counters — pending deltas flushed,
-    trackers settled ({!Mkc_sketch.F2_contributing.settle}) as
-    {!finalize} leaves them — and the fallback L0 table in superset-id
-    order: the state {!merge_into} reads from a source. *)
+(** Per repeat: both F2-Contributing counters (pending deltas flushed)
+    and the fallback L0 table in superset-id order — the state
+    {!merge_into} reads from a source.  Samplers and partitions are
+    re-created from params + seed. *)
 
 val thaw : Mkc_sketch.Packed.reader -> t -> unit
 (** Overlay a {!freeze} state onto an instance of the same params, [w]
-    and seed, zeroing its work counters: the result is a merge
-    source. *)
+    and seed, zeroing its work counters: the result is a merge source.
+    Fallback sketches are re-created with their superset-id-derived
+    seeds, so they hash identically; tracked and fallback ids must be
+    superset ids. *)
+
+val freeze_work : Mkc_sketch.Packed.writer -> t -> unit
+(** The work counters — a checkpoint's tail. *)
+
+val thaw_work : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze_work} tail. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold a shard in, repeat by repeat: F2-Contributing levels merge via

@@ -97,43 +97,7 @@ let stats t =
     | None -> []
     | Some ss -> prefix_breakdown "small_set" (Small_set.stats ss))
 
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode t =
-  Json.Object
-    [
-      ("edges", Json.Int t.st_edges);
-      ("large_common", Large_common.encode t.large_common);
-      ("large_set", Large_set.encode t.large_set);
-      ( "small_set",
-        match t.small_set with None -> Json.Null | Some ss -> Small_set.encode ss );
-    ]
-
-let restore t j =
-  let ( let* ) = Result.bind in
-  let* edges = Ck.J.int_field "edges" j in
-  let* lcj = Ck.J.field "large_common" j in
-  let* () =
-    Result.map_error (Printf.sprintf "oracle.large_common: %s")
-      (Large_common.restore t.large_common lcj)
-  in
-  let* lsj = Ck.J.field "large_set" j in
-  let* () =
-    Result.map_error (Printf.sprintf "oracle.large_set: %s")
-      (Large_set.restore t.large_set lsj)
-  in
-  let* ssj = Ck.J.field "small_set" j in
-  let* () =
-    match (t.small_set, ssj) with
-    | None, Json.Null -> Ok ()
-    | Some ss, (Json.Object _ as pj) ->
-        Result.map_error (Printf.sprintf "oracle.small_set: %s") (Small_set.restore ss pj)
-    | None, _ -> Ck.J.err "oracle: payload has small_set but this regime has none"
-    | Some _, _ -> Ck.J.err "oracle: payload is missing small_set state"
-  in
-  t.st_edges <- edges;
-  Ok ()
+let settle t = Large_set.settle t.large_set
 
 let freeze w t =
   Large_common.freeze w t.large_common;
@@ -145,6 +109,18 @@ let thaw r t =
   Large_set.thaw r t.large_set;
   Option.iter (Small_set.thaw r) t.small_set;
   t.st_edges <- 0
+
+let freeze_work w t =
+  Mkc_sketch.Packed.put w t.st_edges;
+  Large_common.freeze_work w t.large_common;
+  Large_set.freeze_work w t.large_set;
+  Option.iter (Small_set.freeze_work w) t.small_set
+
+let thaw_work r t =
+  t.st_edges <- Mkc_sketch.Packed.get r;
+  Large_common.thaw_work r t.large_common;
+  Large_set.thaw_work r t.large_set;
+  Option.iter (Small_set.thaw_work r) t.small_set
 
 let merge_into ~dst src =
   Large_common.merge_into ~dst:dst.large_common src.large_common;

@@ -68,23 +68,26 @@ val sink : (t, Solution.outcome option) Mkc_stream.Sink.sink
 (** The oracle as a {!Mkc_stream.Sink} (one z-guess instance of the
     {!Estimate} fan-out, or standalone). *)
 
-val encode : t -> Mkc_obs.Json.t
-(** Composes the subroutine payloads plus the edge counter; the
-    small-set slot is [Null] in the heavy regime. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) result
-(** Overlay an {!encode} payload onto a freshly {!create}d oracle of the
-    same params and seed; rejects a payload whose regime (small-set
-    present/absent) disagrees. *)
+val settle : t -> unit
+(** {!Large_set.settle}: trim the F2 trackers as {!finalize} leaves
+    them.  Counts as a prune, so only a final state settles. *)
 
 val freeze : Mkc_sketch.Packed.writer -> t -> unit
 (** The subroutines' {!Large_common.freeze}, {!Large_set.freeze} and
     (outside the heavy regime) {!Small_set.freeze} states, in that
-    order. *)
+    order.  The params decide the regime, so the state carries no
+    tag for it. *)
 
 val thaw : Mkc_sketch.Packed.reader -> t -> unit
 (** Overlay a {!freeze} state onto an oracle of the same params and
     seed, zeroing its work counters: the result is a merge source. *)
+
+val freeze_work : Mkc_sketch.Packed.writer -> t -> unit
+(** The edge counter and the subroutines' [freeze_work] tails, in
+    {!freeze} order. *)
+
+val thaw_work : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze_work} tail. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's subroutine states in; raises [Invalid_argument] on a

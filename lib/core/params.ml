@@ -84,7 +84,8 @@ let make ~m ~n ~k ~alpha ?(profile = Practical) ?(seed = 0xC0FFEE) () =
   if n < 1 then invalid_arg "Params.make: n must be >= 1";
   if m < 1 then invalid_arg "Params.make: m must be >= 1";
   if k < 1 || k > m then invalid_arg "Params.make: k must be in [1, m]";
-  if alpha < 1.0 then invalid_arg "Params.make: alpha must be >= 1";
+  if not (alpha >= 1.0) then invalid_arg "Params.make: alpha must be >= 1";
+  if alpha = Float.infinity then invalid_arg "Params.make: alpha must be finite";
   derive ~m ~n ~k ~alpha ~profile ~seed
 
 let with_universe t u =
@@ -96,39 +97,27 @@ let s_alpha t = t.s *. t.alpha
 (* Only the make-inputs travel: every derived quantity is a pure
    function of them, so re-deriving on decode keeps checkpoints valid
    across constant recalibrations (the checksum still pins bytes; the
-   semantics are pinned by the inputs). *)
-let encode t =
-  Mkc_obs.Json.(
-    Object
-      [
-        ("m", Int t.m);
-        ("n", Int t.n);
-        ("u", Int t.u);
-        ("k", Int t.k);
-        ("alpha", Float t.alpha);
-        ("profile", String (match t.profile with Paper -> "paper" | Practical -> "practical"));
-        ("seed", Int t.base_seed);
-      ])
+   semantics are pinned by the inputs).  Alpha travels as its IEEE
+   bits, so it round-trips exactly. *)
+let put w t =
+  let module Pk = Mkc_sketch.Packed in
+  List.iter (Pk.put w) [ t.m; t.n; t.u; t.k ];
+  Pk.put_int64 w (Int64.bits_of_float t.alpha);
+  Pk.put w (match t.profile with Practical -> 0 | Paper -> 1);
+  Pk.put w t.base_seed
 
-let of_json j =
-  let module J = Mkc_stream.Checkpoint.J in
-  let ( let* ) = Result.bind in
-  let* m = J.int_field "m" j in
-  let* n = J.int_field "n" j in
-  let* u = J.int_field "u" j in
-  let* k = J.int_field "k" j in
-  let* alpha = J.float_field "alpha" j in
-  let* profile =
-    let* p = J.str_field "profile" j in
-    match p with
-    | "paper" -> Ok Paper
-    | "practical" -> Ok Practical
-    | other -> J.err "unknown profile %S" other
-  in
-  let* seed = J.int_field "seed" j in
-  match make ~m ~n ~k ~alpha ~profile ~seed () with
-  | p -> Ok (with_universe p u)
-  | exception Invalid_argument msg -> Error msg
+let get r =
+  let module Pk = Mkc_sketch.Packed in
+  let m = Pk.get r in
+  let n = Pk.get r in
+  let u = Pk.get r in
+  let k = Pk.get r in
+  let alpha = Int64.float_of_bits (Pk.get_int64 r) in
+  let profile = if Pk.get_below r 2 = 0 then Practical else Paper in
+  let seed = Pk.get r in
+  match with_universe (make ~m ~n ~k ~alpha ~profile ~seed ()) u with
+  | p -> p
+  | exception Invalid_argument msg -> Pk.fail r "params: %s" msg
 
 let same_instance a b =
   a.m = b.m && a.n = b.n && a.u = b.u && a.k = b.k && a.alpha = b.alpha

@@ -58,15 +58,15 @@ val log2f : int -> float
 (** [max 1. (log2 x)] — the polylog building block used by both
     profiles. *)
 
-val encode : t -> Mkc_obs.Json.t
-(** The make-inputs (m, n, u, k, alpha, profile, seed) as JSON — what a
-    checkpoint embeds so a sink can be re-created from the file alone.
-    Derived quantities are intentionally omitted: they are re-derived on
-    decode. *)
+val put : Mkc_sketch.Packed.writer -> t -> unit
+(** The make-inputs (m, n, u, k, alpha as its IEEE bits, profile, seed)
+    — what a checkpoint embeds so a sink can be re-created from the file
+    alone.  Derived quantities are intentionally omitted: they are
+    re-derived on decode. *)
 
-val of_json : Mkc_obs.Json.t -> (t, string) result
-(** Inverse of {!encode}: re-runs {!make} (so validation applies) and
-    restores the reduced universe. *)
+val get : Mkc_sketch.Packed.reader -> t
+(** Inverse of {!put}: re-runs {!make} (so validation applies) and
+    restores the reduced universe; invalid params fail the decode. *)
 
 val same_instance : t -> t -> bool
 (** Equality of the make-inputs — whether two parameterizations denote

@@ -33,18 +33,7 @@ let finalize t =
 let words t = Estimate.words t.engine + t.k
 let record_metrics ?registry t = Estimate.record_metrics ?registry t.engine
 
-let encode t = Estimate.encode t.engine
-let restore t j = Estimate.restore t.engine j
 let merge_into ~dst src = Estimate.merge_into ~dst:dst.engine src.engine
-let ckpt_kind = "report"
-
-let codec (p : Params.t) : t Mkc_stream.Checkpoint.codec =
-  {
-    Mkc_stream.Checkpoint.kind = ckpt_kind;
-    seed = p.base_seed;
-    encode;
-    restore = (fun t j -> restore t j);
-  }
 
 let sink : (t, result) Mkc_stream.Sink.sink =
   (module struct

@@ -34,19 +34,7 @@ val words : t -> int
 val record_metrics : ?registry:Mkc_obs.Registry.t -> t -> unit
 (** {!Estimate.record_metrics} on the underlying engine. *)
 
-val encode : t -> Mkc_obs.Json.t
-(** {!Estimate.encode} on the underlying engine (the [k] output slots
-    hold no mutable state). *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) Stdlib.result
 val merge_into : dst:t -> t -> unit
-
-val ckpt_kind : string
-(** The {!Mkc_stream.Checkpoint} kind tag, ["report"]. *)
-
-val codec : Params.t -> t Mkc_stream.Checkpoint.codec
-(** Checkpoint codec (kind {!ckpt_kind}, seed [base_seed]) for
-    {!Mkc_stream.Pipeline.run_resumable}. *)
 
 val sink : (t, result) Mkc_stream.Sink.sink
 (** The reporter as a {!Mkc_stream.Sink}. *)

@@ -299,148 +299,64 @@ let finalize t =
   done;
   !best
 
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode_instance inst =
-  let store =
-    sorted_store inst
-    |> List.map (fun (id, members) ->
-           (* Members serialize verbatim (latest-first, as stored) so a
-              restored instance is list-for-list identical. *)
-           Json.Array [ Json.Int id; Ck.J.int_array (Array.of_list members) ])
-  in
-  Json.Object
-    [
-      ("pairs", Json.Int inst.pairs);
-      ("dead", Json.Bool inst.dead);
-      ("store", Json.Array store);
-    ]
-
-let ( let* ) = Result.bind
-
-let restore_instance inst j =
-  let* pairs = Ck.J.int_field "pairs" j in
-  let* dead =
-    let* v = Ck.J.field "dead" j in
-    match v with Json.Bool b -> Ok b | _ -> Ck.J.err "field \"dead\" is not a bool"
-  in
-  let* store = Ck.J.list_field "store" j in
-  Hashtbl.reset inst.store;
-  let* () =
-    Ck.J.map_result
-      (fun entry ->
-        match Json.to_list entry with
-        | Some [ id; members ] ->
-            let* id = Ck.J.to_int id in
-            let* members = Ck.J.to_int_array members in
-            Hashtbl.replace inst.store id (ref (Array.to_list members));
-            Ok ()
-        | _ -> Ck.J.err "expected [set, members] store entry")
-      store
-    |> Result.map (fun (_ : unit list) -> ())
-  in
-  inst.pairs <- pairs;
-  inst.dead <- dead;
-  Ok ()
-
-let encode t =
-  Json.Object
-    [
-      ( "repeats",
-        Json.Array
-          (Array.to_list
-             (Array.map
-                (fun rs ->
-                  Json.Array (Array.to_list (Array.map encode_instance rs.instances)))
-                t.repeats)) );
-      ( "stats",
-        Json.Object
-          [
-            ("elem_sampler_evals", Json.Int t.st_elem_sampler_evals);
-            ("set_sampler_evals", Json.Int t.st_set_sampler_evals);
-            ("pairs_stored", Json.Int t.st_pairs_stored);
-          ] );
-    ]
-
-let restore t j =
-  let* reps = Ck.J.list_field "repeats" j in
-  let* () =
-    if List.length reps <> Array.length t.repeats then
-      Ck.J.err "small_set: expected %d repeats, got %d" (Array.length t.repeats)
-        (List.length reps)
-    else Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc (r, rj) ->
-        let* () = acc in
-        match Json.to_list rj with
-        | Some insts when List.length insts = t.guesses ->
-            List.fold_left
-              (fun acc (g, ij) ->
-                let* () = acc in
-                match restore_instance t.repeats.(r).instances.(g) ij with
-                | Ok () -> Ok ()
-                | Error e -> Ck.J.err "small_set repeat %d guess %d: %s" r g e)
-              (Ok ())
-              (List.mapi (fun g ij -> (g, ij)) insts)
-        | _ -> Ck.J.err "small_set repeat %d: expected %d instances" r t.guesses)
-      (Ok ())
-      (List.mapi (fun r rj -> (r, rj)) reps)
-  in
-  let* sj = Ck.J.field "stats" j in
-  let* ese = Ck.J.int_field "elem_sampler_evals" sj in
-  let* sse = Ck.J.int_field "set_sampler_evals" sj in
-  let* ps = Ck.J.int_field "pairs_stored" sj in
-  t.st_elem_sampler_evals <- ese;
-  t.st_set_sampler_evals <- sse;
-  t.st_pairs_stored <- ps;
-  Ok ()
-
 (* Packed per sub-instance: pair count, death flag, then the store in
    set-id order (ids as gaps), each member list verbatim. *)
 let freeze w t =
-  let put = Mkc_sketch.Packed.put w in
+  let module Pk = Mkc_sketch.Packed in
   Array.iter
     (fun rs ->
       Array.iter
         (fun inst ->
-          put inst.pairs;
-          put (Bool.to_int inst.dead);
-          put (Hashtbl.length inst.store);
-          sorted_store inst
-          |> List.fold_left
-               (fun prev (id, members) ->
-                 put (id - prev);
-                 put (List.length members);
-                 List.iter put members;
-                 id)
-               0
-          |> ignore)
+          Pk.put w inst.pairs;
+          Pk.put w (Bool.to_int inst.dead);
+          Pk.put_ids w fst
+            (fun w (_, members) ->
+              Pk.put w (List.length members);
+              List.iter (Pk.put w) members)
+            (sorted_store inst))
         rs.instances)
     t.repeats
 
+(* Beyond the ranges (set ids in [0, m), members in [0, u)), a stored
+   instance is consistent: member lists are non-empty, [pairs] counts
+   them and stays within the cap, and a dead instance stores nothing. *)
 let thaw r t =
-  let get () = Mkc_sketch.Packed.get r in
+  let module Pk = Mkc_sketch.Packed in
+  let p = t.params in
   Array.iter
     (fun rs ->
       Array.iter
         (fun inst ->
-          inst.pairs <- get ();
-          inst.dead <- get () = 1;
+          let pairs = Pk.get r in
+          let dead = Pk.get_below r 2 = 1 in
           Hashtbl.reset inst.store;
-          let id = ref 0 in
-          for _ = 1 to get () do
-            id := !id + get ();
-            let members = List.init (get ()) (fun _ -> get ()) in
-            Hashtbl.replace inst.store !id (ref members)
-          done)
+          let stored = ref 0 in
+          ignore
+            (Pk.get_ids r ~bound:p.Params.m (fun r id ->
+                 let n = Pk.get_count r in
+                 if n = 0 then Pk.fail r "small_set: empty member list for set %d" id;
+                 stored := !stored + n;
+                 Hashtbl.replace inst.store id (ref (List.init n (fun _ -> Pk.get_below r p.u))))
+              : unit list);
+          if pairs <> !stored || pairs > t.cap || (dead && pairs > 0) then
+            Pk.fail r "small_set: %d pairs (dead %b) with %d stored, cap %d" pairs dead !stored
+              t.cap;
+          inst.pairs <- pairs;
+          inst.dead <- dead)
         rs.instances)
     t.repeats;
   t.st_elem_sampler_evals <- 0;
   t.st_set_sampler_evals <- 0;
   t.st_pairs_stored <- 0
+
+let freeze_work w t =
+  List.iter (Mkc_sketch.Packed.put w)
+    [ t.st_elem_sampler_evals; t.st_set_sampler_evals; t.st_pairs_stored ]
+
+let thaw_work r t =
+  t.st_elem_sampler_evals <- Mkc_sketch.Packed.get r;
+  t.st_set_sampler_evals <- Mkc_sketch.Packed.get r;
+  t.st_pairs_stored <- Mkc_sketch.Packed.get r
 
 (* Merging a stored sub-instance: sampling decisions are pure hashes
    (same seeds both sides), so shard stores are disjoint-in-time slices

@@ -68,23 +68,24 @@ val cap : t -> int
 (** The per-instance stored-pair cap (Lemma 4.21's Õ(m/α²) instantiated
     with the profile's polylog). *)
 
-val encode : t -> Mkc_obs.Json.t
-(** Mutable state per sub-instance (stored member lists verbatim,
-    latest-first; pair counts; death flags) plus work counters; the
-    samplers are re-created from params + seed. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) result
-(** Overlay an {!encode} payload onto a freshly {!create}d instance of
-    the same params and seed. *)
-
 val freeze : Mkc_sketch.Packed.writer -> t -> unit
 (** Per sub-instance: pair count, death flag and the store in set-id
-    order, member lists verbatim — the state {!merge_into} reads from a
-    source. *)
+    order, member lists verbatim (latest-first) — the state
+    {!merge_into} reads from a source.  The samplers are re-created
+    from params + seed. *)
 
 val thaw : Mkc_sketch.Packed.reader -> t -> unit
 (** Overlay a {!freeze} state onto an instance of the same params and
-    seed, zeroing its work counters: the result is a merge source. *)
+    seed, zeroing its work counters: the result is a merge source.
+    Set ids must lie in [\[0, m)], members in [\[0, u)], and each
+    sub-instance must be consistent (non-empty lists, [pairs] counting
+    them within the cap, nothing stored when dead). *)
+
+val freeze_work : Mkc_sketch.Packed.writer -> t -> unit
+(** The work counters — a checkpoint's tail. *)
+
+val thaw_work : Mkc_sketch.Packed.reader -> t -> unit
+(** Overlay a {!freeze_work} tail. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold a shard in, instance by instance: member lists concatenate

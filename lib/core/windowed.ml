@@ -157,7 +157,10 @@ let finalize t =
               (fun s ->
                 Option.iter
                   (fun f ->
-                    Estimate.thaw ~into:scratch f;
+                    (match Estimate.thaw ~into:scratch f with
+                    | Ok () -> ()
+                    | Error e ->
+                        invalid_arg ("Windowed.finalize: a held epoch does not thaw: " ^ e));
                     Estimate.merge_into ~dst scratch)
                   t.ring.(s))
               slots);

@@ -91,7 +91,7 @@ let finalize t =
           Hashtbl.fold (fun id members acc -> (id, Array.of_list !members) :: acc) g.store []
           (* Sorted by set id: greedy breaks coverage ties by candidate
              order, which must not depend on the store's layout (a
-             restored store has a different layout). *)
+             merged store has a different layout). *)
           |> List.sort (fun (a, _) (b, _) -> compare a b)
         in
         let r = Greedy.run_on_subsets ~n:t.n ~sets ~k:t.k in
@@ -111,69 +111,6 @@ let finalize t =
   { !best with words }
 
 let words t = List.fold_left (fun acc g -> acc + (2 * g.pairs) + 4) 0 t.guesses
-
-module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
-
-let encode_guess g =
-  let store =
-    Hashtbl.fold (fun id members acc -> (id, !members) :: acc) g.store []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (id, members) ->
-           Json.Array [ Json.Int id; Ck.J.int_array (Array.of_list members) ])
-  in
-  Json.Object
-    [
-      ("pairs", Json.Int g.pairs);
-      ("dead", Json.Bool g.dead);
-      ("store", Json.Array store);
-    ]
-
-let ( let* ) = Result.bind
-
-let restore_guess g j =
-  let* pairs = Ck.J.int_field "pairs" j in
-  let* dead =
-    let* v = Ck.J.field "dead" j in
-    match v with Json.Bool b -> Ok b | _ -> Ck.J.err "field \"dead\" is not a bool"
-  in
-  let* store = Ck.J.list_field "store" j in
-  Hashtbl.reset g.store;
-  let* () =
-    Ck.J.map_result
-      (fun entry ->
-        match Json.to_list entry with
-        | Some [ id; members ] ->
-            let* id = Ck.J.to_int id in
-            let* members = Ck.J.to_int_array members in
-            Hashtbl.replace g.store id (ref (Array.to_list members));
-            Ok ()
-        | _ -> Ck.J.err "expected [set, members] store entry")
-      store
-    |> Result.map (fun (_ : unit list) -> ())
-  in
-  g.pairs <- pairs;
-  g.dead <- dead;
-  Ok ()
-
-let encode t = Json.Object [ ("guesses", Json.Array (List.map encode_guess t.guesses)) ]
-
-let restore t j =
-  let* gs = Ck.J.list_field "guesses" j in
-  let* () =
-    if List.length gs <> List.length t.guesses then
-      Ck.J.err "mcgregor_vu: expected %d guesses, got %d" (List.length t.guesses)
-        (List.length gs)
-    else Ok ()
-  in
-  List.fold_left
-    (fun acc (i, (g, gj)) ->
-      let* () = acc in
-      match restore_guess g gj with
-      | Ok () -> Ok ()
-      | Error e -> Ck.J.err "mcgregor_vu guess %d: %s" i e)
-    (Ok ())
-    (List.mapi (fun i p -> (i, p)) (List.combine t.guesses gs))
 
 (* Same merge law as SmallSet's sub-instances: element sampling is a
    pure hash (same seeds both sides), so shard stores are disjoint-in-

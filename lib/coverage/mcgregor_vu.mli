@@ -40,14 +40,6 @@ val sink : (t, result) Mkc_stream.Sink.sink
 (** The baseline as a {!Mkc_stream.Sink}, for the {!Mkc_stream.Pipeline}
     drivers and the {!Mkc_core.Full_range} front-end. *)
 
-val encode : t -> Mkc_obs.Json.t
-(** Mutable state per guess (stored member lists verbatim, latest-first;
-    pair counts; death flags); samplers re-create from the seed. *)
-
-val restore : t -> Mkc_obs.Json.t -> (unit, string) Stdlib.result
-(** Overlay an {!encode} payload onto a freshly {!create}d instance of
-    the same dimensions and seed. *)
-
 val merge_into : dst:t -> t -> unit
 (** Fold a shard in, guess by guess: member lists concatenate (the
     shard fed the later suffix first), pair counts sum, a summed count

@@ -1,7 +1,10 @@
 let ceil_log2 x =
   if x <= 1 then 0
   else
-    let rec go i acc = if acc >= x then i else go (i + 1) (acc * 2) in
+    (* 2^62 overflows: past 2^61 every larger x needs 62 bits *)
+    let rec go i acc =
+      if acc >= x then i else if acc > max_int / 2 then i + 1 else go (i + 1) (acc * 2)
+    in
     go 0 1
 
 let log_mn_indep ~m ~n =

@@ -25,6 +25,7 @@ val estimate : t -> int -> float
 val f2_estimate : t -> float
 (** Median over rows of the per-row sum of squared counters. *)
 
+val depth : t -> int
 val width : t -> int
 val words : t -> int
 

@@ -321,6 +321,7 @@ let f2_estimate t = Count_sketch.f2_estimate t.cs
 let phi t = t.phi
 let tracked t = t.tn
 let cap t = t.cap
+let shape t = (Count_sketch.depth t.cs, Count_sketch.width t.cs)
 let mem t i = Array.unsafe_get t.tkeys (probe t.tkeys t.tmask i (slot_of t i)) = i
 let prunes t = t.prunes
 

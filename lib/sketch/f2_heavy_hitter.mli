@@ -81,6 +81,9 @@ val mem : t -> int -> bool
 (** Whether a coordinate is currently tracked (one probe, no
     allocation). *)
 
+val shape : t -> int * int
+(** The CountSketch's [(depth, width)]. *)
+
 val prunes : t -> int
 (** SpaceSaving-style prune passes so far (including the final
     trim {!candidates} performs) — a health gauge for the candidate

@@ -16,14 +16,37 @@ let rec put_unsigned w z =
 
 let put w x = put_unsigned w ((x lsl 1) lxor (x asr 62))
 
+let put_int64 w v =
+  put w (Int64.to_int v land 0xFFFF_FFFF);
+  put w (Int64.to_int (Int64.shift_right_logical v 32))
+
 let contents = Buffer.contents
 
 type reader = { s : string; mutable pos : int }
 
-let reader s = { s; pos = 0 }
+(* Raised only under [decode], which turns it into [Error]: the one
+   exit of a failed read. *)
+exception Malformed of string
 
+let fail _ fmt = Printf.ksprintf (fun msg -> raise (Malformed msg)) fmt
+let check r = function Ok () -> () | Error e -> fail r "%s" e
+
+let decode s f =
+  let r = { s; pos = 0 } in
+  match f r with
+  | v ->
+      let left = String.length s - r.pos in
+      if left = 0 then Ok v else Error (Printf.sprintf "%d bytes left over" left)
+  | exception Malformed msg -> Error msg
+
+let left r = String.length r.s - r.pos
+
+(* At most nine bytes: the ninth carries bits 56..62, the top of a
+   63-bit int. *)
 let rec get_unsigned r acc shift =
-  let b = Char.code r.s.[r.pos] in
+  if r.pos >= String.length r.s then fail r "truncated varint";
+  if shift > 56 then fail r "varint longer than 63 bits";
+  let b = Char.code (String.unsafe_get r.s r.pos) in
   r.pos <- r.pos + 1;
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 = 0 then acc else get_unsigned r acc (shift + 7)
@@ -32,7 +55,48 @@ let get r =
   let z = get_unsigned r 0 0 in
   (z lsr 1) lxor -(z land 1)
 
-let at_end r = r.pos = String.length r.s
+let get_count r =
+  let n = get r in
+  if n < 0 || n > left r then fail r "count %d with %d bytes left" n (left r);
+  n
+
+let get_below r bound =
+  let v = get r in
+  if v < 0 || v >= bound then fail r "value %d outside [0, %d)" v bound;
+  v
+
+let get_int64 r =
+  let lo = get_below r 0x1_0000_0000 in
+  let hi = get_below r 0x1_0000_0000 in
+  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+
+(* [n] reads in stream order. *)
+let get_list r n f =
+  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f r :: acc) in
+  go n []
+
+let put_ids w id_of put_item items =
+  put w (List.length items);
+  ignore
+    (List.fold_left
+       (fun prev x ->
+         let id = id_of x in
+         put w (id - prev);
+         put_item w x;
+         id)
+       0 items
+      : int)
+
+let get_ids r ~bound item =
+  let prev = ref 0 and first = ref true in
+  get_list r (get_count r) (fun r ->
+      let gap = get r in
+      if gap < (if !first then 0 else 1) || gap >= bound - !prev then
+        fail r "id gap %d after %d: out of order or outside [0, %d)" gap !prev bound;
+      let id = !prev + gap in
+      prev := id;
+      first := false;
+      item r id)
 
 let put_l0 w sk =
   let z, prunes, entries = L0_bjkst.dump sk in
@@ -41,63 +105,62 @@ let put_l0 w sk =
   put w (List.length entries);
   List.iter
     (fun (fp, lvl) ->
-      put w (Int64.to_int fp land 0xFFFF_FFFF);
-      put w (Int64.to_int (Int64.shift_right_logical fp 32));
+      put_int64 w fp;
       put w lvl)
     entries
-
-(* [n] reads in stream order. *)
-let get_list r n f =
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f r :: acc) in
-  go n []
-
-let ok = function Ok () -> () | Error e -> invalid_arg ("Packed: " ^ e)
 
 let get_l0 r sk =
   let z = get r in
   let prunes = get r in
   let entries =
-    get_list r (get r) (fun r ->
-        let lo = get r in
-        let hi = get r in
-        let lvl = get r in
-        (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo), lvl))
+    get_list r (get_count r) (fun r ->
+        let fp = get_int64 r in
+        (fp, get r))
   in
-  ok (L0_bjkst.load_state sk ~z ~prunes ~entries)
+  check r (L0_bjkst.load_state sk ~z ~prunes ~entries)
 
-(* Tracked ids go out sorted, so each is written as its gap to the
-   previous one. *)
 let put_hh w (rows, counts, prunes) =
   put w (Array.length rows);
   put w (if Array.length rows = 0 then 0 else Array.length rows.(0));
   Array.iter (Array.iter (put w)) rows;
-  put w (List.length counts);
-  ignore
-    (List.fold_left
-       (fun prev (id, c) ->
-         put w (id - prev);
-         put w c;
-         id)
-       0 counts
-      : int);
+  put_ids w fst (fun w (_, c) -> put w c) counts;
   put w prunes
 
-let get_hh r =
+let get_hh r ~ids hh =
   let depth = get r in
   let width = get r in
+  let d, wd = F2_heavy_hitter.shape hh in
+  if depth <> d || width <> wd then
+    fail r "count_sketch shape %dx%d, expected %dx%d" depth width d wd;
   let rows = Array.init depth (fun _ -> Array.init width (fun _ -> get r)) in
-  let prev = ref 0 in
-  let counts =
-    get_list r (get r) (fun r ->
-        let id = !prev + get r in
-        prev := id;
-        (id, get r))
-  in
+  let counts = get_ids r ~bound:ids (fun r id -> (id, get r)) in
   (rows, counts, get r)
 
 let put_f2c w sk = Array.iter (put_hh w) (F2_contributing.dump sk)
 
-let get_f2c r sk =
-  ok
+let get_f2c r ~ids sk =
+  check r
     (F2_contributing.load_state sk
-       (Array.init (F2_contributing.levels sk) (fun _ -> get_hh r)))
+       (Array.init (F2_contributing.levels sk) (fun i ->
+            get_hh r ~ids (F2_contributing.level sk i))))
+
+let put_memo w m =
+  put w (Sampler.Memo.slots m);
+  let keys = ref [] in
+  Sampler.Memo.iter m (fun key _ -> keys := key :: !keys);
+  put w (List.length !keys);
+  List.iter (put w) (List.rev !keys)
+
+let get_memo r ~value m =
+  let slots = Sampler.Memo.slots m in
+  let n = get r in
+  if n <> slots then fail r "memo: %d slots, expected %d" n slots;
+  Sampler.Memo.reset m;
+  let prev = ref (-1) in
+  for _ = 1 to get_count r do
+    let key = get r in
+    let slot = key land (slots - 1) in
+    if key < 0 || slot <= !prev then fail r "memo: key %d out of slot order" key;
+    prev := slot;
+    Sampler.Memo.store m key (value key)
+  done

@@ -106,22 +106,16 @@ module Memo = struct
   let slots t = t.mask + 1
   let words t = (2 * (t.mask + 1)) + 1
 
-  (* Checkpointing carries the cache verbatim so a resumed run's
-     hit/miss sequence — and therefore its eval counters — matches the
+  (* Checkpointing carries the cached keys so a resumed run's hit/miss
+     sequence — and therefore its eval counters — matches the
      uninterrupted run exactly.  Merging instead resets: two shards'
      overwrite histories don't compose, and the cache is a pure
      accelerator, so dropping it is always sound. *)
-  let dump t = (Array.copy t.keys, Array.copy t.vals)
-
-  let load_state t ~keys ~vals =
-    let n = t.mask + 1 in
-    if Array.length keys <> n || Array.length vals <> n then
-      Error "memo: slot count mismatch"
-    else begin
-      Array.blit keys 0 t.keys 0 n;
-      Array.blit vals 0 t.vals 0 n;
-      Ok ()
-    end
+  let iter t f =
+    for s = 0 to t.mask do
+      let k = Array.unsafe_get t.keys s in
+      if k <> absent then f k (Array.unsafe_get t.vals s)
+    done
 
   let reset t =
     Array.fill t.keys 0 (t.mask + 1) absent;

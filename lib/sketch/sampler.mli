@@ -100,13 +100,10 @@ module Memo : sig
 
   val words : t -> int
 
-  val dump : t -> int array * int array
-  (** [(keys, vals)] — the cache contents verbatim, for crash-resume
-      (a resumed run must replay the exact hit/miss sequence the
-      uninterrupted run would see). *)
-
-  val load_state : t -> keys:int array -> vals:int array -> (unit, string) result
-  (** Overlay dumped cache contents; rejects a slot-count mismatch. *)
+  val iter : t -> (int -> int -> unit) -> unit
+  (** [f key value] for every cached entry, in slot order — what a
+      checkpoint carries, so a resumed run replays the exact hit/miss
+      sequence the uninterrupted run would see. *)
 
   val reset : t -> unit
   (** Drop all cached decisions (used on merge: shards' overwrite

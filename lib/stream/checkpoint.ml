@@ -1,8 +1,9 @@
-module Json = Mkc_obs.Json
-
+let magic = "MKCCKPT2"
 let schema_prefix = "mkc-ckpt/"
-let schema_version = 1
-let schema = Printf.sprintf "%s%d" schema_prefix schema_version
+let schema = schema_prefix ^ "2"
+
+(* How an mkc-ckpt/1 (JSON) file opens: its schema field came first. *)
+let json_prefix = "{\"schema\":\"" ^ schema_prefix
 
 type error =
   | Bad_magic of string
@@ -16,13 +17,13 @@ type error =
   | Io_error of string
 
 let error_to_string = function
-  | Bad_magic s -> Printf.sprintf "bad magic: expected %S, got %S" schema s
+  | Bad_magic s -> Printf.sprintf "bad magic: expected %S, got %S" magic s
   | Bad_version s ->
       Printf.sprintf "unsupported checkpoint version %S (this build reads %S)" s schema
-  | Truncated msg -> Printf.sprintf "truncated or unparseable checkpoint: %s" msg
+  | Truncated msg -> Printf.sprintf "truncated checkpoint: %s" msg
   | Malformed msg -> Printf.sprintf "malformed envelope: %s" msg
   | Checksum_mismatch { expected; got } ->
-      Printf.sprintf "checksum mismatch: envelope says %s, payload hashes to %s" got
+      Printf.sprintf "checksum mismatch: envelope says %s, contents hash to %s" got
         expected
   | Seed_mismatch { expected; got } ->
       Printf.sprintf "seed mismatch: this run uses seed %d, checkpoint was taken under %d"
@@ -32,91 +33,97 @@ let error_to_string = function
   | Payload_rejected msg -> Printf.sprintf "payload rejected: %s" msg
   | Io_error msg -> Printf.sprintf "i/o error: %s" msg
 
-type t = { kind : string; pos : int; seed : int; payload : Json.t }
+type t = { kind : string; pos : int; seed : int; payload : string }
 
-(* FNV-1a over the canonical serialization of everything the checksum
-   protects: kind, position, seed and the payload bytes.  Not
-   cryptographic — it catches truncation, bit rot and hand edits, same
-   threat model as the Snapshot golden. *)
-let fnv1a64 s =
+(* FNV-1a 64 over everything before the trailer.  Not cryptographic —
+   it catches truncation, bit rot and hand edits, same threat model as
+   the edge-file and ledger checksums. *)
+let fnv1a64 s ~len =
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
+  for i = 0 to len - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
+    h := Int64.mul !h 0x100000001B3L
+  done;
   !h
 
-let checksum ~kind ~pos ~seed payload =
-  Printf.sprintf "%016Lx"
-    (fnv1a64
-       (Printf.sprintf "%s\n%d\n%d\n%s" kind pos seed (Json.to_string payload)))
+(* Fixed fields around the kind and the payload: magic, kind length,
+   pos, seed, payload length and the trailer. *)
+let fixed_bytes = 48
 
 let to_string t =
-  (* Fixed field order, deterministic Json.to_string: the rendering is
-     byte-stable, which the golden test pins. *)
-  Json.to_string
-    (Json.Object
-       [
-         ("schema", Json.String schema);
-         ("kind", Json.String t.kind);
-         ("pos", Json.Int t.pos);
-         ("seed", Json.Int t.seed);
-         ("crc", Json.String (checksum ~kind:t.kind ~pos:t.pos ~seed:t.seed t.payload));
-         ("payload", t.payload);
-       ])
+  let k = String.length t.kind and p = String.length t.payload in
+  let b = Bytes.create (fixed_bytes + k + p) in
+  let body = 40 + k in
+  Bytes.blit_string magic 0 b 0 8;
+  Bytes.set_int64_le b 8 (Int64.of_int k);
+  Bytes.blit_string t.kind 0 b 16 k;
+  Bytes.set_int64_le b (16 + k) (Int64.of_int t.pos);
+  Bytes.set_int64_le b (24 + k) (Int64.of_int t.seed);
+  Bytes.set_int64_le b (32 + k) (Int64.of_int p);
+  Bytes.blit_string t.payload 0 b body p;
+  Bytes.set_int64_le b (body + p) (fnv1a64 (Bytes.unsafe_to_string b) ~len:(body + p));
+  Bytes.to_string b
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Malformed (Printf.sprintf "missing field %S" name))
-
-let int_field name j =
-  let* v = field name j in
-  match Json.to_int v with
-  | Some i -> Ok i
-  | None -> Error (Malformed (Printf.sprintf "field %S is not an integer" name))
-
-let str_field name j =
-  let* v = field name j in
-  match Json.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Malformed (Printf.sprintf "field %S is not a string" name))
+(* The version a foreign-looking file claims, if it is a checkpoint at
+   all: v1 in its JSON schema field, later versions in the magic's last
+   byte. *)
+let check_magic s =
+  let len = String.length s in
+  if String.starts_with ~prefix:magic s then Ok ()
+  else if String.starts_with ~prefix:json_prefix s then
+    let i = String.length json_prefix in
+    match String.index_from_opt s i '"' with
+    | Some j -> Error (Bad_version (schema_prefix ^ String.sub s i (j - i)))
+    | None -> Error (Truncated "cut inside the schema field")
+  else if len >= 8 && String.starts_with ~prefix:(String.sub magic 0 7) s then
+    Error (Bad_version (schema_prefix ^ String.make 1 s.[7]))
+  else if len < 8 && String.starts_with ~prefix:s magic then
+    Error (Truncated (Printf.sprintf "%d bytes, cut inside the magic" len))
+  else Error (Bad_magic (String.sub s 0 (min 8 len)))
 
 let of_string ?expect_kind ?expect_seed s =
-  let* j =
-    match Json.parse s with Ok j -> Ok j | Error msg -> Error (Truncated msg)
+  let len = String.length s in
+  let* () = check_magic s in
+  let int_at off =
+    let v = String.get_int64_le s off in
+    if Int64.equal (Int64.of_int (Int64.to_int v)) v then Ok (Int64.to_int v)
+    else Error (Malformed (Printf.sprintf "header field at byte %d does not fit an int" off))
   in
+  let* k = if len < 16 then Error (Truncated "cut inside the header") else int_at 8 in
   let* () =
-    match Json.member "schema" j with
-    | None -> Error (Bad_magic "<missing schema field>")
-    | Some v -> (
-        match Json.to_string_opt v with
-        | None -> Error (Bad_magic "<non-string schema field>")
-        | Some s when not (String.length s >= String.length schema_prefix
-                           && String.sub s 0 (String.length schema_prefix)
-                              = schema_prefix) ->
-            Error (Bad_magic s)
-        | Some s when s <> schema -> Error (Bad_version s)
-        | Some _ -> Ok ())
-  in
-  let* kind = str_field "kind" j in
-  let* pos = int_field "pos" j in
-  let* seed = int_field "seed" j in
-  let* crc = str_field "crc" j in
-  let* payload = field "payload" j in
-  let* () = if pos < 0 then Error (Malformed "negative position") else Ok () in
-  let expected = checksum ~kind ~pos ~seed payload in
-  let* () =
-    if not (String.equal expected crc) then
-      Error (Checksum_mismatch { expected; got = crc })
+    if k < 0 then Error (Malformed "negative kind length")
+    else if k > len - fixed_bytes then
+      Error (Truncated (Printf.sprintf "kind length %d in %d bytes" k len))
     else Ok ()
   in
+  let body = 40 + k in
+  let* pos = int_at (16 + k) in
+  let* seed = int_at (24 + k) in
+  let* p = int_at (32 + k) in
+  let* () =
+    let room = len - body - 8 in
+    if p < 0 then Error (Malformed "negative payload length")
+    else if p > room then
+      Error (Truncated (Printf.sprintf "payload length %d, %d bytes present" p room))
+    else if p < room then
+      Error (Malformed (Printf.sprintf "%d bytes after the trailer" (room - p)))
+    else Ok ()
+  in
+  let expected = fnv1a64 s ~len:(body + p) and got = String.get_int64_le s (body + p) in
+  let* () =
+    if not (Int64.equal expected got) then
+      Error
+        (Checksum_mismatch
+           { expected = Printf.sprintf "%016Lx" expected; got = Printf.sprintf "%016Lx" got })
+    else Ok ()
+  in
+  let* () = if pos < 0 then Error (Malformed "negative position") else Ok () in
+  let kind = String.sub s 16 k in
   let* () =
     match expect_kind with
-    | Some k when k <> kind -> Error (Kind_mismatch { expected = k; got = kind })
+    | Some e when e <> kind -> Error (Kind_mismatch { expected = e; got = kind })
     | _ -> Ok ()
   in
   let* () =
@@ -124,7 +131,7 @@ let of_string ?expect_kind ?expect_seed s =
     | Some sd when sd <> seed -> Error (Seed_mismatch { expected = sd; got = seed })
     | _ -> Ok ()
   in
-  Ok { kind; pos; seed; payload }
+  Ok { kind; pos; seed; payload = String.sub s body p }
 
 let validate s = of_string s
 
@@ -139,8 +146,9 @@ module Obs = struct
   let bytes = Mkc_obs.Registry.counter r "checkpoint.bytes"
   let loads = Mkc_obs.Registry.counter r "checkpoint.loads"
 
-  (* Per-save latency distributions: encoding (JSON envelope build) and
-     the full durable save (encode + write + rename). *)
+  (* Per-save latency distributions: framing the already-encoded
+     payload (header, copy and checksum) and the full durable save
+     (framing + write + rename). *)
   let encode_ns = Mkc_obs.Registry.histogram r "checkpoint.encode_ns"
   let save_ns = Mkc_obs.Registry.histogram r "checkpoint.save_ns"
 end
@@ -183,8 +191,8 @@ let load ?expect_kind ?expect_seed ~path () =
 type 's codec = {
   kind : string;
   seed : int;
-  encode : 's -> Json.t;
-  restore : 's -> Json.t -> (unit, string) result;
+  encode : 's -> string;
+  restore : 's -> string -> (unit, string) result;
 }
 
 let map_codec get c =
@@ -192,164 +200,5 @@ let map_codec get c =
     kind = c.kind;
     seed = c.seed;
     encode = (fun t -> c.encode (get t));
-    restore = (fun t j -> c.restore (get t) j);
+    restore = (fun t s -> c.restore (get t) s);
   }
-
-(* {1 JSON plumbing shared by the sink encoders} *)
-
-module J = struct
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt
-
-  let field name j =
-    match Json.member name j with Some v -> Ok v | None -> err "missing field %S" name
-
-  let int_field name j =
-    let* v = field name j in
-    match Json.to_int v with Some i -> Ok i | None -> err "field %S is not an int" name
-
-  let float_field name j =
-    let* v = field name j in
-    match Json.to_float v with
-    | Some f -> Ok f
-    | None -> err "field %S is not a number" name
-
-  let str_field name j =
-    let* v = field name j in
-    match Json.to_string_opt v with
-    | Some s -> Ok s
-    | None -> err "field %S is not a string" name
-
-  let list_field name j =
-    let* v = field name j in
-    match Json.to_list v with Some l -> Ok l | None -> err "field %S is not a list" name
-
-  let map_result f l =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: tl -> ( match f x with Ok y -> go (y :: acc) tl | Error _ as e -> e)
-    in
-    go [] l
-
-  let to_int j = match Json.to_int j with Some i -> Ok i | None -> err "expected int"
-
-  let int_array a = Json.Array (Array.to_list (Array.map (fun i -> Json.Int i) a))
-
-  let to_int_array j =
-    match Json.to_list j with
-    | None -> err "expected int array"
-    | Some l ->
-        let* ints = map_result to_int l in
-        Ok (Array.of_list ints)
-
-  let int_matrix m = Json.Array (Array.to_list (Array.map int_array m))
-
-  let to_int_matrix j =
-    match Json.to_list j with
-    | None -> err "expected int matrix"
-    | Some l ->
-        let* rows = map_result to_int_array l in
-        Ok (Array.of_list rows)
-
-  let int_pairs ps =
-    Json.Array (List.map (fun (a, b) -> Json.Array [ Json.Int a; Json.Int b ]) ps)
-
-  let to_int_pairs j =
-    match Json.to_list j with
-    | None -> err "expected pair list"
-    | Some l ->
-        map_result
-          (fun p ->
-            match Json.to_list p with
-            | Some [ a; b ] ->
-                let* a = to_int a in
-                let* b = to_int b in
-                Ok (a, b)
-            | _ -> err "expected [a, b] pair")
-          l
-
-  (* Fingerprints are full 64-bit hash values; Json.Int is a 63-bit
-     OCaml int, so they travel as decimal strings. *)
-  let i64 v = Json.String (Int64.to_string v)
-
-  let to_i64 j =
-    match Json.to_string_opt j with
-    | None -> err "expected int64 string"
-    | Some s -> (
-        match Int64.of_string_opt s with
-        | Some v -> Ok v
-        | None -> err "bad int64 %S" s)
-end
-
-(* {1 Sketch payload codecs} — shared by the core sink encoders. *)
-
-module Sketch_io = struct
-  module L0 = Mkc_sketch.L0_bjkst
-  module F2c = Mkc_sketch.F2_contributing
-  module Memo = Mkc_sketch.Sampler.Memo
-
-  let l0 sk =
-    let z, prunes, entries = L0.dump sk in
-    Json.Object
-      [
-        ("z", Json.Int z);
-        ("prunes", Json.Int prunes);
-        ( "entries",
-          Json.Array
-            (List.map
-               (fun (fp, lvl) -> Json.Array [ J.i64 fp; Json.Int lvl ])
-               entries) );
-      ]
-
-  let restore_l0 sk j =
-    let* z = J.int_field "z" j in
-    let* prunes = J.int_field "prunes" j in
-    let* entries = J.list_field "entries" j in
-    let* entries =
-      J.map_result
-        (fun e ->
-          match Json.to_list e with
-          | Some [ fp; lvl ] ->
-              let* fp = J.to_i64 fp in
-              let* lvl = J.to_int lvl in
-              Ok (fp, lvl)
-          | _ -> J.err "expected [fingerprint, level] entry")
-        entries
-    in
-    L0.load_state sk ~z ~prunes ~entries
-
-  let hh (rows, counts, prunes) =
-    Json.Object
-      [
-        ("cs", J.int_matrix rows);
-        ("counts", J.int_pairs counts);
-        ("prunes", Json.Int prunes);
-      ]
-
-  let restore_hh j =
-    let* cs = J.field "cs" j in
-    let* rows = J.to_int_matrix cs in
-    let* counts = J.field "counts" j in
-    let* counts = J.to_int_pairs counts in
-    let* prunes = J.int_field "prunes" j in
-    Ok (rows, counts, prunes)
-
-  let f2c sk = Json.Array (Array.to_list (Array.map hh (F2c.dump sk)))
-
-  let restore_f2c sk j =
-    match Json.to_list j with
-    | None -> J.err "expected per-level list"
-    | Some levels ->
-        let* levels = J.map_result restore_hh levels in
-        F2c.load_state sk (Array.of_list levels)
-
-  let memo m =
-    let keys, vals = Memo.dump m in
-    Json.Object [ ("keys", J.int_array keys); ("vals", J.int_array vals) ]
-
-  let restore_memo m j =
-    let* keys = J.field "keys" j in
-    let* keys = J.to_int_array keys in
-    let* vals = J.field "vals" j in
-    let* vals = J.to_int_array vals in
-    Memo.load_state m ~keys ~vals
-end

@@ -1,24 +1,37 @@
-(** Versioned, schema-validated, byte-stable checkpoints of sink state.
+(** Versioned, validated, byte-stable checkpoints of sink state.
 
-    A checkpoint is a [mkc-ckpt/1] JSON envelope around a sink-specific
-    payload: the sink kind, the stream position the state covers, the
-    base hash seed the sink was created under, and an FNV-1a checksum of
-    all of the above.  Everything about a sink except its mutable state
-    is a deterministic function of its parameters and seed, so restore
-    re-creates the sink (same hash functions, bit for bit) and overlays
-    the payload — a restored sink is indistinguishable from one that
-    processed the prefix itself.
+    A checkpoint is a binary [mkc-ckpt/2] envelope around a
+    sink-specific payload: the sink kind, the stream position the state
+    covers, the base hash seed the sink was created under, and an
+    FNV-1a-64 trailer over all of the above.  Everything about a sink
+    except its mutable state is a deterministic function of its
+    parameters and seed, so restore re-creates the sink (same hash
+    functions, bit for bit) and overlays the payload — a restored sink
+    is indistinguishable from one that processed the prefix itself.
 
-    Validation mirrors {!Mkc_obs.Snapshot}: every rejection is a named
-    {!error} (foreign magic, unknown version, truncated payload, forged
-    seed, checksum mismatch), and emission is byte-stable so goldens can
-    pin the format. *)
+    Layout (integers are little-endian int64):
+    {v
+      0        magic "MKCCKPT2"
+      8        kind length K
+      16       kind (K bytes)
+      16+K     pos
+      24+K     seed
+      32+K     payload length P
+      40+K     payload (P bytes, the sink's {!Mkc_sketch.Packed} state)
+      40+K+P   FNV-1a 64 of bytes [0, 40+K+P)
+    v}
+
+    Every rejection is a named {!error} (foreign magic, unknown version,
+    truncated bytes, forged seed, checksum mismatch), every length is
+    checked against the bytes present before it is used, and emission is
+    byte-stable so goldens can pin the format.  An [mkc-ckpt/1] (JSON)
+    file is rejected as [Bad_version "mkc-ckpt/1"]. *)
 
 type error =
-  | Bad_magic of string  (** [schema] field absent or not [mkc-ckpt/*]. *)
+  | Bad_magic of string  (** Not a checkpoint: the leading bytes. *)
   | Bad_version of string  (** [mkc-ckpt/N] with an N this build does not read. *)
-  | Truncated of string  (** JSON parse failure — cut-off or corrupt bytes. *)
-  | Malformed of string  (** Envelope field missing or of the wrong shape. *)
+  | Truncated of string  (** Fewer bytes than the header's lengths promise. *)
+  | Malformed of string  (** A header field out of range, or bytes left over. *)
   | Checksum_mismatch of { expected : string; got : string }
   | Seed_mismatch of { expected : int; got : int }
       (** The checkpoint was taken under a different base seed: its hash
@@ -34,14 +47,14 @@ type t = {
   kind : string;  (** Which sink family the payload belongs to. *)
   pos : int;  (** Edges of the stream covered by this state. *)
   seed : int;  (** Base seed the sink's hash functions derive from. *)
-  payload : Mkc_obs.Json.t;
+  payload : string;
 }
 
 val schema : string
-(** ["mkc-ckpt/1"]. *)
+(** ["mkc-ckpt/2"]. *)
 
 val to_string : t -> string
-(** Byte-stable rendering (fixed field order, deterministic JSON). *)
+(** Byte-stable rendering of the layout above. *)
 
 val of_string : ?expect_kind:string -> ?expect_seed:int -> string -> (t, error) result
 (** Parse and validate; [expect_kind]/[expect_seed] additionally pin
@@ -69,51 +82,15 @@ val words_of_bytes : int -> int
 type 's codec = {
   kind : string;
   seed : int;
-  encode : 's -> Mkc_obs.Json.t;
-  restore : 's -> Mkc_obs.Json.t -> (unit, string) result;
+  encode : 's -> string;
+  restore : 's -> string -> (unit, string) result;
       (** Overlay a payload onto a freshly created sink of the same
           parameters and seed. *)
 }
 (** How a sink family plugs into checkpointing: a kind tag, the seed its
     hashes derive from, and payload encode/restore.  Core sinks expose
-    one ({!Mkc_core.Estimate.codec} etc.). *)
+    one ({!Mkc_core.Estimate.codec}). *)
 
 val map_codec : ('t -> 's) -> 's codec -> 't codec
 (** Re-aim a codec through an accessor — e.g. checkpoint the inner sink
     of a {!Sink.Observed} wrapper via [map_codec Sink.Observed.state]. *)
-
-(** {1 Payload plumbing} — JSON helpers shared by the sink encoders.
-    Exposed so core-layer codecs (and tests) build on one vocabulary. *)
-module J : sig
-  val err : ('a, unit, string, ('b, string) result) format4 -> 'a
-  val field : string -> Mkc_obs.Json.t -> (Mkc_obs.Json.t, string) result
-  val int_field : string -> Mkc_obs.Json.t -> (int, string) result
-  val float_field : string -> Mkc_obs.Json.t -> (float, string) result
-  val str_field : string -> Mkc_obs.Json.t -> (string, string) result
-  val list_field : string -> Mkc_obs.Json.t -> (Mkc_obs.Json.t list, string) result
-  val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
-  val to_int : Mkc_obs.Json.t -> (int, string) result
-  val int_array : int array -> Mkc_obs.Json.t
-  val to_int_array : Mkc_obs.Json.t -> (int array, string) result
-  val int_matrix : int array array -> Mkc_obs.Json.t
-  val to_int_matrix : Mkc_obs.Json.t -> (int array array, string) result
-  val int_pairs : (int * int) list -> Mkc_obs.Json.t
-  val to_int_pairs : Mkc_obs.Json.t -> ((int * int) list, string) result
-
-  val i64 : int64 -> Mkc_obs.Json.t
-  (** 64-bit fingerprints travel as decimal strings (JSON ints are
-      63-bit OCaml ints here). *)
-
-  val to_i64 : Mkc_obs.Json.t -> (int64, string) result
-end
-
-(** {1 Sketch payload codecs} — canonical JSON forms of the sketch
-    dumps, shared by every core sink that composes them. *)
-module Sketch_io : sig
-  val l0 : Mkc_sketch.L0_bjkst.t -> Mkc_obs.Json.t
-  val restore_l0 : Mkc_sketch.L0_bjkst.t -> Mkc_obs.Json.t -> (unit, string) result
-  val f2c : Mkc_sketch.F2_contributing.t -> Mkc_obs.Json.t
-  val restore_f2c : Mkc_sketch.F2_contributing.t -> Mkc_obs.Json.t -> (unit, string) result
-  val memo : Mkc_sketch.Sampler.Memo.t -> Mkc_obs.Json.t
-  val restore_memo : Mkc_sketch.Sampler.Memo.t -> Mkc_obs.Json.t -> (unit, string) result
-end

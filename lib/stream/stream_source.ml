@@ -163,7 +163,9 @@ let read_binary_or_fail ~ctx path =
   | Error e ->
       failwith (Printf.sprintf "%s: %s: %s" ctx path (Edge_file.error_to_string e))
 
-let load_binary path = read_binary_or_fail ~ctx:"Stream_source.load_binary" path
+let load_binary path =
+  let edges, n, m = read_binary_or_fail ~ctx:"Stream_source.load_binary" path in
+  (edges, m, n)
 
 let load_auto path =
   if Edge_file.is_binary path then

@@ -65,7 +65,8 @@ val save_binary : t -> n:int -> m:int -> string -> unit
     errors, [Invalid_argument] if an id exceeds its bound. *)
 
 val load_binary : string -> t * int * int
-(** [(edges, n, m)] from a binary edge file; raises [Failure] with the
+(** [(edges, m, n)] from a binary edge file (the order of
+    {!load_auto_dims}); raises [Failure] with the
     named {!Edge_file.error} rendering on any rejection. *)
 
 val load_auto : string -> t

@@ -12,16 +12,18 @@
       so P edge-partitioned shard runs merge into exactly the
       single-stream state.
 
-   Plus the envelope itself: a byte-stable mkc-ckpt/1 golden, and named
+   Plus the envelope itself: a byte-stable mkc-ckpt/2 golden, named
    rejection of every tampering mode (foreign magic, unknown version,
-   truncated bytes, forged seed, flipped payload, wrong kind). *)
+   truncated bytes, forged seed, flipped payload, wrong kind), and a
+   seeded mutation fuzz over the envelope and the estimator's payload
+   decoder. *)
 
 module Edge = Mkc_stream.Edge
 module Src = Mkc_stream.Stream_source
 module Sink = Mkc_stream.Sink
 module Pipe = Mkc_stream.Pipeline
 module Ck = Mkc_stream.Checkpoint
-module Json = Mkc_obs.Json
+module Pk = Mkc_sketch.Packed
 module P = Mkc_core.Params
 module E = Mkc_core.Estimate
 module L0 = Mkc_sketch.L0_bjkst
@@ -77,7 +79,7 @@ let invariant_stats est =
     (E.stats est)
 
 let with_tmp f =
-  let path = Filename.temp_file "mkc_ckpt" ".json" in
+  let path = Filename.temp_file "mkc_ckpt" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let write_file path s =
@@ -160,9 +162,10 @@ let prop_crash_resume_parallel =
       let interrupted = E.create p in
       Pipe.feed_all_parallel ~domains ~chunk (E.shards interrupted)
         (Src.of_array (Array.sub edges 0 cut));
+      let codec = E.codec p in
       let env =
-        { Ck.kind = (E.codec p).Ck.kind; pos = cut; seed = (E.codec p).Ck.seed;
-          payload = E.encode interrupted }
+        { Ck.kind = codec.Ck.kind; pos = cut; seed = codec.Ck.seed;
+          payload = codec.Ck.encode interrupted }
       in
       let resumed = E.create p in
       match Ck.of_string ~expect_kind:"estimate" ~expect_seed:p.P.base_seed
@@ -170,7 +173,7 @@ let prop_crash_resume_parallel =
       with
       | Error e -> Alcotest.failf "envelope round trip: %s" (Ck.error_to_string e)
       | Ok env -> (
-          match E.restore resumed env.Ck.payload with
+          match codec.Ck.restore resumed env.Ck.payload with
           | Error msg -> Alcotest.failf "restore: %s" msg
           | Ok () ->
               let r_res = drive_from resumed env.Ck.pos in
@@ -275,17 +278,23 @@ let prop_f2_merge_laws =
 
 (* --- 3. envelope: golden bytes, round trip, tamper rejection --- *)
 
-let demo_env =
-  {
-    Ck.kind = "demo";
-    pos = 3;
-    seed = 42;
-    payload = Json.Object [ ("counts", Ck.J.int_array [| 1; 2; 3 |]) ];
-  }
+let packed ints =
+  let w = Pk.writer () in
+  List.iter (Pk.put w) ints;
+  Pk.contents w
 
+let demo_env = { Ck.kind = "demo"; pos = 3; seed = 42; payload = packed [ 1; 2; 3 ] }
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* magic | kind length 4 | "demo" | pos 3 | seed 42 | payload length 3 |
+   the varints 1, 2, 3 | FNV-1a 64 trailer *)
 let golden =
-  "{\"schema\":\"mkc-ckpt/1\",\"kind\":\"demo\",\"pos\":3,\"seed\":42,\
-   \"crc\":\"c5fe3701f915d617\",\"payload\":{\"counts\":[1,2,3]}}"
+  of_hex
+    ("4d4b43434b505432" ^ "0400000000000000" ^ "64656d6f" ^ "0300000000000000"
+   ^ "2a00000000000000" ^ "0300000000000000" ^ "020406" ^ "b55d11ad6b3ef3bd")
 
 let test_golden_bytes () =
   checks "byte-stable rendering" golden (Ck.to_string demo_env);
@@ -301,17 +310,12 @@ let test_round_trip_fields () =
       checks "kind" "demo" env.Ck.kind;
       checki "pos" 3 env.Ck.pos;
       checki "seed" 42 env.Ck.seed;
-      checkb "payload preserved" true (env.Ck.payload = demo_env.Ck.payload)
+      checks "payload preserved" demo_env.Ck.payload env.Ck.payload
 
-let replace_once ~sub ~by s =
-  let ls = String.length s and lb = String.length sub in
-  let rec find i =
-    if i + lb > ls then invalid_arg "replace_once: substring not found"
-    else if String.sub s i lb = sub then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ by ^ String.sub s (i + lb) (ls - i - lb)
+(* [golden] with [by] written over its bytes from [at]. *)
+let overwrite ~at by =
+  String.sub golden 0 at ^ by
+  ^ String.sub golden (at + String.length by) (String.length golden - at - String.length by)
 
 let test_tamper_rejection () =
   let reject what expected s =
@@ -329,14 +333,20 @@ let test_tamper_rejection () =
           | "checksum", Ck.Checksum_mismatch _ -> true
           | _ -> false)
   in
-  reject "a foreign schema" "bad_magic" (replace_once ~sub:"mkc-ckpt/1" ~by:"not-ckpt/1" golden);
-  reject "an unknown version" "bad_version"
-    (replace_once ~sub:"mkc-ckpt/1" ~by:"mkc-ckpt/9" golden);
+  reject "a foreign magic" "bad_magic" (overwrite ~at:0 "NOTCKPT2");
+  reject "an unknown version" "bad_version" (overwrite ~at:0 "MKCCKPT9");
+  (match Ck.of_string "{\"schema\":\"mkc-ckpt/1\",\"kind\":\"demo\"}" with
+  | Error (Ck.Bad_version "mkc-ckpt/1") -> ()
+  | Error e -> Alcotest.failf "v1 JSON: wrong error %s" (Ck.error_to_string e)
+  | Ok _ -> Alcotest.fail "v1 JSON accepted");
   reject "truncated bytes" "truncated" (String.sub golden 0 (String.length golden - 7));
-  reject "a missing field" "malformed" (replace_once ~sub:"\"pos\":3," ~by:"" golden);
-  reject "a flipped payload" "checksum"
-    (replace_once ~sub:"[1,2,3]" ~by:"[1,2,4]" golden);
-  reject "a forged position" "checksum" (replace_once ~sub:"\"pos\":3" ~by:"\"pos\":4" golden);
+  reject "a cut magic" "truncated" (String.sub golden 0 5);
+  reject "a cut header" "truncated" (String.sub golden 0 12);
+  reject "trailing bytes" "malformed" (golden ^ "\000");
+  reject "a negative kind length" "malformed" (overwrite ~at:8 (of_hex "ffffffffffffffff"));
+  reject "a lying payload length" "truncated" (overwrite ~at:36 (of_hex "ff"));
+  reject "a flipped payload" "checksum" (overwrite ~at:44 "\002\004\008");
+  reject "a forged position" "checksum" (overwrite ~at:20 "\004");
   (* seed/kind forgery that also fixes nothing else trips the checksum;
      expectation pinning catches a *consistently* re-signed envelope *)
   (match Ck.of_string ~expect_seed:43 golden with
@@ -357,7 +367,7 @@ let test_save_load_atomic () =
           checki "words_of_bytes rounds up" ((bytes + 7) / 8) (Ck.words_of_bytes bytes));
       checks "file holds exactly the golden bytes" golden (read_file path);
       (* a corrupt file on disk is rejected by name, not by exception *)
-      write_file path (replace_once ~sub:"[1,2,3]" ~by:"[9,2,3]" golden);
+      write_file path (overwrite ~at:44 "\018");
       match Ck.load ~path () with
       | Error (Ck.Checksum_mismatch _) -> ()
       | Error e -> Alcotest.failf "corrupt load: wrong error %s" (Ck.error_to_string e)
@@ -367,29 +377,29 @@ let test_save_load_atomic () =
   | Error e -> Alcotest.failf "missing file: wrong error %s" (Ck.error_to_string e)
   | Ok _ -> Alcotest.fail "missing file accepted"
 
-(* A payload the estimator's own decoder must reject, wrapped in a
+(* Payloads the estimator's own decoder must reject, wrapped in a
    perfectly valid envelope: the envelope validates, restore does not. *)
 let test_payload_rejected () =
   let p = params () in
+  let codec = E.codec p in
   let est = E.create p in
-  let good = E.encode est in
-  let bad =
-    match good with
-    | Json.Object fields ->
-        Json.Object
-          (List.map
-             (function "body", _ -> ("body", Json.String "trivial") | kv -> kv)
-             fields)
-    | _ -> Alcotest.fail "estimate payload is not an object"
-  in
-  (match E.restore est bad with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "branch-mismatched payload accepted");
+  (* a different instance under the same seed: params differ *)
+  let q = P.make ~m:32 ~n:64 ~k:4 ~alpha:4.0 ~seed:13 () in
+  let foreign = (E.codec q).Ck.encode (E.create q) in
+  let good = codec.Ck.encode est in
+  List.iter
+    (fun (what, bad) ->
+      match codec.Ck.restore est bad with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s accepted" what)
+    [
+      ("a foreign instance's payload", foreign);
+      ("a cut payload", String.sub good 0 (String.length good - 1));
+      ("a payload with bytes left over", good ^ "\000");
+    ];
   (* and through the driver it surfaces as Payload_rejected *)
   with_tmp (fun path ->
-      let env =
-        { Ck.kind = "estimate"; pos = 0; seed = p.P.base_seed; payload = bad }
-      in
+      let env = { Ck.kind = "estimate"; pos = 0; seed = p.P.base_seed; payload = foreign } in
       (match Ck.save ~path env with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "save: %s" (Ck.error_to_string e));
@@ -449,11 +459,11 @@ let test_final_checkpoint_merges () =
   checki "shard checkpoints cover the whole stream" (Array.length edges)
     (e0.Ck.pos + e1.Ck.pos);
   let merged =
-    match E.of_payload e0.Ck.payload with
-    | Error msg -> Alcotest.failf "of_payload: %s" msg
+    match E.decode e0.Ck.payload with
+    | Error msg -> Alcotest.failf "decode: %s" msg
     | Ok dst -> (
-        match E.of_payload e1.Ck.payload with
-        | Error msg -> Alcotest.failf "of_payload: %s" msg
+        match E.decode e1.Ck.payload with
+        | Error msg -> Alcotest.failf "decode: %s" msg
         | Ok src ->
             E.merge_into ~dst src;
             dst)
@@ -463,7 +473,7 @@ let test_final_checkpoint_merges () =
     (fingerprint r_single = fingerprint r_merged);
   checki "merged words = single-stream words" (E.words single) (E.words merged)
 
-(* --- 6. coverage baseline: the [34]-style sinks obey the same laws --- *)
+(* --- 6. coverage baseline: the [34]-style sinks obey the merge law --- *)
 
 let test_mcgregor_vu_shard_merge () =
   let module Mv = Mkc_coverage.Mcgregor_vu in
@@ -481,17 +491,7 @@ let test_mcgregor_vu_shard_merge () =
   checkb "3-shard merge ≡ single run" true
     (r_single.Mv.chosen = r_merged.Mv.chosen
     && r_single.Mv.coverage = r_merged.Mv.coverage
-    && r_single.Mv.words = r_merged.Mv.words);
-  (* encode/restore round trip: a restored baseline finalizes identically *)
-  let orig = create () in
-  let _ = Pipe.run ~chunk:64 Mv.sink orig (Src.of_array edges) in
-  let fresh = create () in
-  (match Mv.restore fresh (Mv.encode orig) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "mcgregor_vu restore: %s" e);
-  let rf = Mv.finalize fresh and ro = Mv.finalize orig in
-  checkb "restored baseline finalizes identically" true
-    (rf.Mv.chosen = ro.Mv.chosen && rf.Mv.coverage = ro.Mv.coverage)
+    && r_single.Mv.words = r_merged.Mv.words)
 
 (* --- 7. count_sketch: linearity --- *)
 
@@ -521,41 +521,62 @@ let prop_count_sketch_merge =
 
 (* --- 8. params: self-describing payloads --- *)
 
+let params_bytes (p : P.t) =
+  let w = Pk.writer () in
+  P.put w p;
+  Pk.contents w
+
 let test_params_round_trip () =
   let p = params () in
-  (match P.of_json (P.encode p) with
+  (match Pk.decode (params_bytes p) P.get with
   | Error e -> Alcotest.failf "params round trip: %s" e
   | Ok q ->
       checkb "same instance after round trip" true (P.same_instance p q);
       checkb "derived constants re-derived" true (q = p));
+  (* alpha travels as its IEEE bits, so an awkward value is exact *)
+  let odd = P.make ~m:32 ~n:64 ~k:3 ~alpha:(4.0 +. epsilon_float *. 8.0) ~seed:13 () in
+  checkb "alpha round-trips bit for bit" true
+    (Pk.decode (params_bytes odd) P.get = Ok odd);
   (* a different seed is a different instance *)
   let q = P.make ~m:32 ~n:64 ~k:3 ~alpha:4.0 ~seed:14 () in
   checkb "seed difference detected" false (P.same_instance p q);
-  (* malformed params are rejected, not crashed on *)
-  match P.of_json (Json.Object [ ("m", Json.Int 32) ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated params accepted"
+  (* malformed and invalid params are rejected, not crashed on *)
+  let bytes = params_bytes p in
+  checkb "truncated params rejected" true
+    (Result.is_error (Pk.decode (String.sub bytes 0 (String.length bytes - 1)) P.get));
+  checkb "k > m rejected by make's validation" true
+    (Result.is_error (Pk.decode (params_bytes { p with k = 33 }) P.get));
+  checkb "a zero universe rejected" true
+    (Result.is_error (Pk.decode (params_bytes { p with u = 0 }) P.get))
 
-(* --- 9. sketch payload round trips through Sketch_io --- *)
+(* --- 9. sketch state round trips through Packed --- *)
 
-let test_sketch_io_round_trips () =
-  (* L0: feed, dump through JSON, restore into a twin, compare dumps *)
+let test_packed_round_trips () =
+  (* L0: feed, pack, overlay onto a twin, compare dumps *)
   let sk = l0_of 31 (List.init 300 (fun i -> i * i)) in
   let twin = L0.create ~seed:(Sm.create 31) () in
-  (match Ck.Sketch_io.restore_l0 twin (Ck.Sketch_io.l0 sk) with
+  let w = Pk.writer () in
+  Pk.put_l0 w sk;
+  let bytes = Pk.contents w in
+  (match Pk.decode bytes (fun r -> Pk.get_l0 r twin) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "l0 restore: %s" e);
   checkb "l0 round trip is exact" true (L0.dump sk = L0.dump twin);
   checkb "l0 estimates agree" true (L0.estimate sk = L0.estimate twin);
-  (* tampered payloads are rejected by the decoder *)
-  (match Ck.Sketch_io.restore_l0 twin (Json.Object [ ("z", Json.Int 1) ]) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "truncated l0 payload accepted");
-  (* Memo: contents and counters survive *)
+  (* tampered states are rejected by the decoder *)
+  checkb "truncated l0 state rejected" true
+    (Result.is_error (Pk.decode (String.sub bytes 0 3) (fun r -> Pk.get_l0 r twin)));
+  (* Memo: the cached keys survive; values are recomputed *)
+  let value key = key mod 5 in
   let memo = Mkc_sketch.Sampler.Memo.create ~slots:16 in
-  List.iter (fun i -> Mkc_sketch.Sampler.Memo.store memo (i * 3) (i mod 5)) (List.init 40 Fun.id);
+  List.iter
+    (fun i -> Mkc_sketch.Sampler.Memo.store memo (i * 3) (value (i * 3)))
+    (List.init 40 Fun.id);
+  let w = Pk.writer () in
+  Pk.put_memo w memo;
+  let bytes = Pk.contents w in
   let memo2 = Mkc_sketch.Sampler.Memo.create ~slots:16 in
-  (match Ck.Sketch_io.restore_memo memo2 (Ck.Sketch_io.memo memo) with
+  (match Pk.decode bytes (fun r -> Pk.get_memo r ~value memo2) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "memo restore: %s" e);
   List.iter
@@ -567,9 +588,8 @@ let test_sketch_io_round_trips () =
     (List.init 40 Fun.id);
   (* a memo of the wrong geometry is rejected *)
   let small = Mkc_sketch.Sampler.Memo.create ~slots:8 in
-  match Ck.Sketch_io.restore_memo small (Ck.Sketch_io.memo memo) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "geometry-mismatched memo accepted"
+  checkb "geometry-mismatched memo rejected" true
+    (Result.is_error (Pk.decode bytes (fun r -> Pk.get_memo r ~value small)))
 
 (* --- 10. registry counters: saves/loads/bytes are published --- *)
 
@@ -597,6 +617,151 @@ let test_checkpoint_obs_counters () =
           checki "one load" 1 (read "checkpoint.loads");
           checki "bytes = golden size" (String.length golden) (read "checkpoint.bytes")))
 
+(* --- 11. hostile input: seeded mutation fuzz --- *)
+
+(* Words allocated while [f] runs. *)
+let allocated f =
+  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before)
+
+type fuzz_input = {
+  fp : P.t;
+  payload : string;
+  prefix : int;  (** bytes of the params at the head of [payload] *)
+  small_set : bool;
+  target : E.t;
+  valid_words : int;  (** allocated by restoring [payload] intact *)
+}
+
+(* Valid checkpoints of two small live instances.  [params ()] keeps
+   SmallSet, as every profile does (sα = w/2 < 2k); no profile reaches
+   the heavy regime (sα ≥ 2k) today, so the second instance lifts s by
+   hand to put the oracle layout without SmallSet under the fuzz too. *)
+let fuzz_instances =
+  lazy
+    (let heavy =
+       let p = P.make ~m:24 ~n:48 ~k:2 ~alpha:3.0 ~seed:21 () in
+       { p with P.s = 4.0 *. float_of_int p.P.k /. p.P.alpha }
+     in
+     Array.map
+       (fun (p : P.t) ->
+         let est = E.create p in
+         Array.iter (E.feed est)
+           (Array.init 400 (fun i -> Edge.make ~set:(i * 7 mod p.m) ~elt:(i * 13 mod p.n)));
+         let payload = (E.codec p).Ck.encode est in
+         let small_set = not (List.mem_assoc "oracle.small_set" (E.words_breakdown est)) in
+         (* one restore target per instance, overwritten case after case *)
+         let target = E.create p in
+         let valid_words = allocated (fun () -> (E.codec p).Ck.restore target payload) in
+         let prefix = String.length (params_bytes p) in
+         { fp = p; payload; prefix; small_set; target; valid_words })
+       [| params (); heavy |])
+
+let lying_values = [| max_int; min_int; -1; -(1 lsl 40); 1 lsl 40; 1 lsl 20; 4096; 0 |]
+
+(* A varint rewrite: the varint holding byte [at] becomes [v]. *)
+let rewrite_varint s ~at v =
+  let cont i = Char.code s.[i] land 0x80 <> 0 in
+  let start = ref at in
+  while !start > 0 && cont (!start - 1) do
+    decr start
+  done;
+  let stop = ref at in
+  while !stop < String.length s - 1 && cont !stop do
+    incr stop
+  done;
+  String.sub s 0 !start ^ packed [ v ]
+  ^ String.sub s (!stop + 1) (String.length s - !stop - 1)
+
+let flip_bits s bits =
+  let b = Bytes.of_string s in
+  List.iter
+    (fun bit ->
+      let i = bit / 8 mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8)))))
+    bits;
+  Bytes.to_string b
+
+(* [kind] 0 flips bits, 1 cuts, 2 makes a count, length or other field
+   lie: a payload varint, or one of the envelope's int64 header fields. *)
+let mutate ~envelope s (kind, spots, v) =
+  let len = String.length s in
+  if len = 0 then s
+  else
+    match kind with
+    | 0 -> flip_bits s spots
+    | 1 -> String.sub s 0 (List.hd spots mod len)
+    | _ when envelope ->
+        let b = Bytes.of_string s in
+        (* kind length, then (for the kind "estimate") pos, seed, payload length *)
+        let at = [| 8; 24; 32; 40 |].(List.hd spots mod 4) in
+        if at + 8 <= len then Bytes.set_int64_le b at (Int64.of_int v);
+        Bytes.to_string b
+    | _ -> rewrite_varint s ~at:(List.hd spots mod len) v
+
+let prop_fuzz_decoders =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 1)
+        (triple (int_bound 2)
+           (list_size (int_range 1 8) (int_bound 1_000_000_000))
+           (map (Array.get lying_values) (int_bound (Array.length lying_values - 1)))))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (inst, (kind, spots, v)) ->
+        Printf.sprintf "instance %d, mutation %d at [%s], value %d" inst kind
+          (String.concat "; " (List.map string_of_int spots))
+          v)
+      gen
+  in
+  QCheck.Test.make ~name:"fuzz: mutated checkpoints end in Ok or a named error" ~count:1000
+    arb (fun (inst, m) ->
+      let { fp = p; payload; prefix; target; valid_words; _ } =
+        (Lazy.force fuzz_instances).(inst)
+      in
+      let env payload = { Ck.kind = "estimate"; pos = 400; seed = p.P.base_seed; payload } in
+      (* Every count is checked against the bytes left before anything
+         is allocated from it, so a lying field cannot allocate more
+         than the input's size allows. *)
+      let restore payload =
+        let words = allocated (fun () -> (E.codec p).Ck.restore target payload) in
+        if words > (4 * valid_words) + (64 * String.length payload) then
+          QCheck.Test.fail_reportf "restore allocated %d words from %d bytes" words
+            (String.length payload)
+      in
+      match
+        (* the payload decoder, behind a valid envelope *)
+        let bad = Ck.to_string (env (mutate ~envelope:false payload m)) in
+        (match Ck.of_string ~expect_kind:"estimate" bad with
+        | Ok e -> restore e.Ck.payload
+        | Error e ->
+            QCheck.Test.fail_reportf "valid envelope rejected: %s" (Ck.error_to_string e));
+        (* the envelope itself *)
+        (match Ck.of_string (mutate ~envelope:true (Ck.to_string (env payload)) m) with
+        | Ok e -> restore e.Ck.payload
+        | Error (_ : Ck.error) -> ());
+        (* the self-describing decoder, params intact (it builds the
+           instance they describe) *)
+        let tail = String.sub payload prefix (String.length payload - prefix) in
+        ignore
+          (E.decode (String.sub payload 0 prefix ^ mutate ~envelope:false tail m)
+            : (E.t, string) result)
+      with
+      | () -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let test_fuzz_regimes () =
+  let inst = Lazy.force fuzz_instances in
+  checkb "first fuzz instance has SmallSet" true inst.(0).small_set;
+  checkb "second fuzz instance has none" false inst.(1).small_set;
+  Array.iter
+    (fun i ->
+      checkb "fuzz inputs restore cleanly" true
+        (Result.is_ok ((E.codec i.fp).Ck.restore (E.create i.fp) i.payload)))
+    inst
+
 let suite =
   [
     Alcotest.test_case "envelope: golden bytes" `Quick test_golden_bytes;
@@ -608,14 +773,16 @@ let suite =
       test_observed_checkpoint_words;
     Alcotest.test_case "merge: final checkpoints of 2 shards" `Quick
       test_final_checkpoint_merges;
-    Alcotest.test_case "coverage baseline: shard-merge and restore" `Quick
+    Alcotest.test_case "coverage baseline: shard-merge law" `Quick
       test_mcgregor_vu_shard_merge;
     Alcotest.test_case "params: self-describing payload round trip" `Quick
       test_params_round_trip;
-    Alcotest.test_case "sketch_io: l0 and memo payload round trips" `Quick
-      test_sketch_io_round_trips;
+    Alcotest.test_case "packed: l0 and memo state round trips" `Quick
+      test_packed_round_trips;
     Alcotest.test_case "registry: checkpoint.saves/loads/bytes counters" `Quick
       test_checkpoint_obs_counters;
+    Alcotest.test_case "fuzz: inputs cover both oracle regimes" `Quick test_fuzz_regimes;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) prop_fuzz_decoders;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -1,12 +1,13 @@
 (* Cross-era checkpoint compatibility.
 
-   [golden_estimate_ckpt_v1.json] is an mkc-ckpt/1 envelope serialized
-   by the hashtable-backed sketch implementations (captured before the
-   flat-memory rewrite), covering the full 120-edge stream of a fixed
-   small instance.  The flat implementations must restore it and
-   finalize to exactly the result the old code produced — the dump
-   formats are canonical (layout-free), so a storage-engine swap is
-   invisible at the envelope boundary.
+   [golden_estimate_ckpt_v2.ckpt] is an mkc-ckpt/2 checkpoint of the
+   full 120-edge stream of a fixed small instance, as the pipeline
+   drive leaves it.  It holds the state of [golden_estimate_ckpt_v1.json],
+   the mkc-ckpt/1 JSON checkpoint serialized by the hashtable-backed
+   sketch implementations (captured before the flat-memory rewrite): the
+   two carry the same canonical (layout-free) dumps, so restoring the v2
+   bytes must finalize to exactly the result the old code produced.
+   The v1 file is kept only to pin that this build rejects it by name.
 
    Instance (fixed forever — the golden bytes encode it):
      params   m=16 n=64 k=2 alpha=2.0 seed=5
@@ -22,7 +23,8 @@ module E = Mkc_core.Estimate
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let golden_path = "golden_estimate_ckpt_v1.json"
+let golden_path = "golden_estimate_ckpt_v2.ckpt"
+let golden_v1_path = "golden_estimate_ckpt_v1.json"
 let golden_edges = 120
 let golden_estimate = 16.0
 let golden_z_guess = 64
@@ -33,68 +35,63 @@ let params () = P.make ~m:16 ~n:64 ~k:2 ~alpha:2.0 ~seed:5 ()
 let stream () =
   Src.of_system ~seed:6 (Mkc_workload.Random_inst.uniform ~n:64 ~m:16 ~set_size:8 ~seed:5)
 
+let read path = In_channel.with_open_bin path In_channel.input_all
+
 let read_golden () =
-  let s = In_channel.with_open_bin golden_path In_channel.input_all in
-  match Ck.of_string ~expect_kind:E.ckpt_kind s with
+  match Ck.of_string ~expect_kind:E.ckpt_kind (read golden_path) with
   | Ok ck -> ck
   | Error e -> Alcotest.failf "golden rejected: %s" (Ck.error_to_string e)
+
+let restored () =
+  let ck = read_golden () in
+  match E.decode ck.Ck.payload with
+  | Ok est -> (ck, est)
+  | Error msg -> Alcotest.failf "golden payload rejected: %s" msg
 
 let witness_of (r : E.result) =
   match r.E.outcome with
   | None -> []
   | Some o -> List.sort compare (o.Mkc_core.Solution.witness ())
 
+let checkpoint_of est ~pos =
+  let codec = E.codec (E.params est) in
+  Ck.to_string
+    { Ck.kind = codec.Ck.kind; pos; seed = codec.Ck.seed; payload = codec.Ck.encode est }
+
 let test_golden_restores () =
-  let ck = read_golden () in
+  let ck, est = restored () in
   checki "covers the whole golden stream" golden_edges ck.Ck.pos;
-  let est =
-    match E.of_payload ck.Ck.payload with
-    | Ok est -> est
-    | Error msg -> Alcotest.failf "flat sketches reject old-era payload: %s" msg
-  in
   let r = E.finalize est in
   checkb "estimate matches old era" true (r.E.estimate = golden_estimate);
   checki "z_guess matches old era" golden_z_guess r.E.z_guess;
   checkb "witness matches old era" true (witness_of r = golden_witness)
 
 let test_golden_equals_fresh_run () =
-  let ck = read_golden () in
-  let restored =
-    match E.of_payload ck.Ck.payload with
-    | Ok est -> est
-    | Error msg -> Alcotest.failf "restore failed: %s" msg
-  in
+  let _, restored = restored () in
   let fresh = E.create (params ()) in
   let src = stream () in
   checki "instance reconstruction" golden_edges (Src.length src);
-  Src.iter (E.feed fresh) src;
-  let rr = E.finalize restored and rf = E.finalize fresh in
+  let rf = Mkc_stream.Pipeline.run E.sink fresh src in
+  (* the golden is the fresh drive's state, byte for byte *)
+  checkb "fresh run checkpoints to the golden bytes" true
+    (String.equal (checkpoint_of fresh ~pos:golden_edges) (read golden_path));
+  let rr = E.finalize restored in
   checkb "estimate ≡ fresh run" true (rr.E.estimate = rf.E.estimate);
   checki "z_guess ≡ fresh run" rf.E.z_guess rr.E.z_guess;
   checkb "witness ≡ fresh run" true (witness_of rr = witness_of rf)
 
 (* Round-trip through the current encoder: re-serializing the restored
-   state must reproduce the golden bytes exactly — the flat engine
-   writes the same canonical dumps the hashtable engine did. *)
+   state must reproduce the golden bytes exactly. *)
 let test_golden_reencodes_byte_stable () =
-  let golden = In_channel.with_open_bin golden_path In_channel.input_all in
-  let ck = read_golden () in
-  let est =
-    match E.of_payload ck.Ck.payload with
-    | Ok est -> est
-    | Error msg -> Alcotest.failf "restore failed: %s" msg
-  in
-  let codec = E.codec (E.params est) in
-  let reenc =
-    Ck.to_string
-      {
-        Ck.kind = codec.Ck.kind;
-        pos = ck.Ck.pos;
-        seed = codec.Ck.seed;
-        payload = codec.Ck.encode est;
-      }
-  in
-  checkb "re-encoded envelope is byte-identical" true (String.equal reenc golden)
+  let ck, est = restored () in
+  checkb "re-encoded envelope is byte-identical" true
+    (String.equal (checkpoint_of est ~pos:ck.Ck.pos) (read golden_path))
+
+let test_v1_golden_rejected () =
+  match Ck.of_string (read golden_v1_path) with
+  | Error (Ck.Bad_version "mkc-ckpt/1") -> ()
+  | Error e -> Alcotest.failf "v1 golden: wrong error %s" (Ck.error_to_string e)
+  | Ok _ -> Alcotest.fail "v1 golden accepted"
 
 let suite =
   [
@@ -104,4 +101,5 @@ let suite =
       test_golden_equals_fresh_run;
     Alcotest.test_case "restored golden re-encodes byte-stable" `Quick
       test_golden_reencodes_byte_stable;
+    Alcotest.test_case "v1 JSON golden rejected as Bad_version" `Quick test_v1_golden_rejected;
   ]

@@ -264,7 +264,9 @@ let test_ceil_log2 () =
   checki "3 -> 2" 2 (Hf.ceil_log2 3);
   checki "1024 -> 10" 10 (Hf.ceil_log2 1024);
   checki "1025 -> 11" 11 (Hf.ceil_log2 1025);
-  checki "0 -> 0" 0 (Hf.ceil_log2 0)
+  checki "0 -> 0" 0 (Hf.ceil_log2 0);
+  checki "2^61 -> 61" 61 (Hf.ceil_log2 (1 lsl 61));
+  checki "max_int -> 62 (no doubling past the top bit)" 62 (Hf.ceil_log2 max_int)
 
 let prop_ceil_log2_spec =
   QCheck.Test.make ~name:"ceil_log2 spec" ~count:500

@@ -272,7 +272,7 @@ let test_edge_file_roundtrip () =
   Src.save_binary text ~n:101 ~m:31 bpath;
   checkb "binary sniff" true (Ef.is_binary bpath);
   checkb "text is not binary" false (Ef.is_binary tpath);
-  let bin, n, m = Src.load_binary bpath in
+  let bin, m, n = Src.load_binary bpath in
   checki "header n" 101 n;
   checki "header m" 31 m;
   checkb "text->binary->read ≡ Stream_source.load" true

@@ -17,8 +17,7 @@ module Edge = Mkc_stream.Edge
 module Sink = Mkc_stream.Sink
 module Pipe = Mkc_stream.Pipeline
 module Ck = Mkc_stream.Checkpoint
-module J = Ck.J
-module Json = Mkc_obs.Json
+module Pk = Mkc_sketch.Packed
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -208,79 +207,69 @@ module Lin = struct
   (* Small checkpoint codec over the canonical dumps — what "compared
      on serialized bytes" means below: two states are equal iff their
      encoded payloads are byte-identical. *)
-  let hh_json (rows, counts, prunes) =
-    Json.Object
-      [ ("counts", J.int_pairs counts); ("prunes", Json.Int prunes); ("rows", J.int_matrix rows) ]
+  let put_ints w a =
+    Pk.put w (Array.length a);
+    Array.iter (Pk.put w) a
 
-  let restore_hh_json hh j =
-    let ( let* ) = Result.bind in
-    let* rows = Result.bind (J.field "rows" j) J.to_int_matrix in
-    let* counts = Result.bind (J.field "counts" j) J.to_int_pairs in
-    let* prunes = J.int_field "prunes" j in
-    Hh.load_state hh ~rows ~counts ~prunes
+  let get_ints r = Array.init (Pk.get_count r) (fun _ -> Pk.get r)
 
-  let l0_json (z, prunes, entries) =
-    Json.Object
-      [
-        ( "entries",
-          Json.Array
-            (List.map
-               (fun (fp, lvl, c) -> Json.Array [ J.i64 fp; Json.Int lvl; Json.Int c ])
-               entries) );
-        ("prunes", Json.Int prunes);
-        ("z", Json.Int z);
-      ]
+  let put_rows w rows =
+    Pk.put w (Array.length rows);
+    Array.iter (put_ints w) rows
 
-  let restore_l0_json l0 j =
-    let ( let* ) = Result.bind in
-    let* z = J.int_field "z" j in
-    let* prunes = J.int_field "prunes" j in
-    let* ejs = J.list_field "entries" j in
-    let* entries =
-      J.map_result
-        (function
-          | Json.Array [ fp; Json.Int lvl; Json.Int c ] ->
-              Result.map (fun fp -> (fp, lvl, c)) (J.to_i64 fp)
-          | _ -> J.err "l0 entry shape")
-        ejs
+  let get_rows r = Array.init (Pk.get_count r) (fun _ -> get_ints r)
+
+  let put_hh w (rows, counts, prunes) =
+    put_rows w rows;
+    Pk.put_ids w fst (fun w (_, c) -> Pk.put w c) counts;
+    Pk.put w prunes
+
+  let restore_hh r hh =
+    let rows = get_rows r in
+    let counts = Pk.get_ids r ~bound:max_int (fun r id -> (id, Pk.get r)) in
+    Pk.check r (Hh.load_state hh ~rows ~counts ~prunes:(Pk.get r))
+
+  let put_l0 w (z, prunes, entries) =
+    Pk.put w z;
+    Pk.put w prunes;
+    Pk.put w (List.length entries);
+    List.iter
+      (fun (fp, lvl, c) ->
+        Pk.put_int64 w fp;
+        Pk.put w lvl;
+        Pk.put w c)
+      entries
+
+  let restore_l0 r l0 =
+    let z = Pk.get r in
+    let prunes = Pk.get r in
+    let entries =
+      List.init (Pk.get_count r) (fun _ ->
+          let fp = Pk.get_int64 r in
+          let lvl = Pk.get r in
+          (fp, lvl, Pk.get r))
     in
-    L0t.load_state l0 ~z ~prunes ~entries
+    Pk.check r (L0t.load_state l0 ~z ~prunes ~entries)
 
   let encode t =
-    let hh_dumps = F2c.dump t.f2c in
-    Json.Object
-      [
-        ("ams", J.int_array (Ams.dump t.ams));
-        ("cs", J.int_matrix (Cs.dump t.cs));
-        ("f2c", Json.Array (Array.to_list (Array.map hh_json hh_dumps)));
-        ("hh", hh_json (Hh.dump t.hh));
-        ("l0", l0_json (L0t.dump t.l0));
-      ]
+    let w = Pk.writer () in
+    put_ints w (Ams.dump t.ams);
+    put_rows w (Cs.dump t.cs);
+    put_hh w (Hh.dump t.hh);
+    Pk.put_f2c w t.f2c;
+    put_l0 w (L0t.dump t.l0);
+    Pk.contents w
 
-  let restore t j =
-    let ( let* ) = Result.bind in
-    let* ams = Result.bind (J.field "ams" j) J.to_int_array in
-    let* () = Ams.load_state t.ams ams in
-    let* cs = Result.bind (J.field "cs" j) J.to_int_matrix in
-    let* () = Cs.load_state t.cs cs in
-    let* () = Result.bind (J.field "hh" j) (restore_hh_json t.hh) in
-    let* f2cs = J.list_field "f2c" j in
-    let* levels =
-      J.map_result
-        (fun lj ->
-          let ( let* ) = Result.bind in
-          let* rows = Result.bind (J.field "rows" lj) J.to_int_matrix in
-          let* counts = Result.bind (J.field "counts" lj) J.to_int_pairs in
-          let* prunes = J.int_field "prunes" lj in
-          Ok (rows, counts, prunes))
-        f2cs
-    in
-    let* () = F2c.load_state t.f2c (Array.of_list levels) in
-    Result.bind (J.field "l0" j) (restore_l0_json t.l0)
+  let restore t s =
+    Pk.decode s (fun r ->
+        Pk.check r (Ams.load_state t.ams (get_ints r));
+        Pk.check r (Cs.load_state t.cs (get_rows r));
+        restore_hh r t.hh;
+        Pk.get_f2c r ~ids:max_int t.f2c;
+        restore_l0 r t.l0)
 
   let codec seed : t Ck.codec = { kind = "lin-test"; seed; encode; restore }
-
-  let bytes t = Json.to_string (encode t)
+  let bytes = encode
 end
 
 (* ---------- signed streams through every driving mode ---------- *)
