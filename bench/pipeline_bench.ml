@@ -7,8 +7,8 @@
      per-edge      Stream_source.iter + Estimate.feed, the literal
                    streaming model and the agreement reference
      batched       one domain, plain
-     parallel      Estimate.shards over the domain pool, static packing
-     parallel-4    the same at 4 domains with the adaptive scheduler
+     parallel      Estimate.shards over the domain pool
+     parallel-4    the same at 4 domains
      telemetry     batched plus the [--telemetry] recorder writing the
                    MKCTEL1 log — the overhead number the acceptance
                    criteria gate on (within 5% of batched)
@@ -102,7 +102,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     match
       Run.run cfg ?budget
         ?telemetry:(Option.map (fun t -> t e) telemetry)
-        ~shards:E.shards ~costs:(E.shard_costs e) ~record_metrics ?ledger ~label E.sink e src
+        ~shards:E.shards ~record_metrics ?ledger ~label E.sink e src
     with
     | Error err -> fail "%s" (Run.error_to_string err)
     | Ok o ->
@@ -124,12 +124,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     (seconds d, total_sampler_evals e)
   in
   let dt_parallel = seconds (drive ~cfg:{ Run.default with domains } ()) in
-  (* The acceptance-criteria configuration: 4 domains, adaptive
-     re-packing from measured busy-ns. *)
-  let dt_parallel4 =
-    seconds
-      (drive ~cfg:{ Run.default with domains = 4; schedule = Mkc_stream.Pipeline.Adaptive } ())
-  in
+  let dt_parallel4 = seconds (drive ~cfg:{ Run.default with domains = 4 } ()) in
   (* Telemetry mode: exactly what the CLI's --telemetry costs on top of
      batched ingestion, with the registry still disabled like a plain
      [mkc estimate --telemetry] (the probes read structural sketch
@@ -287,7 +282,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
   let speedup = eps "parallel" /. eps "batched" in
   let speedup4 = eps "parallel-4" /. eps "batched" in
   Format.printf
-    "parallel speedup vs batched: %.2fx (static, %d domains), %.2fx (adaptive, 4 domains)@."
+    "parallel speedup vs batched: %.2fx (%d domains), %.2fx (4 domains)@."
     speedup domains speedup4;
   let open Mkc_obs.Json in
   let json =
@@ -302,8 +297,6 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
         ("estimate", Float estimate);
         ("domains_requested", Int domains);
         ("domains_recommended", Int domains_recommended);
-        ("schedule", String "static");
-        ("schedule_parallel4", String "adaptive");
         ("parallel_speedup_vs_batched", Float speedup);
         ("parallel4_speedup_vs_batched", Float speedup4);
         ("sampler_evals", Int evals_batched);

@@ -48,20 +48,6 @@ let domains_arg =
            bin-packed across a persistent pool of D domains; results are \
            identical to a sequential run.")
 
-let schedule_arg =
-  let schedule_conv =
-    Arg.enum
-      [ ("static", Mkc_stream.Pipeline.Static); ("adaptive", Mkc_stream.Pipeline.Adaptive) ]
-  in
-  Arg.(
-    value & opt schedule_conv Mkc_stream.Pipeline.Static
-    & info [ "schedule" ] ~docv:"MODE"
-        ~doc:
-          "Shard scheduling across domains: $(b,static) bin-packs once from \
-           profiled cost hints; $(b,adaptive) re-packs between chunk windows \
-           from measured per-shard busy time.  Only meaningful with \
-           --domains > 1; never changes results.")
-
 let pos_int ~what =
   let parse s =
     match int_of_string_opt s with
@@ -251,8 +237,9 @@ let print_budget b =
     (headroom b)
     (if overshoots b > 0 then Printf.sprintf " (%d overshoots)" (overshoots b) else "")
 
-(* Wall-clock-throttled stderr heartbeat for [--progress]; the Tap
-   itself fires on every feed call, so all policy lives here. *)
+(* Wall-clock-throttled stderr heartbeat for [--progress]; the run
+   calls it after every chunk window with the stream position, so all
+   policy lives here. *)
 let progress_reporter ~total interval_s =
   let interval_ns = int_of_float (interval_s *. 1e9) in
   let start = Mkc_obs.Clock.now_ns () in
@@ -454,9 +441,19 @@ let generate_cmd =
 
 (* ---------- convert ---------- *)
 
+(* The instance dimensions after --force-m/--force-n.  Set ids must stay
+   below m (the SmallSet store and its checkpoint decoder check them),
+   so a forced m below the stream's is a misuse, named before any
+   drive or write. *)
+let forced_dims ~m ~n force_m force_n =
+  Option.iter
+    (fun fm -> if fm < m then misuse "--force-m %d is below the stream's m=%d" fm m)
+    force_m;
+  (Option.value ~default:m force_m, Option.value ~default:n force_n)
+
 let convert path out to_text force_m force_n =
   let src, m, n = load_stream path in
-  let m = Option.value ~default:m force_m and n = Option.value ~default:n force_n in
+  let m, n = forced_dims ~m ~n force_m force_n in
   let edges = Mkc_stream.Stream_source.length src in
   (match
      if to_text then Ok (Mkc_stream.Stream_source.save src out)
@@ -520,7 +517,6 @@ type run_opts = {
   seed : int;
   profile : Mkc_core.Params.profile;
   domains : int;
-  schedule : Mkc_stream.Pipeline.schedule;
   chunk : int;
   oopts : obs_opts;
   ledger : string option;
@@ -534,12 +530,11 @@ type run_opts = {
 let run_term telem budget_strict =
   Term.(
     const
-      (fun path k alpha seed profile domains schedule chunk oopts ledger window epoch_edges
-           decay topts budget_strict ->
-        { path; k; alpha; seed; profile; domains; schedule; chunk; oopts; ledger; window;
-          epoch_edges; decay; topts; budget_strict })
-    $ stream_arg $ k_arg $ alpha_arg $ seed_arg $ profile_arg $ domains_arg $ schedule_arg
-    $ chunk_arg $ obs_term $ ledger_arg $ window_arg $ epoch_edges_arg $ decay_arg $ telem
+      (fun path k alpha seed profile domains chunk oopts ledger window epoch_edges decay
+           topts budget_strict ->
+        { path; k; alpha; seed; profile; domains; chunk; oopts; ledger; window; epoch_edges;
+          decay; topts; budget_strict })
+    $ stream_arg $ k_arg $ alpha_arg $ seed_arg $ profile_arg $ domains_arg $ chunk_arg $ obs_term $ ledger_arg $ window_arg $ epoch_edges_arg $ decay_arg $ telem
     $ budget_strict)
 
 (* Every cross-flag rule of estimate and report, decided before any
@@ -578,8 +573,6 @@ let check_flags ?(every = 1) ?(ckpt = false) ro =
              supported in windowed mode";
         Some (w, e, ro.decay)
   in
-  if telemetry_wanted ro.topts && ro.domains > 1 then
-    misuse "--telemetry/--health/--top sample the single-domain sink; use --domains 1";
   let rules =
     List.map
       (fun spec ->
@@ -601,10 +594,6 @@ let ledger_params ro ~m ~n =
     ( "profile",
       Mkc_obs.Json.String
         (match ro.profile with Mkc_core.Params.Practical -> "practical" | Paper -> "paper") );
-    ( "schedule",
-      Mkc_obs.Json.String
-        (match ro.schedule with Mkc_stream.Pipeline.Static -> "static" | Adaptive -> "adaptive")
-    );
     ("seed", Mkc_obs.Json.Int ro.seed);
     ("stream", Mkc_obs.Json.String (Filename.basename ro.path));
   ]
@@ -618,7 +607,7 @@ let ledger_params ro ~m ~n =
    and everything after it are common. *)
 let answer ro ~rules ~src ~m ~n ~label
     ?(mode = if ro.domains > 1 then "pool" else "sequential") ?word_budget ?probes ?shards
-    ?costs ?ckpt ~record_metrics ~print ~stats sink state =
+    ?ckpt ~record_metrics ~print ~stats sink state =
   let oopts = ro.oopts in
   let want = metrics_wanted oopts in
   let budget =
@@ -629,10 +618,6 @@ let answer ro ~rules ~src ~m ~n ~label
   in
   let total = Mkc_stream.Stream_source.length src in
   let progress = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
-  if progress <> None && (ckpt <> None || ro.domains > 1) then
-    Format.eprintf "mkc: --progress is %s; ignoring@."
-      (if ckpt <> None then "not reported in checkpoint mode"
-       else "only reported with --domains 1");
   let painter = ref None in
   let live series ~violations =
     let p =
@@ -663,7 +648,6 @@ let answer ro ~rules ~src ~m ~n ~label
   let cfg =
     {
       Mkc_core.Run.domains = ro.domains;
-      schedule = ro.schedule;
       chunk = ro.chunk;
       cadence = oopts.cadence;
       metrics = want;
@@ -672,7 +656,7 @@ let answer ro ~rules ~src ~m ~n ~label
     }
   in
   match
-    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?costs ?ckpt ~record_metrics ?ledger
+    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?ckpt ~record_metrics ?ledger
       ~label sink state src
   with
   | Error (Checkpoint e) -> ckpt_error_exit "checkpoint" e
@@ -746,7 +730,7 @@ let estimate ro ckpt every resume stop_after force_m force_n =
   let wincfg, rules = check_flags ~every ~ckpt:(ckpt <> None || resume <> None) ro in
   let src, m, n = load_stream ro.path in
   let src = truncate_source src stop_after in
-  let m = Option.value ~default:m force_m and n = Option.value ~default:n force_n in
+  let m, n = forced_dims ~m ~n force_m force_n in
   let params =
     Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
   in
@@ -769,7 +753,7 @@ let estimate ro ckpt every resume stop_after force_m force_n =
       in
       answer ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
         ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est)
-        ~shards:Mkc_core.Estimate.shards ~costs:(Mkc_core.Estimate.shard_costs est) ?ckpt
+        ~shards:Mkc_core.Estimate.shards ?ckpt
         ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics est)
         ~print:(fun r ->
           print_stream ~src ~m ~n;
@@ -807,7 +791,6 @@ let report ro =
   | None ->
       let rep = Mkc_core.Report.create params in
       answer ro ~rules ~src ~m ~n ~label:"report" ~shards:Mkc_core.Report.shards
-        ~costs:(Mkc_core.Report.shard_costs rep)
         ~record_metrics:(fun _ -> Mkc_core.Report.record_metrics rep)
         ~print:(fun (r : Mkc_core.Report.result) ->
           Format.printf "estimated coverage: %.0f@." r.estimate;

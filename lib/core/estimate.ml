@@ -387,20 +387,10 @@ let shards t =
   | Run { insts } ->
       Array.map (fun inst -> Mkc_stream.Sink.pack shard_sink { inst; shard_red = [||] }) insts
 
-(* Per-shard static cost hints, index-aligned with [shards]: the
-   universe-reduction batch pass (~3.0 Large_common units per edge:
-   mkcbench's core.universe_reduction.ns_per_edge over
-   core.large_common.ns_per_edge) plus the instance's oracle subroutine
-   mix.
-   Instances differ only through the regime split (small-set present or
-   not, a function of the shared params), so on a fixed params ladder
-   the hints are uniform — the packing they seed degrades to balanced
-   counts, and the adaptive schedule's measured busy-ns supplies the
-   per-instance contrast. *)
-let reduction_cost = 3.0
-
+(* Unit weights, index-aligned with [shards].  Every instance runs the
+   same subroutine mix: the regime split (SmallSet present or not) is a
+   function of [s] and [alpha], which [Params.with_universe] leaves
+   alone, so any per-instance static hint would be one constant — and
+   LPT with a proportional coordinator bias is scale-invariant. *)
 let shard_costs t =
-  match t.body with
-  | Trivial _ -> [||]
-  | Run { insts } ->
-      Array.map (fun inst -> reduction_cost +. Oracle.cost_hint inst.oracle) insts
+  match t.body with Trivial _ -> [||] | Run { insts } -> Array.map (fun _ -> 1.0) insts

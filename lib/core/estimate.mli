@@ -126,7 +126,7 @@ val ckpt_kind : string
 
 val codec : Params.t -> t Mkc_stream.Checkpoint.codec
 (** Checkpoint codec (kind {!ckpt_kind}, seed [base_seed]) for
-    {!Mkc_stream.Pipeline.run_resumable}.  The payload is the params
+    {!Mkc_stream.Pipeline.drive}'s checkpoints.  The payload is the params
     ({!Params.put}), the unsettled state in the {!freeze} layout, then a
     work tail (per-layer counters and the LargeCommon memo keys), so a
     resumed run's answer, words and work counters equal the
@@ -152,12 +152,13 @@ val shards : t -> Mkc_stream.Sink.any array
     independent sinks — one per (guess, repeat) oracle instance, each
     with a private reduction buffer.  Driving every shard over the full
     stream (in any interleaving, e.g.
-    {!Mkc_stream.Pipeline.feed_all_parallel}) leaves this estimator in
+    {!Mkc_stream.Pipeline.drive}) leaves this estimator in
     exactly the state of edge-by-edge {!feed}; then {!finalize} as
     usual.  Empty on the trivial branch, which ignores the stream. *)
 
 val shard_costs : t -> float array
-(** Static relative per-edge feed costs, index-aligned with {!shards}
-    (universe reduction + the instance's {!Oracle.cost_hint}).  Seeds
-    {!Mkc_stream.Pipeline.feed_all_parallel}'s cost-aware bin packing;
-    empty on the trivial branch. *)
+(** Relative per-edge feed costs, index-aligned with {!shards}: unit
+    weights, since every instance runs the same subroutine mix (the
+    regime split depends only on the shared [s] and [alpha]).  For
+    {!Mkc_stream.Pipeline.drive}'s [costs]; empty on the trivial
+    branch. *)

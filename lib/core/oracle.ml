@@ -39,18 +39,6 @@ let feed_planned t plan ~red edges ~pos ~len =
   Large_set.feed_planned t.large_set plan ~red edges ~pos ~len;
   Option.iter (fun ss -> Small_set.feed_planned ss plan ~red edges ~pos ~len) t.small_set
 
-(* Relative per-edge feed cost of this oracle's subroutine mix, in
-   units of one Large_common feed.  The weights are ratios of mkcbench's
-   per-layer metrics core.{large_set,small_set}.ns_per_edge to
-   core.large_common.ns_per_edge on the uniform shape (306, 4973 and
-   1429 ns/edge over 16 instances when they were set):
-   Large_set's per-edge candidate-tracker replay dominates everywhere,
-   and Small_set only exists outside the heavy regime (sα < 2k).  Static
-   seeds for the pool scheduler's bin packing — only ratios matter. *)
-let cost_hint t =
-  let ls = 16.2 and ss = 4.7 in
-  1.0 +. ls +. (match t.small_set with None -> 0.0 | Some _ -> ss)
-
 let clamp (p : Params.t) outcome =
   (* No k-cover can exceed the universe size, so cap subroutine
      estimates at |U| — inverse-sampling scale-ups may overshoot. *)

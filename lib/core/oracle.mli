@@ -40,12 +40,6 @@ val finalize_all : t -> Solution.outcome option list
 (** Per-subroutine outcomes [\[large_common; large_set; small_set?\]] —
     the fig2 bench uses this to build the regime/winner matrix. *)
 
-val cost_hint : t -> float
-(** Static relative per-edge feed cost of this oracle's subroutine mix
-    (units: one Large_common feed ≈ 1.0), from the profiled planned-path
-    ns/edge ratios.  Seeds the pool scheduler's cost-aware bin packing;
-    refined online from measured busy-ns in adaptive mode. *)
-
 val words : t -> int
 
 val words_breakdown : t -> (string * int) list

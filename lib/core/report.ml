@@ -13,7 +13,6 @@ let feed_planned t plan edges ~pos ~len =
   Estimate.feed_planned t.engine plan edges ~pos ~len
 
 let shards t = Estimate.shards t.engine
-let shard_costs t = Estimate.shard_costs t.engine
 
 let truncate k sets =
   let rec take i = function [] -> [] | x :: rest -> if i >= k then [] else x :: take (i + 1) rest in

@@ -41,9 +41,4 @@ val sink : (t, result) Mkc_stream.Sink.sink
 
 val shards : t -> Mkc_stream.Sink.any array
 (** The underlying estimator's independent oracle instances, for
-    {!Mkc_stream.Pipeline.feed_all_parallel}; see
-    {!Estimate.shards}. *)
-
-val shard_costs : t -> float array
-(** Static scheduling cost hints, index-aligned with {!shards}; see
-    {!Estimate.shard_costs}. *)
+    {!Mkc_stream.Pipeline.drive}; see {!Estimate.shards}. *)

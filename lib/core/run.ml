@@ -4,7 +4,6 @@ module Budget = Mkc_sketch.Space.Budget
 
 type config = {
   domains : int;
-  schedule : Pipe.schedule;
   chunk : int;
   cadence : int;
   metrics : bool;
@@ -15,7 +14,6 @@ type config = {
 let default =
   {
     domains = 1;
-    schedule = Pipe.Static;
     chunk = Pipe.default_chunk;
     cadence = Sink.Observed.default_cadence;
     metrics = false;
@@ -33,7 +31,7 @@ type telemetry = {
     option;
 }
 
-type 's ckpt = {
+type 's ckpt = 's Pipe.checkpoint = {
   codec : 's Mkc_stream.Checkpoint.codec;
   every : int;
   save : string option;
@@ -118,74 +116,34 @@ let attach_telemetry t ob =
       Option.iter (fun p -> p ~final:false) paint);
   recorder
 
-(* The drive: pooled over [shards] when [domains > 1], else the whole
-   sink on the calling domain — observed when [observe], tapped for
-   progress unless checkpointing.  [ckpt] routes either through
-   Pipeline.run_resumable. *)
-let drive (type s r) cfg ~observe ?budget ?telemetry ~recorder ~shards ~costs ?ckpt ~label
-    ~profiles ((module M) as sink : (s, r) Sink.sink) (state : s) src : r =
-  let resumable ?costs ?on_save codec state ~shards ~finalize =
-    let c = Option.get ckpt in
-    match
-      Pipe.run_resumable ~domains:cfg.domains ~schedule:cfg.schedule ?costs ~chunk:cfg.chunk
-        ~every:c.every ?resume:c.resume ?checkpoint:c.save ?on_save codec state ~shards
-        ~finalize src
-    with
-    | Ok r -> r
-    | Error e -> raise (Abort (Checkpoint e))
+(* The drive: one Pipeline.drive call over [shards state] when
+   [domains > 1], else over the whole sink; the observer samples and
+   [progress] reports between windows, and the observer once more after
+   finalize. *)
+let drive (type s r) cfg ~observer ~shards ?ckpt ((module M) as sink : (s, r) Sink.sink)
+    (state : s) src : r =
+  let sinks = if cfg.domains > 1 then shards state else [| Sink.pack sink state |] in
+  let on_window ~pos ~len =
+    Option.iter (fun ob -> Sink.Observed.window ob ~len) observer;
+    Option.iter (fun notify -> notify ~edges:(pos + len)) cfg.progress
   in
-  if cfg.domains > 1 then begin
-    (* Budgets are single-domain mutable state, so no shard observer
-       gets one: the total words are checked once at finalize. *)
-    let final_samples = ref [] in
-    let observed_shards st =
-      if not cfg.metrics then shards st
-      else
-        Array.mapi
-          (fun i s ->
-            let ob = Sink.Observed.observe_any ~cadence:cfg.cadence s in
-            profiles := (Printf.sprintf "shard%d" i, ob.Sink.Observed.oprofile) :: !profiles;
-            final_samples := ob.Sink.Observed.osample :: !final_samples;
-            ob.Sink.Observed.osink)
-          (shards st)
-    in
-    let finalize st =
-      List.iter (fun sample -> sample ()) !final_samples;
-      Option.iter (fun b -> Budget.observe b (M.words st)) budget;
-      M.finalize st
-    in
-    match ckpt with
-    | Some c -> resumable ~costs c.codec state ~shards:observed_shards ~finalize
-    | None ->
-        Pipe.feed_all_parallel ~domains:cfg.domains ~schedule:cfg.schedule ~costs
-          ~chunk:cfg.chunk (observed_shards state) src;
-        finalize state
-  end
-  else
-    let one (type a) ?on_save ((module A) as m : (a, r) Sink.sink) (st : a) (state_of : a -> s)
-        =
-      match (ckpt, cfg.progress) with
-      | Some c, _ ->
-          resumable ?on_save
-            (Mkc_stream.Checkpoint.map_codec state_of c.codec)
-            st
-            ~shards:(fun st -> [| Sink.pack m st |])
-            ~finalize:A.finalize
-      | None, Some notify ->
-          let tm, tp = Sink.Tap.tap m st ~notify in
-          Pipe.run ~chunk:cfg.chunk tm tp src
-      | None, None -> Pipe.run ~chunk:cfg.chunk m st src
-    in
-    if observe then begin
-      let sm, ob = Sink.Observed.observe ~cadence:cfg.cadence ?budget sink state in
-      if cfg.metrics then profiles := [ (label, Sink.Observed.profile ob) ];
-      Option.iter (fun t -> recorder := Some (attach_telemetry t ob)) telemetry;
-      (* Aim the codec at the inner sink and put each save's bytes on the
-         space books — a held checkpoint is real space. *)
-      one sm ob Sink.Observed.state ~on_save:(fun ~pos:_ ~bytes:_ ~words ->
-          Sink.Observed.note_checkpoint ob ~words)
-    end
-    else one sink state Fun.id
+  (* A held checkpoint is real space: each save's bytes go on the books. *)
+  let on_save ~bytes =
+    Option.iter
+      (fun ob ->
+        Sink.Observed.note_checkpoint ob ~words:(Mkc_stream.Checkpoint.words_of_bytes bytes))
+      observer
+  in
+  match
+    Pipe.drive ~domains:cfg.domains ~chunk:cfg.chunk
+      ?checkpoint:(Option.map (fun c -> (c, state)) ckpt)
+      ~on_save ~on_window sinks src
+  with
+  | Error e -> raise (Abort (Checkpoint e))
+  | Ok () ->
+      let r = M.finalize state in
+      Option.iter Sink.Observed.sample observer;
+      r
 
 let ledger_entry l ~label ~edges ~wall_ns ~words r =
   let wall_s = float_of_int wall_ns /. 1e9 in
@@ -219,21 +177,26 @@ let ledger_entry l ~label ~edges ~wall_ns ~words r =
     e_quality = quality;
   }
 
-let run (type s r) cfg ?budget ?telemetry ?(shards = fun _ -> [||]) ?(costs = [||]) ?ckpt
-    ?(record_metrics = ignore) ?ledger ~label ((module M) as sink : (s, r) Sink.sink)
-    (state : s) src : (r outcome, error) result =
+let run (type s r) cfg ?budget ?telemetry ?shards ?ckpt ?(record_metrics = ignore) ?ledger
+    ~label ((module M) as sink : (s, r) Sink.sink) (state : s) src : (r outcome, error) result =
   let rules = match telemetry with Some t -> t.rules | None -> [] in
   (* Health counters live in the registry like every other metric. *)
   if cfg.metrics || ledger <> None || rules <> [] then Mkc_obs.Registry.set_enabled true;
   if cfg.trace then Mkc_obs.Trace.set_enabled true;
-  let telemetry = if cfg.domains > 1 then None else telemetry in
-  let observe = cfg.metrics || cfg.trace || budget <> None || telemetry <> None in
-  let recorder = ref None and profiles = ref [] in
+  let observer =
+    if cfg.metrics || cfg.trace || budget <> None || telemetry <> None then
+      Some (Sink.Observed.create ~cadence:cfg.cadence ?budget (Sink.pack sink state))
+    else None
+  in
+  let shards = Option.value shards ~default:(fun st -> [| Sink.pack sink st |]) in
+  let recorder = ref None in
   let close () = Option.iter Mkc_obs.Telemetry.Recorder.close !recorder in
   let t0 = Mkc_obs.Clock.now_ns () in
   match
-    drive cfg ~observe ?budget ?telemetry ~recorder ~shards ~costs ?ckpt ~label ~profiles sink
-      state src
+    Option.iter
+      (fun t -> recorder := Some (attach_telemetry t (Option.get observer)))
+      telemetry;
+    drive cfg ~observer ~shards ?ckpt sink state src
   with
   | exception e -> (
       close ();
@@ -256,7 +219,10 @@ let run (type s r) cfg ?budget ?telemetry ?(shards = fun _ -> [||]) ?(costs = [|
           result;
           words;
           wall_ns;
-          profiles = List.rev !profiles;
+          profiles =
+            (match observer with
+            | Some ob when cfg.metrics -> [ (label, Sink.Observed.profile ob) ]
+            | _ -> []);
           samples =
             (match !recorder with
             | Some r -> Mkc_obs.Series.total (Mkc_obs.Telemetry.Recorder.series r)

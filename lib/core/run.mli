@@ -1,15 +1,15 @@
 (** The one run path: drive a sink over a stream the way [mkc estimate]
     and [mkc report] do, and return what happened.
 
-    Everything a run decides lives here — plain, observed, progress-
-    tapped, pooled or checkpointed ({!Mkc_stream.Pipeline.run_resumable})
-    drive; the space profile of the sink (or one per shard on a pooled
-    run); the space budget, which a pooled run checks once against the
-    total words at finalize; the telemetry recorder, log and health
-    engine; abort clean-up; the drive's wall time; and the run-ledger
-    record.  The CLI and the pipeline benchmark both drive through
-    {!run}, so the number a benchmark reports is the number a user
-    gets.
+    Everything a run decides lives here — the one
+    {!Mkc_stream.Pipeline.drive} call (one domain or pooled, with or
+    without a checkpoint); the space observer
+    ({!Mkc_stream.Sink.Observed}), which samples the whole sink between
+    windows on every mode; the space budget; the progress callback; the
+    telemetry recorder, log and health engine; abort clean-up; the
+    drive's wall time; and the run-ledger record.  The CLI and the
+    pipeline benchmark both drive through {!run}, so the number a
+    benchmark reports is the number a user gets.
 
     {!run} never prints and never exits: an abort (a violated
     escalating health rule, a strict budget overshoot, a checkpoint
@@ -22,24 +22,21 @@
 
 type config = {
   domains : int;  (** > 1 feeds [shards] through the domain pool *)
-  schedule : Mkc_stream.Pipeline.schedule;
   chunk : int;
   cadence : int;  (** space-profile and telemetry sampling cadence, edges *)
   metrics : bool;
-      (** enable the registry, keep the space profile(s) in
+      (** enable the registry, keep the space profile in
           {!outcome.profiles} and record the result's metrics *)
   trace : bool;  (** enable {!Mkc_obs.Trace} *)
   progress : (edges:int -> unit) option;
-      (** called on every feed; honoured on a one-domain run without
-          checkpoints only *)
+      (** called after every window with the stream position reached *)
 }
 
 val default : config
-(** One domain, static schedule, {!Mkc_stream.Pipeline.default_chunk},
-    the observer's default cadence, nothing observed. *)
+(** One domain, {!Mkc_stream.Pipeline.default_chunk}, the observer's
+    default cadence, nothing observed. *)
 
-(** Health rules and the live view ride on telemetry samples, which
-    only a one-domain run takes: a pooled run ignores [telemetry]. *)
+(** Health rules and the live view ride on telemetry samples. *)
 type telemetry = {
   log : string option;  (** binary telemetry log to write *)
   rules : Mkc_obs.Health.rule list;  (** checked on every sample *)
@@ -55,7 +52,7 @@ type telemetry = {
 
 (** A checkpointed run: the codec, saves every [every] chunk windows to
     [save], and an optional checkpoint to [resume] from. *)
-type 's ckpt = {
+type 's ckpt = 's Mkc_stream.Pipeline.checkpoint = {
   codec : 's Mkc_stream.Checkpoint.codec;
   every : int;
   save : string option;
@@ -81,8 +78,7 @@ type 'r outcome = {
   words : int;  (** the sink's words once finalized *)
   wall_ns : int;  (** drive wall time, finalize included *)
   profiles : (string * Mkc_obs.Space_profile.t) list;
-      (** with [metrics]: [(label, profile)], or one ["shardI"] per
-          pooled shard *)
+      (** with [metrics]: [\[(label, profile)\]], on every drive mode *)
   samples : int;  (** telemetry samples recorded (0 without telemetry) *)
   appended : (unit, Mkc_obs.Ledger.error) result option;  (** the ledger append *)
 }
@@ -101,7 +97,6 @@ val run :
   ?budget:Mkc_sketch.Space.Budget.t ->
   ?telemetry:telemetry ->
   ?shards:('s -> Mkc_stream.Sink.any array) ->
-  ?costs:float array ->
   ?ckpt:'s ckpt ->
   ?record_metrics:('r -> unit) ->
   ?ledger:'r ledger ->
@@ -110,12 +105,14 @@ val run :
   's ->
   Mkc_stream.Stream_source.t ->
   ('r outcome, error) result
-(** Drive [sink]/[state] over the stream and finalize.  The sink is
-    observed ({!Mkc_stream.Sink.Observed}) when [metrics], [trace], a
-    [budget] or [telemetry] asks for it.  With [domains > 1] the
-    pairwise-independent [shards state] (default: none) are fed through
-    the pool, packed by [costs], and observed one by one under
-    [metrics]; the budget then sees the total words once, at finalize.
-    [record_metrics] runs on the result (and {!Mkc_stream.Sink.Observed.budget_evidence}
-    on the budget) when [metrics] or a [ledger] is on.  Any other
-    exception from the sink closes the telemetry log and propagates. *)
+(** Drive [sink]/[state] over the stream and finalize.  With
+    [domains > 1] the pairwise-independent [shards state] (default: the
+    whole sink as one shard) are fed through the pool; otherwise the
+    sink itself on the calling domain.  The sink is observed
+    ({!Mkc_stream.Sink.Observed}) when [metrics], [trace], a [budget]
+    or [telemetry] asks for it — on every mode the same way: a sample
+    at most once per window on the [cadence] grid, and once after
+    finalize.  [record_metrics] runs on the result (and
+    {!Mkc_stream.Sink.Observed.budget_evidence} on the budget) when
+    [metrics] or a [ledger] is on.  Any other exception from the sink
+    closes the telemetry log and propagates. *)

@@ -18,10 +18,9 @@
       parts-per-million (the series stores ints only).
 
     Ratio and recovery tracks read 0 until their denominators exist
-    (heavy-hitter recovery only runs at finalize).  Telemetry records
-    one-domain drives only, so the pool executor's utilization
-    ([pipeline.domain_busy_ns], [pipeline.pool.*]) has no track: it
-    lives in the registry and the snapshot. *)
+    (heavy-hitter recovery only runs at finalize).  The pool executor's
+    utilization ([pipeline.domain_busy_ns], [pipeline.pool.*]) has no
+    track: it lives in the registry and the snapshot. *)
 
 val build :
   breakdown:(unit -> (string * int) list) ->

@@ -194,11 +194,3 @@ type 's codec = {
   encode : 's -> string;
   restore : 's -> string -> (unit, string) result;
 }
-
-let map_codec get c =
-  {
-    kind = c.kind;
-    seed = c.seed;
-    encode = (fun t -> c.encode (get t));
-    restore = (fun t s -> c.restore (get t) s);
-  }

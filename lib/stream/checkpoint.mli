@@ -90,7 +90,3 @@ type 's codec = {
 (** How a sink family plugs into checkpointing: a kind tag, the seed its
     hashes derive from, and payload encode/restore.  Core sinks expose
     one ({!Mkc_core.Estimate.codec}). *)
-
-val map_codec : ('t -> 's) -> 's codec -> 't codec
-(** Re-aim a codec through an accessor — e.g. checkpoint the inner sink
-    of a {!Sink.Observed} wrapper via [map_codec Sink.Observed.state]. *)

@@ -15,14 +15,12 @@ module Obs = struct
   let domain_busy_ns = Mkc_obs.Registry.gauge ~mode:`Sum r "pipeline.domain_busy_ns"
   let domains_used = Mkc_obs.Registry.gauge ~mode:`Max r "pipeline.domains"
 
-  (* Pool-executor instruments ([rebalances] accumulates; the overlap
-     gauge is set by the coordinator per window).  All on the global
-     registry, so they surface in snapshots, durable telemetry and [mkc
-     top] without extra plumbing. *)
+  (* Pool-executor instruments (the overlap gauge is set by the
+     coordinator per window).  All on the global registry, so they
+     surface in snapshots, durable telemetry and [mkc top] without
+     extra plumbing. *)
   let pool_plan_overlap_ns =
     Mkc_obs.Registry.gauge ~mode:`Sum r "pipeline.pool.plan_overlap_ns"
-
-  let pool_rebalances = Mkc_obs.Registry.counter r "pipeline.pool.rebalances"
 
   (* Distribution tracks: per-chunk feed latency, per-window plan-build
      latency, and per-ticket queue wait each land in a log-linear
@@ -72,14 +70,12 @@ let chunk_instrumented ~nsinks ~len ~cum f =
    under the worker's mutex, the worker replays its assigned sinks
    against the shared read-only plan, and flips the mailbox back to
    [Idle].  All cross-domain publication — the plan contents, the edge
-   slice bounds, the per-shard timings flowing back — rides the mailbox
+   slice bounds, the worker timings flowing back — rides the mailbox
    mutex acquire/release pairs, which is the entirety of the memory-
    model argument: a worker never reads a plan except through a
    [dispatch] that happened-after the coordinator built it, and the
-   coordinator never reads [shard_ns]/worker stats except through an
-   [await] that happened-after the worker wrote them. *)
-
-type schedule = Static | Adaptive
+   coordinator never reads worker stats (or sink state) except through
+   an [await] that happened-after the worker wrote them. *)
 
 module Pool = struct
   type ticket = {
@@ -89,7 +85,6 @@ module Pool = struct
     edges : Edge.t array;
     tpos : int;
     tlen : int;
-    shard_ns : int array;  (* per-sink ns this window; disjoint writes *)
     dispatch_ns : int;
   }
 
@@ -100,12 +95,10 @@ module Pool = struct
     cv : Condition.t;  (* coordinator -> worker: mailbox refilled *)
     done_cv : Condition.t;  (* worker -> coordinator: back to Idle *)
     mutable msg : msg;
-    (* Cumulative over the pool's lifetime (satellite of the adaptive
-       scheduler: signals must not reset per window).  Written by the
-       worker domain, read by the coordinator only after an [await]. *)
+    (* Cumulative over the pool's lifetime.  Written by the worker
+       domain, read by the coordinator only after an [await]. *)
     mutable busy_ns : int;
     mutable wait_ns : int;  (* dispatch -> pick-up queue latency *)
-    mutable windows_run : int;
   }
 
   type t = {
@@ -119,7 +112,6 @@ module Pool = struct
     mutable plan_overlap_ns : int;
     mutable window_wall_ns : int;
     mutable coord_busy_ns : int;
-    mutable rebalances : int;
   }
 
   type stats = {
@@ -131,17 +123,12 @@ module Pool = struct
     coord_busy_ns : int;
     worker_busy_ns : int array;
     worker_wait_ns : int array;
-    rebalances : int;
   }
 
   let feed_assigned (k : ticket) =
-    let nassign = Array.length k.assign in
-    for j = 0 to nassign - 1 do
-      let i = Array.unsafe_get k.assign j in
-      let s0 = Mkc_obs.Clock.now_ns () in
-      Sink.Any.feed_planned k.sinks.(i) k.plan k.edges ~pos:k.tpos ~len:k.tlen;
-      k.shard_ns.(i) <- Mkc_obs.Clock.now_ns () - s0
-    done
+    Array.iter
+      (fun i -> Sink.Any.feed_planned k.sinks.(i) k.plan k.edges ~pos:k.tpos ~len:k.tlen)
+      k.assign
 
   let worker_loop (w : worker) =
     let rec next () =
@@ -167,7 +154,6 @@ module Pool = struct
           let t1 = Mkc_obs.Clock.now_ns () in
           Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:(t1 - t0);
           w.busy_ns <- w.busy_ns + (t1 - t0);
-          w.windows_run <- w.windows_run + 1;
           Mutex.lock w.mu;
           w.msg <- Idle;
           Condition.signal w.done_cv;
@@ -191,7 +177,6 @@ module Pool = struct
             msg = Idle;
             busy_ns = 0;
             wait_ns = 0;
-            windows_run = 0;
           })
     in
     let handles = Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers in
@@ -205,7 +190,6 @@ module Pool = struct
       plan_overlap_ns = 0;
       window_wall_ns = 0;
       coord_busy_ns = 0;
-      rebalances = 0;
     }
 
   let size t = t.slots
@@ -258,7 +242,6 @@ module Pool = struct
       coord_busy_ns = t.coord_busy_ns;
       worker_busy_ns = Array.map (fun w -> w.busy_ns) t.workers;
       worker_wait_ns = Array.map (fun w -> w.wait_ns) t.workers;
-      rebalances = t.rebalances;
     }
 end
 
@@ -295,8 +278,8 @@ let lpt ~slots ~coord_bias costs =
 (* Fraction of the per-window work that is plan building — mkcbench's
    stream.chunk_plan.ns_per_edge against the core.*.ns_per_edge layers
    (~180 of ~9700 ns/edge on the planted shape when it was set): the
-   static coordinator bias before any measurement exists. *)
-let static_plan_fraction = 0.02
+   coordinator's bias in the packing. *)
+let plan_fraction = 0.02
 
 (* The slots a drive gets: [pool] capped by [domains], else a transient
    pool of [domains] slots (default [Domain.recommended_domain_count
@@ -313,9 +296,9 @@ let with_slots ?pool ?domains nsinks f =
       let d = min d nsinks in
       if d <= 1 then f None 1 else Pool.with_pool ~domains:d (fun p -> f (Some p) d)
 
-(* The one chunk loop behind every chunked driver.  The stream is cut
-   into windows of [chunk × slots] edges; every sink sees every window,
-   in order, so final states never depend on the slot count.
+(* The chunk loop.  The stream is cut into windows of [chunk × slots]
+   edges; every sink sees every window, in order, so final states never
+   depend on the slot count.
 
    One slot builds each window's plan in place into a single scratch
    plan, then feeds every sink on the calling domain.
@@ -327,11 +310,10 @@ let with_slots ?pool ?domains nsinks f =
    every sink sees the full stream in order no matter which domain runs
    it — the bit-for-bit-vs-[run_seq] invariant.
 
-   [on_window] (the checkpoint hook) runs between windows, while every
-   worker is quiescent. *)
-let drive ~pool ~slots ?(schedule = Static) ?costs ~chunk ~start ?on_window sinks src =
+   [on_window] runs between windows, while every worker is quiescent. *)
+let loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src =
   let nsinks = Array.length sinks in
-  let est =
+  let costs =
     match costs with
     | None -> Array.make nsinks 1.0
     | Some c ->
@@ -353,16 +335,11 @@ let drive ~pool ~slots ?(schedule = Static) ?costs ~chunk ~start ?on_window sink
             (if nwin > 1 then Chunk_plan.create_sized ~chunk:sized else Chunk_plan.create ());
           |]
     in
-    let total = Array.fold_left ( +. ) 0.0 est in
-    let coord_bias = ref (static_plan_fraction *. total) in
-    let assign = ref (lpt ~slots ~coord_bias:!coord_bias est) in
-    let shard_ns = Array.make nsinks 0 in
-    let measured = ref false in
+    let coord_bias = plan_fraction *. Array.fold_left ( +. ) 0.0 costs in
+    let assign = lpt ~slots ~coord_bias costs in
     let plan_build_ns = ref 0 in
     let plan_overlap_ns = ref 0 in
-    let plan_last_ns = ref 0.0 in
     let coord_busy_ns = ref 0 in
-    let rebalances = ref 0 in
     (* A [domains] cap below the pool size leaves the excess workers
        without tickets for this drive. *)
     let workers =
@@ -395,64 +372,25 @@ let drive ~pool ~slots ?(schedule = Static) ?costs ~chunk ~start ?on_window sink
               Array.iter (fun s -> Sink.Any.feed_planned s plan edges ~pos ~len) sinks
           | Some _ ->
               let ticket slot dispatch_ns =
-                {
-                  Pool.sinks;
-                  assign = (!assign).(slot);
-                  plan;
-                  edges;
-                  tpos = pos;
-                  tlen = len;
-                  shard_ns;
-                  dispatch_ns;
-                }
+                { Pool.sinks; assign = assign.(slot); plan; edges; tpos = pos; tlen = len;
+                  dispatch_ns }
               in
               let dns = Mkc_obs.Clock.now_ns () in
               Array.iteri (fun i wk -> Pool.dispatch wk (ticket (i + 1) dns)) workers;
-              if w + 1 < nwin then begin
-                let d = build_timed plans.(1 - !parity) wins.(w + 1) in
-                plan_overlap_ns := !plan_overlap_ns + d;
-                plan_last_ns := float_of_int d
-              end;
+              if w + 1 < nwin then
+                plan_overlap_ns := !plan_overlap_ns + build_timed plans.(1 - !parity) wins.(w + 1);
               let t0 = Mkc_obs.Clock.now_ns () in
               Pool.feed_assigned (ticket 0 t0);
               let d = Mkc_obs.Clock.now_ns () - t0 in
               Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:d;
               coord_busy_ns := !coord_busy_ns + d;
               Array.iter Pool.await workers);
-      (match on_window with
-      | Some f -> f ~next:(pos + len) ~window:w
-      | None -> ());
       if pool <> None then begin
-        (if schedule = Adaptive then begin
-           (* Refine per-shard cost estimates from the measured window.
-              The first measurement replaces the static seed wholesale
-              (unit scales differ); later ones are smoothed so one noisy
-              window cannot thrash the packing. *)
-           (if not !measured then begin
-              for i = 0 to nsinks - 1 do
-                est.(i) <- Float.max (float_of_int shard_ns.(i)) 1.0
-              done;
-              coord_bias := Float.max !plan_last_ns 1.0;
-              measured := true
-            end
-            else begin
-              for i = 0 to nsinks - 1 do
-                est.(i) <- (0.5 *. est.(i)) +. (0.5 *. float_of_int shard_ns.(i))
-              done;
-              coord_bias := (0.5 *. !coord_bias) +. (0.5 *. !plan_last_ns)
-            end);
-           let assign' = lpt ~slots ~coord_bias:!coord_bias est in
-           if assign' <> !assign then begin
-             incr rebalances;
-             assign := assign';
-             if Mkc_obs.Registry.enabled () then
-               Mkc_obs.Registry.incr Obs.pool_rebalances
-           end
-         end);
         (* Publish the cumulative pool signals once per window — between
            windows the workers are quiescent (the [await] above is the
            happens-before edge), so the sums are exact, and telemetry
-           samples firing mid-run read live values instead of zeros. *)
+           samples firing in [on_window] read live values instead of
+           zeros. *)
         (if Mkc_obs.Registry.enabled () then begin
            let worker_busy = ref 0 and worker_wait = ref 0 in
            Array.iteri
@@ -469,7 +407,8 @@ let drive ~pool ~slots ?(schedule = Static) ?costs ~chunk ~start ?on_window sink
                ~at_ns:(Mkc_obs.Clock.now_ns ()) !worker_wait
          end);
         parity := 1 - !parity
-      end
+      end;
+      on_window ~pos ~len ~window:w
     done;
     let window_wall_ns = Mkc_obs.Clock.now_ns () - loop_t0 in
     match pool with
@@ -479,103 +418,76 @@ let drive ~pool ~slots ?(schedule = Static) ?costs ~chunk ~start ?on_window sink
         p.Pool.plan_build_ns <- p.Pool.plan_build_ns + !plan_build_ns;
         p.Pool.plan_overlap_ns <- p.Pool.plan_overlap_ns + !plan_overlap_ns;
         p.Pool.window_wall_ns <- p.Pool.window_wall_ns + window_wall_ns;
-        p.Pool.coord_busy_ns <- p.Pool.coord_busy_ns + !coord_busy_ns;
-        p.Pool.rebalances <- p.Pool.rebalances + !rebalances
+        p.Pool.coord_busy_ns <- p.Pool.coord_busy_ns + !coord_busy_ns
   end
 
-let feed_all_parallel ?pool ?domains ?schedule ?costs ?(chunk = default_chunk)
-    ?(start = 0) sinks src =
+let default_checkpoint_every = 8
+
+type 's checkpoint = {
+  codec : 's Checkpoint.codec;
+  every : int;
+  save : string option;
+  resume : string option;
+}
+
+(* Saves land on WINDOW boundaries ([chunk × slots] edges), where every
+   worker is quiescent, so [codec.encode state] reads fully-published
+   sink state; with one slot that is the chunk grid.  A restore
+   overlays the typed state in place, so sinks derived from it before
+   the restore drive the restored state, and a resumed run re-windows
+   the suffix on the same grid (same [chunk], same effective slot
+   count), so results, [words] and every work counter match the
+   uninterrupted run's bit for bit. *)
+let drive (type s) ?pool ?domains ?costs ?(chunk = default_chunk) ?(start = 0)
+    ?(checkpoint : (s checkpoint * s) option) ?on_save ?on_window sinks src =
+  let ( let* ) = Result.bind in
+  let n = Stream_source.length src in
+  let* start =
+    match checkpoint with
+    | Some ({ resume = Some path; codec; _ }, state) ->
+        let* env = Checkpoint.load ~expect_kind:codec.kind ~expect_seed:codec.seed ~path () in
+        let* () =
+          Result.map_error
+            (fun msg -> Checkpoint.Payload_rejected msg)
+            (codec.restore state env.Checkpoint.payload)
+        in
+        if env.Checkpoint.pos > n then
+          Error
+            (Checkpoint.Malformed
+               (Printf.sprintf "resume position %d beyond stream length %d" env.pos n))
+        else Ok env.pos
+    | _ -> Ok start
+  in
+  let save_at pos =
+    match checkpoint with
+    | Some ({ save = Some path; codec; _ }, state) ->
+        let env =
+          { Checkpoint.kind = codec.kind; pos; seed = codec.seed; payload = codec.encode state }
+        in
+        let* bytes = Checkpoint.save ~path env in
+        Option.iter (fun f -> f ~bytes) on_save;
+        Ok ()
+    | _ -> Ok ()
+  in
+  let every = match checkpoint with Some (c, _) -> c.every | None -> max_int in
+  if every < 1 then invalid_arg "Pipeline.drive: checkpoint every must be >= 1";
+  let failure = ref None in
+  let on_window ~pos ~len ~window =
+    Option.iter (fun f -> f ~pos ~len) on_window;
+    let next = pos + len in
+    if !failure = None && next < n && (window + 1) mod every = 0 then
+      match save_at next with Ok () -> () | Error e -> failure := Some e
+  in
   with_slots ?pool ?domains (Array.length sinks) (fun pool slots ->
-      drive ~pool ~slots ?schedule ?costs ~chunk ~start sinks src)
+      loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src);
+  let* () = match !failure with None -> Ok () | Some e -> Error e in
+  (* A final checkpoint at end-of-stream: the shard-merge workflow
+     merges exactly these. *)
+  save_at n
+
+let feed_all_parallel ?pool ?domains ?costs ?chunk ?start sinks src =
+  Result.get_ok (drive ?pool ?domains ?costs ?chunk ?start sinks src)
 
 let run ?chunk (type s r) ((module M) as m : (s, r) Sink.sink) (sink : s) src =
   feed_all_parallel ~domains:1 ?chunk [| Sink.pack m sink |] src;
   M.finalize sink
-
-(* {1 Crash-resume and shard-merge drivers} *)
-
-let default_checkpoint_every = 8
-
-(* Saves land on WINDOW boundaries ([chunk × slots] edges), where every
-   worker is quiescent, so [codec.encode state] reads fully-published
-   sink state; with one slot that is the chunk grid.  Shards are
-   derived from the typed state AFTER a restore, and a resumed run
-   re-windows the suffix on the same grid (same [chunk], same effective
-   slot count), so results, [words] and every work counter match the
-   uninterrupted run's bit for bit. *)
-let run_resumable (type s r) ?pool ?domains ?schedule ?costs ?(chunk = default_chunk)
-    ?(every = default_checkpoint_every) ?resume ?checkpoint ?on_save
-    (codec : s Checkpoint.codec) (state : s) ~(shards : s -> Sink.any array)
-    ~(finalize : s -> r) src : (r, Checkpoint.error) result =
-  if every < 1 then invalid_arg "Pipeline.run_resumable: every must be >= 1";
-  let ( let* ) = Result.bind in
-  let* start =
-    match resume with
-    | None -> Ok 0
-    | Some path ->
-        let* env =
-          Checkpoint.load ~expect_kind:codec.kind ~expect_seed:codec.seed ~path ()
-        in
-        let* () =
-          match codec.restore state env.Checkpoint.payload with
-          | Ok () -> Ok ()
-          | Error msg -> Error (Checkpoint.Payload_rejected msg)
-        in
-        Ok env.Checkpoint.pos
-  in
-  let n = Stream_source.length src in
-  let* () =
-    if start > n then
-      Error
-        (Checkpoint.Malformed
-           (Printf.sprintf "resume position %d beyond stream length %d" start n))
-    else Ok ()
-  in
-  let save_at pos =
-    match checkpoint with
-    | None -> Ok ()
-    | Some path ->
-        let env =
-          { Checkpoint.kind = codec.kind; pos; seed = codec.seed;
-            payload = codec.encode state }
-        in
-        let* bytes = Checkpoint.save ~path env in
-        (match on_save with
-        | Some f -> f ~pos ~bytes ~words:(Checkpoint.words_of_bytes bytes)
-        | None -> ());
-        Ok ()
-  in
-  let failure = ref None in
-  let on_window ~next ~window =
-    if !failure = None && next < n && (window + 1) mod every = 0 then
-      match save_at next with Ok () -> () | Error e -> failure := Some e
-  in
-  let sinks = shards state in
-  with_slots ?pool ?domains (Array.length sinks) (fun pool slots ->
-      drive ~pool ~slots ?schedule ?costs ~chunk ~start ~on_window sinks src);
-  let* () = match !failure with None -> Ok () | Some e -> Error e in
-  (* A final checkpoint at end-of-stream: the shard-merge workflow
-     merges exactly these. *)
-  let* () = save_at n in
-  Ok (finalize state)
-
-let merge_shards ~merge first rest =
-  Array.iter (fun s -> merge first s) rest;
-  first
-
-let run_sharded (type s r) ?(chunk = default_chunk) ~shards ~create ~merge
-    ((module M) as m : (s, r) Sink.sink) src : r =
-  if shards < 1 then invalid_arg "Pipeline.run_sharded: shards must be >= 1";
-  let parts = Stream_source.partition ~shards src in
-  let states =
-    Array.map
-      (fun part ->
-        let s : s = create () in
-        feed_all_parallel ~domains:1 ~chunk [| Sink.pack m s |] part;
-        s)
-      parts
-  in
-  let merged =
-    merge_shards ~merge states.(0) (Array.sub states 1 (Array.length states - 1))
-  in
-  M.finalize merged

@@ -6,26 +6,27 @@
     - {!run_seq} — one edge at a time through {!Sink.S.feed}, the
       literal streaming model and the reference the equivalence suites
       compare against;
-    - one chunk loop through {!Sink.S.feed_planned}, behind every other
-      driver ({!run}, {!feed_all_parallel}, {!run_resumable},
-      {!run_sharded}).  The stream is cut into windows of
-      [chunk × slots] edges and one shared read-only {!Chunk_plan} is
-      built per window.  With one slot the plan is built in place and
-      every sink is fed on the calling domain.  With more, mutually
-      independent sinks (e.g. {!Mkc_core.Estimate.shards}'s z-guess ×
-      repeat oracle instances) are bin-packed by cost over a persistent
-      {!Pool} of OCaml 5 domains; the coordinator builds each window's
-      plan one window ahead of the workers, and each worker replays its
-      sink group against it.
+    - {!drive} — the one chunk loop, through {!Sink.S.feed_planned}
+      ({!run} and {!feed_all_parallel} are one-line calls of it).  The
+      stream is cut into windows of [chunk × slots] edges and one
+      shared read-only {!Chunk_plan} is built per window.  With one
+      slot the plan is built in place and every sink is fed on the
+      calling domain.  With more, mutually independent sinks (e.g.
+      {!Mkc_core.Estimate.shards}'s z-guess × repeat oracle instances)
+      are bin-packed by cost over a persistent {!Pool} of OCaml 5
+      domains; the coordinator builds each window's plan one window
+      ahead of the workers, and each worker replays its sink group
+      against it.  Between windows, with every worker quiescent, the
+      coordinator runs the caller's [on_window] hook (space sampling,
+      telemetry, progress) and any due checkpoint save.
 
     Determinism: every sink is owned by exactly one slot per window and
     sees the full stream in order (windows are barriered — workers are
     awaited before the next window is dispatched), and no mutable state
     is shared between sinks, so the final state of each sink — and
     hence any finalize result — is identical to {!run_seq}'s,
-    regardless of slot count, scheduling mode, or how shards were
-    packed.  Parallelism and scheduling change wall-clock only, never
-    output.
+    regardless of slot count or how shards were packed.  Parallelism
+    changes wall-clock only, never output.
 
     Observability: when {!Mkc_obs.Registry.enabled} is on, the chunk
     loop records a [pipeline.chunk] span per window, bumps the counters
@@ -34,8 +35,7 @@
     done), and records each window's feed latency into the
     [pipeline.chunk_feed_ns] histogram (mergeable log-linear buckets;
     p50/p99 survive shard-merge).  A one-slot drive records nothing
-    else, so {!run}, {!feed_all_parallel} at one slot and
-    {!run_resumable} at one slot leave identical [pipeline.*] keys.  A
+    else, so every one-slot drive leaves identical [pipeline.*] keys.  A
     pooled drive additionally records one [pipeline.domain] span per
     slot per window, the gauges [pipeline.domain_busy_ns] (total busy
     ns) and [pipeline.domains], and the per-window histograms
@@ -61,14 +61,6 @@ val run : ?chunk:int -> ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
 (** One sink through the chunk loop at one slot, then finalize. *)
 
 (** {1 The persistent worker-domain pool} *)
-
-type schedule =
-  | Static  (** bin-pack once from static cost hints; never re-pack *)
-  | Adaptive
-      (** re-pack between windows from measured per-shard busy-ns
-          (first window replaces the static seed, later windows are
-          exponentially smoothed so one noisy window cannot thrash the
-          packing) *)
 
 module Pool : sig
   (** A set of worker domains spawned once and reused across chunk
@@ -98,8 +90,7 @@ module Pool : sig
 
   (** Drive statistics, accumulated over the pool's lifetime.  Worker
       arrays are indexed by worker (slot - 1); busy/wait are cumulative
-      per worker — they never reset between windows or drives, which is
-      what makes them usable as scheduler signals. *)
+      per worker — they never reset between windows or drives. *)
   type stats = {
     domains : int;
     windows : int;  (** chunk windows dispatched *)
@@ -111,27 +102,42 @@ module Pool : sig
     coord_busy_ns : int;  (** coordinator sink-feeding time *)
     worker_busy_ns : int array;
     worker_wait_ns : int array;  (** dispatch → pick-up queue latency *)
-    rebalances : int;  (** adaptive re-packings that changed the plan *)
   }
 
   val stats : t -> stats
   (** Read at quiescence (between drives). *)
 end
 
-val feed_all_parallel :
+(** {1 The chunk loop} *)
+
+val default_checkpoint_every : int
+(** 8 windows between checkpoint saves. *)
+
+type 's checkpoint = {
+  codec : 's Checkpoint.codec;  (** kind and seed pinned on resume *)
+  every : int;  (** windows between saves; must be >= 1 *)
+  save : string option;  (** where to save, atomically *)
+  resume : string option;  (** a checkpoint to restore and continue from *)
+}
+(** Crash tolerance for a drive, over the typed state ['s] its sinks
+    were derived from. *)
+
+val drive :
   ?pool:Pool.t ->
   ?domains:int ->
-  ?schedule:schedule ->
   ?costs:float array ->
   ?chunk:int ->
   ?start:int ->
+  ?checkpoint:'s checkpoint * 's ->
+  ?on_save:(bytes:int -> unit) ->
+  ?on_window:(pos:int -> len:int -> unit) ->
   Sink.any array ->
   Stream_source.t ->
-  unit
-(** Drive several sinks through one pass of the chunk loop (all sinks
-    see window [i] before any sees window [i+1]), starting at edge
-    [start].  Finalization is the caller's: packed sinks share state
-    with the typed handles used to build them.
+  (unit, Checkpoint.error) result
+(** Drive the sinks through one pass of the chunk loop (all sinks see
+    window [i] before any sees window [i+1]), from edge [start]
+    (default 0).  Finalization is the caller's: packed sinks share
+    state with the typed handles used to build them.
 
     The slot count is that of [pool] if given (with [domains] as an
     optional cap), else [domains] (default
@@ -141,76 +147,43 @@ val feed_all_parallel :
     coordinator's plan-build work) across the slots; relative to one
     slot this pays the same one grouping pass over the stream but
     makes every per-distinct-id hash decision once per [slots]×-wider
-    window — strictly less hash work, so it wins even when the domains
-    time-share a single core.  [costs] (per-sink relative weights,
-    e.g. {!Mkc_core.Estimate.shard_costs}) seeds the packing;
-    [schedule] (default {!Static}) controls whether measured busy-ns
-    re-pack it between windows.  Requires the sinks to be pairwise
-    independent — no shared mutable state — which holds for all shard
-    arrays exposed by this library.  Raises [Invalid_argument] if
-    [costs] and the sinks differ in length. *)
+    window.  [costs] (per-sink relative weights; default uniform)
+    seeds the packing.  Requires the sinks to be pairwise independent
+    — no shared mutable state — which holds for all shard arrays
+    exposed by this library.  Raises [Invalid_argument] if [costs] and
+    the sinks differ in length.
 
-val default_checkpoint_every : int
-(** 8 windows between checkpoints in {!run_resumable}. *)
+    [on_window ~pos ~len] runs on the calling domain after each window
+    [\[pos, pos+len)] has been fed to every sink, while every worker is
+    quiescent — so it may read any sink's state (e.g.
+    {!Sink.Observed.window}).
 
-val run_resumable :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  ?schedule:schedule ->
-  ?costs:float array ->
-  ?chunk:int ->
-  ?every:int ->
-  ?resume:string ->
-  ?checkpoint:string ->
-  ?on_save:(pos:int -> bytes:int -> words:int -> unit) ->
-  's Checkpoint.codec ->
-  's ->
-  shards:('s -> Sink.any array) ->
-  finalize:('s -> 'r) ->
-  Stream_source.t ->
-  ('r, Checkpoint.error) result
-(** The chunk loop with crash tolerance.
-
-    With [~resume:path], first load and fully validate the checkpoint
-    (kind and seed pinned by the codec; any mismatch or corruption is a
-    named {!Checkpoint.error}), overlay it on the freshly created
-    [state], and continue the stream from the checkpointed position.
-    Then derive the sinks from the (restored) typed state via [shards]
-    — [fun s -> [| Sink.pack sink s |]] for a single sink — and drive
-    them as {!feed_all_parallel} does (same
-    [pool]/[domains]/[schedule]/[costs] contract).  With
-    [~checkpoint:path], atomically save the state every [every]
-    windows ([chunk × slots] edges — the points where all workers are
-    quiescent; with one slot, the chunk grid) and once at
-    end-of-stream, so the final file feeds the shard-merge workflow.
-    [on_save] observes each save — e.g.
-    [Sink.Observed.note_checkpoint] to put the bytes on the space
-    books.  Finally [finalize state].
+    With [~checkpoint:(spec, state)], where the sinks read and write
+    [state]: on [spec.resume], first load and fully validate the
+    checkpoint (kind and seed pinned by the codec; any mismatch or
+    corruption is a named {!Checkpoint.error}), overlay it on [state]
+    in place, and continue from the checkpointed position instead of
+    [start].  On [spec.save], atomically save [state] every
+    [spec.every] windows — after [on_window] — and once at
+    end-of-stream, so the final file feeds the shard-merge workflow;
+    [on_save ~bytes] observes each save (e.g.
+    {!Sink.Observed.note_checkpoint}).  A failed save stops further
+    saves; the drive finishes the stream and returns the error.
 
     Resuming with the same [chunk] and effective slot count re-windows
     the suffix on the same grid, so a resumed run matches the
     uninterrupted one bit for bit (results, [words] and every work
     counter; the [test_checkpoint] and [test_pool] differential
     harnesses enforce this).  Results also match {!run_seq} on any
-    grid. *)
+    grid.  Without [checkpoint] the result is always [Ok ()]. *)
 
-val merge_shards : merge:('s -> 's -> unit) -> 's -> 's array -> 's
-(** [merge_shards ~merge first rest] folds every state in [rest] into
-    [first] (in array order — merges of stream shards should pass them
-    stream-ordered) and returns [first]. *)
-
-val run_sharded :
+val feed_all_parallel :
+  ?pool:Pool.t ->
+  ?domains:int ->
+  ?costs:float array ->
   ?chunk:int ->
-  shards:int ->
-  create:(unit -> 's) ->
-  merge:('s -> 's -> unit) ->
-  ('s, 'r) Sink.sink ->
+  ?start:int ->
+  Sink.any array ->
   Stream_source.t ->
-  'r
-(** Edge-partition the stream into [shards] contiguous sub-streams
-    ({!Stream_source.partition}), run an independent sink (from
-    [create], same params/seed each time) over each, merge the final
-    states left-to-right, and finalize the merged sink.  For the
-    linear sketches of the paper the merged state is bit-for-bit the
-    single-stream state (the merge-law qcheck properties pin this
-    modulo the memo-eval counter families). *)
+  unit
+(** {!drive} without a checkpoint or hooks. *)

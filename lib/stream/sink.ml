@@ -39,24 +39,16 @@ let canonical_breakdown kvs =
 let prefix_breakdown prefix kvs = List.map (fun (k, v) -> (prefix ^ "." ^ k, v)) kvs
 
 module Observed = struct
-  (* Per-call feed latency distribution across every observed sink —
-     the histogram counterpart of the scalar [busy_ns] sums below. *)
-  module Obs = struct
-    let feed_ns =
-      Mkc_obs.Registry.histogram Mkc_obs.Registry.global "sink.observed.feed_ns"
-  end
-
-  type ('s, 'r) st = {
-    inner : ('s, 'r) sink;
-    state : 's;
+  type t = {
+    sink : any;
     profile : Mkc_obs.Space_profile.t;
     budget : Mkc_sketch.Space.Budget.t option;
     mutable edges : int;
     mutable next_at : int;
-    (* Words held by the most recent serialized checkpoint of the inner
-       sink (0 until one is taken).  Checkpointing is real space the
-       process pays for, so it joins the breakdown under its own key
-       and the budget watchdog sees it. *)
+    (* Words held by the most recent serialized checkpoint of the sink
+       (0 until one is taken).  Checkpointing is real space the process
+       pays for, so it joins the breakdown under its own key and the
+       budget watchdog sees it. *)
     mutable ckpt_words : int;
     (* Sample fan-out: the telemetry recorder (and anything else that
        wants the cadence heartbeat) hooks in here.  Called after the
@@ -68,30 +60,42 @@ module Observed = struct
        already paid for instead of re-walking (and re-flushing) every
        sketch.  Empty until the first sample. *)
     mutable last_bd : (string * int) list;
-    (* Cumulative ns spent inside the inner sink's chunk feeds, over the
-       wrapper's whole lifetime — never reset per window, so scheduler
-       and [mkc top] signals reading it see a monotone series, not a
-       sawtooth.  Timed around [feed_planned] only; the per-edge [feed]
-       path stays clock-free. *)
-    mutable busy_ns : int;
   }
 
   let default_cadence = 65536
 
-  let total_words (type s r) (t : (s, r) st) =
-    let (module M) = t.inner in
-    M.words t.state + t.ckpt_words
+  let create ?(cadence = default_cadence) ?budget sink =
+    if cadence < 1 then invalid_arg "Sink.Observed.create: cadence must be >= 1";
+    {
+      sink;
+      profile = Mkc_obs.Space_profile.create ~cadence;
+      budget;
+      edges = 0;
+      next_at = cadence;
+      ckpt_words = 0;
+      on_sample = None;
+      last_bd = [];
+    }
 
-  let sample (type s r) (t : (s, r) st) =
-    let (module M) = t.inner in
+  let profile t = t.profile
+  let set_on_sample t f = t.on_sample <- Some f
+
+  let note_checkpoint t ~words =
+    if words < 0 then invalid_arg "Sink.Observed.note_checkpoint: negative words";
+    t.ckpt_words <- words
+
+  let words_breakdown t =
+    let inner = Any.words_breakdown t.sink in
+    canonical_breakdown
+      (if t.ckpt_words > 0 then ("checkpoint", t.ckpt_words) :: inner else inner)
+
+  let sampled_breakdown t = match t.last_bd with [] -> words_breakdown t | bd -> bd
+
+  let sample t =
     (* One walk serves both numbers: every sink's [words] is the sum of
        its [words_breakdown] (the S contract — words split by
        component), so the total falls out of the component walk. *)
-    let breakdown =
-      let inner = M.words_breakdown t.state in
-      canonical_breakdown
-        (if t.ckpt_words > 0 then ("checkpoint", t.ckpt_words) :: inner else inner)
-    in
+    let breakdown = words_breakdown t in
     let words = List.fold_left (fun acc (_, w) -> acc + w) 0 breakdown in
     t.last_bd <- breakdown;
     Mkc_obs.Space_profile.record t.profile ~at_edges:t.edges ~words ~breakdown;
@@ -103,163 +107,20 @@ module Observed = struct
        tell the story. *)
     match t.budget with None -> () | Some b -> Mkc_sketch.Space.Budget.observe b words
 
-  let wrap ?(cadence = default_cadence) ?budget inner state =
-    if cadence < 1 then invalid_arg "Sink.Observed.wrap: cadence must be >= 1";
-    {
-      inner;
-      state;
-      profile = Mkc_obs.Space_profile.create ~cadence;
-      budget;
-      edges = 0;
-      next_at = cadence;
-      ckpt_words = 0;
-      on_sample = None;
-      last_bd = [];
-      busy_ns = 0;
-    }
-
-  let profile t = t.profile
-  let state t = t.state
-  let busy_ns t = t.busy_ns
-  let set_on_sample t f = t.on_sample <- Some f
-
-  let note_checkpoint t ~words =
-    if words < 0 then invalid_arg "Sink.Observed.note_checkpoint: negative words";
-    t.ckpt_words <- words
-
-  (* At most one sample per feed call; [next_at] realigns to the cadence
-     grid so oversized batches don't trigger a burst of samples. *)
-  let bump t n =
-    t.edges <- t.edges + n;
+  (* At most one sample per window; [next_at] realigns to the cadence
+     grid so oversized windows don't trigger a burst of samples. *)
+  let window t ~len =
+    t.edges <- t.edges + len;
     if t.edges >= t.next_at then begin
       sample t;
       let c = Mkc_obs.Space_profile.cadence t.profile in
       t.next_at <- ((t.edges / c) + 1) * c
     end
 
-  let feed (type s r) (t : (s, r) st) e =
-    let (module M) = t.inner in
-    M.feed t.state e;
-    bump t 1
-
-  let feed_planned (type s r) (t : (s, r) st) plan edges ~pos ~len =
-    let (module M) = t.inner in
-    let t0 = Mkc_obs.Clock.now_ns () in
-    M.feed_planned t.state plan edges ~pos ~len;
-    let d = Mkc_obs.Clock.now_ns () - t0 in
-    t.busy_ns <- t.busy_ns + d;
-    Mkc_obs.Registry.record Obs.feed_ns d;
-    bump t len
-
-  let finalize (type s r) (t : (s, r) st) =
-    let (module M) = t.inner in
-    let r = M.finalize t.state in
-    sample t;
-    r
-
-  let words (type s r) (t : (s, r) st) = total_words t
-
-  let words_breakdown (type s r) (t : (s, r) st) =
-    let (module M) = t.inner in
-    let inner = M.words_breakdown t.state in
-    canonical_breakdown
-      (if t.ckpt_words > 0 then ("checkpoint", t.ckpt_words) :: inner else inner)
-
-  let sampled_breakdown (type s r) (t : (s, r) st) =
-    match t.last_bd with [] -> words_breakdown t | bd -> bd
-
-  let sink (type s r) () : ((s, r) st, r) sink =
-    (module struct
-      type nonrec t = (s, r) st
-      type result = r
-
-      let feed = feed
-      let feed_planned = feed_planned
-      let finalize = finalize
-      let words = words
-      let words_breakdown = words_breakdown
-    end)
-
-  let observe (type s r) ?cadence ?budget (m : (s, r) sink) (state : s) :
-      ((s, r) st, r) sink * (s, r) st =
-    let t = wrap ?cadence ?budget m state in
-    (sink (), t)
-
-  type observed_any = {
-    osink : any;
-    oprofile : Mkc_obs.Space_profile.t;
-    osample : unit -> unit;
-    obusy_ns : unit -> int;
-  }
-
-  let observe_any ?cadence ?budget packed =
-    match packed with
-    | Any (m, s) ->
-        let sm, t = observe ?cadence ?budget m s in
-        {
-          osink = Any (sm, t);
-          oprofile = t.profile;
-          osample = (fun () -> sample t);
-          obusy_ns = (fun () -> t.busy_ns);
-        }
-
   let budget_evidence b =
     let open Mkc_sketch.Space.Budget in
     Mkc_obs.Quality.record_budget ~budget_words:(budget b) ~peak_words:(peak b)
       ~overshoots:(overshoots b) ~samples:(samples b) ()
-end
-
-(* A transparent progress tap: forwards everything to the inner sink
-   and calls [notify ~edges] once per feed call with the cumulative
-   edge count.  The callback decides what (if anything) to do — the
-   CLI's [--progress] uses wall-clock throttling in the callback, so
-   the tap itself stays policy-free and allocation-free. *)
-module Tap = struct
-  type ('s, 'r) st = {
-    inner : ('s, 'r) sink;
-    state : 's;
-    notify : edges:int -> unit;
-    mutable edges : int;
-  }
-
-  let wrap inner state ~notify = { inner; state; notify; edges = 0 }
-  let state t = t.state
-
-  let bump t n =
-    t.edges <- t.edges + n;
-    t.notify ~edges:t.edges
-
-  let sink (type s r) () : ((s, r) st, r) sink =
-    (module struct
-      type nonrec t = (s, r) st
-      type result = r
-
-      let feed (type s r) (t : (s, r) st) e =
-        let (module M) = t.inner in
-        M.feed t.state e;
-        bump t 1
-
-      let feed_planned (type s r) (t : (s, r) st) plan edges ~pos ~len =
-        let (module M) = t.inner in
-        M.feed_planned t.state plan edges ~pos ~len;
-        bump t len
-
-      let finalize (type s r) (t : (s, r) st) =
-        let (module M) = t.inner in
-        M.finalize t.state
-
-      let words (type s r) (t : (s, r) st) =
-        let (module M) = t.inner in
-        M.words t.state
-
-      let words_breakdown (type s r) (t : (s, r) st) =
-        let (module M) = t.inner in
-        M.words_breakdown t.state
-    end)
-
-  let tap (type s r) (m : (s, r) sink) (state : s) ~notify : ((s, r) st, r) sink * (s, r) st
-      =
-    (sink (), wrap m state ~notify)
 end
 
 module Set_arrival = struct

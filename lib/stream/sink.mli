@@ -18,13 +18,14 @@
 
     Implementations live next to their algorithms (e.g.
     {!Mkc_core.Estimate.sink}); this module only fixes the shape and
-    provides the packing/adaptation glue:
+    provides the packing/adaptation glue and the space observer:
 
     - [('s, 'r) sink] — a first-class module pairing a state type with
       its result type;
     - {!any} / {!Any} — the existential packing used to drive a
       heterogeneous fleet of sinks over one stream (the unit of
-      scheduling for {!Pipeline.feed_all_parallel});
+      scheduling for {!Pipeline.drive});
+    - {!Observed} — the space observer a drive samples between windows;
     - {!Set_arrival} — an adapter running a set-arrival algorithm
       (consume whole sets) on an edge stream whose edges arrive grouped
       by set (the canonical set-major order). *)
@@ -86,43 +87,47 @@ val prefix_breakdown : string -> (string * int) list -> (string * int) list
 (** [prefix_breakdown p kvs] prepends [p ^ "."] to every key — how a
     composite sink namespaces the breakdowns of its children. *)
 
-(** Instrumented wrapper around any sink: forwards every call to the
-    wrapped sink unchanged (observed ≡ bare, by construction and by
-    qcheck test) while sampling [words] / [words_breakdown] into a
-    {!Mkc_obs.Space_profile} every [cadence] edges, plus once at
-    finalize — so the profile's final point equals the sink's
-    [words_breakdown] exactly.  Each sample is also fed to the optional
+(** The space observer of one drive.  It wraps nothing: the drive
+    calls {!window} from its between-windows hook
+    ({!Pipeline.drive}'s [on_window]) and {!sample} once after
+    finalize, and each sample reads the observed sink's
+    [words_breakdown] into a {!Mkc_obs.Space_profile} — so the
+    profile's final point equals the finalized sink's
+    [words_breakdown] exactly, and observing cannot change what the
+    sink computes.  Each sample is also fed to the optional
     {!Mkc_sketch.Space.Budget} watchdog (which may raise on overshoot
     in strict mode) and, when tracing is on, emitted as a
-    ["space.words"] counter track. *)
+    ["space.words"] counter track.  With a pooled drive the observed
+    sink is the whole composite (e.g. [pack Estimate.sink est], not its
+    shards); between windows every worker is quiescent, so reading it
+    is safe. *)
 module Observed : sig
-  type ('s, 'r) st
-  (** The wrapper's state around an [('s, 'r) sink]. *)
+  type t
 
   val default_cadence : int
   (** 65536 edges between samples. *)
 
-  val observe :
-    ?cadence:int ->
-    ?budget:Mkc_sketch.Space.Budget.t ->
-    ('s, 'r) sink ->
-    's ->
-    (('s, 'r) st, 'r) sink * ('s, 'r) st
-  (** Wrap a typed sink; drive the returned pair instead of the
-      original.  Raises [Invalid_argument] if [cadence < 1]. *)
+  val create : ?cadence:int -> ?budget:Mkc_sketch.Space.Budget.t -> any -> t
+  (** Observe a packed sink.  Raises [Invalid_argument] if
+      [cadence < 1]. *)
 
-  val profile : ('s, 'r) st -> Mkc_obs.Space_profile.t
+  val window : t -> len:int -> unit
+  (** The drive fed another [len] edges: sample if the edges fed so
+      far cross the cadence grid — at most one sample per window,
+      realigned to the grid, so an oversized window does not trigger a
+      burst.  At one slot a window is one {!S.feed_planned} call. *)
 
-  val words : ('s, 'r) st -> int
-  (** The observed totals — the inner sink's {!S.words} plus any
-      {!note_checkpoint} words: exactly what each profile sample and
-      budget check sees. *)
+  val sample : t -> unit
+  (** Record a sample now — after finalize, for the final point. *)
 
-  val words_breakdown : ('s, 'r) st -> (string * int) list
-  (** Canonicalized observed breakdown (inner breakdown plus the
-      ["checkpoint"] key when checkpoint words are held). *)
+  val profile : t -> Mkc_obs.Space_profile.t
 
-  val sampled_breakdown : ('s, 'r) st -> (string * int) list
+  val words_breakdown : t -> (string * int) list
+  (** Canonicalized observed breakdown: the sink's breakdown plus the
+      ["checkpoint"] key when checkpoint words are held.  Its sum is
+      what each profile sample and budget check sees. *)
+
+  val sampled_breakdown : t -> (string * int) list
   (** The breakdown the most recent sample recorded — the walk (and
       deferred-accumulator flush) that sample already paid for.  Inside
       a {!set_on_sample} callback this equals {!words_breakdown} at
@@ -130,71 +135,26 @@ module Observed : sig
       the sketches exactly once.  Before the first sample it falls back
       to a fresh {!words_breakdown}. *)
 
-  val state : ('s, 'r) st -> 's
-  (** The wrapped sink's state — e.g. to aim a {!Checkpoint.codec} at
-      the inner sink ([Checkpoint.map_codec Observed.state codec]). *)
-
-  val busy_ns : ('s, 'r) st -> int
-  (** Cumulative ns spent inside the inner sink's chunk feeds
-      ([feed_planned]) over the wrapper's whole lifetime —
-      monotone, never reset per window, so the adaptive scheduler and
-      [mkc top] read a stable signal.  The per-edge [feed] path is not
-      timed. *)
-
-  val note_checkpoint : ('s, 'r) st -> words:int -> unit
+  val note_checkpoint : t -> words:int -> unit
   (** Record the size of the most recent serialized checkpoint.  The
-      words join {!S.words} and appear under a ["checkpoint"] breakdown
-      key (and therefore in every subsequent profile sample and budget
-      check): a checkpoint the process holds or writes is real space the
-      paper's accounting must see.  Raises [Invalid_argument] on a
-      negative size. *)
+      words appear under a ["checkpoint"] breakdown key (and therefore
+      in every subsequent profile sample and budget check): a
+      checkpoint the process holds or writes is real space the paper's
+      accounting must see.  Raises [Invalid_argument] on a negative
+      size. *)
 
-  val sample : ('s, 'r) st -> unit
-  (** Record a sample now — for drivers that finalize through the
-      original typed handle rather than the wrapper. *)
-
-  val set_on_sample : ('s, 'r) st -> (edges:int -> words:int -> unit) -> unit
+  val set_on_sample : t -> (edges:int -> words:int -> unit) -> unit
   (** Register a cadence fan-out callback, invoked on every sample
-      (cadence crossings and the finalize sample) after the profile
-      point is recorded and before the budget watchdog runs — so a
+      (cadence crossings and the final sample) after the profile point
+      is recorded and before the budget watchdog runs — so a
       strict-mode abort still delivers the final sample.  This is how
       [--telemetry] ties a {!Mkc_obs.Telemetry.Recorder} to the
-      existing sampling cadence.  Last registration wins. *)
-
-  type observed_any = {
-    osink : any;  (** drive this instead of the original *)
-    oprofile : Mkc_obs.Space_profile.t;
-    osample : unit -> unit;
-        (** record a final sample before finalizing out-of-band *)
-    obusy_ns : unit -> int;  (** {!busy_ns} of the wrapped shard *)
-  }
-
-  val observe_any : ?cadence:int -> ?budget:Mkc_sketch.Space.Budget.t -> any -> observed_any
-  (** {!observe} for packed sinks (e.g. each element of
-      {!Mkc_core.Estimate.shards} before {!Pipeline.feed_all_parallel}).
-      Sharing one [budget] across several observed shards is only safe
-      when they are driven from one domain; the parallel CLI path
-      checks the budget once against total words at finalize instead. *)
+      sampling cadence.  Last registration wins. *)
 
   val budget_evidence : Mkc_sketch.Space.Budget.t -> unit
   (** Publish the watchdog's verdict as the [space.*] gauges
       ({!Mkc_obs.Quality.record_budget}), where the snapshot and the
       run ledger read it. *)
-end
-
-(** A transparent progress tap: forwards every call unchanged and
-    invokes [notify ~edges] with the cumulative edge count once per
-    feed call.  Policy-free — the CLI's [--progress] throttles by wall
-    clock inside the callback. *)
-module Tap : sig
-  type ('s, 'r) st
-
-  val tap :
-    ('s, 'r) sink -> 's -> notify:(edges:int -> unit) -> (('s, 'r) st, 'r) sink * ('s, 'r) st
-
-  val state : ('s, 'r) st -> 's
-  (** The wrapped sink's state (codec plumbing, as in
-      {!Observed.state}). *)
 end
 
 (** Run a set-arrival algorithm (e.g. {!Mkc_coverage.Sieve},

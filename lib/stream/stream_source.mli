@@ -33,8 +33,9 @@ val backing : t -> Edge.t array
 val partition : shards:int -> t -> t array
 (** Edge-partition into [shards] contiguous sub-streams of near-equal
     size (sizes differ by at most one; concatenation in order is the
-    original stream).  The shard-merge primitive behind
-    {!Pipeline.run_sharded}. *)
+    original stream).  The shard-merge primitive: drive an
+    independent sink over each part, then fold the final states
+    together in order (e.g. {!Mkc_core.Estimate.merge_into}). *)
 
 val to_array : t -> Edge.t array
 (** A copy, for re-shuffling or persistence. *)

@@ -92,11 +92,13 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* The resumable drive over the whole estimator as one sink. *)
-let resumable ?chunk ?every ?resume ?checkpoint p est src =
-  Pipe.run_resumable ?chunk ?every ?resume ?checkpoint (E.codec p) est
-    ~shards:(fun e -> [| Sink.pack E.sink e |])
-    ~finalize:E.finalize src
+(* The checkpointed drive over the whole estimator as one sink. *)
+let resumable ?chunk ?(every = Pipe.default_checkpoint_every) ?resume ?checkpoint p est src =
+  Result.map
+    (fun () -> E.finalize est)
+    (Pipe.drive ?chunk
+       ~checkpoint:({ Pipe.codec = E.codec p; every; save = checkpoint; resume }, est)
+       [| Sink.pack E.sink est |] src)
 
 (* --- 1. differential crash-resume (sequential) --- *)
 
@@ -184,6 +186,21 @@ let prop_crash_resume_parallel =
 
 (* --- 2. merge laws --- *)
 
+(* Edge-partition the stream into [shards] contiguous parts, drive a
+   fresh sink over each, and fold the final states stream-ordered into
+   the first. *)
+let merged_shards ~chunk ~shards ~create ~merge sink src =
+  let states =
+    Array.map
+      (fun part ->
+        let s = create () in
+        Pipe.feed_all_parallel ~domains:1 ~chunk [| Sink.pack sink s |] part;
+        s)
+      (Src.partition ~shards src)
+  in
+  Array.iteri (fun i s -> if i > 0 then merge states.(0) s) states;
+  states.(0)
+
 (* P edge-partitioned shard runs, merged stream-ordered, then finalized
    ≡ the single-stream run: same answer, same words, same invariant
    work counters (the sampler-eval families are per-shard-schedule). *)
@@ -201,18 +218,13 @@ let prop_shard_merge =
       let p = params () in
       let single = E.create p in
       let r_single = Pipe.run ~chunk E.sink single (Src.of_array edges) in
-      let merged = ref None in
-      let r_merged =
-        Pipe.run_sharded ~chunk ~shards
-          ~create:(fun () ->
-            let e = E.create p in
-            (* run_sharded merges into the first created state *)
-            if !merged = None then merged := Some e;
-            e)
+      let merged =
+        merged_shards ~chunk ~shards
+          ~create:(fun () -> E.create p)
           ~merge:(fun dst src -> E.merge_into ~dst src)
           E.sink (Src.of_array edges)
       in
-      let merged = Option.get !merged in
+      let r_merged = E.finalize merged in
       fingerprint r_single = fingerprint r_merged
       && E.words single = E.words merged
       && E.words_breakdown single = E.words_breakdown merged
@@ -416,18 +428,19 @@ let test_payload_rejected () =
 let test_observed_checkpoint_words () =
   let p = params () in
   let est = E.create p in
-  let sm, ob = Sink.Observed.observe E.sink est in
-  let module SM = (val sm) in
-  let base = SM.words ob in
+  let ob = Sink.Observed.create (Sink.pack E.sink est) in
+  let words () = List.fold_left (fun acc (_, w) -> acc + w) 0 (Sink.Observed.words_breakdown ob) in
+  let base = words () in
+  checki "observed words are the sink's" (E.words est) base;
   Sink.Observed.note_checkpoint ob ~words:1234;
-  checki "checkpoint words join the total" (base + 1234) (SM.words ob);
+  checki "checkpoint words join the total" (base + 1234) (words ());
   checkb "breakdown grows a checkpoint key" true
-    (List.mem_assoc "checkpoint" (SM.words_breakdown ob));
+    (List.mem_assoc "checkpoint" (Sink.Observed.words_breakdown ob));
   checki "checkpoint key holds the last size" 1234
-    (List.assoc "checkpoint" (SM.words_breakdown ob));
+    (List.assoc "checkpoint" (Sink.Observed.words_breakdown ob));
   (* a newer, smaller checkpoint replaces the figure (held space, not a sum) *)
   Sink.Observed.note_checkpoint ob ~words:10;
-  checki "note_checkpoint overwrites" (base + 10) (SM.words ob);
+  checki "note_checkpoint overwrites" (base + 10) (words ());
   checkb "negative sizes are rejected" true
     (match Sink.Observed.note_checkpoint ob ~words:(-1) with
     | exception Invalid_argument _ -> true
@@ -484,9 +497,10 @@ let test_mcgregor_vu_shard_merge () =
   let single = create () in
   let r_single = Pipe.run ~chunk:64 Mv.sink single (Src.of_array edges) in
   let r_merged =
-    Pipe.run_sharded ~chunk:64 ~shards:3 ~create
-      ~merge:(fun dst src -> Mv.merge_into ~dst src)
-      Mv.sink (Src.of_array edges)
+    Mv.finalize
+      (merged_shards ~chunk:64 ~shards:3 ~create
+         ~merge:(fun dst src -> Mv.merge_into ~dst src)
+         Mv.sink (Src.of_array edges))
   in
   checkb "3-shard merge ≡ single run" true
     (r_single.Mv.chosen = r_merged.Mv.chosen

@@ -115,9 +115,7 @@ let test_windowed_flag_validation () =
     ~msg:"--window requires --epoch-edges";
   expect_rejection "report --stream nope.txt --window 4 --epoch-edges 10 --decay 2"
     ~msg:"--decay must lie strictly between 0 and 1 (got 2)";
-  (* telemetry x --domains and --health syntax are cross-flag rules too *)
-  expect_rejection "estimate --stream nope.txt --telemetry t.mkctel --domains 2"
-    ~msg:"--telemetry/--health/--top sample the single-domain sink";
+  (* --health syntax is a cross-flag rule too *)
   expect_rejection "estimate --stream nope.txt --health garbage"
     ~msg:"--health \"garbage\": health rule \"garbage\": expected name=spec"
 
@@ -184,7 +182,7 @@ let test_report_window_observability () =
 
 (* The durable log must agree with the live accounting: the last
    space.words sample of a --telemetry run is the "space: N words" line
-   the same run prints, plain and windowed. *)
+   the same run prints, plain, pooled and windowed. *)
 let test_telemetry_matches_printed_space () =
   with_stream (fun stream ->
       List.iter
@@ -220,7 +218,7 @@ let test_telemetry_matches_printed_space () =
                       checki (flags ^ ": last space.words sample") words
                         last.values.(!track)
                   | _ -> Alcotest.failf "%S: no space.words sample" flags)))
-        [ ""; "--window 4 --epoch-edges 2048" ])
+        [ ""; "--domains 2"; "--window 4 --epoch-edges 2048" ])
 
 (* An escalated health rule aborts the run with exit 3: the violation is
    named on stderr, no answer reaches stdout, and the evidence survives —
@@ -228,30 +226,83 @@ let test_telemetry_matches_printed_space () =
    and the trace is still written. *)
 let test_health_abort_keeps_evidence () =
   with_stream (fun stream ->
-      let log = Filename.temp_file "mkc_cli" ".mkctel" in
-      let trace = Filename.temp_file "mkc_cli" ".trace.json" in
+      List.iter
+        (fun flags ->
+          let log = Filename.temp_file "mkc_cli" ".mkctel" in
+          let trace = Filename.temp_file "mkc_cli" ".trace.json" in
+          Fun.protect
+            ~finally:(fun () -> List.iter Sys.remove [ log; trace ])
+            (fun () ->
+              let code, out, err =
+                run
+                  (Printf.sprintf
+                     "estimate -s %s -k 8 --alpha 4 --telemetry %s --trace %s --health \
+                      'cap=space.words>1!' %s"
+                     stream log trace flags)
+              in
+              checki (flags ^ ": health abort is exit 3") 3 code;
+              checkb (flags ^ ": stderr names the violated rule") true
+                (contains ~sub:"mkc: health rule violated: cap" err);
+              checkb (flags ^ ": no answer line on stdout") false
+                (contains ~sub:"estimated optimal" out);
+              checkb (flags ^ ": no space line on stdout") false (contains ~sub:"space:" out);
+              ignore (run_ok ("validate-telemetry " ^ log));
+              ignore (run_ok ("validate-trace " ^ trace));
+              match Mkc_obs.Telemetry.read log with
+              | Error e ->
+                  Alcotest.failf "telemetry log invalid: %s" (Mkc_obs.Telemetry.error_to_string e)
+              | Ok t ->
+                  checkb (flags ^ ": log is untorn") true (t.torn = None);
+                  checkb (flags ^ ": log holds a sample") true (t.samples <> [])))
+        [ ""; "--domains 2" ])
+
+(* --progress reports on every drive mode: pooled, and resumed from a
+   checkpoint, where it counts from the checkpoint's position. *)
+let test_progress_on_every_drive () =
+  with_stream (fun stream ->
+      let ckpt = Filename.temp_file "mkc_cli" ".ckpt" in
       Fun.protect
-        ~finally:(fun () -> List.iter Sys.remove [ log; trace ])
+        ~finally:(fun () -> Sys.remove ckpt)
         (fun () ->
-          let code, out, err =
-            run
-              (Printf.sprintf
-                 "estimate -s %s -k 8 --alpha 4 --telemetry %s --trace %s --health \
-                  'cap=space.words>1!'"
-                 stream log trace)
+          let progress flags =
+            let code, _, err =
+              run (Printf.sprintf "estimate -s %s -k 8 --alpha 4 --progress 1e-9 %s" stream flags)
+            in
+            checki (flags ^ ": exit code") 0 code;
+            checkb (flags ^ ": no ignoring warning") false (contains ~sub:"ignoring" err);
+            checkb (flags ^ ": reports the end of the stream") true
+              (contains ~sub:"mkc: 17021/17021 edges" err);
+            err
           in
-          checki "health abort is exit 3" 3 code;
-          checkb "stderr names the violated rule" true
-            (contains ~sub:"mkc: health rule violated: cap" err);
-          checkb "no answer line on stdout" false (contains ~sub:"estimated optimal" out);
-          checkb "no space line on stdout" false (contains ~sub:"space:" out);
-          ignore (run_ok ("validate-telemetry " ^ log));
-          ignore (run_ok ("validate-trace " ^ trace));
-          match Mkc_obs.Telemetry.read log with
-          | Error e -> Alcotest.failf "telemetry log invalid: %s" (Mkc_obs.Telemetry.error_to_string e)
-          | Ok t ->
-              checkb "log is untorn" true (t.torn = None);
-              checkb "log holds a sample" true (t.samples <> [])))
+          ignore (progress "--domains 2");
+          ignore
+            (run_ok
+               (Printf.sprintf
+                  "estimate -s %s -k 8 --alpha 4 --checkpoint %s --checkpoint-every 1 \
+                   --stop-after 8192 --chunk 4096"
+                  stream ckpt));
+          let err = progress (Printf.sprintf "--resume %s --chunk 4096 --domains 1" ckpt) in
+          checkb "resumed: first report is past the checkpoint" true
+            (contains ~sub:"mkc: 12288/17021 edges" err);
+          checkb "resumed: no report before the checkpoint" false
+            (contains ~sub:"mkc: 4096/17021 edges" err)))
+
+(* A --force-m below the stream's m would build an instance whose set
+   ids overflow it; estimate and convert name the misuse up front. *)
+let test_force_m_below_stream () =
+  with_stream (fun stream ->
+      List.iter
+        (fun (cmd, rest) ->
+          let code, out, err = run (Printf.sprintf "%s -s %s %s" cmd stream rest) in
+          checki (cmd ^ ": exit code") 2 code;
+          checkb (cmd ^ ": stderr names the flag and the stream's m") true
+            (contains ~sub:"--force-m 100 is below the stream's m=512" err);
+          checkb (cmd ^ ": nothing on stdout") true (out = ""))
+        [
+          ("estimate", "-k 8 --alpha 4 --force-m 100");
+          ("convert", "-o nope_out.mkce --force-m 100");
+        ];
+      checkb "convert wrote no file" false (Sys.file_exists "nope_out.mkce"))
 
 (* Answer stdout pinned byte for byte (golden_cli/NAME.out).  No case
    carries a flag whose output includes timing. *)
@@ -331,4 +382,8 @@ let suite =
     Alcotest.test_case "an escalated health rule aborts with exit 3, evidence intact" `Quick
       test_health_abort_keeps_evidence;
     Alcotest.test_case "answer stdout matches the golden files" `Quick test_golden_stdout;
+    Alcotest.test_case "progress reports pooled and resumed runs" `Quick
+      test_progress_on_every_drive;
+    Alcotest.test_case "--force-m below the stream's m is a misuse" `Quick
+      test_force_m_below_stream;
   ]

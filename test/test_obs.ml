@@ -5,9 +5,10 @@
         shard merges equal a single sequential history;
      2. a Registry populated from several domains reads back exactly
         what the same writes from one domain would have produced;
-     3. wrapping a sink in Sink.Observed changes nothing about the
-        computation — same result, same words, same breakdown — and the
-        profile's final point equals words_breakdown exactly;
+     3. observing a run (Sink.Observed sampling between windows, on
+        one domain or pooled, checkpointed or not) changes nothing about
+        the computation — same result, same words, same work counters —
+        and the profile's final point equals words_breakdown exactly;
      4. pooled and one-domain ingestion agree metric-for-metric
         on the invariant counters;
      5. the mkc-obs/5 JSON snapshot is byte-stable under an injected
@@ -25,6 +26,7 @@ module Sink = Mkc_stream.Sink
 module Pipe = Mkc_stream.Pipeline
 module P = Mkc_core.Params
 module E = Mkc_core.Estimate
+module Run = Mkc_core.Run
 module Obs = Mkc_obs
 module H = Mkc_obs.Metric.Histogram
 
@@ -238,42 +240,97 @@ let test_estimate_breakdown_keys () =
   checki "breakdown sums to words" (E.words est)
     (List.fold_left (fun acc (_, w) -> acc + w) 0 wb)
 
-(* --- Sink.Observed: wrapping changes nothing --- *)
+(* --- Observing a run changes nothing --- *)
 
-let prop_observed_equals_bare =
-  let gen = QCheck.Gen.(pair (int_range 0 1000) (int_range 1 100)) in
+(* The observer samples between windows on every drive mode.  Over
+   domains {1, 2} × checkpoint {off, on}, an observed run (metrics,
+   telemetry) must answer like an unobserved one with the same words
+   and work counters; its final profile point must be the finalized
+   sink's breakdown (plus the final checkpoint it holds), and the
+   telemetry log's final space.words the same total. *)
+let prop_observed_run_equals_bare =
+  let gen = QCheck.Gen.(triple (int_range 0 1000) (int_range 1 100) (int_range 0 3)) in
   let arb =
     QCheck.make
-      ~print:(fun (seed, cadence) -> Printf.sprintf "seed %d, cadence %d" seed cadence)
+      ~print:(fun (seed, cadence, mode) ->
+        Printf.sprintf "seed %d, cadence %d, domains %d, checkpoint %b" seed cadence
+          (1 + (mode land 1)) (mode >= 2))
       gen
   in
-  QCheck.Test.make ~name:"Observed sink ≡ bare sink (random streams)" ~count:20 arb
-    (fun (seed, cadence) ->
+  QCheck.Test.make ~name:"Observed sink ≡ bare sink (random streams, domains × checkpoint)"
+    ~count:20 arb (fun (seed, cadence, mode) ->
       let sys = Mkc_workload.Random_inst.uniform ~n:64 ~m:24 ~set_size:12 ~seed in
       let src = Src.of_system ~seed:(seed + 1) sys in
       let params = P.make ~m:24 ~n:64 ~k:3 ~alpha:4.0 ~seed:5 () in
-      let bare = E.create params in
-      let r0 = Pipe.run ~chunk:64 E.sink bare src in
-      let obs = E.create params in
-      let sm, ob = Sink.Observed.observe ~cadence E.sink obs in
-      let r1 = Pipe.run ~chunk:64 sm ob src in
-      let final_ok =
-        match Obs.Space_profile.final (Sink.Observed.profile ob) with
-        | None -> false
-        | Some p ->
-            p.Obs.Space_profile.words = E.words obs
-            && p.Obs.Space_profile.breakdown
-               = Sink.canonical_breakdown (E.words_breakdown obs)
-      in
-      fingerprint r0 = fingerprint r1
-      && E.words bare = E.words obs
-      && E.words_breakdown bare = E.words_breakdown obs
-      && final_ok)
+      let domains = 1 + (mode land 1) in
+      let tmp suffix = Filename.temp_file "mkc_obs" suffix in
+      let ckpt_path = tmp ".ckpt" and log = tmp ".mkctel" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter Sys.remove [ ckpt_path; log ];
+          Obs.Registry.set_enabled false;
+          Obs.Registry.reset Obs.Registry.global)
+        (fun () ->
+          let ckpt =
+            if mode >= 2 then
+              Some { Run.codec = E.codec params; every = 1; save = Some ckpt_path; resume = None }
+            else None
+          in
+          let run cfg ?telemetry e =
+            match Run.run cfg ?telemetry ~shards:E.shards ?ckpt ~label:"estimate" E.sink e src with
+            | Ok o -> o
+            | Error err -> Alcotest.failf "run: %s" (Run.error_to_string err)
+          in
+          let cfg = { Run.default with domains; chunk = 32 } in
+          let bare = E.create params in
+          let o0 = run cfg bare in
+          let obs = E.create params in
+          let telemetry =
+            {
+              Run.log = Some log;
+              rules = [];
+              probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown obs);
+              live = None;
+            }
+          in
+          let o1 = run { cfg with metrics = true; cadence } ~telemetry obs in
+          let held =
+            if mode >= 2 then
+              [ ("checkpoint", Mkc_stream.Checkpoint.words_of_bytes (Unix.stat ckpt_path).st_size) ]
+            else []
+          in
+          let total = o1.words + List.fold_left (fun acc (_, w) -> acc + w) 0 held in
+          let final_ok =
+            match o1.profiles with
+            | [ ("estimate", profile) ] -> (
+                match Obs.Space_profile.final profile with
+                | None -> false
+                | Some p ->
+                    p.Obs.Space_profile.words = total
+                    && p.Obs.Space_profile.breakdown
+                       = Sink.canonical_breakdown (held @ E.words_breakdown obs))
+            | _ -> false
+          in
+          let telemetry_ok =
+            match Obs.Telemetry.read log with
+            | Error _ -> false
+            | Ok t -> (
+                let track = ref (-1) in
+                Array.iteri (fun i n -> if n = "space.words" then track := i) t.tracks;
+                match List.rev t.samples with
+                | last :: _ -> !track >= 0 && last.values.(!track) = total
+                | [] -> false)
+          in
+          fingerprint o0.result = fingerprint o1.result
+          && o0.words = o1.words
+          && E.words obs = o1.words
+          && E.stats bare = E.stats obs
+          && final_ok && telemetry_ok))
 
 let test_observed_cadence_grid () =
-  (* A sink whose words grow per edge; drive it batchwise and check the
-     sample schedule: at most one sample per feed call, realigned to the
-     cadence grid, plus the finalize sample. *)
+  (* A sink whose words grow per edge; drive it window by window and
+     check the sample schedule: at most one sample per window,
+     realigned to the cadence grid, plus the final sample. *)
   let module Count = struct
     type t = int ref
     type result = int
@@ -285,23 +342,29 @@ let test_observed_cadence_grid () =
     let words_breakdown t = [ ("count", !t) ]
   end in
   let m : (int ref, int) Sink.sink = (module Count) in
-  let sm, ob = Sink.Observed.observe ~cadence:10 m (ref 0) in
+  let count = ref 0 in
+  let ob = Sink.Observed.create ~cadence:10 (Sink.pack m count) in
   let edges = Array.init 25 (fun i -> Edge.make ~set:0 ~elt:i) in
-  let r = Pipe.run ~chunk:7 sm ob (Src.of_array edges) in
-  checki "wrapper forwards finalize" 25 r;
+  Pipe.drive ~chunk:7
+    ~on_window:(fun ~pos:_ ~len -> Sink.Observed.window ob ~len)
+    [| Sink.pack m count |] (Src.of_array edges)
+  |> Result.get_ok;
+  checki "the sink saw every edge" 25 (Count.finalize count);
+  Sink.Observed.sample ob;
   let ats =
     List.map
       (fun p -> p.Obs.Space_profile.at_edges)
       (Obs.Space_profile.points (Sink.Observed.profile ob))
   in
-  (* chunks land at 7,14,21,25 edges; cadence 10 samples at 14 (first
-     crossing of 10, grid realigns to 20) and 21, then finalize at 25 *)
-  checkb "cadence-grid samples plus finalize" true (ats = [ 14; 21; 25 ]);
+  (* windows land at 7,14,21,25 edges; cadence 10 samples at 14 (first
+     crossing of 10, grid realigns to 20) and 21, then the final sample
+     at 25 *)
+  checkb "cadence-grid samples plus the final one" true (ats = [ 14; 21; 25 ]);
   checki "peak words" 25
     (Obs.Space_profile.peak_words (Sink.Observed.profile ob));
   Alcotest.check_raises "cadence must be positive"
-    (Invalid_argument "Sink.Observed.wrap: cadence must be >= 1") (fun () ->
-      ignore (Sink.Observed.observe ~cadence:0 m (ref 0)))
+    (Invalid_argument "Sink.Observed.create: cadence must be >= 1") (fun () ->
+      ignore (Sink.Observed.create ~cadence:0 (Sink.pack m (ref 0))))
 
 (* --- Parallel vs sequential ingestion: same metrics --- *)
 
@@ -801,4 +864,4 @@ let suite =
     Alcotest.test_case "estimate: mid-run words exact at chunk boundaries" `Quick
       test_midrun_words_exact;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_observed_equals_bare ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_observed_run_equals_bare ]

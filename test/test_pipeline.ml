@@ -2,15 +2,15 @@
 
    Every sink has two entry points, per-edge [feed] (the paper's spec)
    and chunked [feed_planned] (production), and every Pipeline driver
-   but [run_seq] runs one chunk loop.  The layer rests on three
+   but [run_seq] is one call of the chunk loop [drive].  The layer rests on three
    guarantees:
      1. the chunk loop ≡ edge-by-edge feed (any chunk size),
      2. domain-parallel shard ingestion ≡ sequential ingestion, both
         bit-for-bit: identical finalized results and identical space
         accounting, for every sink and every batched sketch;
-     3. every one-slot drive ([run], [feed_all_parallel ~domains:1],
-        [run_resumable]) leaves the same [pipeline.*] instruments, and
-        none of the pool's. *)
+     3. every one-slot drive ([run], [feed_all_parallel ~domains:1], a
+        checkpointed and hooked [drive]) leaves the same [pipeline.*]
+        instruments, and none of the pool's. *)
 
 module Edge = Mkc_stream.Edge
 module Ss = Mkc_stream.Set_system
@@ -190,21 +190,27 @@ let test_one_slot_instrument_parity () =
     pipeline_instruments (fun () ->
         Pipe.feed_all_parallel ~domains:1 ~chunk (one (E.create params)) src)
   in
-  let resumable =
-    pipeline_instruments (fun () ->
-        match
-          Pipe.run_resumable ~chunk (E.codec params) (E.create params) ~shards:one
-            ~finalize:E.finalize src
-        with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "run_resumable: %s" (Mkc_stream.Checkpoint.error_to_string e))
+  let checkpointed =
+    let path = Filename.temp_file "mkc_pipeline" ".ckpt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        pipeline_instruments (fun () ->
+            let e = E.create params in
+            let spec = { Pipe.codec = E.codec params; every = 1; save = Some path; resume = None } in
+            match
+              Pipe.drive ~chunk ~checkpoint:(spec, e) ~on_window:(fun ~pos:_ ~len:_ -> ())
+                (one e) src
+            with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "drive: %s" (Mkc_stream.Checkpoint.error_to_string e)))
   in
   let pooled =
     pipeline_instruments (fun () ->
         Pipe.feed_all_parallel ~domains:2 ~chunk (E.shards (E.create params)) src)
   in
   checkb "run ≡ feed_all_parallel ~domains:1" true (run = fan);
-  checkb "run ≡ run_resumable" true (run = resumable);
+  checkb "run ≡ checkpointed, hooked drive" true (run = checkpointed);
   checkb "one chunk counted per chunk" true
     (List.assoc "pipeline.chunks" run
     = float_of_int ((Src.length src + chunk - 1) / chunk));

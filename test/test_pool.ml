@@ -1,8 +1,8 @@
 (* Equivalence and lifecycle tests for the persistent domain-pool
-   executor (Pipeline.Pool behind feed_all_parallel / run_resumable).
+   executor (Pipeline.Pool behind Pipeline.drive).
 
-   The executor's contract is that parallelism, scheduling mode, cost
-   hints, pool reuse, and crash-resume change wall-clock only, never
+   The executor's contract is that parallelism, cost weights, pool
+   reuse, and crash-resume change wall-clock only, never
    output: every drive must match run_seq bit for bit — finalized
    result, words, words_breakdown — and the work counters that are
    window-grid-independent must match too (sampler_evals / memo_hits
@@ -52,10 +52,20 @@ let grid_free_stats est =
     (E.stats est)
 
 let with_tmp f =
-  let path = Filename.temp_file "mkc_pool_ckpt" ".json" in
+  let path = Filename.temp_file "mkc_pool_ckpt" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
+
+(* A checkpointed 2-domain drive over the estimator's shards, saving
+   every window to [save] and/or resuming from [resume], then
+   finalize. *)
+let pooled_resumable ~chunk ?save ?resume p est src =
+  Result.map
+    (fun () -> E.finalize est)
+    (Pipe.drive ~domains:2 ~chunk
+       ~checkpoint:({ Pipe.codec = E.codec p; every = 1; save; resume }, est)
+       (E.shards est) src)
 
 (* The whole-observable comparison every test below reduces to. *)
 let assert_matches label ~ref_est ~ref_r est r =
@@ -86,23 +96,6 @@ let test_pool_equiv_matrix () =
         [ 64; 257; 1024 ])
     [ 1; 2; 4 ]
 
-let test_pool_adaptive_equiv () =
-  let src, p = instance () in
-  let ref_est = E.create p in
-  let ref_r = Pipe.run_seq E.sink ref_est src in
-  List.iter
-    (fun domains ->
-      (* small chunk → many windows → the adaptive scheduler actually
-         re-packs; output must not move *)
-      let est = E.create p in
-      Pipe.feed_all_parallel ~domains ~schedule:Pipe.Adaptive ~chunk:64 ~costs:(E.shard_costs est)
-        (E.shards est) src;
-      let r = E.finalize est in
-      assert_matches
-        (Printf.sprintf "adaptive, %d domains" domains)
-        ~ref_est ~ref_r est r)
-    [ 2; 4 ]
-
 (* --- pool lifecycle: reuse across drives, stats, shutdown --- *)
 
 let test_pool_reuse_and_stats () =
@@ -118,11 +111,10 @@ let test_pool_reuse_and_stats () =
       Pipe.feed_all_parallel ~pool ~chunk:128 ~costs:(E.shard_costs e1) (E.shards e1) src;
       let r1 = E.finalize e1 in
       let s1 = Pipe.Pool.stats pool in
-      (* second drive through the SAME pool, different chunk grid and
-         scheduler — workers are reused, not respawned *)
+      (* second drive through the SAME pool, different chunk grid and no
+         cost weights — workers are reused, not respawned *)
       let e2 = E.create p in
-      Pipe.feed_all_parallel ~pool ~chunk:64 ~schedule:Pipe.Adaptive ~costs:(E.shard_costs e2)
-        (E.shards e2) src;
+      Pipe.feed_all_parallel ~pool ~chunk:64 (E.shards e2) src;
       let r2 = E.finalize e2 in
       let s2 = Pipe.Pool.stats pool in
       (* a [domains] cap below the pool size also preserves output *)
@@ -131,7 +123,7 @@ let test_pool_reuse_and_stats () =
         (E.shards e3) src;
       let r3 = E.finalize e3 in
       assert_matches "pooled drive 1" ~ref_est ~ref_r e1 r1;
-      assert_matches "pooled drive 2 (adaptive)" ~ref_est ~ref_r e2 r2;
+      assert_matches "pooled drive 2 (unit weights)" ~ref_est ~ref_r e2 r2;
       assert_matches "pooled drive 3 (capped)" ~ref_est ~ref_r e3 r3;
       checkb "windows counted" true (s1.Pipe.Pool.windows > 0);
       checkb "windows accumulate across drives" true
@@ -164,7 +156,7 @@ let test_pool_empty_and_errors () =
        false
      with Invalid_argument _ -> true)
 
-(* --- crash-resume through the pooled resumable driver --- *)
+(* --- crash-resume through the pooled checkpointed drive --- *)
 
 let test_pool_resumable () =
   let src, p = instance () in
@@ -176,36 +168,29 @@ let test_pool_resumable () =
   (* uninterrupted resumable run: same observables as run_seq *)
   with_tmp (fun path ->
       let e1 = E.create p in
-      match
-        Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
-          (E.codec p) e1 ~shards:E.shards ~finalize:E.finalize src
-      with
+      match pooled_resumable ~chunk ~save:path p e1 src with
       | Error e -> Alcotest.failf "uninterrupted: %s" (Ck.error_to_string e)
       | Ok r1 -> assert_matches "uninterrupted resumable" ~ref_est ~ref_r e1 r1);
   (* crash partway (not necessarily on the window grid: the prefix
      driver saves once more at its end-of-stream), resume, finish *)
   List.iter
-    (fun (cut, schedule, label) ->
+    (fun (cut, label) ->
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
-               (E.codec p) interrupted ~shards:E.shards ~finalize:E.finalize
+             pooled_resumable ~chunk ~save:path p interrupted
                (Src.of_array (Array.sub edges 0 cut))
            with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "%s prefix: %s" label (Ck.error_to_string e));
           let resumed = E.create p in
-          match
-            Pipe.run_resumable ~domains:2 ~schedule ~chunk ~resume:path
-              (E.codec p) resumed ~shards:E.shards ~finalize:E.finalize src
-          with
+          match pooled_resumable ~chunk ~resume:path p resumed src with
           | Error e -> Alcotest.failf "%s resume: %s" label (Ck.error_to_string e)
           | Ok r -> assert_matches label ~ref_est ~ref_r resumed r))
     [
-      (chunk * 2, Pipe.Static, "resume at a window boundary");
-      (min n ((chunk * 2 * 3) + 17), Pipe.Static, "resume off the window grid");
-      (chunk * 4, Pipe.Adaptive, "resume under the adaptive scheduler");
+      (chunk * 2, "resume at a window boundary");
+      (min n ((chunk * 2 * 3) + 17), "resume off the window grid");
+      (chunk * 4, "resume at a later window boundary");
     ]
 
 (* --- property: the matrix law on random streams --- *)
@@ -224,19 +209,18 @@ let prop_pool_equals_seq =
       gen
   in
   QCheck.Test.make
-    ~name:"pool feed_all_parallel ≡ run_seq (domains × chunk × schedule, random streams)"
+    ~name:"pool feed_all_parallel ≡ run_seq (domains × chunk, random streams)"
     ~count:30 arb (fun (pairs, chunk, pick) ->
       let edges =
         Array.of_list (List.map (fun (s, e) -> Edge.make ~set:s ~elt:e) pairs)
       in
       let src = Src.of_array edges in
       let p = P.make ~m:32 ~n:64 ~k:3 ~alpha:4.0 ~seed:5 () in
-      let domains = [| 1; 2; 4; 2 |].(pick) in
-      let schedule = if pick = 3 then Pipe.Adaptive else Pipe.Static in
+      let domains = [| 1; 2; 4; 3 |].(pick) in
       let ref_est = E.create p in
       let r0 = Pipe.run_seq E.sink ref_est src in
       let est = E.create p in
-      Pipe.feed_all_parallel ~domains ~schedule ~chunk ~costs:(E.shard_costs est)
+      Pipe.feed_all_parallel ~domains ~chunk ~costs:(E.shard_costs est)
         (E.shards est) src;
       let r = E.finalize est in
       fingerprint r = fingerprint r0
@@ -244,7 +228,7 @@ let prop_pool_equals_seq =
       && E.words_breakdown est = E.words_breakdown ref_est
       && grid_free_stats est = grid_free_stats ref_est)
 
-(* Mid-run checkpoint + resume through the pooled resumable driver on
+(* Mid-run checkpoint + resume through the pooled checkpointed drive on
    random streams: crash at a pseudo-random cut, resume, and the result
    must match the sequential reference exactly. *)
 let prop_pool_crash_resume =
@@ -275,17 +259,13 @@ let prop_pool_crash_resume =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
-               (E.codec p) interrupted ~shards:E.shards ~finalize:E.finalize
+             pooled_resumable ~chunk ~save:path p interrupted
                (Src.of_array (Array.sub edges 0 cut))
            with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "prefix: %s" (Ck.error_to_string e));
           let resumed = E.create p in
-          match
-            Pipe.run_resumable ~domains:2 ~chunk ~resume:path (E.codec p)
-              resumed ~shards:E.shards ~finalize:E.finalize src
-          with
+          match pooled_resumable ~chunk ~resume:path p resumed src with
           | Error e -> Alcotest.failf "resume: %s" (Ck.error_to_string e)
           | Ok r ->
               fingerprint r = fingerprint r0
@@ -297,7 +277,6 @@ let suite =
   [
     Alcotest.test_case "pool ≡ run_seq across domains × chunks" `Quick
       test_pool_equiv_matrix;
-    Alcotest.test_case "adaptive schedule ≡ run_seq" `Quick test_pool_adaptive_equiv;
     Alcotest.test_case "pool reuse across drives + stats" `Quick
       test_pool_reuse_and_stats;
     Alcotest.test_case "empty stream and cost-vector errors" `Quick

@@ -41,7 +41,7 @@ let run_estimate ?budget ?telemetry ?ckpt ?ledger params cfg src =
   ( e,
     Run.run cfg ?budget
       ?telemetry:(Option.map (fun t -> t e) telemetry)
-      ~shards:E.shards ~costs:(E.shard_costs e) ?ckpt ?ledger ~label:"estimate" E.sink e src
+      ~shards:E.shards ?ckpt ?ledger ~label:"estimate" E.sink e src
   )
 
 let telemetry ?(rules = []) log e =
@@ -61,7 +61,7 @@ let test_every_drive_matches_run_seq () =
       let src, params = instance () in
       let e0 = E.create params in
       let r0 = Pipe.run_seq E.sink e0 src in
-      let progressed = ref 0 in
+      let progressed = ref 0 and pooled_progressed = ref 0 in
       List.iter
         (fun (name, cfg) ->
           let e, o = run_estimate params cfg src in
@@ -72,28 +72,60 @@ let test_every_drive_matches_run_seq () =
         [
           ("plain", { Run.default with chunk = 700 });
           ("observed", { Run.default with chunk = 700; metrics = true; cadence = 512 });
-          ( "tapped",
+          ( "progress",
             { Run.default with chunk = 700; progress = Some (fun ~edges -> progressed := edges) }
           );
           ("pooled", { Run.default with domains = 2; chunk = 700 });
           ("pooled observed", { Run.default with domains = 2; chunk = 700; metrics = true });
+          ( "pooled progress",
+            {
+              Run.default with
+              domains = 2;
+              chunk = 700;
+              progress = Some (fun ~edges -> pooled_progressed := edges);
+            } );
         ];
-      checki "progress saw every edge" (Src.length src) !progressed)
+      checki "progress saw every edge" (Src.length src) !progressed;
+      checki "pooled progress saw every edge" (Src.length src) !pooled_progressed)
 
+(* One observer per run: a pooled run keeps one profile of the whole
+   sink, sampled on the same window grid as a one-domain run of the
+   same [chunk × slots] windows, ending at the sink's breakdown. *)
 let test_profiles_per_drive () =
   with_registry_restored (fun () ->
       let src, params = instance () in
-      let names cfg =
-        let _, o = run_estimate params cfg src in
-        List.map fst (get o).profiles
+      let profiles cfg =
+        let e, o = run_estimate params cfg src in
+        (e, (get o).profiles)
       in
-      Alcotest.(check (list string)) "one domain: the label" [ "estimate" ]
-        (names { Run.default with metrics = true });
-      let pooled = names { Run.default with domains = 2; metrics = true } in
-      checki "pooled: one profile per shard" (Array.length (E.shards (E.create params)))
-        (List.length pooled);
-      checkb "pooled: shards in order" true (List.hd pooled = "shard0");
-      Alcotest.(check (list string)) "no metrics: no profiles" [] (names Run.default))
+      let final_is_breakdown label (e, ps) =
+        match ps with
+        | [ (_, p) ] -> (
+            match Mkc_obs.Space_profile.final p with
+            | Some pt ->
+                checkb (label ^ ": final point is the breakdown") true
+                  (pt.Mkc_obs.Space_profile.breakdown
+                  = Mkc_stream.Sink.canonical_breakdown (E.words_breakdown e))
+            | None -> Alcotest.failf "%s: empty profile" label)
+        | _ -> Alcotest.failf "%s: expected one profile" label
+      in
+      let one = profiles { Run.default with metrics = true; chunk = 400; cadence = 512 } in
+      let pooled =
+        profiles { Run.default with domains = 2; metrics = true; chunk = 200; cadence = 512 }
+      in
+      Alcotest.(check (list string)) "one domain: the label" [ "estimate" ] (List.map fst (snd one));
+      Alcotest.(check (list string)) "pooled: the label" [ "estimate" ] (List.map fst (snd pooled));
+      final_is_breakdown "one domain" one;
+      final_is_breakdown "pooled" pooled;
+      let points (_, ps) =
+        List.map
+          (fun pt -> (pt.Mkc_obs.Space_profile.at_edges, pt.Mkc_obs.Space_profile.words))
+          (Mkc_obs.Space_profile.points (snd (List.hd ps)))
+      in
+      checkb "pooled samples the one-domain points on the same window grid" true
+        (points one = points pooled);
+      Alcotest.(check (list string)) "no metrics: no profiles" []
+        (List.map fst (snd (profiles Run.default))))
 
 (* The CLI cannot reach this case (its budget is the theoretical one):
    a strict budget overshoot is an error value, and the telemetry log
@@ -187,6 +219,69 @@ let test_checkpointed_resume_matches () =
       let o = get (snd (run_estimate ~ckpt:(ckpt (Some path) None) params cfg src)) in
       checkb "resumed answer" true (fingerprint o.result = fingerprint r0))
 
+(* A pooled run is observed like a one-domain run: a strict budget trips
+   at the first sample over it, not at finalize, and an escalating
+   health rule aborts — both as error values. *)
+let test_pooled_aborts_are_errors () =
+  with_registry_restored (fun () ->
+      let src, params = instance () in
+      let cfg = { Run.default with domains = 2; chunk = 128; cadence = 256 } in
+      let budget = Mkc_sketch.Space.Budget.create ~strict:true 1 in
+      (match snd (run_estimate ~budget params cfg src) with
+      | Error (Run.Budget_exceeded { budget = 1; _ }) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Run.error_to_string e)
+      | Ok _ -> Alcotest.fail "a 1-word strict budget must abort a pooled run");
+      checki "tripped at the first window sample" 1 (Mkc_sketch.Space.Budget.samples budget);
+      let log = Filename.temp_file "mkc_run" ".mkctel" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove log)
+        (fun () ->
+          let rule =
+            match Mkc_obs.Health.parse "cap=space.words>1!" with
+            | Ok r -> r
+            | Error msg -> Alcotest.fail msg
+          in
+          (match snd (run_estimate ~telemetry:(telemetry ~rules:[ rule ] log) params cfg src) with
+          | Error (Run.Health_violation msg) ->
+              checkb "names the rule" true (String.starts_with ~prefix:"cap" msg)
+          | Error e -> Alcotest.failf "wrong error: %s" (Run.error_to_string e)
+          | Ok _ -> Alcotest.fail "an escalated rule must abort a pooled run");
+          match Mkc_obs.Telemetry.read log with
+          | Ok t -> checkb "log untorn, with the sample" true (t.torn = None && t.samples <> [])
+          | Error e -> Alcotest.failf "log unreadable: %s" (Mkc_obs.Telemetry.error_to_string e)))
+
+(* Progress reports the stream position after every window, on one
+   domain and pooled, and a resumed run starts from the checkpoint's
+   position. *)
+let test_progress_on_resumed_run () =
+  let src, params = instance () in
+  let n = Src.length src in
+  let half = Src.of_array (Array.sub (Src.to_array src) 0 1000) in
+  List.iter
+    (fun domains ->
+      let path = Filename.temp_file "mkc_run" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let seen = ref [] in
+          let cfg =
+            {
+              Run.default with
+              domains;
+              chunk = 500 / domains;
+              progress = Some (fun ~edges -> seen := edges :: !seen);
+            }
+          in
+          let ckpt resume save = { Run.codec = E.codec params; every = 1; save; resume } in
+          ignore (get (snd (run_estimate ~ckpt:(ckpt None (Some path)) params cfg half)));
+          let label = Printf.sprintf "%d domain(s)" domains in
+          Alcotest.(check (list int)) (label ^ ": prefix positions") [ 1000; 500 ] !seen;
+          seen := [];
+          ignore (get (snd (run_estimate ~ckpt:(ckpt (Some path) None) params cfg src)));
+          checki (label ^ ": resumed run's first report") 1500 (List.hd (List.rev !seen));
+          checki (label ^ ": resumed run's last report") n (List.hd !seen)))
+    [ 1; 2 ]
+
 let test_ledger_record () =
   with_registry_restored (fun () ->
       let src, params = instance () in
@@ -234,8 +329,12 @@ let suite =
   [
     Alcotest.test_case "every drive answers like run_seq" `Quick
       test_every_drive_matches_run_seq;
-    Alcotest.test_case "space profiles: the sink's or one per shard" `Quick
+    Alcotest.test_case "space profiles: one per run, pooled on the same grid" `Quick
       test_profiles_per_drive;
+    Alcotest.test_case "pooled budget overshoot and health rule are errors" `Quick
+      test_pooled_aborts_are_errors;
+    Alcotest.test_case "progress reports positions, pooled and resumed" `Quick
+      test_progress_on_resumed_run;
     Alcotest.test_case "strict budget overshoot is an error, log intact" `Quick
       test_budget_overshoot_is_an_error;
     Alcotest.test_case "health violation and unknown track are errors" `Quick

@@ -342,7 +342,7 @@ let test_crash_resume_matches_seq_on_signed_stream () =
   let churned, _ = churned_and_clean 34 in
   let src = Mkc_stream.Stream_source.of_array churned in
   let reference = Lin.bytes (drive_seq src) in
-  let path = Filename.temp_file "lin_ckpt" ".json" in
+  let path = Filename.temp_file "lin_ckpt" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
@@ -350,21 +350,17 @@ let test_crash_resume_matches_seq_on_signed_stream () =
          checkpointing on, then resume the full stream from the saved
          state. *)
       let prefix = Array.sub churned 0 300 in
+      let drive ?save ?resume t src =
+        Pipe.drive ~chunk:64
+          ~checkpoint:({ Pipe.codec = Lin.codec 99; every = 1; save; resume }, t)
+          [| Sink.pack Lin.sink t |] src
+      in
       let t1 = Lin.create 99 in
-      (match
-         Pipe.run_resumable ~chunk:64 ~every:1 ~checkpoint:path (Lin.codec 99) t1
-           ~shards:(fun t -> [| Sink.pack Lin.sink t |])
-           ~finalize:ignore
-           (Mkc_stream.Stream_source.of_array prefix)
-       with
+      (match drive ~save:path t1 (Mkc_stream.Stream_source.of_array prefix) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "checkpoint leg: %s" (Ck.error_to_string e));
       let t2 = Lin.create 99 in
-      match
-        Pipe.run_resumable ~chunk:64 ~resume:path (Lin.codec 99) t2
-          ~shards:(fun t -> [| Sink.pack Lin.sink t |])
-          ~finalize:ignore src
-      with
+      match drive ~resume:path t2 src with
       | Ok () -> checkb "resumed run matches seq bytes" true (String.equal (Lin.bytes t2) reference)
       | Error e -> Alcotest.failf "resume leg: %s" (Ck.error_to_string e))
 

@@ -312,13 +312,19 @@ let test_windowed_telemetry_without_registry () =
   let sys = Mkc_workload.Random_inst.uniform ~n:300 ~m:48 ~set_size:10 ~seed:5 in
   let w = W.create (params sys ~k:4 ~alpha:2.0 ~seed:3) ~window:3 ~epoch_edges:40 () in
   Mkc_obs.Registry.set_enabled false;
-  let sm, ob = Obs.observe ~cadence:25 W.sink w in
+  let ob = Obs.create ~cadence:25 (Mkc_stream.Sink.pack W.sink w) in
   let recorder =
     R.create ~capacity:64
       (Mkc_core.Telemetry_probes.build_windowed ~breakdown:(fun () -> Obs.sampled_breakdown ob) w)
   in
   Obs.set_on_sample ob (fun ~edges ~words:_ -> R.sample recorder ~at_edges:edges);
-  ignore (Pipe.run ~chunk:16 sm ob (Src.of_array (Ss.edge_stream ~seed:6 sys)) : W.result);
+  Pipe.drive ~chunk:16
+    ~on_window:(fun ~pos:_ ~len -> Obs.window ob ~len)
+    [| Mkc_stream.Sink.pack W.sink w |]
+    (Src.of_array (Ss.edge_stream ~seed:6 sys))
+  |> Result.get_ok;
+  ignore (W.finalize w : W.result);
+  Obs.sample ob;
   let series = R.series recorder in
   let last name = Mkc_obs.Series.last series (Mkc_obs.Series.index_exn series name) in
   checkb "the run rolled epochs" true (W.rolled w > 3);
