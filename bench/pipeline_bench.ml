@@ -19,9 +19,9 @@
 
    All runs use identical params and seeds, so their finalized results
    must be identical: the benchmark asserts this before reporting, and
-   also that the instrumented run's final space-profile point equals
-   the sink's words_breakdown and the telemetry log's final
-   space.words equals the run's words.  Results go to stdout and to a
+   also that the telemetry log's final space.words equals the run's
+   words and its final space.<component> row the sink's
+   words_breakdown.  Results go to stdout and to a
    JSON file (timings, speedups, winner counts, budget headroom, the
    estimate's opt_gap against greedy, the memo-miss ratio
    sampler_evals/edges).
@@ -141,12 +141,12 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     }
   in
   let tel_drive path =
-    let ((_, o) as d) =
+    let ((e, o) as d) =
       drive ~cfg:{ Run.default with cadence = max 1 (edges / 16) } ~telemetry:(telemetry path) ()
     in
-    (seconds d, o.words, o.samples)
+    (seconds d, (o.words, Mkc_stream.Sink.canonical_breakdown (E.words_breakdown e)), o.samples)
   in
-  let dt_tel, tel_words, tel_samples = tel_drive tel_path in
+  let dt_tel, (tel_words, tel_breakdown), tel_samples = tel_drive tel_path in
   (* Best-of-three, interleaved, for the gated pair: the 5%-overhead
      acceptance gate compares two multi-second timings, and single
      draws on a shared machine flicker by more than the gate width.
@@ -163,16 +163,30 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
   let dt_batched3 = seconds (drive ()) in
   let dt_tel3 = tel_redrive () in
   (* The log must round-trip, untorn, with its final space.words sample
-     equal to the run's words — the durable log and the live accounting
-     may never disagree. *)
+     equal to the run's words and its final space.<component> row equal
+     to the sink's canonical words_breakdown — the log is the one
+     durable record of the space curve, and it may never disagree with
+     the live accounting. *)
   (match T.read tel_path with
   | Error e -> fail "telemetry log unreadable: %s" (T.error_to_string e)
   | Ok log ->
       Option.iter (fun e -> fail "telemetry log torn: %s" (T.error_to_string e)) log.T.torn;
-      let words = List.find (fun s -> s.T.t_name = "space.words") (T.summarize log) in
+      let summaries = T.summarize log in
+      let words = List.find (fun s -> s.T.t_name = "space.words") summaries in
       if words.T.t_count < 2 then fail "telemetry log has fewer than 2 samples!";
       if words.T.t_last <> tel_words then
-        fail "telemetry final space.words <> the run's words!");
+        fail "telemetry final space.words <> the run's words!";
+      let components =
+        List.filter_map
+          (fun s ->
+            match String.split_on_char '.' s.T.t_name with
+            | [ "space"; "words" ] -> None
+            | "space" :: key -> Some (String.concat "." key, s.T.t_last)
+            | _ -> None)
+          summaries
+      in
+      if components <> tel_breakdown then
+        fail "telemetry final space.<component> row <> words_breakdown!");
   let mode_stats =
     List.map
       (fun (mode, draws) -> mode_stat ~edges mode draws)
@@ -221,18 +235,6 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     drive ~cfg:{ Run.default with metrics = true } ~budget ~ledger ()
   in
   Mkc_obs.Registry.set_enabled false;
-  (match o_obs.profiles with
-  | [ (_, profile) ] -> (
-      match Mkc_obs.Space_profile.final profile with
-      | None -> fail "instrumented run recorded no space profile!"
-      | Some final ->
-          if final.Mkc_obs.Space_profile.words <> E.words e_obs then
-            fail "space-profile final total <> words!";
-          if
-            final.Mkc_obs.Space_profile.breakdown
-            <> Mkc_stream.Sink.canonical_breakdown (E.words_breakdown e_obs)
-          then fail "space-profile final breakdown <> words_breakdown!")
-  | _ -> fail "instrumented run should keep exactly one space profile!");
   let mode_stats = mode_stats @ [ mode_stat ~edges "instrumented" [ seconds instrumented ] ] in
   (match !fingerprints with
   | a :: rest -> if List.exists (fun r -> r <> a) rest then fail "ingestion modes disagree!"

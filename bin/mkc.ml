@@ -9,8 +9,9 @@
      merge       merge edge-partitioned shard checkpoints and finalize
      lowerbound  play the §5 one-way DSJ communication game
      top         live (or replayed) telemetry dashboard
-     telemetry-report / validate-telemetry
-                 summarize and verify --telemetry logs *)
+     telemetry-report
+                 summarize a --telemetry log
+     doctor      validate and cross-check a run's observability artifacts *)
 
 open Cmdliner
 
@@ -169,8 +170,8 @@ let obs_term =
       & opt int Mkc_stream.Sink.Observed.default_cadence
       & info [ "metrics-cadence" ] ~docv:"EDGES"
           ~doc:
-            "Space-profile (and --telemetry) sampling cadence in edges; must be \
-             positive.")
+            "Space-observer sampling cadence in edges (the --telemetry samples, the \
+             --trace space.words counter and the budget checks); must be positive.")
   in
   let trace =
     Arg.(
@@ -217,8 +218,8 @@ let read_file path =
     Format.eprintf "mkc: %s@." msg;
     exit 2
 
-let emit_metrics o profiles =
-  let snap = Mkc_obs.Snapshot.capture ~profiles Mkc_obs.Registry.global in
+let emit_metrics o =
+  let snap = Mkc_obs.Snapshot.capture Mkc_obs.Registry.global in
   Option.iter (fun file -> write_file file (Mkc_obs.Snapshot.to_string snap)) o.json;
   Option.iter (fun file -> write_file file (Mkc_obs.Export.prometheus snap)) o.prom;
   if o.show then print_string (Mkc_obs.Export.summary snap)
@@ -268,7 +269,7 @@ let telem_term =
           ~doc:
             "Write a binary telemetry log to $(docv): one sample of the curated track set \
              per $(b,--metrics-cadence) crossing, replayable with \
-             $(b,mkc telemetry-report), $(b,mkc validate-telemetry) and $(b,mkc top).")
+             $(b,mkc telemetry-report), $(b,mkc doctor) and $(b,mkc top).")
   in
   let thealth =
     Arg.(
@@ -678,7 +679,7 @@ let answer ro ~rules ~src ~m ~n ~label
         Option.iter
           (fun path -> Format.printf "wrote telemetry: %s (%d samples)@." path o.samples)
           ro.topts.tfile;
-      if want then emit_metrics oopts o.profiles;
+      if want then emit_metrics oopts;
       emit_trace oopts;
       Option.iter
         (fun path ->
@@ -970,44 +971,6 @@ let validate_checkpoint_cmd =
             Mkc_stream.Checkpoint.schema))
     Term.(const validate_checkpoint $ file)
 
-(* ---------- validate-snapshot ---------- *)
-
-let validate_snapshot file =
-  match Mkc_obs.Snapshot.validate (read_file file) with
-  | Ok snap ->
-      let headroom =
-        List.find_map
-          (function
-            | { Mkc_obs.Snapshot.mname = "space.headroom"; mvalue = Gauge g } ->
-                Some (Printf.sprintf ", space headroom %.2f" g)
-            | _ -> None)
-          snap.Mkc_obs.Snapshot.metrics
-      in
-      Format.printf "%s: valid %s snapshot (%d metrics, %d profiles%s)@." file
-        snap.Mkc_obs.Snapshot.schema
-        (List.length snap.Mkc_obs.Snapshot.metrics)
-        (List.length snap.Mkc_obs.Snapshot.profiles)
-        (Option.value ~default:"" headroom)
-  | Error e ->
-      Format.eprintf "%s: invalid snapshot: %s@." file e;
-      exit 1
-
-let validate_snapshot_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Snapshot JSON file (from --metrics-json).")
-  in
-  Cmd.v
-    (Cmd.info "validate-snapshot"
-       ~doc:
-         "Validate a metrics snapshot against the mkc-obs/5 schema: field kinds, \
-          histogram bucket sums, space-profile breakdown sums and the consistency of \
-          the space.* budget gauges; prints the space headroom when the run had a \
-          budget")
-    Term.(const validate_snapshot $ file)
-
 (* ---------- telemetry subcommands ---------- *)
 
 let telemetry_file_arg =
@@ -1072,22 +1035,6 @@ let telemetry_report_cmd =
           event digest")
     Term.(const telemetry_report $ telemetry_file_arg)
 
-let validate_telemetry file =
-  let log = load_telemetry file in
-  warn_torn file log;
-  Format.printf "%s: valid telemetry log, version %d (%d tracks, %d samples, %d events%s)@."
-    file Mkc_obs.Telemetry.version (Array.length log.tracks) (List.length log.samples)
-    (List.length log.events)
-    (match log.torn with Some _ -> ", torn tail skipped" | None -> "")
-
-let validate_telemetry_cmd =
-  Cmd.v
-    (Cmd.info "validate-telemetry"
-       ~doc:
-         "Validate a --telemetry log (checksummed MKCTEL1 frames; a torn tail is \
-          reported but tolerated)")
-    Term.(const validate_telemetry $ telemetry_file_arg)
-
 (* ---------- top ---------- *)
 
 let top file follow interval =
@@ -1139,27 +1086,6 @@ let top_cmd =
           $(b,--follow) while a run appends to it)")
     Term.(const top $ telemetry_file_arg $ follow $ interval)
 
-(* ---------- validate-trace ---------- *)
-
-let validate_trace file =
-  match Mkc_obs.Trace.validate (read_file file) with
-  | Ok n -> Format.printf "%s: valid trace_event JSON (%d events)@." file n
-  | Error e ->
-      Format.eprintf "%s: invalid trace: %s@." file e;
-      exit 1
-
-let validate_trace_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Trace JSON file (from --trace).")
-  in
-  Cmd.v
-    (Cmd.info "validate-trace"
-       ~doc:"Validate a Chrome trace_event / Perfetto JSON timeline (from --trace)")
-    Term.(const validate_trace $ file)
-
 (* ---------- ledger / bench-diff / doctor ---------- *)
 
 let load_ledger ~exit_code file =
@@ -1182,10 +1108,6 @@ let ledger_action action file index =
   let entries = store.entries in
   let n = List.length entries in
   match action with
-  | `Validate ->
-      Format.printf "%s: valid run ledger, version %d (%d records%s)@." file
-        Mkc_obs.Ledger.version n
-        (match store.torn with Some _ -> ", torn tail skipped" | None -> "")
   | `List ->
       Format.printf "%s: %d records@." file n;
       List.iteri
@@ -1210,11 +1132,11 @@ let ledger_action action file index =
 
 let ledger_cmd =
   let action =
-    let action_conv = Arg.enum [ ("list", `List); ("show", `Show); ("validate", `Validate) ] in
+    let action_conv = Arg.enum [ ("list", `List); ("show", `Show) ] in
     Arg.(
       required
       & pos 0 (some action_conv) None
-      & info [] ~docv:"ACTION" ~doc:"$(b,list), $(b,show) or $(b,validate).")
+      & info [] ~docv:"ACTION" ~doc:"$(b,list) or $(b,show).")
   in
   let file =
     Arg.(
@@ -1231,8 +1153,8 @@ let ledger_cmd =
   Cmd.v
     (Cmd.info "ledger"
        ~doc:
-         "List, show or validate the records of an MKCLEDG1 run ledger (checksummed \
-          frames; a torn tail is reported but tolerated)")
+         "List or show the records of an MKCLEDG1 run ledger (checksummed frames; a \
+          torn tail is reported but tolerated; $(b,mkc doctor --ledger) validates it)")
     Term.(const ledger_action $ action $ file $ index)
 
 let pick_ledger_entry ~what ~label ~index file =
@@ -1336,6 +1258,8 @@ let bench_diff_cmd =
 
 (* ---------- doctor ---------- *)
 
+let torn_note torn = if Option.is_some torn then ", torn tail skipped" else ""
+
 let doctor snapshot telemetry trace ledger =
   if snapshot = None && telemetry = None && trace = None && ledger = None then
     misuse "doctor needs at least one artifact (--snapshot, --telemetry, --trace, --ledger)";
@@ -1349,9 +1273,18 @@ let doctor snapshot telemetry trace ledger =
             exit 1
         | Ok s ->
             incr checked;
-            Format.printf "doctor: %s: valid %s snapshot (%d metrics)@." file
+            let headroom =
+              List.find_map
+                (function
+                  | { Mkc_obs.Snapshot.mname = "space.headroom"; mvalue = Gauge g } ->
+                      Some (Printf.sprintf ", space headroom %.2f" g)
+                  | _ -> None)
+                s.Mkc_obs.Snapshot.metrics
+            in
+            Format.printf "doctor: %s: valid %s snapshot (%d metrics%s)@." file
               s.Mkc_obs.Snapshot.schema
-              (List.length s.Mkc_obs.Snapshot.metrics);
+              (List.length s.Mkc_obs.Snapshot.metrics)
+              (Option.value ~default:"" headroom);
             (file, s))
       snapshot
   in
@@ -1360,8 +1293,8 @@ let doctor snapshot telemetry trace ledger =
       let log = load_telemetry file in
       warn_torn file log;
       incr checked;
-      Format.printf "doctor: %s: valid telemetry log (%d tracks, %d samples)@." file
-        (Array.length log.tracks) (List.length log.samples))
+      Format.printf "doctor: %s: valid telemetry log (%d tracks, %d samples%s)@." file
+        (Array.length log.tracks) (List.length log.samples) (torn_note log.torn))
     telemetry;
   Option.iter
     (fun file ->
@@ -1378,8 +1311,8 @@ let doctor snapshot telemetry trace ledger =
       let store = load_ledger ~exit_code:1 file in
       warn_ledger_torn file store;
       incr checked;
-      Format.printf "doctor: %s: valid run ledger (%d records)@." file
-        (List.length store.entries);
+      Format.printf "doctor: %s: valid run ledger (%d records%s)@." file
+        (List.length store.entries) (torn_note store.torn);
       (* Cross-check the newest record's final gauges against a
          snapshot from the same run: the ledger's quality gauges and
          histogram digests must agree with what the snapshot froze. *)
@@ -1465,11 +1398,8 @@ let () =
             lowerbound_cmd;
             merge_cmd;
             validate_checkpoint_cmd;
-            validate_snapshot_cmd;
-            validate_trace_cmd;
             top_cmd;
             telemetry_report_cmd;
-            validate_telemetry_cmd;
             ledger_cmd;
             bench_diff_cmd;
             doctor_cmd;

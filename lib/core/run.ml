@@ -50,7 +50,6 @@ type 'r outcome = {
   result : 'r;
   words : int;
   wall_ns : int;
-  profiles : (string * Mkc_obs.Space_profile.t) list;
   samples : int;
   appended : (unit, Mkc_obs.Ledger.error) result option;
 }
@@ -184,7 +183,7 @@ let run (type s r) cfg ?budget ?telemetry ?shards ?ckpt ?(record_metrics = ignor
   if cfg.metrics || ledger <> None || rules <> [] then Mkc_obs.Registry.set_enabled true;
   if cfg.trace then Mkc_obs.Trace.set_enabled true;
   let observer =
-    if cfg.metrics || cfg.trace || budget <> None || telemetry <> None then
+    if cfg.trace || budget <> None || telemetry <> None then
       Some (Sink.Observed.create ~cadence:cfg.cadence ?budget (Sink.pack sink state))
     else None
   in
@@ -219,10 +218,6 @@ let run (type s r) cfg ?budget ?telemetry ?shards ?ckpt ?(record_metrics = ignor
           result;
           words;
           wall_ns;
-          profiles =
-            (match observer with
-            | Some ob when cfg.metrics -> [ (label, Sink.Observed.profile ob) ]
-            | _ -> []);
           samples =
             (match !recorder with
             | Some r -> Mkc_obs.Series.total (Mkc_obs.Telemetry.Recorder.series r)

@@ -5,7 +5,8 @@
     {!Mkc_stream.Pipeline.drive} call (one domain or pooled, with or
     without a checkpoint); the space observer
     ({!Mkc_stream.Sink.Observed}), which samples the whole sink between
-    windows on every mode; the space budget; the progress callback; the
+    windows on every mode into the telemetry log — the space curve's
+    one durable record; the space budget; the progress callback; the
     telemetry recorder, log and health engine; abort clean-up; the
     drive's wall time; and the run-ledger record.  The CLI and the
     pipeline benchmark both drive through {!run}, so the number a
@@ -23,10 +24,8 @@
 type config = {
   domains : int;  (** > 1 feeds [shards] through the domain pool *)
   chunk : int;
-  cadence : int;  (** space-profile and telemetry sampling cadence, edges *)
-  metrics : bool;
-      (** enable the registry, keep the space profile in
-          {!outcome.profiles} and record the result's metrics *)
+  cadence : int;  (** the observer's sampling cadence, edges *)
+  metrics : bool;  (** enable the registry and record the result's metrics *)
   trace : bool;  (** enable {!Mkc_obs.Trace} *)
   progress : (edges:int -> unit) option;
       (** called after every window with the stream position reached *)
@@ -77,8 +76,6 @@ type 'r outcome = {
   result : 'r;
   words : int;  (** the sink's words once finalized *)
   wall_ns : int;  (** drive wall time, finalize included *)
-  profiles : (string * Mkc_obs.Space_profile.t) list;
-      (** with [metrics]: [\[(label, profile)\]], on every drive mode *)
   samples : int;  (** telemetry samples recorded (0 without telemetry) *)
   appended : (unit, Mkc_obs.Ledger.error) result option;  (** the ledger append *)
 }
@@ -109,10 +106,12 @@ val run :
     [domains > 1] the pairwise-independent [shards state] (default: the
     whole sink as one shard) are fed through the pool; otherwise the
     sink itself on the calling domain.  The sink is observed
-    ({!Mkc_stream.Sink.Observed}) when [metrics], [trace], a [budget]
-    or [telemetry] asks for it — on every mode the same way: a sample
-    at most once per window on the [cadence] grid, and once after
-    finalize.  [record_metrics] runs on the result (and
+    ({!Mkc_stream.Sink.Observed}) when [trace], a [budget] or
+    [telemetry] asks for it — on every mode the same way: a sample at
+    most once per window on the [cadence] grid, and once after
+    finalize.  [metrics] alone observes nothing: the space curve's one
+    durable record is the telemetry log's [space.*] tracks.
+    [record_metrics] runs on the result (and
     {!Mkc_stream.Sink.Observed.budget_evidence} on the budget) when
     [metrics] or a [ledger] is on.  Any other exception from the sink
     closes the telemetry log and propagates. *)

@@ -85,17 +85,4 @@ let summary (s : Snapshot.t) =
             (pp_ns (quantile_of_hist h 0.99))
             (pp_ns h.Snapshot.hmax))
     s.Snapshot.metrics;
-  List.iter
-    (fun (p : Snapshot.profile) ->
-      let peak = List.fold_left (fun a (pt : Snapshot.point) -> max a pt.Snapshot.words) 0 p.Snapshot.points in
-      match (p.Snapshot.points, List.rev p.Snapshot.points) with
-      | first :: _, last :: _ ->
-          line "== space profile %S (cadence %d edges, %d samples) ==" p.Snapshot.pname
-            p.Snapshot.cadence (List.length p.Snapshot.points);
-          line "  words: first=%d peak=%d final=%d" first.Snapshot.words peak last.Snapshot.words;
-          List.iter
-            (fun (k, w) -> line "    %-46s %d" k w)
-            last.Snapshot.breakdown
-      | _ -> ())
-    s.Snapshot.profiles;
   Buffer.contents b

@@ -6,7 +6,8 @@ val prometheus : Snapshot.t -> string
     [_bucket{le="..."}] series plus [_sum]/[_count]. *)
 
 val summary : Snapshot.t -> string
-(** Human-readable multi-line summary: counters and gauges, histogram
-    count/p50/p99/max (span latencies are the [span.<name>.ns]
-    histograms), and each space profile's first/peak/final words —
-    what [mkc --metrics] prints. *)
+(** Human-readable multi-line summary: counters and gauges (the
+    [space.*] budget gauges, [space.peak_words] included, when the run
+    had a budget) and histogram count/p50/p99/max (span latencies are
+    the [span.<name>.ns] histograms) — what [mkc --metrics] prints.
+    The space-over-stream curve is the [--telemetry] log's. *)

@@ -220,19 +220,14 @@ let header_status path =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let len = in_channel_length ic in
+          let len = min 16 (in_channel_length ic) in
           if len = 0 then Ok `Fresh
-          else if len < 16 then
-            Error (Truncated (Printf.sprintf "%d bytes, need 16 for the header" len))
-          else begin
-            let head = Bytes.create 16 in
-            really_input ic head 0 16;
-            let got_magic = Bytes.sub_string head 0 8 in
-            if not (String.equal got_magic magic) then Error (Bad_magic got_magic)
-            else
-              let ver = Int64.to_int (Bytes.get_int64_le head 8) in
-              if ver <> version then Error (Bad_version ver) else Ok `Ok
-          end)
+          else
+            Telemetry.Framed.check_header
+              (Bytes.of_string (really_input_string ic len))
+              ~magic ~version
+            |> Result.map (fun () -> `Ok)
+            |> Result.map_error of_telemetry_error)
 
 let append path e =
   let* status = header_status path in

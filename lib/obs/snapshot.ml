@@ -8,17 +8,9 @@ type hist = {
 
 type value = Counter of int | Gauge of float | Histogram of hist
 type metric = { mname : string; mvalue : value }
-type point = { at_edges : int; words : int; breakdown : (string * int) list }
-type profile = { pname : string; cadence : int; points : point list }
+type t = { schema : string; created_ns : int; metrics : metric list }
 
-type t = {
-  schema : string;
-  created_ns : int;
-  metrics : metric list;
-  profiles : profile list;
-}
-
-let schema_version = "mkc-obs/5"
+let schema_version = "mkc-obs/6"
 
 let hist_of_metric (h : Metric.Histogram.t) =
   {
@@ -29,7 +21,7 @@ let hist_of_metric (h : Metric.Histogram.t) =
     hbuckets = Metric.Histogram.nonzero_buckets h;
   }
 
-let capture ?(profiles = []) ?now_ns registry =
+let capture ?now_ns registry =
   let now_ns = match now_ns with Some t -> t | None -> Clock.now_ns () in
   let metrics =
     Registry.dump registry
@@ -42,21 +34,7 @@ let capture ?(profiles = []) ?now_ns registry =
            in
            { mname; mvalue })
   in
-  let profiles =
-    List.map
-      (fun (pname, sp) ->
-        {
-          pname;
-          cadence = Space_profile.cadence sp;
-          points =
-            List.map
-              (fun (p : Space_profile.point) ->
-                { at_edges = p.at_edges; words = p.words; breakdown = p.breakdown })
-              (Space_profile.points sp);
-        })
-      profiles
-  in
-  { schema = schema_version; created_ns = now_ns; metrics; profiles }
+  { schema = schema_version; created_ns = now_ns; metrics }
 
 (* ---------- emission ---------- *)
 
@@ -79,31 +57,12 @@ let json_of_metric m =
                 (List.map (fun (i, c) -> Json.Array [ Json.Int i; Json.Int c ]) h.hbuckets) );
           ])
 
-let json_of_point p =
-  Json.Object
-    [
-      ("at_edges", Json.Int p.at_edges);
-      ("words", Json.Int p.words);
-      ( "breakdown",
-        Json.Array (List.map (fun (k, w) -> Json.Array [ Json.String k; Json.Int w ]) p.breakdown)
-      );
-    ]
-
-let json_of_profile p =
-  Json.Object
-    [
-      ("name", Json.String p.pname);
-      ("cadence", Json.Int p.cadence);
-      ("points", Json.Array (List.map json_of_point p.points));
-    ]
-
 let to_json t =
   Json.Object
     [
       ("schema", Json.String t.schema);
       ("created_ns", Json.Int t.created_ns);
       ("metrics", Json.Array (List.map json_of_metric t.metrics));
-      ("profiles", Json.Array (List.map json_of_profile t.profiles));
     ]
 
 let to_string t = Json.to_string (to_json t)
@@ -129,10 +88,10 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
-let pair_of conv name j =
+let int_pair name j =
   match j with
   | Json.Array [ a; b ] -> (
-      match (conv a, Json.to_int b) with
+      match (Json.to_int a, Json.to_int b) with
       | Some x, Some y -> Ok (x, y)
       | _ -> Error (Printf.sprintf "%s: bad pair element" name))
   | _ -> Error (Printf.sprintf "%s: expected 2-element array" name)
@@ -155,7 +114,7 @@ let metric_of_json j =
         let* hmin = field ctx "min" Json.to_float j in
         let* hmax = field ctx "max" Json.to_float j in
         let* raw = list_field ctx "buckets" j in
-        let* hbuckets = map_result (pair_of Json.to_int ctx) raw in
+        let* hbuckets = map_result (int_pair ctx) raw in
         if
           List.exists
             (fun (i, c) -> i < 0 || i >= Metric.Histogram.num_buckets || c < 0)
@@ -167,30 +126,6 @@ let metric_of_json j =
     | k -> Error (Printf.sprintf "%s: unknown kind %S" ctx k)
   in
   Ok { mname; mvalue }
-
-let point_of_json ctx j =
-  let* at_edges = field ctx "at_edges" Json.to_int j in
-  let* words = field ctx "words" Json.to_int j in
-  let* raw = list_field ctx "breakdown" j in
-  let* breakdown = map_result (pair_of Json.to_string_opt ctx) raw in
-  Ok { at_edges; words; breakdown }
-
-let profile_of_json j =
-  let* pname = field "profile" "name" Json.to_string_opt j in
-  let ctx = Printf.sprintf "profile %S" pname in
-  let* cadence = field ctx "cadence" Json.to_int j in
-  let* raw = list_field ctx "points" j in
-  let* points = map_result (point_of_json ctx) raw in
-  (* every point's breakdown must sum to its total — the invariant the
-     space experiments rely on *)
-  let bad =
-    List.find_opt
-      (fun p -> List.fold_left (fun a (_, w) -> a + w) 0 p.breakdown <> p.words)
-      points
-  in
-  match bad with
-  | Some p -> Error (Printf.sprintf "%s: breakdown does not sum to words at edge %d" ctx p.at_edges)
-  | None -> Ok { pname; cadence; points }
 
 (* The space watchdog's gauges ([Quality.record_budget]) come as a
    group of five.  A snapshot is outside input, so when any of them is
@@ -227,7 +162,7 @@ let check_space_gauges metrics =
         ^ String.concat ", " (List.map (fun k -> "space." ^ k) space_gauges)
         ^ " or none")
 
-let top_level = [ "schema"; "created_ns"; "metrics"; "profiles" ]
+let top_level = [ "schema"; "created_ns"; "metrics" ]
 
 let of_json j =
   let* schema = field "snapshot" "schema" Json.to_string_opt j in
@@ -246,9 +181,7 @@ let of_json j =
         let* raw_metrics = list_field "snapshot" "metrics" j in
         let* metrics = map_result metric_of_json raw_metrics in
         let* () = check_space_gauges metrics in
-        let* raw_profiles = list_field "snapshot" "profiles" j in
-        let* profiles = map_result profile_of_json raw_profiles in
-        Ok { schema; created_ns; metrics; profiles }
+        Ok { schema; created_ns; metrics }
 
 let validate s =
   let* j = Json.parse s in

@@ -1,19 +1,21 @@
 (** Versioned, machine-readable snapshot of an observability state:
-    the merged registry metrics and the space-over-stream profiles.
+    the merged registry metrics, frozen at the end of a run.
 
-    The JSON schema is {!schema_version} ("mkc-obs/5"), an object with
-    exactly the keys [schema], [created_ns], [metrics] and [profiles];
-    histogram buckets use the log-linear {!Histogram} layout.  Every
-    other fact of a run has one home elsewhere and is not copied here:
-    individual spans live in the {!Trace} timeline (their latency
-    histograms [span.<name>.ns] are metrics), and the sampled time
-    series lives in the {!Telemetry} log.  The space watchdog's verdict
-    is the [space.*] gauge group of {!Quality.record_budget}.
+    The JSON schema is {!schema_version} ("mkc-obs/6"), an object with
+    exactly the keys [schema], [created_ns] and [metrics]; histogram
+    buckets use the log-linear {!Histogram} layout.  Every other fact
+    of a run has one home elsewhere and is not copied here: individual
+    spans live in the {!Trace} timeline (their latency histograms
+    [span.<name>.ns] are metrics), and the sampled time series — the
+    space-over-stream curve ([space.words] and one [space.<component>]
+    track per breakdown key) included — lives in the {!Telemetry} log.
+    The space watchdog's verdict is the [space.*] gauge group of
+    {!Quality.record_budget}.
 
     {!of_json} re-validates every field, so consumers (CI, [bench])
     fail loudly on drift instead of silently mis-parsing: unknown
     top-level keys and snapshots stamped with any other schema, the
-    retired "mkc-obs/1" to "mkc-obs/4" included, are rejected by name,
+    retired "mkc-obs/1" to "mkc-obs/5" included, are rejected by name,
     and the [space.*] gauges, when present, must be complete and
     self-consistent.  Emission order is deterministic (metrics sorted
     by name), so snapshots taken under an injected {!Clock} source are
@@ -31,29 +33,21 @@ type hist = {
 
 type value = Counter of int | Gauge of float | Histogram of hist
 type metric = { mname : string; mvalue : value }
-type point = { at_edges : int; words : int; breakdown : (string * int) list }
-type profile = { pname : string; cadence : int; points : point list }
-type t = {
-  schema : string;
-  created_ns : int;
-  metrics : metric list;
-  profiles : profile list;
-}
+type t = { schema : string; created_ns : int; metrics : metric list }
 
 val schema_version : string
-(** Emission schema, ["mkc-obs/5"]. *)
+(** Emission schema, ["mkc-obs/6"]. *)
 
-val capture : ?profiles:(string * Space_profile.t) list -> ?now_ns:int -> Registry.t -> t
-(** Merge-read the registry (plus the given space profiles) into a
-    snapshot.  [now_ns] defaults to {!Clock.now_ns}.  Always stamps
-    {!schema_version}. *)
+val capture : ?now_ns:int -> Registry.t -> t
+(** Merge-read the registry into a snapshot.  [now_ns] defaults to
+    {!Clock.now_ns}.  Always stamps {!schema_version}. *)
 
 val to_json : t -> Json.t
 val to_string : t -> string
 
 val of_json : Json.t -> (t, string) result
 (** Parse AND validate: schema version, field presence, kinds, types,
-    histogram bucket sums, profile breakdown sums, and the [space.*]
+    histogram bucket sums, and the [space.*]
     budget gauges — all five of [space.budget_words],
     [space.peak_words], [space.headroom], [space.overshoots] and
     [space.samples] or none; integral non-negative counts;

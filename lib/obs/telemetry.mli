@@ -16,8 +16,12 @@
     coordinates, and event frames carry a named counter increment
     (health-rule violations, checkpoint saves, …).
 
+    The file is read by the one {!Framed} walk the run ledger shares;
+    {!read} folds its payloads into directory, samples and events.
     Error handling mirrors [Edge_file]: every rejection is a named
-    variant, never a silent partial load.  The one deliberate
+    variant, never a silent partial load or an exception — a forged
+    length or count is checked against the bytes present before
+    anything is allocated from it.  The one deliberate
     exception is a {e torn tail}: a final frame cut short by a crash
     mid-append.  The reader keeps the intact prefix and reports the
     tear as a named error in [log.torn] instead of failing, so a
@@ -67,16 +71,21 @@ module Writer : sig
 end
 
 val read : string -> (log, error) result
-(** Load and verify a telemetry log.  Corruption {e inside} the file
-    (bad checksum, malformed frame with more data after it) is a hard
+(** Load and verify a telemetry log: {!Framed.read_all}, then a fold
+    over the payloads.  Corruption {e inside} the file (bad checksum,
+    malformed frame, a payload shorter than its 8-byte kind) is a hard
     error; a torn final frame is skipped and reported in [torn]. *)
 
 (** The header/frame/checksum/torn-tail machinery shared with the run
     ledger ([Ledger], magic "MKCLEDG1"): 8-byte magic + int64 LE
     version header, then frames of int64 LE payload length, FNV-1a 64
-    payload checksum, and the payload itself. *)
+    payload checksum, and the payload itself.  This is the one frame
+    walk of the code base and {!fnv1a64} its one checksum, which the
+    edge file and the checkpoint envelope call too. *)
 module Framed : sig
   val fnv1a64 : Bytes.t -> pos:int -> len:int -> int64
+  (** FNV-1a 64 over [len] bytes from [pos]. *)
+
   val hex64 : int64 -> string
 
   val write_header : out_channel -> magic:string -> version:int -> unit
@@ -84,10 +93,17 @@ module Framed : sig
 
   val write_frame : out_channel -> Bytes.t -> unit
 
+  val check_header : Bytes.t -> magic:string -> version:int -> (unit, error) result
+  (** Check the 16-byte header at the start of the given bytes:
+      [Truncated] when fewer than 16 bytes, then [Bad_magic] or
+      [Bad_version]. *)
+
   val read_all : magic:string -> version:int -> string -> (Bytes.t list * error option, error) result
   (** Every intact frame payload, oldest first, plus the named tear
       when the final frame was cut short mid-append.  A checksum
-      mismatch or corruption {e inside} the file is a hard error. *)
+      mismatch or corruption {e inside} the file is a hard error.
+      Frame lengths are compared against the bytes left, so a forged
+      length is a tear or [Malformed], never an overflow. *)
 end
 
 type summary = {

@@ -35,16 +35,9 @@ let error_to_string = function
 
 type t = { kind : string; pos : int; seed : int; payload : string }
 
-(* FNV-1a 64 over everything before the trailer.  Not cryptographic —
-   it catches truncation, bit rot and hand edits, same threat model as
-   the edge-file and ledger checksums. *)
-let fnv1a64 s ~len =
-  let h = ref 0xCBF29CE484222325L in
-  for i = 0 to len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
-    h := Int64.mul !h 0x100000001B3L
-  done;
-  !h
+(* FNV-1a 64 over everything before the trailer — the checksum the
+   edge file and the framed logs carry too. *)
+let fnv1a64 s ~len = Mkc_obs.Telemetry.Framed.fnv1a64 (Bytes.unsafe_of_string s) ~pos:0 ~len
 
 (* Fixed fields around the kind and the payload: magic, kind length,
    pos, seed, payload length and the trailer. *)

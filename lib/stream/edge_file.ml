@@ -57,16 +57,9 @@ let version = 1
 let version_v2 = 2
 let header_bytes = 48
 
-(* Same FNV-1a 64 as the checkpoint envelope, over a bytes region. *)
-let fnv1a64 b ~pos ~len =
-  let h = ref 0xCBF29CE484222325L in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
-    h := Int64.mul !h 0x100000001B3L
-  done;
-  !h
-
-let hex64 v = Printf.sprintf "%016Lx" v
+(* The FNV-1a 64 every checksummed format shares. *)
+let fnv1a64 = Mkc_obs.Telemetry.Framed.fnv1a64
+let hex64 = Mkc_obs.Telemetry.Framed.hex64
 
 let write path edges ~n ~m =
   if n < 0 || m < 0 then invalid_arg "Edge_file.write: negative universe bound";
@@ -163,15 +156,22 @@ let read path =
           let* m = checked_to_int "m" (Bytes.get_int64_le header 24) in
           let* count = checked_to_int "count" (Bytes.get_int64_le header 32) in
           let stored_crc = Bytes.get_int64_le header 40 in
-          let body_len = if signed then 17 * count else 16 * count in
+          let width = if signed then 17 else 16 in
+          (* The count is bounded by the bytes present before it is
+             multiplied: a forged count must not wrap [width * count]
+             back into range. *)
           let* () =
-            if file_len <> header_bytes + body_len then
+            if
+              count > (file_len - header_bytes) / width
+              || file_len <> header_bytes + (width * count)
+            then
               Error
                 (Truncated
-                   (Printf.sprintf "%d bytes, header promises %d edges (%d bytes)"
-                      file_len count (header_bytes + body_len)))
+                   (Printf.sprintf "%d bytes, header promises %d edges of %d bytes"
+                      file_len count width))
             else Ok ()
           in
+          let body_len = width * count in
           let body = Bytes.create body_len in
           let* () =
             match really_input ic body 0 body_len with

@@ -41,7 +41,7 @@ let prefix_breakdown prefix kvs = List.map (fun (k, v) -> (prefix ^ "." ^ k, v))
 module Observed = struct
   type t = {
     sink : any;
-    profile : Mkc_obs.Space_profile.t;
+    cadence : int;
     budget : Mkc_sketch.Space.Budget.t option;
     mutable edges : int;
     mutable next_at : int;
@@ -51,9 +51,9 @@ module Observed = struct
        budget watchdog sees it. *)
     mutable ckpt_words : int;
     (* Sample fan-out: the telemetry recorder (and anything else that
-       wants the cadence heartbeat) hooks in here.  Called after the
-       profile point is recorded but before the budget watchdog, so a
-       strict-mode abort still leaves the final sample in the log. *)
+       wants the cadence heartbeat) hooks in here.  Called before the
+       budget watchdog, so a strict-mode abort still leaves the final
+       sample in the log. *)
     mutable on_sample : (edges:int -> words:int -> unit) option;
     (* The breakdown the most recent [sample] recorded — so the
        telemetry probes riding [on_sample] can read the walk the sample
@@ -68,7 +68,7 @@ module Observed = struct
     if cadence < 1 then invalid_arg "Sink.Observed.create: cadence must be >= 1";
     {
       sink;
-      profile = Mkc_obs.Space_profile.create ~cadence;
+      cadence;
       budget;
       edges = 0;
       next_at = cadence;
@@ -77,7 +77,6 @@ module Observed = struct
       last_bd = [];
     }
 
-  let profile t = t.profile
   let set_on_sample t f = t.on_sample <- Some f
 
   let note_checkpoint t ~words =
@@ -98,12 +97,11 @@ module Observed = struct
     let breakdown = words_breakdown t in
     let words = List.fold_left (fun acc (_, w) -> acc + w) 0 breakdown in
     t.last_bd <- breakdown;
-    Mkc_obs.Space_profile.record t.profile ~at_edges:t.edges ~words ~breakdown;
     if Mkc_obs.Trace.enabled () then
       Mkc_obs.Trace.counter "space.words" ~at_ns:(Mkc_obs.Clock.now_ns ()) words;
     (match t.on_sample with None -> () | Some f -> f ~edges:t.edges ~words);
     (* Watchdog last: in strict mode [observe] raises on overshoot, and
-       the profile point (and telemetry sample) above should survive to
+       the trace counter and telemetry sample above should survive to
        tell the story. *)
     match t.budget with None -> () | Some b -> Mkc_sketch.Space.Budget.observe b words
 
@@ -113,8 +111,7 @@ module Observed = struct
     t.edges <- t.edges + len;
     if t.edges >= t.next_at then begin
       sample t;
-      let c = Mkc_obs.Space_profile.cadence t.profile in
-      t.next_at <- ((t.edges / c) + 1) * c
+      t.next_at <- ((t.edges / t.cadence) + 1) * t.cadence
     end
 
   let budget_evidence b =

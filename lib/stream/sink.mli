@@ -91,13 +91,14 @@ val prefix_breakdown : string -> (string * int) list -> (string * int) list
     calls {!window} from its between-windows hook
     ({!Pipeline.drive}'s [on_window]) and {!sample} once after
     finalize, and each sample reads the observed sink's
-    [words_breakdown] into a {!Mkc_obs.Space_profile} — so the
-    profile's final point equals the finalized sink's
-    [words_breakdown] exactly, and observing cannot change what the
-    sink computes.  Each sample is also fed to the optional
-    {!Mkc_sketch.Space.Budget} watchdog (which may raise on overshoot
-    in strict mode) and, when tracing is on, emitted as a
-    ["space.words"] counter track.  With a pooled drive the observed
+    [words_breakdown] — so the final sample equals the finalized
+    sink's [words_breakdown] exactly, and observing cannot change what
+    the sink computes.  The observer keeps no history: each sample is
+    handed to the {!set_on_sample} callback (the [--telemetry]
+    recorder, whose log is the one durable record of the space curve),
+    emitted as a ["space.words"] counter track when tracing is on, and
+    fed to the optional {!Mkc_sketch.Space.Budget} watchdog (which may
+    raise on overshoot in strict mode).  With a pooled drive the observed
     sink is the whole composite (e.g. [pack Estimate.sink est], not its
     shards); between windows every worker is quiescent, so reading it
     is safe. *)
@@ -120,12 +121,10 @@ module Observed : sig
   val sample : t -> unit
   (** Record a sample now — after finalize, for the final point. *)
 
-  val profile : t -> Mkc_obs.Space_profile.t
-
   val words_breakdown : t -> (string * int) list
   (** Canonicalized observed breakdown: the sink's breakdown plus the
       ["checkpoint"] key when checkpoint words are held.  Its sum is
-      what each profile sample and budget check sees. *)
+      what each sample and budget check sees. *)
 
   val sampled_breakdown : t -> (string * int) list
   (** The breakdown the most recent sample recorded — the walk (and
@@ -138,16 +137,16 @@ module Observed : sig
   val note_checkpoint : t -> words:int -> unit
   (** Record the size of the most recent serialized checkpoint.  The
       words appear under a ["checkpoint"] breakdown key (and therefore
-      in every subsequent profile sample and budget check): a
+      in every subsequent sample and budget check): a
       checkpoint the process holds or writes is real space the paper's
       accounting must see.  Raises [Invalid_argument] on a negative
       size. *)
 
   val set_on_sample : t -> (edges:int -> words:int -> unit) -> unit
   (** Register a cadence fan-out callback, invoked on every sample
-      (cadence crossings and the final sample) after the profile point
-      is recorded and before the budget watchdog runs — so a
-      strict-mode abort still delivers the final sample.  This is how
+      (cadence crossings and the final sample) before the budget
+      watchdog runs — so a strict-mode abort still delivers the final
+      sample.  This is how
       [--telemetry] ties a {!Mkc_obs.Telemetry.Recorder} to the
       sampling cadence.  Last registration wins. *)
 

@@ -633,12 +633,6 @@ let test_checkpoint_obs_counters () =
 
 (* --- 11. hostile input: seeded mutation fuzz --- *)
 
-(* Words allocated while [f] runs. *)
-let allocated f =
-  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
-  ignore (Sys.opaque_identity (f ()));
-  int_of_float (Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before)
-
 type fuzz_input = {
   fp : P.t;
   payload : string;
@@ -667,12 +661,10 @@ let fuzz_instances =
          let small_set = not (List.mem_assoc "oracle.small_set" (E.words_breakdown est)) in
          (* one restore target per instance, overwritten case after case *)
          let target = E.create p in
-         let valid_words = allocated (fun () -> (E.codec p).Ck.restore target payload) in
+         let valid_words = Mutation.allocated (fun () -> (E.codec p).Ck.restore target payload) in
          let prefix = String.length (params_bytes p) in
          { fp = p; payload; prefix; small_set; target; valid_words })
        [| params (); heavy |])
-
-let lying_values = [| max_int; min_int; -1; -(1 lsl 40); 1 lsl 40; 1 lsl 20; 4096; 0 |]
 
 (* A varint rewrite: the varint holding byte [at] becomes [v]. *)
 let rewrite_varint s ~at v =
@@ -688,47 +680,20 @@ let rewrite_varint s ~at v =
   String.sub s 0 !start ^ packed [ v ]
   ^ String.sub s (!stop + 1) (String.length s - !stop - 1)
 
-let flip_bits s bits =
-  let b = Bytes.of_string s in
-  List.iter
-    (fun bit ->
-      let i = bit / 8 mod Bytes.length b in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8)))))
-    bits;
-  Bytes.to_string b
-
-(* [kind] 0 flips bits, 1 cuts, 2 makes a count, length or other field
-   lie: a payload varint, or one of the envelope's int64 header fields. *)
-let mutate ~envelope s (kind, spots, v) =
-  let len = String.length s in
-  if len = 0 then s
-  else
-    match kind with
-    | 0 -> flip_bits s spots
-    | 1 -> String.sub s 0 (List.hd spots mod len)
-    | _ when envelope ->
-        let b = Bytes.of_string s in
+(* The shared {!Mutation}s; a lying field is a payload varint, or one
+   of the envelope's int64 header fields. *)
+let mutate ~envelope s m =
+  Mutation.apply m s ~lie:(fun s ~spot v ->
+      if envelope then
         (* kind length, then (for the kind "estimate") pos, seed, payload length *)
-        let at = [| 8; 24; 32; 40 |].(List.hd spots mod 4) in
-        if at + 8 <= len then Bytes.set_int64_le b at (Int64.of_int v);
-        Bytes.to_string b
-    | _ -> rewrite_varint s ~at:(List.hd spots mod len) v
+        Mutation.set_int64 s ~at:[| 8; 24; 32; 40 |].(spot mod 4) v
+      else rewrite_varint s ~at:(spot mod String.length s) v)
 
 let prop_fuzz_decoders =
-  let gen =
-    QCheck.Gen.(
-      pair (int_bound 1)
-        (triple (int_bound 2)
-           (list_size (int_range 1 8) (int_bound 1_000_000_000))
-           (map (Array.get lying_values) (int_bound (Array.length lying_values - 1)))))
-  in
   let arb =
     QCheck.make
-      ~print:(fun (inst, (kind, spots, v)) ->
-        Printf.sprintf "instance %d, mutation %d at [%s], value %d" inst kind
-          (String.concat "; " (List.map string_of_int spots))
-          v)
-      gen
+      ~print:(fun (inst, m) -> Printf.sprintf "instance %d, %s" inst (Mutation.to_string m))
+      QCheck.Gen.(pair (int_bound 1) Mutation.gen)
   in
   QCheck.Test.make ~name:"fuzz: mutated checkpoints end in Ok or a named error" ~count:1000
     arb (fun (inst, m) ->
@@ -740,7 +705,7 @@ let prop_fuzz_decoders =
          is allocated from it, so a lying field cannot allocate more
          than the input's size allows. *)
       let restore payload =
-        let words = allocated (fun () -> (E.codec p).Ck.restore target payload) in
+        let words = Mutation.allocated (fun () -> (E.codec p).Ck.restore target payload) in
         if words > (4 * valid_words) + (64 * String.length payload) then
           QCheck.Test.fail_reportf "restore allocated %d words from %d bytes" words
             (String.length payload)

@@ -246,8 +246,7 @@ let test_health_abort_keeps_evidence () =
               checkb (flags ^ ": no answer line on stdout") false
                 (contains ~sub:"estimated optimal" out);
               checkb (flags ^ ": no space line on stdout") false (contains ~sub:"space:" out);
-              ignore (run_ok ("validate-telemetry " ^ log));
-              ignore (run_ok ("validate-trace " ^ trace));
+              ignore (run_ok (Printf.sprintf "doctor --telemetry %s --trace %s" log trace));
               match Mkc_obs.Telemetry.read log with
               | Error e ->
                   Alcotest.failf "telemetry log invalid: %s" (Mkc_obs.Telemetry.error_to_string e)
@@ -355,6 +354,36 @@ let test_golden_stdout () =
             [ a; b ] ckpts;
           check_golden "merge_2shard" (run_ok ("merge " ^ String.concat " " ckpts))))
 
+(* Forged lengths and counts end in a named error, not an uncaught
+   exception (exit 125): a telemetry directory declaring 2^40 tracks
+   under a valid checksum fails doctor with exit 1, and an edge-file
+   header promising 2^59 edges (16 · 2^59 wraps to 0) fails stats with
+   exit 2. *)
+let test_forged_artifacts_are_named_errors () =
+  let log = Filename.temp_file "mkc_cli" ".mkctel" in
+  let edges = Filename.temp_file "mkc_cli" ".mkce" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ log; edges ])
+    (fun () ->
+      (match Mkc_obs.Telemetry.Writer.create log ~tracks:[| "space.words" |] with
+      | Ok w -> Mkc_obs.Telemetry.Writer.close w
+      | Error e -> Alcotest.failf "writer: %s" (Mkc_obs.Telemetry.error_to_string e));
+      let b = Bytes.of_string (read_all log) in
+      (* the directory frame starts at byte 16; its track count at 40 *)
+      Bytes.set_int64_le b 40 (Int64.shift_left 1L 40);
+      Mutation.reseal_frame b ~frame:16;
+      Out_channel.with_open_bin log (fun oc -> Out_channel.output_bytes oc b);
+      let code, _, err = run ("doctor --telemetry " ^ log) in
+      checki "forged log: doctor exit 1" 1 code;
+      checkb "forged log: the error is named" true
+        (contains ~sub:"invalid telemetry log: malformed telemetry log: directory declares" err);
+      Out_channel.with_open_bin edges (fun oc ->
+          Out_channel.output_string oc (Mutation.edge_header ~count:(1 lsl 59)));
+      let code, _, err = run ("stats -s " ^ edges) in
+      checki "forged edge count: stats exit 2" 2 code;
+      checkb "forged edge count: the error is named" true
+        (contains ~sub:"truncated edge file" err))
+
 let test_generate_churn_validation () =
   expect_rejection "generate -n 10 -m 4 -k 2 -o nope_out.txt --churn 1.5"
     ~msg:"--churn must lie in [0, 1) (got 1.5)";
@@ -386,4 +415,6 @@ let suite =
       test_progress_on_every_drive;
     Alcotest.test_case "--force-m below the stream's m is a misuse" `Quick
       test_force_m_below_stream;
+    Alcotest.test_case "forged artifacts end in named errors" `Quick
+      test_forged_artifacts_are_named_errors;
   ]

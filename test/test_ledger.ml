@@ -172,7 +172,20 @@ let test_rejection_matrix () =
       match L.read path with
       | Ok _ -> Alcotest.fail "read accepted a flipped payload byte"
       | Error (L.Checksum_mismatch _) -> ()
-      | Error e -> Alcotest.failf "expected a checksum mismatch, got: %s" (L.error_to_string e))
+      | Error e -> Alcotest.failf "expected a checksum mismatch, got: %s" (L.error_to_string e));
+  (* a frame length of max_int - 4 sealed as empty: the length is
+     compared against the bytes left (no overflow), so the forged
+     record is a named tear, never an exception *)
+  with_tmp (fun path ->
+      append_ok path (sample_entry ());
+      let b = file_bytes path in
+      Bytes.set_int64_le b 16 (Int64.of_int (max_int - 4));
+      Bytes.set_int64_le b 24 (Mkc_obs.Telemetry.Framed.fnv1a64 b ~pos:0 ~len:0);
+      write_bytes path b;
+      match L.read path with
+      | Ok { entries = []; torn = Some (L.Truncated _) } -> ()
+      | Ok _ -> Alcotest.fail "a forged frame length must read as a named tear"
+      | Error e -> Alcotest.failf "expected a tear, got: %s" (L.error_to_string e))
 
 let test_empty_and_missing () =
   with_tmp (fun path ->

@@ -8,13 +8,14 @@
      3. observing a run (Sink.Observed sampling between windows, on
         one domain or pooled, checkpointed or not) changes nothing about
         the computation — same result, same words, same work counters —
-        and the profile's final point equals words_breakdown exactly;
+        and the telemetry log's final space.words equals the observed
+        breakdown (the sink's plus the held checkpoint) exactly;
      4. pooled and one-domain ingestion agree metric-for-metric
         on the invariant counters;
-     5. the mkc-obs/5 JSON snapshot is byte-stable under an injected
+     5. the mkc-obs/6 JSON snapshot is byte-stable under an injected
         clock and survives a parse→validate round trip, while tampered
         snapshots (the space.* budget gauges included) are rejected, the
-        retired mkc-obs/1 through mkc-obs/4 schemas by name;
+        retired mkc-obs/1 through mkc-obs/5 schemas by name;
      6. the Prometheus exposition handles hostile metric names and
         non-finite gauge values, and bucket counts stay monotone under
         histogram merges. *)
@@ -299,17 +300,8 @@ let prop_observed_run_equals_bare =
               [ ("checkpoint", Mkc_stream.Checkpoint.words_of_bytes (Unix.stat ckpt_path).st_size) ]
             else []
           in
-          let total = o1.words + List.fold_left (fun acc (_, w) -> acc + w) 0 held in
-          let final_ok =
-            match o1.profiles with
-            | [ ("estimate", profile) ] -> (
-                match Obs.Space_profile.final profile with
-                | None -> false
-                | Some p ->
-                    p.Obs.Space_profile.words = total
-                    && p.Obs.Space_profile.breakdown
-                       = Sink.canonical_breakdown (held @ E.words_breakdown obs))
-            | _ -> false
+          let total =
+            List.fold_left (fun acc (_, w) -> acc + w) 0 (held @ E.words_breakdown obs)
           in
           let telemetry_ok =
             match Obs.Telemetry.read log with
@@ -325,7 +317,7 @@ let prop_observed_run_equals_bare =
           && o0.words = o1.words
           && E.words obs = o1.words
           && E.stats bare = E.stats obs
-          && final_ok && telemetry_ok))
+          && telemetry_ok))
 
 let test_observed_cadence_grid () =
   (* A sink whose words grow per edge; drive it window by window and
@@ -344,6 +336,8 @@ let test_observed_cadence_grid () =
   let m : (int ref, int) Sink.sink = (module Count) in
   let count = ref 0 in
   let ob = Sink.Observed.create ~cadence:10 (Sink.pack m count) in
+  let samples = ref [] in
+  Sink.Observed.set_on_sample ob (fun ~edges ~words -> samples := (edges, words) :: !samples);
   let edges = Array.init 25 (fun i -> Edge.make ~set:0 ~elt:i) in
   Pipe.drive ~chunk:7
     ~on_window:(fun ~pos:_ ~len -> Sink.Observed.window ob ~len)
@@ -351,17 +345,11 @@ let test_observed_cadence_grid () =
   |> Result.get_ok;
   checki "the sink saw every edge" 25 (Count.finalize count);
   Sink.Observed.sample ob;
-  let ats =
-    List.map
-      (fun p -> p.Obs.Space_profile.at_edges)
-      (Obs.Space_profile.points (Sink.Observed.profile ob))
-  in
   (* windows land at 7,14,21,25 edges; cadence 10 samples at 14 (first
      crossing of 10, grid realigns to 20) and 21, then the final sample
      at 25 *)
-  checkb "cadence-grid samples plus the final one" true (ats = [ 14; 21; 25 ]);
-  checki "peak words" 25
-    (Obs.Space_profile.peak_words (Sink.Observed.profile ob));
+  checkb "cadence-grid samples plus the final one" true
+    (List.rev !samples = [ (14, 14); (21, 21); (25, 25) ]);
   Alcotest.check_raises "cadence must be positive"
     (Invalid_argument "Sink.Observed.create: cadence must be >= 1") (fun () ->
       ignore (Sink.Observed.create ~cadence:0 (Sink.pack m (ref 0))))
@@ -399,7 +387,7 @@ let test_parallel_metrics_equal_seq () =
 
 (* --- Snapshot: golden JSON, round trip, tamper rejection --- *)
 
-(* mkc-obs/5 body: the recorded 3 lands in log-linear bucket 3 (values
+(* mkc-obs/6 body: the recorded 3 lands in log-linear bucket 3 (values
    below 16 get exact buckets). *)
 let golden_metrics =
   "\"metrics\":[{\"name\":\"c\",\"kind\":\"counter\",\"value\":5},\
@@ -411,18 +399,16 @@ let golden_profiles =
   "\"profiles\":[{\"name\":\"p\",\"cadence\":2,\
    \"points\":[{\"at_edges\":2,\"words\":3,\"breakdown\":[[\"a\",1],[\"b\",2]]}]}]}"
 
-let golden =
-  "{\"schema\":\"mkc-obs/5\",\"created_ns\":42," ^ golden_metrics ^ "]," ^ golden_profiles
+let golden = "{\"schema\":\"mkc-obs/6\",\"created_ns\":42," ^ golden_metrics ^ "]}"
 
 (* The same state with a budget: the watchdog's five space.* gauges. *)
 let golden_space =
-  "{\"schema\":\"mkc-obs/5\",\"created_ns\":42," ^ golden_metrics
+  "{\"schema\":\"mkc-obs/6\",\"created_ns\":42," ^ golden_metrics
   ^ ",{\"name\":\"space.budget_words\",\"kind\":\"gauge\",\"value\":8.0},\
      {\"name\":\"space.headroom\",\"kind\":\"gauge\",\"value\":0.5},\
      {\"name\":\"space.overshoots\",\"kind\":\"gauge\",\"value\":0.0},\
      {\"name\":\"space.peak_words\",\"kind\":\"gauge\",\"value\":4.0},\
-     {\"name\":\"space.samples\",\"kind\":\"gauge\",\"value\":3.0}],"
-  ^ golden_profiles
+     {\"name\":\"space.samples\",\"kind\":\"gauge\",\"value\":3.0}]}"
 
 (* Legacy (v1–v3) body: the old 64-bucket log2 layout put 3 in
    bucket 1. *)
@@ -458,6 +444,11 @@ let golden_v4 =
   ^ "],\"spans\":[{\"name\":\"s\",\"start_ns\":10,\"dur_ns\":5,\"domain\":0}],"
   ^ golden_profiles
 
+(* And the retired v5 emission, which copied the sampled space curve
+   (now the telemetry log's space.* tracks) beside the metrics. *)
+let golden_v5 =
+  "{\"schema\":\"mkc-obs/5\",\"created_ns\":42," ^ golden_metrics ^ "]," ^ golden_profiles
+
 let golden_registry ~budget =
   let r = Obs.Registry.create () in
   Obs.Registry.add (Obs.Registry.counter r "c") 5;
@@ -469,9 +460,7 @@ let golden_registry ~budget =
   r
 
 let golden_snapshot ?(budget = false) () =
-  let sp = Obs.Space_profile.create ~cadence:2 in
-  Obs.Space_profile.record sp ~at_edges:2 ~words:3 ~breakdown:[ ("a", 1); ("b", 2) ];
-  Obs.Snapshot.capture ~profiles:[ ("p", sp) ] ~now_ns:42 (golden_registry ~budget)
+  Obs.Snapshot.capture ~now_ns:42 (golden_registry ~budget)
 
 let test_snapshot_golden () =
   with_metrics (fun () ->
@@ -484,8 +473,8 @@ let test_snapshot_round_trip () =
       let s = Obs.Snapshot.to_string (golden_snapshot ()) in
       (match Obs.Json.parse s with
       | Ok (Obs.Json.Object kvs) ->
-          checkb "exactly schema, created_ns, metrics, profiles" true
-            (List.map fst kvs = [ "schema"; "created_ns"; "metrics"; "profiles" ])
+          checkb "exactly schema, created_ns, metrics" true
+            (List.map fst kvs = [ "schema"; "created_ns"; "metrics" ])
       | _ -> Alcotest.fail "snapshot is not a JSON object");
       match Obs.Snapshot.validate s with
       | Error e -> Alcotest.failf "golden snapshot rejected: %s" e
@@ -493,7 +482,6 @@ let test_snapshot_round_trip () =
           checki "created_ns" 42 snap.Obs.Snapshot.created_ns;
           checks "schema is current" Obs.Snapshot.schema_version snap.Obs.Snapshot.schema;
           checki "metrics" 3 (List.length snap.Obs.Snapshot.metrics);
-          checki "profiles" 1 (List.length snap.Obs.Snapshot.profiles);
           checks "re-emission is a fixpoint" s (Obs.Snapshot.to_string snap);
           match Obs.Snapshot.validate golden_space with
           | Error e -> Alcotest.failf "space snapshot rejected: %s" e
@@ -502,7 +490,7 @@ let test_snapshot_round_trip () =
               checks "space re-emission is a fixpoint" golden_space
                 (Obs.Snapshot.to_string snap)))
 
-(* The retired v1–v4 schemas are no longer read: each is rejected by
+(* The retired v1–v5 schemas are no longer read: each is rejected by
    its name, whatever sections it carries. *)
 let test_snapshot_rejects_retired schema s () =
   match Obs.Snapshot.validate s with
@@ -537,19 +525,18 @@ let test_snapshot_rejects_tampering () =
     | Ok _ -> Alcotest.failf "validator accepted %s" what
     | Error _ -> ()
   in
-  reject "a foreign schema" (replace_once ~sub:"mkc-obs/5" ~by:"mkc-obs/9" golden);
-  (* v4's copied sections have no place in a v5 snapshot *)
+  reject "a foreign schema" (replace_once ~sub:"mkc-obs/6" ~by:"mkc-obs/9" golden);
+  (* v4's and v5's copied sections have no place in a v6 snapshot *)
   reject "a stray spans section"
     (replace_once ~sub:"\"metrics\":" ~by:"\"spans\":[],\"metrics\":" golden);
+  reject "a stray profiles section"
+    (replace_once ~sub:"\"metrics\":" ~by:"\"profiles\":[],\"metrics\":" golden);
   (* histogram bucket counts no longer sum to count *)
   reject "a bucket-sum mismatch"
     (replace_once ~sub:"\"buckets\":[[3,1]]" ~by:"\"buckets\":[[3,2]]" golden);
   (* a bucket index past the log-linear layout's end *)
   reject "a bucket index out of range"
     (replace_once ~sub:"\"buckets\":[[3,1]]" ~by:"\"buckets\":[[960,1]]" golden);
-  (* profile point breakdown no longer sums to words *)
-  reject "a breakdown-sum mismatch"
-    (replace_once ~sub:"[\"b\",2]" ~by:"[\"b\",7]" golden);
   reject "truncated JSON" (String.sub golden 0 (String.length golden - 1));
   (* the space.* gauges: headroom must equal peak/budget exactly *)
   let gauge name v =
@@ -605,7 +592,6 @@ let snapshot_of_metrics metrics =
     Obs.Snapshot.schema = Obs.Snapshot.schema_version;
     created_ns = 42;
     metrics;
-    profiles = [];
   }
 
 let prom_lines metrics =
@@ -850,6 +836,8 @@ let suite =
       (test_snapshot_rejects_retired "mkc-obs/3" golden_v3);
     Alcotest.test_case "snapshot: rejects retired mkc-obs/4" `Quick
       (test_snapshot_rejects_retired "mkc-obs/4" golden_v4);
+    Alcotest.test_case "snapshot: rejects retired mkc-obs/5" `Quick
+      (test_snapshot_rejects_retired "mkc-obs/5" golden_v5);
     Alcotest.test_case "snapshot: rejects tampering" `Quick
       test_snapshot_rejects_tampering;
     Alcotest.test_case "json: parse/print round trip" `Quick test_json_parse;

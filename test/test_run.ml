@@ -71,12 +71,12 @@ let test_every_drive_matches_run_seq () =
           checki (name ^ ": same words") (E.words e0) o.words)
         [
           ("plain", { Run.default with chunk = 700 });
-          ("observed", { Run.default with chunk = 700; metrics = true; cadence = 512 });
+          ("metrics", { Run.default with chunk = 700; metrics = true; cadence = 512 });
           ( "progress",
             { Run.default with chunk = 700; progress = Some (fun ~edges -> progressed := edges) }
           );
           ("pooled", { Run.default with domains = 2; chunk = 700 });
-          ("pooled observed", { Run.default with domains = 2; chunk = 700; metrics = true });
+          ("pooled metrics", { Run.default with domains = 2; chunk = 700; metrics = true });
           ( "pooled progress",
             {
               Run.default with
@@ -88,44 +88,73 @@ let test_every_drive_matches_run_seq () =
       checki "progress saw every edge" (Src.length src) !progressed;
       checki "pooled progress saw every edge" (Src.length src) !pooled_progressed)
 
-(* One observer per run: a pooled run keeps one profile of the whole
-   sink, sampled on the same window grid as a one-domain run of the
-   same [chunk × slots] windows, ending at the sink's breakdown. *)
+(* One observer per run: a pooled run's telemetry log samples the whole
+   sink on the same window grid as a one-domain run of the same
+   [chunk × slots] windows, ending at the sink's breakdown; metrics
+   alone observe nothing. *)
 let test_profiles_per_drive () =
   with_registry_restored (fun () ->
       let src, params = instance () in
-      let profiles cfg =
-        let e, o = run_estimate params cfg src in
-        (e, (get o).profiles)
+      let logged cfg =
+        let log = Filename.temp_file "mkc_run" ".mkctel" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove log)
+          (fun () ->
+            let e, o = run_estimate ~telemetry:(telemetry log) params cfg src in
+            checkb "samples counted" true ((get o).samples > 0);
+            match Mkc_obs.Telemetry.read log with
+            | Ok t -> (e, t)
+            | Error err ->
+                Alcotest.failf "log unreadable: %s" (Mkc_obs.Telemetry.error_to_string err))
       in
-      let final_is_breakdown label (e, ps) =
-        match ps with
-        | [ (_, p) ] -> (
-            match Mkc_obs.Space_profile.final p with
-            | Some pt ->
-                checkb (label ^ ": final point is the breakdown") true
-                  (pt.Mkc_obs.Space_profile.breakdown
-                  = Mkc_stream.Sink.canonical_breakdown (E.words_breakdown e))
-            | None -> Alcotest.failf "%s: empty profile" label)
-        | _ -> Alcotest.failf "%s: expected one profile" label
+      (* (track key, column) of every space.* track *)
+      let space (t : Mkc_obs.Telemetry.log) =
+        List.filter_map
+          (fun (i, name) ->
+            match String.split_on_char '.' name with
+            | "space" :: key -> Some (String.concat "." key, i)
+            | _ -> None)
+          (List.mapi (fun i n -> (i, n)) (Array.to_list t.tracks))
       in
-      let one = profiles { Run.default with metrics = true; chunk = 400; cadence = 512 } in
-      let pooled =
-        profiles { Run.default with domains = 2; metrics = true; chunk = 200; cadence = 512 }
+      let final_is_breakdown label (e, (t : Mkc_obs.Telemetry.log)) =
+        let last = List.nth t.samples (List.length t.samples - 1) in
+        checkb (label ^ ": final row is the breakdown") true
+          (List.filter_map
+             (fun (k, i) -> if k = "words" then None else Some (k, last.values.(i)))
+             (space t)
+          = Mkc_stream.Sink.canonical_breakdown (E.words_breakdown e))
       in
-      Alcotest.(check (list string)) "one domain: the label" [ "estimate" ] (List.map fst (snd one));
-      Alcotest.(check (list string)) "pooled: the label" [ "estimate" ] (List.map fst (snd pooled));
+      let rows (_, (t : Mkc_obs.Telemetry.log)) =
+        let words = List.assoc "words" (space t) in
+        List.map (fun (s : Mkc_obs.Telemetry.sample) -> (s.s_edges, s.values.(words))) t.samples
+      in
+      let one = logged { Run.default with chunk = 400; cadence = 512 } in
+      let pooled = logged { Run.default with domains = 2; chunk = 200; cadence = 512 } in
       final_is_breakdown "one domain" one;
       final_is_breakdown "pooled" pooled;
-      let points (_, ps) =
-        List.map
-          (fun pt -> (pt.Mkc_obs.Space_profile.at_edges, pt.Mkc_obs.Space_profile.words))
-          (Mkc_obs.Space_profile.points (snd (List.hd ps)))
+      checkb "pooled samples the one-domain rows on the same window grid" true
+        (rows one = rows pooled);
+      (* Only an observer reads the breakdown mid-run: count the reads. *)
+      let reads = ref 0 in
+      let counting : (E.t, E.result) Mkc_stream.Sink.sink =
+        let (module S) = E.sink in
+        (module struct
+          include S
+
+          let words_breakdown t =
+            incr reads;
+            S.words_breakdown t
+        end)
       in
-      checkb "pooled samples the one-domain points on the same window grid" true
-        (points one = points pooled);
-      Alcotest.(check (list string)) "no metrics: no profiles" []
-        (List.map fst (snd (profiles Run.default))))
+      let sampled ?budget cfg =
+        reads := 0;
+        ignore (get (Run.run cfg ?budget ~label:"estimate" counting (E.create params) src));
+        !reads
+      in
+      let cfg = { Run.default with metrics = true; cadence = 512 } in
+      checki "metrics alone: nothing sampled" 0 (sampled cfg);
+      checkb "a budget: sampled" true
+        (sampled ~budget:(Mkc_sketch.Space.Budget.create ~strict:false max_int) cfg > 0))
 
 (* The CLI cannot reach this case (its budget is the theoretical one):
    a strict budget overshoot is an error value, and the telemetry log
@@ -329,7 +358,8 @@ let suite =
   [
     Alcotest.test_case "every drive answers like run_seq" `Quick
       test_every_drive_matches_run_seq;
-    Alcotest.test_case "space profiles: one per run, pooled on the same grid" `Quick
+    Alcotest.test_case "space profiles: one per run, pooled on the same grid (telemetry rows)"
+      `Quick
       test_profiles_per_drive;
     Alcotest.test_case "pooled budget overshoot and health rule are errors" `Quick
       test_pooled_aborts_are_errors;

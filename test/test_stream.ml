@@ -306,10 +306,17 @@ let test_edge_file_truncated () =
   | Ok _ -> Alcotest.fail "truncated file accepted");
   (* shorter than the header *)
   write_bytes bpath (String.sub s 0 20);
+  (match Ef.read bpath with
+  | Error (Ef.Truncated _) -> ()
+  | Error e -> Alcotest.failf "expected Truncated, got: %s" (Ef.error_to_string e)
+  | Ok _ -> Alcotest.fail "header stub accepted");
+  (* a bare header promising 2^59 edges: 16 · 2^59 wraps to 0, so the
+     count must be bounded by the bytes present before multiplying *)
+  write_bytes bpath (Mutation.edge_header ~count:(1 lsl 59));
   match Ef.read bpath with
   | Error (Ef.Truncated _) -> ()
   | Error e -> Alcotest.failf "expected Truncated, got: %s" (Ef.error_to_string e)
-  | Ok _ -> Alcotest.fail "header stub accepted"
+  | Ok _ -> Alcotest.fail "forged edge count accepted"
 
 let test_edge_file_bad_magic () =
   with_tmp ".mkce" @@ fun bpath ->
@@ -366,18 +373,10 @@ let signed_sample () =
         ~sign:(if i mod 5 = 4 then -1 else 1)
         ~set:(i * 7 mod 31) ~elt:(i * 13 mod 101))
 
-(* Test-local FNV-1a 64, to re-seal the header after deliberate column
-   tampering (otherwise every tamper case collapses into
-   Checksum_mismatch before reaching the named rejection under test). *)
-let fnv1a64_str s ~pos ~len =
-  let h = ref 0xCBF29CE484222325L in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code s.[i]));
-    h := Int64.mul !h 0x100000001B3L
-  done;
-  !h
-
-let reseal b = Bytes.set_int64_le b 40 (fnv1a64_str (Bytes.to_string b) ~pos:48 ~len:(Bytes.length b - 48))
+(* Re-seal the header after deliberate column tampering (otherwise
+   every tamper case collapses into Checksum_mismatch before reaching
+   the named rejection under test). *)
+let reseal b = Bytes.blit_string (Mutation.reseal_edge_file (Bytes.to_string b)) 40 b 40 8
 
 let test_edge_file_v2_roundtrip () =
   with_tmp ".mkce" @@ fun bpath ->

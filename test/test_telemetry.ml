@@ -7,7 +7,9 @@
       named error (Bad_magic, Bad_version, Truncated, Malformed,
       Checksum_mismatch) — except a torn FINAL frame, which yields
       the intact prefix plus [torn = Some _], because a telemetry log
-      is most valuable for runs that died mid-append.
+      is most valuable for runs that died mid-append.  Forged lengths
+      and counts, and a seeded fuzz over the framed logs and the edge
+      file, end the same way: never an exception.
    3. summarize/quantile follow the snapshot convention: rank
       ceil(q·n) over the ascending sort, so 1..100 gives p50=50 and
       p99=99.
@@ -54,16 +56,15 @@ let truncate_to path keep =
   output_string oc data;
   close_out oc
 
+let patch_bytes path f =
+  let data = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  f data;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data)
+
 let patch_byte path ~pos f =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = Bytes.of_string (really_input_string ic len) in
-  close_in_noerr ic;
-  let pos = if pos < 0 then len + pos else pos in
-  Bytes.set data pos (f (Bytes.get data pos));
-  let oc = open_out_bin path in
-  output_bytes oc data;
-  close_out oc
+  patch_bytes path (fun data ->
+      let pos = if pos < 0 then Bytes.length data + pos else pos in
+      Bytes.set data pos (f (Bytes.get data pos)))
 
 let flip c = Char.chr (Char.code c lxor 0xFF)
 
@@ -129,7 +130,38 @@ let test_rejection_matrix () =
   with_log (fun p -> truncate_to p 16) (fun p ->
       match read_err p with
       | T.Malformed _ -> ()
-      | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e))
+      | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e));
+  (* Forged fields under a valid checksum.  The directory frame starts
+     at byte 16 (payload at 32: kind, track count at 40, then the first
+     name's length at 48); the first sample frame starts at 66. *)
+  let forge ~at v ~reseal p =
+    patch_bytes p (fun b ->
+        Bytes.set_int64_le b at v;
+        reseal b)
+  in
+  let directory b = Mutation.reseal_frame b ~frame:16 in
+  (* 2^40 tracks: checked against the payload bytes, not allocated *)
+  with_log (forge ~at:40 (Int64.shift_left 1L 40) ~reseal:directory) (fun p ->
+      match read_err p with
+      | T.Malformed _ -> ()
+      | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e));
+  (* a track name of max_int bytes: no overflow past the bound check *)
+  with_log (forge ~at:48 (Int64.of_int max_int) ~reseal:directory) (fun p ->
+      match read_err p with
+      | T.Malformed _ -> ()
+      | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e));
+  (* a frame of max_int - 4 bytes sealed as empty: more than the file
+     holds, so the walk stops there and names the tear *)
+  with_log
+    (forge ~at:66 (Int64.of_int (max_int - 4)) ~reseal:(fun b ->
+         Bytes.set_int64_le b 74 (T.Framed.fnv1a64 b ~pos:0 ~len:0)))
+    (fun p ->
+      let log = read_ok p in
+      Alcotest.(check int) "the samples from the forged frame on are dropped" 0
+        (List.length log.T.samples);
+      match log.T.torn with
+      | Some (T.Truncated _) -> ()
+      | _ -> Alcotest.fail "wanted the forged frame reported as a Truncated tear")
 
 let test_torn_tail () =
   (* Cut the final frame short at several depths: mid-payload and
@@ -342,6 +374,136 @@ let test_top_render () =
   let no_rules = Top.render s in
   check_contains "no rules" "health      OK" no_rules
 
+(* --- hostile input: seeded mutation fuzz over every framed or
+   columnar format (the checkpoint envelope has its own in
+   test_checkpoint) --- *)
+
+type fuzz_format = {
+  fname : string;
+  valid : string;
+  fields : int array;  (** offsets of the int64 fields a lie rewrites *)
+  reseal : string -> string;
+  decode : string -> (unit, string) result;
+}
+
+let file_of path write =
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* Every int64 slot of every frame: lengths, checksums, kinds, counts,
+   name lengths and values. *)
+let frame_fields s =
+  let b = Bytes.of_string s in
+  Array.of_list
+    (List.concat_map
+       (fun pos ->
+         let plen = Int64.to_int (Bytes.get_int64_le b pos) in
+         List.init ((plen / 8) + 2) (fun i -> pos + (8 * i)))
+       (Mutation.frame_starts b))
+
+let fuzz_formats =
+  lazy
+    (let module L = Mkc_obs.Ledger in
+    let module Ef = Mkc_stream.Edge_file in
+    let decode_with read to_string path =
+      Result.map ignore (read path) |> Result.map_error to_string
+    in
+    let tel =
+      file_of (temp_log ()) (fun p ->
+          write_sample_log p [| "space.words"; "x" |] rows3 ~events:[ (3500, 192, "ev", 1) ])
+    in
+    let entry =
+      {
+        L.e_label = "fuzz";
+        e_created_ns = 1;
+        e_host = [];
+        e_params = [];
+        e_stats = [ ("wall_s", 1.0) ];
+        e_modes = [];
+        e_digests = [];
+        e_quality = [];
+      }
+    in
+    let ledger =
+      file_of (temp_log ()) (fun p ->
+          Sys.remove p;
+          ignore (L.append p entry);
+          ignore (L.append p entry))
+    in
+    let edges signed =
+      Array.init 40 (fun i ->
+          Mkc_stream.Edge.signed ~sign:(if signed && i mod 3 = 0 then -1 else 1) ~set:(i mod 7)
+            ~elt:(i * 5 mod 23))
+    in
+    let edge_file signed =
+      file_of (temp_log ()) (fun p -> ignore (Ef.write p (edges signed) ~n:23 ~m:7))
+    in
+    let edge name signed =
+      {
+        fname = name;
+        valid = edge_file signed;
+        fields = [| 8; 16; 24; 32; 40 |];
+        reseal = Mutation.reseal_edge_file;
+        decode = decode_with Ef.read Ef.error_to_string;
+      }
+    in
+    [|
+      {
+        fname = "MKCTEL1";
+        valid = tel;
+        fields = frame_fields tel;
+        reseal = Mutation.reseal_frames;
+        decode = decode_with T.read T.error_to_string;
+      };
+      {
+        fname = "MKCLEDG1";
+        valid = ledger;
+        fields = frame_fields ledger;
+        reseal = Mutation.reseal_frames;
+        decode = decode_with L.read L.error_to_string;
+      };
+      edge "MKCEDG1" false;
+      edge "MKCEDG2" true;
+    |])
+
+let prop_fuzz_framed =
+  let arb =
+    QCheck.make
+      ~print:(fun (f, m) ->
+        Printf.sprintf "%s, %s" (Lazy.force fuzz_formats).(f).fname (Mutation.to_string m))
+      QCheck.Gen.(pair (int_bound 3) Mutation.gen)
+  in
+  QCheck.Test.make ~name:"fuzz: mutated logs and edge files end in Ok or a named error"
+    ~count:1000 arb (fun (f, m) ->
+      let fmt = (Lazy.force fuzz_formats).(f) in
+      let path = temp_log () in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      (* Lies and every other flip are re-sealed, so they reach the
+         parsers behind the checksum instead of stopping at it. *)
+      let bytes =
+        Mutation.apply m fmt.valid ~lie:(fun s ~spot v ->
+            Mutation.set_int64 s ~at:fmt.fields.(spot mod Array.length fmt.fields) v)
+      in
+      let bytes =
+        if m.kind = 2 || List.hd m.spots land 1 = 0 then fmt.reseal bytes else bytes
+      in
+      let read s =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
+        Mutation.allocated (fun () -> fmt.decode path)
+      in
+      let valid_words = read fmt.valid in
+      match read bytes with
+      | words ->
+          (* a lying field cannot allocate more than the input's size allows *)
+          if words > (4 * valid_words) + (64 * String.length bytes) then
+            QCheck.Test.fail_reportf "%s: read allocated %d words from %d bytes" fmt.fname words
+              (String.length bytes);
+          true
+      | exception e -> QCheck.Test.fail_reportf "%s: raised %s" fmt.fname (Printexc.to_string e))
+
 let suite =
   [
     Alcotest.test_case "writer/reader round trip" `Quick test_round_trip;
@@ -354,4 +516,5 @@ let suite =
     Alcotest.test_case "top pp_count" `Quick test_top_pp_count;
     Alcotest.test_case "top sparkline and bar" `Quick test_top_sparkline_bar;
     Alcotest.test_case "top render families" `Quick test_top_render;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) prop_fuzz_framed;
   ]
