@@ -1,3 +1,7 @@
+(* One z-guess × repeat instance: an independently driveable sink, the
+   unit the parallel pipeline schedules and the estimator feeds.
+   Instances share no mutable state; the plan they read is the
+   driver's, built once per window. *)
 type inst = {
   z : int;
   rep : int;
@@ -17,7 +21,6 @@ type final = { fz : int; frep : int; fwinner : string; faccepted : bool }
 type t = {
   params : Params.t;
   body : body;
-  mutable red : int array; (* distinct-element reduction buffer, reused per chunk *)
   mutable finals : final list; (* populated by [finalize], newest wins *)
 }
 
@@ -30,6 +33,8 @@ let guess_ladder (p : Params.t) =
   let ladder = go bottom [] in
   (* Always include the top guess so OPT ≈ n is never missed. *)
   if List.mem (1 lsl top) ladder then ladder else ladder @ [ 1 lsl top ]
+
+let trivial (p : Params.t) = float_of_int p.k *. p.alpha >= float_of_int p.m
 
 let trivial_witness (p : Params.t) () =
   (* k distinct pseudo-random set ids; by set sampling, a random
@@ -45,7 +50,7 @@ let trivial_witness (p : Params.t) () =
 
 let create (p : Params.t) =
   let body =
-    if float_of_int p.k *. p.alpha >= float_of_int p.m then
+    if trivial p then
       Trivial
         { estimate = float_of_int p.n /. p.alpha; witness = trivial_witness p }
     else begin
@@ -70,45 +75,37 @@ let create (p : Params.t) =
       Run { insts }
     end
   in
-  { params = p; body; red = [||]; finals = [] }
+  { params = p; body; finals = [] }
 
-let feed t e =
-  match t.body with
-  | Trivial _ -> ()
-  | Run { insts } ->
-      Array.iter
-        (fun inst -> Oracle.feed inst.oracle (Universe_reduction.apply_edge inst.reduction e))
-        insts
+let feed_inst i e = Oracle.feed i.oracle (Universe_reduction.apply_edge i.reduction e)
 
-let grow_red scratch n =
-  if Array.length scratch >= n then scratch else Array.make (max n (2 * Array.length scratch)) 0
+(* The distinct-element reduction buffer, one per domain: a domain feeds
+   its instances one at a time, and each feed rewrites the buffer's
+   first [num_elts] entries before reading them. *)
+let red_scratch = Domain.DLS.new_key (fun () -> ref [||])
 
-let feed_planned t plan edges ~pos ~len =
-  match t.body with
-  | Trivial _ -> ()
-  | Run { insts } ->
-      (* Instance-outer over the shared plan: each instance reduces only
-         the chunk's DISTINCT elements (one coefficient-major hash pass
-         per instance) into [red], then its oracle decides per distinct
-         id and replays the chunk.  Instances are mutually independent,
-         so the final state is exactly the edge-by-edge one. *)
-      let ne = Mkc_stream.Chunk_plan.num_elts plan in
-      t.red <- grow_red t.red ne;
-      let red = t.red and elts = Mkc_stream.Chunk_plan.elts plan in
-      (* One timed span per (z, rep) instance per chunk — the Figure 1
-         fan-out becomes visible as parallel rows on the trace timeline.
-         The obs check is hoisted so the untraced hot path pays one
-         branch per chunk, not one clock read per instance. *)
-      let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
-      Array.iter
-        (fun inst ->
-          let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
-          Universe_reduction.apply_batch inst.reduction elts ~pos:0 ~len:ne red;
-          Oracle.feed_planned inst.oracle plan ~red edges ~pos ~len;
-          if obs then
-            Mkc_obs.Span.record inst.span_name ~start_ns:t0
-              ~dur_ns:(Mkc_obs.Clock.now_ns () - t0))
-        insts
+(* Reduce only the chunk's DISTINCT elements (one coefficient-major hash
+   pass) into the buffer; the oracle then decides per distinct id and
+   replays the chunk.  One timed span per instance per chunk makes the
+   Figure 1 fan-out visible as parallel rows on the trace timeline. *)
+let feed_planned_inst i plan edges ~pos ~len =
+  let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
+  let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
+  let ne = Mkc_stream.Chunk_plan.num_elts plan in
+  let cell = Domain.DLS.get red_scratch in
+  if Array.length !cell < ne then cell := Array.make (max ne (2 * Array.length !cell)) 0;
+  let red = !cell in
+  Universe_reduction.apply_batch i.reduction (Mkc_stream.Chunk_plan.elts plan) ~pos:0 ~len:ne red;
+  Oracle.feed_planned i.oracle plan ~red edges ~pos ~len;
+  if obs then Mkc_obs.Span.record i.span_name ~start_ns:t0 ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)
+
+let iter_insts t f = match t.body with Trivial _ -> () | Run { insts } -> Array.iter f insts
+
+(* The instances one after another over the shared plan: they are
+   mutually independent, so the final state is exactly the edge-by-edge
+   one. *)
+let feed t e = iter_insts t (fun i -> feed_inst i e)
+let feed_planned t plan edges ~pos ~len = iter_insts t (fun i -> feed_planned_inst i plan edges ~pos ~len)
 
 let finalize t =
   match t.body with
@@ -156,23 +153,21 @@ let finalize t =
 
 let guesses t = guess_ladder t.params
 
+let words_inst i = Universe_reduction.words i.reduction + Oracle.words i.oracle
+
+let words_breakdown_inst i =
+  ("universe_reduction", Universe_reduction.words i.reduction) :: Oracle.words_breakdown i.oracle
+
 let words t =
   match t.body with
   | Trivial _ -> t.params.k
-  | Run { insts } ->
-      Array.fold_left
-        (fun acc inst -> acc + Universe_reduction.words inst.reduction + Oracle.words inst.oracle)
-        0 insts
+  | Run { insts } -> Array.fold_left (fun acc i -> acc + words_inst i) 0 insts
 
 let words_breakdown t =
   match t.body with
   | Trivial _ -> [ ("trivial_witness", t.params.k) ]
   | Run { insts } ->
-      Mkc_stream.Sink.canonical_breakdown
-        (Array.to_list insts
-        |> List.concat_map (fun inst ->
-               ("universe_reduction", Universe_reduction.words inst.reduction)
-               :: Oracle.words_breakdown inst.oracle))
+      Mkc_stream.Sink.canonical_breakdown (List.concat_map words_breakdown_inst (Array.to_list insts))
 
 let stats t =
   match t.body with
@@ -217,16 +212,18 @@ let winners t =
 let budget_mass = 8.0
 let budget_floor = 640.0
 
-let word_budget (p : Params.t) =
-  if float_of_int p.k *. p.alpha >= float_of_int p.m then (* trivial branch: witness ids only *)
-    4 * p.k
+let instances (p : Params.t) = float_of_int (List.length (guess_ladder p) * p.z_repeats)
+
+(* In floats, so params too large for an int word count still compare. *)
+let budget_words (p : Params.t) =
+  if trivial p then (* witness ids only *) 4.0 *. float_of_int p.k
   else begin
-    let instances = List.length (guess_ladder p) * p.z_repeats in
     let lmn = Params.log2f (p.m * max 1 p.n) in
     let m_over_a2 = float_of_int p.m /. (p.alpha *. p.alpha) in
-    let per_inst = ((budget_mass *. m_over_a2) +. budget_floor) *. lmn *. lmn in
-    int_of_float (ceil (float_of_int instances *. per_inst))
+    instances p *. ((budget_mass *. m_over_a2) +. budget_floor) *. lmn *. lmn
   end
+
+let word_budget p = int_of_float (ceil (budget_words p))
 
 let record_metrics ?(registry = Mkc_obs.Registry.global) t =
   (* Publish per-(guess, repeat) oracle work counters.  Totals go under
@@ -267,8 +264,7 @@ let record_metrics ?(registry = Mkc_obs.Registry.global) t =
     ~num:(tot "large_set.hh_recoveries")
     ~den:(tot "large_set.hh_candidates")
 
-let iter_oracles t f =
-  match t.body with Trivial _ -> () | Run { insts } -> Array.iter (fun i -> f i.oracle) insts
+let iter_oracles t f = iter_insts t (fun i -> f i.oracle)
 
 (* A frozen estimator is one byte string: the oracle states in ladder
    order, as {!Oracle.freeze} packs them (empty on the trivial branch).
@@ -326,9 +322,28 @@ let codec (p : Params.t) : t Mkc_stream.Checkpoint.codec =
             restore_state r t));
   }
 
+(* The most words [decode] lets a payload's params make [create]
+   allocate: 2^28 (2 GiB), five times the largest benchmark instance.
+   Besides the sketches {!word_budget} bounds, [create] builds LargeSet's
+   per-superset decision tables, O(m log m) words per oracle instance
+   whatever α is, so both terms are checked. *)
+let decode_ceiling = Float.pow 2.0 28.0
+
+let create_words (p : Params.t) =
+  if trivial p then budget_words p
+  else
+    Float.max (budget_words p)
+      (instances p *. 16.0 *. float_of_int p.m *. Params.log2f p.m)
+
 let decode s =
   Mkc_sketch.Packed.decode s (fun r ->
-      let t = create (Params.get r) in
+      let p = Params.get r in
+      if create_words p > decode_ceiling then
+        Mkc_sketch.Packed.fail r
+          "estimate: params (m=%d, n=%d, k=%d, alpha=%g) need %.3g words, over the decode \
+           ceiling of %.0f"
+          p.m p.n p.k p.alpha (create_words p) decode_ceiling;
+      let t = create p in
       restore_state r t;
       t)
 
@@ -346,46 +361,22 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     let words_breakdown = words_breakdown
   end)
 
-(* One z-guess × repeat instance as an independently driveable sink —
-   the unit the parallel pipeline schedules.  Each shard owns a private
-   reduction buffer so shards never share mutable state; the plan they
-   read is the pipeline's, built once per window. *)
-type shard = { inst : inst; mutable shard_red : int array }
-
-let shard_sink : (shard, unit) Mkc_stream.Sink.sink =
+let shard_sink : (inst, unit) Mkc_stream.Sink.sink =
   (module struct
-    type t = shard
+    type t = inst
     type result = unit
 
-    let feed s e =
-      Oracle.feed s.inst.oracle (Universe_reduction.apply_edge s.inst.reduction e)
-
-    let feed_planned s plan edges ~pos ~len =
-      let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
-      let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
-      let ne = Mkc_stream.Chunk_plan.num_elts plan in
-      s.shard_red <- grow_red s.shard_red ne;
-      Universe_reduction.apply_batch s.inst.reduction
-        (Mkc_stream.Chunk_plan.elts plan)
-        ~pos:0 ~len:ne s.shard_red;
-      Oracle.feed_planned s.inst.oracle plan ~red:s.shard_red edges ~pos ~len;
-      if obs then
-        Mkc_obs.Span.record s.inst.span_name ~start_ns:t0
-          ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)
-
+    let feed = feed_inst
+    let feed_planned = feed_planned_inst
     let finalize _ = ()
-    let words s = Universe_reduction.words s.inst.reduction + Oracle.words s.inst.oracle
-
-    let words_breakdown s =
-      ("universe_reduction", Universe_reduction.words s.inst.reduction)
-      :: Oracle.words_breakdown s.inst.oracle
+    let words = words_inst
+    let words_breakdown = words_breakdown_inst
   end)
 
 let shards t =
   match t.body with
   | Trivial _ -> [||] (* the trivial branch ignores the stream *)
-  | Run { insts } ->
-      Array.map (fun inst -> Mkc_stream.Sink.pack shard_sink { inst; shard_red = [||] }) insts
+  | Run { insts } -> Array.map (Mkc_stream.Sink.pack shard_sink) insts
 
 (* Unit weights, index-aligned with [shards].  Every instance runs the
    same subroutine mix: the regime split (SmallSet present or not) is a

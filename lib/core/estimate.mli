@@ -138,8 +138,10 @@ val decode : string -> (t, string) Stdlib.result
 (** Rebuild an estimator from a bare {!codec} payload: decode the
     embedded params, {!create}, then overlay the state.  Checkpoint
     files are self-describing — the merge/validate CLI needs no
-    instance flags.  The params are validated ({!Params.make}) but not
-    capped: the instance is as large as they say. *)
+    instance flags.  The params are validated ({!Params.make}) and
+    capped before anything is allocated: params whose instance would
+    take over 2^28 words (its sketch budget, {!word_budget}, or
+    LargeSet's O(m log m) per-instance tables) are an [Error]. *)
 
 val params : t -> Params.t
 
@@ -149,12 +151,13 @@ val sink : (t, result) Mkc_stream.Sink.sink
 
 val shards : t -> Mkc_stream.Sink.any array
 (** The z-ladder × repeats fan-out as a data-driven array of mutually
-    independent sinks — one per (guess, repeat) oracle instance, each
-    with a private reduction buffer.  Driving every shard over the full
-    stream (in any interleaving, e.g.
-    {!Mkc_stream.Pipeline.drive}) leaves this estimator in
-    exactly the state of edge-by-edge {!feed}; then {!finalize} as
-    usual.  Empty on the trivial branch, which ignores the stream. *)
+    independent sinks — the estimator's own (guess, repeat) oracle
+    instances, which {!feed} and {!feed_planned} drive one after
+    another.
+    Driving every shard over the full stream (in any interleaving, e.g.
+    {!Mkc_stream.Pipeline.drive}) leaves this estimator in exactly the
+    state of edge-by-edge {!feed}; then {!finalize} as usual.  Empty on
+    the trivial branch, which ignores the stream. *)
 
 val shard_costs : t -> float array
 (** Relative per-edge feed costs, index-aligned with {!shards}: unit

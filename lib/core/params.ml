@@ -82,6 +82,8 @@ let derive ~m ~n ~k ~alpha ~profile ~seed =
 
 let make ~m ~n ~k ~alpha ?(profile = Practical) ?(seed = 0xC0FFEE) () =
   if n < 1 then invalid_arg "Params.make: n must be >= 1";
+  (* SmallSet packs an element below u <= 2^⌈log2 n⌉ with a 6-bit level. *)
+  if n > 1 lsl 56 then invalid_arg "Params.make: n must be <= 2^56";
   if m < 1 then invalid_arg "Params.make: m must be >= 1";
   if k < 1 || k > m then invalid_arg "Params.make: k must be in [1, m]";
   if not (alpha >= 1.0) then invalid_arg "Params.make: alpha must be >= 1";

@@ -1,16 +1,22 @@
-type instance = {
-  gamma_exp : int; (* γ = 2^-gamma_exp *)
-  repeat : int;
-  store : (int, int list ref) Hashtbl.t; (* set id -> sampled members *)
-  mutable pairs : int;
-  mutable dead : bool; (* storage cap exceeded (Figure 5's terminate) *)
-}
+(* A stored member is the reduced element with its keep-level in the
+   low bits: guess g (γ = 2^-g) reads the members with level <= G - g,
+   so one store holds every guess's sub-instance. *)
+let level_bits = 6 (* levels are <= G = ⌈log2 α⌉ <= 62 *)
+
+let member elt lvl = (elt lsl level_bits) lor lvl
+let elt_of c = c lsr level_bits
+let level_of c = c land ((1 lsl level_bits) - 1)
 
 type repeat_state = {
   elem_sampler : Mkc_sketch.Sampler.Nested.t;
   (* level i has rate base·2^i; guess g (γ = 2^-g) uses level G - g *)
   set_sampler : Mkc_sketch.Sampler.Bernoulli.t option; (* M; None = rate 1 *)
-  instances : instance array; (* indexed by gamma_exp *)
+  store : (int, int list ref) Hashtbl.t; (* set id -> members, latest first *)
+  counts : int array; (* per guess: pairs its sub-instance holds; 0 once dead *)
+  mutable live : int;
+      (* The lowest live guess.  Guess g's sub-instance contains guess
+         g+1's, so its count is never the smaller one and the cap kills
+         it first (Figure 5's terminate): dead guesses are a prefix. *)
   (* Planned-path accelerators: ids recur across chunks, so the pure
      seed-determined sampling decisions are memoised instead of
      re-hashed every chunk.  Scratch — uncounted, unchecked-pointed,
@@ -24,7 +30,7 @@ type t = {
   guesses : int; (* G + 1 *)
   budget : int; (* cover budget κ on sub-instances *)
   base_rate : float; (* finest element rate, for scaling *)
-  cap : int; (* per-instance stored-pair cap *)
+  cap : int; (* per-guess stored-pair cap *)
   repeats : repeat_state array;
   (* feed_planned decision scratch, reused across chunks and repeats *)
   mutable sc_codes : int array; (* distinct elt -> nested keep-level code *)
@@ -64,9 +70,9 @@ let create (params : Params.t) ~seed =
            Some
              (Mkc_sketch.Sampler.Bernoulli.create ~rate:set_rate ~indep:p.indep
                 ~seed:(Mkc_hashing.Splitmix.fork sd 1)));
-      instances =
-        Array.init guesses (fun g ->
-            { gamma_exp = g; repeat = r; store = Hashtbl.create 64; pairs = 0; dead = false });
+      store = Hashtbl.create 64;
+      counts = Array.make guesses 0;
+      live = 0;
       elem_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min (max 16 p.Params.u) 65536);
       set_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min p.Params.m 65536);
     }
@@ -92,68 +98,75 @@ let in_m t rs set =
       t.st_set_sampler_evals <- t.st_set_sampler_evals + 1;
       Mkc_sketch.Sampler.Bernoulli.keep s set
 
-let add_pair t inst set elt =
-  if not inst.dead then begin
-    (match Hashtbl.find_opt inst.store set with
-    | Some members -> members := elt :: !members
-    | None -> Hashtbl.replace inst.store set (ref [ elt ]));
-    inst.pairs <- inst.pairs + 1;
-    t.st_pairs_stored <- t.st_pairs_stored + 1;
-    if inst.pairs > t.cap then begin
-      inst.dead <- true;
-      Hashtbl.reset inst.store;
-      inst.pairs <- 0
-    end
-  end
+(* The pairs the store holds: the lowest live guess's count. *)
+let held t rs = if rs.live < t.guesses then rs.counts.(rs.live) else 0
 
-(* The store in set-id order, member lists as held: its fold order is
-   layout order, which a restored or merged store does not share. *)
-let sorted_store inst =
-  Hashtbl.fold (fun id members acc -> (id, !members) :: acc) inst.store []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* Turnstile deletion: drop the most recent stored occurrence of
-   (set, elt), if any.  Member lists are latest-first, so the first
-   match is the latest insert; an emptied list removes its store entry
-   outright, leaving the store exactly as if that insert never
-   happened.  Sampling decisions are pure hashes of (set, elt), so a
-   deletion passes the same filters its insertion did and lands on the
-   same instances.  [st_pairs_stored] is the monotone work counter —
-   deletions leave it alone.  A dead (capped) instance stays dead. *)
-let remove_pair inst set elt =
-  if not inst.dead then
-    match Hashtbl.find_opt inst.store set with
-    | None -> ()
-    | Some members -> (
-        let rec rm = function
-          | [] -> raise Not_found
-          | x :: tl -> if x = elt then tl else x :: rm tl
-        in
-        match rm !members with
-        | [] ->
-            Hashtbl.remove inst.store set;
-            inst.pairs <- inst.pairs - 1
+(* Kill the guesses whose count passed the cap — a prefix, since counts
+   never rise with g.  If [live] has passed [from], drop the members no
+   live guess reads any more (level > G - live) and the sets left empty,
+   so the store is exactly the lowest live guess's sub-instance. *)
+let apply_cap t rs ~from =
+  while held t rs > t.cap do
+    rs.counts.(rs.live) <- 0;
+    rs.live <- rs.live + 1
+  done;
+  let top = t.guesses - 1 - rs.live in
+  if rs.live > from then
+    Hashtbl.filter_map_inplace
+      (fun _ members ->
+        match List.filter (fun c -> level_of c <= top) !members with
+        | [] -> None
         | l ->
             members := l;
-            inst.pairs <- inst.pairs - 1
-        | exception Not_found -> ())
+            Some members)
+      rs.store
+
+let bump rs ~top d =
+  for g = rs.live to top do
+    Array.unsafe_set rs.counts g (Array.unsafe_get rs.counts g + d)
+  done
+
+(* A sampled (set, elt) with keep-level [lvl] reaches guesses
+   g <= G - lvl.  An insertion is stored once and counted by each live
+   guess that reads it ([st_pairs_stored] counts per guess, as the cap
+   does).  A turnstile deletion drops the most recent stored occurrence,
+   if any: member lists are latest-first, and every duplicate of
+   (set, elt) has the same level, so the first match is the latest
+   insert; an emptied list removes its set outright, leaving the store
+   exactly as if that insert never happened.  Sampling decisions are
+   pure hashes of (set, elt), so a deletion passes the same filters its
+   insertion did.  A dead guess stays dead. *)
+let apply t rs set elt lvl sign =
+  let top = t.guesses - 1 - lvl in
+  if top >= rs.live then begin
+    let c = member elt lvl in
+    if sign > 0 then begin
+      (match Hashtbl.find rs.store set with
+      | members -> members := c :: !members
+      | exception Not_found -> Hashtbl.add rs.store set (ref [ c ]));
+      bump rs ~top 1;
+      t.st_pairs_stored <- t.st_pairs_stored + top - rs.live + 1;
+      apply_cap t rs ~from:rs.live
+    end
+    else
+      match Hashtbl.find rs.store set with
+      | exception Not_found -> ()
+      | members -> (
+          let rec rm = function
+            | [] -> raise Not_found
+            | x :: tl -> if x = c then tl else x :: rm tl
+          in
+          match rm !members with
+          | exception Not_found -> ()
+          | l ->
+              (match l with [] -> Hashtbl.remove rs.store set | _ -> members := l);
+              bump rs ~top (-1))
+  end
 
 let feed_repeat t rs (e : Mkc_stream.Edge.t) =
   t.st_elem_sampler_evals <- t.st_elem_sampler_evals + 1;
-  let min_lvl = Mkc_sketch.Sampler.Nested.min_keep_level_code rs.elem_sampler e.elt in
-  if min_lvl >= 0 && in_m t rs e.set then begin
-    (* Element survives at levels >= min_lvl, i.e. guesses
-       g <= (guesses - 1) - min_lvl. *)
-    let top_guess = t.guesses - 1 - min_lvl in
-    if e.sign > 0 then
-      for g = 0 to top_guess do
-        add_pair t rs.instances.(g) e.set e.elt
-      done
-    else
-      for g = 0 to top_guess do
-        remove_pair rs.instances.(g) e.set e.elt
-      done
-  end
+  let lvl = Mkc_sketch.Sampler.Nested.min_keep_level_code rs.elem_sampler e.elt in
+  if lvl >= 0 && in_m t rs e.set then apply t rs e.set e.elt lvl e.sign
 
 let feed t e = Array.iter (fun rs -> feed_repeat t rs e) t.repeats
 
@@ -161,8 +174,8 @@ let feed_planned t plan ~red edges ~pos ~len =
   (* Chunk-deduplicated path: nested element decisions once per distinct
      (reduced) element, set-sample membership once per distinct set —
      both served from cross-chunk memo caches — then an in-order replay,
-     so add_pair sequences (hence cap/termination points) are exactly
-     the per-edge ones.  Eval counters charge the full ne/ns per chunk
+     so store sequences (hence cap/termination points) are exactly the
+     per-edge ones.  Eval counters charge the full ne/ns per chunk
      (decision consumptions, not hash evaluations), independent of
      cache warmth. *)
   let ns = Mkc_stream.Chunk_plan.num_sets plan in
@@ -206,21 +219,12 @@ let feed_planned t plan ~red edges ~pos ~len =
           done);
       for i = 0 to len - 1 do
         let ej = Array.unsafe_get elt_idx i in
-        let min_lvl = Array.unsafe_get codes ej in
-        if min_lvl >= 0 then begin
+        let lvl = Array.unsafe_get codes ej in
+        if lvl >= 0 then begin
           let sj = Array.unsafe_get set_idx i in
-          if Array.unsafe_get inm sj then begin
-            let set = Array.unsafe_get sets sj and elt = Array.unsafe_get red ej in
-            let top_guess = t.guesses - 1 - min_lvl in
-            if (Array.unsafe_get edges (pos + i)).Mkc_stream.Edge.sign > 0 then
-              for g = 0 to top_guess do
-                add_pair t rs.instances.(g) set elt
-              done
-            else
-              for g = 0 to top_guess do
-                remove_pair rs.instances.(g) set elt
-              done
-          end
+          if Array.unsafe_get inm sj then
+            apply t rs (Array.unsafe_get sets sj) (Array.unsafe_get red ej) lvl
+              (Array.unsafe_get edges (pos + i)).Mkc_stream.Edge.sign
         end
       done)
     t.repeats
@@ -230,22 +234,35 @@ let elem_rate t gamma_exp =
   float_of_int (1 lsl (t.guesses - 1 - gamma_exp)) *. t.base_rate
   |> min 1.0
 
-let solve t (inst : instance) =
-  if inst.dead || Hashtbl.length inst.store = 0 then None
-  else begin
-    let sets =
-      Hashtbl.fold (fun id members acc -> (id, Array.of_list !members) :: acc) inst.store []
-      (* Sorted by set id: greedy breaks coverage ties by candidate
-         order, so the order fed in must be canonical, not the store's
-         layout order (a restored store has a different layout). *)
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
+(* The store in set-id order, member lists as held: its fold order is
+   layout order, which a restored or merged store does not share. *)
+let sorted_store rs =
+  Hashtbl.fold (fun id members acc -> (id, !members) :: acc) rs.store []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* Guess g's sub-instance: each set's members of level <= G - g, latest
+   first, sets left empty dropped.  Sorted by set id: greedy breaks
+   coverage ties by candidate order, so the order fed in must be
+   canonical, not the store's layout order. *)
+let sub_instance t rs g =
+  let top = t.guesses - 1 - g in
+  List.filter_map
+    (fun (id, members) ->
+      match List.filter_map (fun c -> if level_of c <= top then Some (elt_of c) else None) members with
+      | [] -> None
+      | l -> Some (id, Array.of_list l))
+    (sorted_store rs)
+
+let solve t rs ~repeat g =
+  match if g < rs.live then [] else sub_instance t rs g with
+  | [] -> None
+  | sets ->
     let res = Mkc_coverage.Greedy.run_on_subsets ~n:t.params.Params.u ~sets ~k:t.budget in
     (* Figure 5's acceptance filter: sol must be Ω̃(k/α) on the sample,
        otherwise scaling up would manufacture coverage out of noise
        (Lemma 4.23). *)
     if res.coverage >= max 16 (2 * t.budget) then
-      let rate = elem_rate t inst.gamma_exp in
+      let rate = elem_rate t g in
       (* Conservative 1/2 scale: greedy maximizes over sampled
          intersections, so the naive inverse-rate scale-up is biased
          upward (the oracle must not overestimate, Lemma 4.23). *)
@@ -261,20 +278,17 @@ let solve t (inst : instance) =
         {
           Solution.estimate = 0.5 *. float_of_int res.coverage /. rate;
           witness;
-          provenance = Solution.Small_set { gamma_exp = inst.gamma_exp; repeat = inst.repeat };
+          provenance = Solution.Small_set { gamma_exp = g; repeat };
         }
     else None
-  end
 
 let finalize t =
   (* Per guess γ, average the accepted repeats (maximizing over noisy
      scaled values would bias upward); then take the best guess. *)
   let best = ref None in
   for g = 0 to t.guesses - 1 do
-    let accepted =
-      Array.to_list t.repeats |> List.filter_map (fun rs -> solve t rs.instances.(g))
-    in
-    match accepted with
+    let solved = List.mapi (fun repeat rs -> solve t rs ~repeat g) (Array.to_list t.repeats) in
+    match List.filter_map Fun.id solved with
     | [] -> ()
     | outs ->
         let mean =
@@ -299,51 +313,51 @@ let finalize t =
   done;
   !best
 
-(* Packed per sub-instance: pair count, death flag, then the store in
-   set-id order (ids as gaps), each member list verbatim. *)
+(* Packed per repeat: the lowest live guess, then the one store in
+   set-id order (ids as gaps), each member list verbatim.  The per-guess
+   counts are recomputed from the levels. *)
 let freeze w t =
   let module Pk = Mkc_sketch.Packed in
   Array.iter
     (fun rs ->
-      Array.iter
-        (fun inst ->
-          Pk.put w inst.pairs;
-          Pk.put w (Bool.to_int inst.dead);
-          Pk.put_ids w fst
-            (fun w (_, members) ->
-              Pk.put w (List.length members);
-              List.iter (Pk.put w) members)
-            (sorted_store inst))
-        rs.instances)
+      Pk.put w rs.live;
+      Pk.put_ids w fst
+        (fun w (_, members) ->
+          Pk.put w (List.length members);
+          List.iter (Pk.put w) members)
+        (sorted_store rs))
     t.repeats
 
-(* Beyond the ranges (set ids in [0, m), members in [0, u)), a stored
-   instance is consistent: member lists are non-empty, [pairs] counts
-   them and stays within the cap, and a dead instance stores nothing. *)
+(* Beyond the ranges (live in [0, G+1], set ids in [0, m), members in
+   [0, u), levels in [0, G - live]), a stored repeat is consistent:
+   member lists are non-empty and the counts they imply stay within the
+   cap. *)
 let thaw r t =
   let module Pk = Mkc_sketch.Packed in
   let p = t.params in
   Array.iter
     (fun rs ->
-      Array.iter
-        (fun inst ->
-          let pairs = Pk.get r in
-          let dead = Pk.get_below r 2 = 1 in
-          Hashtbl.reset inst.store;
-          let stored = ref 0 in
-          ignore
-            (Pk.get_ids r ~bound:p.Params.m (fun r id ->
-                 let n = Pk.get_count r in
-                 if n = 0 then Pk.fail r "small_set: empty member list for set %d" id;
-                 stored := !stored + n;
-                 Hashtbl.replace inst.store id (ref (List.init n (fun _ -> Pk.get_below r p.u))))
-              : unit list);
-          if pairs <> !stored || pairs > t.cap || (dead && pairs > 0) then
-            Pk.fail r "small_set: %d pairs (dead %b) with %d stored, cap %d" pairs dead !stored
-              t.cap;
-          inst.pairs <- pairs;
-          inst.dead <- dead)
-        rs.instances)
+      let live = Pk.get_below r (t.guesses + 1) in
+      let top = t.guesses - 1 - live in
+      Hashtbl.reset rs.store;
+      Array.fill rs.counts 0 t.guesses 0;
+      rs.live <- live;
+      ignore
+        (Pk.get_ids r ~bound:p.Params.m (fun r id ->
+             let n = Pk.get_count r in
+             if n = 0 then Pk.fail r "small_set: empty member list for set %d" id;
+             let get r =
+               let c = Pk.get r in
+               if c < 0 || elt_of c >= p.u || level_of c > top then
+                 Pk.fail r "small_set: member %d of set %d outside [0, %d) or above level %d" c id
+                   p.u top;
+               bump rs ~top:(t.guesses - 1 - level_of c) 1;
+               c
+             in
+             Hashtbl.replace rs.store id (ref (List.init n (fun _ -> get r))))
+          : unit list);
+      if held t rs > t.cap then
+        Pk.fail r "small_set: %d pairs at guess %d, cap %d" (held t rs) live t.cap)
     t.repeats;
   t.st_elem_sampler_evals <- 0;
   t.st_set_sampler_evals <- 0;
@@ -358,51 +372,40 @@ let thaw_work r t =
   t.st_set_sampler_evals <- Mkc_sketch.Packed.get r;
   t.st_pairs_stored <- Mkc_sketch.Packed.get r
 
-(* Merging a stored sub-instance: sampling decisions are pure hashes
-   (same seeds both sides), so shard stores are disjoint-in-time slices
-   of the single-stream store.  Member lists are latest-first, so the
-   later shard's list is prepended; the pair count is monotone until
-   death, so summed pairs exceeding the cap reproduces the single-run
-   termination exactly. *)
-let merge_instance t dst src =
-  if src.dead || dst.dead then begin
-    dst.dead <- true;
-    Hashtbl.reset dst.store;
-    dst.pairs <- 0
-  end
-  else begin
-    sorted_store src
-    |> List.iter (fun (id, members) ->
-           match Hashtbl.find_opt dst.store id with
-           | Some existing -> existing := members @ !existing
-           | None -> Hashtbl.replace dst.store id (ref members));
-    dst.pairs <- dst.pairs + src.pairs;
-    if dst.pairs > t.cap then begin
-      dst.dead <- true;
-      Hashtbl.reset dst.store;
-      dst.pairs <- 0
-    end
-  end
+(* Merging a repeat: sampling decisions are pure hashes (same seeds
+   both sides), so shard stores are disjoint-in-time slices of the
+   single-stream store.  A guess dead on either side is dead; the live
+   counts sum, and since a count is monotone until death, a sum over the
+   cap reproduces the single-run termination exactly.  Member lists are
+   latest-first, so the later shard's list goes first. *)
+let merge_repeat t dst src =
+  let from = min dst.live src.live in
+  dst.live <- max dst.live src.live;
+  for g = 0 to t.guesses - 1 do
+    dst.counts.(g) <- (if g < dst.live then 0 else dst.counts.(g) + src.counts.(g))
+  done;
+  Hashtbl.iter
+    (fun id members ->
+      match Hashtbl.find_opt dst.store id with
+      | Some existing -> existing := !members @ !existing
+      | None -> Hashtbl.replace dst.store id (ref !members))
+    src.store;
+  apply_cap t dst ~from
 
 let merge_into ~dst src =
-  Array.iteri
-    (fun r (srs : repeat_state) ->
-      Array.iteri
-        (fun g inst -> merge_instance dst dst.repeats.(r).instances.(g) inst)
-        srs.instances)
-    src.repeats;
+  Array.iteri (fun r srs -> merge_repeat dst dst.repeats.(r) srs) src.repeats;
   dst.st_elem_sampler_evals <- dst.st_elem_sampler_evals + src.st_elem_sampler_evals;
   dst.st_set_sampler_evals <- dst.st_set_sampler_evals + src.st_set_sampler_evals;
   dst.st_pairs_stored <- dst.st_pairs_stored + src.st_pairs_stored
 
 let stored_pairs t =
-  Array.fold_left
-    (fun acc rs -> Array.fold_left (fun acc inst -> acc + inst.pairs) acc rs.instances)
-    0 t.repeats
+  Array.fold_left (fun acc rs -> Array.fold_left ( + ) acc rs.counts) 0 t.repeats
 
 let budget t = t.budget
 let cap t = t.cap
 
+(* The store is the lowest live guess's sub-instance: 2 words per pair
+   plus 1 per set. *)
 let words_breakdown t =
   let samplers = ref 0 and store = ref 0 in
   Array.iter
@@ -411,26 +414,16 @@ let words_breakdown t =
         !samplers
         + Mkc_sketch.Sampler.Nested.words rs.elem_sampler
         + (match rs.set_sampler with None -> 0 | Some s -> Mkc_sketch.Sampler.Bernoulli.words s);
-      store :=
-        !store
-        + Array.fold_left
-            (fun acc inst -> acc + (2 * inst.pairs) + Hashtbl.length inst.store)
-            0 rs.instances)
+      store := !store + (2 * held t rs) + Hashtbl.length rs.store)
     t.repeats;
   [ ("samplers", !samplers); ("store", !store) ]
 
 let words t = List.fold_left (fun acc (_, w) -> acc + w) 0 (words_breakdown t)
-
-let dead_instances t =
-  Array.fold_left
-    (fun acc rs ->
-      Array.fold_left (fun acc inst -> if inst.dead then acc + 1 else acc) acc rs.instances)
-    0 t.repeats
 
 let stats t =
   [
     ("elem_sampler_evals", t.st_elem_sampler_evals);
     ("set_sampler_evals", t.st_set_sampler_evals);
     ("pairs_stored", t.st_pairs_stored);
-    ("dead_instances", dead_instances t);
+    ("dead_instances", Array.fold_left (fun acc rs -> acc + rs.live) 0 t.repeats);
   ]

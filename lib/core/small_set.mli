@@ -15,10 +15,17 @@
 
     A guess is accepted only if greedy's sampled coverage is Ω̃(k/α)
     (Figure 5's final filter) — this is what keeps the oracle from
-    overestimating (Lemma 4.23).
+    overestimating (Lemma 4.23).  The estimate is greedy's cover with
+    {!budget} sets; the witness extends that greedy run on the stored
+    sub-instance to at most [k] original set ids (Theorem 3.2's +k).
 
-    The witness is greedy's chosen set ids: at most [⌈c·k/α⌉ ≤ k]
-    original set ids, directly available. *)
+    State: the guesses share one nested element sampler, so guess g's
+    sub-instance is the pairs kept at level [<= G - g] and contains
+    guess g+1's.  Each repeat therefore holds one [set id -> members]
+    store, each sampled pair once with its keep-level, plus one pair
+    count per guess and the lowest live guess: the cap kills guesses in
+    order, so the dead ones are a prefix, and the store keeps only the
+    pairs a live guess reads. *)
 
 type t
 
@@ -44,42 +51,42 @@ val finalize : t -> Solution.outcome option
 val words : t -> int
 
 val words_breakdown : t -> (string * int) list
-(** [("samplers", _); ("store", _)] — hash seeds vs the live stored
-    sub-instances. *)
+(** [("samplers", _); ("store", _)] — hash seeds vs the stores, 2 words
+    per pair plus 1 per set. *)
 
 val stats : t -> (string * int) list
 (** Work counters: ["elem_sampler_evals"] (nested element-sampler hash
     evaluations — per edge in per-edge mode, per distinct element per
     chunk in planned mode), ["set_sampler_evals"] (set-sample membership
     evaluations), ["pairs_stored"] (total (set, element) pairs ever
-    stored — monotone, unlike {!stored_pairs}; identical across modes)
-    and ["dead_instances"] (sub-instances that overflowed the Lemma 4.21
-    cap and were terminated). *)
+    stored, counted per guess — monotone, unlike {!stored_pairs};
+    identical across modes) and ["dead_instances"] (guesses that
+    overflowed the Lemma 4.21 cap and were terminated). *)
 
 val stored_pairs : t -> int
-(** Total (set, element) pairs currently stored across all live
-    sub-instances — the quantity bounded by Lemma 4.21 (diagnostics for
-    the fig5 bench). *)
+(** The live guesses' pair counts, summed — the quantity bounded by
+    Lemma 4.21 (diagnostics for the fig5 bench). *)
 
 val budget : t -> int
-(** The cover budget [⌈36k/(sα)⌉-style] used on sub-instances. *)
+(** The cover budget [⌈4k/α⌉] (within [\[1, k\]]) used on
+    sub-instances. *)
 
 val cap : t -> int
-(** The per-instance stored-pair cap (Lemma 4.21's Õ(m/α²) instantiated
+(** The per-guess stored-pair cap (Lemma 4.21's Õ(m/α²) instantiated
     with the profile's polylog). *)
 
 val freeze : Mkc_sketch.Packed.writer -> t -> unit
-(** Per sub-instance: pair count, death flag and the store in set-id
-    order, member lists verbatim (latest-first) — the state
-    {!merge_into} reads from a source.  The samplers are re-created
-    from params + seed. *)
+(** Per repeat: the lowest live guess, then the store in set-id order,
+    member lists verbatim (latest-first, each member's keep-level in
+    its low 6 bits) — the state {!merge_into} reads from a source.  The
+    samplers are re-created from params + seed. *)
 
 val thaw : Mkc_sketch.Packed.reader -> t -> unit
 (** Overlay a {!freeze} state onto an instance of the same params and
-    seed, zeroing its work counters: the result is a merge source.
-    Set ids must lie in [\[0, m)], members in [\[0, u)], and each
-    sub-instance must be consistent (non-empty lists, [pairs] counting
-    them within the cap, nothing stored when dead). *)
+    seed, zeroing its work counters: the result is a merge source.  The
+    lowest live guess must lie in [\[0, G+1\]], set ids in [\[0, m)],
+    members in [\[0, u)] with levels in [\[0, G - live\]], member
+    lists must be non-empty, and the counts they imply within the cap. *)
 
 val freeze_work : Mkc_sketch.Packed.writer -> t -> unit
 (** The work counters — a checkpoint's tail. *)
@@ -88,7 +95,7 @@ val thaw_work : Mkc_sketch.Packed.reader -> t -> unit
 (** Overlay a {!freeze_work} tail. *)
 
 val merge_into : dst:t -> t -> unit
-(** Fold a shard in, instance by instance: member lists concatenate
-    (the shard fed the later stream suffix first), pair counts sum, and
-    a summed count over the cap kills the instance exactly as the
-    single-stream run would. *)
+(** Fold a shard in, repeat by repeat: a guess dead on either side is
+    dead, member lists concatenate (the shard fed the later stream
+    suffix first), pair counts sum, and a summed count over the cap
+    kills the guess exactly as the single-stream run would. *)

@@ -6,9 +6,6 @@ let create ~m ~q ~indep ~seed =
 
 let superset_of t s = Mkc_hashing.Poly_hash.hash t.hash s
 
-let superset_of_batch t sets ~pos ~len out =
-  Mkc_hashing.Poly_hash.hash_batch t.hash sets ~pos ~len out
-
 let members ?limit t i =
   let out = ref [] and count = ref 0 in
   let cap = Option.value ~default:t.m limit in
@@ -22,5 +19,4 @@ let members ?limit t i =
   done;
   List.rev !out
 
-let num_supersets t = t.q
 let words t = Mkc_hashing.Poly_hash.words t.hash + 2

@@ -18,13 +18,8 @@ val create : m:int -> q:int -> indep:int -> seed:Mkc_hashing.Splitmix.t -> t
 val superset_of : t -> int -> int
 (** The superset index of a set id, in [\[0, q)]. *)
 
-val superset_of_batch : t -> int array -> pos:int -> len:int -> int array -> unit
-(** [out.(j) = superset_of t sets.(pos + j)] for [j < len] — one
-    coefficient-major hash pass over a chunk's distinct set ids. *)
-
 val members : ?limit:int -> t -> int -> int list
 (** All set ids hashed to the given superset, by scanning [\[0, m)];
     stops after [limit] ids when given. *)
 
-val num_supersets : t -> int
 val words : t -> int

@@ -4,5 +4,3 @@ let ratio ~opt ~achieved =
 let within_factor ~opt ~achieved ~factor =
   let opt = float_of_int opt in
   achieved >= (opt /. factor) -. 1e-9 && achieved <= (opt *. 1.01) +. 1e-9
-
-let coverage_of = Mkc_stream.Set_system.coverage

@@ -8,7 +8,3 @@ val within_factor : opt:int -> achieved:float -> factor:float -> bool
 (** True iff [achieved] lies in [\[opt / factor, opt · slack\]] with a
     1.01 upward slack (estimates are allowed to exceed OPT only by
     rounding noise). *)
-
-val coverage_of : Mkc_stream.Set_system.t -> int list -> int
-(** Exact coverage of a reported selection (delegates to
-    {!Mkc_stream.Set_system.coverage}). *)

@@ -38,15 +38,6 @@ let create ?(depth = 5) ?(oversample = 2.0) ~gamma ~r ~indep ~seed () =
    across that coordinate's updates. *)
 let decide t i = Sampler.Nested.min_keep_level_code t.sampler i
 
-let decide_batch t ids ~pos ~len out =
-  Sampler.Nested.min_keep_level_batch t.sampler ids ~pos ~len out
-
-let add_tracked_decided t ~code i delta =
-  if code >= 0 then
-    for lvl = 0 to t.num_levels - 1 - code do
-      F2_heavy_hitter.add_tracked (Array.unsafe_get t.hhs lvl) i delta
-    done
-
 let add_cs_decided t ~code i delta =
   if code >= 0 then
     for lvl = 0 to t.num_levels - 1 - code do

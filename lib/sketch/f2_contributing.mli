@@ -42,24 +42,13 @@ val add : t -> int -> int -> unit
 val decide : t -> int -> int
 (** The subsampling decision for coordinate [i] as a keep-level code
     ([-1] = survives no level): one hash evaluation, no allocation.
-    [add t i d] ≡ [add_decided t ~code:(decide t i) i d], so a caller
-    may decide once per distinct coordinate and replay the code across
-    all of that coordinate's updates. *)
-
-val decide_batch : t -> int array -> pos:int -> len:int -> int array -> unit
-(** [out.(j) = decide t ids.(pos + j)] for [j < len], hashed
-    coefficient-major in one pass. *)
-
-val add_decided : t -> code:int -> int -> int -> unit
-(** [add] with the sampling decision precomputed. *)
+    [add t i d] applies [d] at the levels [decide t i] keeps, so a
+    caller may decide once per distinct coordinate and replay the code
+    across all of that coordinate's updates ({!add_cs_decided}). *)
 
 val add_cs_decided : t -> code:int -> int -> int -> unit
 (** Only the CountSketch halves of the surviving levels' updates —
     linear, so per-coordinate deltas may be aggregated per chunk. *)
-
-val add_tracked_decided : t -> code:int -> int -> int -> unit
-(** Only the candidate-tracking halves — order-sensitive, must replay
-    in stream order (see {!F2_heavy_hitter.add_tracked}). *)
 
 val hits : t -> hit list
 (** One or more candidates per level that passed the per-level φ-heavy

@@ -63,14 +63,6 @@ module Nested = struct
   let min_keep_level t x =
     match min_keep_level_code t x with -1 -> None | level -> Some level
 
-  let min_keep_level_batch t xs ~pos ~len out =
-    (* hash_batch fills [out] with the raw hashes, then each is folded
-       to its keep-level code in place — no extra scratch. *)
-    Mkc_hashing.Poly_hash.hash_batch t.hash xs ~pos ~len out;
-    for j = 0 to len - 1 do
-      Array.unsafe_set out j (code_of_hash t (Array.unsafe_get out j))
-    done
-
   let rate t ~level = 1.0 /. float_of_int (range_at t level)
   let levels t = t.levels
   let words t = Mkc_hashing.Poly_hash.words t.hash + 2

@@ -60,11 +60,6 @@ module Nested : sig
   (** Allocation-free {!min_keep_level}: the level, or [-1] for [None].
       The hot-path form — [int option] returns box without flambda. *)
 
-  val min_keep_level_batch : t -> int array -> pos:int -> len:int -> int array -> unit
-  (** [out.(j) = min_keep_level_code t xs.(pos + j)] for [j < len],
-      hashing the block coefficient-major
-      ({!Mkc_hashing.Poly_hash.hash_batch}). *)
-
   val rate : t -> level:int -> float
   (** The realized rate of a level (exactly [2^-j] for some j). *)
 

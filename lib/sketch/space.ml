@@ -1,7 +1,3 @@
-let int_array a = Array.length a
-let float_array a = Array.length a
-let hashtbl h ~entry_words = Hashtbl.length h * entry_words
-
 let pp_bytes ppf words =
   Format.fprintf ppf "%d words (%.1f KiB)" words (float_of_int words *. 8.0 /. 1024.0)
 

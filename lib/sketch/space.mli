@@ -8,15 +8,6 @@
     costs d words).  Transient per-update scratch is not counted, and
     neither is the read-only input configuration (m, n, k, alpha). *)
 
-val int_array : int array -> int
-(** Words held by an int array (its length). *)
-
-val float_array : float array -> int
-
-val hashtbl : ('a, 'b) Hashtbl.t -> entry_words:int -> int
-(** Words held by a hashtbl with [entry_words] words per binding
-    (key + payload), ignoring bucket overhead. *)
-
 val pp_bytes : Format.formatter -> int -> unit
 (** Pretty-print a word count as words and KiB. *)
 

@@ -1,6 +1,6 @@
-let magic = "MKCCKPT2"
+let magic = "MKCCKPT3"
 let schema_prefix = "mkc-ckpt/"
-let schema = schema_prefix ^ "2"
+let schema = schema_prefix ^ "3"
 
 (* How an mkc-ckpt/1 (JSON) file opens: its schema field came first. *)
 let json_prefix = "{\"schema\":\"" ^ schema_prefix

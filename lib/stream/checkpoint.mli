@@ -1,6 +1,6 @@
 (** Versioned, validated, byte-stable checkpoints of sink state.
 
-    A checkpoint is a binary [mkc-ckpt/2] envelope around a
+    A checkpoint is a binary [mkc-ckpt/3] envelope around a
     sink-specific payload: the sink kind, the stream position the state
     covers, the base hash seed the sink was created under, and an
     FNV-1a-64 trailer over all of the above.  Everything about a sink
@@ -11,7 +11,7 @@
 
     Layout (integers are little-endian int64):
     {v
-      0        magic "MKCCKPT2"
+      0        magic "MKCCKPT3"
       8        kind length K
       16       kind (K bytes)
       16+K     pos
@@ -24,8 +24,11 @@
     Every rejection is a named {!error} (foreign magic, unknown version,
     truncated bytes, forged seed, checksum mismatch), every length is
     checked against the bytes present before it is used, and emission is
-    byte-stable so goldens can pin the format.  An [mkc-ckpt/1] (JSON)
-    file is rejected as [Bad_version "mkc-ckpt/1"]. *)
+    byte-stable so goldens can pin the format.  Version 3 changed only
+    the estimator payload (SmallSet holds each sampled pair once, with
+    its keep-level); an [mkc-ckpt/2] file is rejected as
+    [Bad_version "mkc-ckpt/2"], and an [mkc-ckpt/1] (JSON) file as
+    [Bad_version "mkc-ckpt/1"]. *)
 
 type error =
   | Bad_magic of string  (** Not a checkpoint: the leading bytes. *)
@@ -51,7 +54,7 @@ type t = {
 }
 
 val schema : string
-(** ["mkc-ckpt/2"]. *)
+(** ["mkc-ckpt/3"]. *)
 
 val to_string : t -> string
 (** Byte-stable rendering of the layout above. *)

@@ -32,7 +32,6 @@ type t = {
   (* distinct sets, first-appearance order *)
   mutable nsets : int;
   mutable sets : int array;
-  mutable set_count : int array;
   (* distinct raw element values, first-appearance order *)
   mutable nelts : int;
   mutable elts : int array;
@@ -57,7 +56,6 @@ let create () =
     elt_idx = [||];
     nsets = 0;
     sets = [||];
-    set_count = [||];
     nelts = 0;
     elts = [||];
     smask = init_slots - 1;
@@ -83,7 +81,6 @@ let create_sized ~chunk =
   t.set_idx <- Array.make chunk 0;
   t.elt_idx <- Array.make chunk 0;
   t.sets <- Array.make chunk 0;
-  t.set_count <- Array.make chunk 0;
   t.elts <- Array.make chunk 0;
   t.smask <- slots - 1;
   t.skey <- Array.make slots 0;
@@ -108,7 +105,6 @@ let build t edges ~pos ~len =
   t.set_idx <- ensure t.set_idx len;
   t.elt_idx <- ensure t.elt_idx len;
   t.sets <- ensure t.sets len;
-  t.set_count <- ensure t.set_count len;
   t.elts <- ensure t.elts len;
   (* Distinct counts are bounded by the chunk length, so power-of-two
      slots >= 2·len keeps the load factor under 1/2 with no mid-chunk
@@ -141,18 +137,13 @@ let build t edges ~pos ~len =
       s := (!s + 1) land smask
     done;
     let sj =
-      if Array.unsafe_get sstamp !s = stamp then begin
-        let j = Array.unsafe_get sval !s in
-        t.set_count.(j) <- t.set_count.(j) + 1;
-        j
-      end
+      if Array.unsafe_get sstamp !s = stamp then Array.unsafe_get sval !s
       else begin
         let j = t.nsets in
         Array.unsafe_set sstamp !s stamp;
         Array.unsafe_set skey !s e.set;
         Array.unsafe_set sval !s j;
         t.sets.(j) <- e.set;
-        t.set_count.(j) <- 1;
         t.nsets <- j + 1;
         j
       end
@@ -187,13 +178,11 @@ let num_elts t = t.nelts
 (* Direct array access for hot loops; the first [num_sets] (resp.
    [num_elts], [len]) entries are valid for the current chunk. *)
 let sets t = t.sets
-let set_counts t = t.set_count
 let elts t = t.elts
 let set_index t = t.set_idx
 let elt_index t = t.elt_idx
 
 let words t =
-  Array.length t.set_idx + Array.length t.elt_idx + Array.length t.sets
-  + Array.length t.set_count + Array.length t.elts
+  Array.length t.set_idx + Array.length t.elt_idx + Array.length t.sets + Array.length t.elts
   + (3 * (t.smask + 1))
   + (3 * (t.emask + 1))

@@ -39,10 +39,6 @@ val sets : t -> int array
 (** Distinct set ids in first-appearance order; entries
     [0 .. num_sets-1] are valid.  Do not mutate. *)
 
-val set_counts : t -> int array
-(** [set_counts t].(j) = number of chunk edges whose set is
-    [sets t].(j); entries [0 .. num_sets-1] valid. *)
-
 val elts : t -> int array
 (** Distinct raw element values in first-appearance order; entries
     [0 .. num_elts-1] valid. *)

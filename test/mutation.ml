@@ -108,3 +108,20 @@ let edge_header ~count =
   Bytes.set_int64_le b 24 16L;
   Bytes.set_int64_le b 32 (Int64.of_int count);
   reseal_edge_file (Bytes.to_string b)
+
+(* A sealed estimate checkpoint whose 17-byte payload is nothing but
+   params in [Params.put]'s layout, describing an instance far too large
+   to build: m = 2^24, n = u = 4096, k = 2, alpha = 4, seed 0.  The
+   envelope is valid, so the payload reaches the estimator's decoder. *)
+let forged_params_payload =
+  let module Pk = Mkc_sketch.Packed in
+  let w = Pk.writer () in
+  List.iter (Pk.put w) [ 1 lsl 24; 4096; 4096; 2 ];
+  Pk.put_int64 w (Int64.bits_of_float 4.0);
+  Pk.put w 0;
+  Pk.put w 0;
+  Pk.contents w
+
+let forged_params_checkpoint =
+  Mkc_stream.Checkpoint.to_string
+    { Mkc_stream.Checkpoint.kind = "estimate"; pos = 0; seed = 0; payload = forged_params_payload }

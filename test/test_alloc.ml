@@ -17,7 +17,6 @@ module Sm = Mkc_hashing.Splitmix
 module L0 = Mkc_sketch.L0_bjkst
 module Cs = Mkc_sketch.Count_sketch
 module Hh = Mkc_sketch.F2_heavy_hitter
-module Ams = Mkc_sketch.F2_ams
 module Fc = Mkc_sketch.F2_contributing
 module Sampler = Mkc_sketch.Sampler
 
@@ -89,13 +88,6 @@ let test_f2_heavy_hitter_prune () =
   if words >= float_of_int prunes then
     Alcotest.failf "f2_heavy_hitter prune allocates %.0f words over %d prunes" words prunes
 
-let test_f2_ams () =
-  let sk = Ams.create ~seed:(Sm.create 4) () in
-  check_budget "f2_ams.add" (fun () ->
-      for i = 0 to edges - 1 do
-        Ams.add sk (Array.unsafe_get ids i) 1
-      done)
-
 let test_f2_contributing () =
   let sk = Fc.create ~gamma:0.1 ~r:1024 ~indep:8 ~seed:(Sm.create 5) () in
   check_budget "f2_contributing.add" (fun () ->
@@ -121,6 +113,39 @@ let test_nested_sampler () =
         ignore (Sampler.Nested.min_keep_level_code ns (Array.unsafe_get ids i))
       done)
 
+(* SmallSet's planned feed with every guess live: a kept pair costs one
+   store cell, shared by every guess that reads it, so the minor words
+   per pair stored (counted per guess, as [pairs_stored] does) stay
+   below two.  The stream is replayed in 1024-edge chunks; a first pass
+   on a twin instance warms the chunk plan's scratch. *)
+let test_small_set_feed_planned () =
+  let module Ss = Mkc_core.Small_set in
+  let module Plan = Mkc_stream.Chunk_plan in
+  let p = Mkc_core.Params.make ~m:1024 ~n:256 ~k:6 ~alpha:4.0 ~seed:7 () in
+  let stream =
+    Array.map (fun id -> Mkc_stream.Edge.make ~set:(id land 1023) ~elt:((id lsr 10) land 255)) ids
+  in
+  let plan = Plan.create () and chunk = 1024 in
+  let pass ss =
+    let pos = ref 0 in
+    while !pos < edges do
+      Plan.build plan stream ~pos:!pos ~len:chunk;
+      Ss.feed_planned ss plan ~red:(Plan.elts plan) stream ~pos:!pos ~len:chunk;
+      pos := !pos + chunk
+    done
+  in
+  pass (Ss.create p ~seed:(Sm.create 8));
+  let ss = Ss.create p ~seed:(Sm.create 8) in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  pass ss;
+  let words = Gc.minor_words () -. before in
+  let stat key = List.assoc key (Ss.stats ss) in
+  if stat "dead_instances" > 0 then Alcotest.fail "a guess died: the instance must keep all live";
+  let per_pair = words /. float_of_int (stat "pairs_stored") in
+  if per_pair > 2.0 then
+    Alcotest.failf "small_set.feed_planned allocates %.3f words per stored pair (budget 2.0)" per_pair
+
 let suite =
   [
     Alcotest.test_case "l0_bjkst feed is allocation-free" `Quick test_l0;
@@ -130,10 +155,11 @@ let suite =
       test_f2_heavy_hitter;
     Alcotest.test_case "f2_heavy_hitter prune is allocation-free" `Quick
       test_f2_heavy_hitter_prune;
-    Alcotest.test_case "f2_ams feed is allocation-free" `Quick test_f2_ams;
     Alcotest.test_case "f2_contributing feed is allocation-free" `Quick
       test_f2_contributing;
     Alcotest.test_case "sampler memo is allocation-free" `Quick test_memo;
     Alcotest.test_case "nested sampler decide is allocation-free" `Quick
       test_nested_sampler;
+    Alcotest.test_case "small_set planned feed: one cell per kept pair" `Quick
+      test_small_set_feed_planned;
   ]

@@ -12,7 +12,7 @@
       so P edge-partitioned shard runs merge into exactly the
       single-stream state.
 
-   Plus the envelope itself: a byte-stable mkc-ckpt/2 golden, named
+   Plus the envelope itself: a byte-stable mkc-ckpt/3 golden, named
    rejection of every tampering mode (foreign magic, unknown version,
    truncated bytes, forged seed, flipped payload, wrong kind), and a
    seeded mutation fuzz over the envelope and the estimator's payload
@@ -27,7 +27,6 @@ module Pk = Mkc_sketch.Packed
 module P = Mkc_core.Params
 module E = Mkc_core.Estimate
 module L0 = Mkc_sketch.L0_bjkst
-module F2 = Mkc_sketch.F2_ams
 module Sm = Mkc_hashing.Splitmix
 
 let checkb = Alcotest.(check bool)
@@ -230,8 +229,8 @@ let prop_shard_merge =
       && E.words_breakdown single = E.words_breakdown merged
       && invariant_stats single = invariant_stats merged)
 
-(* Sketch-level merge laws, on canonical dump states.  [l0_of]/[f2_of]
-   build a sketch from an element list under a fixed seed; merge order
+(* Sketch-level merge laws, on canonical dump states.  [l0_of] builds
+   a sketch from an element list under a fixed seed; merge order
    and grouping must not matter. *)
 let l0_of seed xs =
   let sk = L0.create ~seed:(Sm.create seed) () in
@@ -260,34 +259,6 @@ let prop_l0_merge_laws =
       (* merge ≡ feeding the concatenated stream into one sketch *)
       && l0_merged seed [ a; b; c ] = L0.dump (l0_of seed (a @ b @ c)))
 
-let f2_of seed xs =
-  let sk = F2.create ~seed:(Sm.create seed) () in
-  List.iter (fun (i, d) -> F2.add sk i d) xs;
-  sk
-
-let f2_merged seed parts =
-  let acc = f2_of seed [] in
-  List.iter (fun xs -> F2.merge_into ~dst:acc (f2_of seed xs)) parts;
-  F2.dump acc
-
-let prop_f2_merge_laws =
-  let gen =
-    QCheck.Gen.(list_size (int_range 0 100) (pair (int_range 0 200) (int_range (-3) 3)))
-  in
-  let arb3 =
-    QCheck.make
-      ~print:(fun (a, (b, c)) ->
-        Printf.sprintf "|a|=%d |b|=%d |c|=%d" (List.length a) (List.length b)
-          (List.length c))
-      QCheck.Gen.(pair gen (pair gen gen))
-  in
-  QCheck.Test.make ~name:"f2 merge: linear — commutative, associative, ≡ summed stream"
-    ~count:50 arb3 (fun (a, (b, c)) ->
-      let seed = 777 in
-      f2_merged seed [ a; b ] = f2_merged seed [ b; a ]
-      && f2_merged seed [ a; b; c ] = f2_merged seed [ c; a; b ]
-      && f2_merged seed [ a; b; c ] = F2.dump (f2_of seed (a @ b @ c)))
-
 (* --- 3. envelope: golden bytes, round trip, tamper rejection --- *)
 
 let packed ints =
@@ -305,8 +276,8 @@ let of_hex h =
    the varints 1, 2, 3 | FNV-1a 64 trailer *)
 let golden =
   of_hex
-    ("4d4b43434b505432" ^ "0400000000000000" ^ "64656d6f" ^ "0300000000000000"
-   ^ "2a00000000000000" ^ "0300000000000000" ^ "020406" ^ "b55d11ad6b3ef3bd")
+    ("4d4b43434b505433" ^ "0400000000000000" ^ "64656d6f" ^ "0300000000000000"
+   ^ "2a00000000000000" ^ "0300000000000000" ^ "020406" ^ "243869e9e666e384")
 
 let test_golden_bytes () =
   checks "byte-stable rendering" golden (Ck.to_string demo_env);
@@ -409,6 +380,22 @@ let test_payload_rejected () =
       ("a cut payload", String.sub good 0 (String.length good - 1));
       ("a payload with bytes left over", good ^ "\000");
     ];
+  (* forged params behind a sealed envelope: an instance far too large
+     to build is refused by name before [create] allocates anything
+     sized from them *)
+  checki "forged params payload is 17 bytes" 17 (String.length Mutation.forged_params_payload);
+  let words =
+    Mutation.allocated (fun () ->
+        match Ck.of_string ~expect_kind:"estimate" Mutation.forged_params_checkpoint with
+        | Error e -> Alcotest.failf "forged envelope rejected: %s" (Ck.error_to_string e)
+        | Ok env -> (
+            match E.decode env.Ck.payload with
+            | Error msg ->
+                checkb ("forged params named: " ^ msg) true
+                  (has_suffix ~suffix:"over the decode ceiling of 268435456" msg)
+            | Ok _ -> Alcotest.fail "forged params decoded"))
+  in
+  checkb (Printf.sprintf "forged params allocate %d words" words) true (words < 10_000);
   (* and through the driver it surfaces as Payload_rejected *)
   with_tmp (fun path ->
       let env = { Ck.kind = "estimate"; pos = 0; seed = p.P.base_seed; payload = foreign } in
@@ -422,6 +409,46 @@ let test_payload_rejected () =
       | Error (Ck.Payload_rejected _) -> ()
       | Error e -> Alcotest.failf "wrong error: %s" (Ck.error_to_string e)
       | Ok _ -> Alcotest.fail "rejected payload restored")
+
+(* SmallSet's packed layout, per repeat: the lowest live guess, then
+   one store in set-id order whose members carry their keep-level in the
+   low 6 bits.  Each row breaks one range the thaw checks. *)
+let test_small_set_thaw_rejection () =
+  let module Sms = Mkc_core.Small_set in
+  let p = params () in
+  let fresh () = Sms.create p ~seed:(Sm.create 5) in
+  let guesses = 1 + Mkc_hashing.Hash_family.ceil_log2 4 (* G + 1 for alpha 4 *) in
+  let member elt lvl = (elt lsl 6) lor lvl in
+  (* every repeat gets [live] and the one set 3 with [members] *)
+  let state ~live members =
+    let w = Pk.writer () in
+    for _ = 1 to p.P.oracle_repeats do
+      Pk.put w live;
+      Pk.put_ids w fst
+        (fun w (_, ms) ->
+          Pk.put w (List.length ms);
+          List.iter (Pk.put w) ms)
+        (if members = [] then [] else [ (3, members) ])
+    done;
+    Pk.contents w
+  in
+  let thaw bytes = Pk.decode bytes (fun r -> Sms.thaw r (fresh ())) in
+  checkb "a consistent state thaws" true
+    (Result.is_ok (thaw (state ~live:1 [ member 5 0; member 9 (guesses - 2) ])));
+  checkb "every guess dead, nothing stored: thaws" true
+    (Result.is_ok (thaw (state ~live:guesses [])));
+  let cap = Sms.cap (fresh ()) in
+  List.iter
+    (fun (what, bytes) ->
+      checkb (what ^ " rejected") true (Result.is_error (thaw bytes)))
+    [
+      ("live past G + 1", state ~live:(guesses + 1) []);
+      ("a negative live", state ~live:(-1) []);
+      ("a level above G - live", state ~live:1 [ member 5 (guesses - 1) ]);
+      ("a member with every guess dead", state ~live:guesses [ member 5 0 ]);
+      ("a member outside the universe", state ~live:0 [ member p.P.u 0 ]);
+      ("a count over the cap", state ~live:0 (List.init (cap + 1) (fun i -> member (i mod 64) 0)));
+    ]
 
 (* --- 4. space accounting: checkpoint bytes are on the books --- *)
 
@@ -642,29 +669,38 @@ type fuzz_input = {
   valid_words : int;  (** allocated by restoring [payload] intact *)
 }
 
-(* Valid checkpoints of two small live instances.  [params ()] keeps
-   SmallSet, as every profile does (sα = w/2 < 2k); no profile reaches
-   the heavy regime (sα ≥ 2k) today, so the second instance lifts s by
-   hand to put the oracle layout without SmallSet under the fuzz too. *)
+(* Valid checkpoints of two small live instances, and the mkc-ckpt/3
+   golden.  [params ()] keeps SmallSet, as every profile does
+   (sα = w/2 < 2k); no profile reaches the heavy regime (sα ≥ 2k) today,
+   so the second instance lifts s by hand to put the oracle layout
+   without SmallSet under the fuzz too. *)
 let fuzz_instances =
   lazy
     (let heavy =
        let p = P.make ~m:24 ~n:48 ~k:2 ~alpha:3.0 ~seed:21 () in
        { p with P.s = 4.0 *. float_of_int p.P.k /. p.P.alpha }
      in
-     Array.map
-       (fun (p : P.t) ->
-         let est = E.create p in
-         Array.iter (E.feed est)
-           (Array.init 400 (fun i -> Edge.make ~set:(i * 7 mod p.m) ~elt:(i * 13 mod p.n)));
-         let payload = (E.codec p).Ck.encode est in
-         let small_set = not (List.mem_assoc "oracle.small_set" (E.words_breakdown est)) in
-         (* one restore target per instance, overwritten case after case *)
-         let target = E.create p in
-         let valid_words = Mutation.allocated (fun () -> (E.codec p).Ck.restore target payload) in
-         let prefix = String.length (params_bytes p) in
-         { fp = p; payload; prefix; small_set; target; valid_words })
-       [| params (); heavy |])
+     let fuzz_input (p : P.t) payload =
+       let small_set = not (List.mem_assoc "oracle.small_set" (E.words_breakdown (E.create p))) in
+       (* one restore target per instance, overwritten case after case *)
+       let target = E.create p in
+       let valid_words = Mutation.allocated (fun () -> (E.codec p).Ck.restore target payload) in
+       let prefix = String.length (params_bytes p) in
+       { fp = p; payload; prefix; small_set; target; valid_words }
+     in
+     let fed (p : P.t) =
+       let est = E.create p in
+       Array.iter (E.feed est)
+         (Array.init 400 (fun i -> Edge.make ~set:(i * 7 mod p.m) ~elt:(i * 13 mod p.n)));
+       fuzz_input p ((E.codec p).Ck.encode est)
+     in
+     (* the mkc-ckpt/3 golden of test_golden_compat *)
+     let golden =
+       match Ck.of_string (read_file "golden_estimate_ckpt_v3.ckpt") with
+       | Ok ck -> fuzz_input (P.make ~m:16 ~n:64 ~k:2 ~alpha:2.0 ~seed:5 ()) ck.Ck.payload
+       | Error e -> Alcotest.failf "v3 golden: %s" (Ck.error_to_string e)
+     in
+     [| fed (params ()); fed heavy; golden |])
 
 (* A varint rewrite: the varint holding byte [at] becomes [v]. *)
 let rewrite_varint s ~at v =
@@ -693,7 +729,7 @@ let prop_fuzz_decoders =
   let arb =
     QCheck.make
       ~print:(fun (inst, m) -> Printf.sprintf "instance %d, %s" inst (Mutation.to_string m))
-      QCheck.Gen.(pair (int_bound 1) Mutation.gen)
+      QCheck.Gen.(pair (int_bound 2) Mutation.gen)
   in
   QCheck.Test.make ~name:"fuzz: mutated checkpoints end in Ok or a named error" ~count:1000
     arb (fun (inst, m) ->
@@ -735,6 +771,7 @@ let test_fuzz_regimes () =
   let inst = Lazy.force fuzz_instances in
   checkb "first fuzz instance has SmallSet" true inst.(0).small_set;
   checkb "second fuzz instance has none" false inst.(1).small_set;
+  checkb "the v3 golden has SmallSet" true inst.(2).small_set;
   Array.iter
     (fun i ->
       checkb "fuzz inputs restore cleanly" true
@@ -769,6 +806,9 @@ let suite =
         prop_crash_resume_parallel;
         prop_shard_merge;
         prop_l0_merge_laws;
-        prop_f2_merge_laws;
         prop_count_sketch_merge;
       ]
+  @ [
+      Alcotest.test_case "payload: small_set thaw rejects out-of-range state" `Quick
+        test_small_set_thaw_rejection;
+    ]

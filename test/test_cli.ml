@@ -384,6 +384,26 @@ let test_forged_artifacts_are_named_errors () =
       checkb "forged edge count: the error is named" true
         (contains ~sub:"truncated edge file" err))
 
+(* A checkpoint whose params describe an instance far too large to
+   build (m = 2^24) is a named payload error: validate-checkpoint exits
+   1 and merge exits 4, before anything sized from the params is
+   allocated. *)
+let test_forged_params_checkpoint () =
+  let path = Filename.temp_file "mkc_cli" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc Mutation.forged_params_checkpoint);
+      let code, _, err = run ("validate-checkpoint " ^ path) in
+      checki "forged params: validate-checkpoint exit 1" 1 code;
+      checkb "forged params: validate names the ceiling" true
+        (contains ~sub:"over the decode ceiling" err);
+      let code, _, err = run ("merge " ^ path) in
+      checki "forged params: merge exit 4" 4 code;
+      checkb "forged params: merge names the ceiling" true
+        (contains ~sub:"over the decode ceiling" err))
+
 let test_generate_churn_validation () =
   expect_rejection "generate -n 10 -m 4 -k 2 -o nope_out.txt --churn 1.5"
     ~msg:"--churn must lie in [0, 1) (got 1.5)";
@@ -417,4 +437,6 @@ let suite =
       test_force_m_below_stream;
     Alcotest.test_case "forged artifacts end in named errors" `Quick
       test_forged_artifacts_are_named_errors;
+    Alcotest.test_case "forged checkpoint params end in named errors" `Quick
+      test_forged_params_checkpoint;
   ]

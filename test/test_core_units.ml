@@ -40,7 +40,9 @@ let test_params_validation () =
   Alcotest.check_raises "k > m rejected" (Invalid_argument "Params.make: k must be in [1, m]")
     (fun () -> ignore (P.make ~m:5 ~n:10 ~k:6 ~alpha:2.0 ()));
   Alcotest.check_raises "alpha < 1 rejected" (Invalid_argument "Params.make: alpha must be >= 1")
-    (fun () -> ignore (P.make ~m:5 ~n:10 ~k:2 ~alpha:0.5 ()))
+    (fun () -> ignore (P.make ~m:5 ~n:10 ~k:2 ~alpha:0.5 ()));
+  Alcotest.check_raises "n > 2^56 rejected" (Invalid_argument "Params.make: n must be <= 2^56")
+    (fun () -> ignore (P.make ~m:5 ~n:((1 lsl 56) + 1) ~k:2 ~alpha:2.0 ()))
 
 let test_params_with_universe () =
   let p = P.make ~m:100 ~n:1000 ~k:5 ~alpha:4.0 () in
@@ -293,6 +295,37 @@ let test_small_set_budget_scales () =
   checkb "budget ~ k/α decreasing in α" true (b4 > b16);
   checkb "budget <= k" true (b4 <= 64)
 
+(* A fixed churned instance (30% later deletions) on which SmallSet wins
+   the estimate after some of its guesses died at the cap.  The pinned
+   answer, provenance, witness and counters are the values the
+   per-guess-store SmallSet produced; the one-store rewrite must
+   reproduce them exactly, per edge and planned. *)
+let test_small_set_pinned_answer () =
+  let module E = Mkc_core.Estimate in
+  let sys = Mkc_workload.Random_inst.uniform ~n:512 ~m:32 ~set_size:96 ~seed:23 in
+  let edges = Mkc_workload.Churn.apply ~frac:0.3 ~seed:24 (Ss.edge_stream ~seed:25 sys) in
+  let p = P.make ~m:32 ~n:512 ~k:4 ~alpha:4.0 ~seed:26 () in
+  let check_run what est (r : E.result) =
+    checkb (what ^ ": estimate") true (r.E.estimate = 256.0);
+    checki (what ^ ": z guess") 512 r.E.z_guess;
+    (match r.E.outcome with
+    | Some { Sol.provenance = Sol.Small_set { gamma_exp; repeat }; witness; _ } ->
+        checki (what ^ ": winning guess") 2 gamma_exp;
+        checki (what ^ ": winning repeat") 0 repeat;
+        checkb (what ^ ": witness") true (witness () = [ 11; 31; 18; 26 ])
+    | _ -> Alcotest.failf "%s: SmallSet should win" what);
+    let stat key = List.assoc ("small_set." ^ key) (E.stats_totals est) in
+    checki (what ^ ": guesses dead at the cap") 12 (stat "dead_instances");
+    checki (what ^ ": pairs stored") 45311 (stat "pairs_stored")
+  in
+  checki "churned stream length" 3645 (Array.length edges);
+  let est = E.create p in
+  Array.iter (E.feed est) edges;
+  check_run "per edge" est (E.finalize est);
+  let est = E.create p in
+  let r = Mkc_stream.Pipeline.run ~chunk:256 E.sink est (Mkc_stream.Stream_source.of_array edges) in
+  check_run "planned" est r
+
 (* ---------- Oracle (Figure 2) ---------- *)
 
 let test_oracle_combines_subroutines () =
@@ -439,4 +472,5 @@ let suite =
     Alcotest.test_case "oracle bounded by universe" `Quick test_oracle_never_exceeds_universe;
     Alcotest.test_case "oracle no wild overestimate" `Quick
       test_oracle_estimate_not_wild_overestimate;
+    Alcotest.test_case "small-set pinned churned answer" `Quick test_small_set_pinned_answer;
   ]

@@ -47,12 +47,6 @@ let test_count_sketch_turnstile () =
   done;
   checkb "empty after cancellation" true (Mkc_sketch.Count_sketch.f2_estimate cs = 0.0)
 
-let test_f2_ams_negative_deltas () =
-  let sk = Mkc_sketch.F2_ams.create ~seed:(Sm.create 6) () in
-  Mkc_sketch.F2_ams.add sk 3 100;
-  Mkc_sketch.F2_ams.add sk 3 (-100);
-  checkb "cancelled" true (Mkc_sketch.F2_ams.estimate sk = 0.0)
-
 let test_hh_clamp_ablation () =
   (* with clamp off, a light candidate colliding with the giant can be
      reported with an inflated value; with clamp on it cannot exceed its
@@ -301,7 +295,6 @@ let suite =
     Alcotest.test_case "field sub wraps" `Quick test_field_sub_wraps;
     Alcotest.test_case "pairwise words" `Quick test_pairwise_words;
     Alcotest.test_case "count-sketch turnstile" `Quick test_count_sketch_turnstile;
-    Alcotest.test_case "ams negative deltas" `Quick test_f2_ams_negative_deltas;
     Alcotest.test_case "hh clamp ablation" `Quick test_hh_clamp_ablation;
     Alcotest.test_case "kmv tiny cap" `Quick test_kmv_small_cap_boundary;
     Alcotest.test_case "reservoir below cap" `Quick test_reservoir_below_cap;

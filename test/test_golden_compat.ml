@@ -1,13 +1,15 @@
 (* Cross-era checkpoint compatibility.
 
-   [golden_estimate_ckpt_v2.ckpt] is an mkc-ckpt/2 checkpoint of the
+   [golden_estimate_ckpt_v3.ckpt] is an mkc-ckpt/3 checkpoint of the
    full 120-edge stream of a fixed small instance, as the pipeline
-   drive leaves it.  It holds the state of [golden_estimate_ckpt_v1.json],
-   the mkc-ckpt/1 JSON checkpoint serialized by the hashtable-backed
-   sketch implementations (captured before the flat-memory rewrite): the
-   two carry the same canonical (layout-free) dumps, so restoring the v2
-   bytes must finalize to exactly the result the old code produced.
-   The v1 file is kept only to pin that this build rejects it by name.
+   drive leaves it.  Every earlier era's code answered this instance the
+   same way: the hashtable-backed sketches that wrote
+   [golden_estimate_ckpt_v1.json] (mkc-ckpt/1, JSON), the flat sketches
+   that wrote [golden_estimate_ckpt_v2.ckpt] (mkc-ckpt/2, one SmallSet
+   store per guess), and the one-store SmallSet that wrote the v3 bytes.
+   Restoring the v3 bytes must finalize to exactly that old-era result.
+   The v1 and v2 files are kept only to pin that this build rejects them
+   by name.
 
    Instance (fixed forever — the golden bytes encode it):
      params   m=16 n=64 k=2 alpha=2.0 seed=5
@@ -23,7 +25,8 @@ module E = Mkc_core.Estimate
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let golden_path = "golden_estimate_ckpt_v2.ckpt"
+let golden_path = "golden_estimate_ckpt_v3.ckpt"
+let golden_v2_path = "golden_estimate_ckpt_v2.ckpt"
 let golden_v1_path = "golden_estimate_ckpt_v1.json"
 let golden_edges = 120
 let golden_estimate = 16.0
@@ -87,11 +90,11 @@ let test_golden_reencodes_byte_stable () =
   checkb "re-encoded envelope is byte-identical" true
     (String.equal (checkpoint_of est ~pos:ck.Ck.pos) (read golden_path))
 
-let test_v1_golden_rejected () =
-  match Ck.of_string (read golden_v1_path) with
-  | Error (Ck.Bad_version "mkc-ckpt/1") -> ()
-  | Error e -> Alcotest.failf "v1 golden: wrong error %s" (Ck.error_to_string e)
-  | Ok _ -> Alcotest.fail "v1 golden accepted"
+let rejected_as version path () =
+  match Ck.of_string (read path) with
+  | Error (Ck.Bad_version v) when v = version -> ()
+  | Error e -> Alcotest.failf "%s golden: wrong error %s" version (Ck.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s golden accepted" version
 
 let suite =
   [
@@ -101,5 +104,8 @@ let suite =
       test_golden_equals_fresh_run;
     Alcotest.test_case "restored golden re-encodes byte-stable" `Quick
       test_golden_reencodes_byte_stable;
-    Alcotest.test_case "v1 JSON golden rejected as Bad_version" `Quick test_v1_golden_rejected;
+    Alcotest.test_case "v1 JSON golden rejected as Bad_version" `Quick
+      (rejected_as "mkc-ckpt/1" golden_v1_path);
+    Alcotest.test_case "v2 golden rejected as Bad_version" `Quick
+      (rejected_as "mkc-ckpt/2" golden_v2_path);
   ]

@@ -4,7 +4,6 @@ module Sm = Mkc_hashing.Splitmix
 module Kmv = Mkc_sketch.Kmv
 module L0 = Mkc_sketch.L0_bjkst
 module Hll = Mkc_sketch.Hyperloglog
-module Ams = Mkc_sketch.F2_ams
 module Cs = Mkc_sketch.Count_sketch
 module Hh = Mkc_sketch.F2_heavy_hitter
 module F2c = Mkc_sketch.F2_contributing
@@ -121,32 +120,6 @@ let test_l0_estimators_agree () =
   List.iter
     (fun est -> checkb "estimator near 30k" true (within ~tol:0.3 ~truth:30_000 est))
     [ Kmv.estimate kmv; L0.estimate bjkst; Hll.estimate hll ]
-
-(* ---------- F2 / AMS ---------- *)
-
-let test_ams_accuracy_uniform () =
-  let sk = Ams.create ~groups:5 ~per_group:32 ~seed:(Sm.create 17) () in
-  (* 1000 items each with frequency 4: F2 = 16_000 *)
-  for pass = 1 to 4 do
-    ignore pass;
-    for i = 0 to 999 do
-      Ams.add sk i 1
-    done
-  done;
-  checkb "F2 within 40%" true (within ~tol:0.4 ~truth:16_000 (Ams.estimate sk))
-
-let test_ams_accuracy_skewed () =
-  let sk = Ams.create ~groups:5 ~per_group:32 ~seed:(Sm.create 18) () in
-  (* one item with frequency 1000, 100 with frequency 1: F2 = 1_000_100 *)
-  Ams.add sk 7 1000;
-  for i = 100 to 199 do
-    Ams.add sk i 1
-  done;
-  checkb "skewed F2 within 40%" true (within ~tol:0.4 ~truth:1_000_100 (Ams.estimate sk))
-
-let test_ams_empty () =
-  let sk = Ams.create ~seed:(Sm.create 19) () in
-  checkb "empty F2 = 0" true (Ams.estimate sk = 0.0)
 
 (* ---------- CountSketch / CountMin ---------- *)
 
@@ -568,9 +541,6 @@ let suite =
     Alcotest.test_case "hll merge" `Quick test_hll_merge;
     Alcotest.test_case "hll bits validation" `Quick test_hll_bits_validation;
     Alcotest.test_case "l0 estimators agree" `Quick test_l0_estimators_agree;
-    Alcotest.test_case "ams uniform" `Quick test_ams_accuracy_uniform;
-    Alcotest.test_case "ams skewed" `Quick test_ams_accuracy_skewed;
-    Alcotest.test_case "ams empty" `Quick test_ams_empty;
     Alcotest.test_case "count-sketch point queries" `Quick test_count_sketch_point_queries;
     Alcotest.test_case "count-sketch f2" `Quick test_count_sketch_f2;
     Alcotest.test_case "count-sketch absent item" `Quick test_count_sketch_unbiased_sign;

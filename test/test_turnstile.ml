@@ -8,7 +8,6 @@
    to never having inserted them. *)
 
 module Sm = Mkc_hashing.Splitmix
-module Ams = Mkc_sketch.F2_ams
 module Cs = Mkc_sketch.Count_sketch
 module Hh = Mkc_sketch.F2_heavy_hitter
 module F2c = Mkc_sketch.F2_contributing
@@ -73,7 +72,6 @@ let per_sketch_laws ~seed ~law :
         dump a = dump b
   in
   [
-    triple (fun () -> Ams.create ~seed:(Sm.create seed) ()) Ams.add Ams.merge_into Ams.dump;
     triple
       (fun () -> Cs.create ~width:32 ~seed:(Sm.create (seed + 1)) ())
       Cs.add Cs.merge_into Cs.dump;
@@ -155,7 +153,6 @@ let test_l0t_signed_feed_matches_set_variant_on_insertions () =
 
 module Lin = struct
   type t = {
-    ams : Ams.t;
     cs : Cs.t;
     hh : Hh.t;
     f2c : F2c.t;
@@ -165,7 +162,6 @@ module Lin = struct
   let create seed =
     let s = Sm.create seed in
     {
-      ams = Ams.create ~seed:(Sm.fork s 0) ();
       cs = Cs.create ~width:32 ~seed:(Sm.fork s 1) ();
       hh = Hh.create ~phi:0.1 ~seed:(Sm.fork s 2) ();
       f2c = F2c.create ~gamma:0.25 ~r:4 ~indep:4 ~seed:(Sm.fork s 3) ();
@@ -176,16 +172,15 @@ module Lin = struct
 
   let feed t (e : Edge.t) =
     let i = key e in
-    Ams.add t.ams i e.sign;
     Cs.add t.cs i e.sign;
     Hh.add t.hh i e.sign;
     F2c.add t.f2c i e.sign;
     L0t.add t.l0 ~delta:e.sign i
 
-  let dump t = (Ams.dump t.ams, Cs.dump t.cs, Hh.dump t.hh, F2c.dump t.f2c, L0t.dump t.l0)
+  let dump t = (Cs.dump t.cs, Hh.dump t.hh, F2c.dump t.f2c, L0t.dump t.l0)
 
   let words t =
-    Ams.words t.ams + Cs.words t.cs + Hh.words t.hh + F2c.words t.f2c + L0t.words t.l0
+    Cs.words t.cs + Hh.words t.hh + F2c.words t.f2c + L0t.words t.l0
 
   let sink : (t, unit) Sink.sink =
     (module struct
@@ -253,7 +248,6 @@ module Lin = struct
 
   let encode t =
     let w = Pk.writer () in
-    put_ints w (Ams.dump t.ams);
     put_rows w (Cs.dump t.cs);
     put_hh w (Hh.dump t.hh);
     Pk.put_f2c w t.f2c;
@@ -262,7 +256,6 @@ module Lin = struct
 
   let restore t s =
     Pk.decode s (fun r ->
-        Pk.check r (Ams.load_state t.ams (get_ints r));
         Pk.check r (Cs.load_state t.cs (get_rows r));
         restore_hh r t.hh;
         Pk.get_f2c r ~ids:max_int t.f2c;
