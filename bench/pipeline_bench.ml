@@ -137,7 +137,6 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
       Run.log = Some path;
       rules = [];
       probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown e);
-      live = None;
     }
   in
   let tel_drive path =

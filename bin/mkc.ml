@@ -258,7 +258,7 @@ let progress_reporter ~total interval_s =
 
 (* ---------- telemetry plumbing ---------- *)
 
-type telem_opts = { tfile : string option; thealth : string list; ttop : bool }
+type telem_opts = { tfile : string option; thealth : string list }
 
 let telem_term =
   let tfile =
@@ -283,36 +283,9 @@ let telem_term =
              trailing $(b,!) escalates the rule: its first firing aborts the run with \
              exit 3, like $(b,--budget-strict).")
   in
-  let ttop =
-    Arg.(
-      value & flag
-      & info [ "top" ]
-          ~doc:
-            "Repaint a live telemetry dashboard on stderr while the stream runs \
-             (throttled; ANSI rewrite on a tty) and print the final view after it.")
-  in
-  Term.(const (fun tfile thealth ttop -> { tfile; thealth; ttop }) $ tfile $ thealth $ ttop)
+  Term.(const (fun tfile thealth -> { tfile; thealth }) $ tfile $ thealth)
 
-let telemetry_wanted t = t.tfile <> None || t.thealth <> [] || t.ttop
-
-(* Throttled repaint on stderr: on a tty the previous frame is erased
-   (cursor-up + erase-below); otherwise frames append, which stays
-   readable when redirected to a file. *)
-let top_painter ?budget_words ~violations series =
-  let interval_ns = 500_000_000 in
-  let last = ref 0 in
-  let prev_lines = ref 0 in
-  let tty = Unix.isatty Unix.stderr in
-  fun ~final ->
-    let now = Mkc_obs.Clock.now_ns () in
-    if final || now - !last >= interval_ns then begin
-      last := now;
-      let s = Mkc_obs.Top.render ?budget_words ~violations:(violations ()) series in
-      if tty && !prev_lines > 0 then Printf.eprintf "\027[%dA\027[0J" !prev_lines;
-      prev_lines := List.length (String.split_on_char '\n' s) - 1;
-      prerr_string s;
-      flush stderr
-    end
+let telemetry_wanted t = t.tfile <> None || t.thealth <> []
 
 let load_stream path =
   (* Format dispatch on magic bytes: binary columnar files skip text
@@ -619,26 +592,10 @@ let answer ro ~rules ~src ~m ~n ~label
   in
   let total = Mkc_stream.Stream_source.length src in
   let progress = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
-  let painter = ref None in
-  let live series ~violations =
-    let p =
-      top_painter
-        ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
-        ~violations series
-    in
-    painter := Some p;
-    p
-  in
   let telemetry =
     match probes with
     | Some probes when telemetry_wanted ro.topts ->
-        Some
-          {
-            Mkc_core.Run.log = ro.topts.tfile;
-            rules;
-            probes;
-            live = (if ro.topts.ttop then Some live else None);
-          }
+        Some { Mkc_core.Run.log = ro.topts.tfile; rules; probes }
     | _ -> None
   in
   let ledger =
@@ -674,7 +631,6 @@ let answer ro ~rules ~src ~m ~n ~label
       print o.result;
       Format.printf "space: %d words@." o.words;
       Option.iter print_budget budget;
-      Option.iter (fun p -> p ~final:true) !painter;
       if telemetry <> None then
         Option.iter
           (fun path -> Format.printf "wrote telemetry: %s (%d samples)@." path o.samples)
@@ -727,14 +683,24 @@ let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_ou
     ~stats:(fun r -> [ ("epochs_rolled", float_of_int r.rolled); ("estimate", r.estimate) ])
     Mkc_core.Windowed.sink w
 
+(* The instance's params, refused by name (exit 2) before anything is
+   allocated when the flags and the stream's dimensions do not make a
+   valid instance, or one over [Estimate]'s size ceiling: a stray huge
+   set id would otherwise size LargeSet's tables from it. *)
+let instance_params ro ~m ~n =
+  match
+    Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
+  with
+  | exception Invalid_argument msg -> misuse "%s" msg
+  | p -> (
+      match Mkc_core.Estimate.check_ceiling p with Ok () -> p | Error msg -> misuse "%s" msg)
+
 let estimate ro ckpt every resume stop_after force_m force_n =
   let wincfg, rules = check_flags ~every ~ckpt:(ckpt <> None || resume <> None) ro in
   let src, m, n = load_stream ro.path in
   let src = truncate_source src stop_after in
   let m, n = forced_dims ~m ~n force_m force_n in
-  let params =
-    Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
-  in
+  let params = instance_params ro ~m ~n in
   let word_budget = Mkc_core.Estimate.word_budget params in
   match wincfg with
   | Some cfg ->
@@ -774,9 +740,7 @@ let estimate_cmd =
 let report ro =
   let wincfg, rules = check_flags ro in
   let src, m, n = load_stream ro.path in
-  let params =
-    Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
-  in
+  let params = instance_params ro ~m ~n in
   match wincfg with
   | Some cfg ->
       answer_windowed ro ~rules ~src ~m ~n ~label:"report"
@@ -805,7 +769,7 @@ let report_cmd =
     (Cmd.info "report" ~doc:"α-approximate k-cover reporting (Theorem 3.2)")
     Term.(
       const report
-      $ run_term (Term.const { tfile = None; thealth = []; ttop = false }) (Term.const false))
+      $ run_term (Term.const { tfile = None; thealth = [] }) (Term.const false))
 
 (* ---------- greedy ---------- *)
 
@@ -1339,19 +1303,13 @@ let doctor snapshot telemetry trace ledger =
                   exit 1)
             last.e_quality;
           List.iter
-            (fun (name, (d : Mkc_obs.Metric.Histogram.digest)) ->
+            (fun (name, (d : Mkc_obs.Histogram.digest)) ->
               match metric name with
-              | Some { mvalue = Mkc_obs.Snapshot.Histogram h; _ }
-                when h.Mkc_obs.Snapshot.hcount = d.d_count
-                     && Float.abs (h.Mkc_obs.Snapshot.hsum -. float_of_int d.d_sum) <= 0.5
-                ->
-                  ()
-              | Some { mvalue = Mkc_obs.Snapshot.Histogram h; _ } ->
+              | Some { mvalue = Histogram h; _ } when h.count = d.d_count && h.sum = d.d_sum -> ()
+              | Some { mvalue = Histogram h; _ } ->
                   Format.eprintf
-                    "%s: digest %S (count %d, sum %d) disagrees with %s (count %d, sum \
-                     %.0f)@."
-                    file name d.d_count d.d_sum snapfile h.Mkc_obs.Snapshot.hcount
-                    h.Mkc_obs.Snapshot.hsum;
+                    "%s: digest %S (count %d, sum %d) disagrees with %s (count %d, sum %d)@."
+                    file name d.d_count d.d_sum snapfile h.count h.sum;
                   exit 1
               | _ ->
                   Format.eprintf "%s: digest %S has no histogram in %s@." file name snapfile;

@@ -322,8 +322,9 @@ let codec (p : Params.t) : t Mkc_stream.Checkpoint.codec =
             restore_state r t));
   }
 
-(* The most words [decode] lets a payload's params make [create]
-   allocate: 2^28 (2 GiB), five times the largest benchmark instance.
+(* The most words [create] may be asked to allocate, by [decode] for a
+   payload's params and by the CLI for a stream's: 2^28 (2 GiB), five
+   times the largest benchmark instance.
    Besides the sketches {!word_budget} bounds, [create] builds LargeSet's
    per-superset decision tables, O(m log m) words per oracle instance
    whatever α is, so both terms are checked. *)
@@ -335,14 +336,18 @@ let create_words (p : Params.t) =
     Float.max (budget_words p)
       (instances p *. 16.0 *. float_of_int p.m *. Params.log2f p.m)
 
+let check_ceiling (p : Params.t) =
+  if create_words p > decode_ceiling then
+    Error
+      (Printf.sprintf
+         "params (m=%d, n=%d, k=%d, alpha=%g) need %.3g words, over the decode ceiling of %.0f"
+         p.m p.n p.k p.alpha (create_words p) decode_ceiling)
+  else Ok ()
+
 let decode s =
   Mkc_sketch.Packed.decode s (fun r ->
       let p = Params.get r in
-      if create_words p > decode_ceiling then
-        Mkc_sketch.Packed.fail r
-          "estimate: params (m=%d, n=%d, k=%d, alpha=%g) need %.3g words, over the decode \
-           ceiling of %.0f"
-          p.m p.n p.k p.alpha (create_words p) decode_ceiling;
+      Result.iter_error (Mkc_sketch.Packed.fail r "estimate: %s") (check_ceiling p);
       let t = create p in
       restore_state r t;
       t)

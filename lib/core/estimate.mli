@@ -134,14 +134,18 @@ val codec : Params.t -> t Mkc_stream.Checkpoint.codec
     describe a different instance ({!Params.same_instance}) and any
     malformed state. *)
 
+val check_ceiling : Params.t -> (unit, string) Stdlib.result
+(** [Error] naming the params when the instance {!create} would build
+    takes over 2^28 words: its sketch budget ({!word_budget}) or
+    LargeSet's O(m log m) per-instance tables, whichever is larger.
+    {!decode} and the CLI refuse such params before allocating. *)
+
 val decode : string -> (t, string) Stdlib.result
 (** Rebuild an estimator from a bare {!codec} payload: decode the
     embedded params, {!create}, then overlay the state.  Checkpoint
     files are self-describing — the merge/validate CLI needs no
     instance flags.  The params are validated ({!Params.make}) and
-    capped before anything is allocated: params whose instance would
-    take over 2^28 words (its sketch budget, {!word_budget}, or
-    LargeSet's O(m log m) per-instance tables) are an [Error]. *)
+    capped by {!check_ceiling} before anything is allocated. *)
 
 val params : t -> Params.t
 

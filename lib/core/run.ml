@@ -26,9 +26,6 @@ type telemetry = {
   rules : Mkc_obs.Health.rule list;
   probes :
     breakdown:(unit -> (string * int) list) -> Mkc_obs.Telemetry.Recorder.probe array;
-  live :
-    (Mkc_obs.Series.t -> violations:(unit -> (string * int) list) -> final:bool -> unit)
-    option;
 }
 
 type 's ckpt = 's Pipe.checkpoint = {
@@ -73,11 +70,11 @@ let error_to_string = function
 (* Raised out of the drive and turned into [Error] by [run]. *)
 exception Abort of error
 
-(* Ring rows retained for the live view; the log and the running
-   min/max/last summaries cover the whole run regardless. *)
+(* Ring rows retained in memory; the log and the running min/max/last
+   summaries cover the whole run regardless. *)
 let telemetry_ring = 512
 
-(* Tie a recorder (and its log, health engine and live view) to the
+(* Tie a recorder (and its log and health engine) to the
    observer's sampling cadence. *)
 let attach_telemetry t ob =
   let probes = t.probes ~breakdown:(fun () -> Sink.Observed.sampled_breakdown ob) in
@@ -107,12 +104,9 @@ let attach_telemetry t ob =
           Mkc_obs.Telemetry.Recorder.close recorder;
           raise (Abort (Health_rules msg)))
   in
-  let violations () = match engine with Some e -> Mkc_obs.Health.violations e | None -> [] in
-  let paint = Option.map (fun live -> live series ~violations) t.live in
   Sink.Observed.set_on_sample ob (fun ~edges ~words:_ ->
       Mkc_obs.Telemetry.Recorder.sample recorder ~at_edges:edges;
-      Option.iter Mkc_obs.Health.check engine;
-      Option.iter (fun p -> p ~final:false) paint);
+      Option.iter Mkc_obs.Health.check engine);
   recorder
 
 (* The drive: one Pipeline.drive call over [shards state] when

@@ -35,18 +35,14 @@ val default : config
 (** One domain, {!Mkc_stream.Pipeline.default_chunk}, the observer's
     default cadence, nothing observed. *)
 
-(** Health rules and the live view ride on telemetry samples. *)
+(** Health rules ride on telemetry samples; a live view is
+    [mkc top --follow] over the log. *)
 type telemetry = {
   log : string option;  (** binary telemetry log to write *)
   rules : Mkc_obs.Health.rule list;  (** checked on every sample *)
   probes :
     breakdown:(unit -> (string * int) list) -> Mkc_obs.Telemetry.Recorder.probe array;
       (** e.g. [Telemetry_probes.build est] *)
-  live :
-    (Mkc_obs.Series.t -> violations:(unit -> (string * int) list) -> final:bool -> unit)
-    option;
-      (** applied to the series once at set-up; the closure it returns
-          is called after every sample with [~final:false] *)
 }
 
 (** A checkpointed run: the codec, saves every [every] chunk windows to

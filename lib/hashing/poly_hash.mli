@@ -23,10 +23,6 @@ val hash : t -> int -> int
 (** [hash t x] evaluates the polynomial at [x] and reduces to the range.
     [x] may be any non-negative int below 2^61 - 1. *)
 
-val field_value : t -> int -> int
-(** The raw field evaluation in [\[0, 2^61 - 1)], before range
-    reduction. Useful when full-width hash values are needed (e.g. KMV). *)
-
 val keep : t -> int -> bool
 (** [keep t x] is [hash t x = 0]: true with probability [1 / range].
     This is the paper's "if h(S) = 1" subsampling test. *)

@@ -19,50 +19,17 @@ let num f =
   else if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
   else Printf.sprintf "%g" f
 
-(* Bucket upper bound for the [le] label / quantile report. *)
-let bucket_bound i = float_of_int (Histogram.bound_of_bucket i)
-
 let prometheus (s : Snapshot.t) =
   let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
   List.iter
     (fun (m : Snapshot.metric) ->
-      let n = sanitize m.Snapshot.mname in
-      match m.Snapshot.mvalue with
-      | Snapshot.Counter c ->
-          line "# TYPE %s counter" n;
-          line "%s %d" n c
-      | Snapshot.Gauge g ->
-          line "# TYPE %s gauge" n;
-          line "%s %s" n (num g)
-      | Snapshot.Histogram h ->
-          line "# TYPE %s histogram" n;
-          let cum = ref 0 in
-          List.iter
-            (fun (i, c) ->
-              cum := !cum + c;
-              line "%s_bucket{le=\"%s\"} %d" n (num (bucket_bound i)) !cum)
-            h.Snapshot.hbuckets;
-          line "%s_bucket{le=\"+Inf\"} %d" n h.Snapshot.hcount;
-          line "%s_sum %s" n (num h.Snapshot.hsum);
-          line "%s_count %d" n h.Snapshot.hcount)
-    s.Snapshot.metrics;
+      let n = sanitize m.mname in
+      match m.mvalue with
+      | Counter c -> Printf.bprintf b "# TYPE %s counter\n%s %d\n" n n c
+      | Gauge g -> Printf.bprintf b "# TYPE %s gauge\n%s %s\n" n n (num g)
+      | Histogram h -> Buffer.add_string b (Histogram.prometheus ~name:n h))
+    s.metrics;
   Buffer.contents b
-
-let quantile_of_hist (h : Snapshot.hist) q =
-  if h.Snapshot.hcount = 0 then 0.0
-  else begin
-    let rank = Histogram.ceil_rank q h.Snapshot.hcount in
-    let seen = ref 0 and hit = ref None in
-    List.iter
-      (fun (i, c) ->
-        seen := !seen + c;
-        if !hit = None && !seen >= rank then hit := Some i)
-      h.Snapshot.hbuckets;
-    match !hit with
-    | Some i -> Float.min (bucket_bound i) h.Snapshot.hmax
-    | None -> h.Snapshot.hmax
-  end
 
 let pp_ns ns =
   if ns >= 1e9 then Printf.sprintf "%.2fs" (ns /. 1e9)
@@ -73,16 +40,16 @@ let pp_ns ns =
 let summary (s : Snapshot.t) =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "== metrics (schema %s) ==" s.Snapshot.schema;
+  line "== metrics (schema %s) ==" s.schema;
   List.iter
     (fun (m : Snapshot.metric) ->
-      match m.Snapshot.mvalue with
-      | Snapshot.Counter c -> line "  %-48s %d" m.Snapshot.mname c
-      | Snapshot.Gauge g -> line "  %-48s %s" m.Snapshot.mname (num g)
-      | Snapshot.Histogram h ->
-          line "  %-48s n=%d p50=%s p99=%s max=%s" m.Snapshot.mname h.Snapshot.hcount
-            (pp_ns (quantile_of_hist h 0.5))
-            (pp_ns (quantile_of_hist h 0.99))
-            (pp_ns h.Snapshot.hmax))
-    s.Snapshot.metrics;
+      match m.mvalue with
+      | Counter c -> line "  %-48s %d" m.mname c
+      | Gauge g -> line "  %-48s %s" m.mname (num g)
+      | Histogram h ->
+          (* the 1.0-quantile is the observed max *)
+          let ns q = pp_ns (float_of_int (Histogram.quantile h q)) in
+          line "  %-48s n=%d p50=%s p99=%s max=%s" m.mname h.count (ns 0.5) (ns 0.99)
+            (ns 1.0))
+    s.metrics;
   Buffer.contents b

@@ -1,4 +1,6 @@
-(** Render a {!Snapshot} for people and scrapers. *)
+(** Render a {!Snapshot} for people and scrapers.  Histograms are the
+    registry's {!Histogram.t}: their exposition is
+    {!Histogram.prometheus} and their quantiles {!Histogram.quantile}. *)
 
 val prometheus : Snapshot.t -> string
 (** Prometheus text exposition (version 0.0.4): one [# TYPE] line per

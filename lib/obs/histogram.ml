@@ -15,8 +15,8 @@
    Everything is an immediate int: [record] performs no allocation
    (the allocation test pins this at <= 0 minor words per record), and
    [merge] is a commutative monoid with [create ()] as identity — the
-   same law the Metric scalars obey, so per-domain registry shards can
-   merge in any order. *)
+   law the registry's counters and gauges obey too, so per-domain
+   shards can merge in any order. *)
 
 type t = {
   mutable count : int;
@@ -237,7 +237,7 @@ let of_json j =
     t.sum <- sum;
     t.vmin <- (if count = 0 then max_int else vmin);
     t.vmax <- (if count = 0 then min_int else vmax);
-    List.iter (fun (i, c) -> t.buckets.(i) <- c) pairs;
+    List.iter (fun (i, c) -> t.buckets.(i) <- t.buckets.(i) + c) pairs;
     Ok t
   end
 

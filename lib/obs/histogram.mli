@@ -1,4 +1,8 @@
-(** Mergeable log-linear (HDR-style) latency histogram.
+(** Mergeable log-linear (HDR-style) latency histogram: the one
+    histogram type, from the registry cell it is recorded in to the
+    snapshot ({!to_json}/{!of_json}), the Prometheus exposition
+    ({!prometheus}), the [--metrics] summary ({!quantile}) and the run
+    ledger ({!digest}).
 
     Integer-valued (nanoseconds, sizes): each power-of-two octave is
     split into {!sub_buckets} linear sub-buckets, so any value is

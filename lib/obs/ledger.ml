@@ -7,35 +7,20 @@
    self-describing: a record written by an older binary stays readable
    field-by-field, and new fields never invalidate old readers. *)
 
-type error =
-  | Bad_magic of string
-  | Bad_version of int
-  | Truncated of string
-  | Checksum_mismatch of { expected : string; got : string }
-  | Malformed of string
-  | Io_error of string
+type error = Telemetry.error
 
 let magic = "MKCLEDG1"
 let version = 1
 let record_schema = "mkc-ledger/1"
 
-let error_to_string = function
-  | Bad_magic s -> Printf.sprintf "not a run ledger (magic %S, expected %S)" s magic
+(* The telemetry log's wording, naming the run ledger. *)
+let error_to_string : error -> string = function
+  | Telemetry.Bad_magic s -> Printf.sprintf "not a run ledger (magic %S, expected %S)" s magic
   | Bad_version v ->
       Printf.sprintf "unsupported run ledger version %d (this build reads %d)" v version
   | Truncated msg -> Printf.sprintf "truncated run ledger: %s" msg
-  | Checksum_mismatch { expected; got } ->
-      Printf.sprintf "checksum mismatch: frame says %s, payload hashes to %s" got expected
   | Malformed msg -> Printf.sprintf "malformed run ledger: %s" msg
-  | Io_error msg -> Printf.sprintf "i/o error: %s" msg
-
-let of_telemetry_error : Telemetry.error -> error = function
-  | Telemetry.Bad_magic s -> Bad_magic s
-  | Telemetry.Bad_version v -> Bad_version v
-  | Telemetry.Truncated s -> Truncated s
-  | Telemetry.Checksum_mismatch { expected; got } -> Checksum_mismatch { expected; got }
-  | Telemetry.Malformed s -> Malformed s
-  | Telemetry.Io_error s -> Io_error s
+  | (Checksum_mismatch _ | Io_error _) as e -> Telemetry.error_to_string e
 
 type mode_stat = {
   ms_mode : string;
@@ -226,13 +211,12 @@ let header_status path =
             Telemetry.Framed.check_header
               (Bytes.of_string (really_input_string ic len))
               ~magic ~version
-            |> Result.map (fun () -> `Ok)
-            |> Result.map_error of_telemetry_error)
+            |> Result.map (fun () -> `Ok))
 
 let append path e =
   let* status = header_status path in
   match open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path with
-  | exception Sys_error msg -> Error (Io_error msg)
+  | exception Sys_error msg -> Error (Telemetry.Io_error msg)
   | oc ->
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
@@ -244,18 +228,12 @@ let append path e =
           Ok ())
 
 let read path =
-  match Telemetry.Framed.read_all ~magic ~version path with
-  | Error e -> Error (of_telemetry_error e)
-  | Ok (payloads, torn) ->
-      let torn = Option.map of_telemetry_error torn in
-      let rec go i acc = function
-        | [] -> Ok { entries = List.rev acc; torn }
-        | p :: rest -> (
-            match Json.parse (Bytes.to_string p) with
-            | Error msg -> Error (Malformed (Printf.sprintf "record %d: %s" i msg))
-            | Ok j -> (
-                match entry_of_json j with
-                | Error msg -> Error (Malformed (Printf.sprintf "record %d: %s" i msg))
-                | Ok e -> go (i + 1) (e :: acc) rest))
-      in
-      go 0 [] payloads
+  let* payloads, torn = Telemetry.Framed.read_all ~magic ~version path in
+  let rec go i acc = function
+    | [] -> Ok { entries = List.rev acc; torn }
+    | p :: rest -> (
+        match Result.bind (Json.parse (Bytes.to_string p)) entry_of_json with
+        | Error msg -> Error (Telemetry.Malformed (Printf.sprintf "record %d: %s" i msg))
+        | Ok e -> go (i + 1) (e :: acc) rest)
+  in
+  go 0 [] payloads

@@ -14,20 +14,15 @@
                    payload      one JSON run record
     v}
 
-    Same error contract as the telemetry log: every rejection is a
-    named variant, a torn final frame (crash mid-append) keeps the
+    Same error type and contract as the telemetry log
+    ({!Telemetry.error}): every rejection is a named variant, a torn final frame (crash mid-append) keeps the
     intact prefix and is reported in [store.torn], and a checksum
     mismatch is fatal. *)
 
-type error =
-  | Bad_magic of string
-  | Bad_version of int
-  | Truncated of string
-  | Checksum_mismatch of { expected : string; got : string }
-  | Malformed of string
-  | Io_error of string
+type error = Telemetry.error
 
 val error_to_string : error -> string
+(** {!Telemetry.error_to_string}, with the file named a run ledger. *)
 
 val magic : string
 val version : int

@@ -7,7 +7,7 @@ type kind = Kcounter | Kgauge of [ `Sum | `Max ] | Khistogram
 type cell =
   | Ccell of { mutable v : int }
   | Gcell of { mutable v : float }
-  | Hcell of Metric.Histogram.t
+  | Hcell of Histogram.t
 
 (* One shard per (registry, domain).  Cell values are written lock-free
    by the owning domain; the shard lock only guards the cells table's
@@ -45,7 +45,7 @@ let my_shard t =
 let fresh_cell = function
   | Kcounter -> Ccell { v = 0 }
   | Kgauge _ -> Gcell { v = 0.0 }
-  | Khistogram -> Hcell (Metric.Histogram.create ())
+  | Khistogram -> Hcell (Histogram.create ())
 
 let register t name kind =
   Mutex.lock t.lock;
@@ -101,7 +101,7 @@ let set g v =
 let record h n =
   if !switch then
     match cell h.hr h.hname Khistogram with
-    | Hcell hist -> Metric.Histogram.record hist n
+    | Hcell hist -> Histogram.record hist n
     | _ -> assert false
 
 let observe h v = record h (int_of_float v)
@@ -110,7 +110,7 @@ let observe_ns h ns = record h ns
 type value =
   | Counter of int
   | Gauge of float
-  | Histogram of Metric.Histogram.t
+  | Histogram of Histogram.t
 
 (* Merged read of one metric across a stable shard-list snapshot
    (shards themselves are locked one by one while their table is
@@ -126,23 +126,22 @@ let merged name kind shards =
       | None -> ()
       | Some c ->
           let v =
-            match (c, kind) with
-            | Ccell r, _ -> Counter r.v
-            | Gcell r, _ -> Gauge r.v
-            | Hcell h, _ ->
-                let copy = Metric.Histogram.create () in
-                Metric.Histogram.merge_into ~dst:copy h;
+            match c with
+            | Ccell r -> Counter r.v
+            | Gcell r -> Gauge r.v
+            | Hcell h ->
+                let copy = Histogram.create () in
+                Histogram.merge_into ~dst:copy h;
                 Histogram copy
           in
           acc :=
             Some
               (match (!acc, v) with
               | None, v -> v
-              | Some (Counter a), Counter b -> Counter (Metric.merge_counter a b)
+              | Some (Counter a), Counter b -> Counter (a + b)
               | Some (Gauge a), Gauge b ->
-                  let mode = match kind with Kgauge m -> m | _ -> `Sum in
-                  Gauge (Metric.merge_gauge mode a b)
-              | Some (Histogram a), Histogram b -> Histogram (Metric.Histogram.merge a b)
+                  Gauge (match kind with Kgauge `Max -> Float.max a b | _ -> a +. b)
+              | Some (Histogram a), Histogram b -> Histogram (Histogram.merge a b)
               | Some _, v -> v))
     shards;
   match !acc with
@@ -152,7 +151,7 @@ let merged name kind shards =
       match kind with
       | Kcounter -> Counter 0
       | Kgauge _ -> Gauge 0.0
-      | Khistogram -> Histogram (Metric.Histogram.create ()))
+      | Khistogram -> Histogram (Histogram.create ()))
 
 let read t name =
   Mutex.lock t.lock;
@@ -181,7 +180,7 @@ let reset t =
           match c with
           | Ccell r -> r.v <- 0
           | Gcell r -> r.v <- 0.0
-          | Hcell h -> Metric.Histogram.clear h)
+          | Hcell h -> Histogram.clear h)
         s.cells;
       Mutex.unlock s.lock)
     shards

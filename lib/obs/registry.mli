@@ -4,10 +4,12 @@
     goes to a cell owned by the writing domain (found through
     domain-local storage, created lazily), so the hot path takes no
     lock and shares no mutable cell between domains.  Reads
-    ({!read}/{!dump}) merge the per-domain cells with the {!Metric}
-    monoid — merged totals are exactly what a single-domain run would
-    have produced, which is what makes sequential and domain-parallel
-    ingestion comparable metric-for-metric.
+    ({!read}/{!dump}) merge the per-domain cells — counters by sum,
+    gauges by their registered mode, histograms by {!Histogram.merge},
+    each a commutative monoid — so merged totals are exactly what a
+    single-domain run would have produced, which is what makes
+    sequential and domain-parallel ingestion comparable
+    metric-for-metric.  [test/test_obs.ml] checks the merge laws.
 
     Writes racing with a merged read may be missed by that read (the
     usual monitoring staleness); totals are exact whenever the writers
@@ -47,7 +49,9 @@ type histogram
 
 val counter : t -> string -> counter
 val gauge : ?mode:[ `Sum | `Max ] -> t -> string -> gauge
-(** Default mode [`Sum]; see {!Metric.merge_gauge}. *)
+(** Default mode [`Sum], for quantities additive across domains (busy
+    time, retained words); [`Max] merges high-water marks (wall time,
+    peaks). *)
 
 val histogram : t -> string -> histogram
 
@@ -69,7 +73,7 @@ val observe_ns : histogram -> int -> unit
 type value =
   | Counter of int
   | Gauge of float
-  | Histogram of Metric.Histogram.t
+  | Histogram of Histogram.t
 
 val read : t -> string -> value option
 (** Merged-across-domains value of one metric; [None] if never

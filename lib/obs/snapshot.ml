@@ -1,61 +1,28 @@
-type hist = {
-  hcount : int;
-  hsum : float;
-  hmin : float;
-  hmax : float;
-  hbuckets : (int * int) list;
-}
-
-type value = Counter of int | Gauge of float | Histogram of hist
+type value = Registry.value = Counter of int | Gauge of float | Histogram of Histogram.t
 type metric = { mname : string; mvalue : value }
 type t = { schema : string; created_ns : int; metrics : metric list }
 
 let schema_version = "mkc-obs/6"
 
-let hist_of_metric (h : Metric.Histogram.t) =
-  {
-    hcount = h.count;
-    hsum = float_of_int h.sum;
-    hmin = (if h.count = 0 then 0.0 else float_of_int h.vmin);
-    hmax = (if h.count = 0 then 0.0 else float_of_int h.vmax);
-    hbuckets = Metric.Histogram.nonzero_buckets h;
-  }
-
 let capture ?now_ns registry =
   let now_ns = match now_ns with Some t -> t | None -> Clock.now_ns () in
-  let metrics =
-    Registry.dump registry
-    |> List.map (fun (mname, v) ->
-           let mvalue =
-             match v with
-             | Registry.Counter c -> Counter c
-             | Registry.Gauge g -> Gauge g
-             | Registry.Histogram h -> Histogram (hist_of_metric h)
-           in
-           { mname; mvalue })
-  in
+  let metrics = List.map (fun (mname, mvalue) -> { mname; mvalue }) (Registry.dump registry) in
   { schema = schema_version; created_ns = now_ns; metrics }
 
 (* ---------- emission ---------- *)
 
+(* A histogram metric is its name and kind followed by
+   [Histogram.to_json]'s fields. *)
 let json_of_metric m =
-  let base = [ ("name", Json.String m.mname) ] in
+  let head kind = [ ("name", Json.String m.mname); ("kind", Json.String kind) ] in
   Json.Object
     (match m.mvalue with
-    | Counter c -> base @ [ ("kind", Json.String "counter"); ("value", Json.Int c) ]
-    | Gauge g -> base @ [ ("kind", Json.String "gauge"); ("value", Json.Float g) ]
-    | Histogram h ->
-        base
-        @ [
-            ("kind", Json.String "histogram");
-            ("count", Json.Int h.hcount);
-            ("sum", Json.Float h.hsum);
-            ("min", Json.Float h.hmin);
-            ("max", Json.Float h.hmax);
-            ( "buckets",
-              Json.Array
-                (List.map (fun (i, c) -> Json.Array [ Json.Int i; Json.Int c ]) h.hbuckets) );
-          ])
+    | Counter c -> head "counter" @ [ ("value", Json.Int c) ]
+    | Gauge g -> head "gauge" @ [ ("value", Json.Float g) ]
+    | Histogram h -> (
+        match Histogram.to_json h with
+        | Json.Object fields -> head "histogram" @ fields
+        | _ -> assert false))
 
 let to_json t =
   Json.Object
@@ -88,14 +55,6 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
-let int_pair name j =
-  match j with
-  | Json.Array [ a; b ] -> (
-      match (Json.to_int a, Json.to_int b) with
-      | Some x, Some y -> Ok (x, y)
-      | _ -> Error (Printf.sprintf "%s: bad pair element" name))
-  | _ -> Error (Printf.sprintf "%s: expected 2-element array" name)
-
 let metric_of_json j =
   let* mname = field "metric" "name" Json.to_string_opt j in
   let ctx = Printf.sprintf "metric %S" mname in
@@ -109,20 +68,8 @@ let metric_of_json j =
         let* v = field ctx "value" Json.to_float j in
         Ok (Gauge v)
     | "histogram" ->
-        let* hcount = field ctx "count" Json.to_int j in
-        let* hsum = field ctx "sum" Json.to_float j in
-        let* hmin = field ctx "min" Json.to_float j in
-        let* hmax = field ctx "max" Json.to_float j in
-        let* raw = list_field ctx "buckets" j in
-        let* hbuckets = map_result (int_pair ctx) raw in
-        if
-          List.exists
-            (fun (i, c) -> i < 0 || i >= Metric.Histogram.num_buckets || c < 0)
-            hbuckets
-        then Error (ctx ^ ": bucket index or count out of range")
-        else if List.fold_left (fun a (_, c) -> a + c) 0 hbuckets <> hcount then
-          Error (ctx ^ ": bucket counts do not sum to count")
-        else Ok (Histogram { hcount; hsum; hmin; hmax; hbuckets })
+        let* h = Result.map_error (fun e -> ctx ^ ": " ^ e) (Histogram.of_json j) in
+        Ok (Histogram h)
     | k -> Error (Printf.sprintf "%s: unknown kind %S" ctx k)
   in
   Ok { mname; mvalue }

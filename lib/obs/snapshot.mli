@@ -2,8 +2,10 @@
     the merged registry metrics, frozen at the end of a run.
 
     The JSON schema is {!schema_version} ("mkc-obs/6"), an object with
-    exactly the keys [schema], [created_ns] and [metrics]; histogram
-    buckets use the log-linear {!Histogram} layout.  Every other fact
+    exactly the keys [schema], [created_ns] and [metrics].  A metric
+    is [name], [kind] and either a [value] or, for a histogram,
+    {!Histogram.to_json}'s fields (integer count, sum, min and max and
+    the sparse log-linear buckets).  Every other fact
     of a run has one home elsewhere and is not copied here: individual
     spans live in the {!Trace} timeline (their latency histograms
     [span.<name>.ns] are metrics), and the sampled time series — the
@@ -21,17 +23,10 @@
     by name), so snapshots taken under an injected {!Clock} source are
     golden-test stable. *)
 
-type hist = {
-  hcount : int;
-  hsum : float;
-  hmin : float;  (** 0 when empty *)
-  hmax : float;
-  hbuckets : (int * int) list;
-      (** (bucket index, count), ascending, in the log-linear
-          {!Histogram} layout. *)
-}
+type value = Registry.value = Counter of int | Gauge of float | Histogram of Histogram.t
+(** The registry's own merged values: a snapshot holds the same
+    {!Histogram.t} the registry recorded. *)
 
-type value = Counter of int | Gauge of float | Histogram of hist
 type metric = { mname : string; mvalue : value }
 type t = { schema : string; created_ns : int; metrics : metric list }
 
@@ -39,15 +34,16 @@ val schema_version : string
 (** Emission schema, ["mkc-obs/6"]. *)
 
 val capture : ?now_ns:int -> Registry.t -> t
-(** Merge-read the registry into a snapshot.  [now_ns] defaults to
-    {!Clock.now_ns}.  Always stamps {!schema_version}. *)
+(** {!Registry.dump} stamped with [now_ns] (default {!Clock.now_ns})
+    and {!schema_version}. *)
 
 val to_json : t -> Json.t
 val to_string : t -> string
 
 val of_json : Json.t -> (t, string) result
 (** Parse AND validate: schema version, field presence, kinds, types,
-    histogram bucket sums, and the [space.*]
+    histograms through {!Histogram.of_json} (integral numbers in either
+    JSON spelling, so a [3.0] sum still reads), and the [space.*]
     budget gauges — all five of [space.budget_words],
     [space.peak_words], [space.headroom], [space.overshoots] and
     [space.samples] or none; integral non-negative counts;

@@ -319,11 +319,6 @@ type summary = {
   t_p99 : int;
 }
 
-(* The ceil-rank definition lives in Histogram so raw-sample summaries
-   and histogram digests share one quantile (asserted equal on a fixture
-   in test_telemetry.ml). *)
-let quantile = Histogram.quantile_sorted
-
 let summarize log =
   let n = List.length log.samples in
   Array.to_list log.tracks
@@ -341,8 +336,8 @@ let summarize log =
              t_min = vals.(0);
              t_max = vals.(n - 1);
              t_last;
-             t_p50 = quantile vals 0.5;
-             t_p99 = quantile vals 0.99;
+             t_p50 = Histogram.quantile_sorted vals 0.5;
+             t_p99 = Histogram.quantile_sorted vals 0.99;
            }
          end)
 

@@ -118,11 +118,9 @@ type summary = {
 
 val summarize : log -> summary list
 (** Per-track summary over all samples, in directory order.  Tracks
-    with no samples report all-zero fields with [t_count = 0]. *)
-
-val quantile : int array -> float -> int
-(** [quantile sorted q] with [sorted] ascending: the smallest element
-    whose rank covers fraction [q] of the data (0 on empty input). *)
+    with no samples report all-zero fields with [t_count = 0].  The
+    quantiles are {!Histogram.quantile_sorted}'s ceil rank, the one
+    histogram digests use. *)
 
 val replay : ?capacity:int -> log -> Series.t
 (** Rebuild a {!Series} from a log's samples (capacity defaults to

@@ -252,261 +252,3 @@ let prunes t = t.prunes
    table preallocates 2·(cap+1) slots (a bounded constant factor over
    the live entries); DESIGN.md records the resident-size mapping. *)
 let words t = (2 * t.occ) + Mkc_hashing.Tabulation.words t.tab + 2
-
-(* Deletion-tolerant counting variant.  The insertion-only sketch above
-   keeps a SET of fingerprints, which cannot honour a deletion; here
-   each buffered fingerprint carries the signed sum of its updates and
-   leaves the buffer (backward-shift, no tombstones) when that sum
-   returns to zero — so the live buffer is exactly
-   { fp : level(fp) ≥ z, signed count ≠ 0 } and insert-then-delete is
-   bit-for-bit never-inserted on the canonical dump.  Level raises
-   filter insertions and deletions of the same element identically
-   (they share the hash), so pruning never strands a half-cancelled
-   pair.  [z] never decreases: after massive deletion the estimate is
-   conservative (a standard property of level-based L0 under
-   turnstile), which is why the oracle keeps the set variant for
-   insertion-only regimes. *)
-module Turnstile = struct
-  type t = {
-    cap : int;
-    tab : Mkc_hashing.Tabulation.t;
-    mask : int;
-    fp_lo : int array;
-    fp_hi : int array;
-    lvl : int array; (* -1 = empty *)
-    cnt : int array; (* signed multiplicity; never 0 while live *)
-    s_lo : int array;
-    s_hi : int array;
-    s_lvl : int array;
-    s_cnt : int array;
-    mutable occ : int;
-    mutable z : int;
-    mutable prunes : int;
-  }
-
-  let create ?(cap = 96) ~seed () =
-    if cap < 4 then invalid_arg "L0_bjkst.Turnstile.create: cap must be >= 4";
-    let slots = pow2_at_least (2 * (cap + 1)) 16 in
-    {
-      cap;
-      tab = Mkc_hashing.Tabulation.create ~seed;
-      mask = slots - 1;
-      fp_lo = Array.make slots 0;
-      fp_hi = Array.make slots 0;
-      lvl = Array.make slots (-1);
-      cnt = Array.make slots 0;
-      s_lo = Array.make (cap + 1) 0;
-      s_hi = Array.make (cap + 1) 0;
-      s_lvl = Array.make (cap + 1) 0;
-      s_cnt = Array.make (cap + 1) 0;
-      occ = 0;
-      z = 0;
-      prunes = 0;
-    }
-
-  let[@inline] slot_of t lo hi =
-    let h = lo lxor ((hi + lo) * 0x2545_F491_4F6C_DD1D) in
-    (h lxor (h lsr 21)) land t.mask
-
-  let rec probe t lo hi s =
-    if Array.unsafe_get t.lvl s < 0 then s
-    else if Array.unsafe_get t.fp_lo s = lo && Array.unsafe_get t.fp_hi s = hi then s
-    else probe t lo hi ((s + 1) land t.mask)
-
-  (* Backward-shift deletion, as in F2_heavy_hitter.remove_at: slide
-     back every cluster entry whose probe path crosses the hole. *)
-  let remove_at t s =
-    t.occ <- t.occ - 1;
-    let mask = t.mask in
-    let hole = ref s in
-    Array.unsafe_set t.lvl s (-1);
-    let j = ref ((s + 1) land mask) in
-    let continue = ref true in
-    while !continue do
-      if Array.unsafe_get t.lvl !j < 0 then continue := false
-      else begin
-        let lo = Array.unsafe_get t.fp_lo !j and hi = Array.unsafe_get t.fp_hi !j in
-        let h = slot_of t lo hi in
-        if (!j - h) land mask >= (!j - !hole) land mask then begin
-          t.fp_lo.(!hole) <- lo;
-          t.fp_hi.(!hole) <- hi;
-          t.lvl.(!hole) <- t.lvl.(!j);
-          t.cnt.(!hole) <- t.cnt.(!j);
-          t.lvl.(!j) <- -1;
-          hole := !j
-        end;
-        j := (!j + 1) land mask
-      end
-    done
-
-  let prune t =
-    while t.occ > t.cap do
-      t.prunes <- t.prunes + 1;
-      t.z <- t.z + 1;
-      let z = t.z in
-      let n = ref 0 in
-      for s = 0 to t.mask do
-        let l = Array.unsafe_get t.lvl s in
-        if l >= 0 then begin
-          if l >= z then begin
-            let j = !n in
-            t.s_lo.(j) <- Array.unsafe_get t.fp_lo s;
-            t.s_hi.(j) <- Array.unsafe_get t.fp_hi s;
-            t.s_lvl.(j) <- l;
-            t.s_cnt.(j) <- Array.unsafe_get t.cnt s;
-            n := j + 1
-          end;
-          Array.unsafe_set t.lvl s (-1)
-        end
-      done;
-      t.occ <- !n;
-      for j = 0 to !n - 1 do
-        let lo = t.s_lo.(j) and hi = t.s_hi.(j) in
-        let s = probe t lo hi (slot_of t lo hi) in
-        t.fp_lo.(s) <- lo;
-        t.fp_hi.(s) <- hi;
-        t.lvl.(s) <- t.s_lvl.(j);
-        t.cnt.(s) <- t.s_cnt.(j)
-      done
-    done
-
-  let[@inline] add_hashed t delta =
-    let lo = Mkc_hashing.Tabulation.part_lo t.tab in
-    let hi = Mkc_hashing.Tabulation.part_hi t.tab in
-    let lvl = if lo <> 0 then tz32 lo else if hi <> 0 then 32 + tz32 hi else 64 in
-    if lvl >= t.z then begin
-      let s = probe t lo hi (slot_of t lo hi) in
-      if Array.unsafe_get t.lvl s < 0 then begin
-        t.fp_lo.(s) <- lo;
-        t.fp_hi.(s) <- hi;
-        t.lvl.(s) <- lvl;
-        t.cnt.(s) <- delta;
-        t.occ <- t.occ + 1;
-        if t.occ > t.cap then prune t
-      end
-      else begin
-        let c = Array.unsafe_get t.cnt s + delta in
-        if c = 0 then remove_at t s else Array.unsafe_set t.cnt s c
-      end
-    end
-
-  let add t ?(delta = 1) x =
-    Mkc_hashing.Tabulation.hash_parts t.tab x;
-    add_hashed t delta
-
-  let fp_at t s =
-    Int64.logor
-      (Int64.shift_left (Int64.of_int t.fp_hi.(s)) 32)
-      (Int64.of_int t.fp_lo.(s))
-
-  let dump t =
-    let entries = ref [] in
-    for s = t.mask downto 0 do
-      if t.lvl.(s) >= 0 then entries := (fp_at t s, t.lvl.(s), t.cnt.(s)) :: !entries
-    done;
-    let entries =
-      List.sort (fun (a, _, _) (b, _, _) -> Int64.unsigned_compare a b) !entries
-    in
-    (t.z, t.prunes, entries)
-
-  let clear_table t =
-    Array.fill t.lvl 0 (t.mask + 1) (-1);
-    t.occ <- 0
-
-  let insert_fp t fp lvl c =
-    let lo = Int64.to_int fp land 0xFFFF_FFFF in
-    let hi = Int64.to_int (Int64.shift_right_logical fp 32) land 0xFFFF_FFFF in
-    let s = probe t lo hi (slot_of t lo hi) in
-    if Array.unsafe_get t.lvl s >= 0 then false
-    else begin
-      t.fp_lo.(s) <- lo;
-      t.fp_hi.(s) <- hi;
-      t.lvl.(s) <- lvl;
-      t.cnt.(s) <- c;
-      t.occ <- t.occ + 1;
-      true
-    end
-
-  let load_state t ~z ~prunes ~entries =
-    if z < 0 || prunes < 0 then Error "l0t: negative level or prune count"
-    else if List.length entries > t.cap then Error "l0t: entries exceed cap"
-    else if List.exists (fun (_, lvl, _) -> lvl < z || lvl > 64) entries then
-      Error "l0t: entry level out of range"
-    else if List.exists (fun (_, _, c) -> c = 0) entries then
-      Error "l0t: zero count entry"
-    else begin
-      clear_table t;
-      let dup = List.exists (fun (fp, lvl, c) -> not (insert_fp t fp lvl c)) entries in
-      if dup then begin
-        clear_table t;
-        Error "l0t: duplicate fingerprint"
-      end
-      else begin
-        t.z <- z;
-        t.prunes <- prunes;
-        Ok ()
-      end
-    end
-
-  (* Merge = pointwise signed-count sum at the adopted level.  Counts
-     that cancel to zero drop out, so merging S(x) into S(−x) leaves
-     the empty sketch — the linearity law test_turnstile pins. *)
-  let merge_into ~dst src =
-    if dst.cap <> src.cap then invalid_arg "L0_bjkst.Turnstile.merge_into: cap mismatch";
-    if src.z > dst.z then begin
-      dst.z <- src.z;
-      dst.prunes <- max dst.prunes src.prunes;
-      let z = dst.z in
-      let n = ref 0 in
-      for s = 0 to dst.mask do
-        let l = Array.unsafe_get dst.lvl s in
-        if l >= 0 then begin
-          if l >= z then begin
-            let j = !n in
-            dst.s_lo.(j) <- dst.fp_lo.(s);
-            dst.s_hi.(j) <- dst.fp_hi.(s);
-            dst.s_lvl.(j) <- l;
-            dst.s_cnt.(j) <- dst.cnt.(s);
-            n := j + 1
-          end;
-          dst.lvl.(s) <- -1
-        end
-      done;
-      dst.occ <- !n;
-      for j = 0 to !n - 1 do
-        let lo = dst.s_lo.(j) and hi = dst.s_hi.(j) in
-        let s = probe dst lo hi (slot_of dst lo hi) in
-        dst.fp_lo.(s) <- lo;
-        dst.fp_hi.(s) <- hi;
-        dst.lvl.(s) <- dst.s_lvl.(j);
-        dst.cnt.(s) <- dst.s_cnt.(j)
-      done
-    end
-    else dst.prunes <- max dst.prunes src.prunes;
-    let _, _, entries = dump src in
-    List.iter
-      (fun (fp, lvl, c) ->
-        if lvl >= dst.z then begin
-          let lo = Int64.to_int fp land 0xFFFF_FFFF in
-          let hi = Int64.to_int (Int64.shift_right_logical fp 32) land 0xFFFF_FFFF in
-          let s = probe dst lo hi (slot_of dst lo hi) in
-          if Array.unsafe_get dst.lvl s < 0 then begin
-            ignore (insert_fp dst fp lvl c : bool);
-            if dst.occ > dst.cap then prune dst
-          end
-          else begin
-            let c' = Array.unsafe_get dst.cnt s + c in
-            if c' = 0 then remove_at dst s else Array.unsafe_set dst.cnt s c'
-          end
-        end)
-      entries
-
-  let estimate t = float_of_int t.occ *. Float.pow 2.0 (float_of_int t.z)
-  let level t = t.z
-  let occupancy t = t.occ
-  let prunes t = t.prunes
-
-  (* Three words per live entry (fingerprint halves + signed count)
-     plus the hash tables. *)
-  let words t = (3 * t.occ) + Mkc_hashing.Tabulation.words t.tab + 2
-end

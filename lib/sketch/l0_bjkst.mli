@@ -55,52 +55,3 @@ val merge_into : dst:t -> t -> unit
     merged state is bit-for-bit the single-stream state over the
     concatenated inputs.
     @raise Invalid_argument on cap mismatch. *)
-
-(** Deletion-tolerant counting variant for turnstile streams.
-
-    Same level/buffer mechanics as the set sketch above, but each
-    buffered fingerprint carries the signed sum of its updates and
-    leaves the buffer when that sum returns to zero — so
-    insert-then-delete is bit-for-bit never-inserted on {!Turnstile.dump},
-    and {!Turnstile.merge_into} is the pointwise signed-count sum
-    (merging S(x) into S(−x) empties the sketch).  The level [z] never
-    decreases, so after massive net deletion the estimate is
-    conservative; the insertion-only regimes keep the set variant
-    (whose checkpoint codec bytes this module deliberately does not
-    touch). *)
-module Turnstile : sig
-  type t
-
-  val create : ?cap:int -> seed:Mkc_hashing.Splitmix.t -> unit -> t
-
-  val add : t -> ?delta:int -> int -> unit
-  (** [add t x] inserts once; [add t ~delta:(-1) x] deletes once.
-      Any non-zero [delta] is the signed multiplicity to apply. *)
-
-  val estimate : t -> float
-  (** [occupancy · 2^z] — the L0 (distinct live elements) estimate. *)
-
-  val level : t -> int
-  val occupancy : t -> int
-  val prunes : t -> int
-  val words : t -> int
-
-  val dump : t -> int * int * (int64 * int * int) list
-  (** [(z, prunes, entries)] with entries [(fp, level, signed count)]
-      sorted by unsigned fingerprint — canonical, layout-free. *)
-
-  val load_state :
-    t ->
-    z:int ->
-    prunes:int ->
-    entries:(int64 * int * int) list ->
-    (unit, string) result
-  (** Overlay a dumped state onto a fresh sketch (same cap and seed).
-      Rejects out-of-range levels, overfull buffers, zero counts and
-      duplicate fingerprints by name. *)
-
-  val merge_into : dst:t -> t -> unit
-  (** Pointwise signed-count sum at the adopted level; entries whose
-      summed count cancels to zero drop out.
-      @raise Invalid_argument on cap mismatch. *)
-end

@@ -1,20 +1,11 @@
 module Bernoulli = struct
-  type t = { hash : Mkc_hashing.Poly_hash.t; mutable hbuf : int array }
+  type t = { hash : Mkc_hashing.Poly_hash.t }
 
   let create ~rate ~indep ~seed =
     let range = Mkc_hashing.Hash_family.sample_rate_range ~rate in
-    { hash = Mkc_hashing.Poly_hash.create ~indep ~range ~seed; hbuf = [||] }
+    { hash = Mkc_hashing.Poly_hash.create ~indep ~range ~seed }
 
   let keep t x = Mkc_hashing.Poly_hash.keep t.hash x
-
-  let keep_batch t xs ~pos ~len out =
-    if Array.length out < len then invalid_arg "Bernoulli.keep_batch: out too short";
-    if Array.length t.hbuf < len then
-      t.hbuf <- Array.make (max len (2 * Array.length t.hbuf)) 0;
-    Mkc_hashing.Poly_hash.hash_batch t.hash xs ~pos ~len t.hbuf;
-    for j = 0 to len - 1 do
-      Array.unsafe_set out j (Array.unsafe_get t.hbuf j = 0)
-    done
 
   let rate t = 1.0 /. float_of_int (Mkc_hashing.Poly_hash.range t.hash)
   let words t = Mkc_hashing.Poly_hash.words t.hash
@@ -112,29 +103,4 @@ module Memo = struct
   let reset t =
     Array.fill t.keys 0 (t.mask + 1) absent;
     Array.fill t.vals 0 (t.mask + 1) 0
-end
-
-module Reservoir = struct
-  type t = {
-    cap : int;
-    buf : int array;
-    mutable count : int;
-    rng : Mkc_hashing.Splitmix.t;
-  }
-
-  let create ~cap ~seed =
-    if cap < 1 then invalid_arg "Reservoir.create: cap must be >= 1";
-    { cap; buf = Array.make cap 0; count = 0; rng = seed }
-
-  let add t x =
-    if t.count < t.cap then t.buf.(t.count) <- x
-    else begin
-      let j = Mkc_hashing.Splitmix.below t.rng (t.count + 1) in
-      if j < t.cap then t.buf.(j) <- x
-    end;
-    t.count <- t.count + 1
-
-  let contents t = Array.sub t.buf 0 (min t.count t.cap)
-  let seen t = t.count
-  let words t = t.cap + 2
 end

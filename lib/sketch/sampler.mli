@@ -4,10 +4,11 @@
       the implementation of set sampling (Lemma 2.3, Appendix A.1) and
       element sampling (Lemma 2.5).  Membership is a pure function of
       the item, so the same item is consistently kept or dropped across
-      the whole stream with only the hash seed stored.
-    - {!Reservoir}: classic reservoir sampling, used where a uniform
-      fixed-size sample of {e stream positions} is needed (e.g. the
-      superset sample M of Figure 6, Case 2). *)
+      the whole stream with only the hash seed stored.  LargeSet's
+      superset sample M (Figure 6) is one too.
+    - {!Nested}: one hash, a chain of nested sampling rates
+      (Section 4.1).
+    - {!Memo}: a direct-mapped cache of per-id {!Nested} decisions. *)
 
 module Bernoulli : sig
   type t
@@ -19,12 +20,6 @@ module Bernoulli : sig
       independence). *)
 
   val keep : t -> int -> bool
-
-  val keep_batch : t -> int array -> pos:int -> len:int -> bool array -> unit
-  (** [keep_batch t xs ~pos ~len out]: [out.(j) = keep t xs.(pos + j)]
-      for [j < len], via one coefficient-major
-      {!Mkc_hashing.Poly_hash.hash_batch} pass — bit-for-bit the
-      per-call decisions. *)
 
   val rate : t -> float
   (** The realized rate [1 / range] (the requested rate rounded to a
@@ -104,14 +99,4 @@ module Memo : sig
   (** Drop all cached decisions (used on merge: shards' overwrite
       histories don't compose, and the cache is a pure accelerator, so
       rebuilding from scratch is always sound). *)
-end
-
-module Reservoir : sig
-  type t
-
-  val create : cap:int -> seed:Mkc_hashing.Splitmix.t -> t
-  val add : t -> int -> unit
-  val contents : t -> int array
-  val seen : t -> int
-  val words : t -> int
 end

@@ -80,6 +80,13 @@ let load path =
       (* Point at the offending token, not just the line: a million-edge
          file with one stray field is otherwise a needle hunt. *)
       let bad_token tok = Printf.sprintf "token %S is not an integer" tok in
+      (* Dimensions are max id + 1, so a negative id, or [max_int] whose
+         successor wraps, cannot index an instance. *)
+      let id line what v =
+        if v < 0 then malformed line (Printf.sprintf "%s id %d is negative" what v)
+        else if v = max_int then malformed line (Printf.sprintf "%s id %d is too large" what v)
+        else v
+      in
       let push e =
         if !count = Array.length !buf then begin
           let bigger = Array.make (2 * !count) e in
@@ -133,7 +140,8 @@ let load path =
                | Some s -> (
                    match parse_int line i1 j1 with
                    | None -> malformed line (bad_token (String.sub line i1 (j1 - i1)))
-                   | Some e -> push (Edge.signed ~sign ~set:s ~elt:e))
+                   | Some e ->
+                       push (Edge.signed ~sign ~set:(id line "set" s) ~elt:(id line "element" e)))
              end
            end
          done

@@ -50,10 +50,12 @@ val load : string -> t
 (** Inverse of {!save}, tolerant of tabs, repeated spaces, and
     leading/trailing whitespace (fields are split on runs of
     whitespace).  An optional third column is the turnstile sign and
-    must be exactly ["1"], ["+1"] or ["-1"].  Raises [Failure] on
+    must be exactly ["1"], ["+1"] or ["-1"].  Ids must lie in
+    [[0, max_int)]: a negative id, or [max_int] (whose successor, the
+    {!max_ids} bound, wraps), is malformed.  Raises [Failure] on
     malformed lines, naming the file, the 1-based line number, and the
-    offending token (or field count) so a single bad record in a large
-    file is findable.  Single pass into a growable edge buffer — no
+    offending token, id (or field count) so a single bad record in a
+    large file is findable.  Single pass into a growable edge buffer — no
     intermediate list. *)
 
 val max_ids : t -> int * int

@@ -1,7 +1,8 @@
 (* Seeded byte mutations for the hostile-input fuzzes.  Every decoder of
    untrusted bytes (checkpoint envelope and payload, telemetry log, run
-   ledger, edge file) must end in [Ok] or a named error on any of them:
-   never raise, hang, or allocate a size read from an unchecked field. *)
+   ledger, edge file, text stream, snapshot and trace JSON) must end in
+   [Ok] or a named error on any of them: never raise, hang, or allocate
+   a size read from an unchecked field. *)
 
 (* What a forged count, length or other integer field is set to. *)
 let lying_values = [| max_int; min_int; -1; -(1 lsl 40); 1 lsl 40; 1 lsl 20; 4096; 0 |]
@@ -56,11 +57,70 @@ let apply m s ~lie =
     | _ -> lie s ~spot:(List.hd m.spots) m.value
 
 (* Words allocated while [f] runs: a decoder fed a lying count must not
-   allocate more than the input's size allows. *)
+   allocate more than the input's size allows.  The minor heap is
+   emptied first, so whatever a minor collection promotes during [f] is
+   [f]'s own, already counted when allocated, and not counted again. *)
 let allocated f =
-  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.minor ();
+  let before = words () in
   ignore (Sys.opaque_identity (f ()));
-  int_of_float (Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before)
+  int_of_float (words () -. before)
+
+(* ---------- text formats ---------- *)
+
+(* The [spot mod count]-th integer token of a text (a maximal run of
+   digits and '-') set to [v]; unchanged when the text has none. *)
+let lie_token s ~spot v =
+  let n = String.length s in
+  let is_num c = (c >= '0' && c <= '9') || c = '-' in
+  let rec spans i acc =
+    if i >= n then List.rev acc
+    else if not (is_num s.[i]) then spans (i + 1) acc
+    else begin
+      let j = ref i in
+      while !j < n && is_num s.[!j] do
+        incr j
+      done;
+      spans !j ((i, !j) :: acc)
+    end
+  in
+  match spans 0 [] with
+  | [] -> s
+  | l ->
+      let i, j = List.nth l (spot mod List.length l) in
+      String.sub s 0 i ^ string_of_int v ^ String.sub s j (n - j)
+
+(* A seeded 1,000-case fuzz of a text decoder.  [decode s] does any
+   set-up (writing a file) and returns the decode itself, which must
+   end in [Ok] or an [Error] that [named] accepts — never another
+   exception — and allocate no more than the valid input's decode
+   allows for the mutated input's size. *)
+let text_fuzz ~name ~seed ~valid ~decode ~named =
+  let property m =
+    let s = apply m valid ~lie:lie_token in
+    let measure d =
+      let r = ref (Ok ()) in
+      let words = allocated (fun () -> r := d ()) in
+      (words, !r)
+    in
+    let valid_words, valid_result = measure (decode valid) in
+    if Result.is_error valid_result then QCheck.Test.fail_report "the valid input is rejected";
+    match measure (decode s) with
+    | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+    | words, decoded ->
+        if words > (4 * valid_words) + (64 * String.length s) then
+          QCheck.Test.fail_reportf "allocated %d words from %d bytes" words (String.length s);
+        (match decoded with
+        | Error msg when not (named msg) -> QCheck.Test.fail_reportf "unnamed error %S" msg
+        | _ -> ());
+        true
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+    (QCheck.Test.make ~name ~count:1000 (QCheck.make ~print:to_string gen) property)
 
 (* ---------- forgeries that keep the checksums valid ---------- *)
 

@@ -55,9 +55,6 @@ let test_validation_raises () =
   Alcotest.check_raises "nested base rate"
     (Invalid_argument "Nested.create: base_rate must be positive") (fun () ->
       ignore (Mkc_sketch.Sampler.Nested.create ~base_rate:0.0 ~levels:2 ~indep:2 ~seed:s));
-  Alcotest.check_raises "reservoir cap"
-    (Invalid_argument "Reservoir.create: cap must be >= 1") (fun () ->
-      ignore (Mkc_sketch.Sampler.Reservoir.create ~cap:0 ~seed:s));
   Alcotest.check_raises "tabulation range"
     (Invalid_argument "Tabulation.hash: range must be >= 1") (fun () ->
       ignore (Mkc_hashing.Tabulation.hash (Mkc_hashing.Tabulation.create ~seed:s) 1 0));

@@ -79,13 +79,6 @@ let test_kmv_small_cap_boundary () =
   Mkc_sketch.Kmv.add sk 1;
   checkb "below cap exact" true (Mkc_sketch.Kmv.estimate sk = 1.0)
 
-let test_reservoir_below_cap () =
-  let r = Mkc_sketch.Sampler.Reservoir.create ~cap:10 ~seed:(Sm.create 9) in
-  Mkc_sketch.Sampler.Reservoir.add r 42;
-  Mkc_sketch.Sampler.Reservoir.add r 43;
-  let c = Mkc_sketch.Sampler.Reservoir.contents r in
-  checkb "keeps everything below cap" true (Array.to_list c = [ 42; 43 ])
-
 let test_dyadic_bits_boundary () =
   let dy = Mkc_sketch.Dyadic_hh.create ~bits:1 ~phi:0.5 ~seed:(Sm.create 10) () in
   for _ = 1 to 100 do
@@ -297,7 +290,6 @@ let suite =
     Alcotest.test_case "count-sketch turnstile" `Quick test_count_sketch_turnstile;
     Alcotest.test_case "hh clamp ablation" `Quick test_hh_clamp_ablation;
     Alcotest.test_case "kmv tiny cap" `Quick test_kmv_small_cap_boundary;
-    Alcotest.test_case "reservoir below cap" `Quick test_reservoir_below_cap;
     Alcotest.test_case "dyadic 1-bit universe" `Quick test_dyadic_bits_boundary;
     Alcotest.test_case "empty stream save/load" `Quick test_empty_stream_save_load;
     Alcotest.test_case "system of empty sets" `Quick test_system_with_empty_sets_only;

@@ -135,7 +135,7 @@ let test_torn_tail_keeps_prefix () =
       let store = read_ok path in
       checki "intact prefix survives" 1 (List.length store.L.entries);
       checkb "the tear is reported by name" true
-        (match store.L.torn with Some (L.Truncated _) -> true | _ -> false);
+        (match store.L.torn with Some (Mkc_obs.Telemetry.Truncated _) -> true | _ -> false);
       (* appending after a tear still works — the header is intact *)
       append_ok path (sample_entry ~created_ns:3000 ());
       ())
@@ -156,13 +156,13 @@ let test_rejection_matrix () =
   in
   expect_error "a foreign magic"
     (fun p -> flip_byte p 0)
-    (function L.Bad_magic _ -> true | _ -> false);
+    (function Mkc_obs.Telemetry.Bad_magic _ -> true | _ -> false);
   expect_error "an unsupported version"
     (fun p -> flip_byte p 8)
-    (function L.Bad_version _ -> true | _ -> false);
+    (function Mkc_obs.Telemetry.Bad_version _ -> true | _ -> false);
   expect_error "a header cut short"
     (fun p -> truncate_to p 10)
-    (function L.Truncated _ -> true | _ -> false);
+    (function Mkc_obs.Telemetry.Truncated _ -> true | _ -> false);
   (* in-file payload damage: fatal checksum mismatch, not a tear —
      note append is refused only for header damage, so check read *)
   with_tmp (fun path ->
@@ -171,7 +171,7 @@ let test_rejection_matrix () =
       flip_byte path 40;
       match L.read path with
       | Ok _ -> Alcotest.fail "read accepted a flipped payload byte"
-      | Error (L.Checksum_mismatch _) -> ()
+      | Error (Mkc_obs.Telemetry.Checksum_mismatch _) -> ()
       | Error e -> Alcotest.failf "expected a checksum mismatch, got: %s" (L.error_to_string e));
   (* a frame length of max_int - 4 sealed as empty: the length is
      compared against the bytes left (no overflow), so the forged
@@ -183,7 +183,7 @@ let test_rejection_matrix () =
       Bytes.set_int64_le b 24 (Mkc_obs.Telemetry.Framed.fnv1a64 b ~pos:0 ~len:0);
       write_bytes path b;
       match L.read path with
-      | Ok { entries = []; torn = Some (L.Truncated _) } -> ()
+      | Ok { entries = []; torn = Some (Mkc_obs.Telemetry.Truncated _) } -> ()
       | Ok _ -> Alcotest.fail "a forged frame length must read as a named tear"
       | Error e -> Alcotest.failf "expected a tear, got: %s" (L.error_to_string e))
 
@@ -192,7 +192,7 @@ let test_empty_and_missing () =
       (* a missing file reads as an error, not an empty store *)
       (match L.read path with
       | Ok _ -> Alcotest.fail "read of a missing file succeeded"
-      | Error (L.Io_error _) -> ()
+      | Error (Mkc_obs.Telemetry.Io_error _) -> ()
       | Error e -> Alcotest.failf "expected io error, got %s" (L.error_to_string e));
       (* an empty file is `Fresh for append (header gets written) *)
       write_bytes path (Bytes.create 0);

@@ -1,7 +1,7 @@
 (* Tests for Mkc_obs and the Sink.Observed instrumentation layer.
 
    The load-bearing claims:
-     1. the Metric merge algebra is a commutative monoid, so per-domain
+     1. the registry's merge algebra is a commutative monoid, so per-domain
         shard merges equal a single sequential history;
      2. a Registry populated from several domains reads back exactly
         what the same writes from one domain would have produced;
@@ -29,7 +29,7 @@ module P = Mkc_core.Params
 module E = Mkc_core.Estimate
 module Run = Mkc_core.Run
 module Obs = Mkc_obs
-module H = Mkc_obs.Metric.Histogram
+module H = Mkc_obs.Histogram
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -69,13 +69,33 @@ let with_metrics f =
   Obs.Registry.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Registry.set_enabled false) f
 
-(* --- Metric merge algebra --- *)
+(* --- Registry merge algebra --- *)
 
 let test_merge_scalars () =
-  checki "counters merge by sum" 7 (Obs.Metric.merge_counter 3 4);
-  checkb "sum gauge" true (Obs.Metric.merge_gauge `Sum 1.5 2.5 = 4.0);
-  checkb "max gauge" true (Obs.Metric.merge_gauge `Max 1.5 2.5 = 2.5);
-  checkb "max gauge commutes" true (Obs.Metric.merge_gauge `Max 2.5 1.5 = 2.5)
+  (* [first] is written on this domain, [second] on another; the read
+     merges the two shards. *)
+  let merged first second =
+    let r = Obs.Registry.create () in
+    let c = Obs.Registry.counter r "c" and s = Obs.Registry.gauge r "s" in
+    let m = Obs.Registry.gauge ~mode:`Max r "m" in
+    let write (n, v) =
+      Obs.Registry.add c n;
+      Obs.Registry.set s v;
+      Obs.Registry.set m v
+    in
+    with_metrics (fun () ->
+        write first;
+        Domain.join (Domain.spawn (fun () -> write second)));
+    List.map (fun name -> Obs.Registry.read r name) [ "c"; "s"; "m" ]
+  in
+  match (merged (3, 1.5) (4, 2.5), merged (4, 2.5) (3, 1.5)) with
+  | ( [ Some (Counter c); Some (Gauge s); Some (Gauge m) ],
+      [ Some (Counter c'); Some (Gauge s'); Some (Gauge m') ] ) ->
+      checki "counters merge by sum" 7 c;
+      checkb "sum gauge" true (s = 4.0);
+      checkb "max gauge" true (m = 2.5);
+      checkb "merges commute" true (c' = c && s' = s && m' = m)
+  | _ -> Alcotest.fail "registry reads lost a metric or its kind"
 
 let test_histogram_buckets () =
   checki "negatives clamp to bucket 0" 0 (H.bucket_of (-5));
@@ -291,7 +311,6 @@ let prop_observed_run_equals_bare =
               Run.log = Some log;
               rules = [];
               probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown obs);
-              live = None;
             }
           in
           let o1 = run { cfg with metrics = true; cadence } ~telemetry obs in
@@ -392,14 +411,24 @@ let test_parallel_metrics_equal_seq () =
 let golden_metrics =
   "\"metrics\":[{\"name\":\"c\",\"kind\":\"counter\",\"value\":5},\
    {\"name\":\"g\",\"kind\":\"gauge\",\"value\":2.5},\
-   {\"name\":\"h\",\"kind\":\"histogram\",\"count\":1,\"sum\":3.0,\"min\":3.0,\
-   \"max\":3.0,\"buckets\":[[3,1]]}"
+   {\"name\":\"h\",\"kind\":\"histogram\",\"count\":1,\"sum\":3,\"min\":3,\
+   \"max\":3,\"buckets\":[[3,1]]}"
 
 let golden_profiles =
   "\"profiles\":[{\"name\":\"p\",\"cadence\":2,\
    \"points\":[{\"at_edges\":2,\"words\":3,\"breakdown\":[[\"a\",1],[\"b\",2]]}]}]}"
 
 let golden = "{\"schema\":\"mkc-obs/6\",\"created_ns\":42," ^ golden_metrics ^ "]}"
+
+(* The same snapshot as earlier mkc-obs/6 writers spelled it, with the
+   histogram's sum, min and max as JSON floats: still valid, and
+   re-emitted as [golden]. *)
+let golden_float_spelled =
+  "{\"schema\":\"mkc-obs/6\",\"created_ns\":42,\
+   \"metrics\":[{\"name\":\"c\",\"kind\":\"counter\",\"value\":5},\
+   {\"name\":\"g\",\"kind\":\"gauge\",\"value\":2.5},\
+   {\"name\":\"h\",\"kind\":\"histogram\",\"count\":1,\"sum\":3.0,\"min\":3.0,\
+   \"max\":3.0,\"buckets\":[[3,1]]}]}"
 
 (* The same state with a budget: the watchdog's five space.* gauges. *)
 let golden_space =
@@ -483,6 +512,11 @@ let test_snapshot_round_trip () =
           checks "schema is current" Obs.Snapshot.schema_version snap.Obs.Snapshot.schema;
           checki "metrics" 3 (List.length snap.Obs.Snapshot.metrics);
           checks "re-emission is a fixpoint" s (Obs.Snapshot.to_string snap);
+          (match Obs.Snapshot.validate golden_float_spelled with
+          | Error e -> Alcotest.failf "float-spelled snapshot rejected: %s" e
+          | Ok snap ->
+              checks "float spelling re-emits as integers" golden
+                (Obs.Snapshot.to_string snap));
           match Obs.Snapshot.validate golden_space with
           | Error e -> Alcotest.failf "space snapshot rejected: %s" e
           | Ok snap ->
@@ -637,20 +671,7 @@ let test_prometheus_specials () =
    including for a histogram produced by merging shards with disjoint
    bucket support. *)
 let test_prometheus_bucket_monotone () =
-  let hist_metric h =
-    {
-      Obs.Snapshot.mname = "lat";
-      mvalue =
-        Obs.Snapshot.Histogram
-          {
-            Obs.Snapshot.hcount = h.H.count;
-            hsum = float_of_int h.H.sum;
-            hmin = float_of_int h.H.vmin;
-            hmax = float_of_int h.H.vmax;
-            hbuckets = H.nonzero_buckets h;
-          };
-    }
-  in
+  let hist_metric h = { Obs.Snapshot.mname = "lat"; mvalue = Obs.Snapshot.Histogram h } in
   let merged = H.merge (hist_of [ 1; 1; 100 ]) (hist_of [ 3; 4; 1000 ]) in
   let lines = prom_lines [ hist_metric merged ] in
   let bucket_counts =
@@ -806,6 +827,20 @@ let test_midrun_words_exact () =
   checkb "reading words mid-run perturbed nothing" true
     (fingerprint (E.finalize batched) = fingerprint (E.finalize peredge))
 
+(* Mutated snapshot JSON validates or is a named error: the golden
+   space snapshot plus a latency histogram spanning many buckets. *)
+let fuzz_snapshot_json =
+  let valid =
+    String.sub golden_space 0 (String.length golden_space - 2)
+    ^ ",{\"name\":\"span.x.ns\",\"kind\":\"histogram\",\"count\":3,\
+       \"sum\":5000001007,\"min\":7,\"max\":5000000000,\
+       \"buckets\":[[7,1],[111,1],[466,1]]}]}"
+  in
+  Mutation.text_fuzz ~name:"fuzz: mutated snapshot JSON validates or names the fault" ~seed:23
+    ~valid
+    ~decode:(fun s () -> Result.map ignore (Obs.Snapshot.validate s))
+    ~named:(fun msg -> msg <> "")
+
 let suite =
   [
     Alcotest.test_case "metric: scalar merges" `Quick test_merge_scalars;
@@ -853,3 +888,4 @@ let suite =
       test_midrun_words_exact;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_observed_run_equals_bare ]
+  @ [ fuzz_snapshot_json ]

@@ -49,7 +49,6 @@ let telemetry ?(rules = []) log e =
     Run.log = Some log;
     rules;
     probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown e);
-    live = None;
   }
 
 let get = function
@@ -218,7 +217,6 @@ let test_health_violation_is_an_error () =
               Run.log = None;
               rules = [ rule ];
               probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown e);
-              live = None;
             }
           ~label:"estimate" E.sink e src
       with

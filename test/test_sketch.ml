@@ -357,29 +357,6 @@ let test_nested_rates_double () =
     checkb "rate doubles per level (until 1)" true (r1 = Float.min 1.0 (2.0 *. r0))
   done
 
-let test_reservoir_cap_and_membership () =
-  let r = Smp.Reservoir.create ~cap:10 ~seed:(Sm.create 37) in
-  for x = 0 to 999 do
-    Smp.Reservoir.add r x
-  done;
-  let c = Smp.Reservoir.contents r in
-  checki "cap respected" 10 (Array.length c);
-  checki "seen counts stream" 1000 (Smp.Reservoir.seen r);
-  Array.iter (fun x -> checkb "member of stream" true (x >= 0 && x < 1000)) c
-
-let test_reservoir_unbiased_roughly () =
-  (* means of reservoir samples of [0,1000) should concentrate near 500 *)
-  let sum = ref 0.0 in
-  for trial = 0 to 99 do
-    let r = Smp.Reservoir.create ~cap:16 ~seed:(Sm.create (1000 + trial)) in
-    for x = 0 to 999 do
-      Smp.Reservoir.add r x
-    done;
-    Array.iter (fun x -> sum := !sum +. float_of_int x) (Smp.Reservoir.contents r)
-  done;
-  let mean = !sum /. (100.0 *. 16.0) in
-  checkb "sample mean near 500" true (mean > 420.0 && mean < 580.0)
-
 (* QCheck properties *)
 
 let prop_kmv_never_negative =
@@ -563,7 +540,5 @@ let suite =
     Alcotest.test_case "nested monotone" `Quick test_nested_monotone;
     Alcotest.test_case "nested min_keep_level" `Quick test_nested_min_keep_level;
     Alcotest.test_case "nested rates double" `Quick test_nested_rates_double;
-    Alcotest.test_case "reservoir cap/membership" `Quick test_reservoir_cap_and_membership;
-    Alcotest.test_case "reservoir roughly unbiased" `Quick test_reservoir_unbiased_roughly;
   ]
   @ qsuite

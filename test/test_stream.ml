@@ -483,6 +483,34 @@ let test_edge_file_golden_v1_loads () =
        (Src.to_array (Src.load_auto golden_v1_path))
     = expect)
 
+(* Mutated text streams: each loads, or fails naming the file and the
+   line.  A lying token is a negative, huge or [max_int] id. *)
+let fuzz_text_stream =
+  let valid =
+    String.concat ""
+      (List.init 40 (fun i ->
+           Printf.sprintf "%d %d%s\n" (i mod 7) (i * 5 mod 23) (if i mod 3 = 0 then " -1" else "")))
+  in
+  let has ~sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Mutation.text_fuzz ~name:"fuzz: mutated text streams load or name file and line" ~seed:21
+    ~valid
+    ~decode:(fun s ->
+      let path = Filename.temp_file "mkc_fuzz" ".txt" in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
+      fun () ->
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            match Src.load path with
+            | (_ : Src.t) -> Ok ()
+            | exception Failure msg -> Error msg))
+    ~named:(fun msg ->
+      has ~sub:(Filename.get_temp_dir_name ()) msg && has ~sub:": malformed line " msg)
+
 let suite =
   [
     Alcotest.test_case "chunks: no empty final chunk" `Quick test_chunks_never_empty;
@@ -528,4 +556,5 @@ let suite =
       test_edge_file_version_magic_mismatch;
     Alcotest.test_case "golden v1 edge file still loads" `Quick
       test_edge_file_golden_v1_loads;
+    fuzz_text_stream;
   ]

@@ -241,9 +241,9 @@ let test_summarize_quantiles () =
           Alcotest.(check int) "last down" 1 down.T.t_last;
           Alcotest.(check int) "p50 down" 50 down.T.t_p50
       | l -> Alcotest.failf "summarize returned %d tracks" (List.length l));
-  Alcotest.(check int) "quantile empty" 0 (T.quantile [||] 0.5);
-  Alcotest.(check int) "quantile singleton" 7 (T.quantile [| 7 |] 0.99);
-  Alcotest.(check int) "quantile p50 of 4" 2 (T.quantile [| 1; 2; 3; 4 |] 0.5)
+  Alcotest.(check int) "quantile empty" 0 (Mkc_obs.Histogram.quantile_sorted [||] 0.5);
+  Alcotest.(check int) "quantile singleton" 7 (Mkc_obs.Histogram.quantile_sorted [| 7 |] 0.99);
+  Alcotest.(check int) "quantile p50 of 4" 2 (Mkc_obs.Histogram.quantile_sorted [| 1; 2; 3; 4 |] 0.5)
 
 let test_replay_matches_summary () =
   let path = temp_log () in

@@ -244,6 +244,13 @@ let test_budget_strict_raises () =
   checki "peak updated before raising" 101 (Budget.peak b);
   checki "both samples counted" 2 (Budget.samples b)
 
+(* Mutated trace JSON validates or is a named error. *)
+let fuzz_trace_json =
+  Mutation.text_fuzz ~name:"fuzz: mutated trace JSON validates or names the fault" ~seed:22
+    ~valid:golden
+    ~decode:(fun s () -> Result.map ignore (Obs.Trace.validate s))
+    ~named:(fun msg -> msg <> "")
+
 let suite =
   [
     Alcotest.test_case "trace: disabled is a no-op" `Quick test_disabled_noop;
@@ -262,3 +269,4 @@ let suite =
       test_budget_strict_raises;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_traced_equals_untraced ]
+  @ [ fuzz_trace_json ]

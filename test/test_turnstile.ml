@@ -11,7 +11,6 @@ module Sm = Mkc_hashing.Splitmix
 module Cs = Mkc_sketch.Count_sketch
 module Hh = Mkc_sketch.F2_heavy_hitter
 module F2c = Mkc_sketch.F2_contributing
-module L0t = Mkc_sketch.L0_bjkst.Turnstile
 module Edge = Mkc_stream.Edge
 module Sink = Mkc_stream.Sink
 module Pipe = Mkc_stream.Pipeline
@@ -81,10 +80,6 @@ let per_sketch_laws ~seed ~law :
     triple
       (fun () -> F2c.create ~gamma:0.25 ~r:4 ~indep:4 ~seed:(Sm.create (seed + 3)) ())
       F2c.add F2c.merge_into F2c.dump;
-    triple
-      (fun () -> L0t.create ~seed:(Sm.create (seed + 4)) ())
-      (fun t i d -> L0t.add t ~delta:d i)
-      L0t.merge_into L0t.dump;
   ]
 
 let prop_feed_cancellation =
@@ -110,45 +105,6 @@ let prop_interleaved_cancellation =
         (fun law -> law interleaved survivors)
         (per_sketch_laws ~seed:13 ~law:`Net))
 
-(* ---------- L0 turnstile specifics ---------- *)
-
-let test_l0t_counts_not_membership () =
-  let t = L0t.create ~seed:(Sm.create 21) () in
-  L0t.add t 5;
-  L0t.add t 5;
-  L0t.add t ~delta:(-1) 5;
-  checki "double insert, one delete: still live" 1 (L0t.occupancy t);
-  L0t.add t ~delta:(-1) 5;
-  checki "second delete removes" 0 (L0t.occupancy t);
-  checkb "estimate zero when empty" true (L0t.estimate t = 0.0)
-
-let test_l0t_load_state_rejects_zero_count () =
-  let t = L0t.create ~seed:(Sm.create 22) () in
-  match L0t.load_state t ~z:0 ~prunes:0 ~entries:[ (42L, 0, 0) ] with
-  | Ok () -> Alcotest.fail "zero-count entry must be rejected"
-  | Error msg -> checkb "names the zero count" true (String.length msg > 0)
-
-let test_l0t_signed_feed_matches_set_variant_on_insertions () =
-  (* All-positive streams below the prune threshold: the counting
-     variant's live fingerprints are exactly the set variant's (same
-     seed, same hash path).  Above it the two may prune at different
-     times — the turnstile variant's estimate is then conservative by
-     design, not bit-identical. *)
-  (* Tabulation.create consumes the Splitmix state, so each sketch
-     needs its own freshly-seeded generator to share the hash tables. *)
-  let set = Mkc_sketch.L0_bjkst.create ~seed:(Sm.create 23) () in
-  let cnt = L0t.create ~seed:(Sm.create 23) () in
-  for x = 0 to 79 do
-    Mkc_sketch.L0_bjkst.add set (x * 7919);
-    L0t.add cnt (x * 7919)
-  done;
-  let z_s, _, entries_s = Mkc_sketch.L0_bjkst.dump set in
-  let z_c, _, entries_c = L0t.dump cnt in
-  checki "same level" z_s z_c;
-  checkb "same live fingerprints" true
-    (List.map (fun (fp, lvl) -> (fp, lvl)) entries_s
-    = List.map (fun (fp, lvl, _) -> (fp, lvl)) entries_c)
-
 (* ---------- the composite linear sink ---------- *)
 
 module Lin = struct
@@ -156,7 +112,6 @@ module Lin = struct
     cs : Cs.t;
     hh : Hh.t;
     f2c : F2c.t;
-    l0 : L0t.t;
   }
 
   let create seed =
@@ -165,7 +120,6 @@ module Lin = struct
       cs = Cs.create ~width:32 ~seed:(Sm.fork s 1) ();
       hh = Hh.create ~phi:0.1 ~seed:(Sm.fork s 2) ();
       f2c = F2c.create ~gamma:0.25 ~r:4 ~indep:4 ~seed:(Sm.fork s 3) ();
-      l0 = L0t.create ~seed:(Sm.fork s 4) ();
     }
 
   let key (e : Edge.t) = (e.set * 1_000_003) + e.elt
@@ -174,13 +128,10 @@ module Lin = struct
     let i = key e in
     Cs.add t.cs i e.sign;
     Hh.add t.hh i e.sign;
-    F2c.add t.f2c i e.sign;
-    L0t.add t.l0 ~delta:e.sign i
+    F2c.add t.f2c i e.sign
 
-  let dump t = (Cs.dump t.cs, Hh.dump t.hh, F2c.dump t.f2c, L0t.dump t.l0)
-
-  let words t =
-    Cs.words t.cs + Hh.words t.hh + F2c.words t.f2c + L0t.words t.l0
+  let dump t = (Cs.dump t.cs, Hh.dump t.hh, F2c.dump t.f2c)
+  let words t = Cs.words t.cs + Hh.words t.hh + F2c.words t.f2c
 
   let sink : (t, unit) Sink.sink =
     (module struct
@@ -224,42 +175,18 @@ module Lin = struct
     let counts = Pk.get_ids r ~bound:max_int (fun r id -> (id, Pk.get r)) in
     Pk.check r (Hh.load_state hh ~rows ~counts ~prunes:(Pk.get r))
 
-  let put_l0 w (z, prunes, entries) =
-    Pk.put w z;
-    Pk.put w prunes;
-    Pk.put w (List.length entries);
-    List.iter
-      (fun (fp, lvl, c) ->
-        Pk.put_int64 w fp;
-        Pk.put w lvl;
-        Pk.put w c)
-      entries
-
-  let restore_l0 r l0 =
-    let z = Pk.get r in
-    let prunes = Pk.get r in
-    let entries =
-      List.init (Pk.get_count r) (fun _ ->
-          let fp = Pk.get_int64 r in
-          let lvl = Pk.get r in
-          (fp, lvl, Pk.get r))
-    in
-    Pk.check r (L0t.load_state l0 ~z ~prunes ~entries)
-
   let encode t =
     let w = Pk.writer () in
     put_rows w (Cs.dump t.cs);
     put_hh w (Hh.dump t.hh);
     Pk.put_f2c w t.f2c;
-    put_l0 w (L0t.dump t.l0);
     Pk.contents w
 
   let restore t s =
     Pk.decode s (fun r ->
         Pk.check r (Cs.load_state t.cs (get_rows r));
         restore_hh r t.hh;
-        Pk.get_f2c r ~ids:max_int t.f2c;
-        restore_l0 r t.l0)
+        Pk.get_f2c r ~ids:max_int t.f2c)
 
   let codec seed : t Ck.codec = { kind = "lin-test"; seed; encode; restore }
   let bytes = encode
@@ -393,12 +320,6 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_feed_cancellation; prop_merge_cancellation; prop_interleaved_cancellation ]
   @ [
-      Alcotest.test_case "l0 turnstile counts multiplicity, not membership" `Quick
-        test_l0t_counts_not_membership;
-      Alcotest.test_case "l0 turnstile load_state rejects zero counts" `Quick
-        test_l0t_load_state_rejects_zero_count;
-      Alcotest.test_case "l0 turnstile matches set variant on insertions" `Quick
-        test_l0t_signed_feed_matches_set_variant_on_insertions;
       Alcotest.test_case "insert-then-delete = never-inserted (seq, bytes+words)" `Quick
         test_insert_delete_equals_never_inserted_seq;
       Alcotest.test_case "batched signed drive matches seq bit-for-bit" `Quick
