@@ -65,8 +65,6 @@ type t = {
      tables. *)
   mutable sc_ins : bool array; (* distinct elt -> in element sample *)
   mutable sc_sids : int array; (* distinct set -> superset id *)
-  mutable sc_small : int array; (* distinct set -> Cntr_small keep code *)
-  mutable sc_large : int array; (* distinct set -> Cntr_large keep code *)
   mutable sc_keepf : bool array; (* distinct set -> fallback-sampled *)
   sc_sid_cnt : int array; (* sid -> signed in-sample sum this chunk; min_int = inactive *)
   sc_active : int array; (* compact list of sids touched this chunk *)
@@ -164,8 +162,6 @@ let create (params : Params.t) ~w ~seed =
     repeats = Array.init repeats mk_repeat;
     sc_ins = [||];
     sc_sids = [||];
-    sc_small = [||];
-    sc_large = [||];
     sc_keepf = [||];
     sc_sid_cnt = Array.make q min_int;
     sc_active = Array.make q 0;
@@ -352,17 +348,71 @@ let rebuild_defer rs =
   reb rs.cntr_small rs.defer_small;
   reb rs.cntr_large rs.defer_large
 
+(* The chunk's in-sample edges in stream order, one scratch per domain
+   (a domain feeds one instance at a time, and each repeat of a
+   [feed_planned] rewrites it before reading it): [sid]/[sg] hold each
+   edge's superset id and sign, recorded by the replay pass.  A
+   counter's per-edge levels walk [wsid]/[wsg], which the first of them
+   fills from [sid]/[sg] and each compacts in place to the entries the
+   next level still covers, so a chunk costs the sum of the level
+   sizes, not levels × chunk length. *)
+type replay = {
+  mutable sid : int array;
+  mutable sg : int array;
+  mutable n : int;
+  mutable wsid : int array;
+  mutable wsg : int array;
+}
+
+let replay_scratch =
+  Domain.DLS.new_key (fun () -> { sid = [||]; sg = [||]; n = 0; wsid = [||]; wsg = [||] })
+
+let ensure_replay rp len =
+  if Array.length rp.sid < len then begin
+    let cap = max len (2 * Array.length rp.sid) in
+    rp.sid <- Array.make cap 0;
+    rp.sg <- Array.make cap 0;
+    rp.wsid <- Array.make cap 0;
+    rp.wsg <- Array.make cap 0
+  end
+
+(* One per-edge level: replay the [n] listed edges of [src_sid]/[src_sg]
+   that level [top] covers into [hh], in order, and copy those the next
+   level covers ([code < top]) to the front of [wsid]/[wsg] (in place
+   when the source is the work list itself).  Returns how many were
+   kept. *)
+let replay_level hh rp ~code_tab ~top src_sid src_sg n =
+  let wsid = rp.wsid and wsg = rp.wsg in
+  let kept = ref 0 in
+  for e = 0 to n - 1 do
+    let sid = Array.unsafe_get src_sid e in
+    let code = Array.unsafe_get code_tab sid in
+    if code >= 0 && code <= top then begin
+      let sign = Array.unsafe_get src_sg e in
+      Mkc_sketch.F2_heavy_hitter.add_tracked hh sid sign;
+      if code < top then begin
+        Array.unsafe_set wsid !kept sid;
+        Array.unsafe_set wsg !kept sign;
+        incr kept
+      end
+    end
+  done;
+  !kept
+
 (* The tracked half of one counter for one chunk, level-major.  Levels
    share no state, so regrouping per level is exact as long as each
    level sees its update subsequence in order.  A level defers (pure
    per-sid sums into [pend]) while pruning provably cannot fire —
    [ever + newly <= 2·cap] — and otherwise flushes and replays the
-   chunk edge-by-edge (the first such chunk drives the table past
-   2·cap, so it prunes, and [prunes > 0] pins the level to per-edge
-   replay from then on). *)
-let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt ~ins ~sids ~codes_j ~set_idx
-    ~elt_idx ~edges ~pos ~len =
+   chunk's in-sample edges it covers one by one (the first such chunk
+   drives the table past 2·cap, so it prunes, and [prunes > 0] pins the
+   level to per-edge replay from then on).  The per-edge levels walk
+   [rp]'s list, shrinking it as the levels narrow. *)
+let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt rp =
   let levels = Mkc_sketch.F2_contributing.levels cntr in
+  (* The next per-edge level's list: the replay pass's until a level
+     has compacted it into the work list. *)
+  let src_sid = ref rp.sid and src_sg = ref rp.sg and n = ref rp.n in
   for lvl = 0 to levels - 1 do
     let hh = Mkc_sketch.F2_contributing.level cntr lvl in
     let d = Array.unsafe_get defer lvl in
@@ -408,15 +458,9 @@ let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt ~ins ~sids ~codes_j 
     end
     else begin
       flush_level hh d;
-      for i = 0 to len - 1 do
-        if Array.unsafe_get ins (Array.unsafe_get elt_idx i) then begin
-          let sj = Array.unsafe_get set_idx i in
-          let code = Array.unsafe_get codes_j sj in
-          if code >= 0 && code <= top then
-            Mkc_sketch.F2_heavy_hitter.add_tracked hh (Array.unsafe_get sids sj)
-              (Array.unsafe_get edges (pos + i)).Mkc_stream.Edge.sign
-        end
-      done
+      n := replay_level hh rp ~code_tab ~top !src_sid !src_sg !n;
+      src_sid := rp.wsid;
+      src_sg := rp.wsg
     end
   done
 
@@ -426,12 +470,14 @@ let feed_planned t plan ~red edges ~pos ~len =
      fallback superset sampling — is served from the repeat's memo
      caches, falling back to one hash evaluation per distinct id on a
      miss; then the chunk is replayed in original edge order through
-     O(1) table lookups.  The order-sensitive halves (F2C candidate
-     tracking with its prune, fallback L0 adds) replay per edge, so
-     their states are bit-for-bit the per-edge ones; the CountSketch
-     halves are linear and commutative, so each distinct set's
-     in-sample multiplicity is parked in [cs_pending] and applied by
-     {!flush_pending} before the counters are next read.
+     O(1) table lookups.  The order-sensitive halves replay per edge,
+     so their states are bit-for-bit the per-edge ones: fallback L0
+     adds in the replay pass itself, F2C candidate tracking (with its
+     prune) level by level in {!tracked_chunk}, over the in-sample
+     edges the replay pass lists in the domain's [replay] scratch.  The
+     CountSketch halves are linear and commutative, so each distinct
+     set's in-sample multiplicity is parked in [cs_pending] and applied
+     by {!flush_pending} before the counters are next read.
 
      Eval counters deliberately charge the full [ne]/[ns] per chunk —
      the decision *consumptions*, not the hash evaluations a cache
@@ -442,13 +488,12 @@ let feed_planned t plan ~red edges ~pos ~len =
   let ne = Mkc_stream.Chunk_plan.num_elts plan in
   t.sc_ins <- ensure_bool t.sc_ins ne;
   t.sc_sids <- ensure_int t.sc_sids ns;
-  t.sc_small <- ensure_int t.sc_small ns;
-  t.sc_large <- ensure_int t.sc_large ns;
   t.sc_keepf <- ensure_bool t.sc_keepf ns;
   let ins = t.sc_ins and sids = t.sc_sids in
-  let csmall = t.sc_small and clarge = t.sc_large in
   let keepf = t.sc_keepf in
   let sid_cnt = t.sc_sid_cnt and active = t.sc_active in
+  let rp = Domain.DLS.get replay_scratch in
+  ensure_replay rp len;
   let sets = Mkc_stream.Chunk_plan.sets plan in
   let set_idx = Mkc_stream.Chunk_plan.set_index plan in
   let elt_idx = Mkc_stream.Chunk_plan.elt_index plan in
@@ -482,8 +527,10 @@ let feed_planned t plan ~red edges ~pos ~len =
           end
         in
         Array.unsafe_set sids j sid;
-        Array.unsafe_set csmall j (code_small_of rs sid);
-        Array.unsafe_set clarge j (code_large_of rs sid);
+        (* Fill both counters' code caches: the tracked halves read
+           them by superset id. *)
+        ignore (code_small_of rs sid : int);
+        ignore (code_large_of rs sid : int);
         let kf =
           let v = Array.unsafe_get rs.keepf_tab sid in
           if v >= 0 then v = 1
@@ -497,7 +544,8 @@ let feed_planned t plan ~red edges ~pos ~len =
       done;
       (* Replay pass: order-sensitive L0 fallback adds happen here, per
          edge; per-sid in-sample multiplicities are collected for the
-         deferred CountSketch and tracked halves. *)
+         deferred CountSketch and tracked halves, and the in-sample
+         edges are listed for the tracked halves' per-edge levels. *)
       let in_sample_edges = ref 0 in
       let na = ref 0 in
       for i = 0 to len - 1 do
@@ -505,6 +553,8 @@ let feed_planned t plan ~red edges ~pos ~len =
           let sj = Array.unsafe_get set_idx i in
           let sid = Array.unsafe_get sids sj in
           let sign = (Array.unsafe_get edges (pos + i)).Mkc_stream.Edge.sign in
+          Array.unsafe_set rp.sid !in_sample_edges sid;
+          Array.unsafe_set rp.sg !in_sample_edges sign;
           incr in_sample_edges;
           let c = Array.unsafe_get sid_cnt sid in
           if c = min_int then begin
@@ -523,6 +573,7 @@ let feed_planned t plan ~red edges ~pos ~len =
       t.st_f2_updates <- t.st_f2_updates + (2 * !in_sample_edges);
       if !in_sample_edges > 0 then begin
         let na = !na in
+        rp.n <- !in_sample_edges;
         rs.cs_dirty <- true;
         let pend = rs.cs_pending and touched = rs.cs_touched in
         for a = 0 to na - 1 do
@@ -537,9 +588,9 @@ let feed_planned t plan ~red edges ~pos ~len =
           else Array.unsafe_set pend sid (p + c)
         done;
         tracked_chunk rs.cntr_small rs.defer_small ~code_tab:rs.code_small ~active ~na
-          ~sid_cnt ~ins ~sids ~codes_j:csmall ~set_idx ~elt_idx ~edges ~pos ~len;
+          ~sid_cnt rp;
         tracked_chunk rs.cntr_large rs.defer_large ~code_tab:rs.code_large ~active ~na
-          ~sid_cnt ~ins ~sids ~codes_j:clarge ~set_idx ~elt_idx ~edges ~pos ~len;
+          ~sid_cnt rp;
         for a = 0 to na - 1 do
           Array.unsafe_set sid_cnt (Array.unsafe_get active a) min_int
         done
@@ -551,6 +602,9 @@ let thresholds t = (t.thr1, t.thr2)
 (* A passing candidate, before cross-repeat max. *)
 type candidate = { superset : int; repeat : int; est : float; via_l0 : bool }
 
+(* The passing candidates of one repeat and how many were examined:
+   every tracked candidate of both counters plus every fallback
+   sketch. *)
 let candidates_of_repeat t r rs =
   flush_pending rs;
   let f = t.params.Params.f in
@@ -562,8 +616,8 @@ let candidates_of_repeat t r rs =
         else None)
       hits
   in
-  let small = of_hits t.thr1 (Mkc_sketch.F2_contributing.candidates rs.cntr_small) in
-  let large = of_hits t.thr2 (Mkc_sketch.F2_contributing.candidates rs.cntr_large) in
+  let small = Mkc_sketch.F2_contributing.candidates rs.cntr_small in
+  let large = Mkc_sketch.F2_contributing.candidates rs.cntr_large in
   let fallback =
     Hashtbl.fold
       (fun sid sk acc ->
@@ -577,7 +631,8 @@ let candidates_of_repeat t r rs =
        which differs between a live run and a restored/merged one. *)
     |> List.sort (fun a b -> compare a.superset b.superset)
   in
-  small @ large @ fallback
+  ( List.length small + List.length large + Hashtbl.length rs.fallback,
+    of_hits t.thr1 small @ of_hits t.thr2 large @ fallback )
 
 let witness t (c : candidate) () =
   let rs = t.repeats.(c.repeat) in
@@ -586,20 +641,15 @@ let witness t (c : candidate) () =
 let finalize t =
   (* Recovery success rate = recoveries / candidates: how many of the
      tracked heavy-hitter candidates (plus fallback sketches) actually
-     cleared their threshold.  Examined counts are taken per repeat
-     right before filtering, so they see the same post-prune tables. *)
+     cleared their threshold. *)
   let examined = ref 0 in
   let all =
     List.concat
       (List.mapi
          (fun r rs ->
-           flush_pending rs;
-           examined :=
-             !examined
-             + List.length (Mkc_sketch.F2_contributing.candidates rs.cntr_small)
-             + List.length (Mkc_sketch.F2_contributing.candidates rs.cntr_large)
-             + Hashtbl.length rs.fallback;
-           candidates_of_repeat t r rs)
+           let n, passing = candidates_of_repeat t r rs in
+           examined := !examined + n;
+           passing)
          (Array.to_list t.repeats))
   in
   t.st_hh_candidates <- !examined;

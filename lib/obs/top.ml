@@ -45,22 +45,9 @@ let sparkline ?(width = 32) s track =
     Buffer.contents b
   end
 
-let bar ~width ~num ~den =
-  if den <= 0 then ""
-  else begin
-    let fill = max 0 (min width (num * width / den)) in
-    let b = Buffer.create (width + 2) in
-    Buffer.add_char b '[';
-    for i = 0 to width - 1 do
-      Buffer.add_char b (if i < fill then '#' else '-')
-    done;
-    Buffer.add_char b ']';
-    Buffer.contents b
-  end
-
 let has_prefix ~prefix s = String.starts_with ~prefix s
 
-let render ?(budget_words = 0) ?(violations = []) s =
+let render ?(violations = []) s =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l; Buffer.add_char b '\n') fmt in
   if Series.total s = 0 then begin
@@ -86,12 +73,7 @@ let render ?(budget_words = 0) ?(violations = []) s =
           (pp_count (Series.max_of s t))
     | None -> ());
     (match last_of "space.words" with
-    | Some words when budget_words > 0 ->
-        line "  space       %9s words / budget %s  %s %3d%%" (pp_count words)
-          (pp_count budget_words)
-          (bar ~width:20 ~num:words ~den:budget_words)
-          (words * 100 / budget_words)
-    | Some words -> line "  space       %9s words (no budget)" (pp_count words)
+    | Some words -> line "  space       %9s words" (pp_count words)
     | None -> ());
     Array.iteri
       (fun t name ->

@@ -1,7 +1,7 @@
 (** Terminal rendering for the live telemetry view ([mkc top]).
 
     {!render} is a pure function from a {!Series} (plus optional
-    budget and health context) to a string, so the layout is
+    health context) to a string, so the layout is
     golden-testable; the CLI owns the terminal concerns (ANSI
     repaint, polling, tty detection). *)
 
@@ -12,17 +12,9 @@ val sparkline : ?width:int -> Series.t -> int -> string
 (** Unicode sparkline of a track over the retained ring rows, scaled
     to the ring's own min/max (default width 32, newest right). *)
 
-val bar : width:int -> num:int -> den:int -> string
-(** A fixed-width fill bar, e.g. [[#####---------------]]; empty when
-    [den <= 0]. *)
-
-val render :
-  ?budget_words:int ->
-  ?violations:(string * int) list ->
-  Series.t ->
-  string
-(** Multi-line dashboard: throughput (with sparkline), space versus
-    budget, per-component space, GC, sketch health, health-rule
+val render : ?violations:(string * int) list -> Series.t -> string
+(** Multi-line dashboard: throughput (with sparkline), space,
+    per-component space, GC, sketch health, health-rule
     violations, and a generic line for any track outside those
     families.  Renders a placeholder when the series has no samples
     yet. *)

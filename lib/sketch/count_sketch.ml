@@ -8,6 +8,7 @@ type t = {
      locality on the per-edge path, and the whole sketch state is a
      single preallocated block. *)
   counters : int array;
+  row_est : int array; (* [estimate]'s per-row values, sorted in place *)
 }
 
 let create ?(depth = 5) ~width ~seed () =
@@ -24,6 +25,7 @@ let create ?(depth = 5) ~width ~seed () =
           Mkc_hashing.Poly_hash.create ~indep:4 ~range:2
             ~seed:(Mkc_hashing.Splitmix.fork seed ((2 * r) + 1)));
     counters = Array.make (depth * width) 0;
+    row_est = Array.make depth 0;
   }
 
 let sign h x = if Mkc_hashing.Poly_hash.hash h x = 0 then 1 else -1
@@ -61,15 +63,25 @@ let merge_into ~dst src =
     d.(j) <- d.(j) + s.(j)
   done
 
+(* Median of the rows' signed counters, insertion-sorted into the
+   sketch's own scratch as ints: [float_of_int] is monotone, so the
+   median (and the even-depth mean of the two middle rows) is the one a
+   float sort would give, and nothing but the result is allocated. *)
 let estimate t i =
-  let ests =
-    Array.init t.depth (fun r ->
-        let b = Mkc_hashing.Pairwise.hash t.buckets.(r) i in
-        float_of_int (sign t.signs.(r) i * t.counters.((r * t.width) + b)))
-  in
-  Array.sort compare ests;
-  if t.depth land 1 = 1 then ests.(t.depth / 2)
-  else (ests.((t.depth / 2) - 1) +. ests.(t.depth / 2)) /. 2.0
+  let v = t.row_est in
+  for r = 0 to t.depth - 1 do
+    let b = Mkc_hashing.Pairwise.hash (Array.unsafe_get t.buckets r) i in
+    let x = sign (Array.unsafe_get t.signs r) i * Array.unsafe_get t.counters ((r * t.width) + b) in
+    let j = ref (r - 1) in
+    while !j >= 0 && Array.unsafe_get v !j > x do
+      Array.unsafe_set v (!j + 1) (Array.unsafe_get v !j);
+      decr j
+    done;
+    Array.unsafe_set v (!j + 1) x
+  done;
+  let h = t.depth / 2 in
+  if t.depth land 1 = 1 then float_of_int v.(h)
+  else (float_of_int v.(h - 1) +. float_of_int v.(h)) /. 2.0
 
 let f2_estimate t =
   let per_row =

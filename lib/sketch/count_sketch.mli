@@ -20,7 +20,10 @@ val add : t -> int -> int -> unit
 (** [add t i delta]: update item [i] by [delta]. *)
 
 val estimate : t -> int -> float
-(** Median-of-rows frequency estimate for item [i]. *)
+(** Median-of-rows frequency estimate for item [i] (the mean of the two
+    middle rows at even depth).  Sorts the rows in the sketch's own
+    scratch, so it allocates only its result and must not run on one
+    sketch from two domains at once. *)
 
 val f2_estimate : t -> float
 (** Median over rows of the per-row sum of squared counters. *)

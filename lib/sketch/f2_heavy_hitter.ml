@@ -11,28 +11,28 @@ type t = {
      values still come from the CountSketch at finalize time, keeping
      the Theorem 2.10 (1 ± 1/2) guarantee.
 
-     The tracker is a flat open-addressed (linear-probe) table over two
-     preallocated int arrays: [tkeys] ([min_int] = empty) and [tvals].
-     Slot count is a fixed power of two >= 2·(2·cap+1): occupancy peaks
-     at 2·cap+1 just before a prune fires, so the load factor stays
-     <= 1/2 and the table never resizes.  Entries leave either in bulk
-     prunes (which rebuild from scratch) or one at a time when a
-     turnstile deletion returns a signed count to zero — the latter
-     uses backward-shift deletion, so linear probing still needs no
-     tombstones, and the per-update path allocates nothing. *)
-  tkeys : int array;
-  tvals : int array;
-  tmask : int;
-  (* prune scratch: at most 2·cap+1 live entries when a prune fires *)
-  sid : int array;
-  scnt : int array;
+     The live entries are packed in [ent_id]/[ent_cnt] over [0, tn), so
+     a prune selects over them in place.  [index] is an open-addressed
+     (linear-probe) table from slot to entry position ([-1] = empty).
+     Its slot count is a fixed power of two >= 2·(2·cap+1): occupancy
+     peaks at 2·cap+1 just before a prune fires, so the load factor
+     stays <= 1/2 and nothing ever resizes.  Entries leave either in
+     bulk prunes (which rebuild [index] from the survivors) or one at a
+     time when a turnstile deletion returns a signed count to zero: the
+     index slot is backward-shift deleted (no tombstones) and the last
+     entry moves into the freed position.  The per-update path
+     allocates nothing. *)
+  ent_id : int array;
+  ent_cnt : int array;
+  index : int array;
+  mask : int;
   mutable tn : int;
   mutable prunes : int;
 }
 
 type hit = { id : int; freq : float }
 
-let absent = min_int
+let empty = -1
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
@@ -47,46 +47,46 @@ let create ?(depth = 5) ?(width_factor = 8) ?(clamp = true) ~phi ~seed () =
     clamp;
     cs = Count_sketch.create ~depth ~width ~seed:(Mkc_hashing.Splitmix.fork seed 0) ();
     cap;
-    tkeys = Array.make slots absent;
-    tvals = Array.make slots 0;
-    tmask = slots - 1;
-    sid = Array.make maxocc 0;
-    scnt = Array.make maxocc 0;
+    ent_id = Array.make maxocc 0;
+    ent_cnt = Array.make maxocc 0;
+    index = Array.make slots empty;
+    mask = slots - 1;
     tn = 0;
     prunes = 0;
   }
 
 let[@inline] slot_of t i =
   let h = i * 0x2545_F491_4F6C_DD1D in
-  (h lxor (h lsr 23)) land t.tmask
+  (h lxor (h lsr 23)) land t.mask
 
-(* Find the slot holding [i], or the empty slot where it would go.
+(* Find the slot indexing [i], or the empty slot where it would go.
    Tail-recursive: no refs, no allocation on the per-update path. *)
-let rec probe keys mask i s =
-  let k = Array.unsafe_get keys s in
-  if k = i || k = absent then s else probe keys mask i ((s + 1) land mask)
+let rec probe t i s =
+  let p = Array.unsafe_get t.index s in
+  if p = empty || Array.unsafe_get t.ent_id p = i then s else probe t i ((s + 1) land t.mask)
 
 (* Prune order: count descending with an id tie-break.  Which
    candidates survive must be a function of the (id, count) multiset
-   alone, never of table layout — a restored or merged table has a
-   different slot arrangement but must prune identically.  Tracked ids
-   are distinct, so this order is strict and total and the top-[cap]
+   alone, never of entry order — a restored or merged tracker holds its
+   entries in a different order but must prune identically.  Tracked
+   ids are distinct, so this order is strict and total and the top-[cap]
    set is unique: [prune] only has to select it, not sort it, and the
-   survivors' slot layout afterwards is unobservable ([dump] and
-   [candidates] sort their results). *)
+   survivors' order afterwards is unobservable ([dump] and [candidates]
+   sort their results). *)
 let[@inline] sorts_after t i j =
-  let ci = Array.unsafe_get t.scnt i and cj = Array.unsafe_get t.scnt j in
-  ci < cj || (ci = cj && Array.unsafe_get t.sid i > Array.unsafe_get t.sid j)
+  let ci = Array.unsafe_get t.ent_cnt i and cj = Array.unsafe_get t.ent_cnt j in
+  ci < cj || (ci = cj && Array.unsafe_get t.ent_id i > Array.unsafe_get t.ent_id j)
 
-let swap_scratch t i j =
-  let c = t.scnt.(i) in
-  t.scnt.(i) <- t.scnt.(j);
-  t.scnt.(j) <- c;
-  let d = t.sid.(i) in
-  t.sid.(i) <- t.sid.(j);
-  t.sid.(j) <- d
+let swap t i j =
+  let cnt = t.ent_cnt and ids = t.ent_id in
+  let c = Array.unsafe_get cnt i in
+  Array.unsafe_set cnt i (Array.unsafe_get cnt j);
+  Array.unsafe_set cnt j c;
+  let d = Array.unsafe_get ids i in
+  Array.unsafe_set ids i (Array.unsafe_get ids j);
+  Array.unsafe_set ids j d
 
-(* Sift down in the heap over scratch [lo, lo+n) whose root is the entry
+(* Sift down in the heap over entries [lo, lo+n) whose root is the entry
    that sorts last. *)
 let rec sift t lo n i =
   let l = (2 * i) + 1 in
@@ -95,7 +95,7 @@ let rec sift t lo n i =
     let r = l + 1 in
     let m = if r < n && sorts_after t (lo + r) (lo + m) then r else m in
     if m <> i then begin
-      swap_scratch t (lo + i) (lo + m);
+      swap t (lo + i) (lo + m);
       sift t lo n m
     end
   end
@@ -110,7 +110,7 @@ let heap_select t lo k hi =
   done;
   for e = k to hi - 1 do
     if sorts_after t lo e then begin
-      swap_scratch t lo e;
+      swap t lo e;
       sift t lo n 0
     end
   done
@@ -119,18 +119,18 @@ let heap_select t lo k hi =
    and last entries; returns the pivot's final index. *)
 let partition t lo hi =
   let mid = lo + ((hi - lo) / 2) and last = hi - 1 in
-  if sorts_after t lo mid then swap_scratch t lo mid;
-  if sorts_after t mid last then swap_scratch t mid last;
-  if sorts_after t lo mid then swap_scratch t lo mid;
-  swap_scratch t mid last;
+  if sorts_after t lo mid then swap t lo mid;
+  if sorts_after t mid last then swap t mid last;
+  if sorts_after t lo mid then swap t lo mid;
+  swap t mid last;
   let store = ref lo in
   for i = lo to last - 1 do
     if sorts_after t last i then begin
-      swap_scratch t i !store;
+      swap t i !store;
       incr store
     end
   done;
-  swap_scratch t !store last;
+  swap t !store last;
   !store
 
 (* Introselect: move the entries of [lo, hi) that sort first into
@@ -150,31 +150,33 @@ let rec select t lo k hi depth =
    allocates no closure. *)
 let rec log2_floor n acc = if n <= 1 then acc else log2_floor (n / 2) (acc + 1)
 
-(* Insert without overflow checks: only called while rebuilding below
-   cap occupancy. *)
-let reinsert t id c =
-  let s = probe t.tkeys t.tmask id (slot_of t id) in
-  t.tkeys.(s) <- id;
-  t.tvals.(s) <- c;
-  t.tn <- t.tn + 1
+(* Point [index] at every entry of [0, tn).  The ids are distinct, so
+   each goes in the first empty slot of its probe sequence.  The index
+   is cleared by a typed loop, not [Array.fill]: on an array in the
+   major heap the runtime's fill treats every field as a possible
+   pointer, and it cost as much as the select itself. *)
+let reindex t =
+  let index = t.index and mask = t.mask in
+  for s = 0 to mask do
+    Array.unsafe_set index s empty
+  done;
+  for p = 0 to t.tn - 1 do
+    let s = ref (slot_of t (Array.unsafe_get t.ent_id p)) in
+    while Array.unsafe_get index !s <> empty do
+      s := (!s + 1) land mask
+    done;
+    Array.unsafe_set index !s p
+  done
 
+(* Select the top [cap] entries into [0, cap) in place, drop the rest
+   and rebuild the index over the survivors. *)
 let prune t =
   t.prunes <- t.prunes + 1;
-  let n = ref 0 in
-  for s = 0 to t.tmask do
-    if Array.unsafe_get t.tkeys s <> absent then begin
-      t.sid.(!n) <- Array.unsafe_get t.tkeys s;
-      t.scnt.(!n) <- Array.unsafe_get t.tvals s;
-      incr n;
-      Array.unsafe_set t.tkeys s absent
-    end
-  done;
-  let keep = min t.cap !n in
-  select t 0 keep !n (2 * log2_floor !n 0);
-  t.tn <- 0;
-  for j = 0 to keep - 1 do
-    reinsert t t.sid.(j) t.scnt.(j)
-  done
+  let n = t.tn in
+  let keep = min t.cap n in
+  select t 0 keep n (2 * log2_floor n 0);
+  t.tn <- keep;
+  reindex t
 
 (* The two halves of an update, separable because they touch disjoint
    state.  The CountSketch half is linear and commutative — updates to
@@ -186,48 +188,59 @@ let prune t =
    [add]. *)
 let add_cs t i delta = Count_sketch.add t.cs i delta
 
-(* Backward-shift deletion: clear the hole, then walk the cluster after
-   it, sliding back every entry whose probe path crosses the hole.
-   Probe sequences stay unbroken with no tombstones; the serialized
-   form ([dump] sorts by id) depends only on the surviving (id, count)
-   multiset, which is what makes insert-then-delete bit-for-bit equal
-   to never-inserted on the serialized table. *)
-let remove_at t s =
-  t.tn <- t.tn - 1;
-  let mask = t.tmask in
-  let hole = ref s in
-  Array.unsafe_set t.tkeys s absent;
-  let j = ref ((s + 1) land mask) in
-  let continue = ref true in
-  while !continue do
-    let k = Array.unsafe_get t.tkeys !j in
-    if k = absent then continue := false
-    else begin
-      let h = slot_of t k in
-      if (!j - h) land mask >= (!j - !hole) land mask then begin
-        Array.unsafe_set t.tkeys !hole k;
-        Array.unsafe_set t.tvals !hole (Array.unsafe_get t.tvals !j);
-        Array.unsafe_set t.tkeys !j absent;
-        hole := !j
-      end;
-      j := (!j + 1) land mask
+(* Backward-shift deletion from [hole]: walk the cluster after it,
+   sliding back every index slot whose probe path crosses the hole.
+   Probe sequences stay unbroken with no tombstones. *)
+let rec shift t hole j =
+  let p = Array.unsafe_get t.index j in
+  if p <> empty then begin
+    let next = (j + 1) land t.mask in
+    if (j - slot_of t (Array.unsafe_get t.ent_id p)) land t.mask >= (j - hole) land t.mask
+    then begin
+      Array.unsafe_set t.index hole p;
+      Array.unsafe_set t.index j empty;
+      shift t j next
     end
-  done
+    else shift t hole next
+  end
+
+(* Drop the entry at position [p], indexed from slot [s]: free the slot,
+   then move the last entry into [p].  The serialized form ([dump] sorts
+   by id) depends only on the surviving (id, count) multiset, which is
+   what makes insert-then-delete bit-for-bit equal to never-inserted. *)
+let remove t s p =
+  Array.unsafe_set t.index s empty;
+  shift t s ((s + 1) land t.mask);
+  let last = t.tn - 1 in
+  if p <> last then begin
+    let id = Array.unsafe_get t.ent_id last in
+    Array.unsafe_set t.index (probe t id (slot_of t id)) p;
+    Array.unsafe_set t.ent_id p id;
+    Array.unsafe_set t.ent_cnt p (Array.unsafe_get t.ent_cnt last)
+  end;
+  t.tn <- last
+
+(* Append a new entry at slot [s] (found empty by [probe]). *)
+let[@inline] append t s i c =
+  let p = t.tn in
+  Array.unsafe_set t.ent_id p i;
+  Array.unsafe_set t.ent_cnt p c;
+  Array.unsafe_set t.index s p;
+  t.tn <- p + 1
 
 let add_tracked t i delta =
-  let s = probe t.tkeys t.tmask i (slot_of t i) in
-  if Array.unsafe_get t.tkeys s = i then begin
-    let c = Array.unsafe_get t.tvals s + delta in
+  let s = probe t i (slot_of t i) in
+  let p = Array.unsafe_get t.index s in
+  if p <> empty then begin
+    let c = Array.unsafe_get t.ent_cnt p + delta in
     (* A signed count returning to zero means "never inserted": drop
        the entry so the table matches the insertion-free state.  With
        positive deltas (insertion-only streams) this branch is dead and
        the historical behaviour is bit-for-bit unchanged. *)
-    if c = 0 then remove_at t s else Array.unsafe_set t.tvals s c
+    if c = 0 then remove t s p else Array.unsafe_set t.ent_cnt p c
   end
   else begin
-    Array.unsafe_set t.tkeys s i;
-    Array.unsafe_set t.tvals s delta;
-    t.tn <- t.tn + 1;
+    append t s i delta;
     if t.tn > 2 * t.cap then prune t
   end
 
@@ -247,13 +260,11 @@ let candidates t =
      tracked from early on, so its counter is near-exact and the
      (1 ± 1/2) value guarantee is preserved.) *)
   let acc = ref [] in
-  for s = 0 to t.tmask do
-    let id = t.tkeys.(s) in
-    if id <> absent then begin
-      let est = Count_sketch.estimate t.cs id in
-      let freq = if t.clamp then Float.min est (float_of_int t.tvals.(s)) else est in
-      acc := { id; freq } :: !acc
-    end
+  for p = t.tn - 1 downto 0 do
+    let id = t.ent_id.(p) in
+    let est = Count_sketch.estimate t.cs id in
+    let freq = if t.clamp then Float.min est (float_of_int t.ent_cnt.(p)) else est in
+    acc := { id; freq } :: !acc
   done;
   List.sort
     (fun a b -> if a.freq <> b.freq then compare b.freq a.freq else compare a.id b.id)
@@ -264,26 +275,26 @@ let hits t =
   let threshold = t.phi *. f2 in
   candidates t |> List.filter (fun { freq; _ } -> freq *. freq >= threshold)
 
-let dump t =
+(* The tracked (id, count) pairs sorted by id. *)
+let sorted_counts t =
   let counts = ref [] in
-  for s = 0 to t.tmask do
-    if t.tkeys.(s) <> absent then counts := (t.tkeys.(s), t.tvals.(s)) :: !counts
+  for p = t.tn - 1 downto 0 do
+    counts := (t.ent_id.(p), t.ent_cnt.(p)) :: !counts
   done;
-  let counts = List.sort (fun (a, _) (b, _) -> compare a b) !counts in
-  (Count_sketch.dump t.cs, counts, t.prunes)
+  List.sort (fun (a, _) (b, _) -> compare a b) !counts
+
+let dump t = (Count_sketch.dump t.cs, sorted_counts t, t.prunes)
 
 let clear_tracked t =
-  Array.fill t.tkeys 0 (t.tmask + 1) absent;
-  t.tn <- 0
+  t.tn <- 0;
+  reindex t
 
-(* Insert a restored/merged (id, count); returns false on duplicate. *)
+(* Insert a restored (id, count); returns false on duplicate. *)
 let insert_count t id c =
-  let s = probe t.tkeys t.tmask id (slot_of t id) in
-  if Array.unsafe_get t.tkeys s = id then false
+  let s = probe t id (slot_of t id) in
+  if Array.unsafe_get t.index s <> empty then false
   else begin
-    t.tkeys.(s) <- id;
-    t.tvals.(s) <- c;
-    t.tn <- t.tn + 1;
+    append t s id c;
     true
   end
 
@@ -307,14 +318,14 @@ let load_state t ~rows ~counts ~prunes =
 
 (* The CountSketch half is linear; the tracked half merges by summing
    since-insertion counters (replayed in canonical id order so the
-   result is independent of either table's layout).  When neither side
-   has pruned this is exactly the single-stream tracked state; once
-   prunes have fired the tracker is an approximation either way. *)
+   result is independent of either tracker's entry order).  When
+   neither side has pruned this is exactly the single-stream tracked
+   state; once prunes have fired the tracker is an approximation either
+   way. *)
 let merge_into ~dst src =
   if dst.cap <> src.cap then invalid_arg "F2_heavy_hitter.merge_into: cap mismatch";
   Count_sketch.merge_into ~dst:dst.cs src.cs;
-  let _, counts, _ = dump src in
-  List.iter (fun (id, c) -> add_tracked dst id c) counts;
+  List.iter (fun (id, c) -> add_tracked dst id c) (sorted_counts src);
   dst.prunes <- dst.prunes + src.prunes
 
 let f2_estimate t = Count_sketch.f2_estimate t.cs
@@ -322,11 +333,11 @@ let phi t = t.phi
 let tracked t = t.tn
 let cap t = t.cap
 let shape t = (Count_sketch.depth t.cs, Count_sketch.width t.cs)
-let mem t i = Array.unsafe_get t.tkeys (probe t.tkeys t.tmask i (slot_of t i)) = i
+let mem t i = Array.unsafe_get t.index (probe t i (slot_of t i)) <> empty
 let prunes t = t.prunes
 
 (* Logical space: two words per live tracked entry plus the
    CountSketch — same accounting as the historical Hashtbl layout
-   (the flat table's 2×-slot preallocation is a bounded constant
-   factor; see DESIGN.md). *)
+   (the index's 2×-slot preallocation is a bounded constant factor;
+   see DESIGN.md). *)
 let words t = Count_sketch.words t.cs + (2 * t.tn)

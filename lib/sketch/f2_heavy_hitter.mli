@@ -5,10 +5,11 @@
 
     Implementation: a {!Count_sketch} of width Θ(1/φ) for frequency
     estimates and the in-sketch F2 estimate, plus a candidate tracker
-    of capacity Θ(1/φ): a flat linear-probe table pruned back to its
-    top-[cap] entries by a linear-time select (any φ-heavy item occupies
-    a constant fraction of the stream's L2 mass, so rescoring on each
-    arrival keeps it in the tracker w.h.p.). *)
+    of capacity Θ(1/φ): dense (id, count) entries with a linear-probe
+    index over them, pruned back to the top-[cap] entries by an
+    in-place linear-time select (any φ-heavy item occupies a constant
+    fraction of the stream's L2 mass, so rescoring on each arrival
+    keeps it in the tracker w.h.p.). *)
 
 type t
 

@@ -161,6 +161,22 @@ let test_profiles_per_drive () =
 let test_budget_overshoot_is_an_error () =
   let src, params = instance () in
   let log = Filename.temp_file "mkc_run" ".mkctel" in
+  let tripped what r =
+    match r with
+    | Error (Run.Budget_exceeded { budget; words }) ->
+        checki (what ^ ": budget named") 1 budget;
+        checkb (what ^ ": words over budget") true (words > 1)
+    | Error e -> Alcotest.failf "%s: wrong error: %s" what (Run.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: a 1-word strict budget must abort" what
+  in
+  let log_intact what =
+    match Mkc_obs.Telemetry.read log with
+    | Error e ->
+        Alcotest.failf "%s: log unreadable: %s" what (Mkc_obs.Telemetry.error_to_string e)
+    | Ok t ->
+        checkb (what ^ ": log untorn") true (t.torn = None);
+        checkb (what ^ ": log holds the sample that tripped the budget") true (t.samples <> [])
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove log)
     (fun () ->
@@ -170,17 +186,41 @@ let test_budget_overshoot_is_an_error () =
           { Run.default with chunk = 256; cadence = 256 }
           src
       in
-      (match r with
-      | Error (Run.Budget_exceeded { budget; words }) ->
-          checki "budget named" 1 budget;
-          checkb "words over budget" true (words > 1)
-      | Error e -> Alcotest.failf "wrong error: %s" (Run.error_to_string e)
-      | Ok _ -> Alcotest.fail "a 1-word strict budget must abort");
-      match Mkc_obs.Telemetry.read log with
-      | Error e -> Alcotest.failf "log unreadable: %s" (Mkc_obs.Telemetry.error_to_string e)
-      | Ok t ->
-          checkb "log untorn" true (t.torn = None);
-          checkb "log holds the sample that tripped the budget" true (t.samples <> []))
+      tripped "estimate" r;
+      log_intact "estimate";
+      (* The windowed drive ([mkc estimate --window]) goes through the
+         same observer. *)
+      let w = Mkc_core.Windowed.create params ~window:2 ~epoch_edges:1000 () in
+      let r =
+        Run.run
+          { Run.default with chunk = 256; cadence = 256 }
+          ~budget:(Mkc_sketch.Space.Budget.create ~strict:true 1)
+          ~telemetry:
+            {
+              Run.log = Some log;
+              rules = [];
+              probes =
+                (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown w);
+            }
+          ~label:"estimate" Mkc_core.Windowed.sink w src
+      in
+      tripped "windowed" r;
+      log_intact "windowed");
+  (* A non-strict budget only records the overshoot: a checkpoint saved
+     while over it still resumes to the uninterrupted answer. *)
+  let path = Filename.temp_file "mkc_run" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let r0 = Pipe.run_seq E.sink (E.create params) src in
+      let cfg = { Run.default with chunk = 500; cadence = 500 } in
+      let half = Src.of_array (Array.sub (Src.to_array src) 0 2000) in
+      let ckpt resume save = { Run.codec = E.codec params; every = 1; save; resume } in
+      let budget = Mkc_sketch.Space.Budget.create ~strict:false 1 in
+      ignore (get (snd (run_estimate ~budget ~ckpt:(ckpt None (Some path)) params cfg half)));
+      checkb "over budget while saving" true (Mkc_sketch.Space.Budget.overshoots budget > 0);
+      let o = get (snd (run_estimate ~ckpt:(ckpt (Some path) None) params cfg src)) in
+      checkb "resumed answer" true (fingerprint o.result = fingerprint r0))
 
 let test_health_violation_is_an_error () =
   with_registry_restored (fun () ->

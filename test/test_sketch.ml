@@ -131,7 +131,42 @@ let test_count_sketch_point_queries () =
     Cs.add cs i 5
   done;
   let est = Cs.estimate cs 3 in
-  checkb "heavy estimate within 10%" true (within ~tol:0.1 ~truth:10_000 est)
+  checkb "heavy estimate within 10%" true (within ~tol:0.1 ~truth:10_000 est);
+  (* The estimate is the median of the rows' signed counters (the mean
+     of the two middle rows at even depth), read here through the dump
+     and the sketch's own hash seeds and sorted as floats. *)
+  List.iter
+    (fun depth ->
+      let seed = Sm.create (30 + depth) in
+      let width = 16 in
+      let cs = Cs.create ~depth ~width ~seed () in
+      for i = 0 to 199 do
+        Cs.add cs (i mod 37) (1 + (i mod 5) - (2 * (i mod 3)))
+      done;
+      let rows = Cs.dump cs in
+      let reference i =
+        let v =
+          Array.init depth (fun r ->
+              let b =
+                Mkc_hashing.Pairwise.hash
+                  (Mkc_hashing.Pairwise.create ~range:width ~seed:(Sm.fork seed (2 * r)))
+                  i
+              in
+              let s =
+                Mkc_hashing.Poly_hash.create ~indep:4 ~range:2 ~seed:(Sm.fork seed ((2 * r) + 1))
+              in
+              float_of_int
+                ((if Mkc_hashing.Poly_hash.hash s i = 0 then 1 else -1) * rows.(r).(b)))
+        in
+        Array.sort compare v;
+        if depth land 1 = 1 then v.(depth / 2) else (v.((depth / 2) - 1) +. v.(depth / 2)) /. 2.0
+      in
+      for i = 0 to 40 do
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "depth %d item %d: median of rows" depth i)
+          (reference i) (Cs.estimate cs i)
+      done)
+    [ 1; 2; 3; 4; 5; 6 ]
 
 let test_count_sketch_f2 () =
   let cs = Cs.create ~depth:5 ~width:1024 ~seed:(Sm.create 21) () in
@@ -382,22 +417,35 @@ let prop_l0_at_most_stream_length =
    ascending) and keeping the first [cap], beside a CountSketch with the
    tracker's own width and seed for the candidate estimates.  The
    tracker's table must end with the same dump and answer the same
-   candidates whatever its slot layout. *)
+   candidates whatever its entry order.  A [Merge] feeds its updates to
+   a second tracker and merges that into the first; the model adds the
+   second model's CountSketch and replays its sorted (id, count) pairs
+   through the tracked half of [model_add]. *)
 
-type hh_op = Upd of int * int | Cand
+type hh_op = Upd of int * int | Cand | Merge of (int * int) list
 
 let gen_hh_case =
   QCheck.Gen.(
     int_range 4 16 >>= fun c ->
-    let upd =
-      map2 (fun i d -> Upd (i, d)) (int_range 0 (3 * c)) (oneofl [ -2; -1; -1; 1; 1; 1; 2; 3 ])
-    in
-    pair (return c) (list_size (int_range 0 400) (frequency [ (24, upd); (1, return Cand) ])))
+    let update = pair (int_range 0 (3 * c)) (oneofl [ -2; -1; -1; 1; 1; 1; 2; 3 ]) in
+    let upd = map (fun (i, d) -> Upd (i, d)) update in
+    (* Up to 8·c updates over 3·c+1 ids: a merge source holds up to 2·c
+       entries, so folding it in usually prunes, and its negative counts
+       cancel some of the destination's. *)
+    let merge = map (fun us -> Merge us) (list_size (int_range 0 (8 * c)) update) in
+    pair (return c)
+      (list_size (int_range 0 400) (frequency [ (24, upd); (1, return Cand); (1, merge) ])))
 
 let print_hh_case (c, ops) =
+  let upd (i, d) = Printf.sprintf "%d%+d" i d in
   Printf.sprintf "cap %d: %s" c
     (String.concat " "
-       (List.map (function Upd (i, d) -> Printf.sprintf "%d%+d" i d | Cand -> "C") ops))
+       (List.map
+          (function
+            | Upd (i, d) -> upd (i, d)
+            | Cand -> "C"
+            | Merge us -> "M[" ^ String.concat " " (List.map upd us) ^ "]")
+          ops))
 
 let arb_hh_case = QCheck.make ~print:print_hh_case gen_hh_case
 
@@ -420,8 +468,7 @@ let model_prune m cap =
   m.mcounts <- List.filteri (fun k _ -> k < cap) sorted;
   m.mprunes <- m.mprunes + 1
 
-let model_add m cap i d =
-  Cs.add m.mcs i d;
+let model_track m cap i d =
   match List.assoc_opt i m.mcounts with
   | Some c ->
       let rest = List.remove_assoc i m.mcounts in
@@ -429,6 +476,10 @@ let model_add m cap i d =
   | None ->
       m.mcounts <- (i, d) :: m.mcounts;
       if List.length m.mcounts > 2 * cap then model_prune m cap
+
+let model_add m cap i d =
+  Cs.add m.mcs i d;
+  model_track m cap i d
 
 let model_candidates m cap =
   if List.length m.mcounts > cap then model_prune m cap;
@@ -440,9 +491,19 @@ let model_candidates m cap =
 
 let model_dump m = (Cs.dump m.mcs, List.sort compare m.mcounts, m.mprunes)
 
+(* A merge source and its model, fed [us]. *)
+let merge_source c us =
+  let src, ms = hh_pair c in
+  List.iter
+    (fun (i, d) ->
+      Hh.add src i d;
+      model_add ms (Hh.cap src) i d)
+    us;
+  (src, ms)
+
 (* Apply [ops] to the tracker and the model; false at the first
-   disagreeing [candidates] answer. *)
-let hh_run hh m ops =
+   disagreeing [candidates] answer or merge source. *)
+let hh_run c hh m ops =
   let cap = Hh.cap hh in
   List.for_all
     (function
@@ -450,7 +511,14 @@ let hh_run hh m ops =
           Hh.add hh i d;
           model_add m cap i d;
           true
-      | Cand -> Hh.candidates hh = model_candidates m cap)
+      | Cand -> Hh.candidates hh = model_candidates m cap
+      | Merge us ->
+          let src, ms = merge_source c us in
+          Hh.merge_into ~dst:hh src;
+          Cs.merge_into ~dst:m.mcs ms.mcs;
+          List.iter (fun (i, n) -> model_track m cap i n) (List.sort compare ms.mcounts);
+          m.mprunes <- m.mprunes + ms.mprunes;
+          Hh.dump src = model_dump ms)
     ops
 
 let hh_agrees hh m =
@@ -461,11 +529,11 @@ let prop_hh_prune_matches_model =
   QCheck.Test.make ~name:"f2_hh tracker ≡ full-sort model" ~count:200 arb_hh_case
     (fun (c, ops) ->
       let hh, m = hh_pair c in
-      hh_run hh m ops && hh_agrees hh m)
+      hh_run c hh m ops && hh_agrees hh m)
 
-(* A tracker restored through [load_state] in reverse id order has a
-   different slot layout from the live one; fed the same suffix, both
-   must end where the model does. *)
+(* A tracker restored through [load_state] in reverse id order holds
+   its entries in a different order from the live one; fed the same
+   suffix, both must end where the model does. *)
 let prop_hh_restored_matches_live =
   QCheck.Test.make ~name:"f2_hh restored tracker ≡ live tracker" ~count:100 arb_hh_case
     (fun (c, ops) ->
@@ -473,25 +541,44 @@ let prop_hh_restored_matches_live =
       let half = List.length ops / 2 in
       let prefix = List.filteri (fun k _ -> k < half) ops
       and suffix = List.filteri (fun k _ -> k >= half) ops in
-      hh_run live m prefix
+      hh_run c live m prefix
       &&
       let rows, counts, prunes = Hh.dump live in
       let restored, _ = hh_pair c in
       Hh.load_state restored ~rows ~counts:(List.rev counts) ~prunes = Ok ()
       && List.for_all
            (fun op ->
-             hh_run live m [ op ]
+             hh_run c live m [ op ]
              &&
              match op with
              | Upd (i, d) ->
                  Hh.add restored i d;
                  true
-             | Cand -> Hh.candidates restored = Hh.candidates live)
+             | Cand -> Hh.candidates restored = Hh.candidates live
+             | Merge us ->
+                 Hh.merge_into ~dst:restored (fst (merge_source c us));
+                 true)
            suffix
       && Hh.dump restored = Hh.dump live
       && hh_agrees live m
       && Hh.candidates restored = Hh.candidates live
       && Hh.dump restored = Hh.dump live)
+
+(* The merge shape the property can only hope to draw: the source
+   cancels one of the destination's counts to zero and brings enough
+   new ids to prune the destination mid-merge. *)
+let test_hh_merge_prunes_and_cancels () =
+  let c = 8 in
+  let hh, m = hh_pair c in
+  let cap = Hh.cap hh in
+  let dst = List.init (2 * cap) (fun i -> Upd (i, 1 + (i mod 3))) in
+  let src = (0, -1) :: List.init cap (fun j -> (100 + j, 2)) in
+  if not (hh_run c hh m dst) then Alcotest.fail "destination disagrees before the merge";
+  let prunes = Hh.prunes hh in
+  if not (hh_run c hh m [ Merge src ]) then Alcotest.fail "merge source disagrees";
+  Alcotest.(check bool) "the merge pruned" true (Hh.prunes hh > prunes);
+  Alcotest.(check bool) "the cancelled id is gone" false (Hh.mem hh 0);
+  Alcotest.(check bool) "tracker ≡ model after the merge" true (hh_agrees hh m)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -526,6 +613,7 @@ let suite =
     Alcotest.test_case "hh no false heavies" `Quick test_hh_no_false_heavies_on_uniform;
     Alcotest.test_case "hh multiple heavies" `Quick test_hh_multiple_heavies;
     Alcotest.test_case "hh phi validation" `Quick test_hh_phi_validation;
+    Alcotest.test_case "hh merge prunes and cancels" `Quick test_hh_merge_prunes_and_cancels;
     Alcotest.test_case "contributing: dominant coordinate" `Quick test_contributing_single_dominant;
     Alcotest.test_case "contributing: large flat class" `Quick test_contributing_large_class;
     Alcotest.test_case "contributing: values accurate" `Quick test_contributing_values_accurate;

@@ -327,7 +327,7 @@ let test_top_pp_count () =
   Alcotest.(check string) "negative" "-1,234" (Top.pp_count (-1234));
   Alcotest.(check string) "zero" "0" (Top.pp_count 0)
 
-let test_top_sparkline_bar () =
+let test_top_sparkline () =
   let s = Series.create ~capacity:8 ~tracks:[| "v" |] in
   List.iter
     (fun v ->
@@ -340,10 +340,7 @@ let test_top_sparkline_bar () =
   let wide = Top.sparkline ~width:2 s 0 in
   Alcotest.(check string) "width clips to newest" "\u{2588}\u{2581}" wide;
   let empty = Series.create ~capacity:2 ~tracks:[| "v" |] in
-  Alcotest.(check string) "empty sparkline" "" (Top.sparkline empty 0);
-  Alcotest.(check string) "bar half" "[#####-----]" (Top.bar ~width:10 ~num:5 ~den:10);
-  Alcotest.(check string) "bar overfull clamps" "[##########]" (Top.bar ~width:10 ~num:15 ~den:10);
-  Alcotest.(check string) "bar zero den" "" (Top.bar ~width:10 ~num:5 ~den:0)
+  Alcotest.(check string) "empty sparkline" "" (Top.sparkline empty 0)
 
 let test_top_render () =
   let empty = Series.create ~capacity:4 ~tracks:[| "space.words" |] in
@@ -361,11 +358,11 @@ let test_top_render () =
       Series.stage s 4 other;
       Series.commit s ~at_ns:(1_000_000_000 * (i + 1)) ~at_edges:edges)
     [ (1000, 500, 2048, 100, 1); (2000, 600, 4096, 120, 9) ];
-  let view = Top.render ~budget_words:8192 ~violations:[ ("space", 0); ("stall", 2) ] s in
+  let view = Top.render ~violations:[ ("space", 0); ("stall", 2) ] s in
   check_contains "header edges" "2,000 edges" view;
   check_contains "sample count" "2 samples" view;
   check_contains "throughput line" "throughput" view;
-  check_contains "budget bar" "/ budget 8,192" view;
+  check_contains "space line" "4,096 words" view;
   check_contains "space component" "oracle.l0" view;
   check_contains "unknown family fallback" "other.track" view;
   check_contains "violations" "stall \xc3\x972" view;
@@ -514,7 +511,7 @@ let suite =
     Alcotest.test_case "replay matches summary" `Quick test_replay_matches_summary;
     Alcotest.test_case "recorder round trip" `Quick test_recorder;
     Alcotest.test_case "top pp_count" `Quick test_top_pp_count;
-    Alcotest.test_case "top sparkline and bar" `Quick test_top_sparkline_bar;
+    Alcotest.test_case "top sparkline" `Quick test_top_sparkline;
     Alcotest.test_case "top render families" `Quick test_top_render;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) prop_fuzz_framed;
   ]
