@@ -282,7 +282,12 @@ let freeze t =
    (OCaml always pads with at least one byte). *)
 let frozen_words f = (String.length f / 8) + 2
 
-let thaw ~into f = Mkc_sketch.Packed.decode f (fun r -> iter_oracles into (Oracle.thaw r))
+(* A thawed estimator has not been finalized: the winners and
+   acceptance verdicts of whatever state it held before must not
+   outlive that state. *)
+let thaw ~into f =
+  into.finals <- [];
+  Mkc_sketch.Packed.decode f (fun r -> iter_oracles into (Oracle.thaw r))
 
 let merge_into ~dst src =
   match (dst.body, src.body) with

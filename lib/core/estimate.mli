@@ -112,9 +112,12 @@ val frozen_words : frozen -> int
 
 val thaw : into:t -> frozen -> (unit, string) Stdlib.result
 (** Overlay a frozen state onto [into], which must be {!create}d from
-    the params the state was frozen under.  Work counters read zero
-    afterwards: [into] is a merge source for {!merge_into}, and one
-    scratch estimator can be thawed into again and again.  A malformed
+    the params the state was frozen under.  Work counters and
+    finalize-time records ({!winners}, heavy-hitter recoveries) read
+    empty afterwards, while memos and scratch (pure functions of the
+    seeds) stay warm: [into] is a merge source for {!merge_into}, one
+    scratch estimator can be thawed into again and again, and thawing
+    a frozen fresh estimator resets [into] to a fresh one.  A malformed
     state is an [Error] (and leaves [into] partly overwritten). *)
 
 val merge_into : dst:t -> t -> unit

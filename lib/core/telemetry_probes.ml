@@ -93,9 +93,9 @@ let common ~breakdown ~totals_of ~extra : probe array =
 let build ~breakdown est : probe array =
   common ~breakdown ~totals_of:(fun () -> Estimate.stats_totals est) ~extra:[]
 
-(* Windowed runs replace the in-flight estimator on every epoch roll,
-   so the totals fetch must go through [Windowed.current] per sample;
-   the window.* tracks read the ring's own counts, so they need no
+(* Windowed runs reset the in-flight estimator on every epoch roll, so
+   the totals are the in-flight epoch's, fetched per sample; the
+   window.* tracks read the ring's own counts, so they need no
    registry. *)
 let build_windowed ~breakdown w : probe array =
   let read f ~at_ns:(_ : int) ~at_edges:(_ : int) = f w in

@@ -43,6 +43,6 @@ val build_windowed :
 (** {!build} for a windowed run: the same track set plus
     [window.epochs] / [window.rolled] (read from
     {!Windowed.live_epochs} and {!Windowed.rolled}, so they record with
-    the registry disabled).  Sketch-health totals are re-read through
-    {!Windowed.current} on every sample, since the in-flight estimator
-    is replaced when an epoch rolls. *)
+    the registry disabled).  Sketch-health totals are the in-flight
+    epoch's ({!Windowed.stats_totals}), re-read on every sample, since a
+    roll resets them. *)

@@ -1,11 +1,13 @@
 (* Sliding-window / exponential-decay coverage estimation over linear
-   sketch state: the stream is cut into fixed-size epochs, each epoch
-   runs a fresh {!Estimate} instance that is frozen ({!Estimate.freeze})
-   into a ring of the last [window] epochs when the epoch rolls, and a
-   query thaws each held epoch into one scratch estimator and merges it
-   (oldest first) plus the in-flight epoch into a fresh one — exactly
-   the shard-merge path, so the windowed answer is the answer a fresh
-   run over the live suffix would give.  Exponential decay reuses the
+   sketch state: the stream is cut into fixed-size epochs, all run in
+   one live {!Estimate} instance.  When an epoch rolls, the instance is
+   frozen ({!Estimate.freeze}) into a ring of the last [window] epochs
+   and then reset in place by thawing a frozen blank into it (its
+   seed-derived memos stay warm across rolls).  A query thaws each held
+   epoch into one scratch estimator and merges it (oldest first) plus
+   the in-flight epoch into a fresh one — exactly the shard-merge path,
+   so the windowed answer is the answer a fresh run over the live
+   suffix would give.  Exponential decay reuses the
    same ring but folds the per-epoch finalized estimates through the
    {!Decay} monoid instead of trusting the undiscounted merge. *)
 
@@ -28,7 +30,11 @@ type t = {
   window : int;
   epoch_edges : int;
   decay : float option;
-  mutable current : Estimate.t;
+  current : Estimate.t;
+  (* [current] frozen before its first edge: a roll thaws it back into
+     [current] instead of creating a new estimator.  Like the memos it
+     is a function of the params alone, so [words] does not charge it. *)
+  blank : Estimate.frozen;
   mutable in_epoch : int;
   (* Plan for the pieces of a slice that straddles a roll; created on
      the first such slice, so a drive whose chunks never straddle one
@@ -50,12 +56,14 @@ let create ?decay params ~window ~epoch_edges () =
       invalid_arg "Windowed.create: decay must lie in (0, 1)"
   | _ -> ());
   let reg = Mkc_obs.Registry.global in
+  let current = Estimate.create params in
   {
     params;
     window;
     epoch_edges;
     decay;
-    current = Estimate.create params;
+    current;
+    blank = Estimate.freeze current;
     in_epoch = 0;
     own_plan = None;
     ring = Array.make window None;
@@ -90,7 +98,9 @@ let roll t =
   t.rolled <- t.rolled + 1;
   Mkc_obs.Registry.incr t.c_rolled;
   Mkc_obs.Registry.set t.g_epochs (float_of_int (live_epochs t));
-  t.current <- Estimate.create t.params;
+  (match Estimate.thaw ~into:t.current t.blank with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Windowed.roll: the blank epoch does not thaw: " ^ e));
   t.in_epoch <- 0
 
 let advance t n =

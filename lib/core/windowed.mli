@@ -3,16 +3,19 @@
     The general streaming model of the paper is insertion + deletion;
     freshness-weighted queries ("coverage over the recent stream") are
     the other practical face of the same machinery.  This module cuts
-    the edge stream into fixed-size epochs, runs a fresh {!Estimate}
-    instance per epoch, and freezes each finished epoch
+    the edge stream into fixed-size epochs, runs every epoch in one
+    live {!Estimate} instance, and freezes each finished epoch
     ({!Estimate.freeze}: its packed mergeable state) into a ring of the
-    last [window] epochs.  A query thaws the held epochs one by one
-    into a scratch estimator and merges them oldest-first into one
-    estimator by the shard-merge path ({!Estimate.merge_into}), then
-    merges the in-flight epoch, so the windowed answer is exactly what
-    a fresh single pass over the live suffix would produce (L0 and the
-    linear sketches merge losslessly; only work counters and the
-    decision memo differ, and neither feeds the estimate).
+    last [window] epochs.  A roll then resets the live instance in
+    place by thawing a frozen blank into it ({!Estimate.thaw}), so its
+    seed-derived decision memos stay warm from epoch to epoch.  A query
+    thaws the held epochs one by one into a scratch estimator and
+    merges them oldest-first into one estimator by the shard-merge path
+    ({!Estimate.merge_into}), then merges the in-flight epoch, so the
+    windowed answer is exactly what a fresh single pass over the live
+    suffix would produce (L0 and the linear sketches merge losslessly;
+    only work counters and the decision memo differ, and neither feeds
+    the estimate).
 
     With [decay] = λ the same ring instead feeds the {!Decay} monoid:
     each roll finalizes its epoch, and the per-epoch estimates are
@@ -83,8 +86,8 @@ val stats_totals : t -> (string * int) list
 val params : t -> Params.t
 
 val current : t -> Estimate.t
-(** The in-flight epoch's estimator.  Telemetry probes must re-read
-    this per sample — it is replaced on every roll. *)
+(** The in-flight epoch's estimator: one instance for the whole run,
+    reset in place (not replaced) on every roll. *)
 
 val rolled : t -> int
 

@@ -113,11 +113,16 @@ let is_binary path =
 
 let ( let* ) = Result.bind
 
-let checked_to_int name v =
+(* A stored field as a non-negative int, or -1 when it does not fit. *)
+let[@inline] field_int v =
   let i = Int64.to_int v in
-  if Int64.of_int i <> v || i < 0 then
-    Error (Malformed (Printf.sprintf "%s %Ld out of range" name v))
-  else Ok i
+  if Int64.equal (Int64.of_int i) v && i >= 0 then i else -1
+
+let out_of_range name v = Printf.sprintf "%s %Ld out of range" name v
+
+let checked_to_int name v =
+  let i = field_int v in
+  if i < 0 then Error (Malformed (out_of_range name v)) else Ok i
 
 let read path =
   match open_in_bin path with
@@ -184,38 +189,37 @@ let read path =
             else
               Error (Checksum_mismatch { expected = hex64 crc; got = hex64 stored_crc })
           in
-          let* edges =
-            let rec go i acc =
-              if i < 0 then Ok acc
-              else
-                let* s = checked_to_int "set id" (Bytes.get_int64_le body (8 * i)) in
-                let* e =
-                  checked_to_int "element id" (Bytes.get_int64_le body (8 * (count + i)))
-                in
-                if s >= m then
-                  Error
-                    (Malformed (Printf.sprintf "set id %d out of range [0, %d)" s m))
-                else if e >= n then
-                  Error
-                    (Malformed
-                       (Printf.sprintf "element id %d out of range [0, %d)" e n))
+          (* One plain loop, last edge first, so a file with several
+             faults names the same edge it always did; the first fault
+             leaves by [Bad] and becomes its named [Malformed]. *)
+          let exception Bad of string in
+          match
+            let edges = Array.make count (Edge.make ~set:0 ~elt:0) in
+            for i = count - 1 downto 0 do
+              let sv = Bytes.get_int64_le body (8 * i) in
+              let s = field_int sv in
+              if s < 0 then raise (Bad (out_of_range "set id" sv));
+              let ev = Bytes.get_int64_le body (8 * (count + i)) in
+              let e = field_int ev in
+              if e < 0 then raise (Bad (out_of_range "element id" ev));
+              if s >= m then raise (Bad (Printf.sprintf "set id %d out of range [0, %d)" s m));
+              if e >= n then
+                raise (Bad (Printf.sprintf "element id %d out of range [0, %d)" e n));
+              let sign =
+                if not signed then 1
                 else
-                  let* sign =
-                    if not signed then Ok 1
-                    else
-                      match Bytes.get body ((16 * count) + i) with
-                      | '\000' -> Ok 1
-                      | '\001' -> Ok (-1)
-                      | c ->
-                          Error
-                            (Malformed
-                               (Printf.sprintf "sign byte %d out of range at edge %d"
-                                  (Char.code c) i))
-                  in
-                  acc.(i) <- Edge.signed ~sign ~set:s ~elt:e;
-                  go (i - 1) acc
-            in
-            if count = 0 then Ok [||]
-            else go (count - 1) (Array.make count (Edge.make ~set:0 ~elt:0))
-          in
-          Ok (edges, n, m))
+                  match Bytes.get body ((16 * count) + i) with
+                  | '\000' -> 1
+                  | '\001' -> -1
+                  | c ->
+                      raise
+                        (Bad
+                           (Printf.sprintf "sign byte %d out of range at edge %d" (Char.code c)
+                              i))
+              in
+              edges.(i) <- Edge.signed ~sign ~set:s ~elt:e
+            done;
+            edges
+          with
+          | edges -> Ok (edges, n, m)
+          | exception Bad msg -> Error (Malformed msg))

@@ -158,6 +158,47 @@ let test_small_set_feed_planned () =
   if per_pair > 2.0 then
     Alcotest.failf "small_set.feed_planned allocates %.3f words per stored pair (budget 2.0)" per_pair
 
+(* Words allocated straight into the major heap by [f]: large arrays
+   and strings, not survivors of a minor collection. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)
+
+(* A roll freezes the live estimator into the ring and thaws a blank
+   back into it: no estimator is built, and the fallback L0 sketches the
+   thaw parks are revived for the same supersets.  Three planned epochs
+   warm the memos and the spares up; the same three epochs are then
+   measured.  At the churn-window benchmark's dimensions a roll must
+   cost under a quarter of one [Estimate.create] (about a tenth today:
+   the ring's frozen copy and the pack buffer are most of it). *)
+let test_windowed_roll () =
+  let module W = Mkc_core.Windowed in
+  let module Plan = Mkc_stream.Chunk_plan in
+  let p = Mkc_core.Params.make ~m:1024 ~n:32768 ~k:16 ~alpha:8.0 ~seed:9 () in
+  let epoch = 4096 and epochs = 3 in
+  let stream =
+    Array.map (fun id -> Mkc_stream.Edge.make ~set:(id land 1023) ~elt:(id lsr 5)) ids
+  in
+  let w = W.create p ~window:2 ~epoch_edges:epoch () in
+  let plan = Plan.create () in
+  let rolls () =
+    for i = 0 to epochs - 1 do
+      Plan.build plan stream ~pos:(i * epoch) ~len:epoch;
+      W.feed_planned w plan stream ~pos:(i * epoch) ~len:epoch
+    done
+  in
+  rolls ();
+  let per_roll = direct_major_words rolls /. float_of_int epochs in
+  let create =
+    direct_major_words (fun () -> ignore (Sys.opaque_identity (Mkc_core.Estimate.create p)))
+  in
+  if W.rolled w <> 2 * epochs then Alcotest.failf "%d rolls, expected %d" (W.rolled w) (2 * epochs);
+  if per_roll >= create /. 4.0 then
+    Alcotest.failf "a windowed roll allocates %.0f direct major words (one Estimate.create: %.0f)"
+      per_roll create
+
 let suite =
   [
     Alcotest.test_case "l0_bjkst feed is allocation-free" `Quick test_l0;
@@ -176,4 +217,5 @@ let suite =
       test_nested_sampler;
     Alcotest.test_case "small_set planned feed: one cell per kept pair" `Quick
       test_small_set_feed_planned;
+    Alcotest.test_case "a windowed roll builds no estimator" `Quick test_windowed_roll;
   ]

@@ -110,25 +110,36 @@ let check_window_equals_fresh ?churn ~window ~epoch_edges ~drop_partial sys ~k ~
     else edges
   in
   let total = Array.length edges in
-  let w = W.create p ~window ~epoch_edges () in
-  Array.iter (W.feed w) edges;
-  let r = W.finalize w in
   let live = live_suffix_len ~window ~epoch_edges ~total in
   let f = Pipe.run Est.sink (Est.create p) (Src.of_array (Array.sub edges (total - live) live)) in
-  checkb
-    (Printf.sprintf "windowed %.2f = fresh-suffix %.2f" r.W.estimate f.Est.estimate)
-    true
-    (r.W.estimate = f.Est.estimate);
-  (match (r.W.outcome, f.Est.outcome) with
-  | Some a, Some b ->
-      checkb "same witness ids" true (a.Sol.witness () = b.Sol.witness ());
-      checkb "same provenance" true (a.Sol.provenance = b.Sol.provenance)
-  | None, None -> ()
-  | _ -> Alcotest.fail "outcome presence differs between windowed and fresh");
-  checki "rolled epochs" (total / epoch_edges) r.W.rolled;
-  checki "live epochs in the answer"
-    (min window (total / epoch_edges) + if total mod epoch_edges > 0 then 1 else 0)
-    r.W.epochs
+  let check_drive drive (r : W.result) =
+    checkb
+      (Printf.sprintf "%s: windowed %.2f = fresh-suffix %.2f" drive r.W.estimate f.Est.estimate)
+      true
+      (r.W.estimate = f.Est.estimate);
+    (match (r.W.outcome, f.Est.outcome) with
+    | Some a, Some b ->
+        checkb (drive ^ ": same witness ids") true (a.Sol.witness () = b.Sol.witness ());
+        checkb (drive ^ ": same provenance") true (a.Sol.provenance = b.Sol.provenance)
+    | None, None -> ()
+    | _ -> Alcotest.fail (drive ^ ": outcome presence differs between windowed and fresh"));
+    checki (drive ^ ": rolled epochs") (total / epoch_edges) r.W.rolled;
+    checki (drive ^ ": live epochs in the answer")
+      (min window (total / epoch_edges) + if total mod epoch_edges > 0 then 1 else 0)
+      r.W.epochs
+  in
+  let w = W.create p ~window ~epoch_edges () in
+  Array.iter (W.feed w) edges;
+  check_drive "per edge" (W.finalize w);
+  (* The planned path, where the live estimator's memos stay warm across
+     rolls: chunks equal to the epoch, dividing it, and straddling a
+     roll. *)
+  let rec divisor d = if epoch_edges mod d = 0 then d else divisor (d - 1) in
+  List.iter
+    (fun chunk ->
+      check_drive (Printf.sprintf "chunk %d" chunk)
+        (Pipe.run ~chunk W.sink (W.create p ~window ~epoch_edges ()) (Src.of_array edges)))
+    [ epoch_edges; divisor (epoch_edges / 2); epoch_edges + (epoch_edges / 3) ]
 
 let test_window_equals_fresh_suffix () =
   let sys = Mkc_workload.Random_inst.uniform ~n:300 ~m:48 ~set_size:10 ~seed:5 in
@@ -304,6 +315,25 @@ let test_decay_estimate_pinned () =
     true
     (Int64.bits_of_float r.W.estimate = Int64.bits_of_float 0x1.d555555555554p+4)
 
+(* A roll thaws a blank into the live estimator; a decayed roll has
+   finalized that estimator first.  A run ending exactly on an epoch
+   boundary leaves the blank in flight, which must carry none of the
+   last rolled epoch's finalize-time records. *)
+let test_rolled_estimator_is_unfinalized () =
+  let sys = Mkc_workload.Random_inst.uniform ~n:300 ~m:48 ~set_size:10 ~seed:33 in
+  let p = params sys ~k:6 ~alpha:2.0 ~seed:34 in
+  let edges = Ss.edge_stream ~seed:35 sys in
+  let epoch_edges = 70 in
+  let edges = Array.sub edges 0 (Array.length edges / epoch_edges * epoch_edges) in
+  let w = W.create ~decay:0.5 p ~window:3 ~epoch_edges () in
+  Array.iter (W.feed w) edges;
+  let r = W.finalize w in
+  checkb "the run rolled epochs" true (r.W.rolled > 1);
+  checkb "no epoch in flight" true (r.W.epochs = min 3 r.W.rolled);
+  checkb "the in-flight estimator has no winners" true (Est.winners (W.current w) = []);
+  let totals = Est.stats_totals (W.current w) in
+  checki "nor heavy-hitter candidates" 0 (List.assoc "large_set.hh_candidates" totals)
+
 (* The window.* telemetry tracks read the ring's own counts: with the
    registry off they still record the real roll count. *)
 let test_windowed_telemetry_without_registry () =
@@ -355,6 +385,8 @@ let suite =
         test_decay_run_and_validation;
       Alcotest.test_case "decayed estimate is pinned on a fixed seed" `Quick
         test_decay_estimate_pinned;
+      Alcotest.test_case "a rolled estimator carries no finalize records" `Quick
+        test_rolled_estimator_is_unfinalized;
       Alcotest.test_case "windowed telemetry records rolls without the registry" `Quick
         test_windowed_telemetry_without_registry;
     ]
