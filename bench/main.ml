@@ -1,9 +1,8 @@
 (* Benchmark / experiment driver.
 
    Usage:
-     dune exec bench/main.exe            # all experiments + micro-benchmarks
+     dune exec bench/main.exe            # all experiments
      dune exec bench/main.exe -- e1 e5   # selected experiments
-     dune exec bench/main.exe -- micro   # bechamel micro-benchmarks only
 
    Experiment ids follow DESIGN.md §4 (one per paper table/figure). *)
 
@@ -19,7 +18,6 @@ let registry ~budget_strict =
     ("e8", Experiments.e8);
     ("e9", Experiments.e9);
     ("e10", Experiments.e10);
-    ("micro", Micro.run);
     ("pipeline", Pipeline_bench.run ~budget_strict);
     ("pipeline-smoke", Pipeline_bench.run_smoke ~budget_strict);
   ]

@@ -79,22 +79,16 @@ let create (p : Params.t) =
 
 let feed_inst i e = Oracle.feed i.oracle (Universe_reduction.apply_edge i.reduction e)
 
-(* The distinct-element reduction buffer, one per domain: a domain feeds
-   its instances one at a time, and each feed rewrites the buffer's
-   first [num_elts] entries before reading them. *)
-let red_scratch = Domain.DLS.new_key (fun () -> ref [||])
-
 (* Reduce only the chunk's DISTINCT elements (one coefficient-major hash
-   pass) into the buffer; the oracle then decides per distinct id and
-   replays the chunk.  One timed span per instance per chunk makes the
-   Figure 1 fan-out visible as parallel rows on the trace timeline. *)
+   pass) into the domain's {!Feed_scratch.Red} buffer; the oracle then
+   decides per distinct id and replays the chunk.  One timed span per
+   instance per chunk makes the Figure 1 fan-out visible as parallel
+   rows on the trace timeline. *)
 let feed_planned_inst i plan edges ~pos ~len =
   let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
   let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
   let ne = Mkc_stream.Chunk_plan.num_elts plan in
-  let cell = Domain.DLS.get red_scratch in
-  if Array.length !cell < ne then cell := Array.make (max ne (2 * Array.length !cell)) 0;
-  let red = !cell in
+  let red = Feed_scratch.(ints Red) ne in
   Universe_reduction.apply_batch i.reduction (Mkc_stream.Chunk_plan.elts plan) ~pos:0 ~len:ne red;
   Oracle.feed_planned i.oracle plan ~red edges ~pos ~len;
   if obs then Mkc_obs.Span.record i.span_name ~start_ns:t0 ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)

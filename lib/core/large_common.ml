@@ -3,7 +3,6 @@ type t = {
   sampler : Mkc_sketch.Sampler.Nested.t; (* over set ids; level g ~ β = 2^g *)
   sketches : Mkc_sketch.L0_bjkst.t array; (* one per level *)
   memo : Mkc_sketch.Sampler.Memo.t; (* set id -> keep-level code *)
-  mutable codes : int array; (* per-distinct-set scratch for feed_planned *)
   mutable st_sampler_evals : int;
   mutable st_l0_updates : int;
   mutable st_memo_hits : int;
@@ -27,7 +26,6 @@ let create (params : Params.t) ~seed =
        steady-state misses vanish; capped so memo space stays O(1)
        words per instance relative to the Õ(m/α²) budget. *)
     memo = Mkc_sketch.Sampler.Memo.create ~slots:(min (max 1 params.Params.m) 4096);
-    codes = [||];
     st_sampler_evals = 0;
     st_l0_updates = 0;
     st_memo_hits = 0;
@@ -76,9 +74,8 @@ let feed_planned t plan ~red edges ~pos ~len =
      edge order — L0 updates land in exactly the per-edge sequence, so
      sketch states (prune points included) are bit-for-bit identical. *)
   let ns = Mkc_stream.Chunk_plan.num_sets plan in
-  if Array.length t.codes < ns then
-    t.codes <- Array.make (max ns (2 * Array.length t.codes)) 0;
-  let codes = t.codes and sets = Mkc_stream.Chunk_plan.sets plan in
+  let codes = Feed_scratch.(ints Codes) ns in
+  let sets = Mkc_stream.Chunk_plan.sets plan in
   for j = 0 to ns - 1 do
     Array.unsafe_set codes j (keep_code t (Array.unsafe_get sets j))
   done;

@@ -65,14 +65,6 @@ type t = {
   thr1 : float;
   thr2 : float;
   repeats : repeat_state array;
-  (* feed_planned scratch, reused across chunks and repeats (repeats are
-     driven serially): per-distinct-element / per-distinct-set decision
-     tables. *)
-  mutable sc_ins : bool array; (* distinct elt -> in element sample *)
-  mutable sc_sids : int array; (* distinct set -> superset id *)
-  mutable sc_keepf : bool array; (* distinct set -> fallback-sampled *)
-  sc_sid_cnt : int array; (* sid -> signed in-sample sum this chunk; min_int = inactive *)
-  sc_active : int array; (* compact list of sids touched this chunk *)
   mutable st_elem_sampler_evals : int;
   mutable st_fallback_sampler_evals : int;
   mutable st_f2_updates : int;
@@ -166,11 +158,6 @@ let create (params : Params.t) ~w ~seed =
     thr1;
     thr2;
     repeats = Array.init repeats mk_repeat;
-    sc_ins = [||];
-    sc_sids = [||];
-    sc_keepf = [||];
-    sc_sid_cnt = Array.make q min_int;
-    sc_active = Array.make q 0;
     st_elem_sampler_evals = 0;
     st_fallback_sampler_evals = 0;
     st_f2_updates = 0;
@@ -235,11 +222,6 @@ let feed_repeat t rs (e : Mkc_stream.Edge.t) =
   end
 
 let feed t e = Array.iter (fun rs -> feed_repeat t rs e) t.repeats
-
-let ensure_int a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
-
-let ensure_bool a n =
-  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) false
 
 (* Cached F2C subsampling codes, filled on first sighting of a superset
    id.  [decide] is a pure function of the counter's seed, so the cache
@@ -361,41 +343,20 @@ let rebuild_defer rs =
   reb rs.cntr_small rs.defer_small;
   reb rs.cntr_large rs.defer_large
 
-(* The chunk's in-sample edges in stream order, one scratch per domain
-   (a domain feeds one instance at a time, and each repeat of a
-   [feed_planned] rewrites it before reading it): [sid]/[sg] hold each
-   edge's superset id and sign, recorded by the replay pass.  A
-   counter's per-edge levels walk [wsid]/[wsg], which the first of them
-   fills from [sid]/[sg] and each compacts in place to the entries the
-   next level still covers, so a chunk costs the sum of the level
-   sizes, not levels × chunk length. *)
-type replay = {
-  mutable sid : int array;
-  mutable sg : int array;
-  mutable n : int;
-  mutable wsid : int array;
-  mutable wsg : int array;
-}
+(* The chunk's in-sample edges in stream order, in the domain's
+   {!Feed_scratch}: [esid]/[esg] hold each edge's superset id and sign,
+   recorded by the replay pass.  A counter's per-edge levels walk
+   [wsid]/[wsg], which the first of them fills from [esid]/[esg] and
+   each compacts in place to the entries the next level still covers,
+   so a chunk costs the sum of the level sizes, not levels × chunk
+   length.
 
-let replay_scratch =
-  Domain.DLS.new_key (fun () -> { sid = [||]; sg = [||]; n = 0; wsid = [||]; wsg = [||] })
-
-let ensure_replay rp len =
-  if Array.length rp.sid < len then begin
-    let cap = max len (2 * Array.length rp.sid) in
-    rp.sid <- Array.make cap 0;
-    rp.sg <- Array.make cap 0;
-    rp.wsid <- Array.make cap 0;
-    rp.wsg <- Array.make cap 0
-  end
-
-(* One per-edge level: replay the [n] listed edges of [src_sid]/[src_sg]
+   One per-edge level: replay the [n] listed edges of [src_sid]/[src_sg]
    that level [top] covers into [hh], in order, and copy those the next
    level covers ([code < top]) to the front of [wsid]/[wsg] (in place
    when the source is the work list itself).  Returns how many were
    kept. *)
-let replay_level hh rp ~code_tab ~top src_sid src_sg n =
-  let wsid = rp.wsid and wsg = rp.wsg in
+let replay_level hh ~wsid ~wsg ~code_tab ~top src_sid src_sg n =
   let kept = ref 0 in
   for e = 0 to n - 1 do
     let sid = Array.unsafe_get src_sid e in
@@ -420,12 +381,12 @@ let replay_level hh rp ~code_tab ~top src_sid src_sg n =
    chunk's in-sample edges it covers one by one (the first such chunk
    drives the table past 2·cap, so it prunes, and [prunes > 0] pins the
    level to per-edge replay from then on).  The per-edge levels walk
-   [rp]'s list, shrinking it as the levels narrow. *)
-let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt rp =
+   the [n] listed edges, shrinking the list as the levels narrow. *)
+let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt ~esid ~esg ~wsid ~wsg ~n =
   let levels = Mkc_sketch.F2_contributing.levels cntr in
   (* The next per-edge level's list: the replay pass's until a level
      has compacted it into the work list. *)
-  let src_sid = ref rp.sid and src_sg = ref rp.sg and n = ref rp.n in
+  let src_sid = ref esid and src_sg = ref esg and n = ref n in
   for lvl = 0 to levels - 1 do
     let hh = Mkc_sketch.F2_contributing.level cntr lvl in
     let d = Array.unsafe_get defer lvl in
@@ -471,9 +432,9 @@ let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt rp =
     end
     else begin
       flush_level hh d;
-      n := replay_level hh rp ~code_tab ~top !src_sid !src_sg !n;
-      src_sid := rp.wsid;
-      src_sg := rp.wsg
+      n := replay_level hh ~wsid ~wsg ~code_tab ~top !src_sid !src_sg !n;
+      src_sid := wsid;
+      src_sg := wsg
     end
   done
 
@@ -487,7 +448,7 @@ let feed_planned t plan ~red edges ~pos ~len =
      so their states are bit-for-bit the per-edge ones: fallback L0
      adds in the replay pass itself, F2C candidate tracking (with its
      prune) level by level in {!tracked_chunk}, over the in-sample
-     edges the replay pass lists in the domain's [replay] scratch.  The
+     edges the replay pass lists in the domain's {!Feed_scratch}.  The
      CountSketch halves are linear and commutative, so each distinct
      set's in-sample multiplicity is parked in [cs_pending] and applied
      by {!flush_pending} before the counters are next read.
@@ -499,14 +460,11 @@ let feed_planned t plan ~red edges ~pos ~len =
      being checkpointed. *)
   let ns = Mkc_stream.Chunk_plan.num_sets plan in
   let ne = Mkc_stream.Chunk_plan.num_elts plan in
-  t.sc_ins <- ensure_bool t.sc_ins ne;
-  t.sc_sids <- ensure_int t.sc_sids ns;
-  t.sc_keepf <- ensure_bool t.sc_keepf ns;
-  let ins = t.sc_ins and sids = t.sc_sids in
-  let keepf = t.sc_keepf in
-  let sid_cnt = t.sc_sid_cnt and active = t.sc_active in
-  let rp = Domain.DLS.get replay_scratch in
-  ensure_replay rp len;
+  let ins = Feed_scratch.(flags Elt_flags) ne and keepf = Feed_scratch.(flags Set_flags) ns in
+  let sids = Feed_scratch.(ints Codes) ns in
+  let sid_cnt = Feed_scratch.(ints Sid_sums) t.q and active = Feed_scratch.(ints Sid_list) t.q in
+  let esid = Feed_scratch.(ints Edge_sid) len and esg = Feed_scratch.(ints Edge_sign) len in
+  let wsid = Feed_scratch.(ints Work_sid) len and wsg = Feed_scratch.(ints Work_sign) len in
   let sets = Mkc_stream.Chunk_plan.sets plan in
   let set_idx = Mkc_stream.Chunk_plan.set_index plan in
   let elt_idx = Mkc_stream.Chunk_plan.elt_index plan in
@@ -566,8 +524,8 @@ let feed_planned t plan ~red edges ~pos ~len =
           let sj = Array.unsafe_get set_idx i in
           let sid = Array.unsafe_get sids sj in
           let sign = (Array.unsafe_get edges (pos + i)).Mkc_stream.Edge.sign in
-          Array.unsafe_set rp.sid !in_sample_edges sid;
-          Array.unsafe_set rp.sg !in_sample_edges sign;
+          Array.unsafe_set esid !in_sample_edges sid;
+          Array.unsafe_set esg !in_sample_edges sign;
           incr in_sample_edges;
           let c = Array.unsafe_get sid_cnt sid in
           if c = min_int then begin
@@ -585,8 +543,7 @@ let feed_planned t plan ~red edges ~pos ~len =
       done;
       t.st_f2_updates <- t.st_f2_updates + (2 * !in_sample_edges);
       if !in_sample_edges > 0 then begin
-        let na = !na in
-        rp.n <- !in_sample_edges;
+        let na = !na and n = !in_sample_edges in
         rs.cs_dirty <- true;
         let pend = rs.cs_pending and touched = rs.cs_touched in
         for a = 0 to na - 1 do
@@ -601,9 +558,9 @@ let feed_planned t plan ~red edges ~pos ~len =
           else Array.unsafe_set pend sid (p + c)
         done;
         tracked_chunk rs.cntr_small rs.defer_small ~code_tab:rs.code_small ~active ~na
-          ~sid_cnt rp;
+          ~sid_cnt ~esid ~esg ~wsid ~wsg ~n;
         tracked_chunk rs.cntr_large rs.defer_large ~code_tab:rs.code_large ~active ~na
-          ~sid_cnt rp;
+          ~sid_cnt ~esid ~esg ~wsid ~wsg ~n;
         for a = 0 to na - 1 do
           Array.unsafe_set sid_cnt (Array.unsafe_get active a) min_int
         done

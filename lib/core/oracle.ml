@@ -9,10 +9,7 @@ type t = {
 let create (params : Params.t) ~seed =
   let sa = Params.s_alpha params in
   let heavy_regime = sa >= 2.0 *. float_of_int params.k in
-  let w =
-    if heavy_regime then params.k
-    else max 1 (min params.k (int_of_float (Float.round params.alpha)))
-  in
+  let w = if heavy_regime then params.k else params.w in
   {
     params;
     large_common = Large_common.create params ~seed:(Mkc_hashing.Splitmix.fork seed 1);

@@ -32,9 +32,6 @@ type t = {
   base_rate : float; (* finest element rate, for scaling *)
   cap : int; (* per-guess stored-pair cap *)
   repeats : repeat_state array;
-  (* feed_planned decision scratch, reused across chunks and repeats *)
-  mutable sc_codes : int array; (* distinct elt -> nested keep-level code *)
-  mutable sc_inm : bool array; (* distinct set -> in set sample M *)
   mutable st_elem_sampler_evals : int;
   mutable st_set_sampler_evals : int;
   mutable st_pairs_stored : int; (* monotone, unlike stored_pairs *)
@@ -84,8 +81,6 @@ let create (params : Params.t) ~seed =
     base_rate;
     cap;
     repeats = Array.init p.oracle_repeats mk_repeat;
-    sc_codes = [||];
-    sc_inm = [||];
     st_elem_sampler_evals = 0;
     st_set_sampler_evals = 0;
     st_pairs_stored = 0;
@@ -180,11 +175,7 @@ let feed_planned t plan ~red edges ~pos ~len =
      cache warmth. *)
   let ns = Mkc_stream.Chunk_plan.num_sets plan in
   let ne = Mkc_stream.Chunk_plan.num_elts plan in
-  if Array.length t.sc_codes < ne then
-    t.sc_codes <- Array.make (max ne (2 * Array.length t.sc_codes)) 0;
-  if Array.length t.sc_inm < ns then
-    t.sc_inm <- Array.make (max ns (2 * Array.length t.sc_inm)) false;
-  let codes = t.sc_codes and inm = t.sc_inm in
+  let codes = Feed_scratch.(ints Codes) ne and inm = Feed_scratch.(flags Set_flags) ns in
   let sets = Mkc_stream.Chunk_plan.sets plan in
   let set_idx = Mkc_stream.Chunk_plan.set_index plan in
   let elt_idx = Mkc_stream.Chunk_plan.elt_index plan in

@@ -36,10 +36,6 @@ type t = {
      is a function of the params alone, so [words] does not charge it. *)
   blank : Estimate.frozen;
   mutable in_epoch : int;
-  (* Plan for the pieces of a slice that straddles a roll; created on
-     the first such slice, so a drive whose chunks never straddle one
-     holds no plan of its own. *)
-  mutable own_plan : Mkc_stream.Chunk_plan.t option;
   ring : Estimate.frozen option array; (* frozen epochs, slot i valid iff Some *)
   ring_est : float array; (* per-epoch finalized estimates under decay, slot-aligned *)
   mutable head : int; (* next slot to overwrite *)
@@ -65,7 +61,6 @@ let create ?decay params ~window ~epoch_edges () =
     current;
     blank = Estimate.freeze current;
     in_epoch = 0;
-    own_plan = None;
     ring = Array.make window None;
     ring_est = Array.make window 0.0;
     head = 0;
@@ -115,21 +110,15 @@ let feed t e =
    pipeline's plan.  One that crosses a boundary is cut there, so a
    chunked drive rolls at exactly the per-edge drive's edge counts
    (bit-for-bit equal states across driving modes); the shared plan
-   indexes the whole slice, so each piece is planned privately. *)
+   indexes the whole slice, so each piece is planned into the domain's
+   {!Feed_scratch.plan}. *)
 let feed_planned t plan edges ~pos ~len =
   if len <= t.epoch_edges - t.in_epoch then begin
     Estimate.feed_planned t.current plan edges ~pos ~len;
     advance t len
   end
   else begin
-    let own =
-      match t.own_plan with
-      | Some p -> p
-      | None ->
-          let p = Mkc_stream.Chunk_plan.create () in
-          t.own_plan <- Some p;
-          p
-    in
+    let own = Feed_scratch.plan () in
     let rec pieces pos len =
       if len > 0 then begin
         let take = min (t.epoch_edges - t.in_epoch) len in

@@ -59,7 +59,7 @@ val feed_planned :
     plan.  One that straddles a roll is split at the epoch boundary,
     so rolls land at exactly the per-edge drive's edge counts
     (bit-for-bit equal states across driving modes); its pieces are
-    planned into a private plan, created on first use. *)
+    planned into the domain's {!Feed_scratch.plan}. *)
 
 type result = {
   estimate : float;  (** windowed (or decayed) coverage estimate *)

@@ -2,7 +2,7 @@
    a field value v >= 0, [v mod 2^j = v land (2^j - 1)], and most hot
    ranges here are powers of two (sign ranges, superset counts, nested
    sampler levels), so the reduction is a mask instead of an idiv. *)
-type t = { coeffs : int array; range : int; mask : int; mutable xnorm : int array }
+type t = { coeffs : int array; range : int; mask : int }
 
 let create ~indep ~range ~seed =
   if indep < 1 then invalid_arg "Poly_hash.create: indep must be >= 1";
@@ -11,7 +11,7 @@ let create ~indep ~range ~seed =
     Array.init indep (fun _ -> Prime_field.normalize (Splitmix.next_int seed))
   in
   let mask = if range land (range - 1) = 0 then range - 1 else -1 in
-  { coeffs; range; mask; xnorm = [||] }
+  { coeffs; range; mask }
 
 (* Horner evaluation: c_{d-1} x^{d-1} + ... + c_0.  Top-level with
    every free variable a parameter: a local [let rec] capturing [c]
@@ -37,24 +37,19 @@ let keep t x = hash t x = 0
    elements are loaded d times total instead of d times per input.  The
    per-element arithmetic (normalize, then fold c_i in Horner order,
    then mod range) is identical operation-for-operation to [hash], so
-   outputs are bit-for-bit those of [hash] on each input. *)
+   outputs are bit-for-bit those of [hash] on each input.  Normalizing
+   in the inner loop (a compare for in-range ids) needs no buffer. *)
 let hash_batch t xs ~pos ~len out =
   if len < 0 || pos < 0 || pos + len > Array.length xs then
     invalid_arg "Poly_hash.hash_batch: bad slice";
   if Array.length out < len then invalid_arg "Poly_hash.hash_batch: out too short";
-  if Array.length t.xnorm < len then
-    t.xnorm <- Array.make (max len (2 * Array.length t.xnorm)) 0;
-  let xn = t.xnorm in
-  for j = 0 to len - 1 do
-    Array.unsafe_set xn j (Prime_field.normalize (Array.unsafe_get xs (pos + j)));
-    Array.unsafe_set out j 0
-  done;
+  Array.fill out 0 len 0;
   let c = t.coeffs in
   for i = Array.length c - 1 downto 0 do
     let ci = Array.unsafe_get c i in
     for j = 0 to len - 1 do
-      Array.unsafe_set out j
-        (Prime_field.add (Prime_field.mul (Array.unsafe_get out j) (Array.unsafe_get xn j)) ci)
+      let x = Prime_field.normalize (Array.unsafe_get xs (pos + j)) in
+      Array.unsafe_set out j (Prime_field.add (Prime_field.mul (Array.unsafe_get out j) x) ci)
     done
   done;
   if t.mask >= 0 then begin

@@ -34,8 +34,8 @@ val hash_batch : t -> int array -> pos:int -> len:int -> int array -> unit
     hashing a block of [len] distinct values costs [d] coefficient loads
     total rather than [d·len].  Outputs are bit-for-bit equal to
     per-call {!hash} (same arithmetic per element, different loop
-    nesting).  Scratch is internal and reused; only [out.(0..len-1)] is
-    written. *)
+    nesting).  Only [out.(0..len-1)] is written; [t] is never
+    mutated. *)
 
 val range : t -> int
 (** The output range [r]. *)

@@ -72,12 +72,12 @@ let create () =
 (* Pre-size every buffer for [chunk]-edge builds so the first windows of
    a run pay no growth reallocation — the pool driver's double-buffered
    scratch pair is created at the window width once per run. *)
-let rec pow2_at_least' n acc = if acc >= n then acc else pow2_at_least' n (acc * 2)
+let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
 let create_sized ~chunk =
   if chunk < 1 then invalid_arg "Chunk_plan.create_sized: chunk must be >= 1";
   let t = create () in
-  let slots = pow2_at_least' (2 * chunk) init_slots in
+  let slots = pow2_at_least (2 * chunk) init_slots in
   t.set_idx <- Array.make chunk 0;
   t.elt_idx <- Array.make chunk 0;
   t.sets <- Array.make chunk 0;
@@ -93,8 +93,6 @@ let create_sized ~chunk =
   t
 
 let ensure a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
-
-let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
 let[@inline] mix x = (x * 0x2545_F491_4F6C_DD1D) lsr 17
 

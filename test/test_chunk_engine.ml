@@ -125,6 +125,79 @@ let test_planned_fewer_sampler_evals () =
   checkb "evals far below edge count" true
     (total e1 < Array.length edges * instances / 10)
 
+(* The planned feed's working buffers belong to the domain, not the
+   estimator: after a chunked drive an estimator reaches exactly the
+   words of the same estimator fed edge by edge. *)
+let test_no_retained_scratch () =
+  let m = 512 and n = 8192 in
+  let sys = Mkc_workload.Random_inst.uniform ~n ~m ~set_size:64 ~seed:31 in
+  let src = Src.of_system ~seed:32 sys in
+  let params = P.make ~m ~n ~k:8 ~alpha:4.0 ~seed:33 () in
+  let e0 = E.create params and e1 = E.create params in
+  let r0 = Pipe.run_seq E.sink e0 src in
+  let r1 = Pipe.run ~chunk:8192 E.sink e1 src in
+  checkb "same answer" true (fingerprint r0 = fingerprint r1);
+  checki "reachable words: chunked = per-edge" (Obj.reachable_words (Obj.repr e0))
+    (Obj.reachable_words (Obj.repr e1))
+
+(* Instances of different shapes share one domain's buffers: a
+   light-regime estimator (SmallSet present) over m = 512 and a
+   heavy-regime one (no SmallSet, s lifted by hand as no profile reaches
+   it) over m = 96 have different superset counts, different chunk
+   lengths and distinct-id counts, and the second stream deletes, so
+   per-superset sums cancel.  Fed alternately chunk by chunk on a fresh
+   domain, each must end exactly where its own per-edge run does. *)
+let test_shapes_share_domain () =
+  let light = P.make ~m:512 ~n:1024 ~k:4 ~alpha:4.0 ~seed:41 () in
+  let heavy =
+    let p = P.make ~m:96 ~n:512 ~k:3 ~alpha:3.0 ~seed:42 () in
+    { p with P.s = 4.0 *. float_of_int p.P.k /. p.P.alpha }
+  in
+  (* the heavy regime's breakdown holds a bare zero [oracle.small_set] *)
+  let small_set p = not (List.mem_assoc "oracle.small_set" (E.words_breakdown (E.create p))) in
+  checkb "light instance has SmallSet" true (small_set light);
+  checkb "heavy instance has none" false (small_set heavy);
+  let stream p ~deletes =
+    let sys = Mkc_workload.Random_inst.uniform ~n:p.P.n ~m:p.P.m ~set_size:24 ~seed:p.P.base_seed in
+    let ins = Src.to_array (Src.of_system ~seed:p.P.base_seed sys) in
+    if not deletes then ins
+    else
+      Array.append ins
+        (Array.of_list
+           (List.filteri (fun i _ -> i mod 3 = 0)
+              (List.map
+                 (fun (e : Edge.t) -> Edge.signed ~sign:(-1) ~set:e.set ~elt:e.elt)
+                 (Array.to_list ins))))
+  in
+  let a = stream light ~deletes:false and b = stream heavy ~deletes:true in
+  let chunked () =
+    let ea = E.create light and eb = E.create heavy in
+    let plan = Mkc_stream.Chunk_plan.create () in
+    let feed est edges ~chunk i =
+      let pos = i * chunk in
+      let len = min chunk (Array.length edges - pos) in
+      if len > 0 then begin
+        Mkc_stream.Chunk_plan.build plan edges ~pos ~len;
+        E.feed_planned est plan edges ~pos ~len
+      end
+    in
+    for i = 0 to (Array.length a / 700) + (Array.length b / 300) do
+      feed ea a ~chunk:700 i;
+      feed eb b ~chunk:300 i
+    done;
+    (ea, eb)
+  in
+  let ea, eb = Domain.join (Domain.spawn chunked) in
+  List.iter
+    (fun (name, p, edges, est) ->
+      let ref_est = E.create p in
+      let r0 = Pipe.run_seq E.sink ref_est (Src.of_array edges) in
+      let r1 = E.finalize est in
+      checkb (name ^ ": estimate and witness") true (fingerprint r0 = fingerprint r1);
+      checki (name ^ ": words") (E.words ref_est) (E.words est);
+      checkb (name ^ ": invariant stats") true (invariant_stats ref_est = invariant_stats est))
+    [ ("light", light, a, ea); ("heavy", heavy, b, eb) ]
+
 (* --- 2. the memo is transparent --- *)
 
 let test_memo_transparent () =
@@ -233,6 +306,10 @@ let suite =
   [
     Alcotest.test_case "planned path: sampler evals collapse" `Quick
       test_planned_fewer_sampler_evals;
+    Alcotest.test_case "planned path: estimator retains no chunk scratch" `Quick
+      test_no_retained_scratch;
+    Alcotest.test_case "planned path: instances of two shapes share a domain" `Quick
+      test_shapes_share_domain;
     Alcotest.test_case "memo: transparent under collisions" `Quick test_memo_transparent;
     Alcotest.test_case "memo: words accounted in breakdown" `Quick
       test_memo_words_in_breakdown;
