@@ -198,7 +198,7 @@ let winners t =
    [c_mass · m/α² + c_floor] words per log²(mn) polylog factor.  The
    two-term shape matters: the mass term is the theorem's m/α² sketch
    load, while the floor covers per-instance state that does not scale
-   with m/α² (tabulation tables, the keep-level memo, CountSketch
+   with m/α² (L0 sketches, the keep-level memo, CountSketch
    rows).  The constants are calibrated against measured peaks of the
    quickstart/bench/CI workloads at ~0.5–0.8 headroom — tight enough
    that a constant-factor space regression trips the watchdog, loose

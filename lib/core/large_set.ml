@@ -26,11 +26,6 @@ type repeat_state = {
   fallback_sampler : Mkc_sketch.Sampler.Bernoulli.t;
   fallback : (int, Mkc_sketch.L0_bjkst.t) Hashtbl.t; (* sampled supersets M *)
   fallback_seed : Mkc_hashing.Splitmix.t;
-  (* Fallback sketches a thaw dropped from [fallback], parked by sid for
-     {!fallback_sketch} to revive (each is its sid's: the seed is
-     sid-derived).  Scratch like the caches below: uncounted, never
-     frozen, and bounded by the sids the fallback sampler keeps. *)
-  spare : (int, Mkc_sketch.L0_bjkst.t) Hashtbl.t;
   (* Planned-path accelerators.  All four caches memoise pure,
      seed-determined functions (superset assignment, F2C subsampling
      codes, fallback sampling, element sampling), so a hit returns
@@ -130,7 +125,6 @@ let create (params : Params.t) ~w ~seed =
         Mkc_sketch.Sampler.Bernoulli.create ~rate:fallback_rate ~indep:p.indep
           ~seed:(Mkc_hashing.Splitmix.fork sd 4);
       fallback = Hashtbl.create 16;
-      spare = Hashtbl.create 16;
       fallback_seed = Mkc_hashing.Splitmix.fork sd 5;
       sp_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min p.Params.m 65536);
       code_small = Array.make q min_int;
@@ -179,11 +173,7 @@ let sorted_fallback rs =
   Hashtbl.fold (fun sid sk acc -> (sid, sk) :: acc) rs.fallback []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* The fallback L0 sketch of a sampled superset, made on first touch:
-   a parked spare cleared to a fresh sketch's state, else a new one.
-   Creation order (hence the table's internal layout) must follow
-   stream order in every ingestion mode, so candidate iteration at
-   finalize is identical across them. *)
+(* The fallback L0 sketch of a sampled superset, made on first touch. *)
 let fallback_sketch rs sid =
   (* [find] + Not_found, not [find_opt]: the hit path is per-edge hot
      and must not allocate a [Some]. *)
@@ -191,13 +181,7 @@ let fallback_sketch rs sid =
   | sk -> sk
   | exception Not_found ->
       let sk =
-        match Hashtbl.find rs.spare sid with
-        | sk ->
-            Hashtbl.remove rs.spare sid;
-            Result.get_ok (Mkc_sketch.L0_bjkst.load_state sk ~z:0 ~prunes:0 ~entries:[]);
-            sk
-        | exception Not_found ->
-            Mkc_sketch.L0_bjkst.create ~seed:(Mkc_hashing.Splitmix.fork rs.fallback_seed sid) ()
+        Mkc_sketch.L0_bjkst.create ~seed:(Mkc_hashing.Splitmix.fork rs.fallback_seed sid) ()
       in
       Hashtbl.replace rs.fallback sid sk;
       sk
@@ -683,23 +667,8 @@ let thaw r t =
       Pk.get_f2c r ~ids:t.q rs.cntr_small;
       Pk.get_f2c r ~ids:t.q rs.cntr_large;
       rebuild_defer rs;
-      (* A sketch already held for a sid is overwritten in place rather
-         than re-created (its seed is the sid's either way); sids the
-         state does not list leave the table for the spares. *)
-      let listed = Array.make t.q false in
-      ignore
-        (Pk.get_ids r ~bound:t.q (fun r sid ->
-             listed.(sid) <- true;
-             Pk.get_l0 r (fallback_sketch rs sid))
-          : unit list);
-      Hashtbl.filter_map_inplace
-        (fun sid sk ->
-          if listed.(sid) then Some sk
-          else begin
-            Hashtbl.replace rs.spare sid sk;
-            None
-          end)
-        rs.fallback)
+      Hashtbl.reset rs.fallback;
+      ignore (Pk.get_ids r ~bound:t.q (fun r sid -> Pk.get_l0 r (fallback_sketch rs sid)) : unit list))
     t.repeats;
   t.st_elem_sampler_evals <- 0;
   t.st_fallback_sampler_evals <- 0;

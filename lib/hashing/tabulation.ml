@@ -4,24 +4,16 @@ let chars = 8
    entry [i*256 + c] of [lo] (resp. [hi]) is the low (resp. high) half
    of the 64-bit table word for character [c] of position [i].  XOR
    distributes over the halves, so folding the halves separately and
-   recombining reproduces the original 64-bit hash bit-for-bit — but
-   the fold itself runs entirely on immediate ints, so the per-key
-   hot path ([hash_parts]) allocates nothing.  The boxed-[int64] view
-   ([hash64]) survives for finalize-time consumers (KMV order
-   statistics, tests). *)
-type t = {
-  lo : int array;
-  hi : int array;
-  mutable part_lo : int;
-  mutable part_hi : int;
-}
+   recombining reproduces the 64-bit hash of the boxed-table layout
+   bit-for-bit. *)
+type t = { lo : int array; hi : int array }
 
 let create ~seed =
   let lo = Array.make (chars * 256) 0 in
   let hi = Array.make (chars * 256) 0 in
   (* Same Splitmix draw order as the historical int64 table layout
      (position-major, character-ascending), so seeds keep producing
-     identical hash functions across checkpoint generations. *)
+     identical hash functions. *)
   for i = 0 to chars - 1 do
     for c = 0 to 255 do
       let v = Splitmix.next seed in
@@ -30,48 +22,16 @@ let create ~seed =
       hi.(j) <- Int64.to_int (Int64.shift_right_logical v 32) land 0xFFFF_FFFF
     done
   done;
-  { lo; hi; part_lo = 0; part_hi = 0 }
-
-(* Fully unrolled: eight table loads per half, no loop counter, no
-   refs, no boxing.  Results land in [part_lo]/[part_hi] so the caller
-   reads two immediates instead of an allocated pair. *)
-let[@inline] hash_parts t x =
-  let lo = t.lo and hi = t.hi in
-  let c0 = x land 0xFF in
-  let c1 = 256 + ((x lsr 8) land 0xFF) in
-  let c2 = 512 + ((x lsr 16) land 0xFF) in
-  let c3 = 768 + ((x lsr 24) land 0xFF) in
-  let c4 = 1024 + ((x lsr 32) land 0xFF) in
-  let c5 = 1280 + ((x lsr 40) land 0xFF) in
-  let c6 = 1536 + ((x lsr 48) land 0xFF) in
-  let c7 = 1792 + ((x lsr 56) land 0xFF) in
-  t.part_lo <-
-    Array.unsafe_get lo c0
-    lxor Array.unsafe_get lo c1
-    lxor Array.unsafe_get lo c2
-    lxor Array.unsafe_get lo c3
-    lxor Array.unsafe_get lo c4
-    lxor Array.unsafe_get lo c5
-    lxor Array.unsafe_get lo c6
-    lxor Array.unsafe_get lo c7;
-  t.part_hi <-
-    Array.unsafe_get hi c0
-    lxor Array.unsafe_get hi c1
-    lxor Array.unsafe_get hi c2
-    lxor Array.unsafe_get hi c3
-    lxor Array.unsafe_get hi c4
-    lxor Array.unsafe_get hi c5
-    lxor Array.unsafe_get hi c6
-    lxor Array.unsafe_get hi c7
-
-let part_lo t = t.part_lo
-let part_hi t = t.part_hi
+  { lo; hi }
 
 let hash64 t x =
-  hash_parts t x;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int t.part_hi) 32)
-    (Int64.of_int t.part_lo)
+  let lo = ref 0 and hi = ref 0 in
+  for i = 0 to chars - 1 do
+    let j = (i * 256) + ((x lsr (8 * i)) land 0xFF) in
+    lo := !lo lxor Array.unsafe_get t.lo j;
+    hi := !hi lxor Array.unsafe_get t.hi j
+  done;
+  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)
 
 let hash t x r =
   if r < 1 then invalid_arg "Tabulation.hash: range must be >= 1";

@@ -5,30 +5,19 @@
     3-wise independent and behaves like full randomness for many
     streaming applications (Patrascu–Thorup); the paper cites
     tabulation-based hashing as one of the F2-heavy-hitter
-    implementations [39].  We use it as a fast full-width mixer for KMV
-    and HyperLogLog, where empirical uniformity matters more than proof
-    obligations.
+    implementations [39].  It is the full-width mixer of the E10
+    ablation estimators ([Mkc_sketch.Kmv], [Mkc_sketch.Hyperloglog]),
+    where empirical uniformity matters more than proof obligations.
 
-    Tables live in flat native-int arrays as 32-bit lo/hi halves, so
-    the per-key path ({!hash_parts}) is allocation-free; {!hash64}
-    recombines the halves into the same 64-bit values the historical
-    boxed-table layout produced. *)
+    Tables live in flat native-int arrays as 32-bit lo/hi halves;
+    {!hash64} recombines the halves into the same 64-bit values the
+    historical boxed-table layout produced.  A [t] is an immutable
+    value. *)
 
 type t
 
 val create : seed:Splitmix.t -> t
 (** Fresh tables for 8 input characters (56-bit keys). *)
-
-val hash_parts : t -> int -> unit
-(** Allocation-free hot path: hash [x] and leave the 32-bit halves of
-    the 64-bit hash readable via {!part_lo}/{!part_hi}.  The halves
-    satisfy [hash64 t x = (part_hi lsl 32) lor part_lo]. *)
-
-val part_lo : t -> int
-(** Low 32 bits of the last {!hash_parts} result. *)
-
-val part_hi : t -> int
-(** High 32 bits of the last {!hash_parts} result. *)
 
 val hash64 : t -> int -> int64
 (** Full-width 64-bit hash of a non-negative int key. *)

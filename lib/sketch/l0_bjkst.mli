@@ -7,6 +7,11 @@
     [|buffer| · 2^z].  With buffer capacity Θ(1/ε²) this gives the
     (1 ± ε)-approximation of Theorem 2.12 in Õ(1) space.
 
+    Each sketch owns one 4-wise independent {!Mkc_hashing.Poly_hash}
+    over GF(2^61 - 1): a key's field value is its fingerprint, and the
+    fingerprint's trailing-zero count is its level.  The state is the
+    fingerprint buffer, the hash's coefficients and two counters.
+
     This is the default L0 estimator used by [LargeCommon] (Figure 3)
     and the L0 fallback of [LargeSetComplete] (Figure 6). *)
 
@@ -18,10 +23,11 @@ val create : ?cap:int -> seed:Mkc_hashing.Splitmix.t -> unit -> t
 
 val add : t -> int -> unit
 
-val trailing_zeros : int64 -> int
-(** Count of trailing zero bits (64 for zero) — branch-free de Bruijn
-    lookup over native-int halves, no per-bit loop.  Exposed for the
-    test suite's comparison against the bit-by-bit reference. *)
+val trailing_zeros : int -> int
+(** Count of trailing zero bits ([Sys.int_size] for zero): the level of
+    a fingerprint.  Branch-free de Bruijn lookup over 32-bit halves, no
+    per-bit loop.  Exposed for the test suite's comparison against the
+    bit-by-bit reference. *)
 
 val estimate : t -> float
 val level : t -> int
@@ -37,17 +43,17 @@ val prunes : t -> int
 
 val words : t -> int
 
-val dump : t -> int * int * (int64 * int) list
+val dump : t -> int * int * int list
 (** [(z, prunes, entries)] — the canonical state: buffered fingerprints
-    with their levels, sorted by unsigned fingerprint.  Two sketches
-    over the same seed are behaviourally identical iff their dumps are
-    equal; hashtable layout never leaks. *)
+    in ascending order.  Two sketches over the same seed are
+    behaviourally identical iff their dumps are equal; table layout
+    never leaks. *)
 
-val load_state :
-  t -> z:int -> prunes:int -> entries:(int64 * int) list -> (unit, string) result
-(** Overlay a dumped state onto a freshly created sketch (same cap and
-    seed).  Rejects out-of-range levels, overfull buffers and duplicate
-    fingerprints by name. *)
+val load_state : t -> z:int -> prunes:int -> entries:int list -> (unit, string) result
+(** Overlay a dumped state onto a sketch of the same cap and seed.
+    Rejects by name a level or prune count out of range, more than
+    [cap] entries, a fingerprint outside [\[0, 2^61 - 1)], a
+    fingerprint below level [z], and a duplicate fingerprint. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold [src] into [dst].  Both must share cap and hash seed.  The

@@ -103,20 +103,12 @@ let put_l0 w sk =
   put w z;
   put w prunes;
   put w (List.length entries);
-  List.iter
-    (fun (fp, lvl) ->
-      put_int64 w fp;
-      put w lvl)
-    entries
+  List.iter (put w) entries
 
 let get_l0 r sk =
   let z = get r in
   let prunes = get r in
-  let entries =
-    get_list r (get_count r) (fun r ->
-        let fp = get_int64 r in
-        (fp, get r))
-  in
+  let entries = get_list r (get_count r) get in
   check r (L0_bjkst.load_state sk ~z ~prunes ~entries)
 
 let put_hh w (rows, counts, prunes) =

@@ -60,7 +60,8 @@ val get_ids : reader -> bound:int -> (reader -> int -> 'a) -> 'a list
 
 val put_l0 : writer -> L0_bjkst.t -> unit
 (** The {!L0_bjkst.dump} state: level, prune count and the sorted
-    fingerprint entries. *)
+    fingerprints (no levels: a fingerprint's level is its trailing-zero
+    count). *)
 
 val get_l0 : reader -> L0_bjkst.t -> unit
 (** Overlay a {!put_l0} state through {!L0_bjkst.load_state}; the

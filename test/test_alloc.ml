@@ -167,9 +167,9 @@ let direct_major_words f =
   major1 -. major0 -. (promoted1 -. promoted0)
 
 (* A roll freezes the live estimator into the ring and thaws a blank
-   back into it: no estimator is built, and the fallback L0 sketches the
-   thaw parks are revived for the same supersets.  Three planned epochs
-   warm the memos and the spares up; the same three epochs are then
+   back into it: no estimator is built (the thaw drops the fallback L0
+   sketches, and the next epoch makes few-word ones afresh).  Three
+   planned epochs warm the memos up; the same three epochs are then
    measured.  At the churn-window benchmark's dimensions a roll must
    cost under a quarter of one [Estimate.create] (about a tenth today:
    the ring's frozen copy and the pack buffer are most of it). *)

@@ -12,7 +12,7 @@
       so P edge-partitioned shard runs merge into exactly the
       single-stream state.
 
-   Plus the envelope itself: a byte-stable mkc-ckpt/3 golden, named
+   Plus the envelope itself: a byte-stable mkc-ckpt/4 golden, named
    rejection of every tampering mode (foreign magic, unknown version,
    truncated bytes, forged seed, flipped payload, wrong kind), and a
    seeded mutation fuzz over the envelope and the estimator's payload
@@ -276,8 +276,8 @@ let of_hex h =
    the varints 1, 2, 3 | FNV-1a 64 trailer *)
 let golden =
   of_hex
-    ("4d4b43434b505433" ^ "0400000000000000" ^ "64656d6f" ^ "0300000000000000"
-   ^ "2a00000000000000" ^ "0300000000000000" ^ "020406" ^ "243869e9e666e384")
+    ("4d4b43434b505434" ^ "0400000000000000" ^ "64656d6f" ^ "0300000000000000"
+   ^ "2a00000000000000" ^ "0300000000000000" ^ "020406" ^ "670d6ce097caada2")
 
 let test_golden_bytes () =
   checks "byte-stable rendering" golden (Ck.to_string demo_env);
@@ -669,7 +669,7 @@ type fuzz_input = {
   valid_words : int;  (** allocated by restoring [payload] intact *)
 }
 
-(* Valid checkpoints of two small live instances, and the mkc-ckpt/3
+(* Valid checkpoints of two small live instances, and the mkc-ckpt/4
    golden.  [params ()] keeps SmallSet, as every profile does
    (sα = w/2 < 2k); no profile reaches the heavy regime (sα ≥ 2k) today,
    so the second instance lifts s by hand to put the oracle layout
@@ -694,11 +694,11 @@ let fuzz_instances =
          (Array.init 400 (fun i -> Edge.make ~set:(i * 7 mod p.m) ~elt:(i * 13 mod p.n)));
        fuzz_input p ((E.codec p).Ck.encode est)
      in
-     (* the mkc-ckpt/3 golden of test_golden_compat *)
+     (* the mkc-ckpt/4 golden of test_golden_compat *)
      let golden =
-       match Ck.of_string (read_file "golden_estimate_ckpt_v3.ckpt") with
+       match Ck.of_string (read_file "golden_estimate_ckpt_v4.ckpt") with
        | Ok ck -> fuzz_input (P.make ~m:16 ~n:64 ~k:2 ~alpha:2.0 ~seed:5 ()) ck.Ck.payload
-       | Error e -> Alcotest.failf "v3 golden: %s" (Ck.error_to_string e)
+       | Error e -> Alcotest.failf "v4 golden: %s" (Ck.error_to_string e)
      in
      [| fed (params ()); fed heavy; golden |])
 
@@ -771,7 +771,7 @@ let test_fuzz_regimes () =
   let inst = Lazy.force fuzz_instances in
   checkb "first fuzz instance has SmallSet" true inst.(0).small_set;
   checkb "second fuzz instance has none" false inst.(1).small_set;
-  checkb "the v3 golden has SmallSet" true inst.(2).small_set;
+  checkb "the v4 golden has SmallSet" true inst.(2).small_set;
   Array.iter
     (fun i ->
       checkb "fuzz inputs restore cleanly" true

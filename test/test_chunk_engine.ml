@@ -247,38 +247,35 @@ let test_memo_words_in_breakdown () =
 (* --- 3. trailing_zeros vs bit-by-bit reference --- *)
 
 let tz_reference v =
-  if Int64.equal v 0L then 64
+  if v = 0 then Sys.int_size
   else begin
     let c = ref 0 in
     let x = ref v in
-    while Int64.equal (Int64.logand !x 1L) 0L do
+    while !x land 1 = 0 do
       incr c;
-      x := Int64.shift_right_logical !x 1
+      x := !x lsr 1
     done;
     !c
   end
 
 let test_trailing_zeros () =
   let tz = Mkc_sketch.L0_bjkst.trailing_zeros in
-  checki "zero" 64 (tz 0L);
-  checki "one" 0 (tz 1L);
-  checki "min_int64 (only bit 63)" 63 (tz Int64.min_int);
-  checki "all ones" 0 (tz (-1L));
-  for i = 0 to 63 do
-    checki
-      (Printf.sprintf "power of two: bit %d" i)
-      i
-      (tz (Int64.shift_left 1L i))
+  checki "zero" Sys.int_size (tz 0);
+  checki "one" 0 (tz 1);
+  checki "min_int (only the top bit)" (Sys.int_size - 1) (tz min_int);
+  checki "all ones" 0 (tz (-1));
+  for i = 0 to Sys.int_size - 1 do
+    checki (Printf.sprintf "power of two: bit %d" i) i (tz (1 lsl i))
   done;
   let rng = Sm.create 7 in
   for _ = 1 to 5000 do
-    let v = Sm.next rng in
-    checki (Printf.sprintf "random %Ld" v) (tz_reference v) (tz v)
+    let v = Int64.to_int (Sm.next rng) in
+    checki (Printf.sprintf "random %d" v) (tz_reference v) (tz v)
   done;
   (* values dense in low trailing-zero counts: shifted randoms *)
-  for shift = 0 to 63 do
-    let v = Int64.shift_left (Sm.next rng) shift in
-    checki (Printf.sprintf "shifted %Ld" v) (tz_reference v) (tz v)
+  for shift = 0 to Sys.int_size - 1 do
+    let v = Int64.to_int (Sm.next rng) lsl shift in
+    checki (Printf.sprintf "shifted %d" v) (tz_reference v) (tz v)
   done
 
 (* --- 4. trivial branch: deterministic sorted witness --- *)

@@ -1,15 +1,17 @@
 (* Cross-era checkpoint compatibility.
 
-   [golden_estimate_ckpt_v3.ckpt] is an mkc-ckpt/3 checkpoint of the
+   [golden_estimate_ckpt_v4.ckpt] is an mkc-ckpt/4 checkpoint of the
    full 120-edge stream of a fixed small instance, as the pipeline
    drive leaves it.  Every earlier era's code answered this instance the
    same way: the hashtable-backed sketches that wrote
    [golden_estimate_ckpt_v1.json] (mkc-ckpt/1, JSON), the flat sketches
    that wrote [golden_estimate_ckpt_v2.ckpt] (mkc-ckpt/2, one SmallSet
-   store per guess), and the one-store SmallSet that wrote the v3 bytes.
-   Restoring the v3 bytes must finalize to exactly that old-era result.
-   The v1 and v2 files are kept only to pin that this build rejects them
-   by name.
+   store per guess), the one-store SmallSet that wrote
+   [golden_estimate_ckpt_v3.ckpt] (mkc-ckpt/3, tabulation-hashed L0
+   fingerprints), and the per-sketch polynomial-hashed L0 that wrote
+   the v4 bytes.  Restoring the v4 bytes must finalize to exactly that
+   old-era result.  The v1, v2 and v3 files are kept only to pin that
+   this build rejects them by name.
 
    Instance (fixed forever — the golden bytes encode it):
      params   m=16 n=64 k=2 alpha=2.0 seed=5
@@ -25,7 +27,8 @@ module E = Mkc_core.Estimate
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let golden_path = "golden_estimate_ckpt_v3.ckpt"
+let golden_path = "golden_estimate_ckpt_v4.ckpt"
+let golden_v3_path = "golden_estimate_ckpt_v3.ckpt"
 let golden_v2_path = "golden_estimate_ckpt_v2.ckpt"
 let golden_v1_path = "golden_estimate_ckpt_v1.json"
 let golden_edges = 120
@@ -108,4 +111,6 @@ let suite =
       (rejected_as "mkc-ckpt/1" golden_v1_path);
     Alcotest.test_case "v2 golden rejected as Bad_version" `Quick
       (rejected_as "mkc-ckpt/2" golden_v2_path);
+    Alcotest.test_case "v3 golden rejected as Bad_version" `Quick
+      (rejected_as "mkc-ckpt/3" golden_v3_path);
   ]

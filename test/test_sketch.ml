@@ -73,13 +73,68 @@ let test_bjkst_duplicates_ignored () =
   for _ = 1 to 5000 do
     L0.add sk 123
   done;
-  checkb "single distinct" true (L0.estimate sk = 1.0)
+  checkb "single distinct" true (L0.estimate sk = 1.0);
+  (* also after prunes: every buffered fingerprint stays findable *)
+  let sk = L0.create ~seed:(Sm.create 9) () in
+  feed_distinct L0.add sk ~distinct:20_000 ~dups:1;
+  let once = L0.dump sk in
+  feed_distinct L0.add sk ~distinct:20_000 ~dups:1;
+  checkb "a second pass leaves the pruned state" true (L0.dump sk = once)
 
 let test_bjkst_words_bounded () =
   let sk = L0.create ~cap:96 ~seed:(Sm.create 10) () in
   feed_distinct L0.add sk ~distinct:1_000_000 ~dups:1;
-  (* buffer capped: words = O(cap) + hash tables *)
-  checkb "space bounded by cap" true (L0.words sk < 3 * 96 + 2100)
+  (* the sketch is its buffer: two words per fingerprint, the hash's
+     coefficients and the counters *)
+  checkb "space bounded by cap" true (L0.words sk <= (2 * 96) + 8)
+
+(* Theorem 2.12 asks each sketch for a (1 ± 1/2) estimate with constant
+   probability; the hash must deliver it on structured keys too.  Over
+   500 seeds and three key shapes (consecutive, and strided by 2^10
+   and 2^20, where a linear hash a·x+b maps the keys onto an arithmetic
+   progression), every estimate of 10,000 distinct keys must be within
+   a factor 1.8, and at most 1% of them may miss ±1/2.  A linear
+   (pairwise) hash fails this: on some seed of each shape it estimates
+   0 or more than double. *)
+let test_bjkst_accuracy_structured_keys () =
+  let distinct = 10_000 and seeds = 500 in
+  List.iter
+    (fun (shape, stride) ->
+      let worst = ref 0.0 and misses = ref 0 in
+      for seed = 1 to seeds do
+        let sk = L0.create ~cap:96 ~seed:(Sm.create (7919 * seed)) () in
+        for x = 0 to distinct - 1 do
+          L0.add sk (x * stride)
+        done;
+        let err = Float.abs (L0.estimate sk -. float_of_int distinct) /. float_of_int distinct in
+        if err > !worst then worst := err;
+        if err > 0.5 then incr misses
+      done;
+      if !worst >= 0.8 then Alcotest.failf "%s keys: worst relative error %.3f" shape !worst;
+      if !misses * 100 > seeds then
+        Alcotest.failf "%s keys: %d of %d estimates miss ±1/2" shape !misses seeds)
+    [ ("consecutive", 1); ("stride 2^10", 1 lsl 10); ("stride 2^20", 1 lsl 20) ]
+
+(* [load_state] takes states from checkpoints and window epochs: each
+   way a dumped state can lie is refused by name. *)
+let load_rejects name ?(cap = 96) ~z entries expected () =
+  let sk = L0.create ~cap ~seed:(Sm.create 17) () in
+  match L0.load_state sk ~z ~prunes:0 ~entries with
+  | Error e -> Alcotest.(check string) name expected e
+  | Ok () -> Alcotest.failf "%s accepted" name
+
+let test_bjkst_load_out_of_range =
+  load_rejects "fingerprint 2^61 - 1" ~z:0 [ 4; Mkc_hashing.Prime_field.p ]
+    "l0: fingerprint outside [0, 2^61 - 1)"
+
+let test_bjkst_load_below_level =
+  load_rejects "fingerprint of level 1 at z = 3" ~z:3 [ 8; 16; 6 ] "l0: fingerprint below level z"
+
+let test_bjkst_load_duplicate =
+  load_rejects "repeated fingerprint" ~z:0 [ 3; 9; 3 ] "l0: duplicate fingerprint"
+
+let test_bjkst_load_over_cap =
+  load_rejects "five entries at cap 4" ~cap:4 ~z:0 [ 1; 2; 3; 4; 5 ] "l0: entries exceed cap"
 
 let test_hll_accuracy () =
   let sk = Hll.create ~bits:12 ~seed:(Sm.create 11) () in
@@ -600,6 +655,12 @@ let suite =
     Alcotest.test_case "bjkst accuracy" `Quick test_bjkst_accuracy;
     Alcotest.test_case "bjkst duplicates ignored" `Quick test_bjkst_duplicates_ignored;
     Alcotest.test_case "bjkst space bounded" `Quick test_bjkst_words_bounded;
+    Alcotest.test_case "bjkst accuracy on structured keys" `Quick
+      test_bjkst_accuracy_structured_keys;
+    Alcotest.test_case "bjkst load: fingerprint out of range" `Quick test_bjkst_load_out_of_range;
+    Alcotest.test_case "bjkst load: fingerprint below level" `Quick test_bjkst_load_below_level;
+    Alcotest.test_case "bjkst load: duplicate fingerprint" `Quick test_bjkst_load_duplicate;
+    Alcotest.test_case "bjkst load: more than cap entries" `Quick test_bjkst_load_over_cap;
     Alcotest.test_case "hll accuracy" `Quick test_hll_accuracy;
     Alcotest.test_case "hll linear counting regime" `Quick test_hll_small_range_linear_counting;
     Alcotest.test_case "hll merge" `Quick test_hll_merge;
