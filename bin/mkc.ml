@@ -703,8 +703,11 @@ let estimate ro ckpt every resume stop_after force_m force_n =
   let params = instance_params ro ~m ~n in
   let word_budget = Mkc_core.Estimate.word_budget params in
   match wincfg with
-  | Some cfg ->
-      answer_windowed ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
+  | Some ((window, _, _) as cfg) ->
+      (* The ring holds up to [window] frozen epochs beside the live
+         estimator, each one estimator's state: one budget apiece. *)
+      answer_windowed ro ~rules ~src ~m ~n ~label:"estimate"
+        ~word_budget:((window + 1) * word_budget)
         ~headline:(Printf.sprintf "windowed %d-cover coverage estimate" ro.k)
         ~print_outcome:(function
           | Some o ->

@@ -79,7 +79,8 @@ val word_budget : Params.t -> int
     [instances · log²(mn) · (c_mass · m/α² + c_floor)], where
     [instances] is the z-ladder × repeats fan-out ([4k] on the trivial
     branch).  Feed it to {!Mkc_sketch.Space.Budget} to watchdog a
-    run. *)
+    run.  It bounds one estimator: a {!Windowed} ring's held frozen
+    epochs are each one estimator's state besides. *)
 
 val record_metrics : ?registry:Mkc_obs.Registry.t -> t -> unit
 (** Publish {!stats} into a metric registry (default

@@ -7,11 +7,185 @@ let member elt lvl = (elt lsl level_bits) lor lvl
 let elt_of c = c lsr level_bits
 let level_of c = c land ((1 lsl level_bits) - 1)
 
+(* One repeat's store: an arena of stored pairs, each slot a member
+   code and the slot of the same set's next older pair (-1 at its
+   oldest), so a set's members chain latest-first from its head.  Links
+   always point to a lower slot.  The arena is fixed-size blocks, added
+   as it fills: nothing is sized ahead, and nothing is copied to grow. *)
+module Store = struct
+  module Heads = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash x = x land max_int
+  end)
+
+  let block_bits = 10
+  let block = 1 lsl block_bits
+
+  type t = {
+    mutable codes : int array array; (* a code is -1 once deleted *)
+    mutable older : int array array;
+    mutable blocks : int;
+    mutable slots : int; (* in use, deleted ones included *)
+    mutable deleted : int;
+    heads : int ref Heads.t; (* set id -> its latest pair's slot *)
+  }
+
+  let create () =
+    { codes = [||]; older = [||]; blocks = 0; slots = 0; deleted = 0; heads = Heads.create 64 }
+
+  (* Slots below [slots] lie inside the blocks. *)
+  let get a i = Array.unsafe_get (Array.unsafe_get a (i lsr block_bits)) (i land (block - 1))
+  let set a i v = Array.unsafe_set (Array.unsafe_get a (i lsr block_bits)) (i land (block - 1)) v
+  let sets s = Heads.length s.heads
+  let pairs s = s.slots - s.deleted
+
+  (* Blocks are kept: a restored store refills them. *)
+  let reset s =
+    Heads.reset s.heads;
+    s.slots <- 0;
+    s.deleted <- 0
+
+  let reserve s n =
+    while s.blocks * block < s.slots + n do
+      if s.blocks = Array.length s.codes then begin
+        let grow a = Array.append a (Array.make (max 4 s.blocks) [||]) in
+        s.codes <- grow s.codes;
+        s.older <- grow s.older
+      end;
+      s.codes.(s.blocks) <- Array.make block 0;
+      s.older.(s.blocks) <- Array.make block 0;
+      s.blocks <- s.blocks + 1
+    done
+
+  (* Append [c] as [id]'s latest pair. *)
+  let push s id c =
+    reserve s 1;
+    let i = s.slots in
+    set s.codes i c;
+    (match Heads.find s.heads id with
+    | h ->
+        set s.older i !h;
+        h := i
+    | exception Not_found ->
+        set s.older i (-1);
+        Heads.add s.heads id (ref i));
+    s.slots <- i + 1
+
+  (* Append [n] pairs of [id], given latest first by [code 0] ..
+     [code (n-1)] (called in that order), as newer than its stored
+     ones: they take the next slots oldest first. *)
+  let append_chain s id n code =
+    reserve s n;
+    let base = s.slots in
+    let head = Heads.find_opt s.heads id in
+    let oldest = match head with Some h -> !h | None -> -1 in
+    for j = 0 to n - 1 do
+      let i = base + n - 1 - j in
+      set s.codes i (code j);
+      set s.older i (if j = n - 1 then oldest else i - 1)
+    done;
+    s.slots <- base + n;
+    match head with Some h -> h := base + n - 1 | None -> Heads.add s.heads id (ref (base + n - 1))
+
+  (* Keep the live pairs of level <= [top] in place, in slot order.
+     [remap.(i)] is slot i's new place, or for a dropped slot the new
+     place of its nearest kept older pair: links skip the dropped pairs,
+     and a set whose chain is left empty goes. *)
+  let compact s ~top =
+    let remap = Array.make s.slots (-1) in
+    let j = ref 0 in
+    for i = 0 to s.slots - 1 do
+      let c = get s.codes i and o = get s.older i in
+      let o = if o < 0 then -1 else remap.(o) in
+      if c >= 0 && level_of c <= top then begin
+        set s.codes !j c;
+        set s.older !j o;
+        remap.(i) <- !j;
+        incr j
+      end
+      else remap.(i) <- o
+    done;
+    s.slots <- !j;
+    s.deleted <- 0;
+    Heads.filter_map_inplace
+      (fun _ h ->
+        h := remap.(!h);
+        if !h < 0 then None else Some h)
+      s.heads
+
+  (* Unlink the latest pair of [id] whose code is [c], if any; a chain
+     left empty removes its set, leaving the store exactly as if that
+     insert never happened.  Deleted slots are reclaimed once they are
+     half the arena. *)
+  let delete s id c ~top =
+    match Heads.find s.heads id with
+    | exception Not_found -> false
+    | h ->
+        let newer = ref (-1) and i = ref !h in
+        while !i >= 0 && get s.codes !i <> c do
+          newer := !i;
+          i := get s.older !i
+        done;
+        !i >= 0
+        && begin
+             let o = get s.older !i in
+             if !newer >= 0 then set s.older !newer o
+             else if o >= 0 then h := o
+             else Heads.remove s.heads id;
+             set s.codes !i (-1);
+             s.deleted <- s.deleted + 1;
+             if 2 * s.deleted > s.slots then compact s ~top;
+             true
+           end
+
+  (* The codes down a chain from slot [i], latest first. *)
+  let rec iter_chain s f i =
+    if i >= 0 then begin
+      f (get s.codes i);
+      iter_chain s f (get s.older i)
+    end
+
+  let chain_length s h =
+    let n = ref 0 and i = ref h in
+    while !i >= 0 do
+      incr n;
+      i := get s.older !i
+    done;
+    !n
+
+  (* Append each of [src]'s chains as newer than [s]'s pairs of its set. *)
+  let append s src =
+    Heads.iter
+      (fun id h ->
+        let i = ref !h in
+        append_chain s id (chain_length src !h) (fun _ ->
+            let c = get src.codes !i in
+            i := get src.older !i;
+            c))
+      src.heads
+
+  (* The stored set ids in increasing order: layout order is not
+     canonical (a restored or merged store has another one). *)
+  let ids s =
+    let a = Array.make (Heads.length s.heads) 0 and n = ref 0 in
+    Heads.iter
+      (fun id _ ->
+        a.(!n) <- id;
+        incr n)
+      s.heads;
+    Array.sort Int.compare a;
+    a
+
+  let head s id = !(Heads.find s.heads id)
+end
+
 type repeat_state = {
   elem_sampler : Mkc_sketch.Sampler.Nested.t;
   (* level i has rate base·2^i; guess g (γ = 2^-g) uses level G - g *)
   set_sampler : Mkc_sketch.Sampler.Bernoulli.t option; (* M; None = rate 1 *)
-  store : (int, int list ref) Hashtbl.t; (* set id -> members, latest first *)
+  store : Store.t;
   counts : int array; (* per guess: pairs its sub-instance holds; 0 once dead *)
   mutable live : int;
       (* The lowest live guess.  Guess g's sub-instance contains guess
@@ -67,7 +241,7 @@ let create (params : Params.t) ~seed =
            Some
              (Mkc_sketch.Sampler.Bernoulli.create ~rate:set_rate ~indep:p.indep
                 ~seed:(Mkc_hashing.Splitmix.fork sd 1)));
-      store = Hashtbl.create 64;
+      store = Store.create ();
       counts = Array.make guesses 0;
       live = 0;
       elem_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min (max 16 p.Params.u) 65536);
@@ -105,16 +279,7 @@ let apply_cap t rs ~from =
     rs.counts.(rs.live) <- 0;
     rs.live <- rs.live + 1
   done;
-  let top = t.guesses - 1 - rs.live in
-  if rs.live > from then
-    Hashtbl.filter_map_inplace
-      (fun _ members ->
-        match List.filter (fun c -> level_of c <= top) !members with
-        | [] -> None
-        | l ->
-            members := l;
-            Some members)
-      rs.store
+  if rs.live > from then Store.compact rs.store ~top:(t.guesses - 1 - rs.live)
 
 let bump rs ~top d =
   for g = rs.live to top do
@@ -125,37 +290,21 @@ let bump rs ~top d =
    g <= G - lvl.  An insertion is stored once and counted by each live
    guess that reads it ([st_pairs_stored] counts per guess, as the cap
    does).  A turnstile deletion drops the most recent stored occurrence,
-   if any: member lists are latest-first, and every duplicate of
-   (set, elt) has the same level, so the first match is the latest
-   insert; an emptied list removes its set outright, leaving the store
-   exactly as if that insert never happened.  Sampling decisions are
-   pure hashes of (set, elt), so a deletion passes the same filters its
-   insertion did.  A dead guess stays dead. *)
+   if any: every duplicate of (set, elt) has the same level, so the
+   first match down the set's chain is the latest insert.  Sampling
+   decisions are pure hashes of (set, elt), so a deletion passes the
+   same filters its insertion did.  A dead guess stays dead. *)
 let apply t rs set elt lvl sign =
   let top = t.guesses - 1 - lvl in
   if top >= rs.live then begin
     let c = member elt lvl in
     if sign > 0 then begin
-      (match Hashtbl.find rs.store set with
-      | members -> members := c :: !members
-      | exception Not_found -> Hashtbl.add rs.store set (ref [ c ]));
+      Store.push rs.store set c;
       bump rs ~top 1;
       t.st_pairs_stored <- t.st_pairs_stored + top - rs.live + 1;
       apply_cap t rs ~from:rs.live
     end
-    else
-      match Hashtbl.find rs.store set with
-      | exception Not_found -> ()
-      | members -> (
-          let rec rm = function
-            | [] -> raise Not_found
-            | x :: tl -> if x = c then tl else x :: rm tl
-          in
-          match rm !members with
-          | exception Not_found -> ()
-          | l ->
-              (match l with [] -> Hashtbl.remove rs.store set | _ -> members := l);
-              bump rs ~top (-1))
+    else if Store.delete rs.store set c ~top:(t.guesses - 1 - rs.live) then bump rs ~top (-1)
   end
 
 let feed_repeat t rs (e : Mkc_stream.Edge.t) =
@@ -225,30 +374,59 @@ let elem_rate t gamma_exp =
   float_of_int (1 lsl (t.guesses - 1 - gamma_exp)) *. t.base_rate
   |> min 1.0
 
-(* The store in set-id order, member lists as held: its fold order is
-   layout order, which a restored or merged store does not share. *)
-let sorted_store rs =
-  Hashtbl.fold (fun id members acc -> (id, !members) :: acc) rs.store []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* The store as one CSR in set-id order — member codes, levels kept,
+   latest first — built once per finalize. *)
+type csr = { ids : int array; off : int array; members : int array }
 
-(* Guess g's sub-instance: each set's members of level <= G - g, latest
-   first, sets left empty dropped.  Sorted by set id: greedy breaks
-   coverage ties by candidate order, so the order fed in must be
-   canonical, not the store's layout order. *)
-let sub_instance t rs g =
+let csr rs =
+  let ids = Store.ids rs.store in
+  let off = Array.make (Array.length ids + 1) 0 in
+  let members = Array.make (Store.pairs rs.store) 0 in
+  Array.iteri
+    (fun i id ->
+      let j = ref off.(i) in
+      Store.iter_chain rs.store
+        (fun c ->
+          members.(!j) <- c;
+          incr j)
+        (Store.head rs.store id);
+      off.(i + 1) <- !j)
+    ids;
+  { ids; off; members }
+
+(* Guess g's sub-instance in one level-filtered pass: each set's
+   elements of level <= G - g, sets left empty dropped.  Set-id order
+   stays: greedy breaks coverage ties by candidate order, so the order
+   fed in must be canonical.  The guess's pair count sizes it. *)
+let sub_instance t rs st g =
   let top = t.guesses - 1 - g in
-  List.filter_map
-    (fun (id, members) ->
-      match List.filter_map (fun c -> if level_of c <= top then Some (elt_of c) else None) members with
-      | [] -> None
-      | l -> Some (id, Array.of_list l))
-    (sorted_store rs)
+  let ns = Array.length st.ids in
+  let ids = Array.make ns 0 and off = Array.make (ns + 1) 0 in
+  let elts = Array.make rs.counts.(g) 0 in
+  let j = ref 0 and s = ref 0 in
+  for i = 0 to ns - 1 do
+    let start = !j in
+    for q = st.off.(i) to st.off.(i + 1) - 1 do
+      let c = Array.unsafe_get st.members q in
+      if level_of c <= top then begin
+        elts.(!j) <- elt_of c;
+        incr j
+      end
+    done;
+    if !j > start then begin
+      ids.(!s) <- st.ids.(i);
+      incr s;
+      off.(!s) <- !j
+    end
+  done;
+  (Array.sub ids 0 !s, off, elts)
 
-let solve t rs ~repeat g =
-  match if g < rs.live then [] else sub_instance t rs g with
-  | [] -> None
-  | sets ->
-    let res = Mkc_coverage.Greedy.run_on_subsets ~n:t.params.Params.u ~sets ~k:t.budget in
+let solve t rs st ~repeat g =
+  let ids, off, elts = if g < rs.live then ([||], [||], [||]) else sub_instance t rs st g in
+  if Array.length ids = 0 then None
+  else begin
+    let n = t.params.Params.u in
+    let res = Mkc_coverage.Greedy.run_csr ~n ~ids ~off ~elts ~k:t.budget in
     (* Figure 5's acceptance filter: sol must be Ω̃(k/α) on the sample,
        otherwise scaling up would manufacture coverage out of noise
        (Lemma 4.23). *)
@@ -262,8 +440,7 @@ let solve t rs ~repeat g =
            reporting budget is k (Theorem 3.2's +k term): extend greedy
            on the stored sub-instance up to k sets — extra picks can
            only increase the reported cover's true coverage. *)
-        (Mkc_coverage.Greedy.run_on_subsets ~n:t.params.Params.u ~sets ~k:t.params.Params.k)
-          .chosen
+        (Mkc_coverage.Greedy.run_csr ~n ~ids ~off ~elts ~k:t.params.Params.k).chosen
       in
       Some
         {
@@ -272,13 +449,18 @@ let solve t rs ~repeat g =
           provenance = Solution.Small_set { gamma_exp = g; repeat };
         }
     else None
+  end
 
 let finalize t =
   (* Per guess γ, average the accepted repeats (maximizing over noisy
      scaled values would bias upward); then take the best guess. *)
   let best = ref None in
+  let stores = Array.map csr t.repeats in
   for g = 0 to t.guesses - 1 do
-    let solved = List.mapi (fun repeat rs -> solve t rs ~repeat g) (Array.to_list t.repeats) in
+    let solved =
+      List.init (Array.length t.repeats) (fun repeat ->
+          solve t t.repeats.(repeat) stores.(repeat) ~repeat g)
+    in
     match List.filter_map Fun.id solved with
     | [] -> ()
     | outs ->
@@ -312,11 +494,12 @@ let freeze w t =
   Array.iter
     (fun rs ->
       Pk.put w rs.live;
-      Pk.put_ids w fst
-        (fun w (_, members) ->
-          Pk.put w (List.length members);
-          List.iter (Pk.put w) members)
-        (sorted_store rs))
+      Pk.put_ids w Fun.id
+        (fun w id ->
+          let h = Store.head rs.store id in
+          Pk.put w (Store.chain_length rs.store h);
+          Store.iter_chain rs.store (Pk.put w) h)
+        (Array.to_list (Store.ids rs.store)))
     t.repeats
 
 (* Beyond the ranges (live in [0, G+1], set ids in [0, m), members in
@@ -330,7 +513,7 @@ let thaw r t =
     (fun rs ->
       let live = Pk.get_below r (t.guesses + 1) in
       let top = t.guesses - 1 - live in
-      Hashtbl.reset rs.store;
+      Store.reset rs.store;
       Array.fill rs.counts 0 t.guesses 0;
       rs.live <- live;
       ignore
@@ -345,7 +528,7 @@ let thaw r t =
                bump rs ~top:(t.guesses - 1 - level_of c) 1;
                c
              in
-             Hashtbl.replace rs.store id (ref (List.init n (fun _ -> get r))))
+             Store.append_chain rs.store id n (fun _ -> get r))
           : unit list);
       if held t rs > t.cap then
         Pk.fail r "small_set: %d pairs at guess %d, cap %d" (held t rs) live t.cap)
@@ -368,19 +551,14 @@ let thaw_work r t =
    single-stream store.  A guess dead on either side is dead; the live
    counts sum, and since a count is monotone until death, a sum over the
    cap reproduces the single-run termination exactly.  Member lists are
-   latest-first, so the later shard's list goes first. *)
+   latest-first, so the later shard's pairs go in as the newer ones. *)
 let merge_repeat t dst src =
   let from = min dst.live src.live in
   dst.live <- max dst.live src.live;
   for g = 0 to t.guesses - 1 do
     dst.counts.(g) <- (if g < dst.live then 0 else dst.counts.(g) + src.counts.(g))
   done;
-  Hashtbl.iter
-    (fun id members ->
-      match Hashtbl.find_opt dst.store id with
-      | Some existing -> existing := !members @ !existing
-      | None -> Hashtbl.replace dst.store id (ref !members))
-    src.store;
+  Store.append dst.store src.store;
   apply_cap t dst ~from
 
 let merge_into ~dst src =
@@ -405,7 +583,7 @@ let words_breakdown t =
         !samplers
         + Mkc_sketch.Sampler.Nested.words rs.elem_sampler
         + (match rs.set_sampler with None -> 0 | Some s -> Mkc_sketch.Sampler.Bernoulli.words s);
-      store := !store + (2 * held t rs) + Hashtbl.length rs.store)
+      store := !store + (2 * held t rs) + Store.sets rs.store)
     t.repeats;
   [ ("samplers", !samplers); ("store", !store) ]
 

@@ -13,7 +13,8 @@ let create ~indep ~range ~seed =
   let mask = if range land (range - 1) = 0 then range - 1 else -1 in
   { coeffs; range; mask }
 
-(* Horner evaluation: c_{d-1} x^{d-1} + ... + c_0.  Top-level with
+(* Horner evaluation: c_{d-1} x^{d-1} + ... + c_0, from the top
+   coefficient itself (d >= 1), not from 0·x + c_{d-1}.  Top-level with
    every free variable a parameter: a local [let rec] capturing [c]
    and [x] compiles to a heap closure per call without flambda —
    measurably 6 words on every hash evaluation of the hot path. *)
@@ -24,7 +25,8 @@ let rec horner c x acc i =
 let field_value t x =
   let x = Prime_field.normalize x in
   let c = t.coeffs in
-  horner c x 0 (Array.length c - 1)
+  let d = Array.length c in
+  horner c x (Array.unsafe_get c (d - 1)) (d - 2)
 
 let hash t x =
   let v = field_value t x in
@@ -35,17 +37,19 @@ let keep t x = hash t x = 0
 (* Coefficient-major batched Horner: one pass over the coefficient
    vector with the whole input block as the inner loop, so the d field
    elements are loaded d times total instead of d times per input.  The
-   per-element arithmetic (normalize, then fold c_i in Horner order,
-   then mod range) is identical operation-for-operation to [hash], so
-   outputs are bit-for-bit those of [hash] on each input.  Normalizing
+   per-element arithmetic (start at c_{d-1}, fold each lower c_i in
+   Horner order, then reduce to the range) is identical
+   operation-for-operation to [hash], so outputs are bit-for-bit those
+   of [hash] on each input.  Normalizing
    in the inner loop (a compare for in-range ids) needs no buffer. *)
 let hash_batch t xs ~pos ~len out =
   if len < 0 || pos < 0 || pos + len > Array.length xs then
     invalid_arg "Poly_hash.hash_batch: bad slice";
   if Array.length out < len then invalid_arg "Poly_hash.hash_batch: out too short";
-  Array.fill out 0 len 0;
   let c = t.coeffs in
-  for i = Array.length c - 1 downto 0 do
+  let d = Array.length c in
+  Array.fill out 0 len (Array.unsafe_get c (d - 1));
+  for i = d - 2 downto 0 do
     let ci = Array.unsafe_get c i in
     for j = 0 to len - 1 do
       let x = Prime_field.normalize (Array.unsafe_get xs (pos + j)) in

@@ -220,6 +220,29 @@ let test_telemetry_matches_printed_space () =
                   | _ -> Alcotest.failf "%S: no space.words sample" flags)))
         [ ""; "--domains 2"; "--window 4 --epoch-edges 2048" ])
 
+(* A strict windowed run is charged its ring: at 16 epochs of 1024
+   edges this healthy stream peaks above one estimator's budget (that
+   of the plain strict run), so it passes only because each held epoch
+   brings a budget of its own, the live estimator one more. *)
+let test_window_budget_strict () =
+  with_stream (fun stream ->
+      let budget_line flags =
+        let out =
+          run_ok (Printf.sprintf "estimate -s %s -k 8 --alpha 4 --budget-strict %s" stream flags)
+        in
+        match
+          List.find_map
+            (fun l -> Scanf.sscanf_opt l "space budget: %d words, peak %d" (fun b p -> (b, p)))
+            (String.split_on_char '\n' out)
+        with
+        | Some bp -> bp
+        | None -> Alcotest.failf "%S: no space budget line" flags
+      in
+      let one, _ = budget_line "" in
+      let ring, peak = budget_line "--window 16 --epoch-edges 1024" in
+      checki "16 held epochs and the live one" (17 * one) ring;
+      checkb "the ring outgrows one estimator's budget" true (peak > one))
+
 (* An escalated health rule aborts the run with exit 3: the violation is
    named on stderr, no answer reaches stdout, and the evidence survives —
    the telemetry log is closed untorn with the samples up to the abort,
@@ -460,6 +483,8 @@ let suite =
       test_telemetry_matches_printed_space;
     Alcotest.test_case "report --window honours observability flags" `Quick
       test_report_window_observability;
+    Alcotest.test_case "a strict window is budgeted per held epoch" `Quick
+      test_window_budget_strict;
     Alcotest.test_case "an escalated health rule aborts with exit 3, evidence intact" `Quick
       test_health_abort_keeps_evidence;
     Alcotest.test_case "answer stdout matches the golden files" `Quick test_golden_stdout;

@@ -106,6 +106,130 @@ let test_greedy_on_subsets () =
   checki "coverage" 4 r.coverage;
   checkb "returns original ids" true (List.for_all (fun id -> List.mem id [ 17; 42; 7 ]) r.chosen)
 
+(* The boxed lazy greedy the flat one replaced, kept as its model: a
+   heap of [(gain, id)] pairs and a Hashtbl covered set.  The flat
+   greedy must pick the same candidates in the same order and report
+   the same coverage, duplicates within a set counted twice. *)
+module Model = struct
+  type heap = { mutable data : (int * int) array; mutable size : int }
+
+  let better (g1, _) (g2, _) = g1 > g2
+
+  let push t x =
+    if t.size = Array.length t.data then begin
+      let bigger = Array.make (2 * t.size) (0, 0) in
+      Array.blit t.data 0 bigger 0 t.size;
+      t.data <- bigger
+    end;
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    let i = ref (t.size - 1) in
+    while !i > 0 && better t.data.(!i) t.data.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      let tmp = t.data.(p) in
+      t.data.(p) <- t.data.(!i);
+      t.data.(!i) <- tmp;
+      i := p
+    done
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.size <- t.size - 1;
+      t.data.(0) <- t.data.(t.size);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let best = ref !i in
+        if l < t.size && better t.data.(l) t.data.(!best) then best := l;
+        if r < t.size && better t.data.(r) t.data.(!best) then best := r;
+        if !best = !i then continue := false
+        else begin
+          let tmp = t.data.(!best) in
+          t.data.(!best) <- t.data.(!i);
+          t.data.(!i) <- tmp;
+          i := !best
+        end
+      done;
+      Some top
+    end
+
+  let lazy_greedy ~num_candidates ~members ~k =
+    let covered = Hashtbl.create 256 in
+    let gain id =
+      let g = ref 0 in
+      Array.iter (fun e -> if not (Hashtbl.mem covered e) then incr g) (members id);
+      !g
+    in
+    let heap = { data = Array.make (max 1 num_candidates) (0, 0); size = 0 } in
+    for id = 0 to num_candidates - 1 do
+      push heap (Array.length (members id), id)
+    done;
+    let chosen = ref [] and total = ref 0 and picked = ref 0 in
+    let rec pick () =
+      if !picked >= k then ()
+      else
+        match pop heap with
+        | None -> ()
+        | Some (stale_gain, id) ->
+            let fresh = gain id in
+            if fresh = stale_gain then begin
+              if fresh > 0 then begin
+                Array.iter (fun e -> Hashtbl.replace covered e ()) (members id);
+                chosen := id :: !chosen;
+                total := !total + fresh;
+                incr picked
+              end;
+              if fresh > 0 then pick ()
+            end
+            else begin
+              push heap (fresh, id);
+              pick ()
+            end
+    in
+    pick ();
+    (List.rev !chosen, !total)
+end
+
+(* Random systems in the shapes that stress tie-breaking: members drawn
+   from a small universe (tied gains), repeated within a set, empty
+   sets, and k anywhere in [0, m + 1]. *)
+let greedy_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* m = int_range 0 30 in
+    let* rows =
+      list_repeat m
+        (let* len = frequency [ (1, return 0); (6, int_range 1 12) ] in
+         array_repeat len (int_range 0 (n - 1)))
+    in
+    let* k = int_range 0 (m + 1) in
+    return (n, Array.of_list rows, k))
+
+let prop_flat_greedy_matches_model =
+  QCheck.Test.make ~name:"flat greedy equals the boxed model" ~count:500
+    (QCheck.make
+       ~print:(fun (n, rows, k) ->
+         Printf.sprintf "n=%d k=%d sets=[%s]" n k
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map
+                    (fun r -> String.concat "," (Array.to_list (Array.map string_of_int r)))
+                    rows))))
+       greedy_case_gen)
+    (fun (n, rows, k) ->
+      let want_ids, want_cov =
+        Model.lazy_greedy ~num_candidates:(Array.length rows) ~members:(Array.get rows) ~k
+      in
+      (* ids far from the candidate index: the result must map back *)
+      let ids = Array.mapi (fun i _ -> (7 * i) + 3) rows in
+      let r =
+        Greedy.run_on_subsets ~n ~sets:(Array.to_list (Array.mapi (fun i s -> (ids.(i), s)) rows)) ~k
+      in
+      r.chosen = List.map (fun i -> ids.(i)) want_ids && r.coverage = want_cov)
+
 let test_exact_tiny () =
   let r = Exact.run (tiny ()) ~k:2 in
   checki "optimal 2-cover" 7 r.coverage;
@@ -207,6 +331,7 @@ let suite =
     Alcotest.test_case "greedy optimal on disjoint" `Quick test_greedy_on_disjoint_sets_is_optimal;
     Alcotest.test_case "greedy empty instance" `Quick test_greedy_empty_instance;
     Alcotest.test_case "greedy on subsets" `Quick test_greedy_on_subsets;
+    QCheck_alcotest.to_alcotest prop_flat_greedy_matches_model;
     Alcotest.test_case "exact tiny" `Quick test_exact_tiny;
     Alcotest.test_case "exact = brute force" `Quick test_exact_matches_bruteforce;
     Alcotest.test_case "exact respects budget" `Quick test_exact_respects_budget;

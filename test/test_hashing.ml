@@ -298,9 +298,41 @@ let test_sample_rate_range () =
     (Invalid_argument "Hash_family.sample_rate_range: rate <= 0") (fun () ->
       ignore (Hf.sample_rate_range ~rate:0.0))
 
+(* Horner against the definition: Σ c_i x^i with [mul_reference] and
+   plain addition mod p, the coefficients redrawn from the same seed as
+   [create] draws them.  Range 2^61 masks nothing (field values are
+   below p < 2^61), so the raw field value is compared; a prime range
+   checks the mod path. *)
+let prop_poly_hash_is_the_polynomial =
+  QCheck.Test.make ~name:"poly hash = Σ c_i x^i (hash and hash_batch)" ~count:200
+    QCheck.(triple (int_range 1 8) (int_bound 1_000_000) (int_bound (Pf.p - 1)))
+    (fun (indep, seed, r) ->
+      let xs = [| 0; 1; (1 lsl 31) - 1; 1 lsl 31; Pf.p - 2; r |] in
+      let coeffs =
+        let g = Sm.create seed in
+        Array.init indep (fun _ -> Pf.normalize (Sm.next_int g))
+      in
+      let naive x =
+        let acc = ref 0 and pw = ref 1 in
+        Array.iter
+          (fun c ->
+            acc := (!acc + Pf.mul_reference c !pw) mod Pf.p;
+            pw := Pf.mul_reference !pw x)
+          coeffs;
+        !acc
+      in
+      List.for_all
+        (fun range ->
+          let h = Ph.create ~indep ~range ~seed:(Sm.create seed) in
+          let want = Array.map (fun x -> naive x mod range) xs in
+          let out = Array.make (Array.length xs) (-1) in
+          Ph.hash_batch h xs ~pos:0 ~len:(Array.length xs) out;
+          Array.map (Ph.hash h) xs = want && out = want)
+        [ 1 lsl 61; 1_000_003 ])
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_mul_commutative; prop_mul_associative; prop_distributive;
-    prop_ceil_log2_spec; prop_ceil_div_spec ]
+    prop_ceil_log2_spec; prop_ceil_div_spec; prop_poly_hash_is_the_polynomial ]
 
 let suite =
   [

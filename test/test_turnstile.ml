@@ -316,6 +316,63 @@ let test_v2_edge_file_drives_the_signed_sink () =
       checkb "file drive nets out deletions" true
         (String.equal (Lin.bytes from_file) (Lin.bytes never)))
 
+(* SmallSet's store under deletions, against the stream with the
+   retracted inserts left out.  Sets 0-5 take 3,000 base inserts with
+   many duplicates, enough to kill the finest guess mid-stream; on top:
+   a re-insert of a pair seen before, deleted a few edges later while
+   older copies stay (the latest copy must go, not an older one);
+   deletes of pairs never inserted (set 0's elements stop at 55, set 7
+   is empty at first); set 6 filled and emptied by deletions; and set 7
+   churned insert-delete 1,500 times, so deleted slots pass half the
+   store and are reclaimed. *)
+let test_small_set_store_deletions () =
+  let module Ss = Mkc_core.Small_set in
+  let p = Mkc_core.Params.make ~m:8 ~n:64 ~k:1 ~alpha:2.0 ~seed:5 () in
+  let rng = Sm.create 17 in
+  let base = Array.init 3000 (fun _ -> (Sm.below rng 6, Sm.below rng 56)) in
+  let ins (set, elt) = Edge.make ~set ~elt and del (set, elt) = Edge.signed ~sign:(-1) ~set ~elt in
+  let extra = Array.make 3000 [] in
+  let at i e = extra.(i) <- extra.(i) @ [ e ] in
+  let gap = 5 in
+  for i = 1 to 2990 do
+    if i mod 97 = 0 then begin
+      let pair = base.(Sm.below rng i) in
+      let clear = ref true in
+      for j = i to i + gap do
+        if base.(j) = pair then clear := false
+      done;
+      if !clear then begin
+        at i (ins pair);
+        at (i + gap) (del pair)
+      end
+    end
+  done;
+  at 10 (del (7, 3));
+  at 20 (del (0, 60));
+  List.iteri (fun j pair -> at (400 + (700 * j)) (ins pair)) [ (6, 1); (6, 2); (6, 1) ];
+  List.iteri (fun j pair -> at (2300 + (300 * j)) (del pair)) [ (6, 1); (6, 1); (6, 2) ];
+  for j = 0 to 1499 do
+    let pair = (7, Sm.below rng 64) in
+    at (1000 + j) (ins pair);
+    at (1000 + j) (del pair)
+  done;
+  let churned =
+    Array.concat (Array.to_list (Array.mapi (fun i pair -> Array.of_list (extra.(i) @ [ ins pair ])) base))
+  in
+  let run edges =
+    let ss = Ss.create p ~seed:(Sm.create 6) in
+    Array.iter (Ss.feed ss) edges;
+    let w = Pk.writer () in
+    Ss.freeze w ss;
+    (ss, Pk.contents w)
+  in
+  let a, bytes_a = run churned and b, bytes_b = run (Array.map ins base) in
+  (* two repeats; the cap killed a guess in each *)
+  checki "guesses killed by the cap" 2 (List.assoc "dead_instances" (Ss.stats b));
+  checkb "the coarser guess holds pairs" true (Ss.stored_pairs b > 0);
+  checkb "freeze bytes equal the insert-free stream's" true (String.equal bytes_a bytes_b);
+  checki "words equal" (Ss.words b) (Ss.words a)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_feed_cancellation; prop_merge_cancellation; prop_interleaved_cancellation ]
@@ -332,4 +389,6 @@ let suite =
         test_signed_all_positive_equals_unsigned;
       Alcotest.test_case "v2 edge file drives the signed sink" `Quick
         test_v2_edge_file_drives_the_signed_sink;
+      Alcotest.test_case "small_set store: deletions = never inserted" `Quick
+        test_small_set_store_deletions;
     ]
