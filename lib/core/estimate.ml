@@ -271,9 +271,9 @@ let iter_oracles t f = iter_insts t (fun i -> f i.oracle)
    them from the params the holder already has. *)
 type frozen = string
 
-let freeze t =
+let freeze w t =
   iter_oracles t Oracle.settle;
-  let w = Mkc_sketch.Packed.writer () in
+  Mkc_sketch.Packed.reset w;
   iter_oracles t (Oracle.freeze w);
   Mkc_sketch.Packed.contents w
 

@@ -102,11 +102,13 @@ type frozen
     A checkpoint payload carries its state in the same layout, unsettled
     (see {!codec}). *)
 
-val freeze : t -> frozen
+val freeze : Mkc_sketch.Packed.writer -> t -> frozen
 (** Settle the F2 trackers as {!finalize} leaves them, then pack the
     estimator's mergeable state (pending CountSketch deltas flushed), so
     the packed state is the same whether or not [finalize] ran first.
-    For a finished state only: a settle counts as a prune. *)
+    For a finished state only: a settle counts as a prune.  The state
+    is packed in the given writer (reset first) and copied out; one
+    writer kept across freezes grows to the largest state only once. *)
 
 val frozen_words : frozen -> int
 (** The packed value's heap size in words, header included. *)

@@ -1,7 +1,7 @@
-(* Deferred tracked-half state for one (counter, level).  The tracked
+(* Deferred tracked-half state for one (counter, tracker).  The tracked
    table prunes only when more than 2·cap distinct coordinates are ever
    inserted; while [ever] (distinct supersets ever covered at this
-   level) stays within that bound, pruning provably never fires, so
+   tracker's levels) stays within that bound, pruning provably never fires, so
    tracked updates are a pure per-superset sum — accumulated in [pend]
    and applied in bulk by {!flush_level}.  The first chunk that would
    cross the bound flushes and replays per edge; that chunk necessarily
@@ -48,8 +48,10 @@ type repeat_state = {
   cs_touched : int array; (* sids with a pending sum, compact *)
   mutable cs_ntouched : int;
   mutable cs_dirty : bool;
-  defer_small : level_defer array; (* per cntr_small level *)
-  defer_large : level_defer array; (* per cntr_large level *)
+  (* Per tracker: index j is the tracker of level [first_tracked + j],
+     the full-rate levels' shared one first. *)
+  defer_small : level_defer array;
+  defer_large : level_defer array;
 }
 
 type t = {
@@ -85,7 +87,8 @@ let create (params : Params.t) ~w ~seed =
      fallback; with r2 = q/4 that is a constant-size pool. *)
   let fallback_rate = min 1.0 (8.0 *. float_of_int (q / r2) /. float_of_int q) in
   let mk_defer cntr =
-    Array.init (Mkc_sketch.F2_contributing.levels cntr) (fun _ ->
+    let module F = Mkc_sketch.F2_contributing in
+    Array.init (F.levels cntr - F.first_tracked cntr) (fun _ ->
         {
           (* min_int = "not in [touched]": a signed sum may legitimately
              pass through 0, so the value itself cannot double as the
@@ -244,10 +247,15 @@ module Obs = struct
     Mkc_obs.Registry.histogram Mkc_obs.Registry.global "large_set.flush_size"
 end
 
-let flush_level hh d =
+(* [levels] is how many levels the tracker serves: the flush size is
+   recorded once per level's table it fills, as it was when each level
+   had its own tracker. *)
+let flush_level hh d ~levels =
   if d.dirty then begin
     d.dirty <- false;
-    Mkc_obs.Registry.record Obs.flush_size d.ntouched;
+    for _ = 1 to levels do
+      Mkc_obs.Registry.record Obs.flush_size d.ntouched
+    done;
     let pend = d.pend and touched = d.touched in
     for i = 0 to d.ntouched - 1 do
       let sid = Array.unsafe_get touched i in
@@ -261,8 +269,12 @@ let flush_level hh d =
     d.ntouched <- 0
   end
 
+(* The tracker [defer.(j)] belongs to, and how many levels it serves. *)
+let tracker_level cntr j = Mkc_sketch.F2_contributing.(level cntr (first_tracked cntr + j))
+let served cntr j = if j = 0 then Mkc_sketch.F2_contributing.first_tracked cntr + 1 else 1
+
 let flush_tracked cntr defer =
-  Array.iteri (fun lvl d -> flush_level (Mkc_sketch.F2_contributing.level cntr lvl) d) defer
+  Array.iteri (fun j d -> flush_level (tracker_level cntr j) d ~levels:(served cntr j)) defer
 
 (* Apply just the deferred tracked deltas — all that space accounting
    needs.  A CountSketch row is a fixed [depth × width] block, so the
@@ -308,8 +320,8 @@ let flush_pending rs =
 let rebuild_defer rs =
   let reb cntr defer =
     Array.iteri
-      (fun lvl d ->
-        let hh = Mkc_sketch.F2_contributing.level cntr lvl in
+      (fun j d ->
+        let hh = tracker_level cntr j in
         Array.fill d.pend 0 (Array.length d.pend) min_int;
         d.ntouched <- 0;
         d.dirty <- false;
@@ -357,9 +369,11 @@ let replay_level hh ~wsid ~wsg ~code_tab ~top src_sid src_sg n =
   done;
   !kept
 
-(* The tracked half of one counter for one chunk, level-major.  Levels
-   share no state, so regrouping per level is exact as long as each
-   level sees its update subsequence in order.  A level defers (pure
+(* The tracked half of one counter for one chunk, tracker-major: the
+   full-rate levels' shared tracker (at [first_tracked], which covers
+   every kept sid), then one level per tracker.  Trackers share no
+   state, so regrouping per tracker is exact as long as each sees its
+   update subsequence in order.  A level defers (pure
    per-sid sums into [pend]) while pruning provably cannot fire —
    [ever + newly <= 2·cap] — and otherwise flushes and replays the
    chunk's in-sample edges it covers one by one (the first such chunk
@@ -368,13 +382,14 @@ let replay_level hh ~wsid ~wsg ~code_tab ~top src_sid src_sg n =
    the [n] listed edges, shrinking the list as the levels narrow. *)
 let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt ~esid ~esg ~wsid ~wsg ~n =
   let levels = Mkc_sketch.F2_contributing.levels cntr in
+  let first = Mkc_sketch.F2_contributing.first_tracked cntr in
   (* The next per-edge level's list: the replay pass's until a level
      has compacted it into the work list. *)
   let src_sid = ref esid and src_sg = ref esg and n = ref n in
-  for lvl = 0 to levels - 1 do
-    let hh = Mkc_sketch.F2_contributing.level cntr lvl in
-    let d = Array.unsafe_get defer lvl in
-    let top = levels - 1 - lvl in
+  for j = 0 to Array.length defer - 1 do
+    let hh = tracker_level cntr j in
+    let d = Array.unsafe_get defer j in
+    let top = levels - 1 - (first + j) in
     (* covered at lvl ⟺ 0 <= code <= top *)
     let deferrable =
       Mkc_sketch.F2_heavy_hitter.prunes hh = 0
@@ -415,7 +430,7 @@ let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt ~esid ~esg ~wsid ~ws
       d.dirty <- true
     end
     else begin
-      flush_level hh d;
+      flush_level hh d ~levels:(served cntr j);
       n := replay_level hh ~wsid ~wsg ~code_tab ~top !src_sid !src_sg !n;
       src_sid := wsid;
       src_sg := wsg

@@ -35,6 +35,9 @@ type t = {
      [current] instead of creating a new estimator.  Like the memos it
      is a function of the params alone, so [words] does not charge it. *)
   blank : Estimate.frozen;
+  (* The writer every freeze packs into: its buffer is grown once, not
+     on every roll.  Scratch, uncounted like [blank]. *)
+  pack : Mkc_sketch.Packed.writer;
   mutable in_epoch : int;
   ring : Estimate.frozen option array; (* frozen epochs, slot i valid iff Some *)
   ring_est : float array; (* per-epoch finalized estimates under decay, slot-aligned *)
@@ -53,13 +56,15 @@ let create ?decay params ~window ~epoch_edges () =
   | _ -> ());
   let reg = Mkc_obs.Registry.global in
   let current = Estimate.create params in
+  let pack = Mkc_sketch.Packed.writer () in
   {
     params;
     window;
     epoch_edges;
     decay;
     current;
-    blank = Estimate.freeze current;
+    blank = Estimate.freeze pack current;
+    pack;
     in_epoch = 0;
     ring = Array.make window None;
     ring_est = Array.make window 0.0;
@@ -88,7 +93,7 @@ let live_slots t =
 let roll t =
   if t.decay <> None then
     t.ring_est.(t.head) <- (Estimate.finalize t.current).Estimate.estimate;
-  t.ring.(t.head) <- Some (Estimate.freeze t.current);
+  t.ring.(t.head) <- Some (Estimate.freeze t.pack t.current);
   t.head <- (t.head + 1) mod t.window;
   t.rolled <- t.rolled + 1;
   Mkc_obs.Registry.incr t.c_rolled;

@@ -9,7 +9,7 @@ let create ~range ~seed =
   let mask = if range land (range - 1) = 0 then range - 1 else -1 in
   { a; b; range; mask }
 
-let raw t x = Prime_field.add (Prime_field.mul t.a (Prime_field.normalize x)) t.b
+let raw t x = Poly_hash.affine t.a x t.b
 
 let hash t x =
   let v = raw t x in

@@ -37,6 +37,13 @@ val hash_batch : t -> int array -> pos:int -> len:int -> int array -> unit
     nesting).  Only [out.(0..len-1)] is written; [t] is never
     mutated. *)
 
+val affine : int -> int -> int -> int
+(** [affine a x b] is [a·x + b] in GF(p) for field elements [a] and [b]
+    and any int key [x] (taken mod p): the degree-1 evaluation of
+    {!Pairwise}.  A key in [\[0, 2^31)] takes the same two-product
+    kernel as {!hash}'s Horner steps; the result is the canonical
+    residue either way. *)
+
 val range : t -> int
 (** The output range [r]. *)
 

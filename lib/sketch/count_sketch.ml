@@ -96,6 +96,7 @@ let f2_estimate t =
   Array.sort compare per_row;
   per_row.(t.depth / 2)
 
+let counters t = t.counters
 let depth t = t.depth
 let width t = t.width
 

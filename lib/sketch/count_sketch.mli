@@ -35,6 +35,11 @@ val words : t -> int
 val dump : t -> int array array
 (** Copy of the depth × width counter matrix. *)
 
+val counters : t -> int array
+(** The counter matrix itself, row-major (row [r], bucket [b] at
+    [r·width + b]), not a copy: {!Packed} writes and reads it in
+    place.  Writing it changes the sketch. *)
+
 val load_state : t -> int array array -> (unit, string) result
 (** Overlay a dumped counter matrix onto a sketch of the same shape. *)
 

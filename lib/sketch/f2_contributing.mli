@@ -60,36 +60,52 @@ val candidates : t -> hit list
     sorted by decreasing frequency — callers apply absolute thresholds. *)
 
 val settle : t -> unit
-(** {!F2_heavy_hitter.settle} on every level: the state a {!candidates}
-    read leaves behind. *)
+(** {!F2_heavy_hitter.settle} on every tracker: the state a
+    {!candidates} read leaves behind. *)
 
 val levels : t -> int
 
 val level : t -> int -> F2_heavy_hitter.t
 (** The heavy-hitter instance of one subsampling level.  A coordinate
-    with keep-level code [c >= 0] updates levels [0 .. levels t - 1 - c];
-    the levels share no state, so a chunk-planned driver may regroup
-    tracked updates level-by-level (each level still replayed in stream
-    order) and stay bit-for-bit with per-item {!add}.
+    with keep-level code [c >= 0] updates levels [0 .. levels t - 1 - c].
+    Levels [0 .. first_tracked t] hold one candidate tracker; every
+    other pair of levels shares no state.  So a chunk-planned driver may
+    regroup tracked updates by tracker — levels [first_tracked t ..
+    levels t - 1], each replayed in stream order — and stay bit-for-bit
+    with per-item {!add}.
     @raise Invalid_argument on an out-of-range level. *)
 
+val first_tracked : t -> int
+(** The highest full-rate level, or 0 when no level keeps every
+    coordinate.  The full-rate levels (range 1 at the nested sampler,
+    levels 0 and 1 under the default oversample) see the same updates
+    at the same φ, so one tracker, made at level 0, serves them all;
+    each still has its own CountSketch.  Tracked halves run at levels
+    [first_tracked t ..], once per tracker, and reach every kept
+    coordinate at [first_tracked t]. *)
+
 val tracked : t -> int
-(** Total candidates currently tracked, summed across levels. *)
+(** Total candidates currently tracked, summed across levels (the
+    shared tracker once per full-rate level, as [words] charges it). *)
 
 val prunes : t -> int
-(** Total candidate-table prune passes, summed across levels. *)
+(** Total candidate-table prune passes, summed across levels (the
+    shared tracker's once per full-rate level). *)
 
 val words : t -> int
 
 val dump : t -> (int array array * (int * int) list * int) array
-(** Per-level {!F2_heavy_hitter.dump}s, in level order. *)
+(** Per-level {!F2_heavy_hitter.dump}s, in level order; the full-rate
+    levels each report the shared tracker. *)
 
-val load_state :
-  t -> (int array array * (int * int) list * int) array -> (unit, string) result
-(** Overlay dumped per-level states onto a freshly created instance
-    (same gamma/r/seed); errors name the offending level. *)
+val load_tracked : t -> int -> counts:(int * int) list -> prunes:int -> (unit, string) result
+(** Overlay level [i]'s dumped tracked part (its CountSketch is loaded
+    apart, in place).  Levels load in order: level 0 loads the shared
+    tracker, and a full-rate level above it must carry exactly that
+    state, or the load fails by name.  Errors name the level. *)
 
 val merge_into : dst:t -> t -> unit
 (** Merge level-by-level (the subsampling decision is seed-determined,
-    so substreams partition consistently on both sides).
+    so substreams partition consistently on both sides); the shared
+    tracker merges once.
     @raise Invalid_argument on level-count mismatch. *)

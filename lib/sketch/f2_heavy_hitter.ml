@@ -1,27 +1,27 @@
-type t = {
-  phi : float;
-  clamp : bool;
-  cs : Count_sketch.t;
-  cap : int;
-  (* Candidate tracking: exact counts of tracked ids since insertion
-     (SpaceSaving-style).  In the paper's insertion-only application the
-     coordinate frequency IS the stream count, so an exact counter both
-     identifies heavy candidates and avoids re-estimating through the
-     CountSketch on every update (a per-update sort); the reported
-     values still come from the CountSketch at finalize time, keeping
-     the Theorem 2.10 (1 ± 1/2) guarantee.
+(* Candidate tracking: exact counts of tracked ids since insertion
+   (SpaceSaving-style).  In the paper's insertion-only application the
+   coordinate frequency IS the stream count, so an exact counter both
+   identifies heavy candidates and avoids re-estimating through the
+   CountSketch on every update (a per-update sort); the reported values
+   still come from the CountSketch at finalize time, keeping the
+   Theorem 2.10 (1 ± 1/2) guarantee.
 
-     The live entries are packed in [ent_id]/[ent_cnt] over [0, tn), so
-     a prune selects over them in place.  [index] is an open-addressed
-     (linear-probe) table from slot to entry position ([-1] = empty).
-     Its slot count is a fixed power of two >= 2·(2·cap+1): occupancy
-     peaks at 2·cap+1 just before a prune fires, so the load factor
-     stays <= 1/2 and nothing ever resizes.  Entries leave either in
-     bulk prunes (which rebuild [index] from the survivors) or one at a
-     time when a turnstile deletion returns a signed count to zero: the
-     index slot is backward-shift deleted (no tombstones) and the last
-     entry moves into the freed position.  The per-update path
-     allocates nothing. *)
+   The live entries are packed in [ent_id]/[ent_cnt] over [0, tn), so a
+   prune selects over them in place.  [index] is an open-addressed
+   (linear-probe) table from slot to entry position ([-1] = empty).  Its
+   slot count is a fixed power of two >= 2·(2·cap+1): occupancy peaks at
+   2·cap+1 just before a prune fires, so the load factor stays <= 1/2
+   and nothing ever resizes.  Entries leave either in bulk prunes (which
+   rebuild [index] from the survivors) or one at a time when a turnstile
+   deletion returns a signed count to zero: the index slot is
+   backward-shift deleted (no tombstones) and the last entry moves into
+   the freed position.  The per-update path allocates nothing.
+
+   The tracker is its own record so that sketches fed the same update
+   sequence at the same φ can hold one ([create ~share]): their tables,
+   prunes and counts would be equal at every point anyway. *)
+type tracker = {
+  cap : int;
   ent_id : int array;
   ent_cnt : int array;
   index : int array;
@@ -30,22 +30,18 @@ type t = {
   mutable prunes : int;
 }
 
+type t = { phi : float; clamp : bool; cs : Count_sketch.t; tr : tracker }
+
 type hit = { id : int; freq : float }
 
 let empty = -1
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(depth = 5) ?(width_factor = 8) ?(clamp = true) ~phi ~seed () =
-  if phi <= 0.0 || phi > 1.0 then invalid_arg "F2_heavy_hitter.create: phi must be in (0, 1]";
-  let width = max 4 (int_of_float (ceil (float_of_int width_factor /. phi))) in
-  let cap = max 4 (int_of_float (ceil (4.0 /. phi))) in
+let create_tracker cap =
   let maxocc = (2 * cap) + 1 in
   let slots = pow2_at_least (2 * maxocc) 16 in
   {
-    phi;
-    clamp;
-    cs = Count_sketch.create ~depth ~width ~seed:(Mkc_hashing.Splitmix.fork seed 0) ();
     cap;
     ent_id = Array.make maxocc 0;
     ent_cnt = Array.make maxocc 0;
@@ -55,6 +51,20 @@ let create ?(depth = 5) ?(width_factor = 8) ?(clamp = true) ~phi ~seed () =
     prunes = 0;
   }
 
+let create ?(depth = 5) ?(width_factor = 8) ?(clamp = true) ?share ~phi ~seed () =
+  if phi <= 0.0 || phi > 1.0 then invalid_arg "F2_heavy_hitter.create: phi must be in (0, 1]";
+  let width = max 4 (int_of_float (ceil (float_of_int width_factor /. phi))) in
+  let cap = max 4 (int_of_float (ceil (4.0 /. phi))) in
+  let tr =
+    match share with
+    | None -> create_tracker cap
+    | Some s when s.tr.cap = cap -> s.tr
+    | Some _ -> invalid_arg "F2_heavy_hitter.create: the shared tracker has another cap"
+  in
+  { phi; clamp; cs = Count_sketch.create ~depth ~width ~seed:(Mkc_hashing.Splitmix.fork seed 0) (); tr }
+
+(* The tracker's own operations, up to [insert_count], take the
+   tracker. *)
 let[@inline] slot_of t i =
   let h = i * 0x2545_F491_4F6C_DD1D in
   (h lxor (h lsr 23)) land t.mask
@@ -178,16 +188,6 @@ let prune t =
   t.tn <- keep;
   reindex t
 
-(* The two halves of an update, separable because they touch disjoint
-   state.  The CountSketch half is linear and commutative — updates to
-   the same id may be aggregated or reordered freely.  The tracked-count
-   half is NOT: [prune] keeps the top-[cap] of the candidate table, and
-   which ids are tracked when it fires depends on insertion order — so
-   callers that aggregate the CS half per chunk must still replay this
-   half in original stream order to stay bit-for-bit with per-item
-   [add]. *)
-let add_cs t i delta = Count_sketch.add t.cs i delta
-
 (* Backward-shift deletion from [hole]: walk the cluster after it,
    sliding back every index slot whose probe path crosses the hole.
    Probe sequences stay unbroken with no tombstones. *)
@@ -228,7 +228,8 @@ let[@inline] append t s i c =
   Array.unsafe_set t.index s p;
   t.tn <- p + 1
 
-let add_tracked t i delta =
+(* The tracked half of an update on the tracker itself. *)
+let track t i delta =
   let s = probe t i (slot_of t i) in
   let p = Array.unsafe_get t.index s in
   if p <> empty then begin
@@ -244,37 +245,6 @@ let add_tracked t i delta =
     if t.tn > 2 * t.cap then prune t
   end
 
-let add t i delta =
-  add_cs t i delta;
-  add_tracked t i delta
-
-(* Candidate recovery reads the tracker trimmed to its top [cap]. *)
-let settle t = if t.tn > t.cap then prune t
-
-let candidates t =
-  settle t;
-  (* The CountSketch estimate of a light coordinate can be inflated by
-     bucket collisions with a genuinely heavy one; the exact
-     since-insertion counter is a sound upper bound in insertion-only
-     streams, so report the minimum of the two.  (A heavy coordinate is
-     tracked from early on, so its counter is near-exact and the
-     (1 ± 1/2) value guarantee is preserved.) *)
-  let acc = ref [] in
-  for p = t.tn - 1 downto 0 do
-    let id = t.ent_id.(p) in
-    let est = Count_sketch.estimate t.cs id in
-    let freq = if t.clamp then Float.min est (float_of_int t.ent_cnt.(p)) else est in
-    acc := { id; freq } :: !acc
-  done;
-  List.sort
-    (fun a b -> if a.freq <> b.freq then compare b.freq a.freq else compare a.id b.id)
-    !acc
-
-let hits t =
-  let f2 = Count_sketch.f2_estimate t.cs in
-  let threshold = t.phi *. f2 in
-  candidates t |> List.filter (fun { freq; _ } -> freq *. freq >= threshold)
-
 (* The tracked (id, count) pairs sorted by id. *)
 let sorted_counts t =
   let counts = ref [] in
@@ -282,8 +252,6 @@ let sorted_counts t =
     counts := (t.ent_id.(p), t.ent_cnt.(p)) :: !counts
   done;
   List.sort (fun (a, _) (b, _) -> compare a b) !counts
-
-let dump t = (Count_sketch.dump t.cs, sorted_counts t, t.prunes)
 
 let clear_tracked t =
   t.tn <- 0;
@@ -298,23 +266,79 @@ let insert_count t id c =
     true
   end
 
-let load_state t ~rows ~counts ~prunes =
+(* The sketch's operations.  The two halves of an update are separable
+   because they touch disjoint state.  The CountSketch half is linear
+   and commutative — updates to the same id may be aggregated or
+   reordered freely.  The tracked-count half is NOT: [prune] keeps the
+   top-[cap] of the candidate table, and which ids are tracked when it
+   fires depends on insertion order — so callers that aggregate the CS
+   half per chunk must still replay this half in original stream order
+   to stay bit-for-bit with per-item [add]. *)
+let add_cs t i delta = Count_sketch.add t.cs i delta
+let add_tracked t i delta = track t.tr i delta
+
+let add t i delta =
+  add_cs t i delta;
+  add_tracked t i delta
+
+(* Candidate recovery reads the tracker trimmed to its top [cap]. *)
+let settle t = if t.tr.tn > t.tr.cap then prune t.tr
+
+let candidates t =
+  settle t;
+  (* The CountSketch estimate of a light coordinate can be inflated by
+     bucket collisions with a genuinely heavy one; the exact
+     since-insertion counter is a sound upper bound in insertion-only
+     streams, so report the minimum of the two.  (A heavy coordinate is
+     tracked from early on, so its counter is near-exact and the
+     (1 ± 1/2) value guarantee is preserved.) *)
+  let tr = t.tr in
+  let acc = ref [] in
+  for p = tr.tn - 1 downto 0 do
+    let id = tr.ent_id.(p) in
+    let est = Count_sketch.estimate t.cs id in
+    let freq = if t.clamp then Float.min est (float_of_int tr.ent_cnt.(p)) else est in
+    acc := { id; freq } :: !acc
+  done;
+  List.sort
+    (fun a b -> if a.freq <> b.freq then compare b.freq a.freq else compare a.id b.id)
+    !acc
+
+let hits t =
+  let f2 = Count_sketch.f2_estimate t.cs in
+  let threshold = t.phi *. f2 in
+  candidates t |> List.filter (fun { freq; _ } -> freq *. freq >= threshold)
+
+let counts t = sorted_counts t.tr
+let dump t = (Count_sketch.dump t.cs, counts t, t.tr.prunes)
+
+let check_tracked t ~counts ~prunes =
   if prunes < 0 then Error "f2_hh: negative prune count"
-  else if List.length counts > 2 * t.cap then Error "f2_hh: tracked counts exceed cap"
-  else
-    match Count_sketch.load_state t.cs rows with
-    | Error e -> Error e
-    | Ok () ->
-        clear_tracked t;
-        let dup = List.exists (fun (id, c) -> not (insert_count t id c)) counts in
-        if dup then begin
-          clear_tracked t;
-          Error "f2_hh: duplicate tracked id"
-        end
-        else begin
-          t.prunes <- prunes;
-          Ok ()
-        end
+  else if List.length counts > 2 * t.tr.cap then Error "f2_hh: tracked counts exceed cap"
+  else Ok ()
+
+let load_tracked t ~counts ~prunes =
+  match check_tracked t ~counts ~prunes with
+  | Error e -> Error e
+  | Ok () ->
+      let tr = t.tr in
+      clear_tracked tr;
+      if List.exists (fun (id, c) -> not (insert_count tr id c)) counts then begin
+        clear_tracked tr;
+        Error "f2_hh: duplicate tracked id"
+      end
+      else begin
+        tr.prunes <- prunes;
+        Ok ()
+      end
+
+let load_state t ~rows ~counts ~prunes =
+  match check_tracked t ~counts ~prunes with
+  | Error e -> Error e
+  | Ok () -> (
+      match Count_sketch.load_state t.cs rows with
+      | Error e -> Error e
+      | Ok () -> load_tracked t ~counts ~prunes)
 
 (* The CountSketch half is linear; the tracked half merges by summing
    since-insertion counters (replayed in canonical id order so the
@@ -323,21 +347,23 @@ let load_state t ~rows ~counts ~prunes =
    state; once prunes have fired the tracker is an approximation either
    way. *)
 let merge_into ~dst src =
-  if dst.cap <> src.cap then invalid_arg "F2_heavy_hitter.merge_into: cap mismatch";
+  if dst.tr.cap <> src.tr.cap then invalid_arg "F2_heavy_hitter.merge_into: cap mismatch";
   Count_sketch.merge_into ~dst:dst.cs src.cs;
-  List.iter (fun (id, c) -> add_tracked dst id c) (sorted_counts src);
-  dst.prunes <- dst.prunes + src.prunes
+  List.iter (fun (id, c) -> track dst.tr id c) (sorted_counts src.tr);
+  dst.tr.prunes <- dst.tr.prunes + src.tr.prunes
 
 let f2_estimate t = Count_sketch.f2_estimate t.cs
 let phi t = t.phi
-let tracked t = t.tn
-let cap t = t.cap
-let shape t = (Count_sketch.depth t.cs, Count_sketch.width t.cs)
-let mem t i = Array.unsafe_get t.index (probe t i (slot_of t i)) <> empty
-let prunes t = t.prunes
+let tracked t = t.tr.tn
+let cap t = t.tr.cap
+let sketch t = t.cs
+let shares_tracker a b = a.tr == b.tr
+let mem t i = Array.unsafe_get t.tr.index (probe t.tr i (slot_of t.tr i)) <> empty
+let prunes t = t.tr.prunes
 
 (* Logical space: two words per live tracked entry plus the
    CountSketch — same accounting as the historical Hashtbl layout
    (the index's 2×-slot preallocation is a bounded constant factor;
-   see DESIGN.md). *)
-let words t = Count_sketch.words t.cs + (2 * t.tn)
+   see DESIGN.md).  A shared tracker is charged to every sketch that
+   holds it. *)
+let words t = Count_sketch.words t.cs + (2 * t.tr.tn)

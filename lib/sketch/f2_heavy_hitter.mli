@@ -20,6 +20,7 @@ val create :
   ?depth:int ->
   ?width_factor:int ->
   ?clamp:bool ->
+  ?share:t ->
   phi:float ->
   seed:Mkc_hashing.Splitmix.t ->
   unit ->
@@ -32,7 +33,18 @@ val create :
     its exact since-insertion counter — sound for insertion-only
     streams and the fix for collision-inflated light candidates; set it
     to false to reproduce the unclamped textbook estimator (the E10
-    ablation does). *)
+    ablation does).
+
+    [share] hands the new sketch [share]'s candidate tracker instead of
+    a fresh one; it must have the same φ (hence the same cap).  Only
+    sketches fed the same update sequence may share one: their tables
+    would be equal at every point anyway.  The sketches then see one
+    tracked table, so a caller applies each tracked update, settle,
+    load and merge once per tracker ({!add_tracked}, {!settle},
+    {!load_tracked}, {!merge_into}), not once per sketch, while every
+    read ({!dump}, {!candidates}, {!tracked}, {!prunes}, {!words})
+    reports the shared table through each sketch's own CountSketch.
+    @raise Invalid_argument when [share]'s cap differs. *)
 
 val add : t -> int -> int -> unit
 (** [add t i delta]. The heavy-hitter applications in this paper are
@@ -82,8 +94,17 @@ val mem : t -> int -> bool
 (** Whether a coordinate is currently tracked (one probe, no
     allocation). *)
 
-val shape : t -> int * int
-(** The CountSketch's [(depth, width)]. *)
+val sketch : t -> Count_sketch.t
+(** The CountSketch half itself (every sketch has its own, shared
+    tracker or not): codecs read and write its counters in place. *)
+
+val shares_tracker : t -> t -> bool
+(** Whether two sketches hold one tracker object ({!create}'s
+    [share]). *)
+
+val counts : t -> (int * int) list
+(** The tracked [(id, count)] pairs sorted by id — {!dump}'s middle
+    part, without copying the CountSketch. *)
 
 val prunes : t -> int
 (** SpaceSaving-style prune passes so far (including the final
@@ -107,6 +128,12 @@ val load_state :
 (** Overlay a dumped state onto a freshly created sketch (same phi,
     width and seed).  Rejects shape mismatches, overfull trackers and
     duplicate ids by name. *)
+
+val load_tracked : t -> counts:(int * int) list -> prunes:int -> (unit, string) result
+(** {!load_state}'s tracked half alone: overwrite the tracker with
+    [counts] and [prunes], the CountSketch untouched.  Rejects
+    overfull trackers, negative prune counts and duplicate ids by
+    name. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold [src] into [dst] (same shape and seed): CountSketch counters

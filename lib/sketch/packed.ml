@@ -21,6 +21,7 @@ let put_int64 w v =
   put w (Int64.to_int (Int64.shift_right_logical v 32))
 
 let contents = Buffer.contents
+let reset = Buffer.clear
 
 type reader = { s : string; mutable pos : int }
 
@@ -111,30 +112,40 @@ let get_l0 r sk =
   let entries = get_list r (get_count r) get in
   check r (L0_bjkst.load_state sk ~z ~prunes ~entries)
 
-let put_hh w (rows, counts, prunes) =
-  put w (Array.length rows);
-  put w (if Array.length rows = 0 then 0 else Array.length rows.(0));
-  Array.iter (Array.iter (put w)) rows;
-  put_ids w fst (fun w (_, c) -> put w c) counts;
-  put w prunes
-
-let get_hh r ~ids hh =
-  let depth = get r in
-  let width = get r in
-  let d, wd = F2_heavy_hitter.shape hh in
-  if depth <> d || width <> wd then
-    fail r "count_sketch shape %dx%d, expected %dx%d" depth width d wd;
-  let rows = Array.init depth (fun _ -> Array.init width (fun _ -> get r)) in
-  let counts = get_ids r ~bound:ids (fun r id -> (id, get r)) in
-  (rows, counts, get r)
-
-let put_f2c w sk = Array.iter (put_hh w) (F2_contributing.dump sk)
+(* Per level: the CountSketch's depth and width, its counters row-major
+   straight from the sketch's own array, then the tracked (id, count)
+   pairs and the prune count.  The reader checks the shape and decodes
+   the counters into the live sketch's array: no row is copied either
+   way. *)
+let put_f2c w sk =
+  for i = 0 to F2_contributing.levels sk - 1 do
+    let hh = F2_contributing.level sk i in
+    let cs = F2_heavy_hitter.sketch hh in
+    put w (Count_sketch.depth cs);
+    put w (Count_sketch.width cs);
+    let c = Count_sketch.counters cs in
+    for j = 0 to Array.length c - 1 do
+      put w (Array.unsafe_get c j)
+    done;
+    put_ids w fst (fun w (_, c) -> put w c) (F2_heavy_hitter.counts hh);
+    put w (F2_heavy_hitter.prunes hh)
+  done
 
 let get_f2c r ~ids sk =
-  check r
-    (F2_contributing.load_state sk
-       (Array.init (F2_contributing.levels sk) (fun i ->
-            get_hh r ~ids (F2_contributing.level sk i))))
+  for i = 0 to F2_contributing.levels sk - 1 do
+    let cs = F2_heavy_hitter.sketch (F2_contributing.level sk i) in
+    let depth = get r in
+    let width = get r in
+    let d = Count_sketch.depth cs and wd = Count_sketch.width cs in
+    if depth <> d || width <> wd then
+      fail r "count_sketch shape %dx%d, expected %dx%d" depth width d wd;
+    let c = Count_sketch.counters cs in
+    for j = 0 to Array.length c - 1 do
+      Array.unsafe_set c j (get r)
+    done;
+    let counts = get_ids r ~bound:ids (fun r id -> (id, get r)) in
+    check r (F2_contributing.load_tracked sk i ~counts ~prunes:(get r))
+  done
 
 let put_memo w m =
   put w (Sampler.Memo.slots m);

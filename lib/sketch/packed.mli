@@ -23,6 +23,10 @@ val put_int64 : writer -> int64 -> unit
 
 val contents : writer -> string
 
+val reset : writer -> unit
+(** Empty the writer but keep its buffer: a writer reused across
+    packs grows to the largest state once instead of on every pack. *)
+
 type reader
 
 val decode : string -> (reader -> 'a) -> ('a, string) result
@@ -68,13 +72,17 @@ val get_l0 : reader -> L0_bjkst.t -> unit
     sketch must share the writer's cap and seed. *)
 
 val put_f2c : writer -> F2_contributing.t -> unit
-(** Every level's {!F2_heavy_hitter.dump}: the CountSketch rows, the
-    tracked (id, signed count) pairs and the prune count. *)
+(** Every level's {!F2_heavy_hitter.dump} in that layout: the
+    CountSketch depth, width and counters (written from the sketch's
+    own array), the tracked (id, signed count) pairs and the prune
+    count. *)
 
 val get_f2c : reader -> ids:int -> F2_contributing.t -> unit
-(** Overlay a {!put_f2c} state through {!F2_contributing.load_state}.
-    Each level's CountSketch depth and width must be the live sketch's,
-    and tracked ids must lie in [\[0, ids)]. *)
+(** Overlay a {!put_f2c} state level by level: each CountSketch's
+    depth and width must be the live sketch's, and its counters are
+    decoded into the sketch's own array; the tracked part goes through
+    {!F2_contributing.load_tracked}, and tracked ids must lie in
+    [\[0, ids)]. *)
 
 val put_memo : writer -> Sampler.Memo.t -> unit
 (** The memo's slot count and the keys it holds, in slot order. *)

@@ -450,6 +450,66 @@ let test_small_set_thaw_rejection () =
       ("a count over the cap", state ~live:0 (List.init (cap + 1) (fun i -> member (i mod 64) 0)));
     ]
 
+(* A payload is one run of zigzag varints (params included): its ints. *)
+let unpacked s =
+  let rec go i z shift acc =
+    if i = String.length s then List.rev acc
+    else
+      let b = Char.code s.[i] in
+      let z = z lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 <> 0 then go (i + 1) z (shift + 7) acc
+      else go (i + 1) 0 0 (((z lsr 1) lxor -(z land 1)) :: acc)
+  in
+  go 0 0 0 []
+
+(* The full-rate levels of an F2-Contributing counter (levels 0 and 1)
+   hold one tracker, so their dumped tracked parts are always equal.  A
+   v4 payload edited so that level 1's counts differ from level 0's
+   describes a state no stream reaches, and is refused by name. *)
+let test_shared_tracker_payload () =
+  let p = P.make ~m:16 ~n:64 ~k:2 ~alpha:2.0 ~seed:5 () in
+  let payload =
+    match Ck.of_string (read_file "golden_estimate_ckpt_v4.ckpt") with
+    | Ok ck -> ck.Ck.payload
+    | Error e -> Alcotest.failf "v4 golden: %s" (Ck.error_to_string e)
+  in
+  let restore bytes = (E.codec p).Ck.restore (E.create p) bytes in
+  checkb "the golden restores" true (Result.is_ok (restore payload));
+  let xs = Array.of_list (unpacked payload) in
+  let len = Array.length xs in
+  (* A level is depth (5), width, the depth·width counters, then the
+     tracked part: a count n, n (id gap, count) pairs and the prune
+     count.  The full-rate pair is two consecutive levels with equal,
+     non-empty tracked parts; [Some t1] is where the second's starts. *)
+  let tracked_at i =
+    if i + 1 < len && xs.(i) = 5 && xs.(i + 1) >= 4 && i + 2 + (5 * xs.(i + 1)) < len then
+      let t = i + 2 + (5 * xs.(i + 1)) in
+      let stop = t + 2 + (2 * xs.(t)) in
+      if xs.(t) >= 1 && stop <= len then Some (t, stop) else None
+    else None
+  in
+  let rec find i =
+    if i >= len then Alcotest.fail "no full-rate level pair in the v4 golden"
+    else
+      match tracked_at i with
+      | Some (t0, stop0) -> (
+          match tracked_at stop0 with
+          | Some (t1, stop1)
+            when stop1 - t1 = stop0 - t0 && Array.sub xs t1 (stop1 - t1) = Array.sub xs t0 (stop0 - t0) ->
+              t1
+          | _ -> find (i + 1))
+      | None -> find (i + 1)
+  in
+  let t1 = find 0 in
+  (* level 1's first tracked count (after n and the first id gap) *)
+  let c = xs.(t1 + 2) in
+  xs.(t1 + 2) <- (if c + 1 = 0 then c + 2 else c + 1);
+  match restore (packed (Array.to_list xs)) with
+  | Ok () -> Alcotest.fail "a level 1 tracker unlike level 0's restored"
+  | Error e ->
+      checkb ("refused by name: " ^ e) true
+        (has_suffix ~suffix:"f2c level 1: tracked state differs from level 0's, which it shares" e)
+
 (* --- 4. space accounting: checkpoint bytes are on the books --- *)
 
 let test_observed_checkpoint_words () =
@@ -795,6 +855,8 @@ let suite =
       test_params_round_trip;
     Alcotest.test_case "packed: l0 and memo state round trips" `Quick
       test_packed_round_trips;
+    Alcotest.test_case "payload: full-rate levels share one tracker" `Quick
+      test_shared_tracker_payload;
     Alcotest.test_case "registry: checkpoint.saves/loads/bytes counters" `Quick
       test_checkpoint_obs_counters;
     Alcotest.test_case "fuzz: inputs cover both oracle regimes" `Quick test_fuzz_regimes;

@@ -303,16 +303,24 @@ let test_sample_rate_range () =
    [create] draws them.  Range 2^61 masks nothing (field values are
    below p < 2^61), so the raw field value is compared; a prime range
    checks the mod path. *)
+(* [hash_batch] picks its multiply per block — a block whose keys all
+   lie in [0, 2^31) takes the two-product kernel, any other block the
+   general one — so each kind of block is its own case: all small
+   (placed at an offset among large keys, which it must not look at),
+   all at or above 2^31, mixed, and negative. *)
 let prop_poly_hash_is_the_polynomial =
   QCheck.Test.make ~name:"poly hash = Σ c_i x^i (hash and hash_batch)" ~count:200
     QCheck.(triple (int_range 1 8) (int_bound 1_000_000) (int_bound (Pf.p - 1)))
     (fun (indep, seed, r) ->
-      let xs = [| 0; 1; (1 lsl 31) - 1; 1 lsl 31; Pf.p - 2; r |] in
+      let small = [| 0; 1; (1 lsl 31) - 1; r land 0x7FFF_FFFF; r mod 1000 |] in
+      let large = [| 1 lsl 31; Pf.p - 2; Pf.p - 1; Pf.p; max_int; r lor (1 lsl 31) |] in
+      let negative = [| -1; -(1 lsl 31); min_int; -r - 1 |] in
       let coeffs =
         let g = Sm.create seed in
         Array.init indep (fun _ -> Pf.normalize (Sm.next_int g))
       in
       let naive x =
+        let x = Pf.normalize x in
         let acc = ref 0 and pw = ref 1 in
         Array.iter
           (fun c ->
@@ -324,15 +332,44 @@ let prop_poly_hash_is_the_polynomial =
       List.for_all
         (fun range ->
           let h = Ph.create ~indep ~range ~seed:(Sm.create seed) in
-          let want = Array.map (fun x -> naive x mod range) xs in
-          let out = Array.make (Array.length xs) (-1) in
-          Ph.hash_batch h xs ~pos:0 ~len:(Array.length xs) out;
-          Array.map (Ph.hash h) xs = want && out = want)
+          List.for_all
+            (fun (xs, pos, len) ->
+              let want = Array.init len (fun j -> naive xs.(pos + j) mod range) in
+              let out = Array.make len (-1) in
+              Ph.hash_batch h xs ~pos ~len out;
+              Array.init len (fun j -> Ph.hash h xs.(pos + j)) = want && out = want)
+            [
+              (Array.concat [ large; small; large ], Array.length large, Array.length small);
+              (large, 0, Array.length large);
+              (Array.append small large, 0, Array.length small + Array.length large);
+              (negative, 0, Array.length negative);
+            ])
         [ 1 lsl 61; 1_000_003 ])
+
+(* [Pairwise] against the affine map it promises, built from the
+   reference multiply, with (a, b) drawn as [Pairwise.create] draws
+   them: keys on both sides of 2^31 and negative ones. *)
+let prop_pairwise_is_affine =
+  QCheck.Test.make ~name:"pairwise hash/sign = (a·x + b mod p)" ~count:200
+    QCheck.(pair (int_bound 1_000_000) int)
+    (fun (seed, r) ->
+      let g = Sm.create seed in
+      let a = 1 + Sm.below g (Pf.p - 1) in
+      let b = Sm.below g Pf.p in
+      List.for_all
+        (fun range ->
+          let h = Pw.create ~range ~seed:(Sm.create seed) in
+          List.for_all
+            (fun x ->
+              let v = Pf.add (Pf.mul_reference a (Pf.normalize x)) b in
+              Pw.hash h x = v mod range && Pw.sign h x = if v land 1 = 0 then 1 else -1)
+            [ 0; 1; (1 lsl 31) - 1; 1 lsl 31; Pf.p - 1; -1; r; r land 0x7FFF_FFFF ])
+        [ 1 lsl 20; 1_000_003 ])
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_mul_commutative; prop_mul_associative; prop_distributive;
-    prop_ceil_log2_spec; prop_ceil_div_spec; prop_poly_hash_is_the_polynomial ]
+    prop_ceil_log2_spec; prop_ceil_div_spec; prop_poly_hash_is_the_polynomial;
+    prop_pairwise_is_affine ]
 
 let suite =
   [

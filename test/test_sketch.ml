@@ -635,6 +635,51 @@ let test_hh_merge_prunes_and_cancels () =
   Alcotest.(check bool) "the cancelled id is gone" false (Hh.mem hh 0);
   Alcotest.(check bool) "tracker ≡ model after the merge" true (hh_agrees hh m)
 
+(* F2-Contributing's full-rate levels (levels 0 and 1 under the default
+   oversample) hold one tracker.  Each must still dump exactly the
+   tracked part (counts and prunes) of a standalone F2_heavy_hitter of
+   the same φ fed the same signed sequence — the per-level tracker it
+   replaces — through prunes, counts returning to zero and a
+   mid-stream candidate read (which settles). *)
+let prop_f2c_shared_tracker_matches_standalone =
+  let arb =
+    QCheck.(
+      quad (int_range 2 16) (oneofl [ 0.5; 1.0 ]) small_nat
+        (list_of_size Gen.(int_range 1 300) (pair (int_bound 63) (int_range (-3) 3))))
+  in
+  QCheck.Test.make ~name:"f2c full-rate levels ≡ one standalone tracker" ~count:200 arb
+    (fun (r, gamma, seed, us) ->
+      let c = F2c.create ~gamma ~r ~indep:4 ~seed:(Sm.create seed) () in
+      let model = Hh.create ~phi:(min 1.0 (gamma /. 2.0)) ~seed:(Sm.create (seed + 1)) () in
+      let full = F2c.first_tracked c in
+      let feed (i, d) =
+        if d <> 0 then begin
+          F2c.add c i d;
+          Hh.add model i d
+        end
+      in
+      (* the first half again, negated: counts return to zero *)
+      let half = List.filteri (fun j _ -> j < List.length us / 2) us in
+      let agrees () =
+        let _, counts, prunes = Hh.dump model in
+        let levels = F2c.dump c in
+        List.for_all
+          (fun i ->
+            let _, ci, pi = levels.(i) in
+            ci = counts && pi = prunes)
+          (List.init (full + 1) Fun.id)
+      in
+      List.iter feed us;
+      let mid = agrees () in
+      ignore (F2c.candidates c : F2c.hit list);
+      ignore (Hh.candidates model : Hh.hit list);
+      let settled = agrees () in
+      List.iter (fun (i, d) -> feed (i, -d)) half;
+      full = 1
+      && Hh.shares_tracker (F2c.level c 0) (F2c.level c 1)
+      && (F2c.levels c < 3 || not (Hh.shares_tracker (F2c.level c 1) (F2c.level c 2)))
+      && mid && settled && agrees ())
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -642,6 +687,7 @@ let qsuite =
       prop_l0_at_most_stream_length;
       prop_hh_prune_matches_model;
       prop_hh_restored_matches_live;
+      prop_f2c_shared_tracker_matches_standalone;
     ]
 
 let suite =

@@ -192,7 +192,7 @@ let test_ring_charge_is_heap_size () =
     List.init window (fun i ->
         let e = Est.create p in
         Array.iter (Est.feed e) (Array.sub edges ((rolled - window + i) * epoch_edges) epoch_edges);
-        let f = Est.freeze e in
+        let f = Est.freeze (Mkc_sketch.Packed.writer ()) e in
         let heap = Obj.reachable_words (Obj.repr f) and words = Est.frozen_words f in
         checkb
           (Printf.sprintf "epoch %d: charge %d within [%d, 1.1×%d]" i words heap heap)
