@@ -298,9 +298,10 @@ let merge_into ~dst src =
 (* A checkpoint payload: the params, the unsettled state in the frozen
    layout, then the work tail (counters and LargeCommon memo keys).  It
    does not settle: a settle counts as a prune, and a resumed run must
-   count exactly as the uninterrupted one. *)
-let encode t =
-  let w = Mkc_sketch.Packed.writer () in
+   count exactly as the uninterrupted one.  [w] is reset first, so one
+   writer kept across saves grows to the largest payload only once. *)
+let encode w t =
+  Mkc_sketch.Packed.reset w;
   Params.put w t.params;
   iter_oracles t (Oracle.freeze w);
   iter_oracles t (Oracle.freeze_work w);
@@ -312,11 +313,13 @@ let restore_state r t =
 
 let ckpt_kind = "estimate"
 
+(* Saves run on the coordinator only, so a codec owns one writer. *)
 let codec (p : Params.t) : t Mkc_stream.Checkpoint.codec =
+  let w = Mkc_sketch.Packed.writer () in
   {
     kind = ckpt_kind;
     seed = p.base_seed;
-    encode;
+    encode = encode w;
     restore =
       (fun t s ->
         Mkc_sketch.Packed.decode s (fun r ->

@@ -138,7 +138,8 @@ val codec : Params.t -> t Mkc_stream.Checkpoint.codec
     resumed run's answer, words and work counters equal the
     uninterrupted run's.  [restore] rejects a payload whose params
     describe a different instance ({!Params.same_instance}) and any
-    malformed state. *)
+    malformed state.  [encode] packs every save into one writer the
+    codec owns, so a codec encodes on one domain at a time. *)
 
 val check_ceiling : Params.t -> (unit, string) Stdlib.result
 (** [Error] naming the params when the instance {!create} would build

@@ -1,23 +1,3 @@
-(* Deferred tracked-half state for one (counter, tracker).  The tracked
-   table prunes only when more than 2·cap distinct coordinates are ever
-   inserted; while [ever] (distinct supersets ever covered at this
-   tracker's levels) stays within that bound, pruning provably never fires, so
-   tracked updates are a pure per-superset sum — accumulated in [pend]
-   and applied in bulk by {!flush_level}.  The first chunk that would
-   cross the bound flushes and replays per edge; that chunk necessarily
-   prunes, and a pruned level ([prunes > 0]) replays per edge forever
-   after — so [seen]/[ever] only need to be exact while no prune has
-   fired, which makes them reconstructible from the table itself on
-   restore/merge (see {!rebuild_defer}). *)
-type level_defer = {
-  pend : int array; (* sid -> pending signed tracked delta; min_int = not listed *)
-  touched : int array; (* sids with a pending sum, compact; reset on flush *)
-  mutable ntouched : int;
-  seen : bool array; (* sid ever covered at this level *)
-  mutable ever : int; (* number of [seen] sids *)
-  mutable dirty : bool;
-}
-
 type repeat_state = {
   elem_sampler : Mkc_sketch.Sampler.Bernoulli.t option; (* None: rate 1 *)
   partition : Superset_partition.t; (* F -> [q] supersets (Claim 4.9) *)
@@ -48,10 +28,6 @@ type repeat_state = {
   cs_touched : int array; (* sids with a pending sum, compact *)
   mutable cs_ntouched : int;
   mutable cs_dirty : bool;
-  (* Per tracker: index j is the tracker of level [first_tracked + j],
-     the full-rate levels' shared one first. *)
-  defer_small : level_defer array;
-  defer_large : level_defer array;
 }
 
 type t = {
@@ -86,22 +62,6 @@ let create (params : Params.t) ~w ~seed =
   (* Figure 6 samples ~ q·log(m)/r2 supersets for the oversized-class
      fallback; with r2 = q/4 that is a constant-size pool. *)
   let fallback_rate = min 1.0 (8.0 *. float_of_int (q / r2) /. float_of_int q) in
-  let mk_defer cntr =
-    let module F = Mkc_sketch.F2_contributing in
-    Array.init (F.levels cntr - F.first_tracked cntr) (fun _ ->
-        {
-          (* min_int = "not in [touched]": a signed sum may legitimately
-             pass through 0, so the value itself cannot double as the
-             membership test (a 0-sentinel would re-append the sid and
-             overflow the q-sized compact list under cancellation). *)
-          pend = Array.make q min_int;
-          touched = Array.make q 0;
-          ntouched = 0;
-          seen = Array.make q false;
-          ever = 0;
-          dirty = false;
-        })
-  in
   let mk_repeat r =
     let sd = Mkc_hashing.Splitmix.fork seed r in
     let cntr_small =
@@ -138,8 +98,6 @@ let create (params : Params.t) ~w ~seed =
       cs_touched = Array.make q 0;
       cs_ntouched = 0;
       cs_dirty = false;
-      defer_small = mk_defer cntr_small;
-      defer_large = mk_defer cntr_large;
     }
   in
   (* With ρ = 1 the element sample is the whole universe, so the
@@ -231,66 +189,20 @@ let code_large_of rs sid =
     c
   end
 
-(* Apply one level's deferred tracked deltas.  Sound only under the
-   deferral invariant ([ever <= 2·cap], so no prune can fire during the
-   bulk insert): the resulting table holds the same (id, count) multiset
-   as an in-order replay, and nothing observable depends on slot
-   layout (dump/candidates/prune all canonicalize).  Only the sids in
-   [touched] are visited — flush cost is O(pending sids), not O(q), so
-   a mid-run space/telemetry sample on a mostly-clean repeat is
-   cheap. *)
-(* Flush-size distribution: how many touched sids each deferred flush
-   applies.  Large flushes mean the deferral is batching well; a wall
-   of size-1 flushes means reads are interleaving with feeding. *)
+(* Flush-size distribution: how many touched sids each deferred
+   CountSketch flush applies.  Large flushes mean the deferral is
+   batching well; a wall of size-1 flushes means reads are interleaving
+   with feeding. *)
 module Obs = struct
   let flush_size =
     Mkc_obs.Registry.histogram Mkc_obs.Registry.global "large_set.flush_size"
 end
 
-(* [levels] is how many levels the tracker serves: the flush size is
-   recorded once per level's table it fills, as it was when each level
-   had its own tracker. *)
-let flush_level hh d ~levels =
-  if d.dirty then begin
-    d.dirty <- false;
-    for _ = 1 to levels do
-      Mkc_obs.Registry.record Obs.flush_size d.ntouched
-    done;
-    let pend = d.pend and touched = d.touched in
-    for i = 0 to d.ntouched - 1 do
-      let sid = Array.unsafe_get touched i in
-      let c = Array.unsafe_get pend sid in
-      Array.unsafe_set pend sid min_int;
-      (* A signed sum that cancelled to zero applies nothing — exactly
-         what an in-order replay leaves behind (insert then
-         remove-at-zero). *)
-      if c <> 0 then Mkc_sketch.F2_heavy_hitter.add_tracked hh sid c
-    done;
-    d.ntouched <- 0
-  end
-
-(* The tracker [defer.(j)] belongs to, and how many levels it serves. *)
-let tracker_level cntr j = Mkc_sketch.F2_contributing.(level cntr (first_tracked cntr + j))
-let served cntr j = if j = 0 then Mkc_sketch.F2_contributing.first_tracked cntr + 1 else 1
-
-let flush_tracked cntr defer =
-  Array.iteri (fun j d -> flush_level (tracker_level cntr j) d ~levels:(served cntr j)) defer
-
-(* Apply just the deferred tracked deltas — all that space accounting
-   needs.  A CountSketch row is a fixed [depth × width] block, so the
-   pending CS deltas cannot move [words]; only tracked-table occupancy
-   ([2·tn] per level) does.  The tracked flush is cap-bounded per level
-   (deferral stops at [ever > 2·cap]), so a cadence-driven words sample
-   costs O(levels · cap) instead of replaying every pending CS delta —
-   that replay waits for {!flush_pending} at the next value read. *)
-let flush_words rs =
-  flush_tracked rs.cntr_small rs.defer_small;
-  flush_tracked rs.cntr_large rs.defer_large
-
-(* Apply all deferred deltas (CountSketch halves and tracked halves).
-   Must run before any read of counter state — candidate recovery,
-   checkpoint encode, merge — and is a no-op on clean repeats (the
-   common per-edge-mode case). *)
+(* Apply the deferred CountSketch deltas.  Must run before any read of
+   counter values — candidate recovery, checkpoint encode, merge — and
+   is a no-op on clean repeats (the common per-edge-mode case).  A
+   CountSketch row is a fixed [depth × width] block, so pending deltas
+   move no [words] term and no stat. *)
 let flush_pending rs =
   if rs.cs_dirty then begin
     rs.cs_dirty <- false;
@@ -308,36 +220,7 @@ let flush_pending rs =
       end
     done;
     rs.cs_ntouched <- 0
-  end;
-  flush_tracked rs.cntr_small rs.defer_small;
-  flush_tracked rs.cntr_large rs.defer_large
-
-(* Reconstruct [seen]/[ever] from the tables themselves (after restore
-   or merge).  Exact while a level has never pruned: with no prunes the
-   flushed table holds precisely the coordinates ever inserted.  Once a
-   level has pruned, deferral is disabled for good and [seen]/[ever]
-   are irrelevant. *)
-let rebuild_defer rs =
-  let reb cntr defer =
-    Array.iteri
-      (fun j d ->
-        let hh = tracker_level cntr j in
-        Array.fill d.pend 0 (Array.length d.pend) min_int;
-        d.ntouched <- 0;
-        d.dirty <- false;
-        Array.fill d.seen 0 (Array.length d.seen) false;
-        d.ever <- 0;
-        if Mkc_sketch.F2_heavy_hitter.prunes hh = 0 then
-          for sid = 0 to Array.length d.seen - 1 do
-            if Mkc_sketch.F2_heavy_hitter.mem hh sid then begin
-              d.seen.(sid) <- true;
-              d.ever <- d.ever + 1
-            end
-          done)
-      defer
-  in
-  reb rs.cntr_small rs.defer_small;
-  reb rs.cntr_large rs.defer_large
+  end
 
 (* The chunk's in-sample edges in stream order, in the domain's
    {!Feed_scratch}: [esid]/[esg] hold each edge's superset id and sign,
@@ -373,64 +256,45 @@ let replay_level hh ~wsid ~wsg ~code_tab ~top src_sid src_sg n =
    full-rate levels' shared tracker (at [first_tracked], which covers
    every kept sid), then one level per tracker.  Trackers share no
    state, so regrouping per tracker is exact as long as each sees its
-   update subsequence in order.  A level defers (pure
-   per-sid sums into [pend]) while pruning provably cannot fire —
-   [ever + newly <= 2·cap] — and otherwise flushes and replays the
-   chunk's in-sample edges it covers one by one (the first such chunk
-   drives the table past 2·cap, so it prunes, and [prunes > 0] pins the
-   level to per-edge replay from then on).  The per-edge levels walk
-   the [n] listed edges, shrinking the list as the levels narrow. *)
-let tracked_chunk cntr defer ~code_tab ~active ~na ~sid_cnt ~esid ~esg ~wsid ~wsg ~n =
-  let levels = Mkc_sketch.F2_contributing.levels cntr in
-  let first = Mkc_sketch.F2_contributing.first_tracked cntr in
+   update subsequence in order.  Each tracker decides from its own
+   table.  A prune fires only when an insert takes the table past
+   2·cap entries, and the chunk inserts at most one entry per covered
+   superset the table does not hold (an entry that cancels to zero
+   frees its slot before it re-enters).  So when those fit in
+   [2·cap − tracked], an in-order replay prunes nothing and leaves each
+   superset's signed running sum, and one [add_tracked] of its chunk
+   total does the same (a zero total applies nothing, as
+   insert-then-remove-at-zero leaves nothing).  Otherwise the tracker
+   replays the chunk's in-sample edges it covers one by one.  The
+   per-edge levels walk the [n] listed edges, shrinking the list as the
+   levels narrow. *)
+let tracked_chunk cntr ~code_tab ~active ~na ~sid_cnt ~esid ~esg ~wsid ~wsg ~n =
+  let module F = Mkc_sketch.F2_contributing in
+  let module H = Mkc_sketch.F2_heavy_hitter in
+  let levels = F.levels cntr in
   (* The next per-edge level's list: the replay pass's until a level
      has compacted it into the work list. *)
   let src_sid = ref esid and src_sg = ref esg and n = ref n in
-  for j = 0 to Array.length defer - 1 do
-    let hh = tracker_level cntr j in
-    let d = Array.unsafe_get defer j in
-    let top = levels - 1 - (first + j) in
+  for lvl = F.first_tracked cntr to levels - 1 do
+    let hh = F.level cntr lvl in
+    let top = levels - 1 - lvl in
     (* covered at lvl ⟺ 0 <= code <= top *)
-    let deferrable =
-      Mkc_sketch.F2_heavy_hitter.prunes hh = 0
-      &&
-      let newly = ref 0 in
+    let room = (2 * H.cap hh) - H.tracked hh in
+    let newly = ref 0 and a = ref 0 in
+    while !newly <= room && !a < na do
+      let sid = Array.unsafe_get active !a in
+      let code = Array.unsafe_get code_tab sid in
+      if code >= 0 && code <= top && not (H.mem hh sid) then incr newly;
+      incr a
+    done;
+    if !newly <= room then
       for a = 0 to na - 1 do
         let sid = Array.unsafe_get active a in
         let code = Array.unsafe_get code_tab sid in
-        if code >= 0 && code <= top && not (Array.unsafe_get d.seen sid) then incr newly
-      done;
-      d.ever + !newly <= 2 * Mkc_sketch.F2_heavy_hitter.cap hh
-    in
-    if deferrable then begin
-      (* [seen]/[ever] mark every touched sid regardless of sign: the
-         eager path's transient occupancy is bounded by the distinct
-         sids ever touched (deletions only shrink the table), so the
-         [ever <= 2·cap] invariant still rules out a prune — and with
-         no prune, the table is a pure per-sid signed sum with
-         removal-at-zero, which the net flush reproduces exactly. *)
-      for a = 0 to na - 1 do
-        let sid = Array.unsafe_get active a in
-        let code = Array.unsafe_get code_tab sid in
-        if code >= 0 && code <= top then begin
-          if not (Array.unsafe_get d.seen sid) then begin
-            Array.unsafe_set d.seen sid true;
-            d.ever <- d.ever + 1
-          end;
-          let p = Array.unsafe_get d.pend sid in
-          let c = Array.unsafe_get sid_cnt sid in
-          if p = min_int then begin
-            Array.unsafe_set d.touched d.ntouched sid;
-            d.ntouched <- d.ntouched + 1;
-            Array.unsafe_set d.pend sid c
-          end
-          else Array.unsafe_set d.pend sid (p + c)
-        end
-      done;
-      d.dirty <- true
-    end
+        let c = Array.unsafe_get sid_cnt sid in
+        if code >= 0 && code <= top && c <> 0 then H.add_tracked hh sid c
+      done
     else begin
-      flush_level hh d ~levels:(served cntr j);
       n := replay_level hh ~wsid ~wsg ~code_tab ~top !src_sid !src_sg !n;
       src_sid := wsid;
       src_sg := wsg
@@ -443,11 +307,12 @@ let feed_planned t plan ~red edges ~pos ~len =
      fallback superset sampling — is served from the repeat's memo
      caches, falling back to one hash evaluation per distinct id on a
      miss; then the chunk is replayed in original edge order through
-     O(1) table lookups.  The order-sensitive halves replay per edge,
-     so their states are bit-for-bit the per-edge ones: fallback L0
-     adds in the replay pass itself, F2C candidate tracking (with its
-     prune) level by level in {!tracked_chunk}, over the in-sample
-     edges the replay pass lists in the domain's {!Feed_scratch}.  The
+     O(1) table lookups.  The order-sensitive halves end bit-for-bit in
+     the per-edge states: fallback L0 adds in the replay pass itself,
+     F2C candidate tracking (with its prune) tracker by tracker in
+     {!tracked_chunk}, as chunk totals when no prune can fire and
+     otherwise over the in-sample edges the replay pass lists in the
+     domain's {!Feed_scratch}.  The
      CountSketch halves are linear and commutative, so each distinct
      set's in-sample multiplicity is parked in [cs_pending] and applied
      by {!flush_pending} before the counters are next read.
@@ -514,8 +379,9 @@ let feed_planned t plan ~red edges ~pos ~len =
       done;
       (* Replay pass: order-sensitive L0 fallback adds happen here, per
          edge; per-sid in-sample multiplicities are collected for the
-         deferred CountSketch and tracked halves, and the in-sample
-         edges are listed for the tracked halves' per-edge levels. *)
+         deferred CountSketch half and the tracked halves' chunk
+         totals, and the in-sample edges are listed for the tracked
+         halves' per-edge levels. *)
       let in_sample_edges = ref 0 in
       let na = ref 0 in
       for i = 0 to len - 1 do
@@ -556,10 +422,10 @@ let feed_planned t plan ~red edges ~pos ~len =
           end
           else Array.unsafe_set pend sid (p + c)
         done;
-        tracked_chunk rs.cntr_small rs.defer_small ~code_tab:rs.code_small ~active ~na
-          ~sid_cnt ~esid ~esg ~wsid ~wsg ~n;
-        tracked_chunk rs.cntr_large rs.defer_large ~code_tab:rs.code_large ~active ~na
-          ~sid_cnt ~esid ~esg ~wsid ~wsg ~n;
+        tracked_chunk rs.cntr_small ~code_tab:rs.code_small ~active ~na ~sid_cnt ~esid ~esg
+          ~wsid ~wsg ~n;
+        tracked_chunk rs.cntr_large ~code_tab:rs.code_large ~active ~na ~sid_cnt ~esid ~esg
+          ~wsid ~wsg ~n;
         for a = 0 to na - 1 do
           Array.unsafe_set sid_cnt (Array.unsafe_get active a) min_int
         done
@@ -681,7 +547,6 @@ let thaw r t =
       clear_pending rs;
       Pk.get_f2c r ~ids:t.q rs.cntr_small;
       Pk.get_f2c r ~ids:t.q rs.cntr_large;
-      rebuild_defer rs;
       Hashtbl.reset rs.fallback;
       ignore (Pk.get_ids r ~bound:t.q (fun r sid -> Pk.get_l0 r (fallback_sketch rs sid)) : unit list))
     t.repeats;
@@ -710,7 +575,6 @@ let merge_into ~dst src =
       flush_pending drs;
       Mkc_sketch.F2_contributing.merge_into ~dst:drs.cntr_small srs.cntr_small;
       Mkc_sketch.F2_contributing.merge_into ~dst:drs.cntr_large srs.cntr_large;
-      rebuild_defer drs;
       (* Fallback sketches are per-superset L0s with sid-derived seeds:
          identical seeds on both sides, so they union exactly.  Walk in
          sorted sid order to keep the destination layout canonical. *)
@@ -724,15 +588,10 @@ let merge_into ~dst src =
   dst.st_f2_updates <- dst.st_f2_updates + src.st_f2_updates;
   dst.st_l0_updates <- dst.st_l0_updates + src.st_l0_updates
 
+(* A pure read: the tracked halves are applied chunk by chunk, and the
+   CountSketch deltas still parked in [cs_pending] move no [words]
+   term. *)
 let words_breakdown t =
-  (* Apply deferred tracked deltas first: the accumulators are
-     uncounted scratch, so an unflushed repeat would under-report the
-     tracker words a per-edge run pays at the same edge.  Safe at any
-     chunk boundary — the deferral invariant is maintained
-     chunk-by-chunk, so an early flush replays exactly the inserts a
-     later one would.  Pending CS deltas are left parked: they cannot
-     change any [words] term (see {!flush_words}). *)
-  Array.iter flush_words t.repeats;
   let sampler = ref 0 and partition = ref 0 and f2 = ref 0 and l0 = ref 0 in
   Array.iter
     (fun rs ->
@@ -756,12 +615,9 @@ let words_breakdown t =
 
 let words t = List.fold_left (fun acc (_, w) -> acc + w) 0 (words_breakdown t)
 
+(* A pure read, like [words_breakdown]: [f2_tracked]/[f2_prunes] are
+   current at every chunk boundary. *)
 let stats t =
-  (* Same flush as [words_breakdown]: mid-run [f2_tracked] must count
-     deferred insertions the tracker already owns logically.  The
-     tracked flush also settles [f2_tracked]/[f2_prunes]; pending CS
-     deltas touch neither. *)
-  Array.iter flush_words t.repeats;
   [
     ("elem_sampler_evals", t.st_elem_sampler_evals);
     ("fallback_sampler_evals", t.st_fallback_sampler_evals);

@@ -49,11 +49,12 @@ val feed_planned :
     (element-sample membership, superset assignment, both F2C
     subsampling codes, fallback superset sampling) is evaluated once per
     distinct id of the plan via coefficient-major batched hashing, then
-    the chunk replays in original edge order — order-sensitive state
-    (F2C candidate tracking, fallback L0) per edge, linear CountSketch
-    halves as one aggregated delta per distinct set.  Bit-for-bit
-    equivalent to {!feed}.  [red.(j)] must hold the (reduced) element
-    value of the plan's j-th distinct element. *)
+    the chunk replays in original edge order — fallback L0 per edge,
+    F2C candidate tracking per edge or, when its tracker provably
+    cannot prune in this chunk, as one chunk total per superset, linear
+    CountSketch halves as one aggregated delta per distinct set.
+    Bit-for-bit equivalent to {!feed}.  [red.(j)] must hold the
+    (reduced) element value of the plan's j-th distinct element. *)
 
 val finalize : t -> Solution.outcome option
 val words : t -> int

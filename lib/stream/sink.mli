@@ -127,8 +127,8 @@ module Observed : sig
       what each sample and budget check sees. *)
 
   val sampled_breakdown : t -> (string * int) list
-  (** The breakdown the most recent sample recorded — the walk (and
-      deferred-accumulator flush) that sample already paid for.  Inside
+  (** The breakdown the most recent sample recorded — the walk that
+      sample already paid for.  Inside
       a {!set_on_sample} callback this equals {!words_breakdown} at
       zero cost; the telemetry probes read it so a cadence sample walks
       the sketches exactly once.  Before the first sample it falls back

@@ -229,6 +229,30 @@ let test_windowed_roll () =
     Alcotest.failf "a windowed roll allocates %.0f direct major words (one Estimate.create: %.0f)"
       per_roll create
 
+(* A checkpoint save packs into its codec's one writer and copies the
+   payload out: at the churn-window benchmark's dimensions, a second
+   save through the same codec allocates about the payload itself.
+   Building a fresh writer on every save cost over four payloads of
+   regrown buffers. *)
+let test_checkpoint_encode () =
+  let module E = Mkc_core.Estimate in
+  let p = Mkc_core.Params.make ~m:1024 ~n:32768 ~k:16 ~alpha:8.0 ~seed:10 () in
+  let est = E.create p in
+  for i = 0 to 19_999 do
+    let id = Array.unsafe_get ids i in
+    E.feed est (Mkc_stream.Edge.make ~set:(id land 1023) ~elt:(id lsr 5))
+  done;
+  let codec = E.codec p in
+  let payload = codec.Mkc_stream.Checkpoint.encode est in
+  let second =
+    direct_major_words (fun () ->
+        ignore (Sys.opaque_identity (codec.Mkc_stream.Checkpoint.encode est)))
+  in
+  let payload_words = float_of_int (String.length payload / 8) in
+  if second > 1.5 *. payload_words then
+    Alcotest.failf "a second checkpoint encode allocates %.0f direct major words (payload: %.0f)"
+      second payload_words
+
 let suite =
   [
     Alcotest.test_case "l0_bjkst feed is allocation-free" `Quick test_l0;
@@ -250,4 +274,5 @@ let suite =
     Alcotest.test_case "small_set finalize: flat copies, no lists" `Quick
       test_small_set_finalize;
     Alcotest.test_case "a windowed roll builds no estimator" `Quick test_windowed_roll;
+    Alcotest.test_case "a checkpoint save reuses its writer" `Quick test_checkpoint_encode;
   ]

@@ -60,7 +60,8 @@ let invariant_stats est =
 
 (* With [wide], m = 512 sets hash into more LargeSet supersets than a
    large-class tracker holds (2·cap), so its levels prune and replay the
-   chunk's in-sample edges one by one; at m = 32 they only defer. *)
+   chunk's in-sample edges one by one; at m = 32 they only apply chunk
+   totals. *)
 let prop_planned_equals_per_edge =
   let gen =
     QCheck.Gen.(

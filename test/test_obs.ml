@@ -797,10 +797,11 @@ let test_load_auto_rejection_matrix () =
 (* --- Mid-run space accounting is exact at chunk boundaries --- *)
 
 let test_midrun_words_exact () =
-  (* The deferred CountSketch/tracked accumulators are flushed on every
-     words/words_breakdown read, so a batched run's mid-stream space
-     sample must equal the per-edge run's at the same boundary — this
-     is what makes the telemetry space.words track exact, not laggy. *)
+  (* LargeSet's tracked halves are applied chunk by chunk and its
+     deferred CountSketch deltas move no words term, so a batched run's
+     mid-stream space sample must equal the per-edge run's at the same
+     boundary — this is what makes the telemetry space.words track
+     exact, not laggy. *)
   let src, params = instance () in
   let edges = Src.to_array src in
   let total = Array.length edges in

@@ -635,6 +635,32 @@ let test_hh_merge_prunes_and_cancels () =
   Alcotest.(check bool) "the cancelled id is gone" false (Hh.mem hh 0);
   Alcotest.(check bool) "tracker ≡ model after the merge" true (hh_agrees hh m)
 
+(* [mem] is one probe of the tracker's index, which removals at zero
+   shift back and prunes rebuild.  After every signed [add_tracked], it
+   must hold exactly for the ids [counts] lists.  Each case opens with a
+   count cancelled to zero and then 2·cap + 1 distinct inserts, so every
+   draw removes and prunes before its random updates. *)
+let prop_hh_mem_matches_counts =
+  let arb =
+    QCheck.(
+      pair (int_range 4 16)
+        (list_of_size Gen.(int_range 0 300) (pair (int_bound 48) (oneofl [ -2; -1; 1; 1; 2 ]))))
+  in
+  QCheck.Test.make ~name:"f2_hh mem ≡ membership in counts" ~count:200 arb (fun (c, us) ->
+      let hh = Hh.create ~phi:(4.0 /. float_of_int c) ~seed:hh_seed () in
+      let cap = Hh.cap hh in
+      let ids = max 48 ((2 * cap) + 1) in
+      let agrees () =
+        let counts = Hh.counts hh in
+        List.for_all (fun i -> Hh.mem hh i = List.mem_assoc i counts) (List.init (ids + 1) Fun.id)
+      in
+      let step (i, d) =
+        Hh.add_tracked hh i d;
+        agrees ()
+      in
+      let opening = (0, 1) :: (0, -1) :: List.init ((2 * cap) + 1) (fun i -> (i, 1)) in
+      List.for_all step opening && Hh.prunes hh = 1 && List.for_all step us)
+
 (* F2-Contributing's full-rate levels (levels 0 and 1 under the default
    oversample) hold one tracker.  Each must still dump exactly the
    tracked part (counts and prunes) of a standalone F2_heavy_hitter of
@@ -687,6 +713,7 @@ let qsuite =
       prop_l0_at_most_stream_length;
       prop_hh_prune_matches_model;
       prop_hh_restored_matches_live;
+      prop_hh_mem_matches_counts;
       prop_f2c_shared_tracker_matches_standalone;
     ]
 
