@@ -48,48 +48,38 @@ let e1 () =
   List.iter (fun (name, w) -> row " %s=%d" name w) (List.assoc 8.0 runs).breakdown;
   row "@.";
   subheader "baseline context (other Table 1 rows)";
-  let sieve = Mkc_coverage.Sieve.create ~n ~k () in
+  let sieve = Mkc_baselines.Sieve.create ~n ~k () in
   for i = 0 to m - 1 do
-    Mkc_coverage.Sieve.feed sieve i (Ss.set inst.system i)
+    Mkc_baselines.Sieve.feed sieve i (Ss.set inst.system i)
   done;
-  let sv = Mkc_coverage.Sieve.result sieve in
+  let sv = Mkc_baselines.Sieve.result sieve in
   row "set-arrival sieve [9]-style: coverage=%d, words=%d (Õ(n) bitmaps; cannot run on edge arrival)@."
     sv.Mkc_coverage.Greedy.coverage
-    (Mkc_coverage.Sieve.words sieve);
-  let sg = Mkc_coverage.Swap_greedy.create ~n ~k in
+    (Mkc_baselines.Sieve.words sieve);
+  let sg = Mkc_baselines.Swap_greedy.create ~n ~k in
   for i = 0 to m - 1 do
-    Mkc_coverage.Swap_greedy.feed sg i (Ss.set inst.system i)
+    Mkc_baselines.Swap_greedy.feed sg i (Ss.set inst.system i)
   done;
-  let sgr = Mkc_coverage.Swap_greedy.result sg in
+  let sgr = Mkc_baselines.Swap_greedy.result sg in
   row "set-arrival swap-greedy [37]-style: coverage=%d, words=%d (stores its k sets)@."
     sgr.Mkc_coverage.Greedy.coverage
-    (Mkc_coverage.Swap_greedy.words sg);
-  let mva = Mkc_coverage.Mv_set_arrival.create ~k ~seed:105 () in
+    (Mkc_baselines.Swap_greedy.words sg);
+  let mva = Mkc_baselines.Mv_set_arrival.create ~k ~seed:105 () in
   for i = 0 to m - 1 do
-    Mkc_coverage.Mv_set_arrival.feed mva i (Ss.set inst.system i)
+    Mkc_baselines.Mv_set_arrival.feed mva i (Ss.set inst.system i)
   done;
-  let mvar = Mkc_coverage.Mv_set_arrival.result mva in
+  let mvar = Mkc_baselines.Mv_set_arrival.result mva in
   row "set-arrival threshold-greedy [34]-style: coverage≈%.0f, words=%d (Õ(k/ε³), no n-dependence)@."
-    mvar.Mkc_coverage.Mv_set_arrival.coverage
-    (Mkc_coverage.Mv_set_arrival.words mva);
-  let mv = Mkc_coverage.Mcgregor_vu.create ~m ~n ~k ~seed:103 () in
-  Array.iter (Mkc_coverage.Mcgregor_vu.feed mv) (Ss.edge_stream ~seed:104 inst.system);
-  let mvr = Mkc_coverage.Mcgregor_vu.finalize mv in
+    mvar.Mkc_baselines.Mv_set_arrival.coverage
+    (Mkc_baselines.Mv_set_arrival.words mva);
+  let mv = Mkc_baselines.Mcgregor_vu.create ~m ~n ~k ~seed:103 () in
+  Array.iter (Mkc_baselines.Mcgregor_vu.feed mv) (Ss.edge_stream ~seed:104 inst.system);
+  let mvr = Mkc_baselines.Mcgregor_vu.finalize mv in
   row "edge-arrival O(1)-approx [34]-style: coverage≈%.0f, words=%d (Õ(m/ε²), the α→O(1) anchor)@."
-    mvr.Mkc_coverage.Mcgregor_vu.coverage mvr.Mkc_coverage.Mcgregor_vu.words;
+    mvr.Mkc_baselines.Mcgregor_vu.coverage mvr.Mkc_baselines.Mcgregor_vu.words;
   let greedy = Mkc_coverage.Greedy.run inst.system ~k in
   row "offline greedy [35]: coverage=%d, words=%d (stores the entire input)@."
-    greedy.coverage (Ss.total_size inst.system);
-  (* the full-range corollary: below the switch the front-end delegates
-     to the O(1)-approximation engine *)
-  let fr = Mkc_core.Full_range.create (P.make ~m ~n ~k ~alpha:2.0 ~seed:107 ()) in
-  Array.iter (Mkc_core.Full_range.feed fr) (Ss.edge_stream ~seed:108 inst.system);
-  let frr = Mkc_core.Full_range.finalize fr in
-  row "full-range front-end at α=2: engine=%s, estimate≈%.0f, words=%d@."
-    (match frr.Mkc_core.Full_range.engine with
-    | Mkc_core.Full_range.Constant_factor -> "O(1)-approx [12,34]"
-    | Mkc_core.Full_range.Sketching -> "sketching")
-    frr.Mkc_core.Full_range.estimate (Mkc_core.Full_range.words fr)
+    greedy.coverage (Ss.total_size inst.system)
 
 (* ------------------------------------------------------------------ *)
 (* E2 — Figure 1 / Theorem 3.1: accuracy across instance families      *)
@@ -450,20 +440,20 @@ let e10 () =
     "w(bjkst)" "w(hll)";
   List.iter
     (fun truth ->
-      let kmv = Mkc_sketch.Kmv.create ~seed:(Sm.create 1001) () in
+      let kmv = Mkc_baselines.Kmv.create ~seed:(Sm.create 1001) () in
       let bj = Mkc_sketch.L0_bjkst.create ~seed:(Sm.create 1002) () in
-      let hll = Mkc_sketch.Hyperloglog.create ~seed:(Sm.create 1003) () in
+      let hll = Mkc_baselines.Hyperloglog.create ~seed:(Sm.create 1003) () in
       for x = 0 to truth - 1 do
-        Mkc_sketch.Kmv.add kmv x;
+        Mkc_baselines.Kmv.add kmv x;
         Mkc_sketch.L0_bjkst.add bj x;
-        Mkc_sketch.Hyperloglog.add hll x
+        Mkc_baselines.Hyperloglog.add hll x
       done;
       row "%12d  %10.0f %10.0f %10.0f   %10d %10d %10d@." truth
-        (Mkc_sketch.Kmv.estimate kmv)
+        (Mkc_baselines.Kmv.estimate kmv)
         (Mkc_sketch.L0_bjkst.estimate bj)
-        (Mkc_sketch.Hyperloglog.estimate hll)
-        (Mkc_sketch.Kmv.words kmv) (Mkc_sketch.L0_bjkst.words bj)
-        (Mkc_sketch.Hyperloglog.words hll))
+        (Mkc_baselines.Hyperloglog.estimate hll)
+        (Mkc_baselines.Kmv.words kmv) (Mkc_sketch.L0_bjkst.words bj)
+        (Mkc_baselines.Hyperloglog.words hll))
     [ 100; 10_000; 1_000_000 ];
   subheader "F2-HeavyHitter recall (Theorem 2.10)";
   row "%8s %10s  %10s %12s@." "φ" "planted" "recalled" "words";
@@ -522,16 +512,16 @@ let e10 () =
     (fun phi ->
       let planted = 5 in
       let hh = Mkc_sketch.F2_heavy_hitter.create ~phi ~seed:(Sm.create 1200) () in
-      let dy = Mkc_sketch.Dyadic_hh.create ~bits:12 ~phi ~seed:(Sm.create 1201) () in
+      let dy = Mkc_baselines.Dyadic_hh.create ~bits:12 ~phi ~seed:(Sm.create 1201) () in
       for id = 0 to planted - 1 do
         for _ = 1 to 4000 do
           Mkc_sketch.F2_heavy_hitter.add hh id 1;
-          Mkc_sketch.Dyadic_hh.add dy id 1
+          Mkc_baselines.Dyadic_hh.add dy id 1
         done
       done;
       for i = 100 to 2099 do
         Mkc_sketch.F2_heavy_hitter.add hh (i land 4095) 3;
-        Mkc_sketch.Dyadic_hh.add dy (i land 4095) 3
+        Mkc_baselines.Dyadic_hh.add dy (i land 4095) 3
       done;
       let rec_of ids = List.length (List.filter (fun id -> id < planted) ids) in
       let t_rec =
@@ -539,12 +529,12 @@ let e10 () =
                   (Mkc_sketch.F2_heavy_hitter.hits hh))
       in
       let d_rec =
-        rec_of (List.map (fun (h : Mkc_sketch.Dyadic_hh.hit) -> h.id)
-                  (Mkc_sketch.Dyadic_hh.hits dy))
+        rec_of (List.map (fun (h : Mkc_baselines.Dyadic_hh.hit) -> h.id)
+                  (Mkc_baselines.Dyadic_hh.hits dy))
       in
       row "%8.3f  %9d/%2d %9d/%2d  %12d %12d@." phi t_rec planted d_rec planted
         (Mkc_sketch.F2_heavy_hitter.words hh)
-        (Mkc_sketch.Dyadic_hh.words dy))
+        (Mkc_baselines.Dyadic_hh.words dy))
     [ 0.1; 0.05; 0.01 ];
   row "(dyadic pays a log(universe) space factor for turnstile support and@.";
   row " recurrence-free identification — the paper's tracker suffices for insertion streams)@."

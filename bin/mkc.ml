@@ -27,7 +27,10 @@ let stream_arg =
 let k_arg = Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc:"Cover budget k.")
 
 let alpha_arg =
-  Arg.(value & opt float 4.0 & info [ "alpha"; "a" ] ~docv:"A" ~doc:"Approximation target α.")
+  Arg.(
+    value & opt float 4.0
+    & info [ "alpha"; "a" ] ~docv:"A"
+        ~doc:"Approximation target α; estimate and report need α > 1/(1 − 1/e) ≈ 1.582.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -683,11 +686,20 @@ let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_ou
     ~stats:(fun r -> [ ("epochs_rolled", float_of_int r.rolled); ("estimate", r.estimate) ])
     Mkc_core.Windowed.sink w
 
+(* Feige's threshold 1/(1 − 1/e): no polynomial-time algorithm
+   approximates max k-cover within a smaller factor unless P = NP, and
+   Theorem 3.1's range of α starts above it. *)
+let feige_alpha = 1.0 /. (1.0 -. exp (-1.0))
+
 (* The instance's params, refused by name (exit 2) before anything is
-   allocated when the flags and the stream's dimensions do not make a
-   valid instance, or one over [Estimate]'s size ceiling: a stray huge
-   set id would otherwise size LargeSet's tables from it. *)
+   allocated when α is not above Feige's threshold, when the flags and
+   the stream's dimensions do not make a valid instance, or when the
+   instance is over [Estimate]'s size ceiling: a stray huge set id would
+   otherwise size LargeSet's tables from it. *)
 let instance_params ro ~m ~n =
+  if ro.alpha <= feige_alpha then
+    misuse "--alpha must exceed 1/(1 - 1/e) = %.4f, Feige's threshold (got %g)" feige_alpha
+      ro.alpha;
   match
     Mkc_core.Params.make ~m ~n ~k:ro.k ~alpha:ro.alpha ~profile:ro.profile ~seed:ro.seed ()
   with

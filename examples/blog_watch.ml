@@ -45,15 +45,15 @@ let () =
 
   (* context: what full-memory baselines achieve *)
   let greedy = Mkc_coverage.Greedy.run corpus ~k in
-  let sieve = Mkc_coverage.Sieve.create ~n:topics ~k () in
+  let sieve = Mkc_baselines.Sieve.create ~n:topics ~k () in
   for b = 0 to blogs - 1 do
-    Mkc_coverage.Sieve.feed sieve b (Ss.set corpus b)
+    Mkc_baselines.Sieve.feed sieve b (Ss.set corpus b)
   done;
-  let sv = Mkc_coverage.Sieve.result sieve in
+  let sv = Mkc_baselines.Sieve.result sieve in
   Format.printf "@.baselines: offline greedy %d topics | set-arrival sieve %d topics@."
     greedy.Mkc_coverage.Greedy.coverage sv.Mkc_coverage.Greedy.coverage;
   Format.printf
     "space: streaming %d words | sieve %d words (Õ(n) bitmaps) | greedy stores all %d mentions@."
     (Mkc_core.Report.words rep)
-    (Mkc_coverage.Sieve.words sieve)
+    (Mkc_baselines.Sieve.words sieve)
     (Ss.total_size corpus)

@@ -10,7 +10,7 @@
     insertion-only streams keep producing byte-identical v1 files and
     v1 files written by older builds keep loading.  The [convert] CLI
     subcommand produces these from the text format;
-    {!Stream_source.load_auto} dispatches on the magic. *)
+    {!Stream_source.load_auto_dims} dispatches on the magic. *)
 
 type error =
   | Bad_magic of string

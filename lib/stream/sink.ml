@@ -119,63 +119,3 @@ module Observed = struct
     Mkc_obs.Quality.record_budget ~budget_words:(budget b) ~peak_words:(peak b)
       ~overshoots:(overshoots b) ~samples:(samples b) ()
 end
-
-module Set_arrival = struct
-  type 'r t = {
-    feed_set : int -> int array -> unit;
-    fin : unit -> 'r;
-    words_of : unit -> int;
-    mutable cur : int; (* current set id; -1 = no open set *)
-    mutable buf : int array;
-    mutable len : int;
-  }
-
-  let create ~feed_set ~finalize ~words =
-    { feed_set; fin = finalize; words_of = words; cur = -1; buf = Array.make 16 0; len = 0 }
-
-  let flush t =
-    if t.cur >= 0 then t.feed_set t.cur (Array.sub t.buf 0 t.len);
-    t.cur <- -1;
-    t.len <- 0
-
-  let push t elt =
-    if t.len = Array.length t.buf then begin
-      let bigger = Array.make (2 * t.len) 0 in
-      Array.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
-    end;
-    t.buf.(t.len) <- elt;
-    t.len <- t.len + 1
-
-  let feed t (e : Edge.t) =
-    if e.set <> t.cur then begin
-      flush t;
-      t.cur <- e.set
-    end;
-    push t e.elt
-
-  (* No deduplicated path: the plan is ignored and the slice replayed
-     edge by edge. *)
-  let feed_planned t (_ : Chunk_plan.t) edges ~pos ~len =
-    for i = pos to pos + len - 1 do
-      feed t edges.(i)
-    done
-
-  let finalize t =
-    flush t;
-    t.fin ()
-
-  let words t = t.words_of ()
-
-  let sink (type r) () : (r t, r) sink =
-    (module struct
-      type nonrec t = r t
-      type result = r
-
-      let feed = feed
-      let feed_planned = feed_planned
-      let finalize = finalize
-      let words = words
-      let words_breakdown t = [ ("set_arrival", words t) ]
-    end)
-end

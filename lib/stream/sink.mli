@@ -18,17 +18,14 @@
 
     Implementations live next to their algorithms (e.g.
     {!Mkc_core.Estimate.sink}); this module only fixes the shape and
-    provides the packing/adaptation glue and the space observer:
+    provides the packing glue and the space observer:
 
     - [('s, 'r) sink] — a first-class module pairing a state type with
       its result type;
     - {!any} / {!Any} — the existential packing used to drive a
       heterogeneous fleet of sinks over one stream (the unit of
       scheduling for {!Pipeline.drive});
-    - {!Observed} — the space observer a drive samples between windows;
-    - {!Set_arrival} — an adapter running a set-arrival algorithm
-      (consume whole sets) on an edge stream whose edges arrive grouped
-      by set (the canonical set-major order). *)
+    - {!Observed} — the space observer a drive samples between windows. *)
 
 module type S = sig
   type t
@@ -42,8 +39,7 @@ module type S = sig
       built over exactly that slice.  Must be equivalent to [len]
       successive {!feed} calls: implementations decide once per distinct
       id and restructure the work (instance-outer loops, batched sketch
-      updates) but never reorder updates to any single structure.
-      Sinks with no deduplicated path ignore the plan and loop. *)
+      updates) but never reorder updates to any single structure. *)
 
   val finalize : t -> result
   (** Collapse the sink.  Sinks are single-shot: feeding after
@@ -154,29 +150,4 @@ module Observed : sig
   (** Publish the watchdog's verdict as the [space.*] gauges
       ({!Mkc_obs.Quality.record_budget}), where the snapshot and the
       run ledger read it. *)
-end
-
-(** Run a set-arrival algorithm (e.g. {!Mkc_coverage.Sieve},
-    {!Mkc_coverage.Mv_set_arrival}) as an edge sink.
-
-    Buffers the members of the current set and hands the completed set
-    to [feed_set] when the set id changes (or at finalize), so it is
-    only faithful on streams where each set's edges arrive
-    contiguously — exactly the set-arrival orders those baselines
-    require.  This is the adapter the baseline comparisons use to share
-    the {!Pipeline} drivers with the edge-arrival algorithms. *)
-module Set_arrival : sig
-  type 'r t
-
-  val create :
-    feed_set:(int -> int array -> unit) ->
-    finalize:(unit -> 'r) ->
-    words:(unit -> int) ->
-    'r t
-
-  val feed : 'r t -> Edge.t -> unit
-  val finalize : 'r t -> 'r
-
-  val sink : unit -> ('r t, 'r) sink
-  (** The first-class module instance over this adapter. *)
 end

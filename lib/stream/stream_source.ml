@@ -153,38 +153,16 @@ let max_ids t =
     (fun (ms, me) (e : Edge.t) -> (max ms (e.set + 1), max me (e.elt + 1)))
     (0, 0) t
 
-let save_binary t ~n ~m path =
-  match Edge_file.write path t ~n ~m with
-  | Ok (_ : int) -> ()
-  | Error e ->
-      failwith
-        (Printf.sprintf "Stream_source.save_binary: %s: %s" path
-           (Edge_file.error_to_string e))
-
-(* Every binary rejection is re-raised as "<caller>: <path>: <named
-   error>" — the caller context tells the operator which entry point
-   tripped, and the path survives even when the underlying
-   [Edge_file.error] (magic, version, checksum, …) doesn't carry it. *)
-let read_binary_or_fail ~ctx path =
-  match Edge_file.read path with
-  | Ok (edges, n, m) -> (edges, n, m)
-  | Error e ->
-      failwith (Printf.sprintf "%s: %s: %s" ctx path (Edge_file.error_to_string e))
-
-let load_binary path =
-  let edges, n, m = read_binary_or_fail ~ctx:"Stream_source.load_binary" path in
-  (edges, m, n)
-
-let load_auto path =
-  if Edge_file.is_binary path then
-    let edges, _, _ = read_binary_or_fail ~ctx:"Stream_source.load_auto" path in
-    edges
-  else load path
-
+(* A binary rejection names the path, which the underlying
+   [Edge_file.error] (magic, version, checksum, …) may not carry. *)
 let load_auto_dims path =
   if Edge_file.is_binary path then
-    let edges, n, m = read_binary_or_fail ~ctx:"Stream_source.load_auto" path in
-    (edges, m, n)
+    match Edge_file.read path with
+    | Ok (edges, n, m) -> (edges, m, n)
+    | Error e ->
+        failwith
+          (Printf.sprintf "Stream_source.load_auto_dims: %s: %s" path
+             (Edge_file.error_to_string e))
   else
     let t = load path in
     let m, n = max_ids t in

@@ -62,22 +62,11 @@ val max_ids : t -> int * int
 (** [(max set id + 1, max element id + 1)] — a cheap (m, n) bound for
     loaded streams. *)
 
-val save_binary : t -> n:int -> m:int -> string -> unit
-(** Store in the binary columnar {!Edge_file} format with universe
-    bounds [n] (elements) and [m] (sets); raises [Failure] on i/o
-    errors, [Invalid_argument] if an id exceeds its bound. *)
-
-val load_binary : string -> t * int * int
-(** [(edges, m, n)] from a binary edge file (the order of
-    {!load_auto_dims}); raises [Failure] with the
-    named {!Edge_file.error} rendering on any rejection. *)
-
-val load_auto : string -> t
-(** Dispatch on the file's magic bytes: binary files take the
-    columnar reader (no string parsing), anything else the text
-    {!load}. *)
-
 val load_auto_dims : string -> t * int * int
-(** Like {!load_auto}, returning [(t, m, n)] universe bounds alongside
-    — from the header for binary files (which may legitimately exceed
-    the ids actually present), from {!max_ids} for text. *)
+(** Load a stream file with its [(t, m, n)] universe bounds, dispatching
+    on the file's magic bytes: binary files take the columnar
+    {!Edge_file} reader (no string parsing) and give the bounds of
+    their header (which may legitimately exceed the ids actually
+    present); anything else takes the text {!load}, bounded by
+    {!max_ids}.  Raises [Failure] on any binary rejection, naming the
+    path and the {!Edge_file.error}. *)

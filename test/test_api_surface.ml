@@ -57,16 +57,16 @@ let test_validation_raises () =
       ignore (Mkc_sketch.Sampler.Nested.create ~base_rate:0.0 ~levels:2 ~indep:2 ~seed:s));
   Alcotest.check_raises "tabulation range"
     (Invalid_argument "Tabulation.hash: range must be >= 1") (fun () ->
-      ignore (Mkc_hashing.Tabulation.hash (Mkc_hashing.Tabulation.create ~seed:s) 1 0));
+      ignore (Mkc_baselines.Tabulation.hash (Mkc_baselines.Tabulation.create ~seed:s) 1 0));
   Alcotest.check_raises "splitmix below"
     (Invalid_argument "Splitmix.below: bound must be positive") (fun () ->
       ignore (Sm.below s 0));
   Alcotest.check_raises "dyadic bits"
     (Invalid_argument "Dyadic_hh.create: bits must be in [1, 30]") (fun () ->
-      ignore (Mkc_sketch.Dyadic_hh.create ~bits:0 ~phi:0.5 ~seed:s ()));
+      ignore (Mkc_baselines.Dyadic_hh.create ~bits:0 ~phi:0.5 ~seed:s ()));
   Alcotest.check_raises "sieve sizes"
     (Invalid_argument "Sieve.create: n and k must be >= 1") (fun () ->
-      ignore (Mkc_coverage.Sieve.create ~n:0 ~k:1 ()));
+      ignore (Mkc_baselines.Sieve.create ~n:0 ~k:1 ()));
   Alcotest.check_raises "superset partition q"
     (Invalid_argument "Superset_partition.create: q must be >= 1") (fun () ->
       ignore (Mkc_core.Superset_partition.create ~m:4 ~q:0 ~indep:2 ~seed:s));
@@ -75,11 +75,11 @@ let test_validation_raises () =
       ignore (Mkc_core.Universe_reduction.create ~z:0 ~seed:s))
 
 let test_hll_merge_incompatible () =
-  let a = Mkc_sketch.Hyperloglog.create ~seed:(Sm.create 1) () in
-  let b = Mkc_sketch.Hyperloglog.create ~seed:(Sm.create 2) () in
+  let a = Mkc_baselines.Hyperloglog.create ~seed:(Sm.create 1) () in
+  let b = Mkc_baselines.Hyperloglog.create ~seed:(Sm.create 2) () in
   Alcotest.check_raises "different hashes rejected"
     (Invalid_argument "Hyperloglog.merge: sketches use different hash functions") (fun () ->
-      ignore (Mkc_sketch.Hyperloglog.merge a b))
+      ignore (Mkc_baselines.Hyperloglog.merge a b))
 
 let test_stream_load_malformed () =
   let path = Filename.temp_file "mkc_bad" ".txt" in
@@ -99,8 +99,8 @@ let test_stream_load_malformed () =
 
 let test_dyadic_words_scale_with_bits () =
   let words bits =
-    Mkc_sketch.Dyadic_hh.words
-      (Mkc_sketch.Dyadic_hh.create ~bits ~phi:0.25 ~seed:(Sm.create 3) ())
+    Mkc_baselines.Dyadic_hh.words
+      (Mkc_baselines.Dyadic_hh.create ~bits ~phi:0.25 ~seed:(Sm.create 3) ())
   in
   checkb "words grow linearly with bits" true
     (words 16 > words 8 && words 8 > words 4)
@@ -118,42 +118,36 @@ let test_guess_ladder_stride () =
   let count p = List.length (Mkc_core.Estimate.guesses (Mkc_core.Estimate.create p)) in
   checkb "paper ladder is denser" true (count paper > count practical)
 
-let test_full_range_words_positive () =
-  let p = P.make ~m:128 ~n:256 ~k:4 ~alpha:2.0 ~seed:6 () in
-  let fr = Mkc_core.Full_range.create p in
-  Mkc_core.Full_range.feed fr (Mkc_stream.Edge.make ~set:0 ~elt:0);
-  checkb "words positive" true (Mkc_core.Full_range.words fr >= 0)
-
 (* ---------- misc behaviors ---------- *)
 
 let test_mcgregor_vu_survives_dead_guesses () =
   (* small guesses die from the cap; finalize must still work *)
-  let mv = Mkc_coverage.Mcgregor_vu.create ~m:64 ~n:4096 ~k:4 ~epsilon:0.3 ~seed:7 () in
+  let mv = Mkc_baselines.Mcgregor_vu.create ~m:64 ~n:4096 ~k:4 ~epsilon:0.3 ~seed:7 () in
   let sys = Mkc_workload.Random_inst.uniform ~n:4096 ~m:64 ~set_size:128 ~seed:8 in
-  Array.iter (Mkc_coverage.Mcgregor_vu.feed mv) (Ss.edges sys);
-  let r = Mkc_coverage.Mcgregor_vu.finalize mv in
-  checkb "finalize total" true (r.Mkc_coverage.Mcgregor_vu.coverage >= 0.0)
+  Array.iter (Mkc_baselines.Mcgregor_vu.feed mv) (Ss.edges sys);
+  let r = Mkc_baselines.Mcgregor_vu.finalize mv in
+  checkb "finalize total" true (r.Mkc_baselines.Mcgregor_vu.coverage >= 0.0)
 
 let test_mv_set_arrival_empty () =
-  let mva = Mkc_coverage.Mv_set_arrival.create ~k:3 () in
-  let r = Mkc_coverage.Mv_set_arrival.result mva in
-  checkb "empty result" true (r.Mkc_coverage.Mv_set_arrival.chosen = [])
+  let mva = Mkc_baselines.Mv_set_arrival.create ~k:3 () in
+  let r = Mkc_baselines.Mv_set_arrival.result mva in
+  checkb "empty result" true (r.Mkc_baselines.Mv_set_arrival.chosen = [])
 
 let test_exact_on_empty_sets () =
   let s = Ss.create ~n:3 ~m:2 ~sets:[| [||]; [||] |] in
-  checki "zero optimal" 0 (Mkc_coverage.Exact.run s ~k:2).coverage
+  checki "zero optimal" 0 (Mkc_baselines.Exact.run s ~k:2).coverage
 
 let test_kmv_merge_respects_cap () =
-  let a = Mkc_sketch.Kmv.create ~cap:8 ~seed:(Sm.create 9) () in
-  let b = Mkc_sketch.Kmv.copy a in
+  let a = Mkc_baselines.Kmv.create ~cap:8 ~seed:(Sm.create 9) () in
+  let b = Mkc_baselines.Kmv.copy a in
   for x = 0 to 99 do
-    Mkc_sketch.Kmv.add a x;
-    Mkc_sketch.Kmv.add b (1000 + x)
+    Mkc_baselines.Kmv.add a x;
+    Mkc_baselines.Kmv.add b (1000 + x)
   done;
-  let m = Mkc_sketch.Kmv.merge a b in
+  let m = Mkc_baselines.Kmv.merge a b in
   (* words = kept values + tables; kept must be <= cap *)
   checkb "merged kept within cap" true
-    (Mkc_sketch.Kmv.words m <= Mkc_sketch.Kmv.words a + 8)
+    (Mkc_baselines.Kmv.words m <= Mkc_baselines.Kmv.words a + 8)
 
 let test_nested_out_of_range_level () =
   let s =
@@ -175,7 +169,6 @@ let suite =
     Alcotest.test_case "dyadic words scale" `Quick test_dyadic_words_scale_with_bits;
     Alcotest.test_case "large-common level count" `Quick test_large_common_estimates_match_levels;
     Alcotest.test_case "guess ladder stride" `Quick test_guess_ladder_stride;
-    Alcotest.test_case "full-range words" `Quick test_full_range_words_positive;
     Alcotest.test_case "mcgregor-vu dead guesses" `Quick test_mcgregor_vu_survives_dead_guesses;
     Alcotest.test_case "mv-set-arrival empty" `Quick test_mv_set_arrival_empty;
     Alcotest.test_case "exact on empty sets" `Quick test_exact_on_empty_sets;

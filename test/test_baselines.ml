@@ -3,8 +3,8 @@
    (McGregor–Vu-style). *)
 
 module Ss = Mkc_stream.Set_system
-module Sg = Mkc_coverage.Swap_greedy
-module Mva = Mkc_coverage.Mv_set_arrival
+module Sg = Mkc_baselines.Swap_greedy
+module Mva = Mkc_baselines.Mv_set_arrival
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)

@@ -186,18 +186,18 @@ let prop_crash_resume_parallel =
 (* --- 2. merge laws --- *)
 
 (* Edge-partition the stream into [shards] contiguous parts, drive a
-   fresh sink over each, and fold the final states stream-ordered into
-   the first. *)
-let merged_shards ~chunk ~shards ~create ~merge sink src =
+   fresh estimator over each, and fold the final states stream-ordered
+   into the first. *)
+let merged_shards ~chunk ~shards p src =
   let states =
     Array.map
       (fun part ->
-        let s = create () in
-        Pipe.feed_all_parallel ~domains:1 ~chunk [| Sink.pack sink s |] part;
+        let s = E.create p in
+        Pipe.feed_all_parallel ~domains:1 ~chunk [| Sink.pack E.sink s |] part;
         s)
       (Src.partition ~shards src)
   in
-  Array.iteri (fun i s -> if i > 0 then merge states.(0) s) states;
+  Array.iteri (fun i s -> if i > 0 then E.merge_into ~dst:states.(0) s) states;
   states.(0)
 
 (* P edge-partitioned shard runs, merged stream-ordered, then finalized
@@ -217,12 +217,7 @@ let prop_shard_merge =
       let p = params () in
       let single = E.create p in
       let r_single = Pipe.run ~chunk E.sink single (Src.of_array edges) in
-      let merged =
-        merged_shards ~chunk ~shards
-          ~create:(fun () -> E.create p)
-          ~merge:(fun dst src -> E.merge_into ~dst src)
-          E.sink (Src.of_array edges)
-      in
+      let merged = merged_shards ~chunk ~shards p (Src.of_array edges) in
       let r_merged = E.finalize merged in
       fingerprint r_single = fingerprint r_merged
       && E.words single = E.words merged
@@ -573,28 +568,7 @@ let test_final_checkpoint_merges () =
     (fingerprint r_single = fingerprint r_merged);
   checki "merged words = single-stream words" (E.words single) (E.words merged)
 
-(* --- 6. coverage baseline: the [34]-style sinks obey the merge law --- *)
-
-let test_mcgregor_vu_shard_merge () =
-  let module Mv = Mkc_coverage.Mcgregor_vu in
-  let edges =
-    Array.init 400 (fun i -> Edge.make ~set:(i * 13 mod 24) ~elt:(i * 29 mod 96))
-  in
-  let create () = Mv.create ~m:24 ~n:96 ~k:3 ~epsilon:0.5 ~seed:11 () in
-  let single = create () in
-  let r_single = Pipe.run ~chunk:64 Mv.sink single (Src.of_array edges) in
-  let r_merged =
-    Mv.finalize
-      (merged_shards ~chunk:64 ~shards:3 ~create
-         ~merge:(fun dst src -> Mv.merge_into ~dst src)
-         Mv.sink (Src.of_array edges))
-  in
-  checkb "3-shard merge ≡ single run" true
-    (r_single.Mv.chosen = r_merged.Mv.chosen
-    && r_single.Mv.coverage = r_merged.Mv.coverage
-    && r_single.Mv.words = r_merged.Mv.words)
-
-(* --- 7. count_sketch: linearity --- *)
+(* --- 6. count_sketch: linearity --- *)
 
 let prop_count_sketch_merge =
   let module Cs = Mkc_sketch.Count_sketch in
@@ -620,7 +594,7 @@ let prop_count_sketch_merge =
       Cs.merge_into ~dst (mk b);
       Cs.dump dst = Cs.dump (mk (a @ b)))
 
-(* --- 8. params: self-describing payloads --- *)
+(* --- 7. params: self-describing payloads --- *)
 
 let params_bytes (p : P.t) =
   let w = Pk.writer () in
@@ -650,7 +624,7 @@ let test_params_round_trip () =
   checkb "a zero universe rejected" true
     (Result.is_error (Pk.decode (params_bytes { p with u = 0 }) P.get))
 
-(* --- 9. sketch state round trips through Packed --- *)
+(* --- 8. sketch state round trips through Packed --- *)
 
 let test_packed_round_trips () =
   (* L0: feed, pack, overlay onto a twin, compare dumps *)
@@ -692,7 +666,7 @@ let test_packed_round_trips () =
   checkb "geometry-mismatched memo rejected" true
     (Result.is_error (Pk.decode bytes (fun r -> Pk.get_memo r ~value small)))
 
-(* --- 10. registry counters: saves/loads/bytes are published --- *)
+(* --- 9. registry counters: saves/loads/bytes are published --- *)
 
 let test_checkpoint_obs_counters () =
   Mkc_obs.Registry.set_enabled true;
@@ -718,7 +692,7 @@ let test_checkpoint_obs_counters () =
           checki "one load" 1 (read "checkpoint.loads");
           checki "bytes = golden size" (String.length golden) (read "checkpoint.bytes")))
 
-(* --- 11. hostile input: seeded mutation fuzz --- *)
+(* --- 10. hostile input: seeded mutation fuzz --- *)
 
 type fuzz_input = {
   fp : P.t;
@@ -849,8 +823,6 @@ let suite =
       test_observed_checkpoint_words;
     Alcotest.test_case "merge: final checkpoints of 2 shards" `Quick
       test_final_checkpoint_merges;
-    Alcotest.test_case "coverage baseline: shard-merge law" `Quick
-      test_mcgregor_vu_shard_merge;
     Alcotest.test_case "params: self-describing payload round trip" `Quick
       test_params_round_trip;
     Alcotest.test_case "packed: l0 and memo state round trips" `Quick

@@ -427,20 +427,24 @@ let test_forged_params_checkpoint () =
       checkb "forged params: merge names the ceiling" true
         (contains ~sub:"over the decode ceiling" err))
 
-(* Hostile ids in a text stream, and dimensions too large to build:
-   each is exit 2 with a named message and no answer, before any
-   instance is allocated (a 10^9 set id would size LargeSet's tables
-   from m).  The same ceiling covers a binary header's m and --force-m. *)
+(* Hostile ids in a text stream, dimensions too large to build, and an
+   α at or below Feige's threshold 1/(1 - 1/e): each is exit 2 with a
+   named message and no answer, before any instance is allocated (a
+   10^9 set id would size LargeSet's tables from m).  The same ceiling
+   covers a binary header's m and --force-m. *)
 let test_hostile_stream_ids () =
   let text = Filename.temp_file "mkc_cli" ".txt" and bin = Filename.temp_file "mkc_cli" ".mkce" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ text; bin ])
     (fun () ->
-      let refused ?(cmds = [ "estimate"; "report" ]) ?(flags = "") ?(path = text) content ~msg =
+      let refused ?(cmds = [ "estimate"; "report" ]) ?(alpha = "2") ?(flags = "") ?(path = text)
+          content ~msg =
         Option.iter (fun c -> Out_channel.with_open_bin text (fun oc -> output_string oc c)) content;
         List.iter
           (fun cmd ->
-            let code, out, err = run (Printf.sprintf "%s -s %s -k 1 --alpha 2 %s" cmd path flags) in
+            let code, out, err =
+              run (Printf.sprintf "%s -s %s -k 1 --alpha %s %s" cmd path alpha flags)
+            in
             let what = Printf.sprintf "%s, %S" cmd msg in
             checki (what ^ ": exit code") 2 code;
             checkb (what ^ ": stderr names the fault") true (contains ~sub:msg err);
@@ -454,6 +458,9 @@ let test_hostile_stream_ids () =
         ~msg:"malformed line 1 (set id 4611686018427387903 is too large)";
       refused (Some "0 1\n1000000000 2\n") ~msg:"(m=1000000001, n=3, k=1, alpha=2) need";
       refused (Some "0 1\n1 1152921504606846976\n") ~msg:"n must be <= 2^56";
+      refused (Some "0 1\n1 2\n") ~alpha:"1.5"
+        ~msg:"--alpha must exceed 1/(1 - 1/e) = 1.5820, Feige's threshold (got 1.5)";
+      refused None ~alpha:"1.58" ~msg:"Feige's threshold (got 1.58)";
       refused ~cmds:[ "estimate" ] (Some "0 1\n1 2\n") ~flags:"--force-m 1000000000"
         ~msg:"over the decode ceiling";
       ignore (run_ok (Printf.sprintf "convert -s %s -o %s --force-m 1000000000" text bin));

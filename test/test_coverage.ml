@@ -2,10 +2,10 @@
 
 module Ss = Mkc_stream.Set_system
 module Greedy = Mkc_coverage.Greedy
-module Exact = Mkc_coverage.Exact
-module Sieve = Mkc_coverage.Sieve
+module Exact = Mkc_baselines.Exact
+module Sieve = Mkc_baselines.Sieve
 module Eval = Mkc_coverage.Eval
-module Mv = Mkc_coverage.Mcgregor_vu
+module Mv = Mkc_baselines.Mcgregor_vu
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)

@@ -75,18 +75,18 @@ let test_hh_clamp_ablation () =
   | None -> Alcotest.fail "heavy candidate must be tracked"
 
 let test_kmv_small_cap_boundary () =
-  let sk = Mkc_sketch.Kmv.create ~cap:2 ~seed:(Sm.create 8) () in
-  Mkc_sketch.Kmv.add sk 1;
-  checkb "below cap exact" true (Mkc_sketch.Kmv.estimate sk = 1.0)
+  let sk = Mkc_baselines.Kmv.create ~cap:2 ~seed:(Sm.create 8) () in
+  Mkc_baselines.Kmv.add sk 1;
+  checkb "below cap exact" true (Mkc_baselines.Kmv.estimate sk = 1.0)
 
 let test_dyadic_bits_boundary () =
-  let dy = Mkc_sketch.Dyadic_hh.create ~bits:1 ~phi:0.5 ~seed:(Sm.create 10) () in
+  let dy = Mkc_baselines.Dyadic_hh.create ~bits:1 ~phi:0.5 ~seed:(Sm.create 10) () in
   for _ = 1 to 100 do
-    Mkc_sketch.Dyadic_hh.add dy 1 1
+    Mkc_baselines.Dyadic_hh.add dy 1 1
   done;
-  let hits = Mkc_sketch.Dyadic_hh.hits dy in
+  let hits = Mkc_baselines.Dyadic_hh.hits dy in
   checkb "2-coordinate universe works" true
-    (List.exists (fun (h : Mkc_sketch.Dyadic_hh.hit) -> h.id = 1) hits)
+    (List.exists (fun (h : Mkc_baselines.Dyadic_hh.hit) -> h.id = 1) hits)
 
 (* ---------- streams / workloads ---------- *)
 
@@ -193,21 +193,21 @@ let test_f2c_no_contributing_class_quiet () =
     (Mkc_sketch.F2_contributing.candidates c)
 
 let test_hll_wide_range () =
-  let sk = Mkc_sketch.Hyperloglog.create ~bits:8 ~seed:(Sm.create 31) () in
+  let sk = Mkc_baselines.Hyperloglog.create ~bits:8 ~seed:(Sm.create 31) () in
   for x = 0 to 499_999 do
-    Mkc_sketch.Hyperloglog.add sk x
+    Mkc_baselines.Hyperloglog.add sk x
   done;
-  let est = Mkc_sketch.Hyperloglog.estimate sk in
+  let est = Mkc_baselines.Hyperloglog.estimate sk in
   checkb "within 20% at 500k with 256 registers" true
     (est > 400_000.0 && est < 600_000.0)
 
 let test_kmv_estimate_monotone () =
-  let sk = Mkc_sketch.Kmv.create ~cap:64 ~seed:(Sm.create 32) () in
+  let sk = Mkc_baselines.Kmv.create ~cap:64 ~seed:(Sm.create 32) () in
   let last = ref 0.0 and ok = ref true in
   for x = 0 to 9_999 do
-    Mkc_sketch.Kmv.add sk x;
+    Mkc_baselines.Kmv.add sk x;
     if x mod 1000 = 999 then begin
-      let e = Mkc_sketch.Kmv.estimate sk in
+      let e = Mkc_baselines.Kmv.estimate sk in
       (* monotone up to estimator noise *)
       if e < !last *. 0.5 then ok := false;
       last := e
@@ -230,14 +230,6 @@ let test_words_breakdown_no_smallset_in_heavy_regime () =
        0
        (Mkc_core.Oracle.words_breakdown o))
 
-let test_full_range_switch_boundary () =
-  let mk alpha =
-    Mkc_core.Full_range.engine
-      (Mkc_core.Full_range.create (P.make ~m:64 ~n:128 ~k:2 ~alpha ~seed:35 ()))
-  in
-  checkb "α = 3 → constant engine" true (mk 3.0 = Mkc_core.Full_range.Constant_factor);
-  checkb "α = 3.5 → sketching engine" true (mk 3.5 = Mkc_core.Full_range.Sketching)
-
 let test_solution_pp_smoke () =
   let o =
     {
@@ -256,10 +248,10 @@ let test_solution_pp_smoke () =
   checkb "pp mentions the estimate" true (contains "42" s)
 
 let test_sieve_duplicate_set_arrival () =
-  let sv = Mkc_coverage.Sieve.create ~n:16 ~k:2 () in
-  Mkc_coverage.Sieve.feed sv 0 [| 0; 1; 2; 3 |];
-  Mkc_coverage.Sieve.feed sv 0 [| 0; 1; 2; 3 |];
-  let r = Mkc_coverage.Sieve.result sv in
+  let sv = Mkc_baselines.Sieve.create ~n:16 ~k:2 () in
+  Mkc_baselines.Sieve.feed sv 0 [| 0; 1; 2; 3 |];
+  Mkc_baselines.Sieve.feed sv 0 [| 0; 1; 2; 3 |];
+  let r = Mkc_baselines.Sieve.result sv in
   checki "duplicate arrivals add nothing" 4 r.coverage
 
 (* ---------- lower bound ---------- *)
@@ -307,7 +299,6 @@ let suite =
     Alcotest.test_case "kmv monotone" `Quick test_kmv_estimate_monotone;
     Alcotest.test_case "fig-2 heavy-regime branch" `Quick
       test_words_breakdown_no_smallset_in_heavy_regime;
-    Alcotest.test_case "full-range switch boundary" `Quick test_full_range_switch_boundary;
     Alcotest.test_case "solution pp" `Quick test_solution_pp_smoke;
     Alcotest.test_case "sieve duplicate arrivals" `Quick test_sieve_duplicate_set_arrival;
     Alcotest.test_case "dsj fill=1" `Quick test_dsj_full_fill;

@@ -233,50 +233,6 @@ let test_estimate_singleton_universe () =
   let p = P.make ~m:8 ~n:1 ~k:1 ~alpha:1.0 ~seed:37 () in
   ignore (Est.finalize (Est.create p))
 
-(* ---------- full-range front-end ---------- *)
-
-module Fr = Mkc_core.Full_range
-
-let test_full_range_constant_engine () =
-  let pl = Mkc_workload.Planted.few_large ~n:1024 ~m:256 ~k:8 ~seed:50 in
-  let p = P.make ~m:256 ~n:1024 ~k:8 ~alpha:2.0 ~seed:51 () in
-  let fr = Fr.create p in
-  checkb "constant-factor engine below switch" true (Fr.engine fr = Fr.Constant_factor);
-  Array.iter (Fr.feed fr) (Ss.edge_stream ~seed:52 pl.system);
-  let r = Fr.finalize fr in
-  let cov = Ss.coverage pl.system r.Fr.sets in
-  checkb "O(1)-approx quality" true (4 * cov >= pl.planted_coverage)
-
-let test_full_range_sketching_engine () =
-  let pl = Mkc_workload.Planted.few_large ~n:1024 ~m:512 ~k:8 ~seed:53 in
-  let p = P.make ~m:512 ~n:1024 ~k:8 ~alpha:8.0 ~seed:54 () in
-  let fr = Fr.create p in
-  checkb "sketching engine above switch" true (Fr.engine fr = Fr.Sketching);
-  Array.iter (Fr.feed fr) (Ss.edge_stream ~seed:55 pl.system);
-  let r = Fr.finalize fr in
-  checkb "α-approx estimate" true
-    (r.Fr.estimate >= float_of_int pl.planted_coverage /. (slack *. 8.0)
-    && r.Fr.estimate <= 2.0 *. float_of_int pl.planted_coverage)
-
-let test_full_range_rejects_below_feige () =
-  let p = P.make ~m:16 ~n:32 ~k:2 ~alpha:1.5 ~seed:56 () in
-  Alcotest.check_raises "α below 1/(1-1/e) rejected"
-    (Invalid_argument "Full_range.create: alpha must exceed 1/(1 - 1/e) (Feige's threshold)")
-    (fun () -> ignore (Fr.create p))
-
-let test_full_range_space_crossover () =
-  (* space at α just above the switch should be below the O(1)-engine's
-     on the same instance — the reason the corollary is interesting *)
-  let pl = Mkc_workload.Planted.few_large ~n:2048 ~m:2048 ~k:16 ~seed:57 in
-  let words alpha =
-    let p = P.make ~m:2048 ~n:2048 ~k:16 ~alpha ~seed:58 () in
-    let fr = Fr.create p in
-    Array.iter (Fr.feed fr) (Ss.edge_stream ~seed:59 pl.system);
-    Fr.words fr
-  in
-  checkb "sketching at α=16 beats O(1) engine at α=2 on space" true
-    (words 16.0 < words 2.0 * 64)
-
 (* ---------- statistical success probability (Theorem 3.1's 3/4) ---------- *)
 
 let test_success_probability () =
@@ -324,10 +280,6 @@ let suite =
     Alcotest.test_case "k = m trivial branch" `Quick test_estimate_k_equals_m;
     Alcotest.test_case "α near √m" `Slow test_estimate_alpha_near_sqrt_m;
     Alcotest.test_case "singleton universe" `Quick test_estimate_singleton_universe;
-    Alcotest.test_case "full-range: constant engine" `Quick test_full_range_constant_engine;
-    Alcotest.test_case "full-range: sketching engine" `Slow test_full_range_sketching_engine;
-    Alcotest.test_case "full-range: Feige threshold" `Quick test_full_range_rejects_below_feige;
-    Alcotest.test_case "full-range: space crossover" `Slow test_full_range_space_crossover;
     Alcotest.test_case "success probability ≥ 3/4" `Slow test_success_probability;
     Alcotest.test_case "estimate deterministic" `Slow test_estimate_deterministic_given_seed;
   ]

@@ -4,7 +4,7 @@ module Pf = Mkc_hashing.Prime_field
 module Sm = Mkc_hashing.Splitmix
 module Ph = Mkc_hashing.Poly_hash
 module Pw = Mkc_hashing.Pairwise
-module Tab = Mkc_hashing.Tabulation
+module Tab = Mkc_baselines.Tabulation
 module Hf = Mkc_hashing.Hash_family
 
 let check = Alcotest.check

@@ -722,7 +722,7 @@ let test_load_error_line_number () =
   checkb "reports a field-count mismatch" true
     (contains ~sub:"expected 2 or 3 fields, got 4" msg)
 
-(* --- Stream_source.load_auto: binary rejections name the path --- *)
+(* --- Stream_source.load_auto_dims: binary rejections name the path --- *)
 
 let with_binary_stream mutate k =
   let path = Filename.temp_file "mkc_obs_edge" ".bin" in
@@ -760,19 +760,21 @@ let truncate_file path keep =
 
 let load_auto_failure mutate =
   with_binary_stream mutate (fun path ->
-      match Src.load_auto path with
-      | (_ : Src.t) -> Alcotest.fail "corrupt binary stream loaded"
+      match Src.load_auto_dims path with
+      | (_ : Src.t * int * int) -> Alcotest.fail "corrupt binary stream loaded"
       | exception Failure msg ->
           (* every binary rejection must say which file and which loader *)
           checkb "failure names the loader" true
-            (contains ~sub:"Stream_source.load_auto" msg);
+            (contains ~sub:"Stream_source.load_auto_dims" msg);
           checkb "failure names the file path" true (contains ~sub:path msg);
           msg)
 
 let test_load_auto_rejection_matrix () =
   with_binary_stream
     (fun _ -> ())
-    (fun path -> checki "intact binary stream loads" 64 (Src.length (Src.load_auto path)));
+    (fun path ->
+      let src, _, _ = Src.load_auto_dims path in
+      checki "intact binary stream loads" 64 (Src.length src));
   (* byte 8 is the format version (int64 LE) *)
   let msg = load_auto_failure (fun p -> patch_byte p ~pos:8 (fun _ -> '\xff')) in
   checkb "bad version is named" true (contains ~sub:"version" msg);

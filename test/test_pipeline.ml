@@ -39,7 +39,7 @@ let fingerprint (r : E.result) =
   in
   (r.E.estimate, r.E.z_guess, witness)
 
-(* --- estimate / report / full-range sinks --- *)
+(* --- estimate / report sinks --- *)
 
 let test_estimate_batched_equivalence () =
   let src, params = instance () in
@@ -83,69 +83,6 @@ let test_report_batched_and_parallel () =
   checkb "batched: same estimate" true (r1.R.estimate = r0.R.estimate);
   checkb "parallel: same sets" true (r2.R.sets = r0.R.sets);
   checkb "parallel: same estimate" true (r2.R.estimate = r0.R.estimate)
-
-let test_full_range_sink_both_engines () =
-  let src, _ = instance () in
-  let module F = Mkc_core.Full_range in
-  List.iter
-    (fun alpha ->
-      let p = P.make ~m:128 ~n:512 ~k:4 ~alpha ~seed:3 () in
-      let r0 = Pipe.run_seq F.sink (F.create p) src in
-      let r1 = Pipe.run ~chunk:97 F.sink (F.create p) src in
-      let fr2 = F.create p in
-      Pipe.feed_all_parallel ~domains:2 (F.shards fr2) src;
-      let r2 = F.finalize fr2 in
-      checkb (Printf.sprintf "alpha %g: batched" alpha) true (r1 = r0);
-      checkb (Printf.sprintf "alpha %g: parallel" alpha) true (r2 = r0))
-    [ 2.0; 8.0 ]
-
-(* --- coverage baselines --- *)
-
-let test_mcgregor_vu_sink () =
-  let src, _ = instance () in
-  let module Mv = Mkc_coverage.Mcgregor_vu in
-  let mk () = Mv.create ~m:128 ~n:512 ~k:4 ~seed:3 () in
-  let a = mk () in
-  let ra = Pipe.run_seq Mv.sink a src in
-  let b = mk () in
-  let rb = Pipe.run ~chunk:11 Mv.sink b src in
-  checkb "batched ≡ per-edge" true (ra = rb)
-
-let baseline_system () =
-  Ss.create ~n:12 ~m:4
-    ~sets:[| [| 0; 1; 2; 3; 4 |]; [| 4; 5; 6 |]; [| 7; 8 |]; [| 0; 9; 10; 11 |] |]
-
-let test_set_arrival_adapter_sieve () =
-  let sys = baseline_system () in
-  let module Sieve = Mkc_coverage.Sieve in
-  let direct = Sieve.create ~n:(Ss.n sys) ~k:2 () in
-  for i = 0 to Ss.m sys - 1 do
-    Sieve.feed direct i (Ss.set sys i)
-  done;
-  let r0 = Sieve.result direct in
-  (* canonical set-major edge order: each set arrives as one contiguous
-     run, so the adapter reassembles exactly the direct arrivals *)
-  let t = Sieve.create ~n:(Ss.n sys) ~k:2 () in
-  let r1 =
-    Pipe.run ~chunk:3 (Sink.Set_arrival.sink ()) (Sieve.edge_sink t)
-      (Src.of_array (Ss.edges sys))
-  in
-  checkb "adapter ≡ direct set feed" true (r0 = r1)
-
-let test_set_arrival_adapter_mv () =
-  let sys = baseline_system () in
-  let module M = Mkc_coverage.Mv_set_arrival in
-  let direct = M.create ~k:2 () in
-  for i = 0 to Ss.m sys - 1 do
-    M.feed direct i (Ss.set sys i)
-  done;
-  let r0 = M.result direct in
-  let t = M.create ~k:2 () in
-  let r1 =
-    Pipe.run ~chunk:5 (Sink.Set_arrival.sink ()) (M.edge_sink t)
-      (Src.of_array (Ss.edges sys))
-  in
-  checkb "adapter ≡ direct set feed" true (r0 = r1)
 
 (* --- instrument parity across the one-slot drives --- *)
 
@@ -258,11 +195,6 @@ let suite =
       test_estimate_parallel_equivalence;
     Alcotest.test_case "report: batched/parallel ≡ per-edge" `Quick
       test_report_batched_and_parallel;
-    Alcotest.test_case "full-range: both engines via sink" `Quick
-      test_full_range_sink_both_engines;
-    Alcotest.test_case "mcgregor-vu sink" `Quick test_mcgregor_vu_sink;
-    Alcotest.test_case "set-arrival adapter: sieve" `Quick test_set_arrival_adapter_sieve;
-    Alcotest.test_case "set-arrival adapter: mv" `Quick test_set_arrival_adapter_mv;
     Alcotest.test_case "one-slot drives leave identical instruments" `Quick
       test_one_slot_instrument_parity;
   ]

@@ -56,7 +56,7 @@ let prop_exact_at_least_greedy =
   QCheck.Test.make ~name:"exact solver ≥ greedy" ~count:25 sys_arb
     (fun (sys, _, m) ->
       let k = min 3 m in
-      (Mkc_coverage.Exact.run sys ~k).coverage >= (Mkc_coverage.Greedy.run sys ~k).coverage)
+      (Mkc_baselines.Exact.run sys ~k).coverage >= (Mkc_coverage.Greedy.run sys ~k).coverage)
 
 let prop_contributions_sum_to_coverage =
   QCheck.Test.make ~name:"contribution profile sums to coverage" ~count:60 sys_arb
@@ -112,22 +112,22 @@ let prop_sieve_result_consistent =
   QCheck.Test.make ~name:"sieve reports its true coverage" ~count:30 sys_arb
     (fun (sys, n, m) ->
       let k = max 1 (m / 4) in
-      let sv = Mkc_coverage.Sieve.create ~n ~k () in
+      let sv = Mkc_baselines.Sieve.create ~n ~k () in
       for i = 0 to m - 1 do
-        Mkc_coverage.Sieve.feed sv i (Ss.set sys i)
+        Mkc_baselines.Sieve.feed sv i (Ss.set sys i)
       done;
-      let r = Mkc_coverage.Sieve.result sv in
+      let r = Mkc_baselines.Sieve.result sv in
       Ss.coverage sys r.chosen = r.coverage && List.length r.chosen <= k)
 
 let prop_swap_greedy_consistent =
   QCheck.Test.make ~name:"swap-greedy reports its true coverage" ~count:30 sys_arb
     (fun (sys, n, m) ->
       let k = max 1 (m / 4) in
-      let sg = Mkc_coverage.Swap_greedy.create ~n ~k in
+      let sg = Mkc_baselines.Swap_greedy.create ~n ~k in
       for i = 0 to m - 1 do
-        Mkc_coverage.Swap_greedy.feed sg i (Ss.set sys i)
+        Mkc_baselines.Swap_greedy.feed sg i (Ss.set sys i)
       done;
-      let r = Mkc_coverage.Swap_greedy.result sg in
+      let r = Mkc_baselines.Swap_greedy.result sg in
       Ss.coverage sys r.chosen = r.coverage && List.length r.chosen <= k)
 
 let prop_l0_sketches_duplicate_insensitive =
@@ -188,7 +188,7 @@ let prop_planted_really_optimal =
         Mkc_workload.Planted.planted ~n:120 ~m:10 ~num_planted:np ~coverage_fraction:0.5
           ~noise_size:4 ~seed ()
       in
-      (Mkc_coverage.Exact.run pl.system ~k:np).coverage = pl.planted_coverage)
+      (Mkc_baselines.Exact.run pl.system ~k:np).coverage = pl.planted_coverage)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

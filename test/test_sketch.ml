@@ -1,9 +1,9 @@
 (* Unit and property tests for the sketch substrate (Theorems 2.10-2.12). *)
 
 module Sm = Mkc_hashing.Splitmix
-module Kmv = Mkc_sketch.Kmv
+module Kmv = Mkc_baselines.Kmv
 module L0 = Mkc_sketch.L0_bjkst
-module Hll = Mkc_sketch.Hyperloglog
+module Hll = Mkc_baselines.Hyperloglog
 module Cs = Mkc_sketch.Count_sketch
 module Hh = Mkc_sketch.F2_heavy_hitter
 module F2c = Mkc_sketch.F2_contributing
@@ -332,7 +332,7 @@ let test_contributing_levels () =
 
 (* ---------- Dyadic heavy hitters (Theorem 2.10 alternative) ---------- *)
 
-module Dy = Mkc_sketch.Dyadic_hh
+module Dy = Mkc_baselines.Dyadic_hh
 
 let test_dyadic_finds_planted () =
   let dy = Dy.create ~bits:12 ~phi:0.05 ~seed:(Sm.create 40) () in

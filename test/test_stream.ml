@@ -269,21 +269,20 @@ let test_edge_file_roundtrip () =
   let edges = sample_edges () in
   Src.save (Src.of_array edges) tpath;
   let text = Src.load tpath in
-  Src.save_binary text ~n:101 ~m:31 bpath;
+  (match Ef.write bpath (Src.to_array text) ~n:101 ~m:31 with
+  | Ok (_ : int) -> ()
+  | Error e -> Alcotest.failf "write failed: %s" (Ef.error_to_string e));
   checkb "binary sniff" true (Ef.is_binary bpath);
   checkb "text is not binary" false (Ef.is_binary tpath);
-  let bin, m, n = Src.load_binary bpath in
-  checki "header n" 101 n;
-  checki "header m" 31 m;
+  (* both formats through the magic dispatcher *)
+  let bin, bm, bn = Src.load_auto_dims bpath in
   checkb "text->binary->read ≡ Stream_source.load" true
     (Src.to_array bin = Src.to_array text);
-  (* and through the magic dispatcher *)
-  checkb "load_auto on binary" true (Src.to_array (Src.load_auto bpath) = edges);
-  checkb "load_auto on text" true (Src.to_array (Src.load_auto tpath) = edges);
-  let _, tm, tn = Src.load_auto_dims tpath in
-  checkb "text dims from max_ids" true (tm = 31 && tn = 101);
-  let _, bm, bn = Src.load_auto_dims bpath in
-  checkb "binary dims from header" true (bm = 31 && bn = 101)
+  checkb "binary edges" true (Src.to_array bin = edges);
+  checkb "binary dims from header" true (bm = 31 && bn = 101);
+  let txt, tm, tn = Src.load_auto_dims tpath in
+  checkb "text edges" true (Src.to_array txt = edges);
+  checkb "text dims from max_ids" true (tm = 31 && tn = 101)
 
 let test_edge_file_empty () =
   with_tmp ".mkce" @@ fun bpath ->
@@ -393,8 +392,8 @@ let test_edge_file_v2_roundtrip () =
   | Ok (got, 101, 31) -> checkb "signs round-trip" true (got = edges)
   | Ok _ -> Alcotest.fail "wrong dims"
   | Error e -> Alcotest.failf "read failed: %s" (Ef.error_to_string e));
-  checkb "load_auto dispatches v2" true
-    (Src.to_array (Src.load_auto bpath) = edges)
+  let got, _, _ = Src.load_auto_dims bpath in
+  checkb "load_auto_dims dispatches v2" true (Src.to_array got = edges)
 
 let test_edge_file_insertion_only_stays_v1 () =
   (* An all-positive stream written through the signed constructor must
@@ -478,10 +477,9 @@ let test_edge_file_golden_v1_loads () =
     (Array.map (fun (e : Edge.t) -> (e.set, e.elt)) edges = expect);
   checkb "golden edges are insertions" true
     (Array.for_all (fun (e : Edge.t) -> e.sign = 1) edges);
-  checkb "golden loads via load_auto" true
-    (Array.map (fun (e : Edge.t) -> (e.set, e.elt))
-       (Src.to_array (Src.load_auto golden_v1_path))
-    = expect)
+  let golden, _, _ = Src.load_auto_dims golden_v1_path in
+  checkb "golden loads via load_auto_dims" true
+    (Array.map (fun (e : Edge.t) -> (e.set, e.elt)) (Src.to_array golden) = expect)
 
 (* Mutated text streams: each loads, or fails naming the file and the
    line.  A lying token is a negative, huge or [max_int] id. *)

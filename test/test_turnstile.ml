@@ -295,7 +295,7 @@ let test_signed_all_positive_equals_unsigned () =
 
 let test_v2_edge_file_drives_the_signed_sink () =
   (* The whole signed path end to end: churned edges → v2 binary file →
-     load_auto → sink drive, bit-identical to the in-memory drive. *)
+     load_auto_dims → sink drive, bit-identical to the in-memory drive. *)
   let churned, clean = churned_and_clean 41 in
   let sets = Array.fold_left (fun acc (e : Edge.t) -> max acc (e.set + 1)) 0 churned in
   let elts = Array.fold_left (fun acc (e : Edge.t) -> max acc (e.elt + 1)) 0 churned in
@@ -307,7 +307,7 @@ let test_v2_edge_file_drives_the_signed_sink () =
       | Ok (_ : int) -> ()
       | Error e ->
           Alcotest.failf "write failed: %s" (Mkc_stream.Edge_file.error_to_string e));
-      let src = Mkc_stream.Stream_source.load_auto path in
+      let src, _, _ = Mkc_stream.Stream_source.load_auto_dims path in
       let from_file = drive_seq src in
       let in_memory = drive_seq (Mkc_stream.Stream_source.of_array churned) in
       checkb "file drive = in-memory drive" true

@@ -87,7 +87,7 @@ let test_planted_is_optimal () =
     Planted.planted ~n:300 ~m:12 ~num_planted:3 ~coverage_fraction:0.6 ~noise_size:8
       ~seed:10 ()
   in
-  let exact = Mkc_coverage.Exact.run pl.system ~k:3 in
+  let exact = Mkc_baselines.Exact.run pl.system ~k:3 in
   checkb "exact solver confirms plant" true (exact.coverage = pl.planted_coverage)
 
 let test_planted_ids_spread () =
