@@ -133,11 +133,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
      real sample train on the CI smoke size. *)
   let tel_path = Filename.remove_extension json_out ^ ".mkctel" in
   let telemetry path e =
-    {
-      Run.log = Some path;
-      rules = [];
-      probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown e);
-    }
+    { Run.log = Some path; rules = []; probes = Mkc_core.Telemetry_probes.build e }
   in
   let tel_drive path =
     let ((e, o) as d) =

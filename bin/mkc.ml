@@ -170,7 +170,7 @@ let obs_term =
   let cadence =
     Arg.(
       value
-      & opt int Mkc_stream.Sink.Observed.default_cadence
+      & opt int Mkc_core.Run.default.cadence
       & info [ "metrics-cadence" ] ~docv:"EDGES"
           ~doc:
             "Space-observer sampling cadence in edges (the --telemetry samples, the \
@@ -674,7 +674,7 @@ let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_ou
     (window, epoch_edges, decay) =
   let w = Mkc_core.Windowed.create ?decay params ~window ~epoch_edges () in
   answer ro ~rules ~src ~m ~n ~label ~mode:"windowed" ?word_budget
-    ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown w)
+    ~probes:(Mkc_core.Telemetry_probes.build_windowed w)
     ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.current w))
     ~print:(fun (r : Mkc_core.Windowed.result) ->
       print_stream ~src ~m ~n;
@@ -734,7 +734,7 @@ let estimate ro ckpt every resume stop_after force_m force_n =
         else Some { Mkc_core.Run.codec = Mkc_core.Estimate.codec params; every; save = ckpt; resume }
       in
       answer ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
-        ~probes:(fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est)
+        ~probes:(Mkc_core.Telemetry_probes.build est)
         ~shards:Mkc_core.Estimate.shards ?ckpt
         ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics est)
         ~print:(fun r ->

@@ -115,20 +115,3 @@ let merge_into ~dst src =
   | None, None -> ()
   | _ -> invalid_arg "Oracle.merge_into: regime mismatch");
   dst.st_edges <- dst.st_edges + src.st_edges
-
-let sink : (t, Solution.outcome option) Mkc_stream.Sink.sink =
-  (module struct
-    type nonrec t = t
-    type result = Solution.outcome option
-
-    let feed = feed
-
-    (* Standalone oracle sink: the stream is unreduced, so the identity
-       element table (the plan's own distinct raw values) plays [red]. *)
-    let feed_planned t plan edges ~pos ~len =
-      feed_planned t plan ~red:(Mkc_stream.Chunk_plan.elts plan) edges ~pos ~len
-
-    let finalize = finalize
-    let words = words
-    let words_breakdown = words_breakdown
-  end)

@@ -31,7 +31,7 @@ val feed_planned :
     of the plan and replays the chunk in edge order.  [red.(j)] is the
     (universe-reduced) element value of the plan's j-th distinct raw
     element — {!Estimate} fills it with one batched hash pass per
-    instance; standalone oracle sinks pass the identity table. *)
+    instance. *)
 
 val finalize : t -> Solution.outcome option
 (** [None] ⇔ every subroutine reported infeasible. *)
@@ -57,10 +57,6 @@ val stats : t -> (string * int) list
     subroutine's {e stats} list ([oracle] prefix omitted — keys are
     [large_common.sampler_evals], [large_set.hh_recoveries], …).
     ["large_set.hh_recoveries"] is only populated by [finalize]. *)
-
-val sink : (t, Solution.outcome option) Mkc_stream.Sink.sink
-(** The oracle as a {!Mkc_stream.Sink} (one z-guess instance of the
-    {!Estimate} fan-out, or standalone). *)
 
 val settle : t -> unit
 (** {!Large_set.settle}: trim the F2 trackers as {!finalize} leaves

@@ -1,8 +1,6 @@
 (** The curated telemetry track set for an estimator run.
 
-    {!build} assembles the probe array a
-    {!Mkc_obs.Telemetry.Recorder} evaluates on each [Sink.Observed]
-    cadence sample:
+    {!build} assembles the tracks {!Run} evaluates on each sample:
 
     - [pipeline.edges] / [pipeline.edges_per_sec] — stream progress
       and instantaneous throughput (delta over the previous sample);
@@ -17,32 +15,22 @@
       ratios of [estimate.quality.*], scaled to integer
       parts-per-million (the series stores ints only).
 
-    Ratio and recovery tracks read 0 until their denominators exist
+    Every track reads the {!Run.sample} it is given — the breakdown
+    walk and the totals read that sample already paid for — so probing
+    adds no sketch walk of its own.  The [space.<component>] names are
+    fixed from the sink's breakdown at the start of the run.  Ratio
+    and recovery tracks read 0 until their denominators exist
     (heavy-hitter recovery only runs at finalize).  The pool executor's
     utilization ([pipeline.domain_busy_ns], [pipeline.pool.*]) has no
     track: it lives in the registry and the snapshot. *)
 
-val build :
-  breakdown:(unit -> (string * int) list) ->
-  Estimate.t ->
-  Mkc_obs.Telemetry.Recorder.probe array
-(** [breakdown] should read the {e observed} breakdown — normally
-    [Sink.Observed.sampled_breakdown], the walk the cadence sample
-    already paid for, so probing adds no sketch walk of its own.  The
-    [space.words] track is the sum of that breakdown (every sink's
-    words are the sum of its components) and the [space.<component>]
-    track names are fixed from [breakdown ()] at build time.
-    Breakdown and stats reads are cached per sample timestamp, so the
-    per-sample cost is one [breakdown] fetch and one
-    {!Estimate.stats_totals} walk regardless of track count. *)
+val build : Estimate.t -> Run.probes
+(** The track set over {!Estimate.stats_totals}. *)
 
-val build_windowed :
-  breakdown:(unit -> (string * int) list) ->
-  Windowed.t ->
-  Mkc_obs.Telemetry.Recorder.probe array
+val build_windowed : Windowed.t -> Run.probes
 (** {!build} for a windowed run: the same track set plus
     [window.epochs] / [window.rolled] (read from
     {!Windowed.live_epochs} and {!Windowed.rolled}, so they record with
     the registry disabled).  Sketch-health totals are the in-flight
-    epoch's ({!Windowed.stats_totals}), re-read on every sample, since a
+    epoch's ({!Windowed.stats_totals}), read on every sample, since a
     roll resets them. *)

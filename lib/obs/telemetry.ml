@@ -142,7 +142,6 @@ module Writer = struct
   type t = {
     oc : out_channel;
     ntracks : int;
-    w_tracks : string array;
     scratch : Bytes.t; (* one full sample frame: 16-byte header + payload *)
     mutable closed : bool;
   }
@@ -171,11 +170,12 @@ module Writer = struct
     | oc ->
         Framed.write_header oc ~magic ~version;
         Framed.write_frame oc (directory_payload tracks);
+        flush oc;
         let sample_payload = 24 + (8 * nt) in
         let scratch = Bytes.create (16 + sample_payload) in
         Bytes.set_int64_le scratch 0 (Int64.of_int sample_payload);
         Bytes.set_int64_le scratch 16 (Int64.of_int kind_sample);
-        Ok { oc; ntracks = nt; w_tracks = Array.copy tracks; scratch; closed = false }
+        Ok { oc; ntracks = nt; scratch; closed = false }
 
   let sample t ~at_ns ~at_edges values =
     if Array.length values <> t.ntracks then
@@ -189,7 +189,8 @@ module Writer = struct
     done;
     let plen = Bytes.length t.scratch - 16 in
     Bytes.set_int64_le t.scratch 8 (Framed.fnv1a64 t.scratch ~pos:16 ~len:plen);
-    output_bytes t.oc t.scratch
+    output_bytes t.oc t.scratch;
+    flush t.oc
 
   let event t ~at_ns ~at_edges ~name ~value =
     let nlen = String.length name in
@@ -200,9 +201,8 @@ module Writer = struct
     Bytes.set_int64_le payload 24 (Int64.of_int value);
     Bytes.set_int64_le payload 32 (Int64.of_int nlen);
     Bytes.blit_string name 0 payload 40 nlen;
-    Framed.write_frame t.oc payload
-
-  let flush t = flush t.oc
+    Framed.write_frame t.oc payload;
+    flush t.oc
 
   let close t =
     if not t.closed then begin
@@ -351,49 +351,3 @@ let replay ?capacity log =
       Series.commit s ~at_ns:smp.s_ns ~at_edges:smp.s_edges)
     log.samples;
   s
-
-(* ---------- live recording ---------- *)
-
-module Recorder = struct
-  type probe = string * (at_ns:int -> at_edges:int -> int)
-
-  type t = {
-    series : Series.t;
-    writer : Writer.t option;
-    probes : probe array;
-    vals : int array; (* reusable sample row *)
-  }
-
-  let create ?writer ~capacity probes =
-    let names = Array.map fst probes in
-    (match writer with
-    | Some (w : Writer.t) when w.Writer.w_tracks <> names ->
-        invalid_arg "Telemetry.Recorder.create: writer directory does not match the probes"
-    | _ -> ());
-    {
-      series = Series.create ~capacity ~tracks:names;
-      writer;
-      probes;
-      vals = Array.make (Array.length probes) 0;
-    }
-
-  let series t = t.series
-
-  let sample t ~at_edges =
-    let at_ns = Clock.now_ns () in
-    for i = 0 to Array.length t.probes - 1 do
-      let _, eval = Array.unsafe_get t.probes i in
-      let v = eval ~at_ns ~at_edges in
-      Array.unsafe_set t.vals i v;
-      Series.stage t.series i v
-    done;
-    Series.commit t.series ~at_ns ~at_edges;
-    match t.writer with None -> () | Some w -> Writer.sample w ~at_ns ~at_edges t.vals
-
-  let event t ~at_edges ~name ~value =
-    match t.writer with
-    | None -> ()
-    | Some w -> Writer.event w ~at_ns:(Clock.now_ns ()) ~at_edges ~name ~value
-
-  let close t = match t.writer with None -> () | Some w -> Writer.close w
-end

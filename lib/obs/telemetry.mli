@@ -54,6 +54,10 @@ type log = {
 module Writer : sig
   type t
 
+  (** Every call below flushes its frame to the file before it
+      returns, so a reader ([mkc top --follow]) sees each sample as it
+      lands and a killed run leaves every sample written so far. *)
+
   val create : string -> tracks:string array -> (t, error) result
   (** Open [path] for append-from-scratch and write the header and
       track directory.  Raises [Invalid_argument] on an empty track
@@ -66,7 +70,6 @@ module Writer : sig
       scratch buffer. *)
 
   val event : t -> at_ns:int -> at_edges:int -> name:string -> value:int -> unit
-  val flush : t -> unit
   val close : t -> unit
 end
 
@@ -126,27 +129,3 @@ val replay : ?capacity:int -> log -> Series.t
 (** Rebuild a {!Series} from a log's samples (capacity defaults to
     the sample count, min 1), for rendering a finished run with
     [Top.render]. *)
-
-module Recorder : sig
-  (** Glue between a live run and the series/log: a fixed probe set
-      evaluated on each [Sink.Observed] cadence sample. *)
-
-  type probe = string * (at_ns:int -> at_edges:int -> int)
-
-  type t
-
-  val create : ?writer:Writer.t -> capacity:int -> probe array -> t
-  (** The probe names become the series tracks (and must match the
-      writer's directory when a writer is given). *)
-
-  val series : t -> Series.t
-
-  val sample : t -> at_edges:int -> unit
-  (** Evaluate every probe at [Clock.now_ns ()], commit the row, and
-      append it to the log (when writing). *)
-
-  val event : t -> at_edges:int -> name:string -> value:int -> unit
-  (** Forward a named event to the log (when writing). *)
-
-  val close : t -> unit
-end

@@ -129,9 +129,11 @@ let of_string ?expect_kind ?expect_seed s =
 let validate s = of_string s
 
 (* Words the serialized state would occupy if held in memory — the
-   figure [Sink.Observed] accounts under the [checkpoint] breakdown
+   figure a run's sampler accounts under the [checkpoint] breakdown
    key. *)
-let words_of_bytes bytes = (bytes + 7) / 8
+let words_of_bytes bytes =
+  if bytes < 0 then invalid_arg "Checkpoint.words_of_bytes: negative size";
+  (bytes + 7) / 8
 
 module Obs = struct
   let r = Mkc_obs.Registry.global

@@ -17,7 +17,7 @@
       16+K     pos
       24+K     seed
       32+K     payload length P
-      40+K     payload (P bytes, the sink's {!Mkc_sketch.Packed} state)
+      40+K     payload (P bytes, the sink's [Mkc_sketch.Packed] state)
       40+K+P   FNV-1a 64 of bytes [0, 40+K+P)
     v}
 
@@ -81,8 +81,8 @@ val load : ?expect_kind:string -> ?expect_seed:int -> path:string -> unit -> (t,
 
 val words_of_bytes : int -> int
 (** Words the serialized state occupies ([bytes / 8], rounded up) — the
-    figure {!Sink.Observed} accounts under the [checkpoint] breakdown
-    key. *)
+    figure [Mkc_core.Run]'s sampler accounts under the [checkpoint]
+    breakdown key.  Raises [Invalid_argument] on a negative size. *)
 
 type 's codec = {
   kind : string;

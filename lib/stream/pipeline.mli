@@ -155,8 +155,8 @@ val drive :
 
     [on_window ~pos ~len] runs on the calling domain after each window
     [\[pos, pos+len)] has been fed to every sink, while every worker is
-    quiescent — so it may read any sink's state (e.g.
-    {!Sink.Observed.window}).
+    quiescent — so it may read any sink's state (e.g. a run's space
+    sample, which walks the whole composite's [words_breakdown]).
 
     With [~checkpoint:(spec, state)], where the sinks read and write
     [state]: on [spec.resume], first load and fully validate the
@@ -166,8 +166,8 @@ val drive :
     [start].  On [spec.save], atomically save [state] every
     [spec.every] windows — after [on_window] — and once at
     end-of-stream, so the final file feeds the shard-merge workflow;
-    [on_save ~bytes] observes each save (e.g.
-    {!Sink.Observed.note_checkpoint}).  A failed save stops further
+    [on_save ~bytes] observes each save (e.g. a run putting the held
+    checkpoint's words on its space books).  A failed save stops further
     saves; the drive finishes the stream and returns the error.
 
     Resuming with the same [chunk] and effective slot count re-windows

@@ -18,14 +18,13 @@
 
     Implementations live next to their algorithms (e.g.
     {!Mkc_core.Estimate.sink}); this module only fixes the shape and
-    provides the packing glue and the space observer:
+    provides the packing glue:
 
     - [('s, 'r) sink] — a first-class module pairing a state type with
       its result type;
     - {!any} / {!Any} — the existential packing used to drive a
       heterogeneous fleet of sinks over one stream (the unit of
-      scheduling for {!Pipeline.drive});
-    - {!Observed} — the space observer a drive samples between windows. *)
+      scheduling for {!Pipeline.drive}). *)
 
 module type S = sig
   type t
@@ -82,72 +81,3 @@ val canonical_breakdown : (string * int) list -> (string * int) list
 val prefix_breakdown : string -> (string * int) list -> (string * int) list
 (** [prefix_breakdown p kvs] prepends [p ^ "."] to every key — how a
     composite sink namespaces the breakdowns of its children. *)
-
-(** The space observer of one drive.  It wraps nothing: the drive
-    calls {!window} from its between-windows hook
-    ({!Pipeline.drive}'s [on_window]) and {!sample} once after
-    finalize, and each sample reads the observed sink's
-    [words_breakdown] — so the final sample equals the finalized
-    sink's [words_breakdown] exactly, and observing cannot change what
-    the sink computes.  The observer keeps no history: each sample is
-    handed to the {!set_on_sample} callback (the [--telemetry]
-    recorder, whose log is the one durable record of the space curve),
-    emitted as a ["space.words"] counter track when tracing is on, and
-    fed to the optional {!Mkc_sketch.Space.Budget} watchdog (which may
-    raise on overshoot in strict mode).  With a pooled drive the observed
-    sink is the whole composite (e.g. [pack Estimate.sink est], not its
-    shards); between windows every worker is quiescent, so reading it
-    is safe. *)
-module Observed : sig
-  type t
-
-  val default_cadence : int
-  (** 65536 edges between samples. *)
-
-  val create : ?cadence:int -> ?budget:Mkc_sketch.Space.Budget.t -> any -> t
-  (** Observe a packed sink.  Raises [Invalid_argument] if
-      [cadence < 1]. *)
-
-  val window : t -> len:int -> unit
-  (** The drive fed another [len] edges: sample if the edges fed so
-      far cross the cadence grid — at most one sample per window,
-      realigned to the grid, so an oversized window does not trigger a
-      burst.  At one slot a window is one {!S.feed_planned} call. *)
-
-  val sample : t -> unit
-  (** Record a sample now — after finalize, for the final point. *)
-
-  val words_breakdown : t -> (string * int) list
-  (** Canonicalized observed breakdown: the sink's breakdown plus the
-      ["checkpoint"] key when checkpoint words are held.  Its sum is
-      what each sample and budget check sees. *)
-
-  val sampled_breakdown : t -> (string * int) list
-  (** The breakdown the most recent sample recorded — the walk that
-      sample already paid for.  Inside
-      a {!set_on_sample} callback this equals {!words_breakdown} at
-      zero cost; the telemetry probes read it so a cadence sample walks
-      the sketches exactly once.  Before the first sample it falls back
-      to a fresh {!words_breakdown}. *)
-
-  val note_checkpoint : t -> words:int -> unit
-  (** Record the size of the most recent serialized checkpoint.  The
-      words appear under a ["checkpoint"] breakdown key (and therefore
-      in every subsequent sample and budget check): a
-      checkpoint the process holds or writes is real space the paper's
-      accounting must see.  Raises [Invalid_argument] on a negative
-      size. *)
-
-  val set_on_sample : t -> (edges:int -> words:int -> unit) -> unit
-  (** Register a cadence fan-out callback, invoked on every sample
-      (cadence crossings and the final sample) before the budget
-      watchdog runs — so a strict-mode abort still delivers the final
-      sample.  This is how
-      [--telemetry] ties a {!Mkc_obs.Telemetry.Recorder} to the
-      sampling cadence.  Last registration wins. *)
-
-  val budget_evidence : Mkc_sketch.Space.Budget.t -> unit
-  (** Publish the watchdog's verdict as the [space.*] gauges
-      ({!Mkc_obs.Quality.record_budget}), where the snapshot and the
-      run ledger read it. *)
-end

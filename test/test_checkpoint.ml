@@ -510,23 +510,58 @@ let test_shared_tracker_payload () =
 let test_observed_checkpoint_words () =
   let p = params () in
   let est = E.create p in
-  let ob = Sink.Observed.create (Sink.pack E.sink est) in
-  let words () = List.fold_left (fun acc (_, w) -> acc + w) 0 (Sink.Observed.words_breakdown ob) in
-  let base = words () in
-  checki "observed words are the sink's" (E.words est) base;
-  Sink.Observed.note_checkpoint ob ~words:1234;
-  checki "checkpoint words join the total" (base + 1234) (words ());
-  checkb "breakdown grows a checkpoint key" true
-    (List.mem_assoc "checkpoint" (Sink.Observed.words_breakdown ob));
-  checki "checkpoint key holds the last size" 1234
-    (List.assoc "checkpoint" (Sink.Observed.words_breakdown ob));
-  (* a newer, smaller checkpoint replaces the figure (held space, not a sum) *)
-  Sink.Observed.note_checkpoint ob ~words:10;
-  checki "note_checkpoint overwrites" (base + 10) (words ());
+  let edges = Array.init 240 (fun i -> Edge.make ~set:(i * 11 mod 32) ~elt:(i * 17 mod 64)) in
+  let module Run = Mkc_core.Run in
+  let held (s : Run.sample) = Option.value ~default:0 (List.assoc_opt "checkpoint" s.breakdown) in
+  let probes =
+    {
+      Run.read_totals = (fun () -> []);
+      tracks =
+        (fun ~breakdown:_ ->
+          [|
+            ("space.words", fun (s : Run.sample) -> s.words);
+            ("checkpoint", held);
+            ( "keyed",
+              fun (s : Run.sample) -> Bool.to_int (List.mem_assoc "checkpoint" s.breakdown) );
+          |]);
+    }
+  in
+  let budget = Mkc_sketch.Space.Budget.create max_int in
+  with_tmp (fun path ->
+      let log = Filename.temp_file "mkc_ckpt" ".mkctel" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove log)
+        (fun () ->
+          (match
+             Run.run
+               { Run.default with chunk = 64; cadence = 1 }
+               ~budget
+               ~telemetry:{ Run.log = Some log; rules = []; probes }
+               ~ckpt:{ Run.codec = E.codec p; every = 1; save = Some path; resume = None }
+               ~label:"estimate" E.sink est (Src.of_array edges)
+           with
+          | Ok o -> checki "run words are the sink's" (E.words est) o.words
+          | Error e -> Alcotest.failf "run: %s" (Run.error_to_string e));
+          let rows =
+            match Mkc_obs.Telemetry.read log with
+            | Ok t -> List.map (fun (s : Mkc_obs.Telemetry.sample) -> s.values) t.samples
+            | Error e -> Alcotest.failf "log: %s" (Mkc_obs.Telemetry.error_to_string e)
+          in
+          let final = Ck.words_of_bytes (Unix.stat path).st_size in
+          (* windows end at 64, 128, 192, 240; each save follows its
+             window's sample, the end-of-stream save precedes the final one *)
+          checki "a sample per window plus the final one" 5 (List.length rows);
+          let first = List.hd rows and last = List.nth rows 4 in
+          checki "no checkpoint key before the first save" 0 first.(2);
+          checki "breakdown grows a checkpoint key" 1 last.(2);
+          checki "checkpoint key holds the last size, not a sum" final last.(1);
+          checki "checkpoint words join the total" (E.words est + final) last.(0);
+          checkb "every sample after the first save holds one" true
+            (List.length (List.filter (fun r -> r.(1) > 0) rows) = 4);
+          checkb "the budget sees the checkpoint" true
+            (Mkc_sketch.Space.Budget.peak budget >= E.words est + final)));
   checkb "negative sizes are rejected" true
-    (match Sink.Observed.note_checkpoint ob ~words:(-1) with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+    (match Ck.words_of_bytes (-1) with exception Invalid_argument _ -> true | _ -> false)
 
 (* --- 5. end-of-stream checkpoint feeds the merge workflow --- *)
 

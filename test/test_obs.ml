@@ -1,11 +1,11 @@
-(* Tests for Mkc_obs and the Sink.Observed instrumentation layer.
+(* Tests for Mkc_obs and the sampling a run does through it.
 
    The load-bearing claims:
      1. the registry's merge algebra is a commutative monoid, so per-domain
         shard merges equal a single sequential history;
      2. a Registry populated from several domains reads back exactly
         what the same writes from one domain would have produced;
-     3. observing a run (Sink.Observed sampling between windows, on
+     3. observing a run (Run's sampler between windows, on
         one domain or pooled, checkpointed or not) changes nothing about
         the computation — same result, same words, same work counters —
         and the telemetry log's final space.words equals the observed
@@ -307,11 +307,7 @@ let prop_observed_run_equals_bare =
           let o0 = run cfg bare in
           let obs = E.create params in
           let telemetry =
-            {
-              Run.log = Some log;
-              rules = [];
-              probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown obs);
-            }
+            { Run.log = Some log; rules = []; probes = Mkc_core.Telemetry_probes.build obs }
           in
           let o1 = run { cfg with metrics = true; cadence } ~telemetry obs in
           let held =
@@ -339,9 +335,9 @@ let prop_observed_run_equals_bare =
           && telemetry_ok))
 
 let test_observed_cadence_grid () =
-  (* A sink whose words grow per edge; drive it window by window and
-     check the sample schedule: at most one sample per window,
-     realigned to the cadence grid, plus the final sample. *)
+  (* A sink whose words grow per edge; run it window by window and
+     check the sample schedule in the telemetry log: at most one sample
+     per window, realigned to the cadence grid, plus the final sample. *)
   let module Count = struct
     type t = int ref
     type result = int
@@ -353,25 +349,42 @@ let test_observed_cadence_grid () =
     let words_breakdown t = [ ("count", !t) ]
   end in
   let m : (int ref, int) Sink.sink = (module Count) in
-  let count = ref 0 in
-  let ob = Sink.Observed.create ~cadence:10 (Sink.pack m count) in
-  let samples = ref [] in
-  Sink.Observed.set_on_sample ob (fun ~edges ~words -> samples := (edges, words) :: !samples);
-  let edges = Array.init 25 (fun i -> Edge.make ~set:0 ~elt:i) in
-  Pipe.drive ~chunk:7
-    ~on_window:(fun ~pos:_ ~len -> Sink.Observed.window ob ~len)
-    [| Sink.pack m count |] (Src.of_array edges)
-  |> Result.get_ok;
-  checki "the sink saw every edge" 25 (Count.finalize count);
-  Sink.Observed.sample ob;
-  (* windows land at 7,14,21,25 edges; cadence 10 samples at 14 (first
-     crossing of 10, grid realigns to 20) and 21, then the final sample
-     at 25 *)
-  checkb "cadence-grid samples plus the final one" true
-    (List.rev !samples = [ (14, 14); (21, 21); (25, 25) ]);
-  Alcotest.check_raises "cadence must be positive"
-    (Invalid_argument "Sink.Observed.create: cadence must be >= 1") (fun () ->
-      ignore (Sink.Observed.create ~cadence:0 (Sink.pack m (ref 0))))
+  let probes =
+    {
+      Run.read_totals = (fun () -> []);
+      tracks =
+        (fun ~breakdown:_ ->
+          [|
+            ("pipeline.edges", fun (s : Run.sample) -> s.at_edges);
+            ("space.words", fun (s : Run.sample) -> s.words);
+          |]);
+    }
+  in
+  let edges = Src.of_array (Array.init 25 (fun i -> Edge.make ~set:0 ~elt:i)) in
+  let log = Filename.temp_file "mkc_obs" ".mkctel" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove log)
+    (fun () ->
+      let run cadence =
+        Run.run { Run.default with chunk = 7; cadence }
+          ~telemetry:{ Run.log = Some log; rules = []; probes }
+          ~label:"count" m (ref 0) edges
+      in
+      (match run 10 with
+      | Ok o -> checki "the sink saw every edge" 25 o.result
+      | Error e -> Alcotest.failf "run: %s" (Run.error_to_string e));
+      let rows =
+        match Obs.Telemetry.read log with
+        | Ok t -> List.map (fun (s : Obs.Telemetry.sample) -> (s.values.(0), s.values.(1))) t.samples
+        | Error e -> Alcotest.failf "log: %s" (Obs.Telemetry.error_to_string e)
+      in
+      (* windows land at 7,14,21,25 edges; cadence 10 samples at 14 (first
+         crossing of 10, grid realigns to 20) and 21, then the final sample
+         at 25 *)
+      checkb "cadence-grid samples plus the final one" true
+        (rows = [ (14, 14); (21, 21); (25, 25) ]);
+      Alcotest.check_raises "cadence must be positive"
+        (Invalid_argument "Run.run: cadence must be >= 1") (fun () -> ignore (run 0)))
 
 (* --- Parallel vs sequential ingestion: same metrics --- *)
 

@@ -45,11 +45,7 @@ let run_estimate ?budget ?telemetry ?ckpt ?ledger params cfg src =
   )
 
 let telemetry ?(rules = []) log e =
-  {
-    Run.log = Some log;
-    rules;
-    probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown e);
-  }
+  { Run.log = Some log; rules; probes = Mkc_core.Telemetry_probes.build e }
 
 let get = function
   | Ok (o : _ Run.outcome) -> o
@@ -155,6 +151,55 @@ let test_profiles_per_drive () =
       checkb "a budget: sampled" true
         (sampled ~budget:(Mkc_sketch.Space.Budget.create ~strict:false max_int) cfg > 0))
 
+(* Each sample's space.words is the breakdown walked at that sample,
+   whatever the clock reads: under a constant clock every row still
+   follows the sink, and the last one is the run's words. *)
+let test_samples_follow_the_sink_under_a_frozen_clock () =
+  let src, params = instance () in
+  (* the sum of every breakdown walk, newest first *)
+  let walks = ref [] in
+  let walked : (E.t, E.result) Mkc_stream.Sink.sink =
+    let (module S) = E.sink in
+    (module struct
+      include S
+
+      let words_breakdown t =
+        let bd = S.words_breakdown t in
+        walks := List.fold_left (fun acc (_, w) -> acc + w) 0 bd :: !walks;
+        bd
+    end)
+  in
+  let log = Filename.temp_file "mkc_run" ".mkctel" in
+  Fun.protect
+    ~finally:(fun () ->
+      Mkc_obs.Clock.use_wall_clock ();
+      Sys.remove log)
+    (fun () ->
+      Mkc_obs.Clock.set_source (fun () -> 42);
+      let e = E.create params in
+      let o =
+        get
+          (Run.run
+             { Run.default with chunk = 400; cadence = 512 }
+             ~telemetry:(telemetry log e) ~label:"estimate" walked e src)
+      in
+      let t =
+        match Mkc_obs.Telemetry.read log with
+        | Ok t -> t
+        | Error err -> Alcotest.failf "log unreadable: %s" (Mkc_obs.Telemetry.error_to_string err)
+      in
+      let col = Mkc_obs.Series.index_exn (Mkc_obs.Telemetry.replay t) "space.words" in
+      let logged = List.map (fun (s : Mkc_obs.Telemetry.sample) -> s.values.(col)) t.samples in
+      let n = List.length logged in
+      checki "one sample per counted row" o.samples n;
+      (* one walk names the tracks, then one walk per sample *)
+      checki "one breakdown walk per sample" (n + 1) (List.length !walks);
+      Alcotest.(check (list int))
+        "each sample is its own walk" (List.rev (List.filteri (fun i _ -> i < n) !walks)) logged;
+      checki "the last sample is the run's words" o.words (List.nth logged (n - 1));
+      checkb "the words move during the run" true
+        (List.sort_uniq compare logged <> [ List.hd logged ]))
+
 (* The CLI cannot reach this case (its budget is the theoretical one):
    a strict budget overshoot is an error value, and the telemetry log
    the run opened is closed with the samples up to the abort. *)
@@ -196,12 +241,7 @@ let test_budget_overshoot_is_an_error () =
           { Run.default with chunk = 256; cadence = 256 }
           ~budget:(Mkc_sketch.Space.Budget.create ~strict:true 1)
           ~telemetry:
-            {
-              Run.log = Some log;
-              rules = [];
-              probes =
-                (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown w);
-            }
+            { Run.log = Some log; rules = []; probes = Mkc_core.Telemetry_probes.build_windowed w }
           ~label:"estimate" Mkc_core.Windowed.sink w src
       in
       tripped "windowed" r;
@@ -253,11 +293,7 @@ let test_health_violation_is_an_error () =
       match
         Run.run Run.default
           ~telemetry:
-            {
-              Run.log = None;
-              rules = [ rule ];
-              probes = (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown e);
-            }
+            { Run.log = None; rules = [ rule ]; probes = Mkc_core.Telemetry_probes.build e }
           ~label:"estimate" E.sink e src
       with
       | Error (Run.Health_rules _) -> ()
@@ -403,6 +439,8 @@ let suite =
       test_pooled_aborts_are_errors;
     Alcotest.test_case "progress reports positions, pooled and resumed" `Quick
       test_progress_on_resumed_run;
+    Alcotest.test_case "samples follow the sink under a frozen clock" `Quick
+      test_samples_follow_the_sink_under_a_frozen_clock;
     Alcotest.test_case "strict budget overshoot is an error, log intact" `Quick
       test_budget_overshoot_is_an_error;
     Alcotest.test_case "health violation and unknown track are errors" `Quick

@@ -14,8 +14,8 @@
       ceil(q·n) over the ascending sort, so 1..100 gives p50=50 and
       p99=99.
    4. replay rebuilds a Series whose per-track summary matches the
-      log, and Recorder (probe evaluation on the Observed cadence)
-      feeds both sides identically.
+      log, and the writer flushes every frame, so a live or killed
+      run's log reads back without a close.
    5. Top.render is total: it renders the standard track families,
       degrades to generic lines for unknown tracks, and never fails
       on an empty series. *)
@@ -268,45 +268,29 @@ let test_replay_matches_summary () =
       Alcotest.(check int) "capped replay length" 1 (Series.length s1);
       Alcotest.(check int) "capped replay min" 1 (Series.min_of s1 0))
 
-let test_recorder () =
+(* Every frame reaches the file as it is written: a reader sees the
+   samples and events of a run that is still going (or was killed), with
+   no close. *)
+let test_writer_flushes () =
   let path = temp_log () in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let calls = ref 0 in
-      let probes : T.Recorder.probe array =
-        [|
-          ("pipeline.edges", fun ~at_ns:_ ~at_edges -> at_edges);
-          ( "counter",
-            fun ~at_ns:_ ~at_edges:_ ->
-              incr calls;
-              !calls * 10 );
-        |]
-      in
-      (match T.Writer.create path ~tracks:[| "wrong" |] with
+      match T.Writer.create path ~tracks:[| "pipeline.edges"; "counter" |] with
       | Error e -> Alcotest.failf "create: %s" (T.error_to_string e)
       | Ok w ->
-          Alcotest.check_raises "directory mismatch"
-            (Invalid_argument "Telemetry.Recorder.create: writer directory does not match the probes")
-            (fun () -> ignore (T.Recorder.create ~writer:w ~capacity:8 probes));
-          T.Writer.close w);
-      match T.Writer.create path ~tracks:(Array.map fst probes) with
-      | Error e -> Alcotest.failf "create: %s" (T.error_to_string e)
-      | Ok w ->
-          let r = T.Recorder.create ~writer:w ~capacity:8 probes in
-          T.Recorder.sample r ~at_edges:100;
-          T.Recorder.sample r ~at_edges:200;
-          T.Recorder.event r ~at_edges:150 ~name:"health.x.violations" ~value:1;
-          T.Recorder.close r;
-          let log = read_ok path in
-          Alcotest.(check int) "recorder samples" 2 (List.length log.T.samples);
-          Alcotest.(check int) "recorder events" 1 (List.length log.T.events);
-          let s = T.Recorder.series r in
-          let last = List.nth log.T.samples 1 in
-          Alcotest.(check (array int))
-            "log row = series row" [| 200; 20 |] last.T.values;
-          Alcotest.(check int) "series last edges" 200 (Series.row_edges s 1);
-          Alcotest.(check int) "series last counter" 20 (Series.last s 1))
+          Fun.protect
+            ~finally:(fun () -> T.Writer.close w)
+            (fun () ->
+              T.Writer.sample w ~at_ns:1 ~at_edges:100 [| 100; 10 |];
+              T.Writer.sample w ~at_ns:2 ~at_edges:200 [| 200; 20 |];
+              T.Writer.event w ~at_ns:3 ~at_edges:150 ~name:"health.x.violations" ~value:1;
+              let log = read_ok path in
+              Alcotest.(check int) "samples before close" 2 (List.length log.T.samples);
+              Alcotest.(check int) "events before close" 1 (List.length log.T.events);
+              Alcotest.(check bool) "untorn" true (log.T.torn = None);
+              Alcotest.(check (array int))
+                "last row" [| 200; 20 |] (List.nth log.T.samples 1).T.values))
 
 (* ---------- Top rendering ---------- *)
 
@@ -509,7 +493,7 @@ let suite =
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
     Alcotest.test_case "summarize quantile convention" `Quick test_summarize_quantiles;
     Alcotest.test_case "replay matches summary" `Quick test_replay_matches_summary;
-    Alcotest.test_case "recorder round trip" `Quick test_recorder;
+    Alcotest.test_case "writer flushes every frame" `Quick test_writer_flushes;
     Alcotest.test_case "top pp_count" `Quick test_top_pp_count;
     Alcotest.test_case "top sparkline" `Quick test_top_sparkline;
     Alcotest.test_case "top render families" `Quick test_top_render;

@@ -202,27 +202,46 @@ let test_budget_tracking () =
   Budget.observe b 120;
   checki "overshoots counted, not fatal" 2 (Budget.overshoots b);
   checki "peak keeps growing" 150 (Budget.peak b);
-  (* the space.* gauges carry the same verdict, in the form snapshot
-     validation demands *)
+  (* a run's budget verdict becomes the space.* gauges, in the form
+     snapshot validation demands: a sink whose words are its edge count,
+     sampled at 14 and 21 edges (cadence 10, windows of 7) and after
+     finalize at 25, against a budget of 20 *)
+  let module Count = struct
+    type t = int ref
+    type result = int
+
+    let feed t (_ : Mkc_stream.Edge.t) = incr t
+    let feed_planned t _ _ ~pos:_ ~len = t := !t + len
+    let finalize t = !t
+    let words t = !t
+    let words_breakdown t = [ ("count", !t) ]
+  end in
   let reg = Obs.Registry.global in
   Obs.Registry.reset reg;
-  Obs.Registry.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Obs.Registry.set_enabled false;
       Obs.Registry.reset reg)
     (fun () ->
-      Sink.Observed.budget_evidence b;
+      let b = Budget.create 20 in
+      let edges = Array.init 25 (fun i -> Mkc_stream.Edge.make ~set:0 ~elt:i) in
+      (match
+         Mkc_core.Run.run
+           { Mkc_core.Run.default with chunk = 7; cadence = 10; metrics = true }
+           ~budget:b ~label:"count" (module Count) (ref 0) (Src.of_array edges)
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "run: %s" (Mkc_core.Run.error_to_string e));
       let gauge name =
         match Obs.Registry.read reg name with
         | Some (Obs.Registry.Gauge g) -> g
         | _ -> Alcotest.failf "gauge %s not published" name
       in
-      checkb "space.budget_words" true (gauge "space.budget_words" = 100.0);
-      checkb "space.peak_words" true (gauge "space.peak_words" = 150.0);
+      checkb "space.budget_words" true (gauge "space.budget_words" = 20.0);
+      checkb "space.peak_words" true (gauge "space.peak_words" = 25.0);
       checkb "space.overshoots" true (gauge "space.overshoots" = 2.0);
-      checkb "space.samples" true (gauge "space.samples" = 5.0);
-      checkb "space.headroom" true (gauge "space.headroom" = 1.5);
+      checkb "space.samples" true (gauge "space.samples" = 3.0);
+      checkb "space.headroom" true (gauge "space.headroom" = 1.25);
       match Obs.Snapshot.validate (Obs.Snapshot.to_string (Obs.Snapshot.capture reg)) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "snapshot with budget gauges rejected: %s" e);

@@ -337,29 +337,36 @@ let test_rolled_estimator_is_unfinalized () =
 (* The window.* telemetry tracks read the ring's own counts: with the
    registry off they still record the real roll count. *)
 let test_windowed_telemetry_without_registry () =
-  let module Obs = Mkc_stream.Sink.Observed in
-  let module R = Mkc_obs.Telemetry.Recorder in
   let sys = Mkc_workload.Random_inst.uniform ~n:300 ~m:48 ~set_size:10 ~seed:5 in
   let w = W.create (params sys ~k:4 ~alpha:2.0 ~seed:3) ~window:3 ~epoch_edges:40 () in
   Mkc_obs.Registry.set_enabled false;
-  let ob = Obs.create ~cadence:25 (Mkc_stream.Sink.pack W.sink w) in
-  let recorder =
-    R.create ~capacity:64
-      (Mkc_core.Telemetry_probes.build_windowed ~breakdown:(fun () -> Obs.sampled_breakdown ob) w)
-  in
-  Obs.set_on_sample ob (fun ~edges ~words:_ -> R.sample recorder ~at_edges:edges);
-  Pipe.drive ~chunk:16
-    ~on_window:(fun ~pos:_ ~len -> Obs.window ob ~len)
-    [| Mkc_stream.Sink.pack W.sink w |]
-    (Src.of_array (Ss.edge_stream ~seed:6 sys))
-  |> Result.get_ok;
-  ignore (W.finalize w : W.result);
-  Obs.sample ob;
-  let series = R.series recorder in
-  let last name = Mkc_obs.Series.last series (Mkc_obs.Series.index_exn series name) in
-  checkb "the run rolled epochs" true (W.rolled w > 3);
-  checki "window.rolled = Windowed.rolled" (W.rolled w) (last "window.rolled");
-  checki "window.epochs = live epochs" (W.live_epochs w) (last "window.epochs")
+  let log = Filename.temp_file "mkc_window" ".mkctel" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove log)
+    (fun () ->
+      (match
+         Mkc_core.Run.run
+           { Mkc_core.Run.default with chunk = 16; cadence = 25 }
+           ~telemetry:
+             {
+               Mkc_core.Run.log = Some log;
+               rules = [];
+               probes = Mkc_core.Telemetry_probes.build_windowed w;
+             }
+           ~label:"estimate" W.sink w
+           (Src.of_array (Ss.edge_stream ~seed:6 sys))
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "run: %s" (Mkc_core.Run.error_to_string e));
+      let series =
+        match Mkc_obs.Telemetry.read log with
+        | Ok t -> Mkc_obs.Telemetry.replay t
+        | Error e -> Alcotest.failf "log: %s" (Mkc_obs.Telemetry.error_to_string e)
+      in
+      let last name = Mkc_obs.Series.last series (Mkc_obs.Series.index_exn series name) in
+      checkb "the run rolled epochs" true (W.rolled w > 3);
+      checki "window.rolled = Windowed.rolled" (W.rolled w) (last "window.rolled");
+      checki "window.epochs = live epochs" (W.live_epochs w) (last "window.epochs"))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
