@@ -28,7 +28,8 @@
 
    Two registry entries share this runner:
      pipeline        n=65536, m=4096 — the acceptance-criteria workload
-     pipeline-smoke  n=4096,  m=512  — a few seconds; CI divergence gate *)
+     pipeline-smoke  n=8192,  m=4608 — ≈25 s, ≥ 4 chunk windows; CI's
+                     divergence and speedup gates *)
 
 module P = Mkc_core.Params
 module E = Mkc_core.Estimate
@@ -75,6 +76,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
   let sys = Mkc_workload.Random_inst.uniform ~n ~m ~set_size ~seed in
   let src = Mkc_stream.Stream_source.of_system ~seed:(seed + 1) sys in
   let edges = Mkc_stream.Stream_source.length src in
+  let windows = Array.length (Mkc_stream.Stream_source.windows ~chunk:Run.default.chunk src) in
   (* Host context for the throughput numbers: [domains] is what the
      2-domain "parallel" mode requests; [domains_recommended] is what
      the host actually offers — on a single-core box every parallel
@@ -123,8 +125,15 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     let ((e, _) as d) = drive () in
     (seconds d, total_sampler_evals e)
   in
-  let dt_parallel = seconds (drive ~cfg:{ Run.default with domains } ()) in
-  let dt_parallel4 = seconds (drive ~cfg:{ Run.default with domains = 4 } ()) in
+  (* Three draws of each pooled mode, interleaved, as batched gets: the
+     speedup gate compares best against best, and the second CPU of a
+     shared host comes and goes between draws. *)
+  let dt_parallel, dt_parallel4 =
+    List.split
+      (List.init 3 (fun _ ->
+           ( seconds (drive ~cfg:{ Run.default with domains } ()),
+             seconds (drive ~cfg:{ Run.default with domains = 4 } ()) )))
+  in
   (* Telemetry mode: exactly what the CLI's --telemetry costs on top of
      batched ingestion, with the registry still disabled like a plain
      [mkc estimate --telemetry] (the probes read structural sketch
@@ -188,8 +197,8 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
       [
         ("per-edge", [ dt_seq ]);
         ("batched", [ dt_batched; dt_batched2; dt_batched3 ]);
-        ("parallel", [ dt_parallel ]);
-        ("parallel-4", [ dt_parallel4 ]);
+        ("parallel", dt_parallel);
+        ("parallel-4", dt_parallel4);
         ("telemetry", [ dt_tel; dt_tel2; dt_tel3 ]);
       ]
   in
@@ -286,6 +295,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     Object
       [
         ("edges", Int edges);
+        ("windows", Int windows);
         ("n", Int n);
         ("m", Int m);
         ("k", Int k);
@@ -345,9 +355,13 @@ let run ~budget_strict () =
   run_with ~label:"pipeline" ~json_out:"BENCH_pipeline.json" ~n:65536 ~m:4096 ~k:32
     ~set_size:256 ~alpha:8.0 ~seed:11 ~budget_strict ()
 
-(* CI-sized smoke run: same modes, same agreement assertions, a few
-   seconds of wall clock.  Exists so CI can gate on cross-mode
-   divergence without paying for the full workload. *)
+(* CI-sized smoke run: same modes, same agreement assertions, about
+   25 seconds of wall clock, most of it the per-edge reference.
+   Exists so CI can gate on cross-mode divergence without paying for
+   the full workload.  Its stream spans at least four chunk windows
+   (≈294k edges; CI's speedup gate checks the JSON's [windows]): the
+   gate reads its parallel modes, and a pool overlaps plan building
+   with replay only across windows. *)
 let run_smoke ~budget_strict () =
-  run_with ~label:"pipeline-smoke" ~json_out:"BENCH_pipeline_smoke.json" ~n:4096 ~m:512
+  run_with ~label:"pipeline-smoke" ~json_out:"BENCH_pipeline_smoke.json" ~n:8192 ~m:4608
     ~k:16 ~set_size:64 ~alpha:8.0 ~seed:11 ~budget_strict ()

@@ -45,12 +45,15 @@ let profile_arg =
 
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (some int) None
     & info [ "domains" ] ~docv:"D"
         ~doc:
           "Ingestion domains. With D > 1 the independent oracle instances are \
            bin-packed across a persistent pool of D domains; results are \
-           identical to a sequential run.")
+           identical to a sequential run.  Default: the host's recommended domain \
+           count, capped by the instance count; 1 for a windowed run or a stream of \
+           at most one chunk.")
 
 let pos_int ~what =
   let parse s =
@@ -493,7 +496,7 @@ type run_opts = {
   alpha : float;
   seed : int;
   profile : Mkc_core.Params.profile;
-  domains : int;
+  domains : int option;  (* None: resolve_domains picks *)
   chunk : int;
   oopts : obs_opts;
   ledger : string option;
@@ -543,7 +546,8 @@ let check_flags ?(every = 1) ?(ckpt = false) ro =
             if not (l > 0.0 && l < 1.0) then
               misuse "--decay must lie strictly between 0 and 1 (got %g)" l)
           ro.decay;
-        if ro.domains > 1 then misuse "--window runs single-domain; use --domains 1";
+        if Option.value ro.domains ~default:1 > 1 then
+          misuse "--window runs single-domain; use --domains 1";
         if ckpt then
           misuse
             "--window holds its own per-epoch checkpoints; --checkpoint/--resume are not \
@@ -560,11 +564,21 @@ let check_flags ?(every = 1) ?(ckpt = false) ro =
   in
   (wincfg, rules)
 
-let ledger_params ro ~m ~n =
+(* The domains a run drives: [--domains] as given, else the host's
+   recommended count capped by the sink's [instances].  A windowed run
+   ([instances] = 1) and a stream of at most one chunk, which a pool
+   could not overlap, stay on the calling domain. *)
+let resolve_domains ro ~edges ~instances =
+  match ro.domains with
+  | Some d -> d
+  | None when edges <= ro.chunk -> 1
+  | None -> max 1 (min (Domain.recommended_domain_count ()) instances)
+
+let ledger_params ro ~domains ~m ~n =
   [
     ("alpha", Mkc_obs.Json.Float ro.alpha);
     ("chunk", Mkc_obs.Json.Int ro.chunk);
-    ("domains", Mkc_obs.Json.Int ro.domains);
+    ("domains", Mkc_obs.Json.Int domains);
     ("k", Mkc_obs.Json.Int ro.k);
     ("m", Mkc_obs.Json.Int m);
     ("n", Mkc_obs.Json.Int n);
@@ -582,9 +596,16 @@ let ledger_params ro ~m ~n =
    metrics, trace and ledger evidence — or, on an abort, its message
    and exit code.  [print] writes the answer's lines; the "space:" line
    and everything after it are common. *)
-let answer ro ~rules ~src ~m ~n ~label
-    ?(mode = if ro.domains > 1 then "pool" else "sequential") ?word_budget ?probes ?shards
-    ?ckpt ~record_metrics ~print ~stats sink state =
+let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?ckpt
+    ~record_metrics ~print ~stats sink state =
+  let total = Mkc_stream.Stream_source.length src in
+  let domains =
+    resolve_domains ro ~edges:total
+      ~instances:(match shards with Some f -> Array.length (f state) | None -> 1)
+  in
+  let mode =
+    match mode with Some m -> m | None -> if domains > 1 then "pool" else "sequential"
+  in
   let oopts = ro.oopts in
   let want = metrics_wanted oopts in
   let budget =
@@ -593,7 +614,6 @@ let answer ro ~rules ~src ~m ~n ~label
         Some (Mkc_sketch.Space.Budget.create ~strict:ro.budget_strict words)
     | _ -> None
   in
-  let total = Mkc_stream.Stream_source.length src in
   let progress = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
   let telemetry =
     match probes with
@@ -603,12 +623,13 @@ let answer ro ~rules ~src ~m ~n ~label
   in
   let ledger =
     Option.map
-      (fun path -> { Mkc_core.Run.path; params = ledger_params ro ~m ~n; mode; modes = []; stats })
+      (fun path ->
+        { Mkc_core.Run.path; params = ledger_params ro ~domains ~m ~n; mode; modes = []; stats })
       ro.ledger
   in
   let cfg =
     {
-      Mkc_core.Run.domains = ro.domains;
+      Mkc_core.Run.domains = domains;
       chunk = ro.chunk;
       cadence = oopts.cadence;
       metrics = want;

@@ -14,11 +14,11 @@ type repeat_state = {
      absent from checkpoints (restored runs start cold), and left
      as-is by merges (the memoised functions only depend on seeds,
      which shards share). *)
-  sp_memo : Mkc_sketch.Sampler.Memo.t; (* set id -> superset id *)
+  sp_memo : Mkc_sketch.Sampler.Decisions.t; (* set id -> superset id *)
   code_small : int array; (* sid -> cntr_small keep code; min_int = unknown *)
   code_large : int array; (* sid -> cntr_large keep code; min_int = unknown *)
   keepf_tab : int array; (* sid -> 0/1 fallback-sampled; -1 = unknown *)
-  elem_memo : Mkc_sketch.Sampler.Memo.t; (* reduced elt -> 0/1 in-sample *)
+  elem_memo : Mkc_sketch.Sampler.Decisions.t; (* reduced elt -> 0/1 in-sample *)
   (* Deferred CountSketch deltas: the CS halves of both counters are
      linear and commutative, so per-chunk per-superset multiplicities
      accumulate here and are applied once — via {!flush_pending} —
@@ -89,11 +89,16 @@ let create (params : Params.t) ~w ~seed =
           ~seed:(Mkc_hashing.Splitmix.fork sd 4);
       fallback = Hashtbl.create 16;
       fallback_seed = Mkc_hashing.Splitmix.fork sd 5;
-      sp_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min p.Params.m 65536);
+      sp_memo =
+        Mkc_sketch.Sampler.Decisions.create ~universe:p.Params.m ~slots:65536 ~width:`Int;
       code_small = Array.make q min_int;
       code_large = Array.make q min_int;
       keepf_tab = Array.make q (-1);
-      elem_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min (max 16 p.Params.u) 65536);
+      (* ρ = 1 keeps every element: nothing to memoise. *)
+      elem_memo =
+        Mkc_sketch.Sampler.Decisions.create
+          ~universe:(if rho >= 1.0 then 0 else p.Params.u)
+          ~slots:65536 ~width:`Byte;
       cs_pending = Array.make q min_int;
       cs_touched = Array.make q 0;
       cs_ntouched = 0;
@@ -341,11 +346,11 @@ let feed_planned t plan ~red edges ~pos ~len =
           let memo = rs.elem_memo in
           for j = 0 to ne - 1 do
             let x = Array.unsafe_get red j in
-            let v = Mkc_sketch.Sampler.Memo.find memo x in
+            let v = Mkc_sketch.Sampler.Decisions.find memo x in
             if v >= 0 then Array.unsafe_set ins j (v = 1)
             else begin
               let b = Mkc_sketch.Sampler.Bernoulli.keep s x in
-              Mkc_sketch.Sampler.Memo.store memo x (if b then 1 else 0);
+              Mkc_sketch.Sampler.Decisions.store memo x (if b then 1 else 0);
               Array.unsafe_set ins j b
             end
           done);
@@ -353,11 +358,11 @@ let feed_planned t plan ~red edges ~pos ~len =
       for j = 0 to ns - 1 do
         let set = Array.unsafe_get sets j in
         let sid =
-          let v = Mkc_sketch.Sampler.Memo.find rs.sp_memo set in
+          let v = Mkc_sketch.Sampler.Decisions.find rs.sp_memo set in
           if v >= 0 then v
           else begin
             let sid = Superset_partition.superset_of rs.partition set in
-            Mkc_sketch.Sampler.Memo.store rs.sp_memo set sid;
+            Mkc_sketch.Sampler.Decisions.store rs.sp_memo set sid;
             sid
           end
         in

@@ -195,8 +195,8 @@ type repeat_state = {
      seed-determined sampling decisions are memoised instead of
      re-hashed every chunk.  Scratch — uncounted, unchecked-pointed,
      merge-safe (see Large_set for the argument). *)
-  elem_memo : Mkc_sketch.Sampler.Memo.t; (* reduced elt -> nested code *)
-  set_memo : Mkc_sketch.Sampler.Memo.t; (* set id -> 0/1 in M *)
+  elem_memo : Mkc_sketch.Sampler.Decisions.t; (* reduced elt -> nested code *)
+  set_memo : Mkc_sketch.Sampler.Decisions.t; (* set id -> 0/1 in M *)
 }
 
 type t = {
@@ -244,8 +244,13 @@ let create (params : Params.t) ~seed =
       store = Store.create ();
       counts = Array.make guesses 0;
       live = 0;
-      elem_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min (max 16 p.Params.u) 65536);
-      set_memo = Mkc_sketch.Sampler.Memo.create ~slots:(min p.Params.m 65536);
+      elem_memo =
+        Mkc_sketch.Sampler.Decisions.create ~universe:p.Params.u ~slots:65536 ~width:`Byte;
+      (* Rate 1 keeps every set: nothing to memoise. *)
+      set_memo =
+        Mkc_sketch.Sampler.Decisions.create
+          ~universe:(if set_rate >= 1.0 then 0 else p.Params.m)
+          ~slots:65536 ~width:`Byte;
     }
   in
   {
@@ -334,11 +339,11 @@ let feed_planned t plan ~red edges ~pos ~len =
       (let memo = rs.elem_memo and s = rs.elem_sampler in
        for j = 0 to ne - 1 do
          let x = Array.unsafe_get red j in
-         let v = Mkc_sketch.Sampler.Memo.find memo x in
-         if v <> Mkc_sketch.Sampler.Memo.absent then Array.unsafe_set codes j v
+         let v = Mkc_sketch.Sampler.Decisions.find memo x in
+         if v <> Mkc_sketch.Sampler.Decisions.absent then Array.unsafe_set codes j v
          else begin
            let c = Mkc_sketch.Sampler.Nested.min_keep_level_code s x in
-           Mkc_sketch.Sampler.Memo.store memo x c;
+           Mkc_sketch.Sampler.Decisions.store memo x c;
            Array.unsafe_set codes j c
          end
        done);
@@ -349,11 +354,11 @@ let feed_planned t plan ~red edges ~pos ~len =
           let memo = rs.set_memo in
           for j = 0 to ns - 1 do
             let x = Array.unsafe_get sets j in
-            let v = Mkc_sketch.Sampler.Memo.find memo x in
+            let v = Mkc_sketch.Sampler.Decisions.find memo x in
             if v >= 0 then Array.unsafe_set inm j (v = 1)
             else begin
               let b = Mkc_sketch.Sampler.Bernoulli.keep s x in
-              Mkc_sketch.Sampler.Memo.store memo x (if b then 1 else 0);
+              Mkc_sketch.Sampler.Decisions.store memo x (if b then 1 else 0);
               Array.unsafe_set inm j b
             end
           done);

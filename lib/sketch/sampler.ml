@@ -104,3 +104,41 @@ module Memo = struct
     Array.fill t.keys 0 (t.mask + 1) absent;
     Array.fill t.vals 0 (t.mask + 1) 0
 end
+
+(* A sink's uncounted decision cache.  When every key it will see fits
+   within [slots], the table is indexed by the key itself, so it keeps
+   no keys and never evicts; its values take the narrowest width that
+   holds them, a byte (0 = absent, else value + 2) or an int.  A wider
+   key universe keeps the hashed [Memo].  A key outside a direct
+   table's universe [0, universe) is never stored, so it always
+   misses. *)
+module Decisions = struct
+  type t = Bytes of Bytes.t | Ints of int array | Hashed of Memo.t
+
+  let absent = Memo.absent
+
+  let create ~universe ~slots ~width =
+    if universe > slots then Hashed (Memo.create ~slots)
+    else
+      match width with
+      | `Byte -> Bytes (Bytes.make universe '\000')
+      | `Int -> Ints (Array.make universe absent)
+
+  let find t key =
+    match t with
+    | Bytes b ->
+        if key >= 0 && key < Bytes.length b then
+          let c = Char.code (Bytes.unsafe_get b key) in
+          if c = 0 then absent else c - 2
+        else absent
+    | Ints a -> if key >= 0 && key < Array.length a then Array.unsafe_get a key else absent
+    | Hashed m -> Memo.find m key
+
+  let store t key v =
+    match t with
+    | Bytes b ->
+        if v < -1 || v > 253 then invalid_arg "Decisions.store: byte value outside [-1, 253]";
+        if key >= 0 && key < Bytes.length b then Bytes.unsafe_set b key (Char.unsafe_chr (v + 2))
+    | Ints a -> if key >= 0 && key < Array.length a then Array.unsafe_set a key v
+    | Hashed m -> Memo.store m key v
+end

@@ -100,3 +100,30 @@ module Memo : sig
       histories don't compose, and the cache is a pure accelerator, so
       rebuilding from scratch is always sound). *)
 end
+
+(** A sink's uncounted cache of per-id sampling decisions, as {!Memo}
+    but sized to its key universe: when [universe <= slots] it is a
+    direct table indexed by the key (no key array, no eviction), whose
+    values are bytes ([`Byte]: values in [\[-1, 253\]], i.e. 0/1 flags
+    and keep-level codes) or ints ([`Int]); otherwise it is a hashed
+    {!Memo} of [slots] slots.  Like {!Memo} it is a pure accelerator:
+    a hit returns exactly what was stored from a fresh evaluation.  A
+    direct table never stores a key outside [\[0, universe)], so such a
+    key always misses. *)
+module Decisions : sig
+  type t
+
+  val absent : int
+  (** {!Memo.absent}: what {!find} returns on a miss. *)
+
+  val create : universe:int -> slots:int -> width:[ `Byte | `Int ] -> t
+  (** [universe] bounds the keys (ids in [\[0, universe)]); [slots] is
+      the hashed fallback's size when [universe > slots]. *)
+
+  val find : t -> int -> int
+  (** The cached value for this key, or {!absent}. *)
+
+  val store : t -> int -> int -> unit
+  (** Raises [Invalid_argument] for a [`Byte] table's value outside
+      [\[-1, 253\]]. *)
+end

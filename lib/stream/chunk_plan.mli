@@ -9,19 +9,15 @@
     final states are bit-for-bit the per-edge ones, only the evaluation
     schedule changes.
 
-    All storage is reusable scratch: after warm-up, [build] allocates
-    nothing.  A plan is owned by a single driver (pipeline pass or
+    All storage is reusable scratch, sized by the distinct ids the plan
+    has held (the id tables double past load 1/2 and stay grown) and by
+    the longest chunk (the per-edge indices): after warm-up, [build]
+    allocates nothing.  A plan is owned by a single driver (pipeline pass or
     estimator) — it is not safe to share one [t] across domains. *)
 
 type t
 
 val create : unit -> t
-
-val create_sized : chunk:int -> t
-(** A plan whose scratch is pre-grown for [chunk]-edge builds, so the
-    first windows of a run pay no reallocation — used for the pool
-    driver's double-buffered scratch pair.  Raises [Invalid_argument]
-    if [chunk < 1]. *)
 
 val build : t -> Edge.t array -> pos:int -> len:int -> unit
 (** Scan [edges.(pos .. pos+len-1)] and (re)fill the plan. *)
@@ -49,7 +45,3 @@ val set_index : t -> int array
 
 val elt_index : t -> int array
 (** Per-edge distinct-element index into [elts]. *)
-
-val words : t -> int
-(** Scratch footprint in words (diagnostic; plans are transient working
-    storage, not sketch state). *)

@@ -5,8 +5,8 @@ let default_chunk = 65536
    chunk.  [sink_feed_edges] counts edge×sink feed work, which is the
    quantity preserved between the sequential and domain-parallel
    drivers (every driver makes exactly one chunking pass over the
-   stream; the parallel one merely widens its chunks and fans the sinks
-   out per chunk). *)
+   stream on the same chunk grid; the parallel one fans the sinks out
+   per chunk). *)
 module Obs = struct
   let r = Mkc_obs.Registry.global
   let chunks = Mkc_obs.Registry.counter r "pipeline.chunks"
@@ -296,9 +296,10 @@ let with_slots ?pool ?domains nsinks f =
       let d = min d nsinks in
       if d <= 1 then f None 1 else Pool.with_pool ~domains:d (fun p -> f (Some p) d)
 
-(* The chunk loop.  The stream is cut into windows of [chunk × slots]
-   edges; every sink sees every window, in order, so final states never
-   depend on the slot count.
+(* The chunk loop.  The stream is cut into windows of [chunk] edges at
+   any slot count; every sink sees every window, in order, so final
+   states, work counters and the checkpoint grid never depend on the
+   slot count.
 
    One slot builds each window's plan in place into a single scratch
    plan, then feeds every sink on the calling domain.
@@ -321,19 +322,15 @@ let loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src =
           invalid_arg "Pipeline: costs length must equal the sink count";
         Array.map (fun x -> Float.max x 1e-9) c
   in
-  let wins = Stream_source.windows ~chunk:(chunk * slots) ~start src in
+  let wins = Stream_source.windows ~chunk ~start src in
   let nwin = Array.length wins in
   if nwin > 0 then begin
     let edges = Stream_source.backing src in
+    (* A pool double-buffers the plan; each grows to one chunk's needs. *)
     let plans =
       match pool with
-      | None -> [| Chunk_plan.create () |]
-      | Some _ ->
-          let sized = min (chunk * slots) (Stream_source.length src - start) in
-          [|
-            Chunk_plan.create_sized ~chunk:sized;
-            (if nwin > 1 then Chunk_plan.create_sized ~chunk:sized else Chunk_plan.create ());
-          |]
+      | Some _ when nwin > 1 -> [| Chunk_plan.create (); Chunk_plan.create () |]
+      | _ -> [| Chunk_plan.create () |]
     in
     let coord_bias = plan_fraction *. Array.fold_left ( +. ) 0.0 costs in
     let assign = lpt ~slots ~coord_bias costs in
@@ -430,14 +427,13 @@ type 's checkpoint = {
   resume : string option;
 }
 
-(* Saves land on WINDOW boundaries ([chunk × slots] edges), where every
+(* Saves land on window boundaries (the [chunk] grid), where every
    worker is quiescent, so [codec.encode state] reads fully-published
-   sink state; with one slot that is the chunk grid.  A restore
-   overlays the typed state in place, so sinks derived from it before
-   the restore drive the restored state, and a resumed run re-windows
-   the suffix on the same grid (same [chunk], same effective slot
-   count), so results, [words] and every work counter match the
-   uninterrupted run's bit for bit. *)
+   sink state.  A restore overlays the typed state in place, so sinks
+   derived from it before the restore drive the restored state, and a
+   resumed run re-windows the suffix on the same grid (same [chunk], at
+   any slot count), so results, [words] and every work counter match
+   the uninterrupted run's bit for bit. *)
 let drive (type s) ?pool ?domains ?costs ?(chunk = default_chunk) ?(start = 0)
     ?(checkpoint : (s checkpoint * s) option) ?on_save ?on_window sinks src =
   let ( let* ) = Result.bind in

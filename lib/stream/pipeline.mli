@@ -8,8 +8,8 @@
       compare against;
     - {!drive} — the one chunk loop, through {!Sink.S.feed_planned}
       ({!run} and {!feed_all_parallel} are one-line calls of it).  The
-      stream is cut into windows of [chunk × slots] edges and one
-      shared read-only {!Chunk_plan} is built per window.  With one
+      stream is cut into windows of [chunk] edges at any slot count and
+      one shared read-only {!Chunk_plan} is built per window.  With one
       slot the plan is built in place and every sink is fed on the
       calling domain.  With more, mutually independent sinks (e.g.
       {!Mkc_core.Estimate.shards}'s z-guess × repeat oracle instances)
@@ -50,8 +50,8 @@ val default_chunk : int
     sampler and reduction hashes evaluated once and fanned out to all
     its edges, so larger chunks amortize more — 64k edges of a stream
     over m=4k sets turn ~16 per-edge hash evaluations into one.  The
-    chunk buffer itself is a view into the stream (no copy); only the
-    plan scratch (~6 words/edge) scales with the chunk. *)
+    chunk buffer itself is a view into the stream (no copy); the plan
+    scratch is two words per edge plus five to ten per distinct id. *)
 
 val run_seq : ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
 (** Feed edge-by-edge, then finalize.  The reference driver batched
@@ -144,10 +144,9 @@ val drive :
     [Domain.recommended_domain_count ()]) in a transient pool, capped
     by the number of sinks.  With one slot no pool is used or spawned.
     With more, the sinks are bin-packed (LPT, slot 0 biased by the
-    coordinator's plan-build work) across the slots; relative to one
-    slot this pays the same one grouping pass over the stream but
-    makes every per-distinct-id hash decision once per [slots]×-wider
-    window.  [costs] (per-sink relative weights; default uniform)
+    coordinator's plan-build work) across the slots over the same
+    windows as one slot, so work counters and the checkpoint grid do
+    not depend on the slot count.  [costs] (per-sink relative weights; default uniform)
     seeds the packing.  Requires the sinks to be pairwise independent
     — no shared mutable state — which holds for all shard arrays
     exposed by this library.  Raises [Invalid_argument] if [costs] and
@@ -170,8 +169,8 @@ val drive :
     checkpoint's words on its space books).  A failed save stops further
     saves; the drive finishes the stream and returns the error.
 
-    Resuming with the same [chunk] and effective slot count re-windows
-    the suffix on the same grid, so a resumed run matches the
+    Resuming with the same [chunk], at any slot count, re-windows the
+    suffix on the same grid, so a resumed run matches the
     uninterrupted one bit for bit (results, [words] and every work
     counter; the [test_checkpoint] and [test_pool] differential
     harnesses enforce this).  Results also match {!run_seq} on any

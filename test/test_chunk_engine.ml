@@ -14,7 +14,10 @@
       overwrites its answer always equals the direct hash evaluation,
       and its fixed space shows up under a [memo] breakdown key;
    3. branch-free [L0_bjkst.trailing_zeros] vs a bit-by-bit reference;
-   4. the trivial branch's witness is deterministic and sorted. *)
+   4. the trivial branch's witness is deterministic and sorted;
+   5. property: a reused plan's grown tables group each chunk as a
+      Hashtbl does;
+   6. property: direct decision tables return the hash's decisions. *)
 
 module Edge = Mkc_stream.Edge
 module Src = Mkc_stream.Stream_source
@@ -300,6 +303,137 @@ let test_trivial_witness_deterministic () =
   checkb "witness ids are distinct" true
     (List.length (List.sort_uniq compare w1) = List.length w1)
 
+(* --- 5. the plan's tables against a Hashtbl reference --- *)
+
+(* Slices cut from one array and built, in order, into one plan: random
+   ids over a universe (distinct counts crossing each doubling of the
+   256-slot tables), all-distinct slices, and ids near [max_int / 2].
+   Each build must list the distinct ids in first-appearance order and
+   index every edge into them, as a Hashtbl does. *)
+let prop_chunk_plan_tables =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 30)
+           (triple (int_range 0 3000) (int_range 1 5000) (int_range 0 2)))
+        (int_range 0 1_000_000))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (slices, seed) ->
+        Printf.sprintf "seed %d, slices %s" seed
+          (String.concat " "
+             (List.map (fun (len, u, kind) -> Printf.sprintf "%d/%d/%d" len u kind) slices)))
+      gen
+  in
+  QCheck.Test.make ~name:"chunk plan ≡ Hashtbl grouping (growth, reuse, all-distinct)"
+    ~count:40 arb (fun (slices, seed) ->
+      let rng = Sm.create seed in
+      let id kind u i =
+        match kind with
+        | 0 -> Sm.below rng u
+        | 1 -> (seed * 7919) + i
+        | _ -> (max_int / 2) - Sm.below rng u
+      in
+      let cut =
+        List.map
+          (fun (len, u, kind) ->
+            Array.init len (fun i -> Edge.make ~set:(id kind u i) ~elt:(id kind (2 * u) i)))
+          slices
+      in
+      let edges = Array.concat cut in
+      let plan = Mkc_stream.Chunk_plan.create () in
+      let group keys =
+        let tbl = Hashtbl.create 64 and order = ref [] in
+        let idx =
+          Array.map
+            (fun k ->
+              match Hashtbl.find_opt tbl k with
+              | Some j -> j
+              | None ->
+                  let j = Hashtbl.length tbl in
+                  Hashtbl.add tbl k j;
+                  order := k :: !order;
+                  j)
+            keys
+        in
+        (Array.of_list (List.rev !order), idx)
+      in
+      let pos = ref 0 in
+      List.for_all
+        (fun slice ->
+          let len = Array.length slice in
+          Mkc_stream.Chunk_plan.build plan edges ~pos:!pos ~len;
+          pos := !pos + len;
+          let sets, set_idx = group (Array.map (fun (e : Edge.t) -> e.set) slice) in
+          let elts, elt_idx = group (Array.map (fun (e : Edge.t) -> e.elt) slice) in
+          let module C = Mkc_stream.Chunk_plan in
+          C.len plan = len
+          && C.num_sets plan = Array.length sets
+          && C.num_elts plan = Array.length elts
+          && Array.sub (C.sets plan) 0 (C.num_sets plan) = sets
+          && Array.sub (C.elts plan) 0 (C.num_elts plan) = elts
+          && Array.sub (C.set_index plan) 0 len = set_idx
+          && Array.sub (C.elt_index plan) 0 len = elt_idx)
+        cut)
+
+(* --- 6. direct decision tables are transparent --- *)
+
+(* Every [Sampler.Decisions] value equals the hash's decision: keep-level
+   codes (-1 included) and 0/1 flags in byte tables, superset-style ids
+   in int tables, and the hashed fallback when the universe exceeds the
+   slots.  Keys past the universe are looked up too, and always miss. *)
+let prop_decisions_transparent =
+  let gen = QCheck.Gen.(triple (int_range 1 600) (int_range 1 512) (int_range 0 1_000_000)) in
+  let arb =
+    QCheck.make
+      ~print:(fun (u, slots, seed) -> Printf.sprintf "universe %d, slots %d, seed %d" u slots seed)
+      gen
+  in
+  QCheck.Test.make ~name:"decision tables return the hash's decisions" ~count:40 arb
+    (fun (universe, slots, seed) ->
+      let sd = Sm.create seed in
+      let nested =
+        Sampler.Nested.create ~base_rate:0.05 ~levels:3 ~indep:4 ~seed:(Sm.fork sd 0)
+      in
+      let bern = Sampler.Bernoulli.create ~rate:0.3 ~indep:4 ~seed:(Sm.fork sd 1) in
+      let part = Mkc_hashing.Poly_hash.create ~indep:4 ~range:1000 ~seed:(Sm.fork sd 2) in
+      let cases =
+        [
+          (`Byte, Sampler.Nested.min_keep_level_code nested);
+          (`Byte, fun x -> if Sampler.Bernoulli.keep bern x then 1 else 0);
+          (`Int, Mkc_hashing.Poly_hash.hash part);
+        ]
+      in
+      let rng = Sm.create (seed + 1) in
+      let minus_one = ref false in
+      let ok =
+        List.for_all
+          (fun (width, decide) ->
+            let d = Sampler.Decisions.create ~universe ~slots ~width in
+            let all = ref true in
+            for _ = 1 to 2000 do
+              let x = Sm.below rng (universe + 64) in
+              let v = Sampler.Decisions.find d x in
+              let got =
+                if v <> Sampler.Decisions.absent then begin
+                  if x >= universe && universe <= slots then all := false;
+                  v
+                end
+                else begin
+                  let c = decide x in
+                  Sampler.Decisions.store d x c;
+                  c
+                end
+              in
+              if got = -1 then minus_one := true;
+              if got <> decide x then all := false
+            done;
+            !all)
+          cases
+      in
+      ok && !minus_one)
+
 let suite =
   [
     Alcotest.test_case "planned path: sampler evals collapse" `Quick
@@ -315,4 +449,5 @@ let suite =
     Alcotest.test_case "trivial witness: deterministic and sorted" `Quick
       test_trivial_witness_deterministic;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_planned_equals_per_edge ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_planned_equals_per_edge; prop_chunk_plan_tables; prop_decisions_transparent ]

@@ -472,6 +472,92 @@ let test_generate_churn_validation () =
   expect_rejection "generate -n 10 -m 4 -k 2 -o nope_out.txt --churn=-0.25"
     ~msg:"--churn must lie in [0, 1) (got -0.25)"
 
+(* The index just past [sub] in [s], if [sub] occurs. *)
+let after ~sub s =
+  let ls = String.length s and lb = String.length sub in
+  let rec find i =
+    if i + lb > ls then None else if String.sub s i lb = sub then Some (i + lb) else find (i + 1)
+  in
+  find 0
+
+(* A checkpoint resumes at another domain count: windows are [--chunk]
+   edges at any domain count, so a run saved at one count and resumed
+   at the other prints the uninterrupted run's stdout and ends in its
+   checkpoint bytes, work counters included. *)
+let test_resume_across_domains () =
+  let tmp suffix = Filename.temp_file "mkc_cli" suffix in
+  let stream = tmp ".txt" and full = tmp ".ckpt" and part = tmp ".ckpt" and res = tmp ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ stream; full; part; res ])
+    (fun () ->
+      ignore
+        (run_ok
+           (Printf.sprintf
+              "generate --kind few-large -n 4096 -m 1024 -k 8 --churn 0.3 --seed 11 -o %s"
+              stream));
+      let est flags =
+        run_ok (Printf.sprintf "estimate -s %s -k 8 --alpha 4 --chunk 4096 %s" stream flags)
+      in
+      let out = est (Printf.sprintf "--domains 1 --checkpoint %s" full) in
+      let bytes = read_all full in
+      List.iter
+        (fun (saved, resumed) ->
+          let label = Printf.sprintf "saved at %d domains, resumed at %d" saved resumed in
+          ignore
+            (est
+               (Printf.sprintf "--domains %d --checkpoint %s --checkpoint-every 1 --stop-after 16384"
+                  saved part));
+          Alcotest.(check string)
+            (label ^ ": stdout")
+            out
+            (est (Printf.sprintf "--domains %d --resume %s --checkpoint %s" resumed part res));
+          checkb (label ^ ": final checkpoint bytes") true (read_all res = bytes))
+        [ (2, 1); (1, 2) ])
+
+(* With no --domains a run takes the host's domains, but answers as one
+   domain does; a windowed run and a one-chunk stream stay on one
+   domain, so the latter records no pool gauge. *)
+let test_default_domains () =
+  with_stream (fun stream ->
+      let snap = Filename.temp_file "mkc_cli" ".json" in
+      let ledger = Filename.temp_file "mkc_cli" ".mkcledg" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ snap; ledger ])
+        (fun () ->
+          let est flags = run_ok (Printf.sprintf "estimate -s %s -k 8 --alpha 4 %s" stream flags) in
+          Alcotest.(check string)
+            "multi-chunk default: stdout as --domains 1"
+            (est "--chunk 4096 --domains 1")
+            (est "--chunk 4096");
+          Sys.remove ledger;
+          ignore (est (Printf.sprintf "--chunk 4096 --ledger %s" ledger));
+          let recorded =
+            let record = run_ok (Printf.sprintf "ledger show %s" ledger) in
+            match after ~sub:"\"chunk\":4096,\"domains\":" record with
+            | Some i ->
+                let j = ref i in
+                while !j < String.length record && record.[!j] >= '0' && record.[!j] <= '9' do
+                  incr j
+                done;
+                int_of_string (String.sub record i (!j - i))
+            | None -> Alcotest.fail "ledger params carry no domains"
+          in
+          let rec_d = Domain.recommended_domain_count () in
+          if rec_d = 1 then checki "one-CPU host: the ledger records 1 domain" 1 recorded
+          else
+            checkb "the ledger records the resolved domain count" true
+              (recorded >= 2 && recorded <= rec_d);
+          checkb "--window with no --domains runs" true
+            (contains ~sub:"windowed 8-cover coverage estimate"
+               (est "--window 4 --epoch-edges 2048"));
+          expect_rejection
+            (Printf.sprintf "estimate -s %s --window 4 --epoch-edges 2048 --domains 2" stream)
+            ~msg:"--window runs single-domain";
+          ignore (est (Printf.sprintf "--metrics-json %s" snap));
+          checkb "a one-chunk stream records no pipeline.domains" true
+            (contains ~sub:"\"pipeline.domains\",\"kind\":\"gauge\",\"value\":0.0}"
+               (read_all snap))))
+
 let suite =
   [
     Alcotest.test_case "estimate rejects non-positive cadence flags" `Quick
@@ -505,4 +591,8 @@ let suite =
       test_forged_params_checkpoint;
     Alcotest.test_case "hostile stream ids and oversized instances exit 2" `Quick
       test_hostile_stream_ids;
+    Alcotest.test_case "a checkpoint resumes at another domain count" `Quick
+      test_resume_across_domains;
+    Alcotest.test_case "--domains defaults to the host, one domain where a pool idles" `Quick
+      test_default_domains;
   ]

@@ -85,7 +85,7 @@ let test_every_drive_matches_run_seq () =
 
 (* One observer per run: a pooled run's telemetry log samples the whole
    sink on the same window grid as a one-domain run of the same
-   [chunk × slots] windows, ending at the sink's breakdown; metrics
+   [chunk] windows, ending at the sink's breakdown; metrics
    alone observe nothing. *)
 let test_profiles_per_drive () =
   with_registry_restored (fun () ->
@@ -124,7 +124,7 @@ let test_profiles_per_drive () =
         List.map (fun (s : Mkc_obs.Telemetry.sample) -> (s.s_edges, s.values.(words))) t.samples
       in
       let one = logged { Run.default with chunk = 400; cadence = 512 } in
-      let pooled = logged { Run.default with domains = 2; chunk = 200; cadence = 512 } in
+      let pooled = logged { Run.default with domains = 2; chunk = 400; cadence = 512 } in
       final_is_breakdown "one domain" one;
       final_is_breakdown "pooled" pooled;
       checkb "pooled samples the one-domain rows on the same window grid" true
@@ -371,7 +371,7 @@ let test_progress_on_resumed_run () =
             {
               Run.default with
               domains;
-              chunk = 500 / domains;
+              chunk = 500;
               progress = Some (fun ~edges -> seen := edges :: !seen);
             }
           in
