@@ -1050,7 +1050,7 @@ let top file follow interval =
           | _ -> None)
         (aggregate_events log)
     in
-    Mkc_obs.Top.render ~violations (Mkc_obs.Telemetry.replay log)
+    Mkc_obs.Top.render ~violations log
   in
   if not follow then print_string (render_once ())
   else begin

@@ -1,7 +1,6 @@
 module Sink = Mkc_stream.Sink
 module Pipe = Mkc_stream.Pipeline
 module Budget = Mkc_sketch.Space.Budget
-module Series = Mkc_obs.Series
 module Telemetry = Mkc_obs.Telemetry
 
 type config = {
@@ -82,22 +81,20 @@ let error_to_string = function
 (* Raised out of the drive and turned into [Error] by [run]. *)
 exception Abort of error
 
-(* Ring rows retained in memory for the health rules; the log and the
-   running min/max/last summaries cover the whole run regardless. *)
-let telemetry_ring = 512
-
-(* A run's telemetry: each sample's probe row, kept in the series the
-   health rules watch and appended to the log. *)
+(* A run's telemetry: each sample's probe row, checked by the health
+   rules and appended to the log, its one home. *)
 type recording = {
   read_totals : unit -> (string * int) list;
   probes : probe array;
   row : int array;
-  series : Series.t;
   writer : Telemetry.Writer.t option;
   health : Mkc_obs.Health.engine option;
+  mutable samples : int;
 }
 
-let start_recording (t : telemetry) observed =
+(* [edges] reads the sampler's stream position: a rule fires only
+   while a row is sampled, so its event is stamped with that row's. *)
+let start_recording (t : telemetry) observed ~edges =
   let probes =
     t.probes.tracks ~breakdown:(Sink.canonical_breakdown (Sink.Any.words_breakdown observed))
   in
@@ -110,22 +107,19 @@ let start_recording (t : telemetry) observed =
         | Error e -> raise (Abort (Telemetry_log (path, e))))
       t.log
   in
-  let series = Series.create ~capacity:telemetry_ring ~tracks:names in
   let health =
     match t.rules with
     | [] -> None
     | rules -> (
-        (* Rule firings also land in the log as events, stamped with
-           the sample they fired on (a rule fires only after a row). *)
+        (* Rule firings also land in the log as events. *)
         let on_event ~name ~value =
           Option.iter
             (fun w ->
-              Telemetry.Writer.event w ~at_ns:(Mkc_obs.Clock.now_ns ())
-                ~at_edges:(Series.row_edges series (Series.length series - 1))
+              Telemetry.Writer.event w ~at_ns:(Mkc_obs.Clock.now_ns ()) ~at_edges:(edges ())
                 ~name ~value)
             writer
         in
-        try Some (Mkc_obs.Health.create ~on_event series rules)
+        try Some (Mkc_obs.Health.create ~on_event ~tracks:names rules)
         with Invalid_argument msg ->
           Option.iter Telemetry.Writer.close writer;
           raise (Abort (Health_rules msg)))
@@ -134,9 +128,9 @@ let start_recording (t : telemetry) observed =
     read_totals = t.probes.read_totals;
     probes;
     row = Array.make (Array.length probes) 0;
-    series;
     writer;
     health;
+    samples = 0;
   }
 
 (* The one sampler of a run.  It wraps nothing: the drive calls
@@ -147,7 +141,7 @@ type sampler = {
   observed : Sink.any;
   cadence : int;
   budget : Budget.t option;
-  recording : recording option;
+  mutable recording : recording option;
   mutable edges : int;
   mutable next_at : int;
   (* Words of the last checkpoint saved (0 until one is): a held
@@ -158,22 +152,27 @@ type sampler = {
 
 let create_sampler (cfg : config) ?budget ?telemetry observed =
   if cfg.cadence < 1 then invalid_arg "Run.run: cadence must be >= 1";
-  {
-    observed;
-    cadence = cfg.cadence;
-    budget;
-    recording = Option.map (fun t -> start_recording t observed) telemetry;
-    edges = 0;
-    next_at = cfg.cadence;
-    ckpt_words = 0;
-  }
+  let s =
+    {
+      observed;
+      cadence = cfg.cadence;
+      budget;
+      recording = None;
+      edges = 0;
+      next_at = cfg.cadence;
+      ckpt_words = 0;
+    }
+  in
+  s.recording <-
+    Option.map (fun t -> start_recording t observed ~edges:(fun () -> s.edges)) telemetry;
+  s
 
 let close_sampler s =
   Option.iter (fun r -> Option.iter Telemetry.Writer.close r.writer) s.recording
 
 (* Every decision about one sample, in order: one breakdown walk (every
    sink's words are the sum of its breakdown), one totals read, the
-   trace counter, the probe row (series and log), the health rules, and
+   trace counter, the probe row (to the log), the health rules, and
    the budget last: a strict abort still leaves this sample in the log
    and the trace. *)
 let sample s =
@@ -189,15 +188,10 @@ let sample s =
   Option.iter
     (fun r ->
       let smp = { at_ns; at_edges = s.edges; breakdown; words; totals } in
-      Array.iteri
-        (fun i (_, probe) ->
-          let v = probe smp in
-          r.row.(i) <- v;
-          Series.stage r.series i v)
-        r.probes;
-      Series.commit r.series ~at_ns ~at_edges:s.edges;
+      Array.iteri (fun i (_, probe) -> r.row.(i) <- probe smp) r.probes;
+      r.samples <- r.samples + 1;
       Option.iter (fun w -> Telemetry.Writer.sample w ~at_ns ~at_edges:s.edges r.row) r.writer;
-      Option.iter Mkc_obs.Health.check r.health)
+      Option.iter (fun h -> Mkc_obs.Health.check h r.row) r.health)
     s.recording;
   Option.iter (fun b -> Budget.observe b words) s.budget
 
@@ -314,7 +308,7 @@ let run (type s r) cfg ?budget ?telemetry ?shards ?ckpt ?(record_metrics = ignor
           wall_ns;
           samples =
             (match !sampler with
-            | Some { recording = Some r; _ } -> Series.total r.series
+            | Some { recording = Some r; _ } -> r.samples
             | _ -> 0);
           appended =
             Option.map

@@ -58,11 +58,12 @@ type probes = {
           the run *)
 }
 
-(** Health rules ride on telemetry samples; a live view is
-    [mkc top --follow] over the log. *)
+(** Health rules ride on telemetry samples: each sample is one probe
+    row, checked by the rules and appended to the log, its one home.
+    A live view is [mkc top --follow] over the log. *)
 type telemetry = {
   log : string option;  (** binary telemetry log to write *)
-  rules : Mkc_obs.Health.rule list;  (** checked on every sample *)
+  rules : Mkc_obs.Health.rule list;  (** checked on every sample's row *)
   probes : probes;
 }
 

@@ -13,7 +13,7 @@
       {!Estimate.stats_totals};
     - [sketch.hh_recovery_ppm] / [sketch.memo_hit_ppm] — the quality
       ratios of [estimate.quality.*], scaled to integer
-      parts-per-million (the series stores ints only).
+      parts-per-million (a sample row holds ints only).
 
     Every track reads the {!Run.sample} it is given — the breakdown
     walk and the totals read that sample already paid for — so probing

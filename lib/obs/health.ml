@@ -82,24 +82,28 @@ let rule_to_string r =
 
 (* ---------- evaluation ---------- *)
 
-(* Track names resolved to staging indices once at engine creation. *)
+(* Track names resolved to row indices once at engine creation. *)
 type compiled =
   | C_threshold of { track : int; cmp : cmp; limit : int }
   | C_ratio of { num : int; den : int; max_ppm : int }
   | C_stall of { track : int; window : int; mutable prev : int; mutable run : int }
 
-type entry = { rule : rule; compiled : compiled; counter : Registry.counter; mutable fired : int }
+type entry = { rule : rule; compiled : compiled; counter : Registry.counter }
 
 type engine = {
-  series : Series.t;
+  tracks : string array;
   entries : entry array;
   on_event : name:string -> value:int -> unit;
-  mutable seen_total : int;
+  mutable first : bool;
 }
 
-let create ?registry ?(on_event = fun ~name:_ ~value:_ -> ()) series rules =
+let create ?registry ?(on_event = fun ~name:_ ~value:_ -> ()) ~tracks rules =
   let registry = match registry with Some r -> r | None -> Registry.global in
-  let resolve track = Series.index_exn series track in
+  let resolve track =
+    match Array.find_index (String.equal track) tracks with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "unknown track %S" track)
+  in
   let entries =
     List.map
       (fun rule ->
@@ -112,41 +116,38 @@ let create ?registry ?(on_event = fun ~name:_ ~value:_ -> ()) series rules =
               C_stall { track = resolve track; window; prev = 0; run = 0 }
         in
         let counter = Registry.counter registry ("health." ^ rule.name ^ ".violations") in
-        { rule; compiled; counter; fired = 0 })
+        { rule; compiled; counter })
       rules
     |> Array.of_list
   in
-  { series; entries; on_event; seen_total = 0 }
+  { tracks; entries; on_event; first = true }
 
-(* Evaluate one entry against the latest committed row; [Some msg]
-   describes a violation. *)
-let evaluate e ~first s =
+(* Evaluate one entry against a sample's row; [Some msg] describes a
+   violation. *)
+let evaluate t e row =
   match e.compiled with
   | C_threshold { track; cmp; limit } ->
-      let v = Series.last s track in
+      let v = row.(track) in
       let bad = match cmp with Gt -> v > limit | Lt -> v < limit in
       if bad then
         Some
-          (Printf.sprintf "%s: %s = %d is %s %d"
-             e.rule.name
-             (Series.tracks s).(track)
-             v
+          (Printf.sprintf "%s: %s = %d is %s %d" e.rule.name t.tracks.(track) v
              (match cmp with Gt -> "over" | Lt -> "under")
              limit)
       else None
   | C_ratio { num; den; max_ppm } ->
-      let n = Series.last s num and d = Series.last s den in
+      let n = row.(num) and d = row.(den) in
       if d <= 0 then None
       else
         let ppm = n * 1_000_000 / d in
         if ppm > max_ppm then
           Some
-            (Printf.sprintf "%s: %s/%s = %d ppm is over %d ppm" e.rule.name
-               (Series.tracks s).(num) (Series.tracks s).(den) ppm max_ppm)
+            (Printf.sprintf "%s: %s/%s = %d ppm is over %d ppm" e.rule.name t.tracks.(num)
+               t.tracks.(den) ppm max_ppm)
         else None
   | C_stall c ->
-      let v = Series.last s c.track in
-      if first then begin
+      let v = row.(c.track) in
+      if t.first then begin
         c.prev <- v;
         c.run <- 0;
         None
@@ -157,28 +158,20 @@ let evaluate e ~first s =
         if c.run >= c.window then
           Some
             (Printf.sprintf "%s: %s stuck at %d for %d samples" e.rule.name
-               (Series.tracks s).(c.track) v c.run)
+               t.tracks.(c.track) v c.run)
         else None
       end
 
-let check t =
-  let total = Series.total t.series in
-  if total > t.seen_total then begin
-    let first = t.seen_total = 0 in
-    t.seen_total <- total;
-    let escalated = ref None in
-    Array.iter
-      (fun e ->
-        match evaluate e ~first t.series with
-        | None -> ()
-        | Some msg ->
-            e.fired <- e.fired + 1;
-            Registry.incr e.counter;
-            t.on_event ~name:("health." ^ e.rule.name ^ ".violations") ~value:1;
-            if e.rule.escalate && !escalated = None then escalated := Some msg)
-      t.entries;
-    match !escalated with None -> () | Some msg -> raise (Violation msg)
-  end
-
-let violations t =
-  Array.to_list (Array.map (fun e -> (e.rule.name, e.fired)) t.entries)
+let check t row =
+  let escalated = ref None in
+  Array.iter
+    (fun e ->
+      match evaluate t e row with
+      | None -> ()
+      | Some msg ->
+          Registry.incr e.counter;
+          t.on_event ~name:("health." ^ e.rule.name ^ ".violations") ~value:1;
+          if e.rule.escalate && !escalated = None then escalated := Some msg)
+    t.entries;
+  t.first <- false;
+  match !escalated with None -> () | Some msg -> raise (Violation msg)

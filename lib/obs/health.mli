@@ -1,6 +1,6 @@
-(** Declarative health rules over {!Series} tracks — the PR-4 space
+(** Declarative health rules over a telemetry sample's row — the space
     watchdog generalized.  A rule watches one or two tracks and fires
-    on each committed sample that violates it:
+    on each sample that violates it:
 
     - [Threshold]: a track crosses a fixed limit ([>] or [<]);
     - [Ratio_drift]: the ratio of two tracks (in parts-per-million)
@@ -41,20 +41,17 @@ type engine
 val create :
   ?registry:Registry.t ->
   ?on_event:(name:string -> value:int -> unit) ->
-  Series.t ->
+  tracks:string array ->
   rule list ->
   engine
-(** Resolve each rule's tracks against the series ([Invalid_argument]
-    on an unknown track, naming it) and return an engine watching it.
-    [registry] defaults to {!Registry.global}. *)
+(** Resolve each rule's tracks against the track directory
+    ([Invalid_argument] on an unknown track, naming it) and return an
+    engine over rows laid out in [tracks] order.  [registry] defaults
+    to {!Registry.global}. *)
 
-val check : engine -> unit
-(** Examine the latest committed sample; call once after each
-    [Series.commit].  No-op until the series has a sample.  Raises
-    {!Violation} if an escalating rule fires (after counting and
-    emitting the event). *)
-
-val violations : engine -> (string * int) list
-(** Total firings per rule, in rule order — independent of the
-    registry's global on/off switch, so [mkc top] can render them
-    even with metrics disabled. *)
+val check : engine -> int array -> unit
+(** Examine one sample's row (one value per track, the row a
+    {!Telemetry.Writer.sample} call writes); call once per sample.
+    Stall rules keep their own run across calls.  Raises {!Violation}
+    if an escalating rule fires (after counting and emitting the
+    event). *)

@@ -44,13 +44,17 @@ module Framed = struct
   (* The one FNV-1a 64 of the code base: the framed logs, Edge_file and
      the checkpoint envelope all checksum with it.  Not cryptographic —
      it catches truncation, bit rot and hand edits. *)
-  let fnv1a64 b ~pos ~len =
+  let[@inline] fnv1a64 b ~pos ~len =
     let h = ref 0xCBF29CE484222325L in
     for i = pos to pos + len - 1 do
       h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
       h := Int64.mul !h 0x100000001B3L
     done;
     !h
+
+  (* The checksum stored straight into its frame field: inlined, the
+     hash is never boxed, so a sample frame costs no allocation. *)
+  let set_fnv1a64 b ~at ~pos ~len = Bytes.set_int64_le b at (fnv1a64 b ~pos ~len)
 
   let hex64 v = Printf.sprintf "%016Lx" v
 
@@ -138,6 +142,12 @@ type log = {
   torn : error option;
 }
 
+(* The first track name the directory declares twice, if any: a
+   directory is a name-to-column map, so a repeat makes it ambiguous. *)
+let repeated tracks =
+  let seen = Hashtbl.create 16 in
+  Array.find_opt (fun n -> Hashtbl.mem seen n || (Hashtbl.add seen n (); false)) tracks
+
 module Writer = struct
   type t = {
     oc : out_channel;
@@ -165,6 +175,10 @@ module Writer = struct
   let create path ~tracks =
     let nt = Array.length tracks in
     if nt = 0 then invalid_arg "Telemetry.Writer.create: no tracks";
+    Option.iter
+      (fun name ->
+        invalid_arg (Printf.sprintf "Telemetry.Writer.create: track %S repeats" name))
+      (repeated tracks);
     match open_out_bin path with
     | exception Sys_error msg -> Error (Io_error msg)
     | oc ->
@@ -188,7 +202,7 @@ module Writer = struct
       Bytes.set_int64_le t.scratch (40 + (8 * i)) (Int64.of_int (Array.unsafe_get values i))
     done;
     let plen = Bytes.length t.scratch - 16 in
-    Bytes.set_int64_le t.scratch 8 (Framed.fnv1a64 t.scratch ~pos:16 ~len:plen);
+    Framed.set_fnv1a64 t.scratch ~at:8 ~pos:16 ~len:plen;
     output_bytes t.oc t.scratch;
     flush t.oc
 
@@ -227,8 +241,11 @@ let parse_directory payload =
       let tracks = Array.make nt "" in
       let rec go i pos =
         if i = nt then
-          if pos = plen then Ok tracks
-          else Error (Malformed "trailing bytes after the track directory")
+          if pos <> plen then Error (Malformed "trailing bytes after the track directory")
+          else
+            match repeated tracks with
+            | Some name -> Error (Malformed (Printf.sprintf "track directory repeats %S" name))
+            | None -> Ok tracks
         else if pos + 8 > plen then Error (Malformed "directory track length cut short")
         else
           let* len = checked_to_int "track name length" (Bytes.get_int64_le payload pos) in
@@ -340,14 +357,3 @@ let summarize log =
              t_p99 = Histogram.quantile_sorted vals 0.99;
            }
          end)
-
-let replay ?capacity log =
-  let n = List.length log.samples in
-  let capacity = match capacity with Some c -> c | None -> max 1 n in
-  let s = Series.create ~capacity ~tracks:log.tracks in
-  List.iter
-    (fun smp ->
-      Array.iteri (fun i v -> Series.stage s i v) smp.values;
-      Series.commit s ~at_ns:smp.s_ns ~at_edges:smp.s_edges)
-    log.samples;
-  s

@@ -61,13 +61,13 @@ module Writer : sig
   val create : string -> tracks:string array -> (t, error) result
   (** Open [path] for append-from-scratch and write the header and
       track directory.  Raises [Invalid_argument] on an empty track
-      set. *)
+      set or a track name that repeats, naming it. *)
 
   val sample : t -> at_ns:int -> at_edges:int -> int array -> unit
-  (** Append one sample frame.  The value array must have exactly one
-      entry per directory track ([Invalid_argument] otherwise).  Zero
-      allocation per call: the frame is assembled in a reusable
-      scratch buffer. *)
+  (** Append one sample frame: the row, one value per directory track
+      ([Invalid_argument] otherwise).  The log is the row's one home
+      once the call returns.  Zero allocation per call: the frame is
+      assembled and checksummed in a reusable scratch buffer. *)
 
   val event : t -> at_ns:int -> at_edges:int -> name:string -> value:int -> unit
   val close : t -> unit
@@ -76,8 +76,9 @@ end
 val read : string -> (log, error) result
 (** Load and verify a telemetry log: {!Framed.read_all}, then a fold
     over the payloads.  Corruption {e inside} the file (bad checksum,
-    malformed frame, a payload shorter than its 8-byte kind) is a hard
-    error; a torn final frame is skipped and reported in [torn]. *)
+    malformed frame, a payload shorter than its 8-byte kind, a
+    directory that names a track twice) is a hard error; a torn final
+    frame is skipped and reported in [torn]. *)
 
 (** The header/frame/checksum/torn-tail machinery shared with the run
     ledger ([Ledger], magic "MKCLEDG1"): 8-byte magic + int64 LE
@@ -124,8 +125,3 @@ val summarize : log -> summary list
     with no samples report all-zero fields with [t_count = 0].  The
     quantiles are {!Histogram.quantile_sorted}'s ceil rank, the one
     histogram digests use. *)
-
-val replay : ?capacity:int -> log -> Series.t
-(** Rebuild a {!Series} from a log's samples (capacity defaults to
-    the sample count, min 1), for rendering a finished run with
-    [Top.render]. *)

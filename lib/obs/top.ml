@@ -23,54 +23,44 @@ let pp_count v =
 
 let spark_levels = [| "\u{2581}"; "\u{2582}"; "\u{2583}"; "\u{2584}"; "\u{2585}"; "\u{2586}"; "\u{2587}"; "\u{2588}" |]
 
-let sparkline ?(width = 32) s track =
-  let len = Series.length s in
-  if len = 0 then ""
-  else begin
-    let take = min width len in
-    let first = len - take in
-    let lo = ref max_int and hi = ref min_int in
-    for i = first to len - 1 do
-      let v = Series.get s ~row:i ~track in
-      if v < !lo then lo := v;
-      if v > !hi then hi := v
-    done;
-    let span = !hi - !lo in
-    let b = Buffer.create (3 * take) in
-    for i = first to len - 1 do
-      let v = Series.get s ~row:i ~track in
-      let level = if span = 0 then 0 else (v - !lo) * 7 / span in
-      Buffer.add_string b spark_levels.(level)
-    done;
-    Buffer.contents b
-  end
+let sparkline ?(width = 32) (log : Telemetry.log) track =
+  let skip = List.length log.samples - width in
+  let vs =
+    List.filteri (fun j _ -> j >= skip) log.samples
+    |> List.map (fun (smp : Telemetry.sample) -> smp.values.(track))
+  in
+  let lo = List.fold_left min max_int vs and hi = List.fold_left max min_int vs in
+  let span = hi - lo in
+  String.concat ""
+    (List.map (fun v -> spark_levels.(if span = 0 then 0 else (v - lo) * 7 / span)) vs)
 
 let has_prefix ~prefix s = String.starts_with ~prefix s
 
-let render ?(violations = []) s =
+let render ?(violations = []) (log : Telemetry.log) =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l; Buffer.add_char b '\n') fmt in
-  if Series.total s = 0 then begin
+  let samples = Array.of_list log.samples in
+  let n = Array.length samples in
+  if n = 0 then begin
     line "mkc top — waiting for the first sample";
     Buffer.contents b
   end
   else begin
-    let names = Series.tracks s in
-    let idx name = Series.index s name in
-    let last_of name = Option.map (Series.last s) (idx name) in
-    let len = Series.length s in
-    let edges = Series.row_edges s (len - 1) in
-    let elapsed_ns = Series.row_ns s (len - 1) - Series.row_ns s 0 in
-    line "mkc top — %s edges · %.1fs · %d samples (%d retained)" (pp_count edges)
-      (float_of_int elapsed_ns /. 1e9)
-      (Series.total s) len;
+    let names = log.tracks in
+    let summary = Array.of_list (Telemetry.summarize log) in
+    let idx name = Array.find_index (String.equal name) names in
+    let last_of name = Option.map (fun t -> summary.(t).t_last) (idx name) in
+    let first = samples.(0) and last = samples.(n - 1) in
+    line "mkc top — %s edges · %.1fs · %d samples (%d retained)" (pp_count last.s_edges)
+      (float_of_int (last.s_ns - first.s_ns) /. 1e9)
+      n n;
     (match idx "pipeline.edges_per_sec" with
     | Some t ->
         line "  throughput  %9s edges/s  %s  (min %s, max %s)"
-          (pp_count (Series.last s t))
-          (sparkline s t)
-          (pp_count (Series.min_of s t))
-          (pp_count (Series.max_of s t))
+          (pp_count summary.(t).t_last)
+          (sparkline log t)
+          (pp_count summary.(t).t_min)
+          (pp_count summary.(t).t_max)
     | None -> ());
     (match last_of "space.words" with
     | Some words -> line "  space       %9s words" (pp_count words)
@@ -79,7 +69,7 @@ let render ?(violations = []) s =
       (fun t name ->
         if has_prefix ~prefix:"space." name && name <> "space.words" then
           line "    %-32s %9s" (String.sub name 6 (String.length name - 6))
-            (pp_count (Series.last s t)))
+            (pp_count summary.(t).t_last))
       names;
     (match (last_of "gc.minor_words", last_of "gc.major_words", last_of "gc.heap_words") with
     | Some mi, Some ma, Some he ->
@@ -116,9 +106,9 @@ let render ?(violations = []) s =
             || has_prefix ~prefix:"pipeline." name)
         then
           line "  %-32s last %9s  min %9s  max %9s" name
-            (pp_count (Series.last s t))
-            (pp_count (Series.min_of s t))
-            (pp_count (Series.max_of s t)))
+            (pp_count summary.(t).t_last)
+            (pp_count summary.(t).t_min)
+            (pp_count summary.(t).t_max))
       names;
     (match violations with
     | [] -> line "  health      OK"

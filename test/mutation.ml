@@ -147,6 +147,23 @@ let reseal_frames s =
   List.iter (fun frame -> reseal_frame b ~frame) (frame_starts b);
   Bytes.to_string b
 
+(* A telemetry log at [path] whose directory names track "a" twice,
+   under valid checksums: one sample over tracks "a", "b", then the
+   second name (byte 65: directory payload at 32, kind, count, length,
+   "a", length) patched to "a" and the directory resealed.  The writer
+   itself refuses a repeated name. *)
+let repeated_track_log path =
+  let module W = Mkc_obs.Telemetry.Writer in
+  (match W.create path ~tracks:[| "a"; "b" |] with
+  | Ok w ->
+      W.sample w ~at_ns:1 ~at_edges:1 [| 1; 2 |];
+      W.close w
+  | Error e -> failwith (Mkc_obs.Telemetry.error_to_string e));
+  let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Bytes.set b 65 'a';
+  reseal_frame b ~frame:16;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
 (* Re-seal an edge file's header checksum over whatever column bytes
    follow it. *)
 let reseal_edge_file s =

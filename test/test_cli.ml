@@ -2,8 +2,9 @@
    stderr and exit 2 — not cmdliner's generic usage failure (124) —
    and it must fire before any stream I/O, so a bad flag is reported
    even when the stream file is also wrong.  The answer stdout of every
-   estimate/report mode and of a shard merge is pinned byte for byte
-   against test/golden_cli.
+   estimate/report mode, of a shard merge, and of top and
+   telemetry-report on a fixed log is pinned byte for byte against
+   test/golden_cli.
 
    These spawn the real binary (declared as a test dep in dune, so it
    is built and the relative path resolves from the test's cwd). *)
@@ -377,6 +378,57 @@ let test_golden_stdout () =
             [ a; b ] ckpts;
           check_golden "merge_2shard" (run_ok ("merge " ^ String.concat " " ckpts))))
 
+(* [mkc top] and [mkc telemetry-report] pinned byte for byte
+   (golden_cli/top.out, golden_cli/telemetry_report.out) on a log
+   written with fixed coordinates: 45 samples, so the 32-wide sparkline
+   clips, every track family [Top.render] lays out plus two generic
+   tracks, two health-violation events and one other event.  The log
+   has a fixed name so the report's header line is stable. *)
+let golden_log = "golden_telemetry.mkctel"
+
+let write_golden_log () =
+  let tracks =
+    [|
+      "pipeline.edges"; "pipeline.edges_per_sec"; "space.words"; "space.large_set";
+      "space.small_set"; "gc.minor_words"; "gc.major_words"; "gc.heap_words";
+      "sketch.l0_occupancy"; "sketch.f2_tracked"; "sketch.hh_recovery_ppm"; "ckpt.saves";
+      "window.lag";
+    |]
+  in
+  let w =
+    match Mkc_obs.Telemetry.Writer.create golden_log ~tracks with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "writer: %s" (Mkc_obs.Telemetry.error_to_string e)
+  in
+  for i = 1 to 45 do
+    let edges = 4096 * i and wobble = i * 7919 mod 1000 in
+    let large = 30_000 + (150 * i) and small = 2_000 + wobble in
+    Mkc_obs.Telemetry.Writer.sample w ~at_ns:(250_000_000 * i) ~at_edges:edges
+      [|
+        edges; 1_500_000 + (1_000 * wobble); large + small; large; small; 90 * edges;
+        4 * edges; 250_000 + (512 * i); 400 + (i mod 9); 64 + (i / 3); 990_000 - (137 * i);
+        i / 10; (i mod 7) - 3;
+      |];
+    if i = 20 then
+      Mkc_obs.Telemetry.Writer.event w ~at_ns:(250_000_000 * i) ~at_edges:edges
+        ~name:"health.space.violations" ~value:1;
+    if i = 30 then
+      Mkc_obs.Telemetry.Writer.event w ~at_ns:(250_000_000 * i) ~at_edges:edges
+        ~name:"ckpt.saves" ~value:2;
+    if i = 33 then
+      Mkc_obs.Telemetry.Writer.event w ~at_ns:(250_000_000 * i) ~at_edges:edges
+        ~name:"health.progress.violations" ~value:1
+  done;
+  Mkc_obs.Telemetry.Writer.close w
+
+let test_golden_telemetry_views () =
+  write_golden_log ();
+  Fun.protect
+    ~finally:(fun () -> Sys.remove golden_log)
+    (fun () ->
+      check_golden "top" (run_ok ("top " ^ golden_log));
+      check_golden "telemetry_report" (run_ok ("telemetry-report " ^ golden_log)))
+
 (* Forged lengths and counts end in a named error, not an uncaught
    exception (exit 125): a telemetry directory declaring 2^40 tracks
    under a valid checksum fails doctor with exit 1, and an edge-file
@@ -406,6 +458,22 @@ let test_forged_artifacts_are_named_errors () =
       checki "forged edge count: stats exit 2" 2 code;
       checkb "forged edge count: the error is named" true
         (contains ~sub:"truncated edge file" err))
+
+(* A telemetry directory that names a track twice is refused by name:
+   every command that reads a log exits 1, never 125. *)
+let test_repeated_track_log () =
+  let log = Filename.temp_file "mkc_cli" ".mkctel" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove log)
+    (fun () ->
+      Mutation.repeated_track_log log;
+      List.iter
+        (fun cmd ->
+          let code, _, err = run (cmd ^ " " ^ log) in
+          checki (cmd ^ ": exit 1") 1 code;
+          checkb (cmd ^ ": names the repeated track") true
+            (contains ~sub:"track directory repeats \"a\"" err))
+        [ "top"; "telemetry-report"; "doctor --telemetry" ])
 
 (* A checkpoint whose params describe an instance far too large to
    build (m = 2^24) is a named payload error: validate-checkpoint exits
@@ -581,12 +649,16 @@ let suite =
     Alcotest.test_case "an escalated health rule aborts with exit 3, evidence intact" `Quick
       test_health_abort_keeps_evidence;
     Alcotest.test_case "answer stdout matches the golden files" `Quick test_golden_stdout;
+    Alcotest.test_case "top and telemetry-report match the golden files" `Quick
+      test_golden_telemetry_views;
     Alcotest.test_case "progress reports pooled and resumed runs" `Quick
       test_progress_on_every_drive;
     Alcotest.test_case "--force-m below the stream's m is a misuse" `Quick
       test_force_m_below_stream;
     Alcotest.test_case "forged artifacts end in named errors" `Quick
       test_forged_artifacts_are_named_errors;
+    Alcotest.test_case "a repeated telemetry track is refused by name" `Quick
+      test_repeated_track_log;
     Alcotest.test_case "forged checkpoint params end in named errors" `Quick
       test_forged_params_checkpoint;
     Alcotest.test_case "hostile stream ids and oversized instances exit 2" `Quick

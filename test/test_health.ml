@@ -1,26 +1,24 @@
 (* Mkc_obs.Health — the declarative rule engine behind [--health],
-   generalizing the PR-4 space watchdog.
+   generalizing the space watchdog.
 
    Claims checked here:
    1. parse accepts the three rule syntaxes (threshold, ratio-drift,
       stall), a trailing '!' for escalation, and rule_to_string
       round-trips every accepted rule; malformed specs get named
       errors.
-   2. Threshold rules fire per violating committed sample; check is
-      idempotent between commits (no re-fire without a new row).
+   2. Threshold rules fire on each violating row.
    3. Ratio rules compare num·1e6/den against the ppm limit and skip
       samples whose denominator is not positive.
    4. Stall rules baseline on their first observed sample, then fire
       once a track has been unchanged for [window] consecutive
-      samples while commits keep landing.
-   5. An escalating rule raises Violation (after counting), matching
-      --budget-strict; violations reports per-rule totals in rule
-      order regardless of the registry switch.
+      samples while rows keep landing.
+   5. An escalating rule raises Violation after its event is emitted,
+      matching --budget-strict; each firing is one
+      health.<rule>.violations event, whatever the registry switch.
    6. Unknown tracks are rejected at engine build time, naming the
       track. *)
 
 module Health = Mkc_obs.Health
-module Series = Mkc_obs.Series
 
 let parse_ok spec =
   match Health.parse spec with
@@ -78,73 +76,53 @@ let test_parse_errors () =
   expect "a=stall:track:x" "not an integer";
   expect "a=n/d<5" "ratio rules only support '>'"
 
-(* A 1-track (or 2-track) series plus an engine over it, with events
-   captured.  Metrics registry stays untouched: violations totals are
+(* An engine over a 1-track (or 2-track) directory, with its events
+   captured.  The metrics registry stays untouched: the events are
    claim-5 independent of the switch. *)
 let rig tracks rules =
-  let s = Series.create ~capacity:16 ~tracks in
   let events = ref [] in
   let eng =
     Health.create
       ~on_event:(fun ~name ~value -> events := (name, value) :: !events)
-      s
-      (List.map parse_ok rules)
+      ~tracks (List.map parse_ok rules)
   in
-  (s, eng, events)
+  (eng, events)
 
-let feed s vals =
-  List.iteri (fun i v -> Series.stage s i v) vals;
-  Series.commit s ~at_ns:(Series.total s + 1) ~at_edges:((Series.total s + 1) * 100)
+(* Firings per rule, in the given order, counted from the events. *)
+let fired events rules =
+  List.map
+    (fun rule ->
+      let name = "health." ^ rule ^ ".violations" in
+      (rule, List.length (List.filter (fun (n, _) -> n = name) !events)))
+    rules
+
+let feed eng vals = Health.check eng (Array.of_list vals)
 
 let test_threshold () =
-  let s, eng, events = rig [| "v" |] [ "cap=v>10"; "floor=v<3" ] in
-  List.iter
-    (fun v ->
-      feed s [ v ];
-      Health.check eng)
-    [ 5; 11; 2; 50; 7 ];
+  let eng, events = rig [| "v" |] [ "cap=v>10"; "floor=v<3" ] in
+  List.iter (fun v -> feed eng [ v ]) [ 5; 11; 2; 50; 7 ];
   Alcotest.(check (list (pair string int)))
     "per-rule totals in rule order"
     [ ("cap", 2); ("floor", 1) ]
-    (Health.violations eng);
-  let cap_events = List.filter (fun (n, _) -> n = "health.cap.violations") !events in
-  Alcotest.(check int) "cap events" 2 (List.length cap_events);
+    (fired events [ "cap"; "floor" ]);
   Alcotest.(check (list (pair string int)))
     "floor event payload"
     [ ("health.floor.violations", 1) ]
     (List.filter (fun (n, _) -> n = "health.floor.violations") !events)
 
-let test_check_idempotent () =
-  let s, eng, _ = rig [| "v" |] [ "cap=v>10" ] in
-  feed s [ 99 ];
-  Health.check eng;
-  (* same committed row re-checked: must not double-count *)
-  Health.check eng;
-  Health.check eng;
-  Alcotest.(check (list (pair string int))) "one firing" [ ("cap", 1) ] (Health.violations eng);
-  feed s [ 99 ];
-  Health.check eng;
-  Alcotest.(check (list (pair string int))) "new row fires again" [ ("cap", 2) ]
-    (Health.violations eng)
-
 let test_ratio () =
-  let s, eng, _ = rig [| "n"; "d" |] [ "drift=n/d>500000" ] in
+  let eng, events = rig [| "n"; "d" |] [ "drift=n/d>500000" ] in
   (* 1/4 = 250000 ppm: quiet.  3/4 = 750000 ppm: fires.  5/0: the
      denominator guard skips the sample entirely. *)
-  List.iter
-    (fun (n, d) ->
-      feed s [ n; d ];
-      Health.check eng)
-    [ (1, 4); (3, 4); (5, 0); (2, 4) ];
+  List.iter (fun (n, d) -> feed eng [ n; d ]) [ (1, 4); (3, 4); (5, 0); (2, 4) ];
   Alcotest.(check (list (pair string int))) "ratio firings" [ ("drift", 1) ]
-    (Health.violations eng)
+    (fired events [ "drift" ])
 
 let test_stall () =
-  let s, eng, _ = rig [| "v" |] [ "wedge=stall:v:2" ] in
+  let eng, events = rig [| "v" |] [ "wedge=stall:v:2" ] in
   let step v =
-    feed s [ v ];
-    Health.check eng;
-    List.assoc "wedge" (Health.violations eng)
+    feed eng [ v ];
+    List.assoc "wedge" (fired events [ "wedge" ])
   in
   (* First sample is the baseline, never a firing. *)
   Alcotest.(check int) "baseline" 0 (step 5);
@@ -156,24 +134,20 @@ let test_stall () =
   Alcotest.(check int) "re-wedged fires" 3 (step 6)
 
 let test_escalation () =
-  let s, eng, events = rig [| "v" |] [ "cap=v>10!" ] in
-  feed s [ 5 ];
-  Health.check eng;
-  feed s [ 42 ];
-  (match Health.check eng with
+  let eng, events = rig [| "v" |] [ "cap=v>10!" ] in
+  feed eng [ 5 ];
+  (match feed eng [ 42 ] with
   | () -> Alcotest.fail "escalating rule did not raise"
   | exception Health.Violation msg ->
       if not (contains ~needle:"cap" msg && contains ~needle:"42" msg) then
         Alcotest.failf "violation message %S lacks rule name/value" msg);
-  (* The firing was counted and the event emitted before the raise. *)
-  Alcotest.(check (list (pair string int))) "counted" [ ("cap", 1) ] (Health.violations eng);
+  (* The event was emitted before the raise. *)
   Alcotest.(check (list (pair string int)))
     "event emitted" [ ("health.cap.violations", 1) ] !events
 
 let test_unknown_track () =
-  let s = Series.create ~capacity:4 ~tracks:[| "v" |] in
   let expect_unknown rule =
-    match Health.create s [ parse_ok rule ] with
+    match Health.create ~tracks:[| "v" |] [ parse_ok rule ] with
     | _ -> Alcotest.failf "engine accepted unknown track in %S" rule
     | exception Invalid_argument msg ->
         if not (contains ~needle:"ghost" msg) then
@@ -188,7 +162,6 @@ let suite =
     Alcotest.test_case "parse round trip" `Quick test_parse_round_trip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "threshold rules" `Quick test_threshold;
-    Alcotest.test_case "check idempotent between commits" `Quick test_check_idempotent;
     Alcotest.test_case "ratio drift" `Quick test_ratio;
     Alcotest.test_case "stall detection" `Quick test_stall;
     Alcotest.test_case "escalation raises after counting" `Quick test_escalation;

@@ -27,7 +27,6 @@ let () =
       ("cli", Test_cli.suite);
       ("turnstile", Test_turnstile.suite);
       ("window", Test_window.suite);
-      ("series", Test_series.suite);
       ("telemetry", Test_telemetry.suite);
       ("health", Test_health.suite);
       ("trace", Test_trace.suite);

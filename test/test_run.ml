@@ -188,7 +188,7 @@ let test_samples_follow_the_sink_under_a_frozen_clock () =
         | Ok t -> t
         | Error err -> Alcotest.failf "log unreadable: %s" (Mkc_obs.Telemetry.error_to_string err)
       in
-      let col = Mkc_obs.Series.index_exn (Mkc_obs.Telemetry.replay t) "space.words" in
+      let col = Option.get (Array.find_index (String.equal "space.words") t.tracks) in
       let logged = List.map (fun (s : Mkc_obs.Telemetry.sample) -> s.values.(col)) t.samples in
       let n = List.length logged in
       checki "one sample per counted row" o.samples n;

@@ -1,5 +1,6 @@
-(* Mkc_obs.Telemetry — the durable MKCTEL1 log behind [--telemetry] —
-   and Mkc_obs.Top, the pure renderer over replayed series.
+(* Mkc_obs.Telemetry — the durable MKCTEL1 log behind [--telemetry],
+   the one home of a run's sample rows — and Mkc_obs.Top, the pure
+   renderer over a read log.
 
    Claims checked here:
    1. Writer → read round-trips tracks, samples, and events exactly.
@@ -8,20 +9,20 @@
       Checksum_mismatch) — except a torn FINAL frame, which yields
       the intact prefix plus [torn = Some _], because a telemetry log
       is most valuable for runs that died mid-append.  Forged lengths
-      and counts, and a seeded fuzz over the framed logs and the edge
-      file, end the same way: never an exception.
+      and counts, a directory naming a track twice, and a seeded fuzz
+      over the framed logs and the edge file, end the same way: never
+      an exception.
    3. summarize/quantile follow the snapshot convention: rank
       ceil(q·n) over the ascending sort, so 1..100 gives p50=50 and
       p99=99.
-   4. replay rebuilds a Series whose per-track summary matches the
-      log, and the writer flushes every frame, so a live or killed
-      run's log reads back without a close.
+   4. The writer refuses a repeated track name, allocates nothing per
+      sample, and flushes every frame, so a live or killed run's log
+      reads back without a close.
    5. Top.render is total: it renders the standard track families,
       degrades to generic lines for unknown tracks, and never fails
-      on an empty series. *)
+      on a log with no samples. *)
 
 module T = Mkc_obs.Telemetry
-module Series = Mkc_obs.Series
 module Top = Mkc_obs.Top
 
 let temp_log () = Filename.temp_file "mkc_telemetry" ".mkctel"
@@ -150,6 +151,16 @@ let test_rejection_matrix () =
       match read_err p with
       | T.Malformed _ -> ()
       | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e));
+  (* a directory naming a track twice: refused by name *)
+  let path = temp_log () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Mutation.repeated_track_log path;
+      match read_err path with
+      | T.Malformed msg ->
+          Alcotest.(check string) "names the track" "track directory repeats \"a\"" msg
+      | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e));
   (* a frame of max_int - 4 bytes sealed as empty: more than the file
      holds, so the walk stops there and names the tear *)
   with_log
@@ -206,6 +217,9 @@ let test_writer_validation () =
     (fun () ->
       Alcotest.check_raises "empty tracks" (Invalid_argument "Telemetry.Writer.create: no tracks")
         (fun () -> ignore (T.Writer.create path ~tracks:[||]));
+      Alcotest.check_raises "repeated track"
+        (Invalid_argument "Telemetry.Writer.create: track \"x\" repeats") (fun () ->
+          ignore (T.Writer.create path ~tracks:[| "x"; "y"; "x" |]));
       match T.Writer.create path ~tracks:[| "x"; "y" |] with
       | Error e -> Alcotest.failf "create: %s" (T.error_to_string e)
       | Ok w ->
@@ -245,28 +259,33 @@ let test_summarize_quantiles () =
   Alcotest.(check int) "quantile singleton" 7 (Mkc_obs.Histogram.quantile_sorted [| 7 |] 0.99);
   Alcotest.(check int) "quantile p50 of 4" 2 (Mkc_obs.Histogram.quantile_sorted [| 1; 2; 3; 4 |] 0.5)
 
-let test_replay_matches_summary () =
+(* A sample frame is assembled and checksummed in the writer's scratch
+   buffer: the same warm-up, settle and minor-words delta as
+   test_alloc.ml, over 30 tracks. *)
+let test_writer_zero_alloc () =
   let path = temp_log () in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      write_sample_log path [| "x"; "y" |] rows3;
-      let log = read_ok path in
-      let s = T.replay log in
-      Alcotest.(check int) "replay length" 3 (Series.length s);
-      Alcotest.(check int) "replay total" 3 (Series.total s);
-      List.iter
-        (fun sum ->
-          let t = Series.index_exn s sum.T.t_name in
-          Alcotest.(check int) ("min " ^ sum.T.t_name) sum.T.t_min (Series.min_of s t);
-          Alcotest.(check int) ("max " ^ sum.T.t_name) sum.T.t_max (Series.max_of s t);
-          Alcotest.(check int) ("last " ^ sum.T.t_name) sum.T.t_last (Series.last s t))
-        (T.summarize log);
-      Alcotest.(check int) "replay coordinates" 192 (Series.row_edges s 2);
-      (* a bounded-capacity replay still carries full-history summaries *)
-      let s1 = T.replay ~capacity:1 log in
-      Alcotest.(check int) "capped replay length" 1 (Series.length s1);
-      Alcotest.(check int) "capped replay min" 1 (Series.min_of s1 0))
+      match T.Writer.create path ~tracks:(Array.init 30 (Printf.sprintf "t%d")) with
+      | Error e -> Alcotest.failf "create: %s" (T.error_to_string e)
+      | Ok w ->
+          Fun.protect
+            ~finally:(fun () -> T.Writer.close w)
+            (fun () ->
+              let row = Array.init 30 (fun i -> i * 1_000_003) in
+              let burst n =
+                for i = 1 to n do
+                  T.Writer.sample w ~at_ns:i ~at_edges:(i * 10) row
+                done
+              in
+              burst 100;
+              Gc.full_major ();
+              let before = Gc.minor_words () in
+              burst 10_000;
+              let per_sample = (Gc.minor_words () -. before) /. 10_000. in
+              if per_sample >= 0.1 then
+                Alcotest.failf "Writer.sample allocates %.3f words/sample (want 0)" per_sample))
 
 (* Every frame reaches the file as it is written: a reader sees the
    samples and events of a run that is still going (or was killed), with
@@ -311,38 +330,41 @@ let test_top_pp_count () =
   Alcotest.(check string) "negative" "-1,234" (Top.pp_count (-1234));
   Alcotest.(check string) "zero" "0" (Top.pp_count 0)
 
+(* A log read back, built in memory: rows of (edges, values), one
+   second apart. *)
+let log_of tracks rows =
+  {
+    T.tracks;
+    samples =
+      List.mapi
+        (fun i (edges, values) -> { T.s_ns = 1_000_000_000 * (i + 1); s_edges = edges; values })
+        rows;
+    events = [];
+    torn = None;
+  }
+
 let test_top_sparkline () =
-  let s = Series.create ~capacity:8 ~tracks:[| "v" |] in
-  List.iter
-    (fun v ->
-      Series.stage s 0 v;
-      Series.commit s ~at_ns:v ~at_edges:v)
-    [ 0; 7; 3 ];
-  let spark = Top.sparkline s 0 in
+  let log = log_of [| "v" |] (List.map (fun v -> (v, [| v |])) [ 0; 7; 3 ]) in
+  let spark = Top.sparkline log 0 in
   (* three levels: min → lowest glyph, max → highest, newest right *)
   Alcotest.(check string) "sparkline shape" "\u{2581}\u{2588}\u{2584}" spark;
-  let wide = Top.sparkline ~width:2 s 0 in
+  let wide = Top.sparkline ~width:2 log 0 in
   Alcotest.(check string) "width clips to newest" "\u{2588}\u{2581}" wide;
-  let empty = Series.create ~capacity:2 ~tracks:[| "v" |] in
-  Alcotest.(check string) "empty sparkline" "" (Top.sparkline empty 0)
+  Alcotest.(check string) "empty sparkline" "" (Top.sparkline (log_of [| "v" |] []) 0)
 
 let test_top_render () =
-  let empty = Series.create ~capacity:4 ~tracks:[| "space.words" |] in
-  check_contains "empty view" "waiting for the first sample" (Top.render empty);
+  check_contains "empty view" "waiting for the first sample"
+    (Top.render (log_of [| "space.words" |] []));
   let tracks =
     [| "pipeline.edges"; "pipeline.edges_per_sec"; "space.words"; "space.oracle.l0"; "other.track" |]
   in
-  let s = Series.create ~capacity:8 ~tracks in
-  List.iteri
-    (fun i (edges, rate, words, l0, other) ->
-      Series.stage s 0 edges;
-      Series.stage s 1 rate;
-      Series.stage s 2 words;
-      Series.stage s 3 l0;
-      Series.stage s 4 other;
-      Series.commit s ~at_ns:(1_000_000_000 * (i + 1)) ~at_edges:edges)
-    [ (1000, 500, 2048, 100, 1); (2000, 600, 4096, 120, 9) ];
-  let view = Top.render ~violations:[ ("space", 0); ("stall", 2) ] s in
+  let log =
+    log_of tracks
+      (List.map
+         (fun (edges, rate, words, l0, other) -> (edges, [| edges; rate; words; l0; other |]))
+         [ (1000, 500, 2048, 100, 1); (2000, 600, 4096, 120, 9) ])
+  in
+  let view = Top.render ~violations:[ ("space", 0); ("stall", 2) ] log in
   check_contains "header edges" "2,000 edges" view;
   check_contains "sample count" "2 samples" view;
   check_contains "throughput line" "throughput" view;
@@ -350,9 +372,9 @@ let test_top_render () =
   check_contains "space component" "oracle.l0" view;
   check_contains "unknown family fallback" "other.track" view;
   check_contains "violations" "stall \xc3\x972" view;
-  let armed = Top.render ~violations:[ ("space", 0) ] s in
+  let armed = Top.render ~violations:[ ("space", 0) ] log in
   check_contains "armed but quiet" "OK (space armed)" armed;
-  let no_rules = Top.render s in
+  let no_rules = Top.render log in
   check_contains "no rules" "health      OK" no_rules
 
 (* --- hostile input: seeded mutation fuzz over every framed or
@@ -492,7 +514,7 @@ let suite =
     Alcotest.test_case "torn tail keeps prefix" `Quick test_torn_tail;
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
     Alcotest.test_case "summarize quantile convention" `Quick test_summarize_quantiles;
-    Alcotest.test_case "replay matches summary" `Quick test_replay_matches_summary;
+    Alcotest.test_case "writer allocates nothing per sample" `Quick test_writer_zero_alloc;
     Alcotest.test_case "writer flushes every frame" `Quick test_writer_flushes;
     Alcotest.test_case "top pp_count" `Quick test_top_pp_count;
     Alcotest.test_case "top sparkline" `Quick test_top_sparkline;

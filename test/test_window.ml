@@ -358,12 +358,14 @@ let test_windowed_telemetry_without_registry () =
        with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "run: %s" (Mkc_core.Run.error_to_string e));
-      let series =
+      let summary =
         match Mkc_obs.Telemetry.read log with
-        | Ok t -> Mkc_obs.Telemetry.replay t
+        | Ok t -> Mkc_obs.Telemetry.summarize t
         | Error e -> Alcotest.failf "log: %s" (Mkc_obs.Telemetry.error_to_string e)
       in
-      let last name = Mkc_obs.Series.last series (Mkc_obs.Series.index_exn series name) in
+      let last name =
+        (List.find (fun (s : Mkc_obs.Telemetry.summary) -> s.t_name = name) summary).t_last
+      in
       checkb "the run rolled epochs" true (W.rolled w > 3);
       checki "window.rolled = Windowed.rolled" (W.rolled w) (last "window.rolled");
       checki "window.epochs = live epochs" (W.live_epochs w) (last "window.epochs"))
