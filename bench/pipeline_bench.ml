@@ -104,7 +104,7 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~budget_strict () 
     match
       Run.run cfg ?budget
         ?telemetry:(Option.map (fun t -> t e) telemetry)
-        ~shards:E.shards ~record_metrics ?ledger ~label E.sink e src
+        ~shards:E.shards ~finalize:E.finalize ~record_metrics ?ledger ~label E.sink e src
     with
     | Error err -> fail "%s" (Run.error_to_string err)
     | Ok o ->

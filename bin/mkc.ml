@@ -177,7 +177,8 @@ let obs_term =
       & info [ "metrics-cadence" ] ~docv:"EDGES"
           ~doc:
             "Space-observer sampling cadence in edges (the --telemetry samples, the \
-             --trace space.words counter and the budget checks); must be positive.")
+             --trace space.words counter and the budget checks), sampled at most once per \
+             --chunk window; must be positive.")
   in
   let trace =
     Arg.(
@@ -596,7 +597,7 @@ let ledger_params ro ~domains ~m ~n =
    metrics, trace and ledger evidence — or, on an abort, its message
    and exit code.  [print] writes the answer's lines; the "space:" line
    and everything after it are common. *)
-let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?ckpt
+let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?finalize ?ckpt
     ~record_metrics ~print ~stats sink state =
   let total = Mkc_stream.Stream_source.length src in
   let domains =
@@ -638,7 +639,7 @@ let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?ckpt
     }
   in
   match
-    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?ckpt ~record_metrics ?ledger
+    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?finalize ?ckpt ~record_metrics ?ledger
       ~label sink state src
   with
   | Error (Checkpoint e) -> ckpt_error_exit "checkpoint" e
@@ -756,7 +757,7 @@ let estimate ro ckpt every resume stop_after force_m force_n =
       in
       answer ro ~rules ~src ~m ~n ~label:"estimate" ~word_budget
         ~probes:(Mkc_core.Telemetry_probes.build est)
-        ~shards:Mkc_core.Estimate.shards ?ckpt
+        ~shards:Mkc_core.Estimate.shards ~finalize:Mkc_core.Estimate.finalize ?ckpt
         ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics est)
         ~print:(fun r ->
           print_stream ~src ~m ~n;
@@ -792,6 +793,7 @@ let report ro =
   | None ->
       let rep = Mkc_core.Report.create params in
       answer ro ~rules ~src ~m ~n ~label:"report" ~shards:Mkc_core.Report.shards
+        ~finalize:Mkc_core.Report.finalize
         ~record_metrics:(fun _ -> Mkc_core.Report.record_metrics rep)
         ~print:(fun (r : Mkc_core.Report.result) ->
           Format.printf "estimated coverage: %.0f@." r.estimate;

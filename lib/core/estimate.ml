@@ -101,7 +101,13 @@ let iter_insts t f = match t.body with Trivial _ -> () | Run { insts } -> Array.
 let feed t e = iter_insts t (fun i -> feed_inst i e)
 let feed_planned t plan edges ~pos ~len = iter_insts t (fun i -> feed_planned_inst i plan edges ~pos ~len)
 
-let finalize t =
+(* Theorem 3.6's selection: the largest accepted estimate, in ladder
+   order.  The per-instance [Oracle.finalize] calls are independent, so
+   with a pool they run on its slots, each writing its own slot of
+   [outs]; the selection reads [outs] on the calling domain, in the
+   same order either way, so nothing it picks can depend on the pool.
+   One [estimate.finalize_inst] span per instance shows the fan-out. *)
+let finalize ?pool t =
   match t.body with
   | Trivial { estimate; witness } ->
       t.finals <- [ { fz = 0; frep = 0; fwinner = "trivial"; faccepted = true } ];
@@ -112,6 +118,19 @@ let finalize t =
       }
   | Run { insts } ->
       let p = t.params in
+      let n = Array.length insts in
+      let outs = Array.make n None in
+      let fin i =
+        let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
+        let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
+        outs.(i) <- Oracle.finalize insts.(i).oracle;
+        if obs then
+          Mkc_obs.Span.record "estimate.finalize_inst" ~start_ns:t0
+            ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)
+      in
+      (match pool with
+      | Some pool -> Mkc_stream.Pipeline.Pool.parallel_for pool n fin
+      | None -> for i = 0 to n - 1 do fin i done);
       let accepted = ref None and fallback = ref None in
       let finals = ref [] in
       let consider slot (cand : result) =
@@ -119,9 +138,9 @@ let finalize t =
         | Some (best : result) when best.estimate >= cand.estimate -> ()
         | _ -> slot := Some cand
       in
-      Array.iter
-        (fun inst ->
-          match Oracle.finalize inst.oracle with
+      Array.iteri
+        (fun i inst ->
+          match outs.(i) with
           | None ->
               finals :=
                 { fz = inst.z; frep = inst.rep; fwinner = "none"; faccepted = false } :: !finals
@@ -368,7 +387,7 @@ let sink : (t, result) Mkc_stream.Sink.sink =
 
     let feed = feed
     let feed_planned = feed_planned
-    let finalize = finalize
+    let finalize t = finalize t
     let words = words
     let words_breakdown = words_breakdown
   end)

@@ -38,10 +38,20 @@ type result = {
   z_guess : int;  (** the accepted coverage guess (0 on the trivial branch) *)
 }
 
-val finalize : t -> result
+val finalize : ?pool:Mkc_stream.Pipeline.Pool.t -> t -> result
 (** Always returns a result: if no guess is accepted the estimate falls
     back to the largest (unaccepted) oracle estimate, and to 0.0 when
-    every oracle reported infeasible. *)
+    every oracle reported infeasible.
+
+    Each (z, rep) instance's oracle is finalized on its own, each into
+    its own slot of an outcome array — with [pool], spread over the
+    pool's slots by {!Mkc_stream.Pipeline.Pool.parallel_for}, else one
+    after another on the calling domain.  The acceptance test and the
+    choice of the largest accepted estimate then run on the calling
+    domain in ladder order, so the result, {!winners}, {!stats} and the
+    witness are the same with or without a pool, at any size.  With the
+    registry or the trace on, each instance records one
+    [estimate.finalize_inst] span on the domain that ran it. *)
 
 val guesses : t -> int list
 (** The z-guess ladder (diagnostics). *)

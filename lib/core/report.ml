@@ -18,8 +18,8 @@ let truncate k sets =
   let rec take i = function [] -> [] | x :: rest -> if i >= k then [] else x :: take (i + 1) rest in
   take 0 sets
 
-let finalize t =
-  let r = Estimate.finalize t.engine in
+let finalize ?pool t =
+  let r = Estimate.finalize ?pool t.engine in
   match r.Estimate.outcome with
   | None -> { estimate = 0.0; sets = []; provenance = None }
   | Some o ->
@@ -41,7 +41,7 @@ let sink : (t, result) Mkc_stream.Sink.sink =
 
     let feed = feed
     let feed_planned = feed_planned
-    let finalize = finalize
+    let finalize t = finalize t
     let words = words
     let words_breakdown t = ("report.output", t.k) :: Estimate.words_breakdown t.engine
   end)

@@ -28,7 +28,10 @@ type result = {
   provenance : Solution.provenance option;
 }
 
-val finalize : t -> result
+val finalize : ?pool:Mkc_stream.Pipeline.Pool.t -> t -> result
+(** {!Estimate.finalize} on the underlying engine, with the same [pool];
+    the witness is then materialized on the calling domain. *)
+
 val words : t -> int
 
 val record_metrics : ?registry:Mkc_obs.Registry.t -> t -> unit

@@ -213,9 +213,12 @@ let budget_evidence b =
 (* The drive: one Pipeline.drive call over [shards state] when
    [domains > 1], else over the whole sink; the sampler samples and
    [progress] reports between windows, and the sampler once more after
-   finalize. *)
-let drive (type s r) cfg ~sampler ~shards ?ckpt ((module M) as sink : (s, r) Sink.sink)
-    (state : s) src : r =
+   finalize.  A pooled run opens its pool once, here: the drive and
+   then [finalize] run on it, and it is shut down before the last
+   sample.  One slot (one domain asked for, or at most one shard)
+   spawns no domain. *)
+let drive (type s r) cfg ~sampler ~shards ~finalize ?ckpt (sink : (s, r) Sink.sink) (state : s)
+    src : r =
   let sinks = if cfg.domains > 1 then shards state else [| Sink.pack sink state |] in
   let on_window ~pos ~len =
     Option.iter (fun s -> window s ~len) sampler;
@@ -227,16 +230,21 @@ let drive (type s r) cfg ~sampler ~shards ?ckpt ((module M) as sink : (s, r) Sin
       (fun s -> s.ckpt_words <- Mkc_stream.Checkpoint.words_of_bytes bytes)
       sampler
   in
-  match
-    Pipe.drive ~domains:cfg.domains ~chunk:cfg.chunk
-      ?checkpoint:(Option.map (fun c -> (c, state)) ckpt)
-      ~on_save ~on_window sinks src
-  with
-  | Error e -> raise (Abort (Checkpoint e))
-  | Ok () ->
-      let r = M.finalize state in
-      Option.iter sample sampler;
-      r
+  let go ?pool () =
+    match
+      Pipe.drive ?pool ~domains:cfg.domains ~chunk:cfg.chunk
+        ?checkpoint:(Option.map (fun c -> (c, state)) ckpt)
+        ~on_save ~on_window sinks src
+    with
+    | Error e -> raise (Abort (Checkpoint e))
+    | Ok () -> finalize ?pool state
+  in
+  let slots = min cfg.domains (Array.length sinks) in
+  let r =
+    if slots > 1 then Pipe.Pool.with_pool ~domains:slots (fun pool -> go ~pool ()) else go ()
+  in
+  Option.iter sample sampler;
+  r
 
 let ledger_entry l ~label ~edges ~wall_ns ~words r =
   let wall_s = float_of_int wall_ns /. 1e9 in
@@ -270,20 +278,22 @@ let ledger_entry l ~label ~edges ~wall_ns ~words r =
     e_quality = quality;
   }
 
-let run (type s r) cfg ?budget ?telemetry ?shards ?ckpt ?(record_metrics = ignore) ?ledger
-    ~label ((module M) as sink : (s, r) Sink.sink) (state : s) src : (r outcome, error) result =
+let run (type s r) cfg ?budget ?telemetry ?shards ?finalize ?ckpt ?(record_metrics = ignore)
+    ?ledger ~label ((module M) as sink : (s, r) Sink.sink) (state : s) src :
+    (r outcome, error) result =
   let rules = match telemetry with Some t -> t.rules | None -> [] in
   (* Health counters live in the registry like every other metric. *)
   if cfg.metrics || ledger <> None || rules <> [] then Mkc_obs.Registry.set_enabled true;
   if cfg.trace then Mkc_obs.Trace.set_enabled true;
   let shards = Option.value shards ~default:(fun st -> [| Sink.pack sink st |]) in
+  let finalize = Option.value finalize ~default:(fun ?pool:_ st -> M.finalize st) in
   let sampler = ref None in
   let close () = Option.iter close_sampler !sampler in
   let t0 = Mkc_obs.Clock.now_ns () in
   match
     if cfg.trace || budget <> None || telemetry <> None then
       sampler := Some (create_sampler cfg ?budget ?telemetry (Sink.pack sink state));
-    drive cfg ~sampler:!sampler ~shards ?ckpt sink state src
+    drive cfg ~sampler:!sampler ~shards ~finalize ?ckpt sink state src
   with
   | exception e -> (
       close ();

@@ -3,7 +3,8 @@
 
     Everything a run decides lives here — the one
     {!Mkc_stream.Pipeline.drive} call (one domain or pooled, with or
-    without a checkpoint); the one sampler, which walks the whole
+    without a checkpoint) and the pool's lifetime (the drive, then
+    finalize); the one sampler, which walks the whole
     sink's [words_breakdown] between windows on every mode and hands
     that one walk to the trace counter, the telemetry probes and log
     (the space curve's one durable record), the health rules and the
@@ -23,9 +24,11 @@
     behind. *)
 
 type config = {
-  domains : int;  (** > 1 feeds [shards] through the domain pool *)
+  domains : int;  (** > 1 feeds [shards] through the domain pool and finalizes on it *)
   chunk : int;
-  cadence : int;  (** the sampling cadence, edges (> 0 when anything samples) *)
+  cadence : int;
+      (** the sampling cadence, edges (> 0 when anything samples); sampled
+          at most once per [chunk] window *)
   metrics : bool;  (** enable the registry and record the result's metrics *)
   trace : bool;  (** enable {!Mkc_obs.Trace} *)
   progress : (edges:int -> unit) option;
@@ -112,6 +115,7 @@ val run :
   ?budget:Mkc_sketch.Space.Budget.t ->
   ?telemetry:telemetry ->
   ?shards:('s -> Mkc_stream.Sink.any array) ->
+  ?finalize:(?pool:Mkc_stream.Pipeline.Pool.t -> 's -> 'r) ->
   ?ckpt:'s ckpt ->
   ?record_metrics:('r -> unit) ->
   ?ledger:'r ledger ->
@@ -122,12 +126,19 @@ val run :
   ('r outcome, error) result
 (** Drive [sink]/[state] over the stream and finalize.  With
     [domains > 1] the pairwise-independent [shards state] (default: the
-    whole sink as one shard) are fed through the pool; otherwise the
-    sink itself on the calling domain.  The whole sink is sampled when
-    [trace], a [budget] or [telemetry] asks for it — on every mode the
-    same way: at most once per window, realigned to the [cadence] grid
-    so an oversized window does not trigger a burst, and once after
-    finalize.  Raises [Invalid_argument] if it samples and
+    whole sink as one shard) are fed through a pool of
+    [min domains (number of shards)] slots, and [finalize ~pool state]
+    (default: the sink's own finalize) runs on the same pool before it
+    is shut down; e.g. [~finalize:Estimate.finalize] spreads the
+    (z, rep) instances' finalize over the domains that fed them.
+    Otherwise, or at one slot, no domain is spawned: the sink (or its
+    one shard) is fed and [finalize state] runs on the calling domain.
+    The whole sink is sampled when [trace], a [budget] or [telemetry]
+    asks for it — on every mode the same way: at most once per window,
+    realigned to the [cadence] grid so an oversized window does not
+    trigger a burst, and once after finalize.  So a [cadence] below
+    [chunk] is sampled at most once per [chunk] window: a run of [w]
+    windows takes at most [w + 1] samples.  Raises [Invalid_argument] if it samples and
     [cadence < 1].  [metrics] alone samples nothing: the space curve's
     one durable record is the telemetry log's [space.*] tracks.
     [record_metrics] runs on the result, and the budget's verdict

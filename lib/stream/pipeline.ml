@@ -23,7 +23,7 @@ module Obs = struct
     Mkc_obs.Registry.gauge ~mode:`Sum r "pipeline.pool.plan_overlap_ns"
 
   (* Distribution tracks: per-chunk feed latency, per-window plan-build
-     latency, and per-ticket queue wait each land in a log-linear
+     latency, and per-job queue wait each land in a log-linear
      histogram.  These replace the old scalar-sum gauges of the same
      names — a histogram's [sum] is the scalar the telemetry probes
      keep reading, and its buckets feed the run ledger's digests. *)
@@ -66,29 +66,22 @@ let chunk_instrumented ~nsinks ~len ~cum f =
 
    The parallel executor.  Domains are spawned ONCE per pool (not per
    chunk window, as the pre-pool driver did) and fed through per-worker
-   single-slot mailboxes: the coordinator publishes a window ticket
-   under the worker's mutex, the worker replays its assigned sinks
-   against the shared read-only plan, and flips the mailbox back to
-   [Idle].  All cross-domain publication — the plan contents, the edge
-   slice bounds, the worker timings flowing back — rides the mailbox
-   mutex acquire/release pairs, which is the entirety of the memory-
-   model argument: a worker never reads a plan except through a
+   single-slot mailboxes: the coordinator publishes a job under the
+   worker's mutex, the worker runs it and flips the mailbox back to
+   [Idle].  A job is a closure, so a chunk window (replay the slot's
+   sinks against the shared read-only plan) and an index task (claim
+   indices from a shared counter) take the same mailbox path.  All
+   cross-domain publication — the plan contents, the edge slice
+   bounds, the worker timings and failures flowing back — rides the
+   mailbox mutex acquire/release pairs, which is the entirety of the
+   memory-model argument: a worker never reads a plan except through a
    [dispatch] that happened-after the coordinator built it, and the
    coordinator never reads worker stats (or sink state) except through
    an [await] that happened-after the worker wrote them. *)
 
 module Pool = struct
-  type ticket = {
-    sinks : Sink.any array;
-    assign : int array;  (* sink indices this worker owns for the window *)
-    plan : Chunk_plan.t;
-    edges : Edge.t array;
-    tpos : int;
-    tlen : int;
-    dispatch_ns : int;
-  }
-
-  type msg = Idle | Work of ticket | Quit
+  type job = { run : unit -> unit; dispatch_ns : int }
+  type msg = Idle | Work of job | Quit
 
   type worker = {
     mu : Mutex.t;
@@ -99,6 +92,9 @@ module Pool = struct
        domain, read by the coordinator only after an [await]. *)
     mutable busy_ns : int;
     mutable wait_ns : int;  (* dispatch -> pick-up queue latency *)
+    (* The last job's exception, taken by the coordinator after the
+       barrier. *)
+    mutable failed : (exn * Printexc.raw_backtrace) option;
   }
 
   type t = {
@@ -125,11 +121,9 @@ module Pool = struct
     worker_wait_ns : int array;
   }
 
-  let feed_assigned (k : ticket) =
-    Array.iter
-      (fun i -> Sink.Any.feed_planned k.sinks.(i) k.plan k.edges ~pos:k.tpos ~len:k.tlen)
-      k.assign
-
+  (* A job that raises leaves its exception in [failed] and the worker
+     goes back to [Idle] like any other: a dead worker would leave its
+     mailbox at [Work] and the coordinator's [await] blocked forever. *)
   let worker_loop (w : worker) =
     let rec next () =
       Mutex.lock w.mu;
@@ -150,10 +144,8 @@ module Pool = struct
           let wait = max 0 (t0 - k.dispatch_ns) in
           w.wait_ns <- w.wait_ns + wait;
           Mkc_obs.Registry.record Obs.pool_queue_wait_ns wait;
-          feed_assigned k;
-          let t1 = Mkc_obs.Clock.now_ns () in
-          Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:(t1 - t0);
-          w.busy_ns <- w.busy_ns + (t1 - t0);
+          (try k.run () with e -> w.failed <- Some (e, Printexc.get_raw_backtrace ()));
+          w.busy_ns <- w.busy_ns + (Mkc_obs.Clock.now_ns () - t0);
           Mutex.lock w.mu;
           w.msg <- Idle;
           Condition.signal w.done_cv;
@@ -177,6 +169,7 @@ module Pool = struct
             msg = Idle;
             busy_ns = 0;
             wait_ns = 0;
+            failed = None;
           })
     in
     let handles = Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers in
@@ -211,6 +204,38 @@ module Pool = struct
     in
     wait ();
     Mutex.unlock w.mu
+
+  (* One barriered round: [job s] on every slot [s], slot 0 on the
+     calling domain and slot [i + 1] on [workers.(i)].  It returns once
+     every worker is back to [Idle], and then re-raises the first
+     exception in slot order, the coordinator's first; the others are
+     dropped, so no failure outlives its round. *)
+  let round workers job =
+    let dispatch_ns = Mkc_obs.Clock.now_ns () in
+    Array.iteri (fun i w -> dispatch w { run = (fun () -> job (i + 1)); dispatch_ns }) workers;
+    let first = ref None in
+    (try job 0 with e -> first := Some (e, Printexc.get_raw_backtrace ()));
+    Array.iter
+      (fun w ->
+        await w;
+        if Option.is_none !first then first := w.failed;
+        w.failed <- None)
+      workers;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !first
+
+  (* Slot [s] starts at index [s], so every slot gets work when
+     [n >= slots]; after that each takes the next unclaimed index from
+     one counter, so a slow index holds up only its own slot. *)
+  let parallel_for t n f =
+    let slots = max 1 (min t.slots n) in
+    let next = Atomic.make slots in
+    let rec claim i =
+      if i < n then begin
+        f i;
+        claim (Atomic.fetch_and_add next 1)
+      end
+    in
+    round (Array.sub t.workers 0 (slots - 1)) claim
 
   let shutdown t =
     if not t.shut then begin
@@ -304,10 +329,10 @@ let with_slots ?pool ?domains nsinks f =
    One slot builds each window's plan in place into a single scratch
    plan, then feeds every sink on the calling domain.
 
-   With a pool, per window W the coordinator dispatches W's tickets to
-   the workers, builds window W+1's plan into the other half of a
-   double-buffered pair (overlapping the workers' replay), feeds its
-   own sink group, then awaits the workers.  Windows are barriered, so
+   With a pool, each window W is one [Pool.round]: the coordinator
+   dispatches W's jobs to the workers, builds window W+1's plan into
+   the other half of a double-buffered pair (overlapping the workers'
+   replay), feeds its own sink group, then awaits the workers.  Windows are barriered, so
    every sink sees the full stream in order no matter which domain runs
    it — the bit-for-bit-vs-[run_seq] invariant.
 
@@ -338,7 +363,7 @@ let loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src =
     let plan_overlap_ns = ref 0 in
     let coord_busy_ns = ref 0 in
     (* A [domains] cap below the pool size leaves the excess workers
-       without tickets for this drive. *)
+       without jobs for this drive. *)
     let workers =
       match pool with None -> [||] | Some p -> Array.sub p.Pool.workers 0 (slots - 1)
     in
@@ -368,20 +393,17 @@ let loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src =
               Chunk_plan.build plan edges ~pos ~len;
               Array.iter (fun s -> Sink.Any.feed_planned s plan edges ~pos ~len) sinks
           | Some _ ->
-              let ticket slot dispatch_ns =
-                { Pool.sinks; assign = assign.(slot); plan; edges; tpos = pos; tlen = len;
-                  dispatch_ns }
-              in
-              let dns = Mkc_obs.Clock.now_ns () in
-              Array.iteri (fun i wk -> Pool.dispatch wk (ticket (i + 1) dns)) workers;
-              if w + 1 < nwin then
-                plan_overlap_ns := !plan_overlap_ns + build_timed plans.(1 - !parity) wins.(w + 1);
-              let t0 = Mkc_obs.Clock.now_ns () in
-              Pool.feed_assigned (ticket 0 t0);
-              let d = Mkc_obs.Clock.now_ns () - t0 in
-              Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:d;
-              coord_busy_ns := !coord_busy_ns + d;
-              Array.iter Pool.await workers);
+              Pool.round workers (fun slot ->
+                  if slot = 0 && w + 1 < nwin then
+                    plan_overlap_ns :=
+                      !plan_overlap_ns + build_timed plans.(1 - !parity) wins.(w + 1);
+                  let t0 = Mkc_obs.Clock.now_ns () in
+                  Array.iter
+                    (fun i -> Sink.Any.feed_planned sinks.(i) plan edges ~pos ~len)
+                    assign.(slot);
+                  let d = Mkc_obs.Clock.now_ns () - t0 in
+                  Mkc_obs.Span.record "pipeline.domain" ~start_ns:t0 ~dur_ns:d;
+                  if slot = 0 then coord_busy_ns := !coord_busy_ns + d));
       if pool <> None then begin
         (* Publish the cumulative pool signals once per window — between
            windows the workers are quiescent (the [await] above is the

@@ -64,13 +64,22 @@ val run : ?chunk:int -> ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
 
 module Pool : sig
   (** A set of worker domains spawned once and reused across chunk
-      windows (and across drives): the per-window cost is a mutex
-      handshake per worker, not a [Domain.spawn]/[join] pair.  One
-      coordinator slot (the calling domain) plus [domains - 1]
-      workers, each with a single-slot ticket mailbox.
+      windows, across drives and for a run's finalize: the per-round
+      cost is a mutex handshake per worker, not a [Domain.spawn]/[join]
+      pair.  One coordinator slot (the calling domain) plus
+      [domains - 1] workers, each with a single-slot mailbox that holds
+      one job, a closure.  A chunk window and a {!parallel_for} are both
+      one barriered round of jobs: the coordinator runs slot 0's job
+      itself, then waits until every worker's mailbox is idle again.
+
+      A job that raises does not kill its worker: the worker keeps the
+      exception and its backtrace and goes idle, and after the barrier
+      the coordinator re-raises the first exception in slot order (its
+      own first).  So a sink that raises on a worker fails the drive
+      with that exception, and {!with_pool} still shuts the pool down.
 
       A pool is owned by the domain that created it; only that domain
-      may drive or shut it down. *)
+      may drive, run {!parallel_for} on or shut it down. *)
 
   type t
 
@@ -82,6 +91,16 @@ module Pool : sig
   val size : t -> int
   (** Slot count including the coordinator ([domains] as created). *)
 
+  val parallel_for : t -> int -> (int -> unit) -> unit
+  (** [parallel_for t n f] runs [f 0], …, [f (n - 1)], each exactly once,
+      over [min (size t) n] slots, the coordinator one of them, and
+      returns when all have run.  Slot [s] runs index [s] first, so every
+      slot gets work; then each slot takes the next unclaimed index from
+      one [Atomic] counter until none is left.  The calls must be
+      independent: which domain runs which index, and in what order, is
+      the scheduler's.  A raise is re-raised as for a window, after the
+      other slots have finished claiming. *)
+
   val shutdown : t -> unit
   (** Quiesce and join every worker.  Idempotent. *)
 
@@ -90,7 +109,8 @@ module Pool : sig
 
   (** Drive statistics, accumulated over the pool's lifetime.  Worker
       arrays are indexed by worker (slot - 1); busy/wait are cumulative
-      per worker — they never reset between windows or drives. *)
+      per worker over every round, windows and {!parallel_for} alike —
+      they never reset between rounds or drives. *)
   type stats = {
     domains : int;
     windows : int;  (** chunk windows dispatched *)

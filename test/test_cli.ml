@@ -181,6 +181,38 @@ let test_report_window_observability () =
           | Ok n -> checkb "trace has events" true (n > 0)
           | Error e -> Alcotest.failf "report --window trace invalid: %s" e))
 
+(* A pooled report finalizes its (z, rep) instances on the drive's
+   pool: a traced --domains 2 run shows one estimate.finalize_inst span
+   per instance, on both domains, and the trace stays valid. *)
+let test_pooled_finalize_spans () =
+  with_stream (fun stream ->
+      let trace = Filename.temp_file "mkc_cli" ".trace.json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove trace)
+        (fun () ->
+          ignore
+            (run_ok
+               (Printf.sprintf "report -s %s -k 8 --alpha 4 --domains 2 --trace %s" stream trace));
+          let events =
+            match Mkc_obs.Json.parse (read_all trace) with
+            | Ok j -> Option.value ~default:[] (Mkc_obs.Json.to_list j)
+            | Error e -> Alcotest.failf "trace unparsable: %s" e
+          in
+          let tids =
+            List.filter_map
+              (fun ev ->
+                match
+                  Option.bind (Mkc_obs.Json.member "name" ev) Mkc_obs.Json.to_string_opt
+                with
+                | Some "estimate.finalize_inst" ->
+                    Option.bind (Mkc_obs.Json.member "tid" ev) Mkc_obs.Json.to_int
+                | _ -> None)
+              events
+          in
+          checkb "one span per instance, several instances" true (List.length tids > 2);
+          checki "the spans are on two domains" 2 (List.length (List.sort_uniq compare tids));
+          ignore (run_ok (Printf.sprintf "doctor --trace %s" trace))))
+
 (* The durable log must agree with the live accounting: the last
    space.words sample of a --telemetry run is the "space: N words" line
    the same run prints, plain, pooled and windowed. *)
@@ -667,4 +699,6 @@ let suite =
       test_resume_across_domains;
     Alcotest.test_case "--domains defaults to the host, one domain where a pool idles" `Quick
       test_default_domains;
+    Alcotest.test_case "a pooled report traces its finalize fan-out" `Quick
+      test_pooled_finalize_spans;
   ]

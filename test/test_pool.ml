@@ -273,6 +273,158 @@ let prop_pool_crash_resume =
               && E.words_breakdown resumed = E.words_breakdown ref_est
               && grid_free_stats resumed = grid_free_stats ref_est))
 
+(* --- a failing job: the exception reaches the coordinator --- *)
+
+(* A sink that raises on its second window, but only on a worker domain
+   (the test runs on the main one), so the failure is a worker's. *)
+let boom_sink : (int ref, unit) Sink.sink =
+  (module struct
+    type t = int ref
+    type result = unit
+
+    let feed _ _ = ()
+
+    let feed_planned t _ _ ~pos:_ ~len:_ =
+      incr t;
+      if !t = 2 && not (Domain.is_main_domain ()) then failwith "boom"
+
+    let finalize _ = ()
+    let words _ = 0
+    let words_breakdown _ = []
+  end)
+
+let test_worker_exception () =
+  let src =
+    Src.of_array (Array.init 40_000 (fun i -> Edge.make ~set:(i mod 97) ~elt:(i mod 1009)))
+  in
+  let sinks () = Array.init 4 (fun _ -> Sink.pack boom_sink (ref 0)) in
+  Alcotest.check_raises "the drive raises the worker's exception" (Failure "boom") (fun () ->
+      Pipe.Pool.with_pool ~domains:2 (fun pool ->
+          Pipe.feed_all_parallel ~pool ~chunk:1000 (sinks ()) src));
+  (* the pool that saw the failure is still usable *)
+  Pipe.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.check_raises "a drive on the pool raises it" (Failure "boom") (fun () ->
+          Pipe.feed_all_parallel ~pool ~chunk:1000 (sinks ()) src);
+      Alcotest.check_raises "parallel_for raises a worker's exception" (Failure "boom")
+        (fun () ->
+          Pipe.Pool.parallel_for pool 64 (fun _ ->
+              if not (Domain.is_main_domain ()) then failwith "boom"));
+      let seen = Array.make 64 0 in
+      Pipe.Pool.parallel_for pool 64 (fun i -> seen.(i) <- seen.(i) + 1);
+      checkb "the next round runs every index" true (Array.for_all (( = ) 1) seen);
+      Alcotest.check_raises "the coordinator's own exception comes first" (Failure "mine")
+        (fun () ->
+          Pipe.Pool.parallel_for pool 2 (fun i ->
+              failwith (if i = 0 then "mine" else "theirs"))))
+
+(* Every index once, every slot busy when there are enough indices. *)
+let test_parallel_for () =
+  Pipe.Pool.with_pool ~domains:3 (fun pool ->
+      List.iter
+        (fun n ->
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          let doms = Array.make n (-1) in
+          Pipe.Pool.parallel_for pool n (fun i ->
+              Atomic.incr hits.(i);
+              doms.(i) <- (Domain.self () :> int));
+          checkb
+            (Printf.sprintf "n=%d: every index exactly once" n)
+            true
+            (Array.for_all (fun a -> Atomic.get a = 1) hits);
+          checki
+            (Printf.sprintf "n=%d: min(slots, n) domains ran" n)
+            (min 3 n)
+            (List.length (List.sort_uniq compare (Array.to_list doms))))
+        [ 0; 1; 2; 3; 7; 100 ])
+
+(* --- property: finalize on a pool ≡ finalize on the calling domain --- *)
+
+let shapes = [| "uniform"; "few-large"; "graph" |]
+
+let shape_instance shape seed =
+  match shape with
+  | 0 ->
+      let n = 1024 and m = 128 in
+      let sys = Mkc_workload.Random_inst.uniform ~n ~m ~set_size:48 ~seed in
+      (Src.of_array (Ss.edge_stream ~seed:(seed + 1) sys), P.make ~m ~n ~k:4 ~alpha:4.0 ~seed ())
+  | 1 ->
+      let n = 1024 and m = 128 in
+      let pl = Mkc_workload.Planted.few_large ~n ~m ~k:8 ~seed in
+      ( Src.of_array (Ss.edge_stream ~seed:(seed + 1) pl.Mkc_workload.Planted.system),
+        P.make ~m ~n ~k:8 ~alpha:2.0 ~seed () )
+  | _ ->
+      let v = 512 in
+      let sys = Mkc_workload.Graph_gen.power_law ~vertices:v ~edges:(8 * v) ~skew:1.2 ~seed in
+      ( Mkc_workload.Graph_gen.in_arrival_stream sys ~seed:(seed + 1),
+        P.make ~m:v ~n:v ~k:6 ~alpha:3.0 ~seed () )
+
+let fed sink create p src =
+  let t = create p in
+  Pipe.feed_all_parallel ~domains:1 [| Sink.pack sink t |] src;
+  t
+
+(* Figure 1 by hand, on the estimator's own seeds: every (z, rep)
+   oracle fed edge by edge and finalized in ladder order, then Theorem
+   3.6's largest accepted estimate, else the largest one.  It shares no
+   code with [E.finalize], so pairing an outcome with the wrong
+   instance shows as another [z_guess] or provenance on either path. *)
+let figure1 (p : P.t) src =
+  let module Sm = Mkc_hashing.Splitmix in
+  let root = Sm.create p.P.base_seed in
+  let accepted = ref None and fallback = ref None in
+  List.iter
+    (fun z ->
+      for rep = 0 to p.P.z_repeats - 1 do
+        let sd = Sm.fork root ((z * 131) + rep) in
+        let red = Mkc_core.Universe_reduction.create ~z ~seed:(Sm.fork sd 0) in
+        let o = Mkc_core.Oracle.create (P.with_universe p z) ~seed:(Sm.fork sd 1) in
+        Src.iter
+          (fun e -> Mkc_core.Oracle.feed o (Mkc_core.Universe_reduction.apply_edge red e))
+          src;
+        match Mkc_core.Oracle.finalize o with
+        | None -> ()
+        | Some { Mkc_core.Solution.estimate; provenance; _ } -> (
+            let slot =
+              if estimate >= float_of_int z /. (p.P.accept_factor *. p.P.alpha) then accepted
+              else fallback
+            in
+            match !slot with
+            | Some (best, _, _) when best >= estimate -> ()
+            | _ -> slot := Some (estimate, z, provenance))
+      done)
+    (E.guesses (E.create p));
+  match (!accepted, !fallback) with Some r, _ | None, Some r -> Some r | None, None -> None
+
+let prop_pooled_finalize =
+  let arb =
+    QCheck.make
+      ~print:(fun (shape, seed) -> Printf.sprintf "%s, seed %d" shapes.(shape) seed)
+      QCheck.Gen.(pair (int_range 0 2) (int_range 1 10_000))
+  in
+  QCheck.Test.make ~name:"pooled finalize ≡ one-domain finalize (estimate and report)"
+    ~count:12 arb (fun (shape, seed) ->
+      let src, p = shape_instance shape seed in
+      Pipe.Pool.with_pool ~domains:2 (fun pool ->
+          let a = fed E.sink E.create p src and b = fed E.sink E.create p src in
+          let ra = E.finalize ~pool a and rb = E.finalize b in
+          let provenance (r : E.result) =
+            Option.map (fun o -> o.Mkc_core.Solution.provenance) r.E.outcome
+          in
+          let module R = Mkc_core.Report in
+          let ca = fed R.sink R.create p src and cb = fed R.sink R.create p src in
+          let qa = R.finalize ~pool ca and qb = R.finalize cb in
+          let chosen (r : E.result) =
+            Option.map (fun prov -> (r.E.estimate, r.E.z_guess, prov)) (provenance r)
+          in
+          chosen ra = figure1 p src
+          && fingerprint ra = fingerprint rb
+          && provenance ra = provenance rb
+          && E.winners a = E.winners b
+          && E.stats a = E.stats b
+          && qa.R.estimate = qb.R.estimate
+          && qa.R.sets = qb.R.sets
+          && qa.R.provenance = qb.R.provenance))
+
 let suite =
   [
     Alcotest.test_case "pool ≡ run_seq across domains × chunks" `Quick
@@ -282,6 +434,9 @@ let suite =
     Alcotest.test_case "empty stream and cost-vector errors" `Quick
       test_pool_empty_and_errors;
     Alcotest.test_case "pooled checkpoint/resume" `Quick test_pool_resumable;
+    Alcotest.test_case "a worker's exception reaches the coordinator" `Quick
+      test_worker_exception;
+    Alcotest.test_case "parallel_for runs every index once" `Quick test_parallel_for;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_pool_equals_seq; prop_pool_crash_resume ]
+      [ prop_pool_equals_seq; prop_pool_crash_resume; prop_pooled_finalize ]

@@ -41,7 +41,7 @@ let run_estimate ?budget ?telemetry ?ckpt ?ledger params cfg src =
   ( e,
     Run.run cfg ?budget
       ?telemetry:(Option.map (fun t -> t e) telemetry)
-      ~shards:E.shards ?ckpt ?ledger ~label:"estimate" E.sink e src
+      ~shards:E.shards ~finalize:E.finalize ?ckpt ?ledger ~label:"estimate" E.sink e src
   )
 
 let telemetry ?(rules = []) log e =
@@ -199,6 +199,32 @@ let test_samples_follow_the_sink_under_a_frozen_clock () =
       checki "the last sample is the run's words" o.words (List.nth logged (n - 1));
       checkb "the words move during the run" true
         (List.sort_uniq compare logged <> [ List.hd logged ]))
+
+(* The sampler takes at most one sample per window: a cadence below
+   the chunk is coarsened to the windows, one sample each, plus the one
+   after finalize — on one domain and pooled alike. *)
+let test_cadence_below_chunk () =
+  let src, params = instance () in
+  let chunk = 400 in
+  let windows = (Src.length src + chunk - 1) / chunk in
+  List.iter
+    (fun domains ->
+      let log = Filename.temp_file "mkc_run" ".mkctel" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove log)
+        (fun () ->
+          let _, o =
+            run_estimate ~telemetry:(telemetry log) params
+              { Run.default with domains; chunk; cadence = 64 }
+              src
+          in
+          let label = Printf.sprintf "%d domains" domains in
+          checki (label ^ ": one sample per window, one after finalize") (windows + 1)
+            (get o).samples;
+          match Mkc_obs.Telemetry.read log with
+          | Ok t -> checki (label ^ ": the log holds them") (windows + 1) (List.length t.samples)
+          | Error e -> Alcotest.failf "log unreadable: %s" (Mkc_obs.Telemetry.error_to_string e)))
+    [ 1; 2 ]
 
 (* The CLI cannot reach this case (its budget is the theoretical one):
    a strict budget overshoot is an error value, and the telemetry log
@@ -449,4 +475,6 @@ let suite =
     Alcotest.test_case "checkpointed run resumes to the same answer" `Quick
       test_checkpointed_resume_matches;
     Alcotest.test_case "ledger record carries modes and stats" `Quick test_ledger_record;
+    Alcotest.test_case "a cadence below the chunk samples once per window" `Quick
+      test_cadence_below_chunk;
   ]
