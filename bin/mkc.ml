@@ -52,8 +52,7 @@ let domains_arg =
           "Ingestion domains. With D > 1 the independent oracle instances are \
            bin-packed across a persistent pool of D domains; results are \
            identical to a sequential run.  Default: the host's recommended domain \
-           count, capped by the instance count; 1 for a windowed run or a stream of \
-           at most one chunk.")
+           count, capped by the instance count; 1 for a stream of at most one chunk.")
 
 let pos_int ~what =
   let parse s =
@@ -316,7 +315,7 @@ let window_arg =
         ~doc:
           "Sliding-window mode: retain the last $(docv) epochs of \
            $(b,--epoch-edges) edges each and answer over their merged states \
-           plus the in-flight epoch.  Runs single-domain.")
+           plus the in-flight epoch.")
 
 let epoch_edges_arg =
   Arg.(
@@ -547,8 +546,6 @@ let check_flags ?(every = 1) ?(ckpt = false) ro =
             if not (l > 0.0 && l < 1.0) then
               misuse "--decay must lie strictly between 0 and 1 (got %g)" l)
           ro.decay;
-        if Option.value ro.domains ~default:1 > 1 then
-          misuse "--window runs single-domain; use --domains 1";
         if ckpt then
           misuse
             "--window holds its own per-epoch checkpoints; --checkpoint/--resume are not \
@@ -566,9 +563,9 @@ let check_flags ?(every = 1) ?(ckpt = false) ro =
   (wincfg, rules)
 
 (* The domains a run drives: [--domains] as given, else the host's
-   recommended count capped by the sink's [instances].  A windowed run
-   ([instances] = 1) and a stream of at most one chunk, which a pool
-   could not overlap, stay on the calling domain. *)
+   recommended count capped by the sink's [instances].  A stream of at
+   most one chunk, which a pool could not overlap, stays on the calling
+   domain. *)
 let resolve_domains ro ~edges ~instances =
   match ro.domains with
   | Some d -> d
@@ -597,8 +594,8 @@ let ledger_params ro ~domains ~m ~n =
    metrics, trace and ledger evidence — or, on an abort, its message
    and exit code.  [print] writes the answer's lines; the "space:" line
    and everything after it are common. *)
-let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?finalize ?ckpt
-    ~record_metrics ~print ~stats sink state =
+let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?finalize ?epoch
+    ?ckpt ~record_metrics ~print ~stats sink state =
   let total = Mkc_stream.Stream_source.length src in
   let domains =
     resolve_domains ro ~edges:total
@@ -639,8 +636,8 @@ let answer ro ~rules ~src ~m ~n ~label ?mode ?word_budget ?probes ?shards ?final
     }
   in
   match
-    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?finalize ?ckpt ~record_metrics ?ledger
-      ~label sink state src
+    Mkc_core.Run.run cfg ?budget ?telemetry ?shards ?finalize ?epoch ?ckpt ~record_metrics
+      ?ledger ~label sink state src
   with
   | Error (Checkpoint e) -> ckpt_error_exit "checkpoint" e
   | Error (Health_rules msg) -> misuse "--health: %s" msg
@@ -687,17 +684,21 @@ let print_sets sets =
   Format.printf "reported %d sets:@." (List.length sets);
   List.iter (fun id -> Format.printf "  S%d@." id) sets
 
-(* A windowed answer: the same run over Windowed's epoch ring.  Estimate
-   and report differ only in the headline and in how the merged
-   window's winning oracle is shown; for report it carries the witness
-   ids, so the reported cover is the one a fresh pass over the live
-   suffix would name. *)
+(* A windowed answer: the same run over Windowed's epoch rings, one shard
+   per instance, with the drive's windows cut at the epoch boundaries.
+   Estimate and report differ only in the headline and in how the
+   merged window's winning oracle is shown; for report it carries the
+   witness ids, so the reported cover is the one a fresh pass over the
+   live suffix would name.  The metrics are the query's: the merged
+   window's winners and finalize-time stats. *)
 let answer_windowed ro ~rules ~src ~m ~n ~label ?word_budget ~headline ~print_outcome params
     (window, epoch_edges, decay) =
   let w = Mkc_core.Windowed.create ?decay params ~window ~epoch_edges () in
   answer ro ~rules ~src ~m ~n ~label ~mode:"windowed" ?word_budget
     ~probes:(Mkc_core.Telemetry_probes.build_windowed w)
-    ~record_metrics:(fun _ -> Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.current w))
+    ~shards:Mkc_core.Windowed.shards ~finalize:Mkc_core.Windowed.finalize ~epoch:epoch_edges
+    ~record_metrics:(fun _ ->
+      Option.iter Mkc_core.Estimate.record_metrics (Mkc_core.Windowed.merged w))
     ~print:(fun (r : Mkc_core.Windowed.result) ->
       print_stream ~src ~m ~n;
       Format.printf "%s (%d epochs%s): %.0f@." headline r.epochs

@@ -48,32 +48,32 @@ let trivial_witness (p : Params.t) () =
   done;
   List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) seen [])
 
+(* Instance (z, rep) as [create] builds it: its seeds are forked from
+   the params' base seed alone, so any instance can be rebuilt on its
+   own. *)
+let make_inst (p : Params.t) ~z ~rep =
+  let sd = Mkc_hashing.Splitmix.fork (Mkc_hashing.Splitmix.create p.base_seed) ((z * 131) + rep) in
+  {
+    z;
+    rep;
+    span_name = Printf.sprintf "estimate.z%d.rep%d" z rep;
+    reduction = Universe_reduction.create ~z ~seed:(Mkc_hashing.Splitmix.fork sd 0);
+    oracle = Oracle.create (Params.with_universe p z) ~seed:(Mkc_hashing.Splitmix.fork sd 1);
+  }
+
 let create (p : Params.t) =
   let body =
     if trivial p then
       Trivial
         { estimate = float_of_int p.n /. p.alpha; witness = trivial_witness p }
-    else begin
-      let root = Mkc_hashing.Splitmix.create p.base_seed in
-      let insts =
-        guess_ladder p
-        |> List.concat_map (fun z ->
-               List.init p.z_repeats (fun rep ->
-                   let sd = Mkc_hashing.Splitmix.fork root ((z * 131) + rep) in
-                   {
-                     z;
-                     rep;
-                     span_name = Printf.sprintf "estimate.z%d.rep%d" z rep;
-                     reduction =
-                       Universe_reduction.create ~z ~seed:(Mkc_hashing.Splitmix.fork sd 0);
-                     oracle =
-                       Oracle.create (Params.with_universe p z)
-                         ~seed:(Mkc_hashing.Splitmix.fork sd 1);
-                   }))
-        |> Array.of_list
-      in
-      Run { insts }
-    end
+    else
+      Run
+        {
+          insts =
+            guess_ladder p
+            |> List.concat_map (fun z -> List.init p.z_repeats (fun rep -> make_inst p ~z ~rep))
+            |> Array.of_list;
+        }
   in
   { params = p; body; finals = [] }
 
@@ -93,7 +93,8 @@ let feed_planned_inst i plan edges ~pos ~len =
   Oracle.feed_planned i.oracle plan ~red edges ~pos ~len;
   if obs then Mkc_obs.Span.record i.span_name ~start_ns:t0 ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)
 
-let iter_insts t f = match t.body with Trivial _ -> () | Run { insts } -> Array.iter f insts
+let insts t = match t.body with Trivial _ -> [||] | Run { insts } -> insts
+let iter_insts t f = Array.iter f (insts t)
 
 (* The instances one after another over the shared plan: they are
    mutually independent, so the final state is exactly the edge-by-edge
@@ -101,13 +102,19 @@ let iter_insts t f = match t.body with Trivial _ -> () | Run { insts } -> Array.
 let feed t e = iter_insts t (fun i -> feed_inst i e)
 let feed_planned t plan edges ~pos ~len = iter_insts t (fun i -> feed_planned_inst i plan edges ~pos ~len)
 
+let finalize_inst i =
+  let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
+  let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
+  let o = Oracle.finalize i.oracle in
+  if obs then
+    Mkc_obs.Span.record "estimate.finalize_inst" ~start_ns:t0 ~dur_ns:(Mkc_obs.Clock.now_ns () - t0);
+  o
+
 (* Theorem 3.6's selection: the largest accepted estimate, in ladder
-   order.  The per-instance [Oracle.finalize] calls are independent, so
-   with a pool they run on its slots, each writing its own slot of
-   [outs]; the selection reads [outs] on the calling domain, in the
-   same order either way, so nothing it picks can depend on the pool.
-   One [estimate.finalize_inst] span per instance shows the fan-out. *)
-let finalize ?pool t =
+   order, over outcomes the instances produced on their own.  It runs
+   on the calling domain, in the same order whoever finalized the
+   instances, so nothing it picks can depend on a pool. *)
+let select t outs =
   match t.body with
   | Trivial { estimate; witness } ->
       t.finals <- [ { fz = 0; frep = 0; fwinner = "trivial"; faccepted = true } ];
@@ -117,20 +124,9 @@ let finalize ?pool t =
         z_guess = 0;
       }
   | Run { insts } ->
+      if Array.length outs <> Array.length insts then
+        invalid_arg "Estimate.select: one outcome per instance";
       let p = t.params in
-      let n = Array.length insts in
-      let outs = Array.make n None in
-      let fin i =
-        let obs = Mkc_obs.Registry.enabled () || Mkc_obs.Trace.enabled () in
-        let t0 = if obs then Mkc_obs.Clock.now_ns () else 0 in
-        outs.(i) <- Oracle.finalize insts.(i).oracle;
-        if obs then
-          Mkc_obs.Span.record "estimate.finalize_inst" ~start_ns:t0
-            ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)
-      in
-      (match pool with
-      | Some pool -> Mkc_stream.Pipeline.Pool.parallel_for pool n fin
-      | None -> for i = 0 to n - 1 do fin i done);
       let accepted = ref None and fallback = ref None in
       let finals = ref [] in
       let consider slot (cand : result) =
@@ -163,6 +159,18 @@ let finalize ?pool t =
       | Some r, _ -> r
       | None, Some r -> r
       | None, None -> { estimate = 0.0; outcome = None; z_guess = 0 })
+
+(* The per-instance [Oracle.finalize] calls are independent, so with a
+   pool they run on its slots, each writing its own slot of [outs]. *)
+let finalize ?pool t =
+  let insts = insts t in
+  let n = Array.length insts in
+  let outs = Array.make n None in
+  let fin i = outs.(i) <- finalize_inst insts.(i) in
+  (match pool with
+  | Some pool -> Mkc_stream.Pipeline.Pool.parallel_for pool n fin
+  | None -> for i = 0 to n - 1 do fin i done);
+  select t outs
 
 let guesses t = guess_ladder t.params
 
@@ -284,34 +292,35 @@ let record_metrics ?(registry = Mkc_obs.Registry.global) t =
 
 let iter_oracles t f = iter_insts t (fun i -> f i.oracle)
 
-(* A frozen estimator is one byte string: the oracle states in ladder
-   order, as {!Oracle.freeze} packs them (empty on the trivial branch).
-   Params, samplers and hash tables are not in it — {!create} rebuilds
-   them from the params the holder already has. *)
-type frozen = string
+let fresh_inst t i =
+  let i = (insts t).(i) in
+  make_inst t.params ~z:i.z ~rep:i.rep
 
-let freeze w t =
-  iter_oracles t Oracle.settle;
+let of_insts t insts =
+  match t.body with
+  | Trivial _ -> { t with finals = [] }
+  | Run { insts = own } ->
+      if Array.length insts <> Array.length own then
+        invalid_arg "Estimate.of_insts: one instance per (z, rep)";
+      { params = t.params; body = Run { insts }; finals = [] }
+
+(* A frozen instance is its oracle state as {!Oracle.freeze} packs it:
+   params, samplers and hash tables are not in it — the holder rebuilds
+   them from the params it already has. *)
+let freeze_inst w i =
+  Oracle.settle i.oracle;
   Mkc_sketch.Packed.reset w;
-  iter_oracles t (Oracle.freeze w);
+  Oracle.freeze w i.oracle;
   Mkc_sketch.Packed.contents w
 
-(* A string of [len] bytes is a header word plus [len/8 + 1] words
-   (OCaml always pads with at least one byte). *)
-let frozen_words f = (String.length f / 8) + 2
-
-(* A thawed estimator has not been finalized: the winners and
-   acceptance verdicts of whatever state it held before must not
-   outlive that state. *)
-let thaw ~into f =
-  into.finals <- [];
-  Mkc_sketch.Packed.decode f (fun r -> iter_oracles into (Oracle.thaw r))
+let thaw_inst ~into f = Mkc_sketch.Packed.decode f (fun r -> Oracle.thaw r into.oracle)
+let merge_inst ~dst src = Oracle.merge_into ~dst:dst.oracle src.oracle
 
 let merge_into ~dst src =
   match (dst.body, src.body) with
   | Trivial _, Trivial _ -> ()
   | Run { insts = d }, Run { insts = s } when Array.length d = Array.length s ->
-      Array.iteri (fun i si -> Oracle.merge_into ~dst:d.(i).oracle si.oracle) s
+      Array.iteri (fun i si -> merge_inst ~dst:d.(i) si) s
   | _ -> invalid_arg "Estimate.merge_into: instance shapes differ"
 
 (* A checkpoint payload: the params, the unsettled state in the frozen
@@ -392,7 +401,7 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     let words_breakdown = words_breakdown
   end)
 
-let shard_sink : (inst, unit) Mkc_stream.Sink.sink =
+let inst_sink : (inst, unit) Mkc_stream.Sink.sink =
   (module struct
     type t = inst
     type result = unit
@@ -404,10 +413,8 @@ let shard_sink : (inst, unit) Mkc_stream.Sink.sink =
     let words_breakdown = words_breakdown_inst
   end)
 
-let shards t =
-  match t.body with
-  | Trivial _ -> [||] (* the trivial branch ignores the stream *)
-  | Run { insts } -> Array.map (Mkc_stream.Sink.pack shard_sink) insts
+(* None on the trivial branch, which ignores the stream. *)
+let shards t = Array.map (Mkc_stream.Sink.pack inst_sink) (insts t)
 
 (* Unit weights, index-aligned with [shards].  Every instance runs the
    same subroutine mix: the regime split (SmallSet present or not) is a

@@ -43,15 +43,21 @@ val finalize : ?pool:Mkc_stream.Pipeline.Pool.t -> t -> result
     back to the largest (unaccepted) oracle estimate, and to 0.0 when
     every oracle reported infeasible.
 
-    Each (z, rep) instance's oracle is finalized on its own, each into
-    its own slot of an outcome array — with [pool], spread over the
-    pool's slots by {!Mkc_stream.Pipeline.Pool.parallel_for}, else one
-    after another on the calling domain.  The acceptance test and the
-    choice of the largest accepted estimate then run on the calling
-    domain in ladder order, so the result, {!winners}, {!stats} and the
-    witness are the same with or without a pool, at any size.  With the
-    registry or the trace on, each instance records one
-    [estimate.finalize_inst] span on the domain that ran it. *)
+    {!finalize_inst} on each (z, rep) instance — with [pool], spread
+    over the pool's slots by {!Mkc_stream.Pipeline.Pool.parallel_for},
+    else one after another on the calling domain — then {!select}.  So
+    the result, {!winners}, {!stats} and the witness are the same with
+    or without a pool, at any size. *)
+
+val select : t -> Solution.outcome option array -> result
+(** Theorem 3.6's selection over one outcome per instance
+    (index-aligned with {!insts}): a guess is accepted when its
+    instance's estimate reaches [z/(accept·α)], and the answer is the
+    largest accepted estimate, else the largest unaccepted one, else
+    0.0.  Ladder order decides ties.  Runs on the calling domain and
+    records the verdicts on [t] ({!winners}, {!record_metrics}).  On
+    the trivial branch [outs] is ignored.  Raises [Invalid_argument]
+    when [outs] is not one outcome per instance. *)
 
 val guesses : t -> int list
 (** The z-guess ladder (diagnostics). *)
@@ -106,33 +112,6 @@ val record_metrics : ?registry:Mkc_obs.Registry.t -> t -> unit
     finalize-time counters (heavy-hitter recoveries, winners) are
     included. *)
 
-type frozen
-(** A packed estimator state: exactly what {!merge_into} reads from a
-    source, with no params, samplers, memos, scratch or work counters.
-    A checkpoint payload carries its state in the same layout, unsettled
-    (see {!codec}). *)
-
-val freeze : Mkc_sketch.Packed.writer -> t -> frozen
-(** Settle the F2 trackers as {!finalize} leaves them, then pack the
-    estimator's mergeable state (pending CountSketch deltas flushed), so
-    the packed state is the same whether or not [finalize] ran first.
-    For a finished state only: a settle counts as a prune.  The state
-    is packed in the given writer (reset first) and copied out; one
-    writer kept across freezes grows to the largest state only once. *)
-
-val frozen_words : frozen -> int
-(** The packed value's heap size in words, header included. *)
-
-val thaw : into:t -> frozen -> (unit, string) Stdlib.result
-(** Overlay a frozen state onto [into], which must be {!create}d from
-    the params the state was frozen under.  Work counters and
-    finalize-time records ({!winners}, heavy-hitter recoveries) read
-    empty afterwards, while memos and scratch (pure functions of the
-    seeds) stay warm: [into] is a merge source for {!merge_into}, one
-    scratch estimator can be thawed into again and again, and thawing
-    a frozen fresh estimator resets [into] to a fresh one.  A malformed
-    state is an [Error] (and leaves [into] partly overwritten). *)
-
 val merge_into : dst:t -> t -> unit
 (** Fold a shard's oracle states in, instance by instance; raises
     [Invalid_argument] on a shape mismatch. *)
@@ -143,7 +122,7 @@ val ckpt_kind : string
 val codec : Params.t -> t Mkc_stream.Checkpoint.codec
 (** Checkpoint codec (kind {!ckpt_kind}, seed [base_seed]) for
     {!Mkc_stream.Pipeline.drive}'s checkpoints.  The payload is the params
-    ({!Params.put}), the unsettled state in the {!freeze} layout, then a
+    ({!Params.put}), the unsettled state in the {!freeze_inst} layout, then a
     work tail (per-layer counters and the LargeCommon memo keys), so a
     resumed run's answer, words and work counters equal the
     uninterrupted run's.  [restore] rejects a payload whose params
@@ -169,6 +148,63 @@ val params : t -> Params.t
 val sink : (t, result) Mkc_stream.Sink.sink
 (** The whole estimator as a single {!Mkc_stream.Sink}, for one-slot
     {!Mkc_stream.Pipeline} drives. *)
+
+(** {1 The (z, rep) instance}
+
+    Figure 1's instances are independent until {!select}: each can be
+    fed, frozen, thawed, merged and finalized on its own, on any
+    domain, one domain per instance at a time. *)
+
+type inst
+(** One (z-guess, repeat) oracle instance with its universe reduction. *)
+
+val insts : t -> inst array
+(** The instances, in ladder order; empty on the trivial branch.  They
+    are the estimator's own, not copies. *)
+
+val fresh_inst : t -> int -> inst
+(** A new instance built as {!create} builds instance [i] (same seeds),
+    holding no edges. *)
+
+val of_insts : t -> inst array -> t
+(** An estimator of [t]'s params over the given instances
+    (index-aligned with {!insts}), with no verdicts: e.g. a merged
+    window's instances, finalized one by one and then {!select}ed.  On
+    the trivial branch the instances are ignored.  Raises
+    [Invalid_argument] on a length mismatch. *)
+
+val inst_sink : (inst, unit) Mkc_stream.Sink.sink
+(** One instance as a sink: what {!shards} packs.  Its [finalize] does
+    nothing; {!finalize_inst} is the instance's finalize. *)
+
+val finalize_inst : inst -> Solution.outcome option
+(** The instance's {!Oracle.finalize}.  With the registry or the trace
+    on, it records one [estimate.finalize_inst] span on the domain that
+    ran it. *)
+
+val freeze_inst : Mkc_sketch.Packed.writer -> inst -> string
+(** Settle the F2 trackers as {!finalize_inst} leaves them, then pack
+    the instance's mergeable state (pending CountSketch deltas flushed)
+    into the writer (reset first) and copy it out: the same bytes
+    whether or not the instance was finalized first, and with no params,
+    samplers, memos, scratch or work counters.  For a finished state
+    only: a settle counts as a prune.  One writer kept across freezes
+    grows to the largest state only once.  The instances' states, in
+    ladder order, are the state layout of a checkpoint payload. *)
+
+val thaw_inst : into:inst -> string -> (unit, string) Stdlib.result
+(** Overlay a {!freeze_inst} state onto [into], which must be the same
+    instance of the same params.  Work counters and finalize-time
+    records (heavy-hitter recoveries) read empty afterwards, while
+    memos and scratch (pure functions of the seeds) stay warm: [into]
+    is a merge source for {!merge_inst}, one scratch instance can be
+    thawed into again and again, and thawing a frozen fresh instance
+    resets [into] to a fresh one.  A malformed state is an [Error] (and
+    leaves [into] partly overwritten). *)
+
+val merge_inst : dst:inst -> inst -> unit
+(** Fold one instance's state into the same instance of another
+    estimator, as {!merge_into} does for each. *)
 
 val shards : t -> Mkc_stream.Sink.any array
 (** The z-ladder × repeats fan-out as a data-driven array of mutually

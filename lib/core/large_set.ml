@@ -478,42 +478,41 @@ let witness t (c : candidate) () =
   let rs = t.repeats.(c.repeat) in
   Superset_partition.members ~limit:t.params.Params.k rs.partition c.superset
 
+(* Total order: estimate descending, then (repeat, superset, via_l0)
+   — the winner must not depend on candidate-list construction
+   order. *)
+let before a b =
+  if a.est <> b.est then a.est > b.est
+  else compare (a.repeat, a.superset, a.via_l0) (b.repeat, b.superset, b.via_l0) < 0
+
 let finalize t =
   (* Recovery success rate = recoveries / candidates: how many of the
      tracked heavy-hitter candidates (plus fallback sketches) actually
-     cleared their threshold. *)
-  let examined = ref 0 in
-  let all =
-    List.concat
-      (List.mapi
-         (fun r rs ->
-           let n, passing = candidates_of_repeat t r rs in
-           examined := !examined + n;
-           passing)
-         (Array.to_list t.repeats))
-  in
+     cleared their threshold.  The winner is the first passing
+     candidate under [before], taken in one scan. *)
+  let examined = ref 0 and recovered = ref 0 and best = ref None in
+  Array.iteri
+    (fun r rs ->
+      let n, passing = candidates_of_repeat t r rs in
+      examined := !examined + n;
+      List.iter
+        (fun c ->
+          incr recovered;
+          match !best with Some b when not (before c b) -> () | _ -> best := Some c)
+        passing)
+    t.repeats;
   t.st_hh_candidates <- !examined;
-  t.st_hh_recoveries <- List.length all;
-  (* Total order: estimate descending, then (repeat, superset, via_l0)
-     — the winner must not depend on candidate-list construction
-     order. *)
-  match
-    List.sort
-      (fun a b ->
-        if a.est <> b.est then compare b.est a.est
-        else compare (a.repeat, a.superset, a.via_l0) (b.repeat, b.superset, b.via_l0))
-      all
-  with
-  | [] -> None
-  | best :: _ ->
-      Some
-        {
-          Solution.estimate = best.est /. t.rho;
-          witness = witness t best;
-          provenance =
-            Solution.Large_set
-              { superset = best.superset; repeat = best.repeat; via_l0_fallback = best.via_l0 };
-        }
+  t.st_hh_recoveries <- !recovered;
+  Option.map
+    (fun best ->
+      {
+        Solution.estimate = best.est /. t.rho;
+        witness = witness t best;
+        provenance =
+          Solution.Large_set
+            { superset = best.superset; repeat = best.repeat; via_l0_fallback = best.via_l0 };
+      })
+    !best
 
 (* Pending deltas from any earlier feeding must not survive into a
    thawed state: the packed counters are always flushed. *)

@@ -217,8 +217,8 @@ let budget_evidence b =
    then [finalize] run on it, and it is shut down before the last
    sample.  One slot (one domain asked for, or at most one shard)
    spawns no domain. *)
-let drive (type s r) cfg ~sampler ~shards ~finalize ?ckpt (sink : (s, r) Sink.sink) (state : s)
-    src : r =
+let drive (type s r) cfg ~sampler ~shards ~finalize ?epoch ?ckpt (sink : (s, r) Sink.sink)
+    (state : s) src : r =
   let sinks = if cfg.domains > 1 then shards state else [| Sink.pack sink state |] in
   let on_window ~pos ~len =
     Option.iter (fun s -> window s ~len) sampler;
@@ -232,7 +232,7 @@ let drive (type s r) cfg ~sampler ~shards ~finalize ?ckpt (sink : (s, r) Sink.si
   in
   let go ?pool () =
     match
-      Pipe.drive ?pool ~domains:cfg.domains ~chunk:cfg.chunk
+      Pipe.drive ?pool ~domains:cfg.domains ~chunk:cfg.chunk ?epoch
         ?checkpoint:(Option.map (fun c -> (c, state)) ckpt)
         ~on_save ~on_window sinks src
     with
@@ -278,7 +278,8 @@ let ledger_entry l ~label ~edges ~wall_ns ~words r =
     e_quality = quality;
   }
 
-let run (type s r) cfg ?budget ?telemetry ?shards ?finalize ?ckpt ?(record_metrics = ignore)
+let run (type s r) cfg ?budget ?telemetry ?shards ?finalize ?epoch ?ckpt
+    ?(record_metrics = ignore)
     ?ledger ~label ((module M) as sink : (s, r) Sink.sink) (state : s) src :
     (r outcome, error) result =
   let rules = match telemetry with Some t -> t.rules | None -> [] in
@@ -293,7 +294,7 @@ let run (type s r) cfg ?budget ?telemetry ?shards ?finalize ?ckpt ?(record_metri
   match
     if cfg.trace || budget <> None || telemetry <> None then
       sampler := Some (create_sampler cfg ?budget ?telemetry (Sink.pack sink state));
-    drive cfg ~sampler:!sampler ~shards ~finalize ?ckpt sink state src
+    drive cfg ~sampler:!sampler ~shards ~finalize ?epoch ?ckpt sink state src
   with
   | exception e -> (
       close ();

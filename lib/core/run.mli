@@ -116,6 +116,7 @@ val run :
   ?telemetry:telemetry ->
   ?shards:('s -> Mkc_stream.Sink.any array) ->
   ?finalize:(?pool:Mkc_stream.Pipeline.Pool.t -> 's -> 'r) ->
+  ?epoch:int ->
   ?ckpt:'s ckpt ->
   ?record_metrics:('r -> unit) ->
   ?ledger:'r ledger ->
@@ -133,6 +134,10 @@ val run :
     (z, rep) instances' finalize over the domains that fed them.
     Otherwise, or at one slot, no domain is spawned: the sink (or its
     one shard) is fed and [finalize state] runs on the calling domain.
+    A windowed sink passes its [epoch] length ({!Windowed.epoch_edges}):
+    the drive's windows then also end at the epoch boundaries, so each
+    shard rolls at a window's end on its own slot
+    ({!Mkc_stream.Pipeline.drive}).
     The whole sink is sampled when [trace], a [budget] or [telemetry]
     asks for it — on every mode the same way: at most once per window,
     realigned to the [cadence] grid so an oversized window does not

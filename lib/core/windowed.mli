@@ -3,28 +3,37 @@
     The general streaming model of the paper is insertion + deletion;
     freshness-weighted queries ("coverage over the recent stream") are
     the other practical face of the same machinery.  This module cuts
-    the edge stream into fixed-size epochs, runs every epoch in one
-    live {!Estimate} instance, and freezes each finished epoch
-    ({!Estimate.freeze}: its packed mergeable state) into a ring of the
-    last [window] epochs.  A roll then resets the live instance in
-    place by thawing a frozen blank into it ({!Estimate.thaw}), so its
-    seed-derived decision memos stay warm from epoch to epoch.  A query
-    thaws the held epochs one by one into a scratch estimator and
-    merges them oldest-first into one estimator by the shard-merge path
-    ({!Estimate.merge_into}), then merges the in-flight epoch, so the
+    the edge stream into fixed-size epochs and runs every epoch in one
+    live {!Estimate}.  Figure 1's (z, rep) instances are independent
+    until Theorem 3.6's selection, so each instance keeps a window of
+    its own: its live state, a frozen blank, and a ring of the last
+    [window] frozen epoch states ({!Estimate.freeze_inst}: its packed
+    mergeable state).  When an epoch is full, each instance freezes
+    into its ring slot and is reset in place by thawing its blank
+    ({!Estimate.thaw_inst}), so its seed-derived decision memos stay
+    warm from epoch to epoch.  Each instance rolls on the domain that
+    feeds it: {!shards} gives one sink per instance, for a pooled
+    drive whose windows end at the epoch boundaries.
+
+    A query, one instance at a time (with a pool, side by side), thaws
+    the held epochs one by one into a scratch instance and merges them
+    oldest-first into a fresh one by the shard-merge path
+    ({!Estimate.merge_inst}), then merges the in-flight epoch and
+    finalizes; {!Estimate.select} then picks the answer once.  So the
     windowed answer is exactly what a fresh single pass over the live
     suffix would produce (L0 and the linear sketches merge losslessly;
     only work counters and the decision memo differ, and neither feeds
-    the estimate).
+    the estimate), at any domain count.
 
     With [decay] = λ the same ring instead feeds the {!Decay} monoid:
-    each roll finalizes its epoch, and the per-epoch estimates are
-    folded oldest-first, each step aging the accumulated mass by λ per
-    epoch — an exponential-decay estimate in O(window) extra space.
-    Without decay a roll does not finalize.
+    each roll finalizes each instance's epoch into its ring slot, each
+    epoch's estimate is selected from those outcomes, and the
+    per-epoch estimates are folded oldest-first, each step aging the
+    accumulated mass by λ per epoch — an exponential-decay estimate in
+    O(window) extra space.  Without decay a roll does not finalize.
 
     Telemetry: [window.epochs] (live epochs, gauge), [window.rolled]
-    (counter), and a [window.decay_merge] span around each query-time
+    (counter), and a [window.decay_merge] span around each query's
     merge — all through the global registry, so [--telemetry] picks
     them up at no extra plumbing. *)
 
@@ -59,7 +68,22 @@ val feed_planned :
     plan.  One that straddles a roll is split at the epoch boundary,
     so rolls land at exactly the per-edge drive's edge counts
     (bit-for-bit equal states across driving modes); its pieces are
-    planned into the domain's {!Feed_scratch.plan}. *)
+    planned into the domain's {!Feed_scratch.plan}.  A drive whose
+    windows end at the epoch boundaries ({!epoch_edges}) never splits. *)
+
+val shards : t -> Mkc_stream.Sink.any array
+(** One mutually independent sink per (z, rep) instance, each with its
+    ring: driving every shard over the full stream (e.g. by
+    {!Mkc_stream.Pipeline.drive}) leaves the window in exactly the
+    state of {!feed}, and each instance rolls on the slot that feeds
+    it.  Give the drive [~epoch:(epoch_edges t)] so that no shard splits
+    a slice.  A shard's [words] count its instance and its held
+    epochs' bytes; the whole window's {!words} are the ones to read.
+    The trivial branch has no instance but must still count its
+    epochs: its one shard is the whole sink. *)
+
+val epoch_edges : t -> int
+(** Edges per epoch, as created. *)
 
 type result = {
   estimate : float;  (** windowed (or decayed) coverage estimate *)
@@ -69,11 +93,22 @@ type result = {
   rolled : int;  (** total epochs rolled over the whole run *)
 }
 
-val finalize : t -> result
+val finalize : ?pool:Mkc_stream.Pipeline.Pool.t -> t -> result
+(** The window query.  With [pool], the instances are thawed, merged
+    and finalized over its slots by
+    {!Mkc_stream.Pipeline.Pool.parallel_for}; the answer is the same
+    with or without one.  The window may go on taking edges
+    afterwards. *)
+
+val merged : t -> Estimate.t option
+(** The estimator the last {!finalize} merged the window into: its
+    instances are finalized and its verdicts are the answer's, so
+    {!Estimate.record_metrics} of it publishes the query's winners,
+    guesses and finalize-time stats.  [None] before the first query. *)
 
 val words : t -> int
-(** Current estimator plus every held frozen epoch, each charged its
-    heap size ({!Estimate.frozen_words}). *)
+(** Current estimator plus every held frozen epoch, each charged the
+    heap size of one string of its instances' states. *)
 
 val words_breakdown : t -> (string * int) list
 (** The in-flight estimator's breakdown under [current.*] plus the
@@ -86,8 +121,8 @@ val stats_totals : t -> (string * int) list
 val params : t -> Params.t
 
 val current : t -> Estimate.t
-(** The in-flight epoch's estimator: one instance for the whole run,
-    reset in place (not replaced) on every roll. *)
+(** The in-flight epoch's estimator: one for the whole run, each
+    instance reset in place (not replaced) on every roll. *)
 
 val rolled : t -> int
 

@@ -337,7 +337,7 @@ let with_slots ?pool ?domains nsinks f =
    it — the bit-for-bit-vs-[run_seq] invariant.
 
    [on_window] runs between windows, while every worker is quiescent. *)
-let loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src =
+let loop ~pool ~slots ?costs ~chunk ?epoch ~start ~on_window sinks src =
   let nsinks = Array.length sinks in
   let costs =
     match costs with
@@ -347,7 +347,7 @@ let loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src =
           invalid_arg "Pipeline: costs length must equal the sink count";
         Array.map (fun x -> Float.max x 1e-9) c
   in
-  let wins = Stream_source.windows ~chunk ~start src in
+  let wins = Stream_source.windows ~chunk ?epoch ~start src in
   let nwin = Array.length wins in
   if nwin > 0 then begin
     let edges = Stream_source.backing src in
@@ -456,7 +456,7 @@ type 's checkpoint = {
    resumed run re-windows the suffix on the same grid (same [chunk], at
    any slot count), so results, [words] and every work counter match
    the uninterrupted run's bit for bit. *)
-let drive (type s) ?pool ?domains ?costs ?(chunk = default_chunk) ?(start = 0)
+let drive (type s) ?pool ?domains ?costs ?(chunk = default_chunk) ?epoch ?(start = 0)
     ?(checkpoint : (s checkpoint * s) option) ?on_save ?on_window sinks src =
   let ( let* ) = Result.bind in
   let n = Stream_source.length src in
@@ -497,7 +497,7 @@ let drive (type s) ?pool ?domains ?costs ?(chunk = default_chunk) ?(start = 0)
       match save_at next with Ok () -> () | Error e -> failure := Some e
   in
   with_slots ?pool ?domains (Array.length sinks) (fun pool slots ->
-      loop ~pool ~slots ?costs ~chunk ~start ~on_window sinks src);
+      loop ~pool ~slots ?costs ~chunk ?epoch ~start ~on_window sinks src);
   let* () = match !failure with None -> Ok () | Some e -> Error e in
   (* A final checkpoint at end-of-stream: the shard-merge workflow
      merges exactly these. *)

@@ -147,6 +147,7 @@ val drive :
   ?domains:int ->
   ?costs:float array ->
   ?chunk:int ->
+  ?epoch:int ->
   ?start:int ->
   ?checkpoint:'s checkpoint * 's ->
   ?on_save:(bytes:int -> unit) ->
@@ -171,6 +172,11 @@ val drive :
     — no shared mutable state — which holds for all shard arrays
     exposed by this library.  Raises [Invalid_argument] if [costs] and
     the sinks differ in length.
+
+    With [epoch], windows also end at every multiple of [epoch] edges
+    ({!Stream_source.windows}): a windowed sink's shards then roll at
+    a window's end, on the slot that feeds them, and never split a
+    slice.  Checkpoint saves count these windows too.
 
     [on_window ~pos ~len] runs on the calling domain after each window
     [\[pos, pos+len)] has been fed to every sink, while every worker is

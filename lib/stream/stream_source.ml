@@ -7,15 +7,30 @@ let iter = Array.iter
 let fold f init t = Array.fold_left f init t
 let to_array = Array.copy
 
-let windows ?(chunk = 8192) ?(start = 0) t =
+let windows ?(chunk = 8192) ?epoch ?(start = 0) t =
   if chunk < 1 then invalid_arg "Stream_source.windows: chunk must be >= 1";
   let n = Array.length t in
   if start < 0 || start > n then
     invalid_arg "Stream_source.windows: start out of range";
   let nwin = (n - start + chunk - 1) / chunk in
-  Array.init nwin (fun w ->
-      let pos = start + (w * chunk) in
-      (pos, min chunk (n - pos)))
+  let grid =
+    Array.init nwin (fun w ->
+        let pos = start + (w * chunk) in
+        (pos, min chunk (n - pos)))
+  in
+  match epoch with
+  | None -> grid
+  | Some e ->
+      if e < 1 then invalid_arg "Stream_source.windows: epoch must be >= 1";
+      (* Each chunk window is cut again at every multiple of [e]. *)
+      let rec cut pos stop acc =
+        if pos >= stop then acc
+        else
+          let next = min stop (((pos / e) + 1) * e) in
+          cut next stop ((pos, next - pos) :: acc)
+      in
+      Array.of_list
+        (List.rev (Array.fold_left (fun acc (pos, len) -> cut pos (pos + len) acc) [] grid))
 
 let backing t = t
 

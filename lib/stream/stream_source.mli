@@ -15,15 +15,17 @@ val length : t -> int
 val iter : (Edge.t -> unit) -> t -> unit
 val fold : ('a -> Edge.t -> 'a) -> 'a -> t -> 'a
 
-val windows : ?chunk:int -> ?start:int -> t -> (int * int) array
+val windows : ?chunk:int -> ?epoch:int -> ?start:int -> t -> (int * int) array
 (** The zero-copy [(pos, len)] sub-ranges of {!backing} that cut the
     stream into windows of [chunk] edges (default 8192) — the ingestion
     grid behind {!Pipeline}, precomputed so a pipelined driver can
-    build window W+1's plan while W is still being replayed.  Every
-    window has [len >= 1]: streams whose length is an exact multiple of
-    [chunk] do not end with an empty window.  [start] (default 0) skips
-    a prefix — the resume primitive; [start = length t] yields the
-    empty array. *)
+    build window W+1's plan while W is still being replayed.  With
+    [epoch], a window also ends at every multiple of [epoch] edges (a
+    windowed sink's epoch boundaries, so no window straddles a roll).
+    Every window has [len >= 1]: streams whose length is an exact
+    multiple of [chunk] do not end with an empty window.  [start]
+    (default 0) skips a prefix — the resume primitive; [start = length
+    t] yields the empty array. *)
 
 val backing : t -> Edge.t array
 (** Zero-copy view of the backing edge array, for drivers that pair it

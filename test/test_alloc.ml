@@ -193,19 +193,22 @@ let direct_major_words f =
   let _, promoted1, major1 = Gc.counters () in
   major1 -. major0 -. (promoted1 -. promoted0)
 
-(* A roll freezes the live estimator into the ring and thaws a blank
-   back into it: no estimator is built (the thaw drops the fallback L0
-   sketches, and the next epoch makes few-word ones afresh).  Three
-   planned epochs warm the memos up; the same three epochs are then
-   measured.  At the churn-window benchmark's dimensions a roll must
-   cost under an eighth of one [Estimate.create] (about a tenth today:
-   the ring's frozen copy is most of it; a create is 0.51M words since
-   LargeSet's and SmallSet's decision memos became direct byte tables,
-   so the bound, 64k words, is below the 89k that a sixteenth of the
-   1.42M-word create with keyed memos allowed).  The freeze packs into
-   the window's one reused writer and CountSketch rows are written from
-   and read into the sketches' own counters; regrowing the pack buffer
-   on every roll cost about 180k words. *)
+(* A roll freezes each (z, rep) instance into its ring slot and thaws
+   the instance's blank back into it, on the shard that feeds it: no
+   instance is built (the thaw drops the fallback L0 sketches, and the
+   next epoch makes few-word ones afresh).  The window is driven the
+   way a pooled run drives it, one shard per instance over windows cut
+   at the epoch boundaries.  Three planned epochs warm the memos up;
+   the same three epochs are then measured.  At the churn-window
+   benchmark's dimensions a roll must cost under an eighth of one
+   [Estimate.create] (about a tenth: the ring's frozen copies are most
+   of it; a create is 0.51M words since LargeSet's and SmallSet's
+   decision memos became direct byte tables, so the bound, 64k words,
+   is below the 89k that a sixteenth of the 1.42M-word create with
+   keyed memos allowed).  Each instance packs into its own reused
+   writer and CountSketch rows are written from and read into the
+   sketches' own counters; regrowing the pack buffer on every roll
+   cost about 180k words. *)
 let test_windowed_roll () =
   let module W = Mkc_core.Windowed in
   let module Plan = Mkc_stream.Chunk_plan in
@@ -215,11 +218,14 @@ let test_windowed_roll () =
     Array.map (fun id -> Mkc_stream.Edge.make ~set:(id land 1023) ~elt:(id lsr 5)) ids
   in
   let w = W.create p ~window:2 ~epoch_edges:epoch () in
+  let shards = W.shards w in
   let plan = Plan.create () in
   let rolls () =
     for i = 0 to epochs - 1 do
       Plan.build plan stream ~pos:(i * epoch) ~len:epoch;
-      W.feed_planned w plan stream ~pos:(i * epoch) ~len:epoch
+      Array.iter
+        (fun s -> Mkc_stream.Sink.Any.feed_planned s plan stream ~pos:(i * epoch) ~len:epoch)
+        shards
     done
   in
   rolls ();

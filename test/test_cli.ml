@@ -102,8 +102,6 @@ let test_windowed_flag_validation () =
     ~msg:"--decay must lie strictly between 0 and 1 (got 1.5)";
   expect_rejection "estimate --stream nope.txt --window 4 --epoch-edges 10 --decay 0"
     ~msg:"--decay must lie strictly between 0 and 1 (got 0)";
-  expect_rejection "estimate --stream nope.txt --window 4 --epoch-edges 10 --domains 2"
-    ~msg:"--window runs single-domain";
   expect_rejection
     "estimate --stream nope.txt --window 4 --epoch-edges 10 --checkpoint c.json"
     ~msg:"--checkpoint/--resume are not supported in windowed mode";
@@ -373,8 +371,10 @@ let golden_cases =
     ("report_window", "report", "--window 4 --epoch-edges 2048");
   ]
 
+(* [name]'s first word names the golden file. *)
 let check_golden name out =
-  Alcotest.(check string) (name ^ " stdout") (read_all ("golden_cli/" ^ name ^ ".out")) out
+  let file = List.hd (String.split_on_char ' ' name) in
+  Alcotest.(check string) (name ^ " stdout") (read_all ("golden_cli/" ^ file ^ ".out")) out
 
 let test_golden_stdout () =
   with_stream (fun stream ->
@@ -383,6 +383,18 @@ let test_golden_stdout () =
           check_golden name
             (run_ok (Printf.sprintf "%s -s %s -k 8 --alpha 4 %s" sub stream flags)))
         golden_cases;
+      (* A windowed run pools like any other: each instance rolls on its
+         slot, and the answer is the one-domain answer, on a chunk grid
+         that straddles the epochs too. *)
+      List.iter
+        (fun (name, sub, flags) ->
+          List.iter
+            (fun pool ->
+              check_golden
+                (Printf.sprintf "%s %s" name pool)
+                (run_ok (Printf.sprintf "%s -s %s -k 8 --alpha 4 %s %s" sub stream flags pool)))
+            [ "--domains 2"; "--domains 3 --chunk 1000" ])
+        (List.filter (fun (name, _, _) -> contains ~sub:"window" name) golden_cases);
       (* A 2-shard merge: each half of the stream checkpointed by its own
          run at the full instance's dimensions. *)
       let lines = String.split_on_char '\n' (String.trim (read_all stream)) in
@@ -615,8 +627,8 @@ let test_resume_across_domains () =
         [ (2, 1); (1, 2) ])
 
 (* With no --domains a run takes the host's domains, but answers as one
-   domain does; a windowed run and a one-chunk stream stay on one
-   domain, so the latter records no pool gauge. *)
+   domain does, windowed runs included; a one-chunk stream stays on one
+   domain, so it records no pool gauge. *)
 let test_default_domains () =
   with_stream (fun stream ->
       let snap = Filename.temp_file "mkc_cli" ".json" in
@@ -647,12 +659,13 @@ let test_default_domains () =
           else
             checkb "the ledger records the resolved domain count" true
               (recorded >= 2 && recorded <= rec_d);
-          checkb "--window with no --domains runs" true
-            (contains ~sub:"windowed 8-cover coverage estimate"
-               (est "--window 4 --epoch-edges 2048"));
-          expect_rejection
-            (Printf.sprintf "estimate -s %s --window 4 --epoch-edges 2048 --domains 2" stream)
-            ~msg:"--window runs single-domain";
+          check_golden "estimate_window with no --domains" (est "--window 4 --epoch-edges 2048");
+          check_golden "estimate_window --domains 2"
+            (est "--window 4 --epoch-edges 2048 --domains 2");
+          check_golden "report_window --domains 2"
+            (run_ok
+               (Printf.sprintf "report -s %s -k 8 --alpha 4 --window 4 --epoch-edges 2048 --domains 2"
+                  stream));
           ignore (est (Printf.sprintf "--metrics-json %s" snap));
           checkb "a one-chunk stream records no pipeline.domains" true
             (contains ~sub:"\"pipeline.domains\",\"kind\":\"gauge\",\"value\":0.0}"

@@ -97,6 +97,20 @@ let live_suffix_len ~window ~epoch_edges ~total =
   let full = total / epoch_edges and in_ep = total mod epoch_edges in
   (min window full * epoch_edges) + in_ep
 
+(* The CLI's drive: [Run] at [domains], one shard per instance, the
+   windows cut at the epoch boundaries unless [unaligned], in which
+   case the shards split their slices themselves. *)
+let run_pooled ?(unaligned = false) ~domains ~chunk w edges =
+  match
+    Mkc_core.Run.run
+      { Mkc_core.Run.default with domains; chunk }
+      ~shards:W.shards ~finalize:W.finalize
+      ?epoch:(if unaligned then None else Some (W.epoch_edges w))
+      ~label:"estimate" W.sink w (Src.of_array edges)
+  with
+  | Ok o -> o.Mkc_core.Run.result
+  | Error e -> Alcotest.failf "windowed run: %s" (Mkc_core.Run.error_to_string e)
+
 let check_window_equals_fresh ?churn ~window ~epoch_edges ~drop_partial sys ~k ~alpha ~seed =
   let p = params sys ~k ~alpha ~seed in
   let edges = Ss.edge_stream ~seed:(seed + 1) sys in
@@ -139,7 +153,17 @@ let check_window_equals_fresh ?churn ~window ~epoch_edges ~drop_partial sys ~k ~
     (fun chunk ->
       check_drive (Printf.sprintf "chunk %d" chunk)
         (Pipe.run ~chunk W.sink (W.create p ~window ~epoch_edges ()) (Src.of_array edges)))
-    [ epoch_edges; divisor (epoch_edges / 2); epoch_edges + (epoch_edges / 3) ]
+    [ epoch_edges; divisor (epoch_edges / 2); epoch_edges + (epoch_edges / 3) ];
+  (* Pooled, each instance rolling on its own slot: the same law at
+     every domain count on insert-only streams (the churned gap is
+     SmallSet's, DESIGN.md §9). *)
+  if churn = None then
+    List.iter
+      (fun (domains, chunk) ->
+        check_drive
+          (Printf.sprintf "%d domains, chunk %d" domains chunk)
+          (run_pooled ~domains ~chunk (W.create p ~window ~epoch_edges ()) edges))
+      [ (2, epoch_edges); (3, epoch_edges + (epoch_edges / 3)); (2, 3 * epoch_edges) ]
 
 let test_window_equals_fresh_suffix () =
   let sys = Mkc_workload.Random_inst.uniform ~n:300 ~m:48 ~set_size:10 ~seed:5 in
@@ -177,8 +201,9 @@ let test_churned_window_equals_fresh_suffix_exact_epochs () =
 
 (* ---------- the ring's space charge ---------- *)
 
-(* Each held epoch is charged its frozen state's real heap size, and the
-   ring's [words] entry is the sum over the held epochs. *)
+(* Each held epoch is charged the real heap size of one string of its
+   instances' frozen states, and the ring's [words] entry is the sum
+   over the held epochs. *)
 let test_ring_charge_is_heap_size () =
   let sys = Mkc_workload.Random_inst.uniform ~n:400 ~m:64 ~set_size:12 ~seed:30 in
   let p = params sys ~k:6 ~alpha:2.0 ~seed:31 in
@@ -192,8 +217,9 @@ let test_ring_charge_is_heap_size () =
     List.init window (fun i ->
         let e = Est.create p in
         Array.iter (Est.feed e) (Array.sub edges ((rolled - window + i) * epoch_edges) epoch_edges);
-        let f = Est.freeze (Mkc_sketch.Packed.writer ()) e in
-        let heap = Obj.reachable_words (Obj.repr f) and words = Est.frozen_words f in
+        let pack = Mkc_sketch.Packed.writer () in
+        let f = String.concat "" (Array.to_list (Array.map (Est.freeze_inst pack) (Est.insts e))) in
+        let heap = Obj.reachable_words (Obj.repr f) and words = (String.length f / 8) + 2 in
         checkb
           (Printf.sprintf "epoch %d: charge %d within [%d, 1.1×%d]" i words heap heap)
           true
@@ -233,6 +259,127 @@ let test_batched_drive_matches_per_edge () =
         true
         (W.words_breakdown batched = bd))
     [ 57; 1; 3; 19; 13; 64; 114; 1024 ]
+
+(* ---------- the windowed answer at any domain count ---------- *)
+
+(* Everything a windowed answer shows, the witness and the words
+   included. *)
+let fingerprint w (r : W.result) =
+  ( Int64.bits_of_float r.W.estimate,
+    r.W.epochs,
+    r.W.rolled,
+    Option.map (fun (o : Sol.outcome) -> (o.Sol.provenance, o.Sol.witness ())) r.W.outcome,
+    W.words w,
+    W.words_breakdown w )
+
+(* One seeded case: a uniform instance, its stream insert-only or 30%
+   churned, a window with or without decay, and every drive — chunks
+   that equal, divide and straddle the epoch, one spanning several
+   rolls, at 1, 2 and 3 domains, cut at the epochs or not — against
+   the per-edge drive. *)
+let windowed_case ?(trivial = false) seed =
+  let rng = Sm.create seed in
+  let m = if trivial then 8 else 32 + Sm.below rng 24 in
+  let sys = Mkc_workload.Random_inst.uniform ~n:(150 + Sm.below rng 150) ~m ~set_size:8 ~seed in
+  let p = params sys ~k:(if trivial then 4 else 4 + Sm.below rng 3) ~alpha:2.0 ~seed:(seed + 1) in
+  let edges = Ss.edge_stream ~seed:(seed + 2) sys in
+  let churned = Sm.below rng 2 = 1 in
+  let edges = if churned then Churn.apply ~frac:0.3 ~seed:(seed + 3) edges else edges in
+  let decay = if Sm.below rng 2 = 1 then Some 0.5 else None in
+  let window = 2 + Sm.below rng 3 and epoch_edges = 40 + Sm.below rng 50 in
+  let fresh () = W.create ?decay p ~window ~epoch_edges () in
+  let by_edge = fresh () in
+  Array.iter (W.feed by_edge) edges;
+  let expected = fingerprint by_edge (W.finalize by_edge) in
+  let rec divisor d = if epoch_edges mod d = 0 then d else divisor (d - 1) in
+  List.for_all
+    (fun (domains, chunk, unaligned) ->
+      let w = fresh () in
+      let got = fingerprint w (run_pooled ~unaligned ~domains ~chunk w edges) in
+      got = expected
+      || QCheck.Test.fail_reportf "seed %d (%s%s, window %d, epoch %d): %d domains, chunk %d%s"
+           seed
+           (if churned then "churned" else "insert-only")
+           (if decay = None then "" else ", decay")
+           window epoch_edges domains chunk
+           (if unaligned then ", unaligned" else ""))
+    (List.concat_map
+       (fun domains ->
+         [
+           (domains, epoch_edges, false);
+           (domains, divisor (epoch_edges / 2), false);
+           (domains, epoch_edges + (epoch_edges / 3), false);
+           (domains, (3 * epoch_edges) + 7, false);
+           (domains, epoch_edges + (epoch_edges / 3), true);
+           (domains, (3 * epoch_edges) + 7, true);
+         ])
+       [ 1; 2; 3 ])
+
+let prop_windowed_across_domains =
+  QCheck.Test.make ~name:"windowed answer ≡ at 1, 2 and 3 domains" ~count:8
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 10_000))
+    windowed_case
+
+(* k·α ≥ m: no instance, but the epochs still count, on one domain. *)
+let test_trivial_window_across_domains () =
+  checkb "trivial shape, insert-only or churned" true
+    (List.for_all (windowed_case ~trivial:true) [ 1; 2; 3; 4 ])
+
+(* ---------- the windowed snapshot holds the query's verdicts ---------- *)
+
+(* [mkc estimate --window --metrics-json] records the merged window's
+   finalize: one winner per instance and the heavy-hitter recoveries
+   its LargeSet finalize counted. *)
+let test_windowed_snapshot () =
+  let stream = Filename.temp_file "mkc_window" ".txt" in
+  let snap = Filename.temp_file "mkc_window" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ stream; snap ])
+    (fun () ->
+      let mkc args =
+        let cmd = Printf.sprintf "../bin/mkc.exe %s >/dev/null" args in
+        checki cmd 0 (Sys.command cmd)
+      in
+      mkc (Printf.sprintf "generate --kind few-large -n 2048 -m 512 -k 8 --seed 4 -o %s" stream);
+      mkc
+        (Printf.sprintf
+           "estimate -s %s -k 8 --alpha 4 --window 4 --epoch-edges 2048 --domains 2 \
+            --metrics-json %s"
+           stream snap);
+      let ic = open_in_bin snap in
+      let json = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let metrics =
+        match Mkc_obs.Snapshot.validate json with
+        | Ok t -> t.Mkc_obs.Snapshot.metrics
+        | Error e -> Alcotest.failf "snapshot: %s" e
+      in
+      let value name =
+        List.find_map
+          (fun (m : Mkc_obs.Snapshot.metric) ->
+            if m.mname <> name then None
+            else
+              match m.mvalue with
+              | Mkc_obs.Snapshot.Counter c -> Some (float_of_int c)
+              | Gauge g -> Some g
+              | Histogram _ -> None)
+          metrics
+      in
+      let prefixed pre =
+        List.fold_left
+          (fun acc (m : Mkc_obs.Snapshot.metric) ->
+            match m.mvalue with
+            | Mkc_obs.Snapshot.Counter c when String.starts_with ~prefix:pre m.mname -> acc + c
+            | _ -> acc)
+          0 metrics
+      in
+      let p = P.make ~m:512 ~n:2048 ~k:8 ~alpha:4.0 () in
+      let instances = List.length (Est.guesses (Est.create p)) * p.P.z_repeats in
+      checki "winner counts sum to the instance count" instances (prefixed "estimate.winner.");
+      checki "each guess is judged once per instance" instances (prefixed "estimate.guess.");
+      match value "estimate.quality.f2.hh_recovery_rate" with
+      | Some r -> checkb (Printf.sprintf "recovery rate %g is nonzero" r) true (r > 0.0)
+      | None -> Alcotest.fail "no estimate.quality.f2.hh_recovery_rate")
 
 (* ---------- seeded churn workload vs greedy on the live suffix ---------- *)
 
@@ -372,7 +519,12 @@ let test_windowed_telemetry_without_registry () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_decay_identity; prop_decay_assoc; prop_decay_fold_closed_form ]
+    [
+      prop_decay_identity;
+      prop_decay_assoc;
+      prop_decay_fold_closed_form;
+      prop_windowed_across_domains;
+    ]
   @ [
       Alcotest.test_case "window of W ≡ fresh run on live suffix" `Quick
         test_window_equals_fresh_suffix;
@@ -398,4 +550,8 @@ let suite =
         test_rolled_estimator_is_unfinalized;
       Alcotest.test_case "windowed telemetry records rolls without the registry" `Quick
         test_windowed_telemetry_without_registry;
+      Alcotest.test_case "a trivial window answers alike at any domain count" `Quick
+        test_trivial_window_across_domains;
+      Alcotest.test_case "a windowed snapshot holds the query's verdicts" `Quick
+        test_windowed_snapshot;
     ]
